@@ -24,6 +24,7 @@ use sadp_core::eco::{EcoEdit, EcoSession};
 use sadp_core::{Router, RouterConfig, RoutingReport};
 use sadp_grid::{NetId, Netlist, RoutingPlane};
 use sadp_obs::{BufferRecorder, RouterEvent, Stage};
+use sadp_serve::json::escape;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -146,9 +147,9 @@ fn json_instance(inst: &Instance, plane: &RoutingPlane, nets: usize, runs: &[Run
     let serial = &runs[0];
     write!(
         out,
-        "    {{\"name\":\"{}\",\"format\":\"{}\",\"nets\":{nets},\
+        "    {{\"name\":{},\"format\":\"{}\",\"nets\":{nets},\
          \"tracks\":[{},{},{}],\"waves\":{},\"max_wave_width\":{},\"runs\":[",
-        inst.name,
+        escape(&inst.name),
         inst.format.name(),
         plane.width(),
         plane.height(),
@@ -190,16 +191,40 @@ fn json_instance(inst: &Instance, plane: &RoutingPlane, nets: usize, runs: &[Run
 
 fn json_eco(e: &EcoStats) -> String {
     format!(
-        "{{\"instance\":\"{}\",\"nets\":{},\"edits\":{},\
+        "{{\"instance\":{},\"nets\":{},\"edits\":{},\
          \"edit_latency_ms\":{{\"p50\":{:.3},\"p95\":{:.3}}},\
          \"invalidated\":{{\"mean\":{:.2},\"max\":{}}}}}",
-        e.instance,
+        escape(&e.instance),
         e.nets,
         e.edits,
         e.edit_p50_ms,
         e.edit_p95_ms,
         e.invalidated_mean,
         e.invalidated_max,
+    )
+}
+
+/// The consolidated record: per-format counts (`layout`, `dsn`, `def`
+/// order), the [`json_instance`] entries and the ECO section.
+fn json_record(
+    rev: &str,
+    cores: usize,
+    counts: &[(&str, usize); 3],
+    instances: &[String],
+    eco: &EcoStats,
+) -> String {
+    format!(
+        "{{\n  \"schema\":\"{}\",\n  \"rev\":{},\n  \"cores\":{cores},\n  \
+         \"threads\":[1,2,4],\n  \
+         \"formats\":{{\"layout\":{},\"dsn\":{},\"def\":{}}},\n  \
+         \"instances\":[\n{}\n  ],\n  \"eco\":{}\n}}\n",
+        fleet::SCHEMA,
+        escape(rev),
+        counts[0].1,
+        counts[1].1,
+        counts[2].1,
+        instances.join(",\n"),
+        json_eco(eco)
     )
 }
 
@@ -306,18 +331,7 @@ fn main() {
         eco.invalidated_max
     );
 
-    let json = format!(
-        "{{\n  \"schema\":\"{}\",\n  \"rev\":\"{rev}\",\n  \"cores\":{cores},\n  \
-         \"threads\":[1,2,4],\n  \
-         \"formats\":{{\"layout\":{},\"dsn\":{},\"def\":{}}},\n  \
-         \"instances\":[\n{}\n  ],\n  \"eco\":{}\n}}\n",
-        fleet::SCHEMA,
-        counts[0].1,
-        counts[1].1,
-        counts[2].1,
-        instance_json.join(",\n"),
-        json_eco(&eco)
-    );
+    let json = json_record(&rev, cores, &counts, &instance_json, &eco);
     // Self-check doubles as the vacuity gate: an imported suite that
     // routes nothing fails here, not in a later CI grep.
     if let Err(e) = fleet::validate_record(&json) {
@@ -326,4 +340,59 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sadp_geom::DesignRules;
+    use sadp_ingest::Format;
+    use sadp_serve::json::Json;
+
+    #[test]
+    fn names_with_quotes_and_backslashes_still_validate() {
+        let plane = RoutingPlane::new(1, 8, 8, DesignRules::node_10nm()).expect("valid plane");
+        let run = |threads: usize| RunStats {
+            threads,
+            wall_s: 0.1,
+            report: RoutingReport {
+                routed_nets: 1,
+                ..RoutingReport::default()
+            },
+            failed: Vec::new(),
+            waves: 0,
+            max_wave: 0,
+        };
+        let runs: Vec<RunStats> = THREADS.iter().map(|&t| run(t)).collect();
+        let odd = "dir\\\"quoted\" name";
+        let instances: Vec<String> = [Format::Layout, Format::Dsn, Format::Def]
+            .into_iter()
+            .map(|format| {
+                let inst = Instance {
+                    name: format!("{odd}.{}", format.name()),
+                    path: format!("{odd}.{}", format.name()).into(),
+                    format,
+                };
+                json_instance(&inst, &plane, 1, &runs)
+            })
+            .collect();
+        let eco = EcoStats {
+            instance: odd.to_string(),
+            nets: 1,
+            edits: 2,
+            edit_p50_ms: 0.5,
+            edit_p95_ms: 0.9,
+            invalidated_mean: 1.0,
+            invalidated_max: 1,
+        };
+        let counts = [("layout", 1), ("dsn", 1), ("def", 1)];
+        let record = json_record("r\"ev", 2, &counts, &instances, &eco);
+        fleet::validate_record(&record).expect("escaped names keep the record valid");
+        let root = sadp_serve::json::parse(&record).expect("record parses");
+        let Some(Json::Arr(items)) = root.get("instances") else {
+            panic!("instances is an array");
+        };
+        let name = items[0].get("name").and_then(Json::as_str);
+        assert_eq!(name, Some("dir\\\"quoted\" name.layout"));
+    }
 }

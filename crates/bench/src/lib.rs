@@ -11,7 +11,6 @@
 //! | `fig20` | Fig. 20 — runtime vs net count, least-squares exponent |
 //! | `fig21` | Figs. 21/22 — partial routing result, ours vs \[16\] |
 //! | `fig_appendix` | Figs. 23–34 — all scenario color assignments |
-//! | `shard` | serial vs region-sharded wall-clock + identity check |
 //!
 //! Table binaries accept a scale factor (`SADP_SCALE` env var or `--scale
 //! 0.2`); the default 0.2 finishes in seconds, `--full` runs the paper's

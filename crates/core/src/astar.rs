@@ -787,9 +787,7 @@ mod tests {
         );
         // Far above: the product must not wrap.
         let err = checked_cell_count(255, i32::MAX, i32::MAX).expect_err("huge");
-        let RouterError::PlaneTooLarge { cells } = err else {
-            panic!("wrong error: {err}");
-        };
+        let RouterError::PlaneTooLarge { cells } = err;
         assert_eq!(cells, 255u128 * i32::MAX as u128 * i32::MAX as u128);
         let msg = err.to_string();
         assert!(

@@ -570,10 +570,11 @@ mod tests {
 
     #[test]
     fn errors_display_and_chain() {
-        let e = SnapshotError::Router(RouterError::NotBegun);
+        let inner = RouterError::PlaneTooLarge { cells: 1 << 33 };
+        let e = SnapshotError::Router(inner);
         // The Router variant forwards the inner message unchanged, so the
         // panicking wrappers keep their exact wording.
-        assert_eq!(e.to_string(), RouterError::NotBegun.to_string());
+        assert_eq!(e.to_string(), inner.to_string());
         assert!(std::error::Error::source(&e).is_some());
         assert!(SnapshotError::ChecksumMismatch
             .to_string()

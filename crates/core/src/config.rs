@@ -60,7 +60,7 @@ pub struct RouterConfig {
     pub wrong_way: f64,
     /// Whether to run the final full-layout flipping pass.
     pub final_flip: bool,
-    /// Whether [`finalize`](crate::Router::finalize) runs the pixel
+    /// Whether the finalize stage at the end of every run runs the pixel
     /// cut-process simulator on the final colored layout and repairs
     /// (rips up, re-routes, ultimately unroutes) nets whose target runs
     /// the simulator finds cut-conflicted or spacer-destroyed. The

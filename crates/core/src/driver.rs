@@ -6,9 +6,9 @@
 //! **propose → trial-color → commit/abort** protocol of the
 //! [`CommitLedger`].
 //!
-//! [`route_schedule`] drives the whole netlist. On planes wide enough for
-//! more than one column band (see [`BandPlan`]) it becomes the
-//! region-sharded driver: nets whose influence region (pin bounding box +
+//! [`ScheduleMachine`] drives the whole netlist, one step at a time. On
+//! planes wide enough for more than one column band (see [`BandPlan`]) it
+//! becomes the region-sharded driver: nets whose influence region (pin bounding box +
 //! search margin + scenario halo) fits one band are routed by per-band
 //! workers on `std::thread::scope` against fully private state (a plane
 //! clone, a fresh ledger and grids; the pin guards are shared read-only —
@@ -46,12 +46,6 @@ use sadp_scenario::ScenarioKind;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Callback invoked by [`route_schedule`] at checkpointable boundaries
-/// with the global ledger, the failures so far, and whether the boundary
-/// is a *forced* one (a band fold — always worth persisting) or a cheap
-/// per-net tick the receiver may throttle.
-pub(crate) type CheckpointHook<'h> = &'h mut dyn FnMut(&CommitLedger, &[NetId], bool);
 
 /// Mutable context of one routing stream (the global one, or one band
 /// worker's private one).
@@ -116,8 +110,8 @@ pub(crate) fn claim_pin_guards(config: &RouterConfig, guards: &mut GuardGrid, ne
 
 /// Undoes [`reserve_pins`] for one net: frees every pin candidate cell
 /// still owned by `net` and returns its guard-halo claims to
-/// [`NO_GUARD`]. Called on the incremental failure path (and by the ECO
-/// engine when a net is removed) so an unroutable net does not pin its
+/// [`NO_GUARD`]. Called on the ECO re-route's failure path (and when the
+/// ECO engine removes a net) so an unroutable net does not pin its
 /// candidate cells forever.
 pub(crate) fn release_pins(
     config: &RouterConfig,
@@ -612,25 +606,21 @@ struct BandOutcome {
 /// resumed run reproduces byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepEvent {
-    /// One net of the serial (single-band) schedule was processed — a
-    /// cheap checkpoint tick the receiver may throttle.
-    SerialNet,
+    /// One net was processed at its canonical turn: a net of the serial
+    /// (single-band) schedule, or a boundary net. The first boundary net
+    /// of each wave also runs the wave's parallel pre-search phase.
+    Net,
     /// One band's private ledger was folded into the global state — a
-    /// forced checkpoint boundary. The first fold also runs (and pays
-    /// for) the entire parallel band phase, recovery included.
+    /// boundary whose snapshot is worth persisting. The first fold also
+    /// runs (and pays for) the entire parallel band phase, recovery
+    /// included.
     BandFold,
-    /// One boundary net committed at its canonical turn — a throttleable
-    /// checkpoint tick. The first commit of each wave also runs the
-    /// wave's parallel pre-search phase.
-    BoundaryNet,
     /// The schedule is finished; no work was done. Further calls keep
     /// returning `Complete`.
     Complete,
 }
 
-/// The borrowed router state one schedule step executes against. Bundled
-/// so the resumable [`ScheduleMachine`] and the blocking
-/// [`route_schedule`] loop share one signature.
+/// The borrowed router state one schedule step executes against.
 pub(crate) struct StepArgs<'a> {
     pub config: &'a RouterConfig,
     pub ledger: &'a mut CommitLedger,
@@ -668,19 +658,17 @@ enum Plan {
 }
 
 /// The routing schedule as a resumable state machine: repeated
-/// [`ScheduleMachine::step`] calls perform exactly the computation of the
-/// blocking loop — same commit order, same events, same counters, for
-/// every thread count — but hand control back to the caller between
-/// canonical commits. [`route_schedule`] is the blocking wrapper;
-/// `RoutingSession` in [`crate::session`] drives the machine in bounded
-/// increments.
+/// [`ScheduleMachine::step`] calls run the canonical schedule — the same
+/// commit order, events and counters for every thread count — and hand
+/// control back to the caller between canonical commits. The session's
+/// step function ([`crate::session`]) is its only driver.
 ///
 /// Parallelism happens *within* a step, never across steps: the first
 /// `BandFold` runs every band worker (and the serial panic recovery,
 /// which must see the pre-merge plane) before folding band 0, and the
-/// first `BoundaryNet` of each wave runs the wave's pre-search phase A.
-/// Pausing between steps therefore cannot reorder or interleave any part
-/// of the canonical commit sequence.
+/// first boundary `Net` step of each wave runs the wave's pre-search
+/// phase A. Pausing between steps therefore cannot reorder or interleave
+/// any part of the canonical commit sequence.
 ///
 /// Fault tolerance: band workers run under `catch_unwind`. A band whose
 /// worker panics is discarded wholesale and re-run serially *before* any
@@ -786,7 +774,7 @@ impl ScheduleMachine {
                 ) {
                     a.failed.push(id);
                 }
-                StepEvent::SerialNet
+                StepEvent::Net
             }
             Plan::Banded {
                 band_nets,
@@ -799,8 +787,8 @@ impl ScheduleMachine {
             } => {
                 // Band phase: the whole parallel run (workers + serial
                 // panic recovery) happens with the first fold — recovery
-                // must see the pre-merge plane, exactly as the blocking
-                // loop ordered it. Each later step folds one band.
+                // must see the pre-merge plane. Each later step folds one
+                // band.
                 if *next_band < band_nets.len() {
                     if outcomes.is_none() {
                         *outcomes = Some(run_bands(
@@ -907,7 +895,7 @@ impl ScheduleMachine {
                         *wave_idx += 1;
                         *wave_pos = 0;
                     }
-                    return StepEvent::BoundaryNet;
+                    return StepEvent::Net;
                 }
                 StepEvent::Complete
             }
@@ -965,7 +953,7 @@ fn run_bands(
     let workers = config.threads.clamp(1, bands);
     // `inject` arms the fault plan's band panics; the recovery retry runs
     // the same closure with it off. (The scratch allocation can only
-    // panic on an oversized plane, which `begin_sized` already rejected.)
+    // panic on an oversized plane, which `prepare_run` already rejected.)
     let run_band = move |j: usize, inject: bool| -> BandOutcome {
         let panic_at = if inject {
             config
@@ -1055,63 +1043,6 @@ fn run_bands(
             None => (true, run_band(j, false)),
         })
         .collect()
-}
-
-/// Routes `order` on the plane: serially when the plane holds a single
-/// band, else via the region-sharded band schedule (see the module docs
-/// and [`ScheduleMachine`]). Failed nets are appended to `failed` in
-/// schedule order (band nets in ascending band order, then boundary nets
-/// in net order). This is the blocking loop over the machine; the
-/// checkpoint hook fires after every step, forced at band folds and at
-/// completion.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_schedule(
-    config: &RouterConfig,
-    ledger: &mut CommitLedger,
-    ws: &mut Workspace,
-    plane: &mut RoutingPlane,
-    netlist: &Netlist,
-    order: &[NetId],
-    failed: &mut Vec<NetId>,
-    run_budget: &RunBudget,
-    rec: &mut dyn Recorder,
-    mut checkpoint: Option<CheckpointHook<'_>>,
-) {
-    let mut machine = ScheduleMachine::new(config, plane, netlist, order.to_vec());
-    loop {
-        let ev = machine.step(&mut StepArgs {
-            config,
-            ledger: &mut *ledger,
-            ws: &mut *ws,
-            plane: &mut *plane,
-            netlist,
-            failed: &mut *failed,
-            run_budget,
-            rec: &mut *rec,
-        });
-        match ev {
-            // Per-net increments are cheap ticks the hook may throttle.
-            StepEvent::SerialNet | StepEvent::BoundaryNet => {
-                if let Some(cb) = checkpoint.as_mut() {
-                    cb(ledger, failed, false);
-                }
-            }
-            // A fold is always worth persisting.
-            StepEvent::BandFold => {
-                if let Some(cb) = checkpoint.as_mut() {
-                    cb(ledger, failed, true);
-                }
-            }
-            // Final forced boundary: even a run too small to hit a
-            // throttled tick leaves a complete, resumable snapshot.
-            StepEvent::Complete => {
-                if let Some(cb) = checkpoint.as_mut() {
-                    cb(ledger, failed, true);
-                }
-                break;
-            }
-        }
-    }
 }
 
 /// One boundary net's pre-search result, produced by a wave worker.

@@ -37,7 +37,7 @@
 use crate::checkpoint::{self, Snapshot};
 use crate::config::RouterConfig;
 use crate::driver;
-use crate::router::{Router, RouterError};
+use crate::router::Router;
 use crate::schedule::net_footprint;
 use crate::session::{RoutingSession, SessionError, SessionStatus, StepBudget};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
@@ -108,8 +108,6 @@ impl EcoEdit {
 pub enum EcoError {
     /// The initial batch routing failed to build.
     Session(SessionError),
-    /// The underlying incremental router rejected a call.
-    Router(RouterError),
     /// A net reference did not resolve to an active net.
     UnknownNet(String),
     /// An edit failed validation (out-of-bounds pin, blocked candidate,
@@ -132,7 +130,6 @@ impl fmt::Display for EcoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EcoError::Session(e) => write!(f, "initial routing failed: {e}"),
-            EcoError::Router(e) => write!(f, "router error: {e}"),
             EcoError::UnknownNet(what) => write!(f, "no active net matches `{what}`"),
             EcoError::BadEdit(msg) => write!(f, "invalid edit: {msg}"),
             EcoError::NothingToUndo => write!(f, "nothing to undo"),
@@ -149,12 +146,6 @@ impl Error for EcoError {}
 impl From<SessionError> for EcoError {
     fn from(e: SessionError) -> EcoError {
         EcoError::Session(e)
-    }
-}
-
-impl From<RouterError> for EcoError {
-    fn from(e: RouterError) -> EcoError {
-        EcoError::Router(e)
     }
 }
 
@@ -319,8 +310,8 @@ impl EcoSession {
         }
         let (mut router, mut plane, netlist, rec) = session.into_router_parts();
         // Normalise: unrouted nets must not hold pin reservations (the
-        // batch flow leaves them reserved; the incremental flow releases
-        // them on failure — adopt the incremental semantics).
+        // batch flow leaves them reserved; the ECO re-route releases them
+        // on failure — adopt the re-route semantics).
         {
             let Router {
                 config,
@@ -946,11 +937,7 @@ impl EcoSession {
                 continue;
             }
             let net = self.netlist.net(id);
-            let ok = self
-                .router
-                .route_incremental_with(&mut self.plane, net, &mut self.rec)
-                .expect("eco router is begun");
-            if ok {
+            if self.router.reroute_net(&mut self.plane, net, &mut self.rec) {
                 rerouted += 1;
             }
         }

@@ -140,7 +140,7 @@ impl FaultPlan {
     pub fn io_fault(&self, job: u64, kind: PersistKind) -> Option<IoFault> {
         let mut rng = Rng::seed_from_u64(
             self.seed
-                ^ 0x10FA_017u64
+                ^ 0x010F_A017_u64
                 ^ kind.stream_salt().wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ job.wrapping_mul(0x2545_F491_4F6C_DD1D),
         );

@@ -48,10 +48,7 @@ impl<T: Copy> DenseGrid<T> {
     }
 
     /// True if this grid matches the plane's dimensions (used to decide
-    /// whether a cached grid can be reused across [`Router::begin`]
-    /// calls).
-    ///
-    /// [`Router::begin`]: crate::Router::begin
+    /// whether a cached grid can be reused by the next run).
     pub fn fits(&self, plane: &RoutingPlane) -> bool {
         self.width == plane.width()
             && self.height == plane.height()

@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 /// circuits the soft scenarios fuse nearly every net into one connected
 /// component, so an uncapped `flip_component` per routed net costs
 /// `O(n)` each — the dominant quadratic term of the old Fig. 20 series.
-/// The final [`Router::finalize`](crate::Router::finalize) pass still
-/// flips whole components once.
+/// The finalize stage at the end of a run still flips whole components
+/// once.
 pub(crate) const FLIP_NEIGHBORHOOD: usize = 256;
 
 /// A successfully routed net: its path(s) and per-layer wire fragments.

@@ -10,10 +10,11 @@
 use crate::budget::RunBudget;
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
-use crate::driver;
+use crate::driver::{self, ScheduleMachine};
 use crate::grids::{DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
 use crate::ledger::{CommitLedger, FLIP_NEIGHBORHOOD};
 use crate::report::RoutingReport;
+use crate::session::{self, SessionStatus, StepBudget};
 use sadp_decomp::{ColoredPattern, CutSimulator};
 use sadp_geom::{GridPoint, Layer, TrackRect};
 use sadp_graph::{flip, OverlayGraph};
@@ -30,15 +31,14 @@ pub use crate::ledger::RoutedNet;
 
 use crate::astar::SearchScratch;
 
-/// Errors of the incremental routing API.
+/// Errors of sizing the router for a plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterError {
-    /// [`Router::route_incremental`] was called before [`Router::begin`]
-    /// (or a prior [`Router::route_all`]) sized the router for a plane.
-    NotBegun,
     /// The plane has too many cells for the packed 32-bit search indices
-    /// (`layers * width * height >= u32::MAX`). Returned by the `try_`
-    /// entry points; the panicking ones abort with the same message.
+    /// (`layers * width * height >= u32::MAX`). Returned (inside
+    /// [`SnapshotError::Router`]) by
+    /// [`RoutingSession::create`](crate::session::RoutingSession::create);
+    /// [`Router::route_all`] panics with the same message.
     PlaneTooLarge {
         /// The offending cell count (`u128`: the product can exceed
         /// `usize` arithmetic on the way in).
@@ -49,9 +49,6 @@ pub enum RouterError {
 impl fmt::Display for RouterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RouterError::NotBegun => {
-                write!(f, "call Router::begin before route_incremental")
-            }
             RouterError::PlaneTooLarge { cells } => {
                 write!(
                     f,
@@ -67,8 +64,8 @@ impl fmt::Display for RouterError {
 
 impl Error for RouterError {}
 
-/// Plane-sized dense working state, allocated once per [`Router::begin`]
-/// and reused for every net (clearing is `O(1)` via generation stamps).
+/// Plane-sized dense working state, allocated when a run first sizes the
+/// router for a plane and reused for every net (clearing is `O(1)` via generation stamps).
 #[derive(Debug)]
 pub(crate) struct Workspace {
     /// Per-cell wire direction of committed nets (the `T2b` hint map).
@@ -118,9 +115,8 @@ pub struct Router {
     pub(crate) workspace: Option<Workspace>,
     pub(crate) failed: Vec<NetId>,
     color_fallbacks: Cell<u64>,
-    /// The whole-run budget, re-armed at the start of every `route_all`
-    /// from the config (unlimited between runs, so the incremental API
-    /// is never throttled by a stale deadline).
+    /// The whole-run budget, re-armed from the config at the start of
+    /// every run (unlimited before the first).
     pub(crate) run_budget: RunBudget,
 }
 
@@ -230,116 +226,41 @@ impl Router {
     /// Event order (and every event payload) is identical for any
     /// [`RouterConfig::threads`] value: band workers buffer locally and
     /// the buffers are replayed in ascending band order.
+    ///
+    /// It runs the step function of
+    /// [`RoutingSession`](crate::session::RoutingSession) in one unbounded
+    /// call, on a borrowed plane and netlist.
     pub fn route_all_with(
         &mut self,
         plane: &mut RoutingPlane,
         netlist: &Netlist,
         rec: &mut dyn Recorder,
     ) -> RoutingReport {
-        self.route_all_recoverable(plane, netlist, rec, None, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Router::route_all_with`] with checkpoint/resume:
-    ///
-    /// * `resume` — a parsed [`Snapshot`] to start from. Its journaled
-    ///   routes are re-committed through the identical stage pipeline
-    ///   (no searching) and only the remaining nets are routed. The
-    ///   final result is byte-identical to an uninterrupted run because
-    ///   snapshots are only taken at schedule-aligned boundaries.
-    /// * `save` — a sink called with fresh snapshot text at those
-    ///   boundaries: after every band fold, and (throttled) between
-    ///   serial nets. `None` disables checkpointing at zero cost — the
-    ///   input fingerprint is not even computed then.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Router`] for an oversized plane,
-    /// [`SnapshotError::FingerprintMismatch`] when `resume` was taken
-    /// from a different plane/netlist, and
-    /// [`SnapshotError::ReplayDiverged`] when a journaled route no
-    /// longer commits cleanly.
-    pub fn route_all_recoverable(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
-        resume: Option<&Snapshot>,
-        mut save: Option<&mut dyn FnMut(&str)>,
-    ) -> Result<RoutingReport, SnapshotError> {
-        let start = Instant::now();
-        let (order, fp) = self.prepare_run(plane, netlist, resume, save.is_some())?;
-        {
-            let Router {
-                config,
-                ledger,
-                workspace,
-                failed,
-                run_budget,
-                ..
-            } = self;
-            let ws = workspace.as_mut().expect("begin_sized sets the workspace");
-            // The hook serializes the whole journal each time, so the
-            // per-net ticks on the serial paths are throttled; band
-            // folds (force = true) always persist.
-            let mut hook_fn;
-            let hook: Option<driver::CheckpointHook<'_>> = match save.as_mut() {
-                Some(sink) => {
-                    let fp = fp.expect("fingerprint is computed when saving");
-                    let mut tick = 0u64;
-                    hook_fn = move |ledger: &CommitLedger, failed: &[NetId], force: bool| {
-                        tick += 1;
-                        if force || tick.is_multiple_of(64) {
-                            sink(&checkpoint::serialize(ledger, failed, fp));
-                        }
-                    };
-                    Some(&mut hook_fn)
-                }
-                None => None,
-            };
-            driver::route_schedule(
-                config, ledger, ws, plane, netlist, &order, failed, run_budget, rec, hook,
-            );
+        let started = Instant::now();
+        let (mut machine, _) = self
+            .prepare_run(plane, netlist, None, false)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let budget = StepBudget::unbounded();
+        match session::run_steps(self, &mut machine, plane, netlist, rec, budget, started) {
+            SessionStatus::Done(report) => *report,
+            _ => unreachable!("an unbounded run finishes the schedule"),
         }
-        self.finalize_with(plane, netlist, rec);
-        let mut report = self.build_report(netlist, start);
-        if let Some(profile) = rec.profile() {
-            report.profile = profile;
-        }
-        Ok(report)
     }
 
-    /// [`Router::route_all_with`], but an oversized plane is a
-    /// [`RouterError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::PlaneTooLarge`] if the plane's cells do not
-    /// fit the packed 32-bit search indices. The check runs before any
-    /// routing state is allocated.
-    pub fn try_route_all(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
-    ) -> Result<RoutingReport, RouterError> {
-        SearchScratch::check_plane(plane)?;
-        Ok(self.route_all_with(plane, netlist, rec))
-    }
-
-    /// The shared run preamble of [`Router::route_all_recoverable`] and
+    /// The shared run preamble of [`Router::route_all_with`] and
     /// [`crate::session::RoutingSession`]: sizes the router for the
     /// plane, arms the run budget, verifies the resume fingerprint,
-    /// reserves every pin, replays the snapshot journal, and returns the
-    /// canonical net order with the processed prefix removed (plus the
-    /// input fingerprint when checkpointing asked for it).
+    /// reserves every pin, replays the snapshot journal, and plans the
+    /// schedule over the canonical net order with the processed prefix
+    /// removed (plus the input fingerprint when checkpointing asked for
+    /// it).
     pub(crate) fn prepare_run(
         &mut self,
         plane: &mut RoutingPlane,
         netlist: &Netlist,
         resume: Option<&Snapshot>,
         want_fingerprint: bool,
-    ) -> Result<(Vec<NetId>, Option<u64>), SnapshotError> {
+    ) -> Result<(ScheduleMachine, Option<u64>), SnapshotError> {
         self.try_begin_sized(plane, netlist.len())?;
         self.run_budget = RunBudget::from_config(&self.config);
         // The input fingerprint costs a serialization pass, so it is
@@ -360,7 +281,9 @@ impl Router {
             run_budget,
             ..
         } = self;
-        let ws = workspace.as_mut().expect("begin_sized sets the workspace");
+        let ws = workspace
+            .as_mut()
+            .expect("try_begin_sized sets the workspace");
         // Reserve every pin candidate cell up front so earlier nets
         // cannot route over the pins of later ones (the owner may
         // still enter its own reserved cells).
@@ -374,33 +297,19 @@ impl Router {
             let done: std::collections::HashSet<NetId> = snap.processed().into_iter().collect();
             order.retain(|id| !done.contains(id));
         }
-        Ok((order, fp))
+        Ok((ScheduleMachine::new(config, plane, netlist, order), fp))
     }
 
-    /// Resets the router state for the plane. Called automatically by
-    /// [`Router::route_all`]; use directly for the incremental API
-    /// ([`Router::route_incremental`]).
-    pub fn begin(&mut self, plane: &RoutingPlane) {
-        self.begin_sized(plane, 0);
-    }
-
-    /// Like [`Router::begin`], with a hint of how many nets will be routed
-    /// so the fragment spatial index can pick a density-matched tile size
-    /// (`0` = unknown, uses the coarsest tile).
-    pub fn begin_sized(&mut self, plane: &RoutingPlane, expected_nets: usize) {
-        self.try_begin_sized(plane, expected_nets)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Router::begin_sized`], but an oversized plane is a
-    /// [`RouterError`] instead of a panic.
+    /// Resets the router state for the plane, with a hint of how many
+    /// nets will be routed so the fragment spatial index can pick a
+    /// density-matched tile size.
     ///
     /// # Errors
     ///
     /// Returns [`RouterError::PlaneTooLarge`] if the plane's cells do not
     /// fit the packed 32-bit search indices; the router state is left
     /// untouched in that case.
-    pub fn try_begin_sized(
+    pub(crate) fn try_begin_sized(
         &mut self,
         plane: &RoutingPlane,
         expected_nets: usize,
@@ -416,46 +325,24 @@ impl Router {
         Ok(())
     }
 
-    /// Routes one net incrementally against the already-routed layout,
-    /// reserving its pins first. Returns whether the net was committed
-    /// (failed nets are recorded in [`Router::failed`]).
-    ///
-    /// Unlike [`Router::route_all`] the caller controls the net order and
-    /// no final flipping/cleanup runs — call [`Router::finalize`] when the
-    /// batch is complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::NotBegun`] if [`Router::begin`] (or a prior
-    /// `route_all`) has not sized the router for the plane.
-    pub fn route_incremental(
-        &mut self,
-        plane: &mut RoutingPlane,
-        net: &Net,
-    ) -> Result<bool, RouterError> {
-        self.route_incremental_with(plane, net, &mut NoopRecorder)
-    }
-
-    /// [`Router::route_incremental`] with an observability [`Recorder`]:
-    /// the net emits the same `net_routed` / `net_failed` / rip-up trace
-    /// events as the batch path.
+    /// Routes one net against the already-routed layout, reserving its
+    /// pins first, and returns whether the net was committed. This is
+    /// the ECO engine's re-route step: the caller controls the net order
+    /// and no flipping or cleanup runs. The net emits the same
+    /// `net_routed` / `net_failed` / rip-up trace events as the batch
+    /// path.
     ///
     /// On failure the pin reservations taken for this net are released
     /// again (cells and guard halo), so an unroutable net does not block
     /// its candidate cells for later nets; a retry that succeeds clears
     /// the net's earlier entry in [`Router::failed`], and repeated
     /// failures record it only once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::NotBegun`] if [`Router::begin`] (or a prior
-    /// `route_all`) has not sized the router for the plane.
-    pub fn route_incremental_with(
+    pub(crate) fn reroute_net(
         &mut self,
         plane: &mut RoutingPlane,
         net: &Net,
         rec: &mut dyn Recorder,
-    ) -> Result<bool, RouterError> {
+    ) -> bool {
         let Router {
             config,
             ledger,
@@ -464,10 +351,7 @@ impl Router {
             run_budget,
             ..
         } = self;
-        if ledger.layer_count() == 0 {
-            return Err(RouterError::NotBegun);
-        }
-        let ws = workspace.as_mut().ok_or(RouterError::NotBegun)?;
+        let ws = workspace.as_mut().expect("a run sized the router");
         driver::reserve_pins(config, &mut ws.guards, plane, net);
         let ok = driver::route_one(config, ledger, ws, plane, net, &[], run_budget, rec, true);
         if ok {
@@ -480,7 +364,7 @@ impl Router {
                 failed.push(net.id);
             }
         }
-        Ok(ok)
+        ok
     }
 
     /// Runs the final color flipping (Fig. 19 line 16) on every component
@@ -489,18 +373,10 @@ impl Router {
     /// `netlist` is used to re-route nets the cleanup has to move.
     ///
     /// The flipping is scoped to *dirty* components — those containing a
-    /// vertex whose edges changed since the previous finalize — so
-    /// repeated incremental batches only re-color what moved instead of
-    /// re-walking the whole layout each time. A no-op before
-    /// [`Router::begin`].
-    pub fn finalize(&mut self, plane: &mut RoutingPlane, netlist: &Netlist) {
-        self.finalize_with(plane, netlist, &mut NoopRecorder);
-    }
-
-    /// [`Router::finalize`] with an observability [`Recorder`]: the
-    /// flipping passes are timed as the `recolor` stage and emit one
-    /// `flip_pass` event per layer that had dirty components.
-    pub fn finalize_with(
+    /// vertex whose edges changed since the previous finalize. The
+    /// passes are timed as the `recolor` stage and emit one `flip_pass`
+    /// event per layer that had dirty components.
+    pub(crate) fn finalize(
         &mut self,
         plane: &mut RoutingPlane,
         netlist: &Netlist,
@@ -556,7 +432,7 @@ impl Router {
         netlist: &Netlist,
         rec: &mut dyn Recorder,
     ) {
-        if !self.config.cut_repair || self.workspace.is_none() {
+        if !self.config.cut_repair {
             return;
         }
         let sim = CutSimulator::new(*plane.rules());
@@ -583,7 +459,10 @@ impl Router {
             if offenders.is_empty() {
                 return;
             }
-            let ws = self.workspace.as_mut().expect("checked above");
+            let ws = self
+                .workspace
+                .as_mut()
+                .expect("repair runs after a run began");
             for id in offenders {
                 if self.ledger.routed().contains_key(&id) {
                     self.ledger.unroute(plane, &mut ws.dir_map, id);
@@ -652,7 +531,7 @@ impl Router {
             run_budget,
             ..
         } = self;
-        let ws = workspace.as_mut().expect("repair runs after begin");
+        let ws = workspace.as_mut().expect("repair runs after a run began");
         for &id in offenders {
             let Some(routed) = ledger.routed().get(&id) else {
                 continue;
@@ -688,8 +567,9 @@ impl Router {
         }
     }
 
-    /// Builds the aggregate report for the current state (used by the
-    /// incremental API after [`Router::finalize`]).
+    /// Builds the aggregate report for the current state, with the `cpu`
+    /// field measured from `since` (for callers that inspect the router
+    /// after ECO edits rather than at the end of a run).
     #[must_use]
     pub fn report(&self, netlist: &Netlist, since: Instant) -> RoutingReport {
         self.build_report(netlist, since)
@@ -777,10 +657,7 @@ impl Router {
             run_budget,
             ..
         } = self;
-        let Some(ws) = workspace.as_mut() else {
-            // Never begun: nothing routed, nothing to clean.
-            return;
-        };
+        let ws = workspace.as_mut().expect("cleanup runs after a run began");
         for _ in 0..8 {
             let mut risky: Vec<u32> = Vec::new();
             for g in ledger.graphs() {
@@ -891,7 +768,7 @@ impl Router {
     }
 }
 
-/// Re-commits a snapshot's journal against a freshly begun router state:
+/// Re-commits a snapshot's journal against a freshly sized router state:
 /// every journaled route goes through the identical stage pipeline
 /// ([`driver::commit_candidate`]) in journal order, which reproduces the
 /// plane occupancy, direction map, fragment-index scan order and graph
@@ -1087,32 +964,6 @@ mod tests {
         assert_eq!(first.wirelength, second.wirelength);
         assert_eq!(first.overlay_units, second.overlay_units);
         assert_eq!(first.nodes_expanded, second.nodes_expanded);
-    }
-
-    #[test]
-    fn incremental_before_begin_is_recoverable() {
-        let mut plane = plane(16, 16);
-        let mut nl = Netlist::new();
-        let id = nl.add_two_pin("a", p0(2, 2), p0(10, 2));
-        let mut router = Router::new(RouterConfig::paper_defaults());
-        // No begin(): a recoverable error, not a panic.
-        assert_eq!(
-            router.route_incremental(&mut plane, nl.net(id)),
-            Err(RouterError::NotBegun)
-        );
-        assert!(RouterError::NotBegun.to_string().contains("begin"));
-        // The same router recovers after begin().
-        router.begin(&plane);
-        assert_eq!(router.route_incremental(&mut plane, nl.net(id)), Ok(true));
-    }
-
-    #[test]
-    fn finalize_before_begin_is_a_noop() {
-        let mut plane = plane(16, 16);
-        let nl = Netlist::new();
-        let mut router = Router::new(RouterConfig::paper_defaults());
-        router.finalize(&mut plane, &nl);
-        assert!(router.routed().is_empty());
     }
 
     #[test]

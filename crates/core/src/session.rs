@@ -22,17 +22,20 @@
 //! happens *within* an increment, never across a pause — so pausing
 //! between `advance` calls can never reorder or interleave the canonical
 //! commit sequence, and the final result (report, colors, patterns,
-//! JSONL trace) is byte-identical to a blocking
-//! [`Router::route_all_with`] run for every thread count and every step
+//! JSONL trace) is the same for every thread count and every step
 //! budget.
+//!
+//! This stepper is the router's only routing engine: the blocking
+//! [`Router::route_all_with`] runs the same step function in one
+//! unbounded call.
 //!
 //! Every pause point is also a valid checkpoint:
 //! [`RoutingSession::snapshot`] serializes the commit journal in the
 //! `SADPCKPT v2` format and [`RoutingSession::resume`] replays it
-//! through the identical commit pipeline, exactly like
-//! [`Router::route_all_recoverable`]. A session cancelled mid-run and
-//! resumed from its last snapshot therefore finishes byte-identical to
-//! an uninterrupted run.
+//! through the identical commit pipeline. Callers choose the checkpoint
+//! cadence by the step budget they pass to `advance`. A session
+//! cancelled mid-run and resumed from its last snapshot therefore
+//! finishes byte-identical to an uninterrupted run.
 
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
@@ -205,8 +208,7 @@ impl RoutingSession {
     ) -> Result<RoutingSession, SessionError> {
         let started = Instant::now();
         let mut router = Router::new(config);
-        let (order, fp) = router.prepare_run(&mut plane, &netlist, resume, true)?;
-        let machine = ScheduleMachine::new(router.config(), &plane, &netlist, order);
+        let (machine, fp) = router.prepare_run(&mut plane, &netlist, resume, true)?;
         Ok(RoutingSession {
             router,
             plane,
@@ -228,63 +230,19 @@ impl RoutingSession {
             State::Cancelled => return SessionStatus::Failed(SessionError::Cancelled),
             State::Routing => {}
         }
-        let mut complete = false;
-        let mut fold_seen = false;
-        {
-            let RoutingSession {
-                router,
-                plane,
-                netlist,
-                machine,
-                rec,
-                ..
-            } = self;
-            for _ in 0..budget.steps.max(1) {
-                let Router {
-                    config,
-                    ledger,
-                    workspace,
-                    failed,
-                    run_budget,
-                    ..
-                } = &mut *router;
-                let ws = workspace.as_mut().expect("prepare_run sets the workspace");
-                let ev = machine.step(&mut StepArgs {
-                    config,
-                    ledger,
-                    ws,
-                    plane,
-                    netlist,
-                    failed,
-                    run_budget,
-                    rec: &mut *rec,
-                });
-                match ev {
-                    StepEvent::Complete => {
-                        complete = true;
-                        break;
-                    }
-                    StepEvent::BandFold => fold_seen = true,
-                    StepEvent::SerialNet | StepEvent::BoundaryNet => {}
-                }
-            }
-        }
-        if complete {
-            self.router
-                .finalize_with(&mut self.plane, &self.netlist, &mut self.rec);
-            let mut report = self.router.build_report(&self.netlist, self.started);
-            if let Some(profile) = self.rec.profile() {
-                report.profile = profile;
-            }
-            let report = Box::new(report);
+        let status = run_steps(
+            &mut self.router,
+            &mut self.machine,
+            &mut self.plane,
+            &self.netlist,
+            &mut self.rec,
+            budget,
+            self.started,
+        );
+        if let SessionStatus::Done(report) = &status {
             self.state = State::Done(report.clone());
-            return SessionStatus::Done(report);
         }
-        if fold_seen {
-            SessionStatus::CheckpointReady
-        } else {
-            SessionStatus::Running
-        }
+        status
     }
 
     /// Stops the session: further [`RoutingSession::advance`] calls
@@ -374,6 +332,63 @@ impl RoutingSession {
     #[must_use]
     pub(crate) fn into_router_parts(self) -> (Router, RoutingPlane, Netlist, BufferRecorder) {
         (self.router, self.plane, self.netlist, self.rec)
+    }
+}
+
+/// The routing engine: executes up to `budget` increments of `machine`
+/// against the router's state and, once the schedule runs dry, the
+/// finalize stage (flipping, cleanup, cut repair) and the report, whose
+/// `cpu` is measured from `started`. The only caller of
+/// [`ScheduleMachine::step`]: [`RoutingSession::advance`] runs it in
+/// slices, [`Router::route_all_with`] in one unbounded call. Returns
+/// `Running`, `CheckpointReady` (a band fold was crossed) or `Done`.
+pub(crate) fn run_steps(
+    router: &mut Router,
+    machine: &mut ScheduleMachine,
+    plane: &mut RoutingPlane,
+    netlist: &Netlist,
+    rec: &mut dyn Recorder,
+    budget: StepBudget,
+    started: Instant,
+) -> SessionStatus {
+    let mut fold_seen = false;
+    for _ in 0..budget.steps.max(1) {
+        let Router {
+            config,
+            ledger,
+            workspace,
+            failed,
+            run_budget,
+            ..
+        } = &mut *router;
+        let ws = workspace.as_mut().expect("prepare_run sets the workspace");
+        let ev = machine.step(&mut StepArgs {
+            config,
+            ledger,
+            ws,
+            plane: &mut *plane,
+            netlist,
+            failed,
+            run_budget,
+            rec: &mut *rec,
+        });
+        match ev {
+            StepEvent::Complete => {
+                router.finalize(plane, netlist, rec);
+                let mut report = router.build_report(netlist, started);
+                if let Some(profile) = rec.profile() {
+                    report.profile = profile;
+                }
+                return SessionStatus::Done(Box::new(report));
+            }
+            StepEvent::BandFold => fold_seen = true,
+            StepEvent::Net => {}
+        }
+    }
+    if fold_seen {
+        SessionStatus::CheckpointReady
+    } else {
+        SessionStatus::Running
     }
 }
 

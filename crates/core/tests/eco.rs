@@ -4,13 +4,20 @@
 //! components, failure list and counters), and `undo` → `redo` restores
 //! the post-edit digest. Edit scripts are generated from seeded
 //! [`sadp_geom::Rng`] streams, so failures replay exactly.
+//!
+//! The tail of the file pins the per-edit re-route semantics: a failed
+//! net releases its pin cells, a net's failure is recorded once and
+//! cleared by a successful retry, and edits trace into the session's
+//! recorder.
 
-use sadp_core::eco::{parse_edit_script, EcoEdit, EcoSession, OpOutcome};
+use sadp_core::eco::{parse_edit_script, EcoEdit, EcoSession, NetRef, OpOutcome};
 use sadp_core::RouterConfig;
-use sadp_geom::{GridPoint, Layer, Rng, TrackRect};
+use sadp_geom::{DesignRules, GridPoint, Layer, Rng, TrackRect};
 use sadp_grid::io::read_layout;
-use sadp_grid::{BenchmarkSpec, Pin};
+use sadp_grid::{BenchmarkSpec, Netlist, Pin, RoutingPlane};
+use sadp_obs::events_to_jsonl;
 use std::path::PathBuf;
+use std::time::Instant;
 
 fn corpus(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -197,4 +204,137 @@ fn anchor_script_round_trips() {
         eco.redo().expect("redo available");
     }
     assert_eq!(eco.state_digest(), settled);
+}
+
+fn p0(x: i32, y: i32) -> GridPoint {
+    GridPoint::new(Layer(0), x, y)
+}
+
+fn two_pin(name: &str, a: GridPoint, b: GridPoint) -> EcoEdit {
+    EcoEdit::AddNet {
+        name: name.to_string(),
+        pins: vec![Pin::fixed(a), Pin::fixed(b)],
+    }
+}
+
+/// A session over an empty 32×32×3 plane with no nets.
+fn blank_session(trace: bool) -> EcoSession {
+    let plane = RoutingPlane::new(3, 32, 32, DesignRules::node_10nm()).expect("valid plane");
+    EcoSession::create(RouterConfig::paper_defaults(), plane, Netlist::new(), trace)
+        .expect("empty netlist routes")
+}
+
+/// The wall rectangle: column `x` across the whole plane.
+fn wall(x: i32) -> TrackRect {
+    TrackRect::new(x, 0, x, 31)
+}
+
+/// Walls every layer at column `x`, so nothing crosses it.
+fn add_wall(eco: &mut EcoSession, x: i32) {
+    for l in 0..eco.plane().layers() {
+        eco.apply(EcoEdit::AddObstacle {
+            layer: Layer(l),
+            rect: wall(x),
+        })
+        .expect("the wall covers no pin");
+    }
+}
+
+#[test]
+fn added_net_after_a_batch_route_stays_conflict_free() {
+    let mut nl = Netlist::new();
+    nl.add_two_pin("a", p0(2, 5), p0(20, 5));
+    nl.add_two_pin("b", p0(2, 6), p0(20, 6));
+    nl.add_two_pin("c", p0(4, 10), p0(18, 14));
+    let plane = RoutingPlane::new(3, 32, 32, DesignRules::node_10nm()).expect("valid plane");
+    let mut eco =
+        EcoSession::create(RouterConfig::paper_defaults(), plane, nl, false).expect("batch routes");
+    let outcome = eco
+        .apply(two_pin("eco", p0(25, 2), p0(25, 20)))
+        .expect("valid edit");
+    assert_eq!(outcome.failed, 0);
+    let report = eco.router().report(eco.netlist(), Instant::now());
+    assert_eq!(report.routed_nets, 4);
+    assert_eq!(report.cut_conflicts, 0);
+}
+
+#[test]
+fn failed_net_releases_its_pin_reservations() {
+    // Net `a` cannot cross the wall and fails; its reserved pin cells
+    // must be released, or net `b` — whose straight path runs through
+    // `a`'s source — would be blocked by a net that isn't there. Adding
+    // `b` re-routes `a` too, first (its HPWL is smaller), so `a` fails
+    // and frees its source before `b` searches.
+    let mut eco = blank_session(false);
+    add_wall(&mut eco, 20);
+    let a = eco
+        .apply(two_pin("a", p0(18, 2), p0(22, 2)))
+        .expect("valid");
+    assert_eq!((a.rerouted, a.failed), (0, 1));
+    assert!(
+        eco.plane().is_free(p0(18, 2)),
+        "failed net must release its pins"
+    );
+    let b = eco.apply(two_pin("b", p0(1, 2), p0(19, 2))).expect("valid");
+    assert_eq!((b.rerouted, b.failed), (1, 1));
+    let b_id = eco.resolve(&NetRef::Name("b".into())).expect("b is active");
+    assert_eq!(eco.plane().occupant(p0(18, 2)), Some(b_id));
+    let report = eco.router().report(eco.netlist(), Instant::now());
+    assert_eq!(report.routed_nets, 1);
+    assert_eq!(report.total_nets - report.routed_nets, 1);
+}
+
+#[test]
+fn retries_neither_duplicate_failures_nor_keep_stale_ones() {
+    let mut eco = blank_session(false);
+    add_wall(&mut eco, 8);
+    let pins = vec![Pin::fixed(p0(2, 2)), Pin::fixed(p0(12, 2))];
+    eco.apply(EcoEdit::AddNet {
+        name: "a".into(),
+        pins: pins.clone(),
+    })
+    .expect("valid");
+    let a = eco.resolve(&NetRef::Name("a".into())).expect("a is active");
+    // A second failed attempt records the net once, not twice.
+    eco.apply(EcoEdit::MoveNet { net: a, pins }).expect("valid");
+    assert_eq!(eco.router().failed(), &[a]);
+    // Tear the wall down: the retry succeeds and clears the record.
+    for l in 0..eco.plane().layers() {
+        eco.apply(EcoEdit::RemoveObstacle {
+            layer: Layer(l),
+            rect: wall(8),
+        })
+        .expect("the wall is a session obstacle");
+    }
+    assert_eq!(eco.router().failed(), &[]);
+    let report = eco.router().report(eco.netlist(), Instant::now());
+    assert_eq!(report.routed_nets, 1);
+    assert_eq!(report.total_nets, report.routed_nets);
+}
+
+#[test]
+fn edits_trace_into_the_session_recorder() {
+    // Two nets that route first try, so the edit trace is a stable
+    // golden. Adding `b` invalidates `a` (their footprints overlap), so
+    // the second edit re-routes both.
+    let mut eco = blank_session(true);
+    assert!(
+        eco.drain_events().is_empty(),
+        "an empty batch emits nothing"
+    );
+    eco.apply(two_pin("a", p0(2, 2), p0(12, 2))).expect("valid");
+    eco.apply(two_pin("b", p0(2, 20), p0(12, 20)))
+        .expect("valid");
+    assert_eq!(
+        events_to_jsonl(&eco.drain_events()),
+        "{\"event\":\"nets_invalidated\",\"edit\":0,\"nets\":[]}\n\
+         {\"event\":\"net_routed\",\"net\":0,\"attempts\":1,\"flipped\":false}\n\
+         {\"event\":\"edit_applied\",\"edit\":0,\"kind\":\"add_net\",\"invalidated\":0,\
+         \"rerouted\":1,\"failed\":0}\n\
+         {\"event\":\"nets_invalidated\",\"edit\":1,\"nets\":[0]}\n\
+         {\"event\":\"net_routed\",\"net\":0,\"attempts\":1,\"flipped\":false}\n\
+         {\"event\":\"net_routed\",\"net\":1,\"attempts\":1,\"flipped\":false}\n\
+         {\"event\":\"edit_applied\",\"edit\":1,\"kind\":\"add_net\",\"invalidated\":1,\
+         \"rerouted\":2,\"failed\":0}\n"
+    );
 }

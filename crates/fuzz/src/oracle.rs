@@ -9,11 +9,13 @@
 
 use crate::generator::FuzzInstance;
 use sadp_baselines::{BaselineKind, BaselineRouter};
-use sadp_core::{FaultPlan, Router, RouterConfig, RoutingReport};
+use sadp_core::{
+    FaultPlan, RouterConfig, RoutingReport, RoutingSession, SessionStatus, StepBudget,
+};
 use sadp_decomp::verify_layers;
 use sadp_geom::{Layer, TrackRect};
 use sadp_grid::{Netlist, RoutingPlane};
-use sadp_obs::{events_to_jsonl, BufferRecorder};
+use sadp_obs::events_to_jsonl;
 use sadp_scenario::Color;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,9 +24,10 @@ use std::time::Duration;
 /// Which invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
-    /// `try_route_all` (or anything under it) panicked.
+    /// Creating or running the routing session panicked.
     NoPanic,
-    /// `try_route_all` returned a `RouterError` for an in-range plane.
+    /// `RoutingSession::create` rejected an in-range plane, or the
+    /// session failed to finish.
     RouterAccepts,
     /// `routed + failed` must partition the netlist, without duplicates.
     NetAccounting,
@@ -166,47 +169,55 @@ fn route_once(
     faults: Option<u64>,
 ) -> Result<RunResult, Violation> {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut plane = plane.clone();
         let mut config = RouterConfig::paper_defaults();
         config.threads = threads;
         config.faults = faults.map(FaultPlan::new);
-        let mut router = Router::new(config);
-        let mut rec = BufferRecorder::with_flags(true, false);
-        let report = router.try_route_all(&mut plane, netlist, &mut rec);
-        report.map(|mut report| {
-            report.cpu = Duration::ZERO;
-            report.profile = report.profile.counts_only();
-            let patterns: Vec<_> = (0..plane.layers())
-                .map(|l| router.patterns_on_layer(Layer(l)))
-                .collect();
-            let trunk_bounds = router
-                .routed()
-                .values()
-                .map(|r| {
-                    let net = netlist.net(r.id);
-                    let best =
-                        net.source
+        let mut session =
+            RoutingSession::create(config, plane.clone(), netlist.clone(), true, false)?;
+        let mut report = match session.advance(StepBudget::unbounded()) {
+            SessionStatus::Done(report) => *report,
+            SessionStatus::Failed(e) => return Err(e),
+            SessionStatus::Running | SessionStatus::CheckpointReady => {
+                unreachable!("an unbounded advance finishes the schedule")
+            }
+        };
+        report.cpu = Duration::ZERO;
+        report.profile = report.profile.counts_only();
+        let router = session.router();
+        let patterns: Vec<_> = (0..plane.layers())
+            .map(|l| router.patterns_on_layer(Layer(l)))
+            .collect();
+        let trunk_bounds = router
+            .routed()
+            .values()
+            .map(|r| {
+                let net = netlist.net(r.id);
+                let best = net
+                    .source
+                    .candidates()
+                    .iter()
+                    .flat_map(|s| {
+                        net.target
                             .candidates()
                             .iter()
-                            .flat_map(|s| {
-                                net.target.candidates().iter().map(move |t| {
-                                    s.x.abs_diff(t.x) as u64 + s.y.abs_diff(t.y) as u64
-                                })
-                            })
-                            .min()
-                            .unwrap_or(0);
-                    (r.id.0, r.path.wirelength(), best)
-                })
-                .collect();
-            RunResult {
-                report,
-                patterns,
-                failed: router.failed().to_vec(),
-                usage: plane.usage(),
-                routed_plane: plane,
-                trace: events_to_jsonl(&rec.take_events()),
-                trunk_bounds,
-            }
+                            .map(move |t| s.x.abs_diff(t.x) as u64 + s.y.abs_diff(t.y) as u64)
+                    })
+                    .min()
+                    .unwrap_or(0);
+                (r.id.0, r.path.wirelength(), best)
+            })
+            .collect();
+        let failed = router.failed().to_vec();
+        let trace = events_to_jsonl(&session.drain_events());
+        let (routed_plane, _) = session.into_parts();
+        Ok(RunResult {
+            report,
+            patterns,
+            failed,
+            usage: routed_plane.usage(),
+            routed_plane,
+            trace,
+            trunk_bounds,
         })
     }));
     match run {

@@ -342,7 +342,8 @@ fn write_atomic(path: &str, text: &str) -> std::io::Result<()> {
 }
 
 /// How many schedule increments `route` advances per session slice.
-/// Matches the historical checkpoint throttle (one save per 64 nets).
+/// `--checkpoint` writes one snapshot per slice, so this is also the
+/// checkpoint cadence: at most one save per 64 nets or band folds.
 const ROUTE_SLICE_STEPS: u64 = 64;
 
 /// Reads and ingests a design file in any supported format (native
@@ -590,9 +591,7 @@ fn cmd_edit(args: &[String]) -> CliResult {
     }
     match result {
         Ok(_) => Ok(()),
-        Err(e @ (EcoError::Session(_) | EcoError::Router(_))) => {
-            Err(CliError::Routing(format!("{script_path}: {e}")))
-        }
+        Err(e @ EcoError::Session(_)) => Err(CliError::Routing(format!("{script_path}: {e}"))),
         Err(e) => Err(CliError::Input(format!("{script_path}: {e}"))),
     }
 }

@@ -4,7 +4,7 @@
 //! normal commit pipeline, so graph state, scan order, and occupancy all
 //! come out exactly as in the uninterrupted run.
 
-use sadp::core::Snapshot;
+use sadp::core::{RoutingSession, SessionError, SessionStatus, Snapshot, StepBudget};
 use sadp::grid::BenchmarkSpec;
 use sadp::prelude::*;
 use sadp_geom::TrackRect;
@@ -25,40 +25,61 @@ fn observe(mut report: RoutingReport, router: &Router, plane: &RoutingPlane) -> 
     (report, patterns, router.failed().to_vec(), plane.usage())
 }
 
-/// One uninterrupted run, capturing every checkpoint snapshot on the way.
-fn reference_run(spec: &BenchmarkSpec) -> (RunResult, Vec<String>) {
-    let (mut plane, netlist) = spec.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
-    let mut snaps: Vec<String> = Vec::new();
-    let mut sink = |s: &str| snaps.push(s.to_string());
-    let report = router
-        .route_all_recoverable(
-            &mut plane,
-            &netlist,
-            &mut NoopRecorder,
-            None,
-            Some(&mut sink),
-        )
-        .expect("clean run");
-    (observe(report, &router, &plane), snaps)
+/// Schedule increments per `advance` slice. One snapshot follows every
+/// slice, so the kill-points include the first band fold and the end of
+/// the schedule (before finalize).
+const SLICE_STEPS: u64 = 1;
+
+/// Advances `session` to completion in [`SLICE_STEPS`] slices, handing
+/// the snapshot taken after every mid-run slice to `on_slice`.
+fn finish(session: &mut RoutingSession, mut on_slice: impl FnMut(String)) -> RunResult {
+    let mut report = loop {
+        match session.advance(StepBudget::steps(SLICE_STEPS)) {
+            SessionStatus::Running | SessionStatus::CheckpointReady => on_slice(session.snapshot()),
+            SessionStatus::Done(report) => break *report,
+            SessionStatus::Failed(e) => panic!("session failed: {e}"),
+        }
+    };
+    // The stage profile counts work done in *this* session; a resumed
+    // session replays the journal instead of searching, so its profile
+    // legitimately differs. Everything else must be byte-identical.
+    report.profile = StageProfile::default();
+    observe(report, session.router(), session.plane())
 }
 
-/// Resumes `spec` from `snapshot` text on a completely fresh router and
-/// plane — exactly what a new process does after the old one was killed.
+/// One uninterrupted run, capturing the snapshot after every mid-run
+/// slice.
+fn reference_run(spec: &BenchmarkSpec) -> (RunResult, Vec<String>) {
+    let (plane, netlist) = spec.generate();
+    let mut session =
+        RoutingSession::create(RouterConfig::paper_defaults(), plane, netlist, false, false)
+            .expect("clean run");
+    let mut snaps: Vec<String> = Vec::new();
+    let result = finish(&mut session, |s| snaps.push(s));
+    (result, snaps)
+}
+
+/// Resumes `spec` from `snapshot` text in a completely fresh session —
+/// exactly what a new process does after the old one was killed.
 fn resumed_run(spec: &BenchmarkSpec, snapshot: &str) -> RunResult {
     let snap = Snapshot::parse(snapshot).expect("snapshot parses");
-    let (mut plane, netlist) = spec.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
-    let report = router
-        .route_all_recoverable(&mut plane, &netlist, &mut NoopRecorder, Some(&snap), None)
-        .expect("resumed run");
-    observe(report, &router, &plane)
+    let (plane, netlist) = spec.generate();
+    let mut session = RoutingSession::resume(
+        RouterConfig::paper_defaults(),
+        plane,
+        netlist,
+        &snap,
+        false,
+        false,
+    )
+    .expect("resumed run");
+    finish(&mut session, |_| {})
 }
 
 #[test]
 fn resume_from_any_checkpoint_is_byte_identical() {
-    // Wide enough for the banded schedule, so snapshots land both at
-    // forced band folds and at throttled serial/boundary ticks.
+    // Wide enough for the banded schedule, so snapshots land both in
+    // the band-fold phase and among the boundary nets.
     let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
     let (reference, snaps) = reference_run(&spec);
     assert!(
@@ -97,11 +118,16 @@ fn snapshot_rejects_a_foreign_layout() {
     let snap = Snapshot::parse(snaps.last().unwrap()).expect("snapshot parses");
 
     let other = BenchmarkSpec::new("ckpt-other", 40, 64, 64).with_seed(7);
-    let (mut plane, netlist) = other.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
-    let err = router
-        .route_all_recoverable(&mut plane, &netlist, &mut NoopRecorder, Some(&snap), None)
-        .expect_err("fingerprint mismatch must be detected");
+    let (plane, netlist) = other.generate();
+    let err = RoutingSession::resume(
+        RouterConfig::paper_defaults(),
+        plane,
+        netlist,
+        &snap,
+        false,
+        false,
+    )
+    .expect_err("fingerprint mismatch must be detected");
     assert!(
         err.to_string().contains("fingerprint"),
         "unexpected error: {err}"
@@ -117,7 +143,6 @@ fn snapshot_rejects_a_foreign_layout() {
 /// uninterrupted run's nets, each with the same attempt count.
 #[test]
 fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
-    use sadp::core::{RoutingSession, SessionError, SessionStatus, StepBudget};
     use sadp::obs::events_to_jsonl;
 
     let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
