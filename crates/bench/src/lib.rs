@@ -16,7 +16,6 @@
 //! 0.2`); the default 0.2 finishes in seconds, `--full` runs the paper's
 //! sizes. Measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
 
-pub mod fleet;
 pub mod harness;
 pub mod lsq;
 pub mod paper;

@@ -414,10 +414,11 @@ fn probe_live(addr: SocketAddr, input: &str) -> Result<(), String> {
         Ok(_) => sadp_serve::json::parse(line.trim())
             .map(|_| ())
             .map_err(|e| format!("daemon response is not JSON ({e}): {line:?}")),
-        Err(e) if matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ) =>
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
         {
             Err(format!(
                 "daemon sent nothing for {}s (hang)",
@@ -438,10 +439,7 @@ fn is_shutdown(input: &str) -> bool {
 
 /// Runs a wire/ingest fuzz campaign. The `progress` sink receives one
 /// deterministic line per regime.
-pub fn run_wire_campaign(
-    cfg: &WireCampaignConfig,
-    mut progress: impl FnMut(&str),
-) -> WireReport {
+pub fn run_wire_campaign(cfg: &WireCampaignConfig, mut progress: impl FnMut(&str)) -> WireReport {
     let mut report = WireReport::default();
     let live = (cfg.live && cfg.regimes.contains(&WireRegime::Protocol))
         .then(live_daemon)

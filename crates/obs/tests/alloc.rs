@@ -1,25 +1,34 @@
 //! The no-op hot path must not allocate: a routing run with the default
 //! recorder pays zero observability overhead on the allocator.
 //!
-//! Measured with a counting global allocator (the whole test binary runs
-//! under it, so each assertion brackets exactly the code under test and
-//! the tests run on one thread via the harness's test-ordering; to be
-//! safe each test re-reads the counter immediately around the section).
+//! Measured with a counting global allocator. The whole test binary runs
+//! under it, and the harness runs the tests on concurrent threads, so
+//! each thread keeps its own count: a bracket sees only the allocations
+//! made by the code under test on its own thread, never those of the
+//! harness or of another test running at the same time.
 
 use sadp_obs::{
     events_to_jsonl, FailReason, NoopRecorder, Recorder, RouterEvent, SpanClock, Stage,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so counting never allocates and
+    // the slot stays usable while a thread is being torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,9 +46,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

@@ -524,8 +524,7 @@ fn load_state(shared: &Arc<Shared>, dir: &Path) {
 /// Loads and validates one persisted job. Any corrupt artifact is an
 /// `Err(reason)` — the caller quarantines the job's files.
 fn load_job(dir: &Path, id: u64, meta_path: &Path) -> Result<Job, String> {
-    let meta = std::fs::read_to_string(meta_path)
-        .map_err(|e| format!("meta unreadable: {e}"))?;
+    let meta = std::fs::read_to_string(meta_path).map_err(|e| format!("meta unreadable: {e}"))?;
     let field = |key: &str| -> Option<String> {
         meta.lines()
             .find_map(|l| l.strip_prefix(&format!("{key}=")))
@@ -577,8 +576,7 @@ fn load_job(dir: &Path, id: u64, meta_path: &Path) -> Result<Job, String> {
     };
     job.final_line = match std::fs::read_to_string(dir.join(format!("job-{id}.final"))) {
         Ok(line) => {
-            json::parse(line.trim())
-                .map_err(|e| format!("final record does not parse: {e}"))?;
+            json::parse(line.trim()).map_err(|e| format!("final record does not parse: {e}"))?;
             Some(line)
         }
         Err(_) => None,
@@ -713,7 +711,12 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, max: usize) -> LineRead 
     loop {
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 return LineRead::TimedOut;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,

@@ -56,7 +56,10 @@ fn oversized_request_line_is_refused_with_a_structured_error() {
     let mut stream = raw_connect(&addr);
     // 64 KiB of newline-less JSON-ish bytes: the daemon must refuse
     // after its 4 KiB cap without buffering the rest.
-    let big = format!("{{\"cmd\":\"submit\",\"layout\":\"{}\"}}", "x".repeat(65536));
+    let big = format!(
+        "{{\"cmd\":\"submit\",\"layout\":\"{}\"}}",
+        "x".repeat(65536)
+    );
     stream.write_all(big.as_bytes()).expect("send oversized");
     stream.write_all(b"\n").ok();
     let mut reader = BufReader::new(stream);

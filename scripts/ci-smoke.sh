@@ -25,12 +25,14 @@ die() {
 
 [ -x "$BIN" ] || die "binary not found: $BIN (build it or set SADP_BIN)"
 
-# Every fixture is a shrunk, once-failing instance; a replay failure
-# means a fixed bug regressed. The imported suite rides along, with a
-# per-format non-vacuity guard: a DSN and a DEF must each route >=1 net,
-# otherwise the real-layout ingestion path is silently dead.
+# Every corpus fixture is a shrunk, once-failing instance; a replay
+# failure means a fixed bug regressed. The top-level fixtures and the
+# imported suite ride along, so every committed design stays under the
+# oracle's threads-1-vs-4 identity check. The imports carry a per-format
+# non-vacuity guard: a DSN and a DEF must each route >=1 net, otherwise
+# the real-layout ingestion path is silently dead.
 smoke_corpus() {
-  for f in fixtures/corpus/*.layout; do
+  for f in fixtures/*.layout fixtures/corpus/*.layout; do
     "$BIN" fuzz --replay "$f"
   done
   routed_at_least_one() { # file

@@ -889,7 +889,10 @@ fn cmd_fuzz_wire(args: &[String]) -> CliResult {
             "FAIL wire/{} seed {}: {}",
             failure.regime, failure.seed, failure.detail
         );
-        let path = format!("{out_dir}/fuzz-wire-{}-{}.txt", failure.regime, failure.seed);
+        let path = format!(
+            "{out_dir}/fuzz-wire-{}-{}.txt",
+            failure.regime, failure.seed
+        );
         std::fs::write(&path, failure.artifact_text())
             .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
         println!("wrote {path}");

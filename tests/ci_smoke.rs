@@ -26,6 +26,9 @@ fn corpus_smoke_replays_native_and_imported_fixtures() {
     // Both imported formats actually replayed.
     assert!(stdout.contains("led-matrix.dsn: clean ("), "{stdout}");
     assert!(stdout.contains("macro-block.def: clean ("), "{stdout}");
+    // The top-level fixtures replay under the same oracle.
+    assert!(stdout.contains("clock_tree.layout: clean ("), "{stdout}");
+    assert!(stdout.contains("odd_cycle.layout: clean ("), "{stdout}");
 }
 
 #[test]
