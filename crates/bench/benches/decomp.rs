@@ -1,9 +1,12 @@
-//! Micro-bench: pixel decomposition simulator (scenario window and a
-//! medium multi-net layout).
+//! Micro-bench: pixel decomposition simulator (scenario window, a
+//! medium multi-net layout, and one full routed layer at the canvas size
+//! the router's cut-repair pass simulates).
 
 use sadp_bench::timing::bench;
+use sadp_core::{Router, RouterConfig};
 use sadp_decomp::{ColoredPattern, CutSimulator};
-use sadp_geom::{DesignRules, TrackRect};
+use sadp_geom::{DesignRules, Layer, TrackRect};
+use sadp_grid::BenchmarkSpec;
 use sadp_scenario::Color;
 
 fn main() {
@@ -31,4 +34,20 @@ fn main() {
         })
         .collect();
     bench("decomp_comb_32_wires", 20, || sim.run(&comb));
+
+    // The busiest layer of Test5 at scale 0.2 (402×402 tracks, a canvas of
+    // about 1630×1630 pixels): one of the full-layer passes cut repair
+    // makes per round.
+    let spec = BenchmarkSpec::paper_fixed_suite().remove(4).scaled(0.2);
+    let (mut plane, netlist) = spec.generate();
+    let mut router = Router::new(RouterConfig::paper_defaults());
+    router.route_all(&mut plane, &netlist);
+    let layer: Vec<ColoredPattern> = (0..plane.layers())
+        .map(|l| router.patterns_on_layer(Layer(l)))
+        .max_by_key(Vec::len)
+        .expect("the plane has layers")
+        .into_iter()
+        .map(|(net, color, rects)| ColoredPattern::new(net, color, rects))
+        .collect();
+    bench("decomp_test5_0.2_full_layer", 3, || sim.run(&layer));
 }

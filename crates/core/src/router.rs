@@ -183,6 +183,14 @@ impl Router {
     /// ([`RoutingReport::color_fallbacks`]) and asserts in dev builds.
     #[must_use]
     pub fn patterns_on_layer(&self, layer: Layer) -> Vec<(u32, Color, Vec<TrackRect>)> {
+        self.colored_patterns(layer)
+            .into_iter()
+            .map(|p| (p.net, p.color, p.rects))
+            .collect()
+    }
+
+    /// [`Router::patterns_on_layer`] as simulator input, built in one pass.
+    fn colored_patterns(&self, layer: Layer) -> Vec<ColoredPattern> {
         let mut out = Vec::new();
         // The ledger store is a BTreeMap: iteration is NetId-ordered.
         for r in self.ledger.routed().values() {
@@ -205,7 +213,7 @@ impl Router {
                         Color::Core
                     }
                 };
-                out.push((r.id.0, color, rects));
+                out.push(ColoredPattern::new(r.id.0, color, rects));
             }
         }
         out
@@ -487,15 +495,11 @@ impl Router {
         let mut offenders: Vec<NetId> = Vec::new();
         for l in 0..self.ledger.layer_count() {
             let layer = Layer(l as u8);
-            let pats = self.patterns_on_layer(layer);
+            let pats = self.colored_patterns(layer);
             if pats.is_empty() {
                 continue;
             }
-            let colored: Vec<ColoredPattern> = pats
-                .iter()
-                .map(|(net, color, rects)| ColoredPattern::new(*net, *color, rects.clone()))
-                .collect();
-            let d = sim.run(&colored);
+            let d = sim.run(&pats);
             if d.report.cut_conflicts == 0 && d.report.spacer_violations == 0 {
                 continue;
             }

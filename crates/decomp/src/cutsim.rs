@@ -4,6 +4,7 @@ use crate::bitmap::Bitmap;
 use crate::layout::ColoredPattern;
 use sadp_geom::{DesignRules, Orientation};
 use sadp_scenario::Color;
+use std::collections::BTreeMap;
 
 /// Pixel resolution of the simulator, in nanometres.
 pub const PX_NM: i64 = 10;
@@ -35,7 +36,8 @@ pub struct DecompReport {
     /// Pixels where a spacer overlaps a target pattern (the decomposition
     /// destroys the target; must be 0).
     pub spacer_violations: usize,
-    /// All overlay runs.
+    /// All overlay runs, ordered by pattern, then boundary direction
+    /// (east, west, north, south), boundary line and position.
     pub runs: Vec<OverlayRun>,
     w_line_px: usize,
 }
@@ -72,8 +74,8 @@ pub struct Decomposition {
     pub spacer: Bitmap,
     /// Required cut pixels (`NOT spacer − target`).
     pub cut: Bitmap,
-    /// Pattern index + 1 per pixel (0 = no pattern).
-    pub owner: Vec<u16>,
+    /// Pattern index + 1 per pixel, row-major (0 = no pattern).
+    pub owner: Vec<u32>,
     /// Measured metrics.
     pub report: DecompReport,
     /// Target pixels the decomposition fails on: type-B conflicted runs
@@ -138,16 +140,15 @@ impl Decomposition {
     pub fn conflict_cells(&self) -> Vec<(i32, i32)> {
         let pitch = self.pitch_px as i64;
         let m = self.margin_px as i64;
-        let mut cells = Vec::new();
-        for y in 0..self.conflicts.height() as i64 {
-            for x in 0..self.conflicts.width() as i64 {
-                if self.conflicts.get(x, y) {
-                    let cx = ((x - m) / pitch) as i32 + self.origin.0;
-                    let cy = ((y - m) / pitch) as i32 + self.origin.1;
-                    cells.push((cx, cy));
-                }
-            }
-        }
+        let mut cells: Vec<(i32, i32)> = self
+            .conflicts
+            .ones()
+            .map(|(x, y)| {
+                let cx = ((x as i64 - m) / pitch) as i32 + self.origin.0;
+                let cy = ((y as i64 - m) / pitch) as i32 + self.origin.1;
+                (cx, cy)
+            })
+            .collect();
         cells.sort_unstable();
         cells.dedup();
         cells
@@ -260,7 +261,7 @@ impl CutSimulator {
         // 1. Paint targets with ownership.
         let mut target = Bitmap::new(width, height);
         let mut second_targets = Bitmap::new(width, height);
-        let mut owner = vec![0u16; width * height];
+        let mut owner = vec![0u32; width * height];
         for (pi, p) in patterns.iter().enumerate() {
             for r in &p.rects {
                 let (x0, y0) = (px_x(r.x0), px_y(r.y0));
@@ -271,7 +272,7 @@ impl CutSimulator {
                 }
                 for y in y0.max(0)..=y1.min(height as i64 - 1) {
                     for x in x0.max(0)..=x1.min(width as i64 - 1) {
-                        owner[y as usize * width + x as usize] = pi as u16 + 1;
+                        owner[y as usize * width + x as usize] = pi as u32 + 1;
                     }
                 }
             }
@@ -352,9 +353,7 @@ impl CutSimulator {
         let cut = spacer.complement().minus(&target);
 
         // 6. Measure.
-        let (mut report, type_b) = self.measure(
-            patterns, origin, &target, &spacer, &cut, &owner, width, height,
-        );
+        let (mut report, type_b) = self.measure(patterns, origin, &target, &cut, &owner, width);
         let destroyed = spacer.intersect(&target);
         report.spacer_violations = destroyed.count();
         let conflicts = type_b.union(&destroyed);
@@ -379,47 +378,12 @@ impl CutSimulator {
     /// tracks is below `d_core`.
     fn merge_cores(&self, mut core: Bitmap) -> Bitmap {
         let d = self.d_core_px() as i64;
-        let w = core.width() as i64;
-        let h = core.height() as i64;
         for _ in 0..2 {
+            // Both directions fill from the same snapshot.
             let snapshot = core.clone();
-            // Horizontal gaps.
-            for y in 0..h {
-                let mut x = 0;
-                while x < w {
-                    if !snapshot.get(x, y) && snapshot.get(x - 1, y) {
-                        let start = x;
-                        while x < w && !snapshot.get(x, y) {
-                            x += 1;
-                        }
-                        if x < w && x - start < d {
-                            for fx in start..x {
-                                core.set(fx, y, true);
-                            }
-                        }
-                    } else {
-                        x += 1;
-                    }
-                }
-            }
-            // Vertical gaps.
-            for x in 0..w {
-                let mut y = 0;
-                while y < h {
-                    if !snapshot.get(x, y) && snapshot.get(x, y - 1) {
-                        let start = y;
-                        while y < h && !snapshot.get(x, y) {
-                            y += 1;
-                        }
-                        if y < h && y - start < d {
-                            for fy in start..y {
-                                core.set(x, fy, true);
-                            }
-                        }
-                    } else {
-                        y += 1;
-                    }
-                }
+            let empty = snapshot.complement();
+            for dir in [(1, 0), (0, 1)] {
+                core = core.union(&bounded_runs(&empty, &snapshot, d, dir));
             }
         }
         let diag2 = self.rules.w_spacer().squared() * 2;
@@ -429,17 +393,14 @@ impl CutSimulator {
         core
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn measure(
         &self,
         patterns: &[ColoredPattern],
         origin: (i32, i32),
         target: &Bitmap,
-        spacer: &Bitmap,
         cut: &Bitmap,
-        owner: &[u16],
+        owner: &[u32],
         width: usize,
-        height: usize,
     ) -> (DecompReport, Bitmap) {
         let wline = self.w_line_px();
         let pitch = self.pitch_px() as i64;
@@ -449,32 +410,24 @@ impl CutSimulator {
         };
 
         // Unprotected boundary edges, grouped into runs per
-        // (pattern, direction, boundary line).
-        use std::collections::HashMap;
+        // (pattern, direction, boundary line). A target pixel's boundary
+        // edge toward a neighbour is unprotected iff that neighbour is
+        // cut (cut excludes target and spacer, and is unset off-canvas).
         // key: (pattern, dir 0..4, line coordinate) -> positions
-        let mut edges: HashMap<(u16, u8, i64), Vec<(i64, bool)>> = HashMap::new();
+        let mut edges: BTreeMap<(u32, u8, i64), Vec<(i64, bool)>> = BTreeMap::new();
         let dirs: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
-        for y in 0..height as i64 {
-            for x in 0..width as i64 {
-                if !target.get(x, y) {
-                    continue;
-                }
-                let own = owner[y as usize * width + x as usize];
-                for (di, &(dx, dy)) in dirs.iter().enumerate() {
-                    let (nx, ny) = (x + dx, y + dy);
-                    if target.get(nx, ny) || spacer.get(nx, ny) {
-                        continue; // interior or protected
-                    }
-                    if !cut.get(nx, ny) {
-                        continue; // outside canvas bookkeeping
-                    }
-                    let is_side = self.edge_is_side(patterns, origin, own, x, y, dx, dy, pitch);
-                    let (line, pos) = if dx != 0 { (x, y) } else { (y, x) };
-                    edges
-                        .entry((own, di as u8, line))
-                        .or_default()
-                        .push((pos, is_side));
-                }
+        for (di, &(dx, dy)) in dirs.iter().enumerate() {
+            let mut exposed = target.clone();
+            exposed.and_shifted(cut, -dx, -dy);
+            for (x, y) in exposed.ones() {
+                let own = owner[y * width + x];
+                let (x, y) = (x as i64, y as i64);
+                let is_side = self.edge_is_side(patterns, origin, own, x, y, dx, dy, pitch);
+                let (line, pos) = if dx != 0 { (x, y) } else { (y, x) };
+                edges
+                    .entry((own, di as u8, line))
+                    .or_default()
+                    .push((pos, is_side));
             }
         }
 
@@ -508,7 +461,7 @@ impl CutSimulator {
             }
         }
 
-        let (n, conflicted) = self.count_type_b(target, cut, width, height);
+        let (n, conflicted) = self.count_type_b(target, cut);
         report.cut_conflicts = n;
         (report, conflicted)
     }
@@ -521,7 +474,7 @@ impl CutSimulator {
         &self,
         patterns: &[ColoredPattern],
         origin: (i32, i32),
-        owner: u16,
+        owner: u32,
         x: i64,
         y: i64,
         dx: i64,
@@ -562,59 +515,34 @@ impl CutSimulator {
     /// sections over one pattern). Contiguous conflicting positions count
     /// once. Also returns the union of the marked runs so callers can
     /// locate the conflicts.
-    fn count_type_b(
-        &self,
-        target: &Bitmap,
-        cut: &Bitmap,
-        width: usize,
-        height: usize,
-    ) -> (usize, Bitmap) {
+    fn count_type_b(&self, target: &Bitmap, cut: &Bitmap) -> (usize, Bitmap) {
         let d_cut = self.d_cut_px() as i64;
-        let mut conflict_h = Bitmap::new(width, height);
-        let mut conflict_v = Bitmap::new(width, height);
-        for y in 0..height as i64 {
-            let mut x = 0i64;
-            while x < width as i64 {
-                if target.get(x, y) && !target.get(x - 1, y) {
-                    // Maximal horizontal target run starting at x.
-                    let mut e = x;
-                    while target.get(e + 1, y) {
-                        e += 1;
-                    }
-                    if e - x + 1 < d_cut && cut.get(x - 1, y) && cut.get(e + 1, y) {
-                        for xx in x..=e {
-                            conflict_h.set(xx, y, true);
-                        }
-                    }
-                    x = e + 1;
-                } else {
-                    x += 1;
-                }
-            }
-        }
-        for x in 0..width as i64 {
-            let mut y = 0i64;
-            while y < height as i64 {
-                if target.get(x, y) && !target.get(x, y - 1) {
-                    let mut e = y;
-                    while target.get(x, e + 1) {
-                        e += 1;
-                    }
-                    if e - y + 1 < d_cut && cut.get(x, y - 1) && cut.get(x, e + 1) {
-                        for yy in y..=e {
-                            conflict_v.set(x, yy, true);
-                        }
-                    }
-                    y = e + 1;
-                } else {
-                    y += 1;
-                }
-            }
-        }
-        let (_, nh) = conflict_h.components();
-        let (_, nv) = conflict_v.components();
-        ((nh + nv) as usize, conflict_h.union(&conflict_v))
+        let conflict_h = bounded_runs(target, cut, d_cut, (1, 0));
+        let conflict_v = bounded_runs(target, cut, d_cut, (0, 1));
+        let n = conflict_h.component_count() + conflict_v.component_count();
+        (n as usize, conflict_h.union(&conflict_v))
     }
+}
+
+/// The pixels of every run of fewer than `max_len` consecutive `inner`
+/// pixels along `(dx, dy)` that has an `ends` pixel on both sides, inside
+/// the canvas. `inner` and `ends` must be disjoint, so each such run is a
+/// maximal run of `inner`.
+fn bounded_runs(inner: &Bitmap, ends: &Bitmap, max_len: i64, (dx, dy): (i64, i64)) -> Bitmap {
+    let mut marked = Bitmap::new(inner.width(), inner.height());
+    for len in 1..max_len {
+        // Starts of runs of exactly `len`: an end, `len` inner pixels, an end.
+        let mut start = Bitmap::new(inner.width(), inner.height());
+        start.or_shifted(ends, dx, dy);
+        for j in 0..len {
+            start.and_shifted(inner, -j * dx, -j * dy);
+        }
+        start.and_shifted(ends, -len * dx, -len * dy);
+        for j in 0..len {
+            marked.or_shifted(&start, j * dx, j * dy);
+        }
+    }
+    marked
 }
 
 /// Adds a connecting rectangle between any two fragments of the same
@@ -752,6 +680,53 @@ mod tests {
     }
 
     #[test]
+    fn runs_are_deterministic_and_pattern_ordered() {
+        // Many exposed trim-process wires give many (pattern, dir, line)
+        // groups, whose order used to follow a randomly seeded hash map.
+        let pats: Vec<ColoredPattern> = (0..24)
+            .map(|i| {
+                wire(
+                    i,
+                    Color::Second,
+                    TrackRect::new(0, 2 * i as i32, 5, 2 * i as i32),
+                )
+            })
+            .collect();
+        let a = sim().run_with_options(&pats, false);
+        let b = sim().run_with_options(&pats, false);
+        assert!(a.report.runs.len() > 48);
+        assert_eq!(a.report.runs, b.report.runs);
+        assert!(a
+            .report
+            .runs
+            .windows(2)
+            .all(|w| w[0].pattern <= w[1].pattern));
+    }
+
+    #[test]
+    fn owners_do_not_wrap_past_u16() {
+        // 65,537 one-cell patterns: indices past u16::MAX must keep their
+        // own owner ids instead of wrapping onto "no pattern" or pattern 0.
+        let n = 65_537usize;
+        let pats: Vec<ColoredPattern> = (0..n)
+            .map(|i| {
+                let cell = TrackRect::cell((i % 257) as i32, (i / 257) as i32);
+                wire(i as u32, Color::Core, cell)
+            })
+            .collect();
+        let d = sim().run(&pats);
+        assert!(d.report.runs.iter().all(|r| r.pattern < n));
+        assert!(d.report.runs.iter().any(|r| r.pattern == n - 1));
+        let last = pats[n - 1].rects[0];
+        let (x, y) = (d.px_of_cell_x(last.x0), d.px_of_cell_y(last.y0));
+        assert!(d.target.get(x, y));
+        assert_eq!(
+            d.owner[y as usize * d.target.width() + x as usize],
+            n as u32
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "nothing to decompose")]
     fn empty_input_panics() {
         let _ = sim().run(&[]);
@@ -825,5 +800,110 @@ mod bridge_tests {
         // The 1-a CS pair still decomposes by spacer protection; no bridge
         // crossed the net boundary.
         assert_eq!(d.report.side_overlay_px, 0);
+    }
+}
+
+/// The word-parallel kernels against their per-pixel definitions on
+/// arbitrary bitmaps, including the odd gap and run lengths that
+/// track-aligned layouts never produce.
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use sadp_geom::Rng;
+
+    /// Per pixel: fill each row and column gap of `< d` unset pixels
+    /// that has set pixels on both ends, reading only `snapshot`.
+    fn gap_fill_reference(snapshot: &Bitmap, d: i64) -> Bitmap {
+        let (w, h) = (snapshot.width() as i64, snapshot.height() as i64);
+        let mut out = snapshot.clone();
+        for (dx, dy) in [(1i64, 0i64), (0, 1)] {
+            for y in 0..h {
+                for x in 0..w {
+                    if snapshot.get(x, y) || !snapshot.get(x - dx, y - dy) {
+                        continue;
+                    }
+                    let mut len = 1;
+                    while x + len * dx < w
+                        && y + len * dy < h
+                        && !snapshot.get(x + len * dx, y + len * dy)
+                    {
+                        len += 1;
+                    }
+                    if len < d && snapshot.get(x + len * dx, y + len * dy) {
+                        for j in 0..len {
+                            out.set(x + j * dx, y + j * dy, true);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Per pixel: mark maximal target runs shorter than `d` with cut on
+    /// both ends, rows and columns separately.
+    fn type_b_reference(target: &Bitmap, cut: &Bitmap, d: i64) -> (Bitmap, Bitmap) {
+        let (w, h) = (target.width() as i64, target.height() as i64);
+        let mut marks = [
+            Bitmap::new(w as usize, h as usize),
+            Bitmap::new(w as usize, h as usize),
+        ];
+        for (k, (dx, dy)) in [(1i64, 0i64), (0, 1)].into_iter().enumerate() {
+            for y in 0..h {
+                for x in 0..w {
+                    if !target.get(x, y) || target.get(x - dx, y - dy) {
+                        continue;
+                    }
+                    let mut len = 1;
+                    while target.get(x + len * dx, y + len * dy) {
+                        len += 1;
+                    }
+                    if len < d && cut.get(x - dx, y - dy) && cut.get(x + len * dx, y + len * dy) {
+                        for j in 0..len {
+                            marks[k].set(x + j * dx, y + j * dy, true);
+                        }
+                    }
+                }
+            }
+        }
+        let [mh, mv] = marks;
+        (mh, mv)
+    }
+
+    fn noise(rng: &mut Rng, w: usize, h: usize, density: u64) -> Bitmap {
+        let mut b = Bitmap::new(w, h);
+        for y in 0..h as i64 {
+            for x in 0..w as i64 {
+                b.set(x, y, rng.bounded(100) < density);
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn kernels_match_per_pixel_definitions() {
+        let mut rng = Rng::seed_from_u64(0x6e);
+        for rules in [DesignRules::node_10nm(), DesignRules::node_14nm()] {
+            let sim = CutSimulator::new(rules);
+            let (d_core, d_cut) = (sim.d_core_px() as i64, sim.d_cut_px() as i64);
+            for _ in 0..60 {
+                let (w, h) = (1 + rng.index(140), 1 + rng.index(24));
+                let density = 10 + rng.bounded(60);
+                let core = noise(&mut rng, w, h, density);
+                let mut expect = gap_fill_reference(&gap_fill_reference(&core, d_core), d_core);
+                if rules.w_spacer().squared() * 2 < rules.d_core().squared() {
+                    expect = expect.closed(1);
+                }
+                assert_eq!(sim.merge_cores(core.clone()), expect, "merge {w}x{h}");
+
+                let target = noise(&mut rng, w, h, 50);
+                let cut = noise(&mut rng, w, h, 70).minus(&target);
+                let (mh, mv) = type_b_reference(&target, &cut, d_cut);
+                let (n, marked) = sim.count_type_b(&target, &cut);
+                assert_eq!(marked, mh.union(&mv), "type-B marks {w}x{h}");
+                let expect_n = mh.components().1 + mv.components().1;
+                assert_eq!(n, expect_n as usize, "type-B count {w}x{h}");
+            }
+        }
     }
 }

@@ -203,6 +203,151 @@ fn bitmap_morphology_laws() {
     }
 }
 
+/// Per-pixel reference model of [`Bitmap`]: the plain definitions the
+/// word-packed implementation must reproduce exactly.
+#[derive(Clone)]
+struct PixelModel {
+    w: usize,
+    h: usize,
+    px: Vec<bool>,
+}
+
+impl PixelModel {
+    fn of(b: &Bitmap) -> PixelModel {
+        let (w, h) = (b.width(), b.height());
+        let px = (0..w * h)
+            .map(|i| b.get((i % w) as i64, (i / w) as i64))
+            .collect();
+        PixelModel { w, h, px }
+    }
+
+    fn get(&self, x: i64, y: i64) -> Option<bool> {
+        let inside = x >= 0 && y >= 0 && x < self.w as i64 && y < self.h as i64;
+        inside.then(|| self.px[y as usize * self.w + x as usize])
+    }
+
+    fn map(&self, f: impl Fn(i64, i64) -> bool) -> PixelModel {
+        let px = (0..self.w * self.h)
+            .map(|i| f((i % self.w) as i64, (i / self.w) as i64))
+            .collect();
+        PixelModel { px, ..*self }
+    }
+
+    /// Any set pixel in the `(2r+1)²` window.
+    fn dilated(&self, r: i64) -> PixelModel {
+        self.map(|x, y| {
+            (-r..=r).any(|dy| (-r..=r).any(|dx| self.get(x + dx, y + dy) == Some(true)))
+        })
+    }
+
+    /// Every window pixel set, off-canvas pixels counting as set.
+    fn eroded(&self, r: i64) -> PixelModel {
+        self.map(|x, y| {
+            (-r..=r).all(|dy| (-r..=r).all(|dx| self.get(x + dx, y + dy) != Some(false)))
+        })
+    }
+
+    fn zip(&self, o: &PixelModel, f: impl Fn(bool, bool) -> bool) -> PixelModel {
+        let px = self.px.iter().zip(&o.px).map(|(&a, &b)| f(a, b)).collect();
+        PixelModel { px, ..*self }
+    }
+
+    /// 4-connected labels, numbered in row-major order of first pixel.
+    fn components(&self) -> (Vec<u32>, u32) {
+        let mut labels = vec![0u32; self.px.len()];
+        let mut next = 0;
+        for start in 0..self.px.len() {
+            if !self.px[start] || labels[start] != 0 {
+                continue;
+            }
+            next += 1;
+            labels[start] = next;
+            let mut queue = vec![start];
+            while let Some(i) = queue.pop() {
+                let (x, y) = ((i % self.w) as i64, (i / self.w) as i64);
+                for (nx, ny) in [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)] {
+                    if self.get(nx, ny) == Some(true) {
+                        let j = ny as usize * self.w + nx as usize;
+                        if labels[j] == 0 {
+                            labels[j] = next;
+                            queue.push(j);
+                        }
+                    }
+                }
+            }
+        }
+        (labels, next)
+    }
+
+    fn count(&self) -> usize {
+        self.px.iter().filter(|&&p| p).count()
+    }
+}
+
+fn assert_matches(b: &Bitmap, m: &PixelModel, what: &str) {
+    assert_eq!((b.width(), b.height()), (m.w, m.h), "{what}: size");
+    assert_eq!(b.count(), m.count(), "{what}: count");
+    assert!(
+        PixelModel::of(b).px == m.px,
+        "{what}: pixels differ on {}x{}",
+        m.w,
+        m.h
+    );
+}
+
+/// A bitmap of random rectangles, some reaching past every border.
+fn random_bitmap(rng: &mut Rng, w: usize, h: usize) -> Bitmap {
+    let mut b = Bitmap::new(w, h);
+    let mut m = PixelModel::of(&b);
+    for _ in 0..rng.index(7) {
+        let x0 = i64::from(rng.range_i32(-4..w as i32 + 4));
+        let y0 = i64::from(rng.range_i32(-4..h as i32 + 4));
+        let x1 = x0 + i64::from(rng.range_i32(-2..40));
+        let y1 = y0 + i64::from(rng.range_i32(-2..8));
+        b.fill_rect(x0, y0, x1, y1);
+        m = m.map(|x, y| {
+            m.get(x, y) == Some(true) || (x0..=x1).contains(&x) && (y0..=y1).contains(&y)
+        });
+        assert_matches(&b, &m, "fill_rect");
+    }
+    b
+}
+
+/// The word-packed bitmap equals the per-pixel model on widths around
+/// the 64-pixel word boundary, for every operation the simulator uses.
+#[test]
+fn bitmap_matches_per_pixel_model() {
+    let mut rng = Rng::seed_from_u64(0x6b);
+    for w in [1, 63, 64, 65, 127, 128, 129] {
+        for _ in 0..24 {
+            let h = 1 + rng.index(12);
+            let a = random_bitmap(&mut rng, w, h);
+            let b = random_bitmap(&mut rng, w, h);
+            let (ma, mb) = (PixelModel::of(&a), PixelModel::of(&b));
+            for r in 1..=3 {
+                assert_matches(&a.dilated(r), &ma.dilated(r as i64), "dilated");
+                assert_matches(&a.eroded(r), &ma.eroded(r as i64), "eroded");
+                let closed = ma.dilated(r as i64).eroded(r as i64);
+                assert_matches(&a.closed(r), &closed, "closed");
+            }
+            assert_matches(&a.union(&b), &ma.zip(&mb, |p, q| p | q), "union");
+            assert_matches(&a.minus(&b), &ma.zip(&mb, |p, q| p & !q), "minus");
+            assert_matches(&a.intersect(&b), &ma.zip(&mb, |p, q| p & q), "intersect");
+            let c = a.complement();
+            assert_matches(
+                &c,
+                &ma.map(|x, y| ma.get(x, y) == Some(false)),
+                "complement",
+            );
+            // Padding bits past `width` stay clear.
+            assert_eq!(c.count(), w * h - a.count());
+            assert_eq!(c.complement(), a);
+            assert_eq!(a.is_empty(), ma.count() == 0);
+            assert_eq!(a.components(), ma.components(), "components");
+        }
+    }
+}
+
 /// Brute-force parity 2-colorability.
 fn two_colorable(edges: &[(u32, u32, bool)]) -> bool {
     for mask in 0u32..256 {
