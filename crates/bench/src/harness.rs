@@ -3,7 +3,6 @@
 use sadp_baselines::{BaselineKind, BaselineRouter};
 use sadp_core::{Router, RouterConfig, RoutingReport};
 use sadp_grid::BenchmarkSpec;
-use sadp_obs::{BufferRecorder, NoopRecorder, Recorder};
 use std::time::Duration;
 
 /// One measured table row.
@@ -57,67 +56,20 @@ pub fn threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether stage profiles should be recorded and appended as JSON lines
-/// to the file named by the `SADP_PROFILE_JSON` environment variable
-/// (the `EXPERIMENTS.md`-ready record format).
-#[must_use]
-pub fn profile_json_path() -> Option<String> {
-    std::env::var("SADP_PROFILE_JSON")
-        .ok()
-        .filter(|p| !p.is_empty())
-}
-
-/// Appends one profile record for a finished run to the
-/// `SADP_PROFILE_JSON` file (no-op when the variable is unset). Each line
-/// is a self-contained JSON object keyed by circuit and router label.
-fn record_profile(row: &RunRow) {
-    let Some(path) = profile_json_path() else {
-        return;
-    };
-    let line = format!(
-        "{{\"circuit\":\"{}\",\"router\":\"{}\",\"nets\":{},\"cpu_seconds\":{:.6},\"stages\":{}}}\n",
-        row.circuit,
-        row.router,
-        row.nets,
-        row.report.cpu.as_secs_f64(),
-        row.report.profile.to_json()
-    );
-    use std::io::Write;
-    let res = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = res {
-        eprintln!("warning: could not append profile record to {path}: {e}");
-    }
-}
-
-/// Routes one benchmark with our router and returns the row. When
-/// `SADP_PROFILE_JSON` is set, the run is timed per stage and a JSON
-/// record is appended to that file.
+/// Routes one benchmark with our router and returns the row.
 #[must_use]
 pub fn run_ours(spec: &BenchmarkSpec) -> RunRow {
     let (mut plane, netlist) = spec.generate();
     let mut config = RouterConfig::paper_defaults();
     config.threads = threads_from_env();
-    let mut router = Router::new(config);
-    let profiling = profile_json_path().is_some();
-    let mut buffer = BufferRecorder::with_flags(false, true);
-    let mut noop = NoopRecorder;
-    let rec: &mut dyn Recorder = if profiling { &mut buffer } else { &mut noop };
-    let report = router.route_all_with(&mut plane, &netlist, rec);
-    let row = RunRow {
+    let report = Router::new(config).route_all(&mut plane, &netlist);
+    RunRow {
         circuit: spec.name.clone(),
         router: "ours (cut, overlay-aware)".into(),
         nets: netlist.len(),
         report,
         timed_out: false,
-    };
-    if profiling {
-        record_profile(&row);
     }
-    row
 }
 
 /// Routes one benchmark with a baseline and returns the row.

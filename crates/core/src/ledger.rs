@@ -28,6 +28,7 @@ use crate::search::RouteCandidate;
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_graph::{flip, GraphError, OverlayGraph};
 use sadp_grid::{Net, NetId, RoutePath, RoutingPlane};
+use sadp_obs::json::Obj;
 use sadp_scenario::{CostTable, ScenarioKind};
 use std::collections::BTreeMap;
 
@@ -114,27 +115,22 @@ pub struct LedgerCounters {
 }
 
 impl LedgerCounters {
-    /// One-line JSON object with a fixed key order, for bench records.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ripups\":{},\"ripups_type_b\":{},\"ripups_graph\":{},\
-             \"ripups_risk\":{},\"failed_no_path\":{},\"failed_exhausted\":{},\
-             \"failed_cleanup\":{},\"flips\":{},\"nodes_expanded\":{},\
-             \"failed_budget\":{},\"bands_recovered\":{},\"waves_recovered\":{}}}",
-            self.ripups,
-            self.ripups_type_b,
-            self.ripups_graph,
-            self.ripups_risk,
-            self.failed_no_path,
-            self.failed_exhausted,
-            self.failed_cleanup,
-            self.flips,
-            self.nodes_expanded,
-            self.failed_budget,
-            self.bands_recovered,
-            self.waves_recovered
-        )
+    /// The counters as one JSON object with a fixed key order (the
+    /// `counters` line of the ECO state digest).
+    pub fn to_json(&self) -> Obj {
+        Obj::default()
+            .int("ripups", self.ripups)
+            .int("ripups_type_b", self.ripups_type_b)
+            .int("ripups_graph", self.ripups_graph)
+            .int("ripups_risk", self.ripups_risk)
+            .int("failed_no_path", self.failed_no_path)
+            .int("failed_exhausted", self.failed_exhausted)
+            .int("failed_cleanup", self.failed_cleanup)
+            .int("flips", self.flips)
+            .int("nodes_expanded", self.nodes_expanded)
+            .int("failed_budget", self.failed_budget)
+            .int("bands_recovered", self.bands_recovered)
+            .int("waves_recovered", self.waves_recovered)
     }
 
     /// Adds another counter set, field-wise. This is how band workers'

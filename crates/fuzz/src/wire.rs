@@ -195,12 +195,13 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng, corpus: &[&str]) {
                 bytes.splice(at..at, run);
             }
         }
-        // Deep nesting: recursion-depth pressure on bracket parsers.
+        // Deep nesting, up to 2^16 levels: far past the depth at which
+        // a parser that recursed without a limit would overflow its stack.
         5 => {
             let (open, close) = *[(b'(', b')'), (b'{', b'}'), (b'[', b']')]
                 .get(rng.index(3))
                 .unwrap_or(&(b'(', b')'));
-            let depth = 1 << (2 + rng.index(9));
+            let depth = 1 << (2 + rng.index(15));
             let mut wrapped = vec![open; depth];
             wrapped.append(bytes);
             wrapped.extend(std::iter::repeat_n(close, depth));

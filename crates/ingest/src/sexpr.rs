@@ -84,26 +84,37 @@ impl Sexpr {
     }
 }
 
+/// The deepest list nesting [`parse`] accepts: real designs nest about
+/// ten levels, and the reader recurses per level, so a hostile depth
+/// must be a parse error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses one top-level s-expression; trailing content is an error.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError`] with line/column on unbalanced parentheses,
-/// an unterminated string, or garbage outside the top-level list.
+/// an unterminated string, lists nested deeper than [`MAX_DEPTH`], or
+/// garbage outside the top-level list.
 pub fn parse(text: &str) -> Result<Sexpr, ParseError> {
     let mut lexer = Lexer::new(text);
     let first = lexer
         .next_token()?
         .ok_or_else(|| err(Pos::new(1, 1), "empty input (expected `(pcb ...)`)"))?;
-    let expr = parse_node(&mut lexer, first)?;
+    let expr = parse_node(&mut lexer, first, 0)?;
     if let Some(tok) = lexer.next_token()? {
         return Err(err(tok.pos, "trailing content after the top-level list"));
     }
     Ok(expr)
 }
 
-fn parse_node(lexer: &mut Lexer<'_>, tok: Token) -> Result<Sexpr, ParseError> {
+/// Parses the node starting with `tok`, which sits inside `depth` lists.
+fn parse_node(lexer: &mut Lexer<'_>, tok: Token, depth: usize) -> Result<Sexpr, ParseError> {
     match tok.kind {
+        TokenKind::LParen if depth == MAX_DEPTH => Err(err(
+            tok.pos,
+            format!("lists nested deeper than {MAX_DEPTH} levels"),
+        )),
         TokenKind::LParen => {
             let pos = tok.pos;
             let mut items = Vec::new();
@@ -114,7 +125,7 @@ fn parse_node(lexer: &mut Lexer<'_>, tok: Token) -> Result<Sexpr, ParseError> {
                 if matches!(tok.kind, TokenKind::RParen) {
                     return Ok(Sexpr::List { items, pos });
                 }
-                items.push(parse_node(lexer, tok)?);
+                items.push(parse_node(lexer, tok, depth + 1)?);
             }
         }
         TokenKind::RParen => Err(err(tok.pos, "unmatched `)`")),
@@ -278,6 +289,20 @@ mod tests {
         assert!(e.to_string().contains("unterminated string"), "{e}");
         let e = parse("   ").unwrap_err();
         assert!(e.to_string().contains("empty input"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_position() {
+        let nested = |depth: usize| format!("{}{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "line 1, col {}: lists nested deeper than {MAX_DEPTH} levels",
+                MAX_DEPTH + 1
+            )
+        );
     }
 
     #[test]

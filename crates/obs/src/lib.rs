@@ -2,7 +2,7 @@
 //!
 //! The container has no crate registry, so this layer is hand-rolled (like
 //! `sadp_geom::Rng`) instead of pulling in `tracing`/`log`/`metrics`. It
-//! provides three things:
+//! provides four things:
 //!
 //! 1. **Timing spans and counters** behind the cheap [`Recorder`] trait.
 //!    The pipeline wraps each stage in a [`SpanClock`] (or [`timed`]); a
@@ -20,13 +20,17 @@
 //! 3. **[`StageProfile`]**: per-stage wall time and invocation counts
 //!    (search, commit, recolor, ripup, merge, decompose), aggregated into
 //!    the routing report and printable as a table
-//!    ([`StageProfile::table`]) or as JSON ([`StageProfile::to_json`])
-//!    for `EXPERIMENTS.md`-ready records.
+//!    ([`StageProfile::table`]) or as JSON ([`StageProfile::to_json`]).
+//! 4. **[`json`]**: the workspace's one JSON writer and parser, here
+//!    because every emitting crate depends on this one.
 //!
 //! Counters saturate instead of wrapping: a profile that has been
 //! accumulated across many runs degrades to a pinned `u64::MAX`, never to
 //! a small lying number.
 
+pub mod json;
+
+use json::Obj;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -200,26 +204,16 @@ impl StageProfile {
         out
     }
 
-    /// One-line JSON object
-    /// (`{"search":{"seconds":…,"count":…},…}`), the `EXPERIMENTS.md`-ready
-    /// record format.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = self.stage(*stage);
-            out.push_str(&format!(
-                "\"{}\":{{\"seconds\":{:.6},\"count\":{}}}",
+    /// The profile as one JSON object
+    /// (`{"search":{"seconds":…,"count":…},…}`), stages in report order.
+    pub fn to_json(&self) -> Obj {
+        Stage::ALL.iter().fold(Obj::default(), |out, &stage| {
+            let s = self.stage(stage);
+            out.obj(
                 stage.name(),
-                s.time.as_secs_f64(),
-                s.count
-            ));
-        }
-        out.push('}');
-        out
+                Obj::default().secs("seconds", s.time).int("count", s.count),
+            )
+        })
     }
 }
 
@@ -437,57 +431,44 @@ impl RouterEvent {
 
     /// Serializes the event as one JSON object (no trailing newline).
     ///
-    /// Every value is a number, boolean or fixed enum name, so no string
-    /// escaping is ever required and the output is byte-stable.
+    /// Every value is a number, boolean or fixed enum name, so the output
+    /// is byte-stable.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        match self {
+        let out = Obj::default().str("event", self.kind());
+        match *self {
             RouterEvent::NetRouted {
                 net,
                 attempts,
                 flipped,
-            } => format!(
-                "{{\"event\":\"net_routed\",\"net\":{net},\"attempts\":{attempts},\"flipped\":{flipped}}}"
-            ),
+            } => out
+                .int("net", net)
+                .int("attempts", attempts)
+                .bool("flipped", flipped),
             RouterEvent::NetRipped {
                 net,
                 attempt,
                 reason,
-            } => format!(
-                "{{\"event\":\"net_ripped\",\"net\":{net},\"attempt\":{attempt},\"reason\":\"{}\"}}",
-                reason.name()
-            ),
-            RouterEvent::NetFailed { net, reason } => format!(
-                "{{\"event\":\"net_failed\",\"net\":{net},\"reason\":\"{}\"}}",
-                reason.name()
-            ),
-            RouterEvent::FlipPass { layer, components } => format!(
-                "{{\"event\":\"flip_pass\",\"layer\":{layer},\"components\":{components}}}"
-            ),
-            RouterEvent::BandMerged { band, nets } => {
-                format!("{{\"event\":\"band_merged\",\"band\":{band},\"nets\":{nets}}}")
+            } => out
+                .int("net", net)
+                .int("attempt", attempt)
+                .str("reason", reason.name()),
+            RouterEvent::NetFailed { net, reason } => {
+                out.int("net", net).str("reason", reason.name())
             }
-            RouterEvent::BandRecovered { band, nets } => {
-                format!("{{\"event\":\"band_recovered\",\"band\":{band},\"nets\":{nets}}}")
+            RouterEvent::FlipPass { layer, components } => {
+                out.int("layer", layer).int("components", components)
             }
-            RouterEvent::OddCycleDecomposed { net, layer, other } => format!(
-                "{{\"event\":\"odd_cycle_decomposed\",\"net\":{net},\"layer\":{layer},\"other\":{other}}}"
-            ),
-            RouterEvent::WaveScheduled { wave, nets } => {
-                format!("{{\"event\":\"wave_scheduled\",\"wave\":{wave},\"nets\":{nets}}}")
+            RouterEvent::BandMerged { band, nets } | RouterEvent::BandRecovered { band, nets } => {
+                out.int("band", band).int("nets", nets)
             }
-            RouterEvent::WaveRecovered { wave, net } => {
-                format!("{{\"event\":\"wave_recovered\",\"wave\":{wave},\"net\":{net}}}")
+            RouterEvent::OddCycleDecomposed { net, layer, other } => {
+                out.int("net", net).int("layer", layer).int("other", other)
             }
-            RouterEvent::NetsInvalidated { edit, nets } => {
-                let mut ids = String::new();
-                for (i, n) in nets.iter().enumerate() {
-                    if i > 0 {
-                        ids.push(',');
-                    }
-                    ids.push_str(&n.to_string());
-                }
-                format!("{{\"event\":\"nets_invalidated\",\"edit\":{edit},\"nets\":[{ids}]}}")
+            RouterEvent::WaveScheduled { wave, nets } => out.int("wave", wave).int("nets", nets),
+            RouterEvent::WaveRecovered { wave, net } => out.int("wave", wave).int("net", net),
+            RouterEvent::NetsInvalidated { edit, ref nets } => {
+                out.int("edit", edit).arr("nets", nets.iter().copied())
             }
             RouterEvent::EditApplied {
                 edit,
@@ -495,11 +476,14 @@ impl RouterEvent {
                 invalidated,
                 rerouted,
                 failed,
-            } => format!(
-                "{{\"event\":\"edit_applied\",\"edit\":{edit},\"kind\":\"{}\",\"invalidated\":{invalidated},\"rerouted\":{rerouted},\"failed\":{failed}}}",
-                kind.name()
-            ),
+            } => out
+                .int("edit", edit)
+                .str("kind", kind.name())
+                .int("invalidated", invalidated)
+                .int("rerouted", rerouted)
+                .int("failed", failed),
         }
+        .to_string()
     }
 }
 
@@ -598,41 +582,40 @@ impl SessionEvent {
     /// Serializes the event as one JSON object (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        match self {
+        let out = Obj::default().str("event", self.kind());
+        match *self {
             SessionEvent::JobSubmitted {
                 job,
                 priority,
                 nets,
-            } => format!(
-                "{{\"event\":\"job_submitted\",\"job\":{job},\"priority\":{priority},\"nets\":{nets}}}"
-            ),
-            SessionEvent::JobStarted { job } => {
-                format!("{{\"event\":\"job_started\",\"job\":{job}}}")
-            }
+            } => out
+                .int("job", job)
+                .int("priority", priority)
+                .int("nets", nets),
+            SessionEvent::JobStarted { job }
+            | SessionEvent::JobCancelled { job }
+            | SessionEvent::JobFailed { job } => out.int("job", job),
             SessionEvent::JobCheckpointed {
                 job,
                 steps_done,
                 steps_total,
-            } => format!(
-                "{{\"event\":\"job_checkpointed\",\"job\":{job},\"steps_done\":{steps_done},\"steps_total\":{steps_total}}}"
-            ),
-            SessionEvent::JobResumed { job, nets_replayed } => format!(
-                "{{\"event\":\"job_resumed\",\"job\":{job},\"nets_replayed\":{nets_replayed}}}"
-            ),
+            } => out
+                .int("job", job)
+                .int("steps_done", steps_done)
+                .int("steps_total", steps_total),
+            SessionEvent::JobResumed { job, nets_replayed } => {
+                out.int("job", job).int("nets_replayed", nets_replayed)
+            }
             SessionEvent::JobDone {
                 job,
                 routed,
                 failed,
-            } => format!(
-                "{{\"event\":\"job_done\",\"job\":{job},\"routed\":{routed},\"failed\":{failed}}}"
-            ),
-            SessionEvent::JobCancelled { job } => {
-                format!("{{\"event\":\"job_cancelled\",\"job\":{job}}}")
-            }
-            SessionEvent::JobFailed { job } => {
-                format!("{{\"event\":\"job_failed\",\"job\":{job}}}")
-            }
+            } => out
+                .int("job", job)
+                .int("routed", routed)
+                .int("failed", failed),
         }
+        .to_string()
     }
 }
 
@@ -1029,7 +1012,7 @@ mod tests {
         assert!(table.contains("search"));
         assert!(table.contains("0.250000"));
         assert!(table.lines().count() == 2 + Stage::ALL.len() + 1);
-        let json = p.to_json();
+        let json = p.to_json().to_string();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"search\":{\"seconds\":0.250000,\"count\":10}"));
         assert!(json.contains("\"decompose\":{\"seconds\":0.000000,\"count\":0}"));

@@ -8,8 +8,9 @@
 //! daemon picks queued and in-flight work back up from its state
 //! directory with byte-identical results.
 //!
-//! The crate uses only `std` (`std::net` sockets, `std::thread` workers,
-//! a hand-rolled JSON subset in [`json`]) — no external dependencies.
+//! The crate uses only `std` (`std::net` sockets, `std::thread` workers)
+//! and the workspace's one JSON module, [`sadp_obs::json`], re-exported
+//! as [`json`], which parses every request and writes every response.
 //!
 //! - [`protocol`] documents the wire protocol.
 //! - [`server`] implements the daemon ([`serve`]) and a line client
@@ -18,10 +19,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod protocol;
 pub mod server;
 
 pub use json::Json;
 pub use protocol::Request;
+pub use sadp_obs::json;
 pub use server::{serve, Client, ServeConfig, ServerHandle};

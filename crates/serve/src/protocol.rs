@@ -49,7 +49,7 @@
 //! [`RouterConfig::run_node_budget`]: sadp_core::RouterConfig
 //! [`RouterConfig::run_deadline_ms`]: sadp_core::RouterConfig
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Obj};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,8 +190,9 @@ impl Request {
     /// use it so requests always parse back.
     #[must_use]
     pub fn to_json_line(&self) -> String {
+        let cmd = |name: &str| Obj::default().str("cmd", name);
         match self {
-            Request::Ping => "{\"cmd\":\"ping\"}".into(),
+            Request::Ping => cmd("ping"),
             Request::Submit {
                 layout,
                 priority,
@@ -199,56 +200,52 @@ impl Request {
                 node_budget,
                 deadline_ms,
             } => {
-                let mut out = format!(
-                    "{{\"cmd\":\"submit\",\"layout\":{},\"priority\":{priority}",
-                    json::escape(layout)
-                );
+                let mut out = cmd("submit")
+                    .str("layout", layout)
+                    .int("priority", *priority);
                 if let Some(t) = threads {
-                    out.push_str(&format!(",\"threads\":{t}"));
+                    out = out.int("threads", *t as u64);
                 }
                 if let Some(n) = node_budget {
-                    out.push_str(&format!(",\"node_budget\":{n}"));
+                    out = out.int("node_budget", *n);
                 }
                 if let Some(d) = deadline_ms {
-                    out.push_str(&format!(",\"deadline_ms\":{d}"));
+                    out = out.int("deadline_ms", *d);
                 }
-                out.push('}');
                 out
             }
-            Request::Status { job } => format!("{{\"cmd\":\"status\",\"job\":{job}}}"),
-            Request::Cancel { job } => format!("{{\"cmd\":\"cancel\",\"job\":{job}}}"),
-            Request::Resume { job } => format!("{{\"cmd\":\"resume\",\"job\":{job}}}"),
-            Request::Subscribe { job } => format!("{{\"cmd\":\"subscribe\",\"job\":{job}}}"),
-            Request::List => "{\"cmd\":\"list\"}".into(),
-            Request::Edit { job, script } => format!(
-                "{{\"cmd\":\"edit\",\"job\":{job},\"script\":{}}}",
-                json::escape(script)
-            ),
-            Request::Undo { job } => format!("{{\"cmd\":\"undo\",\"job\":{job}}}"),
-            Request::Redo { job } => format!("{{\"cmd\":\"redo\",\"job\":{job}}}"),
-            Request::Shutdown => "{\"cmd\":\"shutdown\"}".into(),
+            Request::Status { job } => cmd("status").int("job", *job),
+            Request::Cancel { job } => cmd("cancel").int("job", *job),
+            Request::Resume { job } => cmd("resume").int("job", *job),
+            Request::Subscribe { job } => cmd("subscribe").int("job", *job),
+            Request::List => cmd("list"),
+            Request::Edit { job, script } => cmd("edit").int("job", *job).str("script", script),
+            Request::Undo { job } => cmd("undo").int("job", *job),
+            Request::Redo { job } => cmd("redo").int("job", *job),
+            Request::Shutdown => cmd("shutdown"),
         }
+        .to_string()
     }
 }
 
-/// Formats the standard error response line.
-#[must_use]
-pub fn error_line(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json::escape(message))
+/// The standard error response line.
+pub fn error_line(message: &str) -> Obj {
+    Obj::default().bool("ok", false).str("error", message)
 }
 
-/// Formats the admission-control shed response for a submit that found
-/// the job queue full: an error line with an extra `"overloaded":true`
-/// marker so clients can tell a retryable overload apart from a
-/// malformed request.
-#[must_use]
-pub fn overloaded_line(queued: usize, limit: usize) -> String {
-    format!(
-        "{{\"ok\":false,\"overloaded\":true,\"error\":{}}}",
-        json::escape(&format!(
+/// The admission-control shed response for a submit that found the job
+/// queue full: an error line with an extra `"overloaded":true` marker so
+/// clients can tell a retryable overload apart from a malformed request.
+pub fn overloaded_line(queued: usize, limit: usize) -> Obj {
+    Obj::default()
+        .bool("ok", false)
+        .bool("overloaded", true)
+        .str(
+            "error",
+            &format!(
             "overloaded: {queued} jobs queued (limit {limit}); retry later or raise --max-queue"
-        ))
-    )
+        ),
+        )
 }
 
 #[cfg(test)]
@@ -315,7 +312,7 @@ mod tests {
 
     #[test]
     fn overloaded_line_parses_and_carries_the_marker() {
-        let line = overloaded_line(1024, 1024);
+        let line = overloaded_line(1024, 1024).to_string();
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(v.get("overloaded").and_then(Json::as_bool), Some(true));
@@ -326,7 +323,7 @@ mod tests {
 
     #[test]
     fn error_line_escapes_the_message() {
-        let line = error_line("bad \"layout\"\nline 2");
+        let line = error_line("bad \"layout\"\nline 2").to_string();
         assert!(!line.contains('\n'));
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));

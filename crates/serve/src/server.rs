@@ -24,7 +24,7 @@
 //! uninterrupted run; the streamed trace after a resume is the suffix
 //! from the checkpoint on (replay emits no events).
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Obj};
 use crate::protocol::{error_line, overloaded_line, Request};
 use sadp_core::eco::{parse_edit_script, EcoSession, OpOutcome};
 use sadp_core::{
@@ -107,8 +107,9 @@ impl Default for ServeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum JobState {
+    #[default]
     Queued,
     Running,
     Done,
@@ -154,6 +155,7 @@ fn parse_state(name: &str) -> Option<(JobState, Option<String>)> {
 /// The reason tag of a job whose persisted artifacts were quarantined.
 const CORRUPT_STATE: &str = "corrupt-state";
 
+#[derive(Default)]
 struct Job {
     id: u64,
     priority: u8,
@@ -207,16 +209,30 @@ impl Job {
         }
     }
 
-    fn status_line(&self) -> String {
-        format!(
-            "{{\"ok\":true,\"job\":{},\"state\":\"{}\",\"priority\":{},\"steps_done\":{},\"steps_total\":{},\"has_checkpoint\":{}}}",
-            self.id,
-            self.state_string(),
-            self.priority,
-            self.steps_done,
-            self.steps_total,
-            self.ckpt.is_some()
-        )
+    /// Appends the job's summary fields (shared by `status` and `list`).
+    fn fields(&self, out: Obj) -> Obj {
+        out.int("job", self.id)
+            .str("state", &self.state_string())
+            .int("priority", self.priority)
+            .int("steps_done", self.steps_done)
+            .int("steps_total", self.steps_total)
+    }
+
+    /// Settles the job as failed, with `error` in its final line.
+    fn settle_failed(&mut self, error: &str) {
+        self.state = JobState::Failed;
+        self.trace
+            .push(SessionEvent::JobFailed { job: self.id }.to_json_line());
+        let line = final_head(self.id, "failed").str("error", error);
+        self.final_line = Some(line.to_string());
+    }
+
+    /// Settles the job as cancelled.
+    fn settle_cancelled(&mut self) {
+        self.state = JobState::Cancelled;
+        self.trace
+            .push(SessionEvent::JobCancelled { job: self.id }.to_json_line());
+        self.final_line = Some(final_head(self.id, "cancelled").to_string());
     }
 }
 
@@ -538,21 +554,12 @@ fn load_job(dir: &Path, id: u64, meta_path: &Path) -> Result<Job, String> {
         priority: field("priority")
             .and_then(|v| v.parse().ok())
             .unwrap_or(100),
-        layout: String::new(),
         threads: field("threads").and_then(|v| v.parse().ok()).unwrap_or(1),
         node_budget: field("node_budget").and_then(|v| v.parse().ok()),
         deadline_ms: field("deadline_ms").and_then(|v| v.parse().ok()),
         state,
         fail_reason,
-        cancel_requested: false,
-        session: None,
-        ckpt: None,
-        trace: Vec::new(),
-        final_line: None,
-        steps_done: 0,
-        steps_total: 0,
-        eco: None,
-        eco_busy: false,
+        ..Job::default()
     };
     if job.fail_reason.is_some() {
         // An already-quarantined job: its artifacts were moved on a
@@ -612,29 +619,18 @@ fn quarantine_job(dir: &Path, id: u64, reason: &str) {
 /// The in-memory record of a quarantined job: terminal, resumable only
 /// by resubmitting the layout, with the reason in its final line.
 fn corrupt_state_job(id: u64, reason: &str) -> Job {
+    let error = format!(
+        "persisted state was corrupt ({reason}); artifacts quarantined — resubmit the layout"
+    );
+    let final_line = final_head(id, &format!("failed:{CORRUPT_STATE}")).str("error", &error);
     Job {
         id,
         priority: 100,
-        layout: String::new(),
         threads: 1,
-        node_budget: None,
-        deadline_ms: None,
         state: JobState::Failed,
         fail_reason: Some(CORRUPT_STATE.to_string()),
-        cancel_requested: false,
-        session: None,
-        ckpt: None,
-        trace: Vec::new(),
-        final_line: Some(format!(
-            "{{\"done\":true,\"job\":{id},\"state\":\"failed:{CORRUPT_STATE}\",\"error\":{}}}",
-            json::escape(&format!(
-                "persisted state was corrupt ({reason}); artifacts quarantined — resubmit the layout"
-            ))
-        )),
-        steps_done: 0,
-        steps_total: 0,
-        eco: None,
-        eco_busy: false,
+        final_line: Some(final_line.to_string()),
+        ..Job::default()
     }
 }
 
@@ -818,7 +814,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             }
         };
         match req {
-            Request::Ping => writeln!(out, "{{\"ok\":true}}")?,
+            Request::Ping => writeln!(out, "{}", ok())?,
             Request::Submit {
                 layout,
                 priority,
@@ -832,7 +828,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             Request::Status { job } => {
                 let g = shared.lock();
                 let resp = match g.jobs.get(&job) {
-                    Some(j) => j.status_line(),
+                    Some(j) => j.fields(ok()).bool("has_checkpoint", j.ckpt.is_some()),
                     None => error_line(&format!("no such job {job}")),
                 };
                 drop(g);
@@ -842,22 +838,9 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             Request::Resume { job } => writeln!(out, "{}", resume(shared, job))?,
             Request::List => {
                 let g = shared.lock();
-                let jobs: Vec<String> = g
-                    .jobs
-                    .values()
-                    .map(|j| {
-                        format!(
-                            "{{\"job\":{},\"state\":\"{}\",\"priority\":{},\"steps_done\":{},\"steps_total\":{}}}",
-                            j.id,
-                            j.state_string(),
-                            j.priority,
-                            j.steps_done,
-                            j.steps_total
-                        )
-                    })
-                    .collect();
+                let resp = ok().arr("jobs", g.jobs.values().map(|j| j.fields(Obj::default())));
                 drop(g);
-                writeln!(out, "{{\"ok\":true,\"jobs\":[{}]}}", jobs.join(","))?;
+                writeln!(out, "{resp}")?;
             }
             Request::Edit { job, script } => {
                 writeln!(out, "{}", eco_op(shared, job, &EcoOp::Edit(script)))?;
@@ -868,7 +851,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 return subscribe(shared, job, out);
             }
             Request::Shutdown => {
-                writeln!(out, "{{\"ok\":true}}")?;
+                writeln!(out, "{}", ok())?;
                 {
                     let mut g = shared.lock();
                     g.shutdown = true;
@@ -895,7 +878,7 @@ fn submit(
     threads: Option<usize>,
     node_budget: Option<u64>,
     deadline_ms: Option<u64>,
-) -> String {
+) -> Obj {
     // Admission control first, BEFORE the layout parse: shedding a
     // submit during overload must cost the daemon a queue-length check,
     // not a full parse of however many megabytes the flood is pushing.
@@ -942,24 +925,11 @@ fn submit(
         id,
         priority,
         layout,
-        threads: threads.unwrap_or(0),
+        threads: threads.unwrap_or(0).max(1),
         node_budget,
         deadline_ms,
-        state: JobState::Queued,
-        fail_reason: None,
-        cancel_requested: false,
-        session: None,
-        ckpt: None,
-        trace: Vec::new(),
-        final_line: None,
-        steps_done: 0,
-        steps_total: 0,
-        eco: None,
-        eco_busy: false,
+        ..Job::default()
     };
-    if job.threads == 0 {
-        job.threads = 1;
-    }
     job.trace.push(
         SessionEvent::JobSubmitted {
             job: id,
@@ -973,10 +943,10 @@ fn submit(
     g.jobs.insert(id, job);
     shared.enqueue(&mut g, id);
     shared.event_cv.notify_all();
-    format!("{{\"ok\":true,\"job\":{id}}}")
+    ok().int("job", id)
 }
 
-fn cancel(shared: &Arc<Shared>, id: u64) -> String {
+fn cancel(shared: &Arc<Shared>, id: u64) -> Obj {
     let mut g = shared.lock();
     let Some(job) = g.jobs.get_mut(&id) else {
         return error_line(&format!("no such job {id}"));
@@ -990,15 +960,10 @@ fn cancel(shared: &Arc<Shared>, id: u64) -> String {
         }
         JobState::Queued => {
             // Not started (or parked between slices): settle it here.
-            job.state = JobState::Cancelled;
             if let Some(session) = job.session.take() {
                 job.ckpt = Some(session.snapshot());
             }
-            job.trace
-                .push(SessionEvent::JobCancelled { job: id }.to_json_line());
-            job.final_line = Some(format!(
-                "{{\"done\":true,\"job\":{id},\"state\":\"cancelled\"}}"
-            ));
+            job.settle_cancelled();
             let job = &g.jobs[&id];
             shared.persist_ckpt(job);
             shared.persist_meta(job);
@@ -1012,10 +977,10 @@ fn cancel(shared: &Arc<Shared>, id: u64) -> String {
             job.cancel_requested = true;
         }
     }
-    format!("{{\"ok\":true,\"job\":{id}}}")
+    ok().int("job", id)
 }
 
-fn resume(shared: &Arc<Shared>, id: u64) -> String {
+fn resume(shared: &Arc<Shared>, id: u64) -> Obj {
     let mut g = shared.lock();
     let Some(job) = g.jobs.get_mut(&id) else {
         return error_line(&format!("no such job {id}"));
@@ -1039,11 +1004,9 @@ fn resume(shared: &Arc<Shared>, id: u64) -> String {
             }
             shared.persist_meta(&g.jobs[&id]);
             shared.enqueue(&mut g, id);
-            format!("{{\"ok\":true,\"job\":{id}}}")
+            ok().int("job", id)
         }
-        JobState::Queued | JobState::Running => {
-            format!("{{\"ok\":true,\"job\":{id}}}")
-        }
+        JobState::Queued | JobState::Running => ok().int("job", id),
         JobState::Done => error_line(&format!("job {id} is already done")),
     }
 }
@@ -1058,7 +1021,7 @@ enum EcoOp {
 /// Runs an `edit`/`undo`/`redo` request. The session is taken out of the
 /// job and driven outside the lock (an edit re-routes nets, which can
 /// take a while); a concurrent ECO request on the same job is refused.
-fn eco_op(shared: &Arc<Shared>, id: u64, op: &EcoOp) -> String {
+fn eco_op(shared: &Arc<Shared>, id: u64, op: &EcoOp) -> Obj {
     // Phase 1: claim the job's ECO session (or the makings of one).
     let (eco, layout, config) = {
         let mut g = shared.lock();
@@ -1127,16 +1090,14 @@ fn eco_op(shared: &Arc<Shared>, id: u64, op: &EcoOp) -> String {
                 for op in &ops {
                     match eco.run_script(std::slice::from_ref(op)) {
                         Ok(outcomes) => results.push(match &outcomes[0] {
-                            OpOutcome::Edit(e) => format!(
-                                "{{\"edit\":{},\"kind\":\"{}\",\"invalidated\":{},\"rerouted\":{},\"failed\":{}}}",
-                                e.edit,
-                                e.kind.name(),
-                                e.invalidated.len(),
-                                e.rerouted,
-                                e.failed
-                            ),
-                            OpOutcome::Undo => "{\"op\":\"undo\"}".to_string(),
-                            OpOutcome::Redo => "{\"op\":\"redo\"}".to_string(),
+                            OpOutcome::Edit(e) => Obj::default()
+                                .int("edit", e.edit)
+                                .str("kind", e.kind.name())
+                                .int("invalidated", e.invalidated.len() as u64)
+                                .int("rerouted", e.rerouted)
+                                .int("failed", e.failed),
+                            OpOutcome::Undo => Obj::default().str("op", "undo"),
+                            OpOutcome::Redo => Obj::default().str("op", "redo"),
                         }),
                         Err(e) => return Err(e.to_string()),
                     }
@@ -1156,14 +1117,14 @@ fn eco_op(shared: &Arc<Shared>, id: u64, op: &EcoOp) -> String {
     match outcome {
         Err(message) => error_line(&format!("job {id}: {message}")),
         Ok(()) => {
-            let results = match op {
-                EcoOp::Edit(_) => format!("\"results\":[{}],", results.join(",")),
-                _ => String::new(),
-            };
-            format!(
-                "{{\"ok\":true,\"job\":{id},{results}\"routed\":{routed},\"failed\":{failed},\
-                 \"undoable\":{undoable},\"redoable\":{redoable}}}"
-            )
+            let mut resp = ok().int("job", id);
+            if let EcoOp::Edit(_) = op {
+                resp = resp.arr("results", results);
+            }
+            resp.int("routed", routed as u64)
+                .int("failed", failed as u64)
+                .int("undoable", undoable as u64)
+                .int("redoable", redoable as u64)
         }
     }
 }
@@ -1287,13 +1248,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 Err(message) => {
                     let mut g = shared.lock();
                     if let Some(job) = g.jobs.get_mut(&id) {
-                        job.state = JobState::Failed;
-                        job.trace
-                            .push(SessionEvent::JobFailed { job: id }.to_json_line());
-                        job.final_line = Some(format!(
-                            "{{\"done\":true,\"job\":{id},\"state\":\"failed\",\"error\":{}}}",
-                            json::escape(&message)
-                        ));
+                        job.settle_failed(&message);
                         let job = &g.jobs[&id];
                         shared.persist_meta(job);
                         shared.persist_final(job);
@@ -1343,13 +1298,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if job.cancel_requested {
                     session.cancel();
                     job.ckpt = Some(session.snapshot());
-                    job.state = JobState::Cancelled;
                     job.cancel_requested = false;
-                    job.trace
-                        .push(SessionEvent::JobCancelled { job: id }.to_json_line());
-                    job.final_line = Some(format!(
-                        "{{\"done\":true,\"job\":{id},\"state\":\"cancelled\"}}"
-                    ));
+                    job.settle_cancelled();
                     let job = &g.jobs[&id];
                     shared.persist_ckpt(job);
                     shared.persist_meta(job);
@@ -1381,13 +1331,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             SessionStatus::Failed(e) => {
                 // Unreachable in practice: workers never advance a
                 // cancelled session. Settle the job anyway.
-                job.state = JobState::Failed;
-                job.trace
-                    .push(SessionEvent::JobFailed { job: id }.to_json_line());
-                job.final_line = Some(format!(
-                    "{{\"done\":true,\"job\":{id},\"state\":\"failed\",\"error\":{}}}",
-                    json::escape(&e.to_string())
-                ));
+                job.settle_failed(&e.to_string());
                 let job = &g.jobs[&id];
                 shared.persist_meta(job);
                 shared.persist_final(job);
@@ -1422,27 +1366,50 @@ fn create_session(
 }
 
 fn done_line(id: u64, report: &RoutingReport) -> String {
-    format!(
-        "{{\"done\":true,\"job\":{id},\"state\":\"done\",\"report\":{{\
-         \"total_nets\":{},\"routed_nets\":{},\"wirelength\":{},\"vias\":{},\
-         \"overlay_units\":{},\"hard_overlay_violations\":{},\"cut_conflicts\":{},\
-         \"ripups\":{},\"failed_budget\":{},\"bands_recovered\":{},\"waves_recovered\":{},\
-         \"nodes_expanded\":{},\"cpu_s\":{:.6}}},\"profile\":{}}}",
-        report.total_nets,
-        report.routed_nets,
-        report.wirelength,
-        report.vias,
-        report.overlay_units,
-        report.hard_overlay_violations,
-        report.cut_conflicts,
-        report.ripups,
-        report.failed_budget,
-        report.bands_recovered,
-        report.waves_recovered,
-        report.nodes_expanded,
-        report.cpu.as_secs_f64(),
-        report.profile.to_json()
-    )
+    let summary = Obj::default()
+        .int("total_nets", report.total_nets as u64)
+        .int("routed_nets", report.routed_nets as u64)
+        .int("wirelength", report.wirelength)
+        .int("vias", report.vias)
+        .int("overlay_units", report.overlay_units)
+        .int("hard_overlay_violations", report.hard_overlay_violations)
+        .int("cut_conflicts", report.cut_conflicts)
+        .int("ripups", report.ripups)
+        .int("failed_budget", report.failed_budget)
+        .int("bands_recovered", report.bands_recovered)
+        .int("waves_recovered", report.waves_recovered)
+        .int("nodes_expanded", report.nodes_expanded)
+        .secs("cpu_s", report.cpu);
+    final_head(id, "done")
+        .obj("report", summary)
+        .obj("profile", report.profile.to_json())
+        .to_string()
+}
+
+/// The head of every success response: `{"ok":true,...}`.
+fn ok() -> Obj {
+    Obj::default().bool("ok", true)
+}
+
+/// The head of a job's terminal line: `{"done":true,"job":N,"state":...}`.
+fn final_head(id: u64, state: &str) -> Obj {
+    Obj::default()
+        .bool("done", true)
+        .int("job", id)
+        .str("state", state)
+}
+
+/// Parses one response line; an `{"ok":false,...}` refusal becomes an
+/// error carrying the server's message.
+fn parse_response(line: &str) -> io::Result<Json> {
+    let v = json::parse(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    if v.get("ok").and_then(Json::as_bool) == Some(false) {
+        let msg = v.get("error").and_then(Json::as_str);
+        return Err(io::Error::other(
+            msg.unwrap_or("unknown server error").to_string(),
+        ));
+    }
+    Ok(v)
 }
 
 /// A line-oriented protocol client (the `sadp submit` / `sadp job` half;
@@ -1474,17 +1441,7 @@ impl Client {
     /// (returned as the error message).
     pub fn call(&mut self, req: &Request) -> io::Result<Json> {
         writeln!(self.writer, "{}", req.to_json_line())?;
-        let line = self.read_line()?;
-        let v = json::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if v.get("ok").and_then(Json::as_bool) == Some(false) {
-            let msg = v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown server error")
-                .to_string();
-            return Err(io::Error::other(msg));
-        }
-        Ok(v)
+        parse_response(&self.read_line()?)
     }
 
     /// Reads one line (for streaming `subscribe` responses).
@@ -1518,18 +1475,9 @@ impl Client {
         writeln!(self.writer, "{}", Request::Subscribe { job }.to_json_line())?;
         loop {
             let line = self.read_line()?;
-            let v =
-                json::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let v = parse_response(&line)?;
             if v.get("done").is_some() {
                 return Ok(v);
-            }
-            if v.get("ok").and_then(Json::as_bool) == Some(false) {
-                let msg = v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown server error")
-                    .to_string();
-                return Err(io::Error::other(msg));
             }
             on_line(&line);
         }

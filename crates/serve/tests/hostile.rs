@@ -117,6 +117,33 @@ fn garbage_bytes_get_classified_errors_and_the_daemon_survives() {
 }
 
 #[test]
+fn deeply_nested_request_is_refused_and_the_daemon_survives() {
+    let server = serve(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr().to_string();
+
+    // 64 KiB of brackets, far under the request cap: the parser must
+    // refuse the depth instead of overflowing the handler's stack.
+    let depth = 32 * 1024;
+    let line = format!("{{\"cmd\":{}{}}}\n", "[".repeat(depth), "]".repeat(depth));
+    let mut stream = raw_connect(&addr);
+    stream
+        .write_all(line.as_bytes())
+        .expect("send nested request");
+    let mut reader = BufReader::new(stream);
+    let resp = read_json_line(&mut reader);
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    let msg = resp.get("error").and_then(Json::as_str).unwrap();
+    assert!(msg.contains("nesting deeper than"), "{msg}");
+
+    assert_alive(&addr);
+    server.shutdown();
+}
+
+#[test]
 fn slow_loris_half_request_times_out_with_a_structured_error() {
     let server = serve(ServeConfig {
         workers: 0,

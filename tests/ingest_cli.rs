@@ -206,6 +206,24 @@ fn malformed_dsn_fails_with_code_3_and_a_position() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Hostile nesting (400 KB of brackets): a positioned parse error,
+    // not a stack overflow.
+    let bad = dir.join("deep.dsn");
+    let depth = 200_000;
+    std::fs::write(
+        &bad,
+        format!("(pcb x {}{})\n", "(".repeat(depth), ")".repeat(depth)),
+    )
+    .unwrap();
+    let out = sadp()
+        .args(["route", bad.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("dsn: line 1, col "), "{stderr}");
+    assert!(stderr.contains("lists nested deeper than"), "{stderr}");
 }
 
 #[test]
