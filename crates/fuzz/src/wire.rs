@@ -396,13 +396,12 @@ fn probe_live(addr: SocketAddr, input: &str) -> Result<(), String> {
     stream
         .set_read_timeout(Some(PROBE_DEADLINE))
         .and_then(|()| stream.set_write_timeout(Some(PROBE_DEADLINE)))
+        .and_then(|()| stream.set_nodelay(true))
         .map_err(|e| format!("socket setup failed: {e}"))?;
+    // The daemon's wire rule: the line and its newline in one write.
     // A write error is legal: the daemon may have rejected the line and
     // closed (e.g. over the request cap) while we were still sending.
-    let sent = stream
-        .write_all(input.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush());
+    let sent = stream.write_all(format!("{input}\n").as_bytes());
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     match reader.read_line(&mut line) {

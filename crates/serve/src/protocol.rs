@@ -9,6 +9,11 @@
 //! line carrying the final state — and, for a completed job, the report
 //! and stage profile.
 //!
+//! The daemon sends each line in one write with `TCP_NODELAY` set, and
+//! so does [`crate::Client`]. Other clients should do the same: a request
+//! line written in pieces waits for the daemon's delayed ACK, about
+//! 40 ms, before its tail leaves.
+//!
 //! ## Requests
 //!
 //! | command | fields | response |

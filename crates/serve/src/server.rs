@@ -35,6 +35,7 @@ use sadp_grid::io::{read_layout, write_layout};
 use sadp_ingest::{ingest_text, Format};
 use sadp_obs::SessionEvent;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -275,12 +276,14 @@ impl Shared {
         self.faults.as_ref().and_then(|p| p.io_fault(job, kind))
     }
 
+    /// Queues a job behind its priority class. Waking a worker is left
+    /// to the caller: a protocol handler wakes one only after its reply
+    /// is sent (see [`reply_then_wake`]).
     fn enqueue(&self, g: &mut Core, id: u64) {
         let priority = g.jobs[&id].priority;
         let seq = g.next_seq;
         g.next_seq += 1;
         g.queue.insert((priority, seq, id));
-        self.work_cv.notify_one();
     }
 
     fn persist_meta(&self, job: &Job) {
@@ -649,7 +652,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.lock().shutdown {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
+        // The wire rule (see `send_lines`): no Nagle on any reply.
+        let _ = stream.set_nodelay(true);
         // Admission check before spawning: connection max_conns + 1 is
         // answered with a structured refusal and closed. The refusal
         // write gets a short timeout of its own so a client that never
@@ -657,16 +662,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let active = shared.conns.fetch_add(1, Ordering::SeqCst) + 1;
         if shared.max_conns > 0 && active > shared.max_conns {
             shared.conns.fetch_sub(1, Ordering::SeqCst);
-            let mut stream = stream;
             let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = writeln!(
-                stream,
-                "{}",
+            let _ = send_line(
+                &mut stream,
                 error_line(&format!(
                     "too many connections ({} active, limit {}); retry later",
                     active - 1,
                     shared.max_conns
-                ))
+                )),
             );
             continue;
         }
@@ -762,14 +765,13 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             LineRead::Line(line) => line,
             LineRead::Eof => return Ok(()),
             LineRead::TooLong => {
-                writeln!(
-                    out,
-                    "{}",
+                send_line(
+                    &mut out,
                     error_line(&format!(
                         "request line exceeds {} bytes; closing the connection \
                          (raise --max-request-bytes for larger layouts)",
                         shared.max_request_bytes
-                    ))
+                    )),
                 )?;
                 // Drain whatever oversized tail already arrived before
                 // closing: a close with unread bytes in the receive
@@ -782,22 +784,20 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 return Ok(());
             }
             LineRead::NotUtf8 => {
-                writeln!(
-                    out,
-                    "{}",
-                    error_line("request is not valid UTF-8; closing the connection")
+                send_line(
+                    &mut out,
+                    error_line("request is not valid UTF-8; closing the connection"),
                 )?;
                 return Ok(());
             }
             LineRead::TimedOut => {
-                writeln!(
-                    out,
-                    "{}",
+                send_line(
+                    &mut out,
                     error_line(&format!(
                         "timed out waiting for a complete request line ({} ms); \
                          closing the connection",
                         shared.io_timeout.map_or(0, |t| t.as_millis() as u64)
-                    ))
+                    )),
                 )?;
                 return Ok(());
             }
@@ -809,12 +809,12 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         let req = match Request::parse(&line) {
             Ok(req) => req,
             Err(e) => {
-                writeln!(out, "{}", error_line(&e))?;
+                send_line(&mut out, error_line(&e))?;
                 continue;
             }
         };
         match req {
-            Request::Ping => writeln!(out, "{}", ok())?,
+            Request::Ping => send_line(&mut out, ok())?,
             Request::Submit {
                 layout,
                 priority,
@@ -823,7 +823,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 deadline_ms,
             } => {
                 let resp = submit(shared, layout, priority, threads, node_budget, deadline_ms);
-                writeln!(out, "{resp}")?;
+                reply_then_wake(&mut out, shared, resp)?;
             }
             Request::Status { job } => {
                 let g = shared.lock();
@@ -832,26 +832,26 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                     None => error_line(&format!("no such job {job}")),
                 };
                 drop(g);
-                writeln!(out, "{resp}")?;
+                send_line(&mut out, resp)?;
             }
-            Request::Cancel { job } => writeln!(out, "{}", cancel(shared, job))?,
-            Request::Resume { job } => writeln!(out, "{}", resume(shared, job))?,
+            Request::Cancel { job } => send_line(&mut out, cancel(shared, job))?,
+            Request::Resume { job } => reply_then_wake(&mut out, shared, resume(shared, job))?,
             Request::List => {
                 let g = shared.lock();
                 let resp = ok().arr("jobs", g.jobs.values().map(|j| j.fields(Obj::default())));
                 drop(g);
-                writeln!(out, "{resp}")?;
+                send_line(&mut out, resp)?;
             }
             Request::Edit { job, script } => {
-                writeln!(out, "{}", eco_op(shared, job, &EcoOp::Edit(script)))?;
+                send_line(&mut out, eco_op(shared, job, &EcoOp::Edit(script)))?;
             }
-            Request::Undo { job } => writeln!(out, "{}", eco_op(shared, job, &EcoOp::Undo))?,
-            Request::Redo { job } => writeln!(out, "{}", eco_op(shared, job, &EcoOp::Redo))?,
+            Request::Undo { job } => send_line(&mut out, eco_op(shared, job, &EcoOp::Undo))?,
+            Request::Redo { job } => send_line(&mut out, eco_op(shared, job, &EcoOp::Redo))?,
             Request::Subscribe { job } => {
                 return subscribe(shared, job, out);
             }
             Request::Shutdown => {
-                writeln!(out, "{}", ok())?;
+                send_line(&mut out, ok())?;
                 {
                     let mut g = shared.lock();
                     g.shutdown = true;
@@ -1131,12 +1131,11 @@ fn eco_op(shared: &Arc<Shared>, id: u64, op: &EcoOp) -> Obj {
 
 fn subscribe(shared: &Arc<Shared>, id: u64, mut out: TcpStream) -> io::Result<()> {
     if !shared.lock().jobs.contains_key(&id) {
-        writeln!(out, "{}", error_line(&format!("no such job {id}")))?;
-        return Ok(());
+        return send_line(&mut out, error_line(&format!("no such job {id}")));
     }
     let mut cursor = 0usize;
     loop {
-        let (lines, final_line, ended) = {
+        let (mut lines, final_line, ended) = {
             let mut g = shared.lock();
             loop {
                 let job = &g.jobs[&id];
@@ -1150,19 +1149,17 @@ fn subscribe(shared: &Arc<Shared>, id: u64, mut out: TcpStream) -> io::Result<()
             cursor = job.trace.len();
             (lines, job.final_line.clone(), g.shutdown)
         };
-        for line in &lines {
-            writeln!(out, "{line}")?;
-        }
-        if let Some(final_line) = final_line {
-            writeln!(out, "{final_line}")?;
-            return Ok(());
-        }
-        if ended {
-            writeln!(
-                out,
-                "{}",
-                error_line("daemon is shutting down; job checkpointed for the next run")
-            )?;
+        // One write per wake-up: the trace lines gathered under the
+        // lock, then the closing line if the stream ends here.
+        let closing = final_line.or_else(|| {
+            ended.then(|| {
+                error_line("daemon is shutting down; job checkpointed for the next run").to_string()
+            })
+        });
+        let last = closing.is_some();
+        lines.extend(closing);
+        send_lines(&mut out, &lines)?;
+        if last {
             return Ok(());
         }
     }
@@ -1326,6 +1323,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let job = &g.jobs[&id];
                     shared.persist_ckpt(job);
                     shared.enqueue(&mut g, id);
+                    shared.work_cv.notify_one();
                 }
             }
             SessionStatus::Failed(e) => {
@@ -1386,6 +1384,42 @@ fn done_line(id: u64, report: &RoutingReport) -> String {
         .to_string()
 }
 
+/// Sends one protocol line; see [`send_lines`].
+fn send_line(out: &mut impl Write, line: impl fmt::Display) -> io::Result<()> {
+    send_lines(out, [line])
+}
+
+/// Sends protocol lines, each `\n`-terminated, in one `write_all`: the
+/// only way the daemon and [`Client`] put bytes on a socket.
+///
+/// The wire rule is one write per line (or per batch of lines) on a
+/// socket with `TCP_NODELAY` set at both ends. `writeln!` on a raw
+/// `TcpStream` issues a `write` per formatted piece, so a line leaves as
+/// several small segments; Nagle's algorithm then holds the tail until
+/// the peer's delayed ACK fires, about 40 ms later, and every round trip
+/// pays that stall instead of the route it asked for.
+fn send_lines<L: fmt::Display>(
+    out: &mut impl Write,
+    lines: impl IntoIterator<Item = L>,
+) -> io::Result<()> {
+    let mut buf = String::new();
+    for line in lines {
+        buf.push_str(&line.to_string());
+        buf.push('\n');
+    }
+    out.write_all(buf.as_bytes())
+}
+
+/// Sends the reply to a request that may have queued a job, then wakes a
+/// worker for it. In that order: the woken worker can preempt this thread
+/// on a busy host, and a reply sent after the wake-up would wait out the
+/// worker's whole slice.
+fn reply_then_wake(out: &mut impl Write, shared: &Shared, reply: Obj) -> io::Result<()> {
+    let sent = send_line(out, reply);
+    shared.work_cv.notify_one();
+    sent
+}
+
 /// The head of every success response: `{"ok":true,...}`.
 fn ok() -> Obj {
     Obj::default().bool("ok", true)
@@ -1427,6 +1461,7 @@ impl Client {
     /// Forwards the connect error.
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
@@ -1440,7 +1475,7 @@ impl Client {
     /// Socket errors, or a protocol-level `{"ok":false}` response
     /// (returned as the error message).
     pub fn call(&mut self, req: &Request) -> io::Result<Json> {
-        writeln!(self.writer, "{}", req.to_json_line())?;
+        send_line(&mut self.writer, req.to_json_line())?;
         parse_response(&self.read_line()?)
     }
 
@@ -1472,7 +1507,7 @@ impl Client {
     /// Socket errors, or an `{"ok":false}` line (e.g. unknown job or
     /// daemon shutdown), returned as the error message.
     pub fn subscribe(&mut self, job: u64, mut on_line: impl FnMut(&str)) -> io::Result<Json> {
-        writeln!(self.writer, "{}", Request::Subscribe { job }.to_json_line())?;
+        send_line(&mut self.writer, Request::Subscribe { job }.to_json_line())?;
         loop {
             let line = self.read_line()?;
             let v = parse_response(&line)?;

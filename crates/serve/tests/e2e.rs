@@ -8,6 +8,7 @@ use sadp_grid::io::read_layout;
 use sadp_obs::BufferRecorder;
 use sadp_serve::{serve, Client, Json, Request, ServeConfig};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -271,6 +272,51 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
     assert_eq!(routed, want.routed_nets as u64);
     assert_eq!(wl, want.wirelength);
     assert_eq!(vias, want.vias);
+    server.shutdown();
+}
+
+#[test]
+fn round_trips_do_not_wait_on_delayed_acks() {
+    // A line written in pieces waits on Nagle until the peer's delayed
+    // ACK fires (~40 ms on Linux), on each side of every round trip:
+    // 50 pings would then take over 2 s. One write per line with
+    // TCP_NODELAY on both ends costs well under a millisecond each.
+    let layout = fixture("multi-band-fault-recovery.layout");
+    let (_, want_trace) = route_direct(&layout, 2);
+    let server = serve(ServeConfig {
+        workers: 1,
+        slice_steps: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+
+    let start = Instant::now();
+    for _ in 0..50 {
+        client.call(&Request::Ping).expect("ping");
+    }
+    let pings = start.elapsed();
+    assert!(pings < Duration::from_secs(1), "50 pings took {pings:?}");
+
+    let start = Instant::now();
+    let jobs: Vec<u64> = (0..20).map(|_| submit(&mut client, &layout, 100)).collect();
+    let submits = start.elapsed();
+    assert!(
+        submits < Duration::from_secs(1),
+        "20 submits took {submits:?}"
+    );
+
+    // Batched subscribe writes still deliver a multi-slice job's whole
+    // trace, in order, before its final line.
+    let (trace, done) = stream_job(&addr, jobs[0]);
+    assert_eq!(trace, want_trace, "streamed trace");
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    let status = client
+        .call(&Request::Status { job: jobs[0] })
+        .expect("status");
+    let steps = status.get("steps_done").and_then(Json::as_u64).unwrap();
+    assert!(steps > 1, "the job ran in {steps} slices");
     server.shutdown();
 }
 
