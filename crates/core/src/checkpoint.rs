@@ -1,47 +1,71 @@
-//! Checkpoint/resume: versioned, checksummed snapshots of the commit
-//! ledger's journal.
+//! Checkpoint/resume: versioned, checksummed snapshots of the router's
+//! state, and the one loader that reads them back.
 //!
-//! A snapshot captures the replayable prefix of a run — the committed
-//! routes in journal order plus the failures and counters so far — as a
-//! line-oriented text artifact. Resuming parses the snapshot, re-commits
-//! every journaled route through the *identical* stage pipeline
-//! (`commit_candidate` in the driver, without
-//! searching), and then routes only the remaining nets. Because
-//! checkpoints are only taken at schedule-aligned boundaries (after a
-//! band fold, or between serial nets), the resumed run walks a canonical
-//! suffix of the original schedule and its final output is byte-identical
-//! to an uninterrupted run.
+//! The paper's flow colors incrementally and rips up and re-routes
+//! (Fig. 19), so the router's state depends on the order of commits,
+//! rip-ups and band folds, not only on which routes survived: the
+//! neighbour order of every graph vertex, the union–find forest, the
+//! fragment index's bucket order and the pin reservations all carry
+//! history. A snapshot therefore writes that state down as it is, and
+//! `Router::restore` loads it as it is — nothing is re-committed or
+//! re-derived, so a restored router equals the live one field by field
+//! (`Router: PartialEq`). Session resume, daemon restart and ECO
+//! undo/redo all restore through it. A resumed run then walks the
+//! remaining suffix of the canonical schedule, and a snapshot taken
+//! after finalize (`finalized 1`) resumes as finished.
 //!
-//! Format (`SADPCKPT v2`):
+//! Format (`SADPCKPT v3`):
 //!
 //! ```text
-//! SADPCKPT v2
+//! SADPCKPT v3
 //! checksum <16-hex FNV-64 of everything below this line>
 //! fingerprint <16-hex FNV-64 of the serialized plane+netlist>
+//! finalized <0|1>
 //! counters <12 space-separated u64, LedgerCounters field order>
-//! net <id> <branch count>
-//! p <point count> <layer,x,y> ...
+//! ledger <layers> <index tile> <next fragment seq> <routed nets>
+//! graph ...                     one graph section per layer, see
+//!                               OverlayGraph::write_state
+//! net <id> <first fragment seq> <branch count>   one per routed net,
+//! p <point count> <layer,x,y> ...                in journal order
 //! b <point count> <layer,x,y> ...   (one line per branch)
 //! failed <count> <id> ...
+//! held <count> <layer,x,y,net> ...    occupied cells off their net's route
+//! guards <count> <layer,x,y,net|-> ...  pin-guard cells that differ from
+//!                                       the reservation pre-pass
 //! end
 //! ```
+//!
+//! Fragments are recomputed from the paths (the search stage builds them
+//! the same way) and take consecutive fragment ids from the net's first
+//! sequence number; re-inserting them in journal order rebuilds the
+//! index bucket for bucket. The direction map follows from the
+//! fragments. Plane occupancy is the routes plus the `held` cells (pin
+//! reservations); the pin guards are the reservation pre-pass over the
+//! netlist plus the `guards` exceptions, which only ECO edits create.
 //!
 //! The checksum rejects truncated or corrupted files; the fingerprint
 //! rejects resuming against a different plane or netlist than the one
 //! the snapshot was taken from. Both are FNV-64: not cryptographic, but
 //! this is an integrity check against accidents, not an authenticator.
+//! Snapshots of other versions are rejected with
+//! [`SnapshotError::VersionUnsupported`]; there is no reader for them.
 
-use crate::ledger::{CommitLedger, LedgerCounters};
-use crate::router::RouterError;
+use crate::driver;
+use crate::grids::NO_GUARD;
+use crate::ledger::{self, CommitLedger, LedgerCounters, RoutedNet};
+use crate::router::{Router, RouterError};
+use crate::scan::pack_frag_id;
 use sadp_geom::{GridPoint, Layer};
-use sadp_grid::{Netlist, RoutePath, RoutingPlane};
+use sadp_graph::{state, OverlayGraph};
+use sadp_grid::{NetId, Netlist, RoutePath, RoutingPlane};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::str::SplitWhitespace;
 
 /// The magic + version line. Bump the version when the body layout
 /// changes; old readers reject newer snapshots instead of misparsing.
-const MAGIC: &str = "SADPCKPT v2";
+const MAGIC: &str = "SADPCKPT v3";
 
 /// FNV-1a 64-bit, the same construction the fuzz corpus uses: stable,
 /// dependency-free, good enough to catch truncation and bit rot.
@@ -64,23 +88,23 @@ pub fn fingerprint(plane: &RoutingPlane, netlist: &Netlist) -> u64 {
     fnv64(sadp_grid::io::write_layout(plane, netlist).as_bytes())
 }
 
-/// One journaled route: the committed paths of a net, point by point.
-/// Fragments are not stored — they are recomputed from the paths, the
-/// same way the search stage builds them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SnapshotNet {
-    pub(crate) id: sadp_grid::NetId,
-    pub(crate) path: Vec<GridPoint>,
-    pub(crate) branches: Vec<Vec<GridPoint>>,
-}
-
-/// A parsed (or captured) checkpoint: the replayable prefix of a run.
+/// A parsed checkpoint: the router's state at a pause point, ready for
+/// `Router::restore`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     fingerprint: u64,
+    finalized: bool,
     counters: LedgerCounters,
-    pub(crate) nets: Vec<SnapshotNet>,
-    pub(crate) failed: Vec<sadp_grid::NetId>,
+    tile: i32,
+    frag_seq: u32,
+    graphs: Vec<OverlayGraph>,
+    /// The routed nets in journal order.
+    nets: Vec<RoutedNet>,
+    failed: Vec<NetId>,
+    /// Occupied cells that are not on their net's route.
+    held: Vec<(GridPoint, NetId)>,
+    /// Pin-guard cells whose owner differs from the reservation pre-pass.
+    guards: Vec<(GridPoint, Option<NetId>)>,
 }
 
 /// Why a snapshot could not be produced, parsed, or resumed.
@@ -99,16 +123,16 @@ pub enum SnapshotError {
     /// The body does not match its checksum line (truncation, bit rot).
     ChecksumMismatch,
     /// The magic line names a version this build does not read (e.g. a
-    /// `SADPCKPT v1` file written by an older build).
+    /// `SADPCKPT v2` file written by an older build).
     VersionUnsupported {
         /// The magic line that was found.
         found: String,
     },
     /// The snapshot was taken from a different plane/netlist.
     FingerprintMismatch,
-    /// A journaled route no longer commits cleanly — the snapshot does
-    /// not belong to this input, or it was edited.
-    ReplayDiverged,
+    /// The state does not fit this input: a route or reservation lies
+    /// off the plane or on a taken cell, or names an unknown net.
+    StateMismatch,
 }
 
 impl fmt::Display for SnapshotError {
@@ -139,11 +163,11 @@ impl fmt::Display for SnapshotError {
                      (fingerprint mismatch)"
                 )
             }
-            SnapshotError::ReplayDiverged => {
+            SnapshotError::StateMismatch => {
                 write!(
                     f,
-                    "checkpoint replay diverged: a journaled route no longer \
-                     commits cleanly against this input"
+                    "checkpoint state does not fit this input: a route or \
+                     reservation lies on a taken or missing cell"
                 )
             }
         }
@@ -173,14 +197,22 @@ fn push_points(out: &mut String, tag: char, points: &[GridPoint]) {
     out.push('\n');
 }
 
-/// Serializes the ledger's current journal into snapshot text. Taken at
-/// a schedule-aligned boundary by the checkpoint hook; `fingerprint` is
-/// the value of [`fingerprint`] for the run's plane and netlist.
+/// Serializes the router's state on `plane` into snapshot text.
+/// `netlist` is the run's netlist (the guard exceptions are taken
+/// against its reservation pre-pass); `fingerprint` is the value of
+/// [`fingerprint`] for the run's plane and netlist.
 #[must_use]
-pub fn serialize(ledger: &CommitLedger, failed: &[sadp_grid::NetId], fingerprint: u64) -> String {
+pub(crate) fn serialize(
+    router: &Router,
+    plane: &RoutingPlane,
+    netlist: &Netlist,
+    fingerprint: u64,
+) -> String {
+    let ledger = router.ledger();
     let c = &ledger.counters;
     let mut body = String::new();
     let _ = writeln!(body, "fingerprint {fingerprint:016x}");
+    let _ = writeln!(body, "finalized {}", u8::from(router.finalized));
     let _ = writeln!(
         body,
         "counters {} {} {} {} {} {} {} {} {} {} {} {}",
@@ -197,35 +229,202 @@ pub fn serialize(ledger: &CommitLedger, failed: &[sadp_grid::NetId], fingerprint
         c.bands_recovered,
         c.waves_recovered
     );
-    let mut seen: std::collections::HashSet<sadp_grid::NetId> = std::collections::HashSet::new();
-    for rec in ledger.records() {
-        // Routing-phase journals always have their routed net; a record
-        // whose net was unrouted later (cleanup) is not replayable and
-        // is skipped — hooks never fire that late, this is belt and
-        // braces for direct callers.
-        let Some(r) = ledger.routed().get(&rec.net) else {
-            continue;
-        };
-        // An ECO session re-commits ripped-up nets, so its journal can
-        // hold several records per net. Each net is emitted once, at its
-        // first journal position, with its *current* geometry — replay
-        // then reproduces the live plane exactly.
-        if !seen.insert(rec.net) {
-            continue;
-        }
-        let _ = writeln!(body, "net {} {}", rec.net.0, r.branches.len());
+    let _ = writeln!(
+        body,
+        "ledger {} {} {} {}",
+        ledger.layer_count(),
+        ledger.tile(),
+        ledger.frag_seq(),
+        ledger.journal().len()
+    );
+    for g in ledger.graphs() {
+        g.write_state(&mut body);
+    }
+    for id in ledger.journal() {
+        let r = &ledger.routed()[id];
+        let first = r.frag_ids.first().map_or(0, |fid| (fid >> 32) as u32);
+        debug_assert!(
+            r.frag_ids
+                .iter()
+                .zip(first..)
+                .all(|(&fid, seq)| fid == pack_frag_id(id.0, seq)),
+            "a commit numbers its fragments consecutively"
+        );
+        let _ = writeln!(body, "net {} {first} {}", id.0, r.branches.len());
         push_points(&mut body, 'p', r.path.points());
         for b in &r.branches {
             push_points(&mut body, 'b', b.points());
         }
     }
-    let _ = write!(body, "failed {}", failed.len());
-    for id in failed {
+    let _ = write!(body, "failed {}", router.failed.len());
+    for id in &router.failed {
         let _ = write!(body, " {}", id.0);
+    }
+    body.push('\n');
+    let held = held_cells(ledger, plane);
+    let _ = write!(body, "held {}", held.len());
+    for (p, id) in held {
+        let _ = write!(body, " {},{},{},{}", p.layer.index(), p.x, p.y, id.0);
+    }
+    body.push('\n');
+    let guards = guard_exceptions(router, plane, netlist);
+    let _ = write!(body, "guards {}", guards.len());
+    for (p, owner) in guards {
+        let _ = write!(body, " {},{},{},", p.layer.index(), p.x, p.y);
+        match owner {
+            Some(id) => {
+                let _ = write!(body, "{}", id.0);
+            }
+            None => body.push('-'),
+        }
     }
     body.push('\n');
     body.push_str("end\n");
     format!("{MAGIC}\nchecksum {:016x}\n{body}", fnv64(body.as_bytes()))
+}
+
+/// The index of `p` in the plane's layer-major, row-major cell order.
+fn cell_index(plane: &RoutingPlane, p: GridPoint) -> usize {
+    let (w, h) = (plane.width() as usize, plane.height() as usize);
+    (p.layer.index() * h + p.y as usize) * w + p.x as usize
+}
+
+/// The point at cell index `i` (the inverse of [`cell_index`]).
+fn cell_point(plane: &RoutingPlane, i: usize) -> GridPoint {
+    let (w, h) = (plane.width() as usize, plane.height() as usize);
+    GridPoint::new(
+        Layer((i / (w * h)) as u8),
+        (i % w) as i32,
+        (i / w % h) as i32,
+    )
+}
+
+/// The occupied cells that no route covers: pin reservations, which a
+/// run holds until the net's commit releases the unused ones.
+fn held_cells(ledger: &CommitLedger, plane: &RoutingPlane) -> Vec<(GridPoint, NetId)> {
+    let mut on_route =
+        vec![false; plane.layers() as usize * plane.width() as usize * plane.height() as usize];
+    for r in ledger.routed().values() {
+        for p in r.all_points() {
+            on_route[cell_index(plane, p)] = true;
+        }
+    }
+    let mut out = Vec::new();
+    for l in 0..plane.layers() {
+        for (x, y, id) in plane.occupied_cells(Layer(l)) {
+            let p = GridPoint::new(Layer(l), x, y);
+            if !on_route[cell_index(plane, p)] {
+                out.push((p, id));
+            }
+        }
+    }
+    out
+}
+
+/// The guard cells whose owner differs from the reservation pre-pass —
+/// every net's halo claimed in netlist order, first claim wins, as
+/// [`driver::claim_pin_guards`] does — with `None` for an unclaimed
+/// cell. Empty for a batch run, which never releases a claim; ECO edits
+/// release and re-claim.
+fn guard_exceptions(
+    router: &Router,
+    plane: &RoutingPlane,
+    netlist: &Netlist,
+) -> Vec<(GridPoint, Option<NetId>)> {
+    let Some(ws) = &router.workspace else {
+        return Vec::new();
+    };
+    let unclaimed = NO_GUARD.0;
+    let mut canonical =
+        vec![unclaimed; plane.layers() as usize * plane.width() as usize * plane.height() as usize];
+    for net in netlist {
+        for g in driver::guard_halo(&router.config, net) {
+            if plane.in_bounds(g) {
+                let owner = &mut canonical[cell_index(plane, g)];
+                if *owner == unclaimed {
+                    *owner = net.id;
+                }
+            }
+        }
+    }
+    ws.guards
+        .values()
+        .zip(canonical)
+        .enumerate()
+        .filter(|(_, ((live, _), canonical))| live != canonical)
+        .map(|(i, ((live, _), _))| (cell_point(plane, i), (live != unclaimed).then_some(live)))
+        .collect()
+}
+
+impl Router {
+    /// The checkpoint loader: sizes the router for `plane` and loads
+    /// `snap` into it exactly — graphs, fragment index, routed store,
+    /// failed list, counters and the `finalized` flag as written, the
+    /// routes and held reservations onto `plane`'s occupancy, the
+    /// direction map from the fragments, and the pin guards as the
+    /// pre-pass over `netlist` plus the snapshot's exceptions. `plane`
+    /// must carry the input's blockages and nothing routed. Session
+    /// resume, daemon restart and ECO undo/redo all restore through
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Router`] for an oversized plane,
+    /// [`SnapshotError::StateMismatch`] when the state does not fit
+    /// `plane` and `netlist`.
+    pub(crate) fn restore(
+        &mut self,
+        plane: &mut RoutingPlane,
+        netlist: &Netlist,
+        snap: &Snapshot,
+    ) -> Result<(), SnapshotError> {
+        self.try_begin_sized(plane, netlist.len())?;
+        let known = |id: NetId| id.index() < netlist.len();
+        if snap.graphs.len() != plane.layers() as usize || !snap.failed.iter().all(|&id| known(id))
+        {
+            return Err(SnapshotError::StateMismatch);
+        }
+        let ws = self
+            .workspace
+            .as_mut()
+            .expect("try_begin_sized sets the workspace");
+        for net in netlist {
+            driver::claim_pin_guards(&self.config, &mut ws.guards, net);
+        }
+        for r in &snap.nets {
+            if !known(r.id) {
+                return Err(SnapshotError::StateMismatch);
+            }
+            for p in r.all_points() {
+                plane
+                    .occupy(p, r.id)
+                    .map_err(|_| SnapshotError::StateMismatch)?;
+            }
+            ledger::publish_dirs(&mut ws.dir_map, r);
+        }
+        for &(p, id) in &snap.held {
+            if !known(id) || plane.occupy(p, id).is_err() {
+                return Err(SnapshotError::StateMismatch);
+            }
+        }
+        let guard = self.config.pin_guard_cost();
+        for &(p, owner) in &snap.guards {
+            if !ws.guards.contains(p) {
+                return Err(SnapshotError::StateMismatch);
+            }
+            ws.guards.set(p, owner.map_or(NO_GUARD, |id| (id, guard)));
+        }
+        self.ledger = CommitLedger::restore(
+            snap.graphs.clone(),
+            snap.tile,
+            snap.nets.clone(),
+            snap.frag_seq,
+            snap.counters,
+        );
+        self.failed.clone_from(&snap.failed);
+        self.finalized = snap.finalized;
+        Ok(())
+    }
 }
 
 /// Splits off the first line (without its newline) from `s`.
@@ -236,56 +435,189 @@ fn split_line(s: &str) -> (&str, &str) {
     }
 }
 
-fn parse_u64(tok: &str, line: usize, what: &str) -> Result<u64, SnapshotError> {
-    tok.parse().map_err(|_| SnapshotError::Format {
-        line,
-        message: format!("bad {what}: `{tok}`"),
-    })
+fn hex(tok: &str) -> Result<u64, String> {
+    u64::from_str_radix(tok, 16).map_err(|_| format!("bad hex number `{tok}`"))
 }
 
-fn parse_hex64(tok: &str, line: usize, what: &str) -> Result<u64, SnapshotError> {
-    u64::from_str_radix(tok, 16).map_err(|_| SnapshotError::Format {
-        line,
-        message: format!("bad {what}: `{tok}`"),
-    })
-}
-
-fn parse_point(tok: &str, line: usize) -> Result<GridPoint, SnapshotError> {
-    let bad = || SnapshotError::Format {
-        line,
-        message: format!("bad point: `{tok}`"),
-    };
+/// A `layer,x,y` token.
+fn point(tok: &str) -> Result<GridPoint, String> {
+    let bad = || format!("bad point `{tok}`");
     let mut it = tok.split(',');
-    let l: u8 = it.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-    let x: i32 = it.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-    let y: i32 = it.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-    if it.next().is_some() {
-        return Err(bad());
+    let mut next = || it.next().ok_or_else(bad);
+    let p = GridPoint::new(
+        Layer(state::num(next()?)?),
+        state::num(next()?)?,
+        state::num(next()?)?,
+    );
+    match it.next() {
+        None => Ok(p),
+        Some(_) => Err(bad()),
     }
-    Ok(GridPoint::new(Layer(l), x, y))
 }
 
-fn parse_point_line(text: &str, lineno: usize, tag: char) -> Result<Vec<GridPoint>, SnapshotError> {
-    let mut toks = text.split_whitespace();
-    let head = toks.next().unwrap_or("");
-    if head.len() != 1 || !head.starts_with(tag) {
-        return Err(SnapshotError::Format {
-            line: lineno,
-            message: format!("expected a `{tag}` point line, got `{text}`"),
-        });
+/// A `layer,x,y,owner` token.
+fn owned_point(tok: &str) -> Result<(GridPoint, &str), String> {
+    let (p, owner) = tok
+        .rsplit_once(',')
+        .ok_or_else(|| format!("bad cell `{tok}`"))?;
+    Ok((point(p)?, owner))
+}
+
+/// The snapshot body's lines, counting the file's line numbers.
+struct Lines<'a> {
+    inner: std::str::Lines<'a>,
+    /// The number of the line returned last.
+    line: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.line += 1;
+        self.inner.next()
     }
-    let n = parse_u64(toks.next().unwrap_or(""), lineno, "point count")? as usize;
-    let mut points = Vec::with_capacity(n);
-    for tok in toks {
-        points.push(parse_point(tok, lineno)?);
+}
+
+impl<'a> Lines<'a> {
+    /// The tokens after the leading `tag` of the next line.
+    fn fields(&mut self, tag: &str) -> Result<SplitWhitespace<'a>, String> {
+        let line = self
+            .next()
+            .ok_or_else(|| format!("snapshot ends before the `{tag}` line"))?;
+        state::fields(line, tag)
     }
-    if points.len() != n {
-        return Err(SnapshotError::Format {
-            line: lineno,
-            message: format!("point count says {n}, line has {}", points.len()),
-        });
+
+    /// The `N` numbers of the next `tag` line.
+    fn values<const N: usize>(&mut self, tag: &str) -> Result<[u64; N], String> {
+        let vals = self
+            .fields(tag)?
+            .map(state::num)
+            .collect::<Result<Vec<u64>, String>>()?;
+        vals.try_into()
+            .map_err(|_| format!("`{tag}` wants {N} values"))
     }
-    Ok(points)
+
+    /// The tokens of the next `tag count token...` line.
+    fn counted(&mut self, tag: &str) -> Result<Vec<&'a str>, String> {
+        let mut toks = self.fields(tag)?;
+        let n: usize = state::next(&mut toks, "count")?;
+        let rest: Vec<&str> = toks.collect();
+        if rest.len() != n {
+            return Err(format!("`{tag}` count says {n}, line has {}", rest.len()));
+        }
+        Ok(rest)
+    }
+
+    /// The next `tag` path line.
+    fn path(&mut self, tag: &str) -> Result<RoutePath, String> {
+        let points = self
+            .counted(tag)?
+            .into_iter()
+            .map(point)
+            .collect::<Result<Vec<GridPoint>, String>>()?;
+        RoutePath::new(points).map_err(|e| format!("bad path: {e}"))
+    }
+
+    /// The body after the checksum line.
+    fn snapshot(&mut self) -> Result<Snapshot, String> {
+        let fingerprint = hex(self.fields("fingerprint")?.next().unwrap_or(""))?;
+        let [finalized] = self.values("finalized")?;
+        if finalized > 1 {
+            return Err("`finalized` is 0 or 1".into());
+        }
+        let [ripups, ripups_type_b, ripups_graph, ripups_risk, failed_no_path, failed_exhausted, failed_cleanup, flips, nodes_expanded, failed_budget, bands_recovered, waves_recovered] =
+            self.values("counters")?;
+        let counters = LedgerCounters {
+            ripups,
+            ripups_type_b,
+            ripups_graph,
+            ripups_risk,
+            failed_no_path,
+            failed_exhausted,
+            failed_cleanup,
+            flips,
+            nodes_expanded,
+            failed_budget,
+            bands_recovered,
+            waves_recovered,
+        };
+        let [layers, tile, frag_seq, net_count] = self.values("ledger")?;
+        let range = |what: &str| format!("{what} out of range");
+        if layers > 256 {
+            return Err(range("layers"));
+        }
+        let tile = i32::try_from(tile)
+            .ok()
+            .filter(|&t| t > 0)
+            .ok_or_else(|| range("tile"))?;
+        let frag_seq = u32::try_from(frag_seq).map_err(|_| range("fragment seq"))?;
+        let graphs = (0..layers)
+            .map(|_| OverlayGraph::read_state(self))
+            .collect::<Result<Vec<_>, String>>()?;
+
+        let mut nets: Vec<RoutedNet> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..net_count {
+            let [id, first, branches] = self.values("net")?;
+            let id = NetId(u32::try_from(id).map_err(|_| range("net id"))?);
+            let first = u32::try_from(first).map_err(|_| range("fragment seq"))?;
+            if !seen.insert(id) {
+                return Err(format!("net {} is listed twice", id.0));
+            }
+            let path = self.path("p")?;
+            let branches = (0..branches)
+                .map(|_| self.path("b"))
+                .collect::<Result<Vec<_>, String>>()?;
+            let mut fragments = Vec::new();
+            for p in std::iter::once(&path).chain(&branches) {
+                p.fragments_into(|layer, rect| fragments.push((layer, rect)));
+            }
+            let frag_ids = (0..fragments.len() as u32)
+                .map(|k| pack_frag_id(id.0, first.wrapping_add(k)))
+                .collect();
+            nets.push(RoutedNet {
+                id,
+                path,
+                branches,
+                fragments,
+                frag_ids,
+            });
+        }
+
+        let failed = self
+            .counted("failed")?
+            .into_iter()
+            .map(|t| state::num(t).map(NetId))
+            .collect::<Result<Vec<NetId>, String>>()?;
+        let mut held = Vec::new();
+        for tok in self.counted("held")? {
+            let (p, owner) = owned_point(tok)?;
+            held.push((p, NetId(state::num(owner)?)));
+        }
+        let mut guards = Vec::new();
+        for tok in self.counted("guards")? {
+            let (p, owner) = owned_point(tok)?;
+            let owner = match owner {
+                "-" => None,
+                id => Some(NetId(state::num(id)?)),
+            };
+            guards.push((p, owner));
+        }
+        self.fields("end")?;
+        Ok(Snapshot {
+            fingerprint,
+            finalized: finalized == 1,
+            counters,
+            tile,
+            frag_seq,
+            graphs,
+            nets,
+            failed,
+            held,
+            guards,
+        })
+    }
 }
 
 impl Snapshot {
@@ -295,25 +627,17 @@ impl Snapshot {
         self.fingerprint
     }
 
-    /// The counters at the checkpoint (restored verbatim on resume).
-    #[must_use]
-    pub(crate) fn counters(&self) -> LedgerCounters {
-        self.counters
-    }
-
     /// How many committed routes the snapshot carries.
     #[must_use]
     pub fn committed(&self) -> usize {
         self.nets.len()
     }
 
-    /// Every net the checkpointed prefix already handled — committed or
-    /// failed. Resume removes these from the remaining schedule.
+    /// Whether the snapshot was taken after finalize: it resumes as a
+    /// finished run.
     #[must_use]
-    pub(crate) fn processed(&self) -> Vec<sadp_grid::NetId> {
-        let mut out: Vec<sadp_grid::NetId> = self.nets.iter().map(|n| n.id).collect();
-        out.extend(self.failed.iter().copied());
-        out
+    pub fn finalized(&self) -> bool {
+        self.finalized
     }
 
     /// Parses snapshot text, verifying the version and the checksum
@@ -341,138 +665,19 @@ impl Snapshot {
         let (checksum_line, body) = split_line(rest);
         let declared = checksum_line
             .strip_prefix("checksum ")
-            .ok_or(SnapshotError::Format {
-                line: 2,
-                message: "expected a `checksum` line".into(),
-            })?;
-        let declared = parse_hex64(declared.trim(), 2, "checksum")?;
+            .ok_or_else(|| "expected a `checksum` line".to_string())
+            .and_then(|tok| hex(tok.trim()))
+            .map_err(|message| SnapshotError::Format { line: 2, message })?;
         if fnv64(body.as_bytes()) != declared {
             return Err(SnapshotError::ChecksumMismatch);
         }
-
-        let mut lines = body.lines().enumerate().map(|(i, l)| (i + 3, l));
-        let mut next = |what: &str| {
-            lines.next().ok_or_else(|| SnapshotError::Format {
-                line: 0,
-                message: format!("snapshot ends before the {what} line"),
-            })
+        let mut lines = Lines {
+            inner: body.lines(),
+            line: 2,
         };
-
-        let (ln, fp_line) = next("fingerprint")?;
-        let fp = fp_line
-            .strip_prefix("fingerprint ")
-            .ok_or(SnapshotError::Format {
-                line: ln,
-                message: "expected a `fingerprint` line".into(),
-            })?;
-        let fingerprint = parse_hex64(fp.trim(), ln, "fingerprint")?;
-
-        let (ln, counters_line) = next("counters")?;
-        let toks: Vec<&str> = counters_line.split_whitespace().collect();
-        if toks.first() != Some(&"counters") || toks.len() != 13 {
-            return Err(SnapshotError::Format {
-                line: ln,
-                message: "expected `counters` with 12 values".into(),
-            });
-        }
-        let mut v = [0u64; 12];
-        for (slot, tok) in v.iter_mut().zip(&toks[1..]) {
-            *slot = parse_u64(tok, ln, "counter")?;
-        }
-        let counters = LedgerCounters {
-            ripups: v[0],
-            ripups_type_b: v[1],
-            ripups_graph: v[2],
-            ripups_risk: v[3],
-            failed_no_path: v[4],
-            failed_exhausted: v[5],
-            failed_cleanup: v[6],
-            flips: v[7],
-            nodes_expanded: v[8],
-            failed_budget: v[9],
-            bands_recovered: v[10],
-            waves_recovered: v[11],
-        };
-
-        let mut nets = Vec::new();
-        let failed;
-        loop {
-            let (ln, line) = next("failed")?;
-            if let Some(restf) = line.strip_prefix("failed ") {
-                let mut toks = restf.split_whitespace();
-                let n = parse_u64(toks.next().unwrap_or(""), ln, "failed count")? as usize;
-                let mut ids = Vec::with_capacity(n);
-                for tok in toks {
-                    ids.push(sadp_grid::NetId(parse_u64(tok, ln, "net id")? as u32));
-                }
-                if ids.len() != n {
-                    return Err(SnapshotError::Format {
-                        line: ln,
-                        message: format!("failed count says {n}, line has {}", ids.len()),
-                    });
-                }
-                failed = ids;
-                break;
-            }
-            let Some(net_rest) = line.strip_prefix("net ") else {
-                return Err(SnapshotError::Format {
-                    line: ln,
-                    message: format!("expected a `net` or `failed` line, got `{line}`"),
-                });
-            };
-            let mut toks = net_rest.split_whitespace();
-            let id = parse_u64(toks.next().unwrap_or(""), ln, "net id")? as u32;
-            let nbranches = parse_u64(toks.next().unwrap_or(""), ln, "branch count")? as usize;
-            let (pln, pline) = next("trunk path")?;
-            let path = parse_point_line(pline, pln, 'p')?;
-            let mut branches = Vec::with_capacity(nbranches);
-            for _ in 0..nbranches {
-                let (bln, bline) = next("branch path")?;
-                branches.push(parse_point_line(bline, bln, 'b')?);
-            }
-            nets.push(SnapshotNet {
-                id: sadp_grid::NetId(id),
-                path,
-                branches,
-            });
-        }
-        let (ln, end) = next("end")?;
-        if end.trim_end() != "end" {
-            return Err(SnapshotError::Format {
-                line: ln,
-                message: format!("expected the `end` marker, got `{end}`"),
-            });
-        }
-        Ok(Snapshot {
-            fingerprint,
-            counters,
-            nets,
-            failed,
-        })
-    }
-
-    /// Rebuilds one journaled route as a [`RouteCandidate`], exactly the
-    /// shape the search stage would have produced (fragments recomputed
-    /// from the paths).
-    ///
-    /// [`RouteCandidate`]: crate::search::RouteCandidate
-    pub(crate) fn candidate_of(
-        net: &SnapshotNet,
-    ) -> Result<crate::search::RouteCandidate, SnapshotError> {
-        let path = RoutePath::new(net.path.clone()).map_err(|_| SnapshotError::ReplayDiverged)?;
-        let mut branches = Vec::with_capacity(net.branches.len());
-        for b in &net.branches {
-            branches.push(RoutePath::new(b.clone()).map_err(|_| SnapshotError::ReplayDiverged)?);
-        }
-        let mut fragments = crate::search::FragmentList::new();
-        path.fragments_into(|layer, rect| fragments.push((layer, rect)));
-        for b in &branches {
-            b.fragments_into(|layer, rect| fragments.push((layer, rect)));
-        }
-        Ok(crate::search::RouteCandidate {
-            path,
-            branches,
-            fragments,
+        lines.snapshot().map_err(|message| SnapshotError::Format {
+            line: lines.line,
+            message,
         })
     }
 }
@@ -481,7 +686,6 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::config::RouterConfig;
-    use crate::Router;
     use sadp_geom::DesignRules;
 
     fn routed_ledger() -> (Router, RoutingPlane, Netlist) {
@@ -502,27 +706,55 @@ mod tests {
         (router, plane, nl)
     }
 
+    fn blank(plane: &RoutingPlane) -> RoutingPlane {
+        RoutingPlane::new(
+            plane.layers(),
+            plane.width(),
+            plane.height(),
+            *plane.rules(),
+        )
+        .expect("valid")
+    }
+
     #[test]
     fn snapshot_round_trips() {
         let (router, plane, nl) = routed_ledger();
         let fp = fingerprint(&plane, &nl);
-        let text = serialize(router.ledger(), router.failed(), fp);
+        let text = serialize(&router, &plane, &nl, fp);
         let snap = Snapshot::parse(&text).expect("round trip");
         assert_eq!(snap.fingerprint(), fp);
-        assert_eq!(snap.committed(), router.ledger().records().len());
-        assert_eq!(snap.counters(), router.ledger().counters);
-        assert_eq!(snap.failed, router.failed());
-        // Serializing what we parsed yields the identical text.
-        for (n, rec) in snap.nets.iter().zip(router.ledger().records()) {
-            assert_eq!(n.id, rec.net);
-            assert_eq!(n.path, router.ledger().routed()[&rec.net].path.points());
-        }
+        assert!(snap.finalized());
+        assert_eq!(snap.committed(), router.ledger().journal().len());
+        // Loading yields the same router on the same plane, and the same
+        // text again.
+        let mut restored = Router::new(RouterConfig::paper_defaults());
+        let mut restored_plane = blank(&plane);
+        restored
+            .restore(&mut restored_plane, &nl, &snap)
+            .expect("loads");
+        assert!(restored == router, "restored router differs");
+        assert_eq!(restored_plane, plane);
+        assert_eq!(serialize(&restored, &restored_plane, &nl, fp), text);
+    }
+
+    #[test]
+    fn state_that_does_not_fit_is_rejected() {
+        let (router, plane, nl) = routed_ledger();
+        let snap = Snapshot::parse(&serialize(&router, &plane, &nl, 0)).expect("parses");
+        // The routes collide with a blockage on the target plane.
+        let mut blocked = blank(&plane);
+        blocked.add_blockage(Layer(0), sadp_geom::TrackRect::new(0, 0, 31, 31));
+        let mut r = Router::new(RouterConfig::paper_defaults());
+        assert_eq!(
+            r.restore(&mut blocked, &nl, &snap),
+            Err(SnapshotError::StateMismatch)
+        );
     }
 
     #[test]
     fn corrupt_body_is_rejected_by_checksum() {
         let (router, plane, nl) = routed_ledger();
-        let text = serialize(router.ledger(), router.failed(), fingerprint(&plane, &nl));
+        let text = serialize(&router, &plane, &nl, fingerprint(&plane, &nl));
         let tampered = text.replace("counters 0", "counters 7");
         assert_ne!(text, tampered, "fixture must actually tamper");
         assert_eq!(
@@ -539,19 +771,19 @@ mod tests {
 
     #[test]
     fn foreign_version_is_rejected() {
-        // A v1 file from an older build must fail on the version line,
+        // A v2 file from an older build must fail on the version line,
         // with the found version in the message — not fall through to a
         // checksum or parse error.
-        let err = Snapshot::parse("SADPCKPT v1\nchecksum 0\nend\n").unwrap_err();
+        let err = Snapshot::parse("SADPCKPT v2\nchecksum 0\nend\n").unwrap_err();
         assert_eq!(
             err,
             SnapshotError::VersionUnsupported {
-                found: "SADPCKPT v1".into()
+                found: "SADPCKPT v2".into()
             }
         );
         let msg = err.to_string();
         assert!(
-            msg.contains("SADPCKPT v1"),
+            msg.contains("SADPCKPT v2"),
             "names the found version: {msg}"
         );
         assert!(msg.contains(MAGIC), "names the expected version: {msg}");

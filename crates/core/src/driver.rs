@@ -84,28 +84,36 @@ pub(crate) fn reserve_pins(
 
 /// The guard-halo half of [`reserve_pins`]: claims the soft 3×3 keep-out
 /// around every pin candidate of `net` (first reserver wins) without
-/// touching plane occupancy. The ECO engine uses this alone when
-/// rebuilding a restored version, where occupancy comes from the replayed
-/// commits instead.
+/// touching plane occupancy. The checkpoint loader uses this alone to
+/// rebuild the reservation pre-pass's guards, where occupancy comes from
+/// the snapshot instead.
 pub(crate) fn claim_pin_guards(config: &RouterConfig, guards: &mut GuardGrid, net: &Net) {
     let guard = config.pin_guard_cost();
-    if guard == 0 {
-        return;
-    }
-    for pin in net.pins() {
-        for &c in pin.candidates() {
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let g = GridPoint::new(c.layer, c.x + dx, c.y + dy);
-                    // First reserver wins, as with the map's
-                    // entry().or_insert this replaced.
-                    if guards.contains(g) && guards.get(g) == NO_GUARD {
-                        guards.set(g, (net.id, guard));
-                    }
-                }
-            }
+    for g in guard_halo(config, net) {
+        // First reserver wins, as with the map's entry().or_insert this
+        // replaced.
+        if guards.contains(g) && guards.get(g) == NO_GUARD {
+            guards.set(g, (net.id, guard));
         }
     }
+}
+
+/// The cells [`claim_pin_guards`] tries to claim for `net`, in claim
+/// order: the 3×3 block around every pin candidate, unclipped. Empty
+/// when the config turns pin guards off.
+pub(crate) fn guard_halo<'a>(
+    config: &RouterConfig,
+    net: &'a Net,
+) -> impl Iterator<Item = GridPoint> + 'a {
+    let on = config.pin_guard_cost() > 0;
+    net.pins()
+        .filter(move |_| on)
+        .flat_map(|pin| pin.candidates())
+        .flat_map(|&c| {
+            (-1..=1).flat_map(move |dx| {
+                (-1..=1).map(move |dy| GridPoint::new(c.layer, c.x + dx, c.y + dy))
+            })
+        })
 }
 
 /// Undoes [`reserve_pins`] for one net: frees every pin candidate cell
@@ -296,9 +304,8 @@ pub(crate) fn route_net_presearched(
         };
 
         // Stages 2-5: scenario scan, type-B check, propose, trial-color,
-        // commit. Shared with the checkpoint-replay path, which re-commits
-        // journaled routes without searching.
-        match commit_candidate(ctx, plane, net, candidate, true) {
+        // commit.
+        match commit_candidate(ctx, plane, net, candidate) {
             Ok(flipped) => {
                 if ctx.rec.enabled() {
                     ctx.rec.event(RouterEvent::NetRouted {
@@ -351,7 +358,7 @@ pub(crate) fn route_net_presearched(
 /// Why [`commit_candidate`] rejected a tentative route. Each variant
 /// carries the offending cells so the caller can penalise them; the
 /// ledger proposal is already aborted when one of these is returned.
-pub(crate) enum StageReject {
+enum StageReject {
     /// Merge-and-cut is disabled and the route formed 1-b pairs (the
     /// \[16\] ablation behaviour).
     Merge(Vec<(Layer, TrackRect)>),
@@ -367,37 +374,15 @@ pub(crate) enum StageReject {
     Risk(Vec<(Layer, TrackRect)>),
 }
 
-/// Stages 2-5 of the pipeline for an already-found candidate: scenario
+/// Stages 2-5 of the pipeline for one attempt's candidate: scenario
 /// scan, type-B cut-conflict check, propose, trial coloring, commit.
 /// Returns whether the committed net's component was flipped, or the
 /// rejection (with the proposal aborted and the graphs rolled back).
-///
-/// Split out of [`route_net`] so checkpoint replay can re-commit
-/// journaled routes through the identical pipeline without searching.
-///
-/// `enforce_steering` gates the two commit-time *steering heuristics*:
-/// the geometric type-B filter and the stage-4 risk abort. Live routing
-/// passes `true`. Replaying a *final* routed set passes `false`, because
-/// both checks are state- or order-dependent in ways a surviving journal
-/// cannot reproduce:
-///
-/// - the risk check sees the coloring at commit time, and the journal
-///   omits ripped-up interlopers and post-commit flip passes, so the
-///   replay coloring differs from the original mid-run state;
-/// - the type-B filter only fires when the "side" net commits after
-///   both "tip" nets, and incremental edits reorder the journal — a
-///   geometric pattern that is benign under the final coloring (and was
-///   never seen live) can surface under the replayed order.
-///
-/// The hard constraints (overlay odd cycles, occupancy) stay enforced;
-/// callers that skip the steering checks force the captured final
-/// coloring over the replayed one afterwards.
-pub(crate) fn commit_candidate(
+fn commit_candidate(
     ctx: &mut RouteCtx<'_>,
     plane: &mut RoutingPlane,
     net: &Net,
     candidate: crate::search::RouteCandidate,
-    enforce_steering: bool,
 ) -> Result<bool, StageReject> {
     let key = net.id.0;
 
@@ -435,10 +420,8 @@ pub(crate) fn commit_candidate(
     }
 
     // Cut conflict check (type B, Fig. 16).
-    if enforce_steering {
-        if let Some(bad) = type_b_conflict(&found, plane.rules()) {
-            return Err(StageReject::TypeB(bad));
-        }
+    if let Some(bad) = type_b_conflict(&found, plane.rules()) {
+        return Err(StageReject::TypeB(bad));
     }
 
     // Stage 3: propose — stage the scenario edges in the ledger; odd
@@ -494,11 +477,7 @@ pub(crate) fn commit_candidate(
         ctx.ledger.flip_trial(&proposal, &layers);
         flipped = true;
     }
-    let risky_layers = if enforce_steering {
-        ctx.ledger.risky_layers(&proposal, &layers)
-    } else {
-        Vec::new()
-    };
+    let risky_layers = ctx.ledger.risky_layers(&proposal, &layers);
     clock.stop(ctx.rec, Stage::Recolor);
     if !risky_layers.is_empty() {
         let cells: Vec<(Layer, TrackRect)> = found
@@ -734,6 +713,19 @@ impl ScheduleMachine {
         }
     }
 
+    /// A schedule with nothing left to do: the first step completes it.
+    /// A run resumed from a finished snapshot starts here.
+    pub(crate) fn finished() -> ScheduleMachine {
+        ScheduleMachine {
+            plan: Plan::Serial {
+                order: Vec::new(),
+                next: 0,
+            },
+            steps_done: 0,
+            steps_total: 0,
+        }
+    }
+
     /// Steps completed so far (serial nets + band folds + boundary
     /// commits).
     pub(crate) fn steps_done(&self) -> u64 {
@@ -908,7 +900,7 @@ fn fold_band(a: &mut StepArgs<'_>, j: usize, recovered: bool, outcome: BandOutco
     let nets = outcome.ledger.routed().len() as u64;
     let clock = SpanClock::start(&*a.rec);
     a.ledger
-        .merge_band(outcome.ledger, a.plane, &mut a.ws.dir_map);
+        .merge_band(outcome.ledger, a.plane, &mut a.ws.dir_map, a.netlist);
     clock.stop(&mut *a.rec, Stage::Merge);
     // Replay the band's buffered stream, then mark the merge: the trace
     // reads as "band j's routing, then band j folded in", in ascending

@@ -11,24 +11,24 @@
 //! write any cell, fragment or scenario the edit touches, so its route
 //! and constraints are provably unaffected.
 //!
-//! Every edit is journaled as a version pair (the serialized commit
-//! ledger plus the explicit overlay colors, netlist, active-net set and
-//! dynamic obstacles before and after), giving [`EcoSession::undo`] /
-//! [`EcoSession::redo`] that restore the router state byte-identically:
-//! plane occupancy, overlay colors, patterns, hard-constraint (DSU)
-//! relations and counters all compare equal under
-//! [`EcoSession::state_digest`]. Restores *rebuild* deterministically —
-//! the pristine base plane is re-blocked, the journal replayed through
-//! the identical commit pipeline ([`crate::checkpoint`] replay), and the
-//! captured colors forced — rather than trusting an inverse of the live
-//! mutation, so the proof obligation is one directed rebuild instead of
-//! one inverse per edit kind.
+//! The session keeps a history of versions: the state after creation and
+//! after every edit, each the router's `SADPCKPT v3` snapshot
+//! ([`crate::checkpoint`]) plus the netlist, active-net set and dynamic
+//! obstacles. A cursor marks the live version. [`EcoSession::undo`] /
+//! [`EcoSession::redo`] move the cursor and load that version through
+//! the checkpoint loader (`Router::restore`) onto the pristine base
+//! plane re-blocked with the version's obstacles. The loader reads the
+//! state back exactly, so a restored session equals the one the version
+//! was taken from — an edit applied after an undo behaves as it would
+//! have on the never-edited session — and edit *i*'s after-state is edit
+//! *i + 1*'s before-state, which is why one version per edit suffices.
+//! An edit applied below the top of the history drops the versions
+//! above the cursor, as any redo stack does.
 //!
 //! Steady-state invariant: between edits, plane occupancy is exactly
 //! *committed route cells plus blockages*. Unused pin candidates are
 //! released at commit and an unrouted net's reservations are released on
-//! its failure path, so nothing else holds cells. The rebuild relies on
-//! this — it reproduces occupancy purely from the replayed commits.
+//! its failure path, so nothing else holds cells.
 //!
 //! The scripted form ([`parse_edit_script`], `sadp edit`) makes editing
 //! sessions replayable and byte-for-byte comparable across thread
@@ -237,25 +237,13 @@ pub enum OpOutcome {
     Redo,
 }
 
-/// A captured router state: everything needed to rebuild it
-/// deterministically. The ledger text pins the committed geometry and
-/// counters; the colors pin the (commit-order-dependent) overlay
-/// coloring explicitly, because a replay is free to arrive at a
-/// different — equally valid — coloring.
+/// A captured session state: the router's snapshot and what the editor
+/// changes beside it.
 struct EcoVersion {
     ckpt: String,
-    /// `(layer, net, color)`, sorted by `(layer, net)`.
-    colors: Vec<(u8, u32, Color)>,
     netlist: Netlist,
     active: BTreeSet<NetId>,
     obstacles: Vec<(Layer, TrackRect)>,
-}
-
-/// One journal entry group: the edit plus the full state on both sides.
-struct EcoRecord {
-    edit: EcoEdit,
-    before: EcoVersion,
-    after: EcoVersion,
 }
 
 /// A live editing session over a routed layout. See the module docs.
@@ -273,8 +261,12 @@ pub struct EcoSession {
     /// Dynamic blockages added by edits, in application order.
     obstacles: Vec<(Layer, TrackRect)>,
     rec: BufferRecorder,
-    undo_stack: Vec<EcoRecord>,
-    redo_stack: Vec<EcoRecord>,
+    /// The state after creation, then after each journaled edit.
+    versions: Vec<EcoVersion>,
+    /// `edits[i]` turned `versions[i]` into `versions[i + 1]`.
+    edits: Vec<EcoEdit>,
+    /// Index of the live version; the edits below it are undoable.
+    cursor: usize,
     edit_seq: u32,
 }
 
@@ -325,7 +317,7 @@ impl EcoSession {
             }
         }
         let active = netlist.iter().map(|n| n.id).collect();
-        Ok(EcoSession {
+        let mut eco = EcoSession {
             router,
             plane,
             base_plane,
@@ -333,16 +325,19 @@ impl EcoSession {
             active,
             obstacles: Vec::new(),
             rec,
-            undo_stack: Vec::new(),
-            redo_stack: Vec::new(),
+            versions: Vec::new(),
+            edits: Vec::new(),
+            cursor: 0,
             edit_seq: 0,
-        })
+        };
+        eco.versions.push(eco.capture_version());
+        Ok(eco)
     }
 
     /// Applies one edit: validates it, computes the dependence-scoped
     /// invalidated set, rips those nets up, applies the structural
-    /// change and re-routes — then journals the before/after versions.
-    /// A successful apply clears the redo stack.
+    /// change and re-routes — then journals the version it produced.
+    /// A successful apply drops every redoable version.
     ///
     /// # Errors
     ///
@@ -350,41 +345,40 @@ impl EcoSession {
     /// rejects the edit; the session state is untouched in that case.
     pub fn apply(&mut self, edit: EcoEdit) -> Result<EditOutcome, EcoError> {
         self.validate(&edit)?;
-        let before = self.capture_version();
         let outcome = self.apply_live(&edit);
-        let after = self.capture_version();
-        self.undo_stack.push(EcoRecord {
-            edit,
-            before,
-            after,
-        });
-        self.redo_stack.clear();
+        self.versions.truncate(self.cursor + 1);
+        self.edits.truncate(self.cursor);
+        self.edits.push(edit);
+        self.versions.push(self.capture_version());
+        self.cursor += 1;
         Ok(outcome)
     }
 
-    /// Reverts the most recent edit by rebuilding its *before* version.
+    /// Reverts the most recent edit by loading the version before it.
     ///
     /// # Errors
     ///
     /// [`EcoError::NothingToUndo`] when the journal is empty.
     pub fn undo(&mut self) -> Result<(), EcoError> {
-        let rec = self.undo_stack.pop().ok_or(EcoError::NothingToUndo)?;
-        self.restore(&rec.before);
-        self.redo_stack.push(rec);
+        if self.cursor == 0 {
+            return Err(EcoError::NothingToUndo);
+        }
+        self.restore(self.cursor - 1);
         Ok(())
     }
 
-    /// Re-applies the most recently undone edit by rebuilding its
-    /// *after* version (no re-routing happens — the journaled result is
+    /// Re-applies the most recently undone edit by loading the version
+    /// after it (no re-routing happens — the journaled result is
     /// restored exactly).
     ///
     /// # Errors
     ///
     /// [`EcoError::NothingToRedo`] when nothing was undone.
     pub fn redo(&mut self) -> Result<(), EcoError> {
-        let rec = self.redo_stack.pop().ok_or(EcoError::NothingToRedo)?;
-        self.restore(&rec.after);
-        self.undo_stack.push(rec);
+        if self.cursor + 1 == self.versions.len() {
+            return Err(EcoError::NothingToRedo);
+        }
+        self.restore(self.cursor + 1);
         Ok(())
     }
 
@@ -587,18 +581,18 @@ impl EcoSession {
     /// Edits currently undoable.
     #[must_use]
     pub fn undo_depth(&self) -> usize {
-        self.undo_stack.len()
+        self.cursor
     }
 
     /// Undone edits currently redoable.
     #[must_use]
     pub fn redo_depth(&self) -> usize {
-        self.redo_stack.len()
+        self.versions.len() - 1 - self.cursor
     }
 
-    /// The journaled edits, oldest first.
+    /// The journaled (undoable) edits, oldest first.
     pub fn history(&self) -> impl Iterator<Item = &EcoEdit> {
-        self.undo_stack.iter().map(|r| &r.edit)
+        self.edits[..self.cursor].iter()
     }
 
     // ---- internals ----------------------------------------------------
@@ -961,31 +955,20 @@ impl EcoSession {
     }
 
     fn capture_version(&self) -> EcoVersion {
-        // The fingerprint field is unused on this path (restores rebuild
-        // from the session's own base plane, not from external files).
-        let ckpt = checkpoint::serialize(self.router.ledger(), self.router.failed(), 0);
-        let mut colors = Vec::new();
-        for (li, g) in self.router.ledger().graphs().iter().enumerate() {
-            let mut vs: Vec<u32> = g.vertices().collect();
-            vs.sort_unstable();
-            for v in vs {
-                colors.push((li as u8, v, g.color(v)));
-            }
-        }
+        // The fingerprint field is unused on this path (restores load
+        // onto the session's own base plane, not external files).
         EcoVersion {
-            ckpt,
-            colors,
+            ckpt: checkpoint::serialize(&self.router, &self.plane, &self.netlist, 0),
             netlist: self.netlist.clone(),
             active: self.active.clone(),
             obstacles: self.obstacles.clone(),
         }
     }
 
-    /// Rebuilds a captured version from scratch: base plane + obstacles,
-    /// replayed commits, forced colors, restored failure list and
-    /// counters. Deterministic and independent of the mutation history
-    /// that produced the version, which is what makes undo/redo exact.
-    fn restore(&mut self, v: &EcoVersion) {
+    /// Makes version `at` live: the base plane re-blocked with its
+    /// obstacles, then its snapshot loaded by the checkpoint loader.
+    fn restore(&mut self, at: usize) {
+        let v = &self.versions[at];
         self.netlist = v.netlist.clone();
         self.active = v.active.clone();
         self.obstacles = v.obstacles.clone();
@@ -994,55 +977,11 @@ impl EcoSession {
             plane.add_blockage(layer, rect);
         }
         let snap = Snapshot::parse(&v.ckpt).expect("eco versions hold self-produced snapshots");
-        let mut router = Router::new(self.router.config().clone());
-        router
-            .try_begin_sized(&plane, self.netlist.len())
-            .expect("the live plane already fit this router");
-        {
-            let Router {
-                config,
-                ledger,
-                workspace,
-                failed,
-                run_budget,
-                ..
-            } = &mut router;
-            let ws = workspace.as_mut().expect("just begun");
-            crate::router::replay_snapshot(
-                &snap,
-                config,
-                ledger,
-                ws,
-                &mut plane,
-                &self.netlist,
-                failed,
-                run_budget,
-                // A final routed set replays without the commit-time
-                // steering heuristics (risk abort, type-B filter): the
-                // captured colors are forced below, so mid-replay
-                // coloring state is transient, and the journal order no
-                // longer matches the live commit order.
-                false,
-            )
-            .expect("a consistent final routed set always replays");
-            // Colors are commit-order dependent; force the captured ones
-            // over whatever the replay chose.
-            for &(layer, net, color) in &v.colors {
-                ledger.graphs_mut()[layer as usize].set_color(net, color);
-            }
-            // Soft pin-guard halos for the routed nets (unrouted nets
-            // hold none, per the steady-state invariant). Plane
-            // occupancy is complete already: replayed commits own their
-            // cells and unused candidates stay free.
-            let unrouted: HashSet<NetId> = failed.iter().copied().collect();
-            for &id in &self.active {
-                if !unrouted.contains(&id) {
-                    driver::claim_pin_guards(config, &mut ws.guards, self.netlist.net(id));
-                }
-            }
-        }
+        self.router
+            .restore(&mut plane, &self.netlist, &snap)
+            .expect("a version loads onto the plane it was taken on");
         self.plane = plane;
-        self.router = router;
+        self.cursor = at;
     }
 }
 
@@ -1053,8 +992,8 @@ impl fmt::Debug for EcoSession {
             .field("routed", &routed)
             .field("failed", &failed)
             .field("active", &active)
-            .field("edits", &self.undo_stack.len())
-            .field("redoable", &self.redo_stack.len())
+            .field("edits", &self.undo_depth())
+            .field("redoable", &self.redo_depth())
             .finish()
     }
 }

@@ -118,12 +118,33 @@ impl<T: Copy> DenseGrid<T> {
         self.slots[i] = f(old);
     }
 
+    /// Every cell's value, in index order.
+    pub fn values(&self) -> impl Iterator<Item = T> + '_ {
+        self.slots.iter().zip(&self.stamps).map(|(&v, &s)| {
+            if s == self.generation {
+                v
+            } else {
+                self.default
+            }
+        })
+    }
+
     /// Removes a single cell's value (it reads as the default again).
     #[inline]
     pub fn remove(&mut self, p: GridPoint) {
         let i = self.index(p);
         self.slots[i] = self.default;
         self.stamps[i] = self.generation;
+    }
+}
+
+/// Grids are equal when they have the same shape and default and every
+/// cell reads the same, whatever the generation stamps behind the reads.
+impl<T: Copy + PartialEq> PartialEq for DenseGrid<T> {
+    fn eq(&self, other: &DenseGrid<T>) -> bool {
+        (self.width, self.height, self.layers) == (other.width, other.height, other.layers)
+            && self.default == other.default
+            && self.values().eq(other.values())
     }
 }
 

@@ -14,20 +14,22 @@
 //! 3. [`CommitLedger::abort`] rolls everything back to the checkpoint
 //!    (rip-up), or [`CommitLedger::commit`] makes the route durable:
 //!    plane occupancy, direction map, spatial index, routed-net store —
-//!    and appends a [`CommitRecord`] to the ledger's journal.
+//!    and appends the net to the ledger's journal.
 //!
-//! Commits are strictly serialized (every mutator takes `&mut self`) and
-//! the journal makes them replayable: [`CommitLedger::merge_band`] replays
-//! a band worker's journal against the global plane/direction map in
-//! commit order, which is how the sharded driver folds per-band results
-//! into the global state deterministically.
+//! Commits are strictly serialized (every mutator takes `&mut self`). The
+//! journal lists the routed nets in the order their fragments entered the
+//! index, which is the order the index's buckets hold them in:
+//! [`CommitLedger::merge_band`] replays a band worker's journal against
+//! the global plane/direction map in that order, which is how the sharded
+//! driver folds per-band results into the global state deterministically,
+//! and `CommitLedger::restore` rebuilds the index from it.
 
 use crate::grids::DirGrid;
 use crate::scan::pack_frag_id;
 use crate::search::RouteCandidate;
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_graph::{flip, GraphError, OverlayGraph};
-use sadp_grid::{Net, NetId, RoutePath, RoutingPlane};
+use sadp_grid::{Net, NetId, Netlist, RoutePath, RoutingPlane};
 use sadp_obs::json::Obj;
 use sadp_scenario::{CostTable, ScenarioKind};
 use std::collections::BTreeMap;
@@ -41,7 +43,7 @@ use std::collections::BTreeMap;
 pub(crate) const FLIP_NEIGHBORHOOD: usize = 256;
 
 /// A successfully routed net: its path(s) and per-layer wire fragments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedNet {
     /// The net.
     pub id: NetId,
@@ -154,18 +156,6 @@ impl LedgerCounters {
     }
 }
 
-/// One entry of the commit journal: which net was committed and which
-/// unused pin-candidate reservations its commit released. Together with
-/// the routed-net store this is enough to replay the commit against
-/// another plane/direction map (see [`CommitLedger::merge_band`]).
-#[derive(Debug, Clone)]
-pub struct CommitRecord {
-    /// The committed net.
-    pub net: NetId,
-    /// Pin-candidate cells released because the route did not use them.
-    pub released: Vec<GridPoint>,
-}
-
 /// A checkpoint token of an in-flight route proposal. Obtained from
 /// [`CommitLedger::propose`]; consumed by [`CommitLedger::commit`] or
 /// [`CommitLedger::abort`]. Holding it is proof that the per-graph
@@ -184,16 +174,18 @@ impl Proposal {
     }
 }
 
-/// Serialized, replayable owner of all shared routing state (see the
-/// module docs for the protocol).
-#[derive(Debug, Default)]
+/// Serialized owner of all shared routing state (see the module docs for
+/// the protocol). Two ledgers compare equal when every field does,
+/// adjacency order and index bucket order included.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct CommitLedger {
     graphs: Vec<OverlayGraph>,
     index: Vec<SpatialHash>,
     routed: BTreeMap<NetId, RoutedNet>,
-    records: Vec<CommitRecord>,
+    /// The routed nets in the order their fragments entered the index.
+    journal: Vec<NetId>,
     frag_seq: u32,
-    /// Event counters (reported, not replayed).
+    /// Event counters.
     pub counters: LedgerCounters,
 }
 
@@ -215,10 +207,53 @@ impl CommitLedger {
                 .map(|_| SpatialHash::with_density(plane.width(), plane.height(), expected_nets))
                 .collect(),
             routed: BTreeMap::new(),
-            records: Vec::new(),
+            journal: Vec::new(),
             frag_seq: 0,
             counters: LedgerCounters::default(),
         }
+    }
+
+    /// A ledger holding exactly the given state: the checkpoint loader's
+    /// constructor. `nets` come in journal order; re-inserting their
+    /// fragments in that order reproduces every index bucket, because
+    /// inserts append and removals keep the survivors' order.
+    pub(crate) fn restore(
+        graphs: Vec<OverlayGraph>,
+        tile: i32,
+        nets: Vec<RoutedNet>,
+        frag_seq: u32,
+        counters: LedgerCounters,
+    ) -> CommitLedger {
+        let mut ledger = CommitLedger {
+            index: graphs.iter().map(|_| SpatialHash::new(tile)).collect(),
+            graphs,
+            frag_seq,
+            counters,
+            ..CommitLedger::default()
+        };
+        for r in nets {
+            ledger.insert_routed(r);
+        }
+        ledger
+    }
+
+    /// The tile size of the fragment index (`0` before sizing).
+    pub(crate) fn tile(&self) -> i32 {
+        self.index.first().map_or(0, SpatialHash::tile)
+    }
+
+    /// The next fragment sequence number.
+    pub(crate) fn frag_seq(&self) -> u32 {
+        self.frag_seq
+    }
+
+    /// Indexes a routed net's fragments, stores it and journals it.
+    fn insert_routed(&mut self, r: RoutedNet) {
+        for (&(layer, rect), &fid) in r.fragments.iter().zip(&r.frag_ids) {
+            self.index[layer.index()].insert(fid, rect);
+        }
+        self.journal.push(r.id);
+        self.routed.insert(r.id, r);
     }
 
     /// Number of layers the ledger is sized for (`0` before sizing).
@@ -256,11 +291,12 @@ impl CommitLedger {
         &self.routed
     }
 
-    /// The commit journal, in commit order. Append-only during routing;
-    /// cleanup-stage unroutes do not rewrite history.
+    /// The commit journal: every routed net once, in the order its
+    /// fragments entered the index. A net that is unrouted leaves it; a
+    /// net committed again after a rip-up re-enters at the end.
     #[must_use]
-    pub fn records(&self) -> &[CommitRecord] {
-        &self.records
+    pub fn journal(&self) -> &[NetId] {
+        &self.journal
     }
 
     /// Opens a proposal for `net`: checkpoints every layer graph so the
@@ -346,9 +382,8 @@ impl CommitLedger {
 
     /// Commits the proposal: occupies the candidate's cells on `plane`,
     /// releases unused pin-candidate reservations, publishes the wire
-    /// directions and the fragments, stores the routed net and journals a
-    /// [`CommitRecord`]. The graphs are left exactly as the trial phase
-    /// validated them.
+    /// directions and the fragments, stores the routed net and journals
+    /// it. The graphs are left exactly as the trial phase validated them.
     pub fn commit(
         &mut self,
         proposal: Proposal,
@@ -364,9 +399,6 @@ impl CommitLedger {
             fragments,
         } = candidate;
         let id = net.id;
-        let on_path = |c: &GridPoint| {
-            path.points().contains(c) || branches.iter().any(|b| b.points().contains(c))
-        };
         for &p in path.points() {
             plane
                 .occupy(p, id)
@@ -379,40 +411,21 @@ impl CommitLedger {
                     .expect("branch A* only walks free or own cells");
             }
         }
-        // Release the unused pin candidate reservations.
-        let mut released: Vec<GridPoint> = Vec::new();
-        for pin in net.pins() {
-            for &c in pin.candidates() {
-                if !on_path(&c) {
-                    plane.clear_path(&[c], id);
-                    released.push(c);
-                }
-            }
-        }
         let fragments = fragments.into_vec();
-        let mut frag_ids = Vec::with_capacity(fragments.len());
-        for &(layer, rect) in &fragments {
-            if let Some(axis) = rect.orientation().axis() {
-                for (x, y) in rect.cells() {
-                    dir_map.set(GridPoint::new(layer, x, y), Some(axis));
-                }
-            }
-            let fid = pack_frag_id(id.0, self.frag_seq);
-            self.index[layer.index()].insert(fid, rect);
-            frag_ids.push(fid);
-            self.frag_seq += 1;
-        }
-        self.routed.insert(
+        let frag_ids = (0..fragments.len() as u32)
+            .map(|k| pack_frag_id(id.0, self.frag_seq + k))
+            .collect();
+        self.frag_seq += fragments.len() as u32;
+        let r = RoutedNet {
             id,
-            RoutedNet {
-                id,
-                path,
-                branches,
-                fragments,
-                frag_ids,
-            },
-        );
-        self.records.push(CommitRecord { net: id, released });
+            path,
+            branches,
+            fragments,
+            frag_ids,
+        };
+        release_unused_pins(plane, net, &r);
+        publish_dirs(dir_map, &r);
+        self.insert_routed(r);
     }
 
     /// Drops a net that exhausted its rip-up budget from every layer graph
@@ -430,6 +443,7 @@ impl CommitLedger {
         let Some(r) = self.routed.remove(&id) else {
             return false;
         };
+        self.journal.retain(|&n| n != id);
         plane.clear_path(r.path.points(), id);
         for b in &r.branches {
             plane.clear_path(b.points(), id);
@@ -450,7 +464,8 @@ impl CommitLedger {
     /// commit journal (plane occupancy, pin releases, wire directions) in
     /// commit order against the global `plane`/`dir_map`, re-inserts the
     /// band's fragments into the global index, absorbs the band graphs and
-    /// sums the counters.
+    /// sums the counters. `netlist` supplies the pins whose unused
+    /// candidates each commit released.
     ///
     /// Sound because band column ranges are disjoint and a band worker
     /// only writes cells inside its own band; merging bands in ascending
@@ -467,45 +482,52 @@ impl CommitLedger {
         band: CommitLedger,
         plane: &mut RoutingPlane,
         dir_map: &mut DirGrid,
+        netlist: &Netlist,
     ) {
         let CommitLedger {
             graphs,
             index: _,
-            routed,
-            records,
+            mut routed,
+            journal,
             frag_seq,
             counters,
         } = band;
-        debug_assert_eq!(
-            records.len(),
-            routed.len(),
-            "band workers never unroute: one journal entry per routed net"
-        );
-        for rec in &records {
-            let r = &routed[&rec.net];
+        for id in journal {
+            let r = routed.remove(&id).expect("band journals list routed nets");
             for p in r.all_points() {
-                plane.occupy(p, rec.net).expect("band columns are disjoint");
+                plane.occupy(p, id).expect("band columns are disjoint");
             }
-            for &c in &rec.released {
-                plane.clear_path(&[c], rec.net);
-            }
-            for &(layer, rect) in &r.fragments {
-                if let Some(axis) = rect.orientation().axis() {
-                    for (x, y) in rect.cells() {
-                        dir_map.set(GridPoint::new(layer, x, y), Some(axis));
-                    }
-                }
-            }
-            for (&(layer, rect), &fid) in r.fragments.iter().zip(&r.frag_ids) {
-                self.index[layer.index()].insert(fid, rect);
-            }
+            release_unused_pins(plane, netlist.net(id), &r);
+            publish_dirs(dir_map, &r);
+            self.insert_routed(r);
         }
         for (g, band_g) in self.graphs.iter_mut().zip(&graphs) {
             g.absorb(band_g);
         }
         self.frag_seq = self.frag_seq.max(frag_seq);
         self.counters.accumulate(&counters);
-        self.records.extend(records);
-        self.routed.extend(routed);
+    }
+}
+
+/// Frees the pin-candidate cells of `net` that its route `r` does not
+/// use (only those `net` still holds).
+fn release_unused_pins(plane: &mut RoutingPlane, net: &Net, r: &RoutedNet) {
+    for pin in net.pins() {
+        for &c in pin.candidates() {
+            if !r.all_points().any(|p| p == c) {
+                plane.clear_path(&[c], net.id);
+            }
+        }
+    }
+}
+
+/// Records the wire direction of every straight fragment cell of `r`.
+pub(crate) fn publish_dirs(dir_map: &mut DirGrid, r: &RoutedNet) {
+    for &(layer, rect) in &r.fragments {
+        if let Some(axis) = rect.orientation().axis() {
+            for (x, y) in rect.cells() {
+                dir_map.set(GridPoint::new(layer, x, y), Some(axis));
+            }
+        }
     }
 }

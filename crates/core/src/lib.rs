@@ -70,7 +70,7 @@ pub use eco::{
 };
 pub use fault::{FaultPlan, IoFault, PersistKind};
 pub use grids::{DenseGrid, DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
-pub use ledger::{CommitLedger, CommitRecord, LedgerCounters, Proposal, RoutedNet};
+pub use ledger::{CommitLedger, LedgerCounters, Proposal, RoutedNet};
 pub use report::RoutingReport;
 pub use router::{Router, RouterError};
 pub use scan::{scan_fragments, FoundScenario};

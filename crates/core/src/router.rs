@@ -66,6 +66,10 @@ impl Error for RouterError {}
 
 /// Plane-sized dense working state, allocated when a run first sizes the
 /// router for a plane and reused for every net (clearing is `O(1)` via generation stamps).
+///
+/// Two workspaces compare equal when their direction maps and pin
+/// guards read the same at every cell; the penalty grid and the search
+/// scratch are reset before every net and carry no state between nets.
 #[derive(Debug)]
 pub(crate) struct Workspace {
     /// Per-cell wire direction of committed nets (the `T2b` hint map).
@@ -102,22 +106,45 @@ impl Workspace {
     }
 }
 
+impl PartialEq for Workspace {
+    fn eq(&self, other: &Workspace) -> bool {
+        self.dir_map == other.dir_map && self.guards == other.guards
+    }
+}
+
 /// The overlay-aware detailed router.
 ///
 /// One instance routes one netlist; the per-layer overlay constraint
 /// graphs, the fragment spatial index and the routed-net store live in
 /// its [`CommitLedger`] and can be inspected after routing (e.g. to feed
 /// the decomposition simulator).
+///
+/// Two routers compare equal when their routing state does: config,
+/// ledger, direction map and pin guards, failed list and `finalized`
+/// flag. A router restored from a snapshot equals the one that wrote it.
 #[derive(Debug)]
 pub struct Router {
     pub(crate) config: RouterConfig,
     pub(crate) ledger: CommitLedger,
     pub(crate) workspace: Option<Workspace>,
     pub(crate) failed: Vec<NetId>,
+    /// Whether finalize ran on the current state (a resumed finished run
+    /// must not run it again).
+    pub(crate) finalized: bool,
     color_fallbacks: Cell<u64>,
     /// The whole-run budget, re-armed from the config at the start of
     /// every run (unlimited before the first).
     pub(crate) run_budget: RunBudget,
+}
+
+impl PartialEq for Router {
+    fn eq(&self, other: &Router) -> bool {
+        self.config == other.config
+            && self.ledger == other.ledger
+            && self.workspace == other.workspace
+            && self.failed == other.failed
+            && self.finalized == other.finalized
+    }
 }
 
 impl Router {
@@ -129,6 +156,7 @@ impl Router {
             ledger: CommitLedger::empty(),
             workspace: None,
             failed: Vec::new(),
+            finalized: false,
             color_fallbacks: Cell::new(0),
             run_budget: RunBudget::unlimited(),
         }
@@ -258,9 +286,10 @@ impl Router {
     /// The shared run preamble of [`Router::route_all_with`] and
     /// [`crate::session::RoutingSession`]: sizes the router for the
     /// plane, arms the run budget, verifies the resume fingerprint,
-    /// reserves every pin, replays the snapshot journal, and plans the
-    /// schedule over the canonical net order with the processed prefix
-    /// removed (plus the input fingerprint when checkpointing asked for
+    /// then either reserves every pin (a fresh run) or restores the
+    /// snapshot (`Router::restore`), and plans the schedule over the
+    /// canonical net order minus the nets the snapshot already routed or
+    /// failed (plus the input fingerprint when checkpointing asked for
     /// it).
     pub(crate) fn prepare_run(
         &mut self,
@@ -281,31 +310,30 @@ impl Router {
             }
         }
         let mut order = self.net_order(netlist);
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = self;
-        let ws = workspace
-            .as_mut()
-            .expect("try_begin_sized sets the workspace");
-        // Reserve every pin candidate cell up front so earlier nets
-        // cannot route over the pins of later ones (the owner may
-        // still enter its own reserved cells).
-        for net in netlist {
-            driver::reserve_pins(config, &mut ws.guards, plane, net);
-        }
         if let Some(snap) = resume {
-            replay_snapshot(
-                snap, config, ledger, ws, plane, netlist, failed, run_budget, true,
-            )?;
-            let done: std::collections::HashSet<NetId> = snap.processed().into_iter().collect();
-            order.retain(|id| !done.contains(id));
+            self.restore(plane, netlist, snap)?;
+            if self.finalized {
+                return Ok((ScheduleMachine::finished(), fp));
+            }
+            let failed: std::collections::HashSet<NetId> = self.failed.iter().copied().collect();
+            let routed = self.ledger.routed();
+            order.retain(|id| !routed.contains_key(id) && !failed.contains(id));
+        } else {
+            let ws = self
+                .workspace
+                .as_mut()
+                .expect("try_begin_sized sets the workspace");
+            // Reserve every pin candidate cell up front so earlier nets
+            // cannot route over the pins of later ones (the owner may
+            // still enter its own reserved cells).
+            for net in netlist {
+                driver::reserve_pins(&self.config, &mut ws.guards, plane, net);
+            }
         }
-        Ok((ScheduleMachine::new(config, plane, netlist, order), fp))
+        Ok((
+            ScheduleMachine::new(&self.config, plane, netlist, order),
+            fp,
+        ))
     }
 
     /// Resets the router state for the plane, with a hint of how many
@@ -329,6 +357,7 @@ impl Router {
             _ => self.workspace = Some(Workspace::try_new(plane)?),
         }
         self.failed.clear();
+        self.finalized = false;
         self.color_fallbacks.set(0);
         Ok(())
     }
@@ -421,6 +450,7 @@ impl Router {
         // unrouted.
         self.cleanup_risks(plane, netlist, rec);
         self.repair_cut_conflicts(plane, netlist, rec);
+        self.finalized = true;
     }
 
     /// Simulator-backed repair: synthesises the cut-process masks for the
@@ -772,65 +802,6 @@ impl Router {
     }
 }
 
-/// Re-commits a snapshot's journal against a freshly sized router state:
-/// every journaled route goes through the identical stage pipeline
-/// ([`driver::commit_candidate`]) in journal order, which reproduces the
-/// plane occupancy, direction map, fragment-index scan order and graph
-/// state of the original prefix exactly — no searching involved. The
-/// snapshot's counters then overwrite the replayed ones (replay re-counts
-/// flips but none of the search/rip-up work).
-///
-/// `enforce_steering` is forwarded to [`driver::commit_candidate`]:
-/// mid-run resume passes `true` (the replayed prefix made exactly these
-/// decisions), while restoring a *final* routed set passes `false` —
-/// the journal omits ripped-up interlopers, post-commit flip passes and
-/// the original commit order, so the commit-time steering heuristics
-/// (risk abort, geometric type-B filter) can reject a commit that is
-/// part of a perfectly consistent final state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_snapshot(
-    snap: &Snapshot,
-    config: &RouterConfig,
-    ledger: &mut CommitLedger,
-    ws: &mut Workspace,
-    plane: &mut RoutingPlane,
-    netlist: &Netlist,
-    failed: &mut Vec<NetId>,
-    run_budget: &RunBudget,
-    enforce_steering: bool,
-) -> Result<(), SnapshotError> {
-    let mut rec = NoopRecorder;
-    for n in &snap.nets {
-        if n.id.index() >= netlist.len() {
-            return Err(SnapshotError::ReplayDiverged);
-        }
-        let candidate = Snapshot::candidate_of(n)?;
-        let mut ctx = driver::RouteCtx {
-            config,
-            ledger,
-            dir_map: &mut ws.dir_map,
-            guards: &ws.guards,
-            penalties: &mut ws.penalties,
-            scratch: &mut ws.scratch,
-            run_budget,
-            rec: &mut rec,
-        };
-        let committed = driver::commit_candidate(
-            &mut ctx,
-            plane,
-            netlist.net(n.id),
-            candidate,
-            enforce_steering,
-        );
-        if committed.is_err() {
-            return Err(SnapshotError::ReplayDiverged);
-        }
-    }
-    ledger.counters = snap.counters();
-    failed.extend(snap.failed.iter().copied());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,10 +950,10 @@ mod tests {
         let mut router = Router::new(RouterConfig::paper_defaults());
         let report = router.route_all(&mut plane, &nl);
         assert_eq!(report.routed_nets, 2);
-        let journal = router.ledger().records();
+        let journal = router.ledger().journal();
         assert_eq!(journal.len(), 2);
-        for rec in journal {
-            assert!(router.routed().contains_key(&rec.net));
+        for id in journal {
+            assert!(router.routed().contains_key(id));
         }
     }
 }

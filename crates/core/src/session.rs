@@ -30,12 +30,13 @@
 //! unbounded call.
 //!
 //! Every pause point is also a valid checkpoint:
-//! [`RoutingSession::snapshot`] serializes the commit journal in the
-//! `SADPCKPT v2` format and [`RoutingSession::resume`] replays it
-//! through the identical commit pipeline. Callers choose the checkpoint
-//! cadence by the step budget they pass to `advance`. A session
-//! cancelled mid-run and resumed from its last snapshot therefore
-//! finishes byte-identical to an uninterrupted run.
+//! [`RoutingSession::snapshot`] serializes the router's state in the
+//! `SADPCKPT v3` format and [`RoutingSession::resume`] loads it back
+//! exactly ([`crate::checkpoint`]). Callers choose the checkpoint cadence
+//! by the step budget they pass to `advance`. A session cancelled
+//! mid-run and resumed from its last snapshot therefore finishes
+//! byte-identical to an uninterrupted run, and a snapshot of a finished
+//! session resumes as finished.
 
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
@@ -91,7 +92,8 @@ pub enum SessionStatus {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// Creating or resuming the session failed (oversized plane,
-    /// fingerprint mismatch, corrupt snapshot, diverged replay).
+    /// fingerprint mismatch, corrupt snapshot, state that does not fit
+    /// the input).
     Snapshot(SnapshotError),
     /// `advance` was called on a cancelled session. Take a final
     /// [`RoutingSession::snapshot`] and resume a fresh session instead.
@@ -175,16 +177,17 @@ impl RoutingSession {
         RoutingSession::build(config, plane, netlist, None, trace, timing)
     }
 
-    /// [`RoutingSession::create`] starting from a parsed `SADPCKPT v2`
-    /// snapshot: the journaled prefix is re-committed through the
-    /// identical stage pipeline (no searching) and only the remaining
-    /// nets are scheduled.
+    /// [`RoutingSession::create`] starting from a parsed `SADPCKPT v3`
+    /// snapshot: the router's state is loaded as the snapshot wrote it
+    /// (no searching) and only the nets it had not yet routed or failed
+    /// are scheduled. A snapshot taken after finalize schedules nothing
+    /// and its first `advance` returns the finished report.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::FingerprintMismatch`] when the snapshot was taken
-    /// from a different plane/netlist, [`SnapshotError::ReplayDiverged`]
-    /// when a journaled route no longer commits cleanly, and
+    /// from a different plane/netlist, [`SnapshotError::StateMismatch`]
+    /// when its state does not fit the input, and
     /// [`SnapshotError::Router`] for an oversized plane — all inside
     /// [`SessionError::Snapshot`].
     pub fn resume(
@@ -255,12 +258,12 @@ impl RoutingSession {
         }
     }
 
-    /// Serializes the current state as `SADPCKPT v2` text. Valid at any
-    /// pause point — every increment ends between canonical commits, so
-    /// the journal is always a clean resumable prefix.
+    /// Serializes the current state as `SADPCKPT v3` text. Valid at any
+    /// pause point — every increment ends between canonical commits —
+    /// and after the session is done.
     #[must_use]
     pub fn snapshot(&self) -> String {
-        checkpoint::serialize(self.router.ledger(), self.router.failed(), self.fingerprint)
+        checkpoint::serialize(&self.router, &self.plane, &self.netlist, self.fingerprint)
     }
 
     /// `(done, total)` schedule increments — a coarse progress gauge.
@@ -337,7 +340,8 @@ impl RoutingSession {
 
 /// The routing engine: executes up to `budget` increments of `machine`
 /// against the router's state and, once the schedule runs dry, the
-/// finalize stage (flipping, cleanup, cut repair) and the report, whose
+/// finalize stage (flipping, cleanup, cut repair; skipped when the
+/// state was already finalized) and the report, whose
 /// `cpu` is measured from `started`. The only caller of
 /// [`ScheduleMachine::step`]: [`RoutingSession::advance`] runs it in
 /// slices, [`Router::route_all_with`] in one unbounded call. Returns
@@ -374,7 +378,9 @@ pub(crate) fn run_steps(
         });
         match ev {
             StepEvent::Complete => {
-                router.finalize(plane, netlist, rec);
+                if !router.finalized {
+                    router.finalize(plane, netlist, rec);
+                }
                 let mut report = router.build_report(netlist, started);
                 if let Some(profile) = rec.profile() {
                     report.profile = profile;

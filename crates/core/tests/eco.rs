@@ -154,11 +154,8 @@ fn undo_is_byte_identical_on_sparse_pairs() {
 }
 
 /// Regression: undo on a dense generated layout whose batch run ripped
-/// up nets and left failures. The journal holds only surviving commits,
-/// so the stage-4 risk heuristic sees a different coloring during the
-/// restore replay than the original run did mid-route — it must not be
-/// allowed to reject a commit that is part of a consistent final state
-/// (the corpus fixtures route 100% and never caught this).
+/// up nets and left failures (the corpus fixtures route 100% and never
+/// caught a restore that only held for clean runs).
 #[test]
 fn undo_is_byte_identical_with_failed_nets() {
     let spec = BenchmarkSpec::paper_fixed_suite()
@@ -175,6 +172,42 @@ fn undo_is_byte_identical_with_failed_nets() {
     eco.apply(EcoEdit::RemoveNet { net: id }).expect("valid");
     eco.undo().expect("just applied");
     assert_eq!(eco.state_digest(), before);
+}
+
+/// An undo restores the state the edit started from exactly, so an edit
+/// applied after it behaves as on the never-edited session: the same
+/// outcome and the same state digest. The reproducer removes a net,
+/// undoes, and blocks a region the removal had re-routed around.
+#[test]
+fn an_edit_after_undo_equals_the_edit_on_the_untouched_session() {
+    let fresh = || {
+        let (plane, netlist) = BenchmarkSpec::new("eco-after-undo", 200, 96, 96)
+            .with_seed(1)
+            .generate();
+        EcoSession::create(RouterConfig::paper_defaults(), plane, netlist, false)
+            .expect("design routes")
+    };
+    let b = EcoEdit::AddObstacle {
+        layer: Layer(2),
+        rect: TrackRect::new(73, 51, 78, 56),
+    };
+    let mut untouched = fresh();
+    let want = untouched.apply(b.clone()).expect("valid edit");
+
+    let mut edited = fresh();
+    edited
+        .apply(EcoEdit::RemoveNet {
+            net: sadp_grid::NetId(110),
+        })
+        .expect("valid edit");
+    edited.undo().expect("one edit to undo");
+    let got = edited.apply(b).expect("valid edit");
+    assert_eq!(
+        (got.invalidated, got.rerouted, got.failed),
+        (want.invalidated, want.rerouted, want.failed)
+    );
+    assert_eq!(edited.state_digest(), untouched.state_digest());
+    assert_eq!(edited.undo_depth(), 1, "the undone edit left the history");
 }
 
 #[test]

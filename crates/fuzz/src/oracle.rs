@@ -9,11 +9,13 @@
 
 use crate::generator::FuzzInstance;
 use sadp_baselines::{BaselineKind, BaselineRouter};
+use sadp_core::checkpoint::fingerprint;
 use sadp_core::{
-    FaultPlan, RouterConfig, RoutingReport, RoutingSession, SessionStatus, StepBudget,
+    FaultPlan, RouterConfig, RoutingReport, RoutingSession, SessionError, SessionStatus, Snapshot,
+    StepBudget,
 };
 use sadp_decomp::verify_layers;
-use sadp_geom::{Layer, TrackRect};
+use sadp_geom::{Layer, Rng, TrackRect};
 use sadp_grid::{Netlist, RoutingPlane};
 use sadp_obs::events_to_jsonl;
 use sadp_scenario::Color;
@@ -56,6 +58,11 @@ pub enum Invariant {
     /// band-panic recovery byte-invisible, and the whole faulted result
     /// byte-identical across thread counts.
     FaultRecovery,
+    /// A serial run killed at a seeded step, snapshotted and resumed in
+    /// a fresh session must finish exactly like the uninterrupted run:
+    /// report (stage profile aside), patterns, failed list, occupancy
+    /// and final snapshot bytes.
+    ResumeIdentity,
 }
 
 impl Invariant {
@@ -76,6 +83,7 @@ impl Invariant {
             Invariant::ThreadDeterminism => "thread-determinism",
             Invariant::BaselineSane => "baseline-sane",
             Invariant::FaultRecovery => "fault-recovery",
+            Invariant::ResumeIdentity => "resume-identity",
         }
     }
 }
@@ -157,6 +165,8 @@ struct RunResult {
     usage: (usize, usize, usize),
     routed_plane: RoutingPlane,
     trace: String,
+    /// The snapshot of the finished run.
+    snapshot: String,
     /// `(net, trunk wirelength, best candidate-pair Manhattan distance)`
     /// per routed net, for the wirelength lower-bound check.
     trunk_bounds: Vec<(u32, u64, u64)>,
@@ -172,53 +182,8 @@ fn route_once(
         let mut config = RouterConfig::paper_defaults();
         config.threads = threads;
         config.faults = faults.map(FaultPlan::new);
-        let mut session =
-            RoutingSession::create(config, plane.clone(), netlist.clone(), true, false)?;
-        let mut report = match session.advance(StepBudget::unbounded()) {
-            SessionStatus::Done(report) => *report,
-            SessionStatus::Failed(e) => return Err(e),
-            SessionStatus::Running | SessionStatus::CheckpointReady => {
-                unreachable!("an unbounded advance finishes the schedule")
-            }
-        };
-        report.cpu = Duration::ZERO;
-        report.profile = report.profile.counts_only();
-        let router = session.router();
-        let patterns: Vec<_> = (0..plane.layers())
-            .map(|l| router.patterns_on_layer(Layer(l)))
-            .collect();
-        let trunk_bounds = router
-            .routed()
-            .values()
-            .map(|r| {
-                let net = netlist.net(r.id);
-                let best = net
-                    .source
-                    .candidates()
-                    .iter()
-                    .flat_map(|s| {
-                        net.target
-                            .candidates()
-                            .iter()
-                            .map(move |t| s.x.abs_diff(t.x) as u64 + s.y.abs_diff(t.y) as u64)
-                    })
-                    .min()
-                    .unwrap_or(0);
-                (r.id.0, r.path.wirelength(), best)
-            })
-            .collect();
-        let failed = router.failed().to_vec();
-        let trace = events_to_jsonl(&session.drain_events());
-        let (routed_plane, _) = session.into_parts();
-        Ok(RunResult {
-            report,
-            patterns,
-            failed,
-            usage: routed_plane.usage(),
-            routed_plane,
-            trace,
-            trunk_bounds,
-        })
+        let session = RoutingSession::create(config, plane.clone(), netlist.clone(), true, false)?;
+        finish(session, netlist)
     }));
     match run {
         Err(payload) => Err(Violation::new(
@@ -236,6 +201,57 @@ fn route_once(
     }
 }
 
+/// Runs `session` to the end and observes the result.
+fn finish(mut session: RoutingSession, netlist: &Netlist) -> Result<RunResult, SessionError> {
+    let mut report = match session.advance(StepBudget::unbounded()) {
+        SessionStatus::Done(report) => *report,
+        SessionStatus::Failed(e) => return Err(e),
+        SessionStatus::Running | SessionStatus::CheckpointReady => {
+            unreachable!("an unbounded advance finishes the schedule")
+        }
+    };
+    report.cpu = Duration::ZERO;
+    report.profile = report.profile.counts_only();
+    let router = session.router();
+    let patterns: Vec<_> = (0..session.plane().layers())
+        .map(|l| router.patterns_on_layer(Layer(l)))
+        .collect();
+    let trunk_bounds = router
+        .routed()
+        .values()
+        .map(|r| {
+            let net = netlist.net(r.id);
+            let best = net
+                .source
+                .candidates()
+                .iter()
+                .flat_map(|s| {
+                    net.target
+                        .candidates()
+                        .iter()
+                        .map(move |t| s.x.abs_diff(t.x) as u64 + s.y.abs_diff(t.y) as u64)
+                })
+                .min()
+                .unwrap_or(0);
+            (r.id.0, r.path.wirelength(), best)
+        })
+        .collect();
+    let failed = router.failed().to_vec();
+    let trace = events_to_jsonl(&session.drain_events());
+    let snapshot = session.snapshot();
+    let (routed_plane, _) = session.into_parts();
+    Ok(RunResult {
+        report,
+        patterns,
+        failed,
+        usage: routed_plane.usage(),
+        routed_plane,
+        trace,
+        snapshot,
+        trunk_bounds,
+    })
+}
+
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -248,7 +264,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs the full oracle on one `(plane, netlist)` pair: route, check the
 /// structural invariants, decompose through the pixel simulator, and run
-/// the differential checks.
+/// the differential and resume checks. The resume check's kill step is
+/// drawn from the layout's fingerprint.
 ///
 /// # Errors
 ///
@@ -258,9 +275,21 @@ pub fn check_layout(
     netlist: &Netlist,
     cfg: &OracleConfig,
 ) -> Result<OracleStats, Violation> {
+    check_seeded(plane, netlist, cfg, fingerprint(plane, netlist))
+}
+
+/// [`check_layout`] with the resume check's kill step drawn from
+/// `kill_seed`.
+fn check_seeded(
+    plane: &RoutingPlane,
+    netlist: &Netlist,
+    cfg: &OracleConfig,
+    kill_seed: u64,
+) -> Result<OracleStats, Violation> {
     let serial = route_once(plane, netlist, 1, None)?;
     check_structure(netlist, &serial)?;
     let hard_runs = check_verdict(plane, &serial)?;
+    check_resume(plane, netlist, &serial, kill_seed)?;
     if cfg.differential && cfg.threads > 1 {
         let sharded = route_once(plane, netlist, cfg.threads, None)?;
         check_differential(&serial, &sharded, cfg.threads)?;
@@ -280,13 +309,65 @@ pub fn check_layout(
     })
 }
 
-/// [`check_layout`] for a generated instance.
+/// [`check_layout`] for a generated instance, with the resume check's
+/// kill step drawn from the instance seed.
 ///
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
 pub fn check_instance(inst: &FuzzInstance, cfg: &OracleConfig) -> Result<OracleStats, Violation> {
-    check_layout(&inst.plane, &inst.netlist, cfg)
+    check_seeded(&inst.plane, &inst.netlist, cfg, inst.seed)
+}
+
+/// Kills a serial run at a step drawn from `kill_seed` — before the
+/// first step, at any pause of the schedule, or after finalize —
+/// resumes its snapshot in a fresh session, and requires the finish to
+/// equal the uninterrupted `serial` run (the stage profile, which counts
+/// only the resumed suffix, aside).
+fn check_resume(
+    plane: &RoutingPlane,
+    netlist: &Netlist,
+    serial: &RunResult,
+    kill_seed: u64,
+) -> Result<(), Violation> {
+    let mut kill = 0;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let config = RouterConfig::paper_defaults();
+        let mut first =
+            RoutingSession::create(config.clone(), plane.clone(), netlist.clone(), false, false)?;
+        kill = Rng::seed_from_u64(kill_seed).index(first.progress().1 as usize + 2) as u64;
+        if kill > 0 {
+            first.advance(StepBudget::steps(kill));
+        }
+        let snap = Snapshot::parse(&first.snapshot()).map_err(SessionError::Snapshot)?;
+        let resumed =
+            RoutingSession::resume(config, plane.clone(), netlist.clone(), &snap, false, false)?;
+        finish(resumed, netlist)
+    }));
+    let bad = |what: String| Err(Violation::new(Invariant::ResumeIdentity, what));
+    let resumed = match run {
+        Err(payload) => return bad(format!("kill step {kill}: {}", panic_message(&payload))),
+        Ok(Err(e)) => return bad(format!("kill step {kill}: resume failed: {e}")),
+        Ok(Ok(run)) => run,
+    };
+    let unprofiled = |r: &RoutingReport| RoutingReport {
+        profile: Default::default(),
+        ..r.clone()
+    };
+    let diverged = [
+        (
+            "report",
+            unprofiled(&serial.report) != unprofiled(&resumed.report),
+        ),
+        ("patterns/colors", serial.patterns != resumed.patterns),
+        ("failed-net list", serial.failed != resumed.failed),
+        ("plane occupancy", serial.usage != resumed.usage),
+        ("final snapshot", serial.snapshot != resumed.snapshot),
+    ];
+    match diverged.iter().find(|(_, differs)| *differs) {
+        Some((what, _)) => bad(format!("kill step {kill}: resumed {what} diverged")),
+        None => Ok(()),
+    }
 }
 
 fn check_structure(netlist: &Netlist, run: &RunResult) -> Result<(), Violation> {
@@ -581,6 +662,7 @@ mod tests {
             Invariant::ThreadDeterminism,
             Invariant::BaselineSane,
             Invariant::FaultRecovery,
+            Invariant::ResumeIdentity,
         ] {
             assert!(!inv.name().is_empty());
         }

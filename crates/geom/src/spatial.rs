@@ -20,7 +20,7 @@ use std::collections::HashMap;
 /// let near: Vec<_> = hash.query(&TrackRect::new(0, 0, 2, 2)).collect();
 /// assert_eq!(near, vec![0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpatialHash {
     tile: i32,
     buckets: HashMap<(i32, i32), Vec<(u64, TrackRect)>>,

@@ -8,6 +8,9 @@
 //! same component with an inconsistent parity closes an odd cycle of hard
 //! constraint edges — exactly the infeasibility of Fig. 11(g).
 
+use crate::state;
+use std::fmt::Write as _;
+
 /// A disjoint-set forest whose elements carry a color parity relative to
 /// their root.
 ///
@@ -22,7 +25,7 @@
 /// // Closing the triangle with another "different" edge is an odd cycle.
 /// assert!(dsu.union(0, 2, true).is_err());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParityDsu {
     parent: Vec<u32>,
     rank: Vec<u8>,
@@ -216,6 +219,66 @@ impl ParityDsu {
         }
         self.log.push((lo, bump));
         Ok(true)
+    }
+
+    /// Appends the forest as two text lines, `dsu` and `log`: every
+    /// element that is not a rank-0 singleton as `x,parent,rank,parity`,
+    /// then the undo log as `absorbed,bump` pairs. Together with
+    /// [`ParityDsu::len`] this is the whole state, read back by
+    /// [`ParityDsu::read_state`].
+    pub fn write_state(&self, out: &mut String) {
+        let moved: Vec<usize> = (0..self.parent.len())
+            .filter(|&x| self.parent[x] != x as u32 || self.rank[x] != 0)
+            .collect();
+        let _ = write!(out, "dsu {}", moved.len());
+        for x in moved {
+            let _ = write!(
+                out,
+                " {x},{},{},{}",
+                self.parent[x],
+                self.rank[x],
+                u8::from(self.parity[x])
+            );
+        }
+        let _ = write!(out, "\nlog {}", self.log.len());
+        for &(lo, bump) in &self.log {
+            let _ = write!(out, " {lo},{}", u8::from(bump));
+        }
+        out.push('\n');
+    }
+
+    /// Rebuilds a forest of `len` elements from the `dsu` and `log`
+    /// lines of [`ParityDsu::write_state`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed token.
+    pub fn read_state(len: usize, dsu: &str, log: &str) -> Result<ParityDsu, String> {
+        let mut out = ParityDsu::new(len);
+        for fields in state::record(dsu, "dsu", 4)? {
+            let [x, parent, rank, parity] = fields[..] else {
+                unreachable!("record checks the arity")
+            };
+            let x = state::index(x, len)?;
+            out.parent[x] = state::index(parent, len)? as u32;
+            out.rank[x] = state::num(rank)?;
+            out.parity[x] = state::flag(parity)?;
+        }
+        // Union by rank makes every parent outrank its children, so a
+        // forest read back with that order is acyclic and `find` ends.
+        if (0..len).any(|x| {
+            let p = out.parent[x] as usize;
+            p != x && out.rank[p] <= out.rank[x]
+        }) {
+            return Err("dsu forest is not rank-ordered".into());
+        }
+        for fields in state::record(log, "log", 2)? {
+            out.log.push((
+                state::index(fields[0], len)? as u32,
+                state::flag(fields[1])?,
+            ));
+        }
+        Ok(out)
     }
 }
 

@@ -1,10 +1,12 @@
 //! The per-layer overlay constraint graph.
 
 use crate::dsu::ParityDsu;
-use sadp_scenario::{Assignment, Color, CostTable, ScenarioKind};
+use crate::state;
+use sadp_scenario::{Assignment, Color, Cost, CostTable, ScenarioKind};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Aggregated constraint data of one vertex pair.
 ///
@@ -89,7 +91,7 @@ impl EvalStats {
 /// Hard constraints are tracked incrementally in a [`ParityDsu`], which
 /// both detects hard-constraint odd cycles in near-constant time and plays
 /// the role of the paper's even-cycle super-vertex reduction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverlayGraph {
     colors: HashMap<u32, Color>,
     adj: HashMap<u32, Vec<u32>>,
@@ -597,6 +599,181 @@ impl OverlayGraph {
         out.sort_unstable_by_key(|(min, _)| *min);
         out
     }
+
+    /// Appends the graph's complete state as text, read back by
+    /// [`OverlayGraph::read_state`] into an equal graph:
+    ///
+    /// ```text
+    /// graph <next slot> <vertex count> <edge count>
+    /// v <net> <slot> <C|S> <neighbour> ...      one per vertex, ascending net
+    /// e <a> <b> <CC> <CS> <SC> <SS> <kinds>      one per edge, ascending (a, b)
+    /// dsu ... / log ...                          see ParityDsu::write_state
+    /// dirty <count> <net> ...                    ascending
+    /// ```
+    ///
+    /// Neighbours keep their adjacency order, which the flipping
+    /// algorithm's traversals follow. Costs print as in [`Cost`]'s
+    /// `Display` (`3`, `3+cut`, `hard`); kinds are one letter each, `a`
+    /// for the first of [`ScenarioKind::ALL`], or `-` for none. The hash
+    /// maps are written sorted, so equal graphs write equal text.
+    pub fn write_state(&self, out: &mut String) {
+        let mut verts: Vec<u32> = self.colors.keys().copied().collect();
+        verts.sort_unstable();
+        let _ = writeln!(
+            out,
+            "graph {} {} {}",
+            self.next_slot,
+            verts.len(),
+            self.edges.len()
+        );
+        for v in &verts {
+            let _ = write!(out, "v {v} {} {}", self.slot[v], self.colors[v].letter());
+            for n in &self.adj[v] {
+                let _ = write!(out, " {n}");
+            }
+            out.push('\n');
+        }
+        let mut keys: Vec<(u32, u32)> = self.edges.keys().copied().collect();
+        keys.sort_unstable();
+        for key in keys {
+            let e = &self.edges[&key];
+            let _ = write!(out, "e {} {}", key.0, key.1);
+            for asg in Assignment::ALL {
+                let _ = write!(out, " {}", e.table.entry(asg));
+            }
+            out.push(' ');
+            if e.kinds.is_empty() {
+                out.push('-');
+            }
+            for k in &e.kinds {
+                let i = ScenarioKind::ALL.iter().position(|x| x == k).unwrap_or(0);
+                out.push(char::from(b'a' + i as u8));
+            }
+            out.push('\n');
+        }
+        self.dsu.write_state(out);
+        let mut dirty: Vec<u32> = self.dirty.iter().copied().collect();
+        dirty.sort_unstable();
+        let _ = write!(out, "dirty {}", dirty.len());
+        for v in dirty {
+            let _ = write!(out, " {v}");
+        }
+        out.push('\n');
+    }
+
+    /// Reads one graph written by [`OverlayGraph::write_state`], taking
+    /// its lines from `lines`. The result is checked for the internal
+    /// consistency every graph operation relies on (adjacency matches
+    /// the edges, slots and union–find indices are in range).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first malformed or inconsistent item.
+    pub fn read_state<'a>(
+        lines: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<OverlayGraph, String> {
+        let mut line = |what: &str| {
+            lines
+                .next()
+                .ok_or_else(|| format!("state ends before the {what} line"))
+        };
+        let mut toks = state::fields(line("graph")?, "graph")?;
+        let next_slot: u32 = state::next(&mut toks, "next slot")?;
+        if next_slot > MAX_SLOTS {
+            return Err(format!(
+                "{next_slot} slots exceed the {MAX_SLOTS} a graph may hold"
+            ));
+        }
+        let vertices: usize = state::next(&mut toks, "vertex count")?;
+        let edge_count: usize = state::next(&mut toks, "edge count")?;
+        let mut g = OverlayGraph {
+            next_slot,
+            ..OverlayGraph::new()
+        };
+        for _ in 0..vertices {
+            let mut toks = state::fields(line("vertex")?, "v")?;
+            let v: u32 = state::next(&mut toks, "net")?;
+            let slot = state::index(toks.next().unwrap_or(""), next_slot as usize)? as u32;
+            let color = match toks.next() {
+                Some("C") => Color::Core,
+                Some("S") => Color::Second,
+                other => return Err(format!("bad color {other:?} of net {v}")),
+            };
+            let adj = toks.map(state::num).collect::<Result<Vec<u32>, String>>()?;
+            if g.colors.insert(v, color).is_some() {
+                return Err(format!("net {v} is listed twice"));
+            }
+            g.slot.insert(v, slot);
+            g.adj.insert(v, adj);
+        }
+        for _ in 0..edge_count {
+            let mut toks = state::fields(line("edge")?, "e")?;
+            let a: u32 = state::next(&mut toks, "edge end")?;
+            let b: u32 = state::next(&mut toks, "edge end")?;
+            let mut entries = [Cost::units(0); 4];
+            for asg in Assignment::ALL {
+                entries[asg.index()] = parse_cost(toks.next().unwrap_or(""))?;
+            }
+            let kinds = match toks.next() {
+                Some("-") => Vec::new(),
+                Some(letters) => letters
+                    .bytes()
+                    .map(|c| {
+                        ScenarioKind::ALL
+                            .get(usize::from(c.wrapping_sub(b'a')))
+                            .copied()
+                            .ok_or_else(|| format!("bad scenario kind `{}`", char::from(c)))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?,
+                None => return Err(format!("edge {a}-{b} has no kinds")),
+            };
+            let data = EdgeData {
+                table: CostTable::new(entries),
+                kinds,
+            };
+            if a >= b || g.edges.insert((a, b), data).is_some() {
+                return Err(format!("bad or repeated edge {a}-{b}"));
+            }
+        }
+        let degree: usize = g.adj.values().map(Vec::len).sum();
+        let consistent = degree == 2 * g.edges.len()
+            && g.adj.iter().all(|(&v, nbrs)| {
+                nbrs.iter()
+                    .all(|&n| g.colors.contains_key(&n) && g.edges.contains_key(&ordered(v, n)))
+            });
+        if !consistent {
+            return Err("adjacency lists do not match the edges".into());
+        }
+        let dsu = line("dsu")?;
+        g.dsu = ParityDsu::read_state(next_slot as usize, dsu, line("log")?)?;
+        let mut toks = state::fields(line("dirty")?, "dirty")?;
+        let count: usize = state::next(&mut toks, "dirty count")?;
+        g.dirty = toks
+            .map(state::num)
+            .collect::<Result<HashSet<u32>, String>>()?;
+        if g.dirty.len() != count {
+            return Err(format!(
+                "dirty count says {count}, line has {}",
+                g.dirty.len()
+            ));
+        }
+        Ok(g)
+    }
+}
+
+/// The most vertex slots [`OverlayGraph::read_state`] accepts: it bounds
+/// the union–find a malformed text can make the reader allocate.
+const MAX_SLOTS: u32 = 1 << 26;
+
+/// Parses one cost as printed by [`Cost`]'s `Display`.
+fn parse_cost(tok: &str) -> Result<Cost, String> {
+    if tok == "hard" {
+        return Ok(Cost::HardOverlay);
+    }
+    match tok.strip_suffix("+cut") {
+        Some(units) => Ok(Cost::units_with_cut_risk(state::num(units)?)),
+        None => Ok(Cost::units(state::num(tok)?)),
+    }
 }
 
 trait ParityDelta {
@@ -847,6 +1024,32 @@ mod tests {
         assert!(a.add_scenario(10, 12, ScenarioKind::OneB.table()).is_err());
         // …while the consistent different-color edge is accepted.
         assert!(a.add_scenario(10, 12, ScenarioKind::OneA.table()).is_ok());
+    }
+
+    #[test]
+    fn state_text_round_trips_exactly() {
+        let mut g = OverlayGraph::new();
+        g.add_scenario(4, 1, ScenarioKind::OneA.table()).unwrap();
+        g.add_scenario_with_kind(1, 2, Some(ScenarioKind::TwoB), ScenarioKind::TwoB.table())
+            .unwrap();
+        g.add_scenario_with_kind(2, 3, Some(ScenarioKind::OneB), ScenarioKind::OneB.table())
+            .unwrap();
+        let mark = g.mark();
+        g.add_scenario(3, 5, ScenarioKind::OneA.table()).unwrap();
+        g.rollback_net(5, mark);
+        g.add_scenario(4, 3, ScenarioKind::ThreeC.table()).unwrap();
+        g.remove_net(2);
+        g.set_color(1, Color::Second);
+        let mut text = String::new();
+        g.write_state(&mut text);
+        let back = OverlayGraph::read_state(&mut text.lines()).expect("own text reads back");
+        assert_eq!(back, g, "every field, adjacency order included");
+        let mut again = String::new();
+        back.write_state(&mut again);
+        assert_eq!(again, text);
+
+        let broken = text.replace("\nv 3 ", "\nv 9 ");
+        assert!(OverlayGraph::read_state(&mut broken.lines()).is_err());
     }
 
     #[test]

@@ -33,6 +33,7 @@
 pub mod dsu;
 pub mod flip;
 pub mod graph;
+pub mod state;
 
 pub use dsu::ParityDsu;
 pub use flip::{

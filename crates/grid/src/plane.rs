@@ -74,7 +74,7 @@ impl Error for PlaneError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingPlane {
     layers: u8,
     width: i32,

@@ -14,22 +14,24 @@
 //! ## Persistence and crash recovery
 //!
 //! With a [`ServeConfig::state_dir`], every job persists its layout and
-//! metadata at submit time and a `SADPCKPT v2` snapshot after every
+//! metadata at submit time and a `SADPCKPT v3` snapshot after every
 //! slice (written atomically: temp file + rename). A restarted daemon
 //! scans the directory, reloads finished jobs' final results, and
-//! re-enqueues unfinished jobs — their journaled prefix is replayed
-//! through the commit pipeline (no searching) and routing continues from
-//! the last slice boundary. Because sessions only pause *between*
-//! canonical commits, the resumed result is byte-identical to an
-//! uninterrupted run; the streamed trace after a resume is the suffix
-//! from the checkpoint on (replay emits no events).
+//! re-enqueues unfinished jobs — the router state in their snapshot is
+//! loaded as written (no searching) and routing continues from the last
+//! slice boundary. Because sessions only pause *between* canonical
+//! commits and the load is exact, the resumed result is byte-identical
+//! to an uninterrupted run; the streamed trace after a resume is the
+//! suffix from the checkpoint on (loading emits no events). A snapshot
+//! from an older build (`VersionUnsupported`) is dropped and its job
+//! re-routes from the persisted layout, which gives the same result.
 
 use crate::json::{self, Json, Obj};
 use crate::protocol::{error_line, overloaded_line, Request};
 use sadp_core::eco::{parse_edit_script, EcoSession, OpOutcome};
 use sadp_core::{
     FaultPlan, IoFault, PersistKind, RouterConfig, RoutingReport, RoutingSession, SessionStatus,
-    Snapshot, StepBudget,
+    Snapshot, SnapshotError, StepBudget,
 };
 use sadp_grid::io::{read_layout, write_layout};
 use sadp_ingest::{ingest_text, Format};
@@ -173,7 +175,7 @@ struct Job {
     /// slice, after a terminal state, and across daemon restarts (the
     /// checkpoint then carries the state).
     session: Option<RoutingSession>,
-    /// The latest `SADPCKPT v2` snapshot (mirrored to disk when a state
+    /// The latest `SADPCKPT v3` snapshot (mirrored to disk when a state
     /// dir is configured).
     ckpt: Option<String>,
     /// Streamed JSONL lines (router events + `job_*` lifecycle events),
@@ -494,7 +496,9 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
 /// with an unreadable/unparsable meta, layout, checkpoint, or final
 /// record has its files moved to `state-dir/quarantine/` (with the
 /// reason logged) and is surfaced as `failed:corrupt-state` — never
-/// silently resurrected with default-empty state. The quarantine
+/// silently resurrected with default-empty state. The one exception is
+/// a checkpoint of an unsupported version, which is dropped so the job
+/// re-routes from its layout. The quarantine
 /// verdict itself is persisted, so later restarts remember it without
 /// the (moved) artifacts.
 fn load_state(shared: &Arc<Shared>, dir: &Path) {
@@ -577,11 +581,24 @@ fn load_job(dir: &Path, id: u64, meta_path: &Path) -> Result<Job, String> {
         }
         Err(e) => return Err(format!("layout unreadable: {e}")),
     };
-    job.ckpt = match std::fs::read_to_string(dir.join(format!("job-{id}.ckpt"))) {
-        Ok(text) => {
-            Snapshot::parse(&text).map_err(|e| format!("checkpoint does not parse: {e}"))?;
-            Some(text)
-        }
+    let ckpt_path = dir.join(format!("job-{id}.ckpt"));
+    job.ckpt = match std::fs::read_to_string(&ckpt_path) {
+        Ok(text) => match Snapshot::parse(&text) {
+            Ok(_) => Some(text),
+            // An older build's checkpoint cannot be loaded, but the job's
+            // layout is intact: drop the checkpoint and route from the
+            // start. Routing is deterministic, so the result is the one
+            // the interrupted run would have reached.
+            Err(SnapshotError::VersionUnsupported { found }) => {
+                eprintln!(
+                    "sadp serve: job {id}: dropping its `{found}` checkpoint from an \
+                     older build; the job re-routes from its layout"
+                );
+                let _ = std::fs::remove_file(&ckpt_path);
+                None
+            }
+            Err(e) => return Err(format!("checkpoint does not parse: {e}")),
+        },
         Err(_) => None,
     };
     job.final_line = match std::fs::read_to_string(dir.join(format!("job-{id}.final"))) {
@@ -1217,8 +1234,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             (id, work)
         };
 
-        // Bring the session up (parsing and journal replay are the
-        // expensive parts; they run without the lock).
+        // Bring the session up (parsing and loading the checkpoint are
+        // the expensive parts; they run without the lock).
         let mut session = match work {
             SliceWork::Advance(session) => *session,
             SliceWork::Create {
@@ -1340,7 +1357,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Builds (or resumes) the session for one job. Returns the session and,
-/// for a resume, the number of journal nets replayed.
+/// for a resume, the number of routed nets the checkpoint restored.
 fn create_session(
     layout: &str,
     config: RouterConfig,

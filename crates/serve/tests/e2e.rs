@@ -253,7 +253,7 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
         "shutdown persisted either a checkpoint or the final result"
     );
     if let Some(ckpt) = &ckpt {
-        assert!(ckpt.starts_with("SADPCKPT v2"), "current checkpoint format");
+        assert!(ckpt.starts_with("SADPCKPT v3"), "current checkpoint format");
     }
 
     // Restart on the same state dir: the job finishes with the same
@@ -272,6 +272,61 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
     assert_eq!(routed, want.routed_nets as u64);
     assert_eq!(wl, want.wirelength);
     assert_eq!(vias, want.vias);
+    server.shutdown();
+}
+
+/// A checkpoint written by an older build (`SADPCKPT v2`) cannot be
+/// loaded; on reload the daemon drops it and re-queues the job from its
+/// persisted layout instead of quarantining it, and the job finishes
+/// with the uninterrupted result.
+#[test]
+fn an_old_version_checkpoint_re_routes_its_job_from_the_layout() {
+    let layout = fixture("multi-band-fault-recovery.layout");
+    let (want, _) = route_direct(&layout, 2);
+    let dir = tempdir("serve-upgrade");
+    // A queue-only daemon persists the job without routing it.
+    let server = serve(ServeConfig {
+        workers: 0,
+        state_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let job = submit(&mut client, &layout, 100);
+    server.shutdown();
+    let ckpt = dir.join(format!("job-{job}.ckpt"));
+    std::fs::write(
+        &ckpt,
+        "SADPCKPT v2\nchecksum 0000000000000000\nfingerprint 0000000000000000\n\
+         counters 0 0 0 0 0 0 0 0 0 0 0 0\nfailed 0\nend\n",
+    )
+    .expect("write the old checkpoint");
+
+    let server = serve(ServeConfig {
+        workers: 1,
+        slice_steps: 1,
+        state_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("rebind");
+    let (_, done) = stream_job(&server.addr().to_string(), job);
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    let (routed, wl, vias, nodes) = report_fields(&done);
+    assert_eq!(
+        (routed, wl, vias, nodes),
+        (
+            want.routed_nets as u64,
+            want.wirelength,
+            want.vias,
+            want.nodes_expanded
+        )
+    );
+    assert!(
+        !dir.join("quarantine")
+            .join(format!("job-{job}.layout"))
+            .exists(),
+        "the job was not quarantined"
+    );
     server.shutdown();
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke suite for the sadp CLI, shared by CI and local runs.
 #
-# Usage: scripts/ci-smoke.sh [corpus|trace|fault|serve|eco|wire|all]
+# Usage: scripts/ci-smoke.sh [corpus|trace|fault|resume|serve|eco|wire|all]
 #
 # Environment:
 #   SADP_BIN         sadp binary to drive (default ./target/release/sadp;
@@ -79,12 +79,36 @@ smoke_fault() {
   echo "fault smoke: OK"
 }
 
+# Checkpoint/resume on every committed design, the imported DSN and
+# DEF+LEF included: `route --checkpoint` writes its last snapshot after
+# finalize, and `route --resume` of it must print the same result — only
+# the wall-clock `cpu` line may differ.
+smoke_resume() {
+  local DIR f n=0
+  DIR=$(mktemp -d)
+  for f in fixtures/*.layout fixtures/corpus/*.layout fixtures/imported/*.dsn \
+    fixtures/imported/*.def; do
+    "$BIN" route "$f" --checkpoint "$DIR/run.ckpt" | grep -v '^cpu ' >"$DIR/first.txt"
+    [ "$(head -n 1 "$DIR/run.ckpt")" = "SADPCKPT v3" ] || die "$f: no v3 checkpoint written"
+    "$BIN" route "$f" --resume "$DIR/run.ckpt" | grep -v '^cpu ' >"$DIR/resumed.txt"
+    diff "$DIR/first.txt" "$DIR/resumed.txt" || die "$f: resumed route diverged"
+    n=$((n + 1))
+  done
+  [ "$n" -ge 10 ] || die "only $n designs round-tripped"
+  rm -rf "$DIR"
+  echo "resume smoke: OK ($n designs)"
+}
+
 # Drives the binary over real TCP: a served job's streamed trace must
 # byte-match `sadp route --trace`, and a job cancelled on a queue-only
 # daemon must survive a daemon restart and resume to the same result as
 # an uninterrupted submit. (`sadp submit --trace` strips the daemon's
 # `job_*` lifecycle lines; on a raw socket the equivalent filter is
-# `grep -v '"event":"job_'`.)
+# `grep -v '"event":"job_'`.) The queue-only daemon never routes the
+# job, so the restart case loads no checkpoint: it covers reloading the
+# persisted layout and queue state. Loading a mid-job checkpoint after a
+# restart is covered by `smoke_resume` above and by
+# `crates/serve/tests/e2e.rs::killed_daemon_resumes_mid_job_from_its_state_dir`.
 smoke_serve() {
   local STATE FIX BIG SERVE JOB REF
   STATE=$(mktemp -d)
@@ -224,6 +248,7 @@ case "${1:-all}" in
   corpus) smoke_corpus ;;
   trace) smoke_trace ;;
   fault) smoke_fault ;;
+  resume) smoke_resume ;;
   serve) smoke_serve ;;
   eco) smoke_eco ;;
   wire) smoke_wire ;;
@@ -231,13 +256,14 @@ case "${1:-all}" in
     smoke_corpus
     smoke_trace
     smoke_fault
+    smoke_resume
     smoke_serve
     smoke_eco
     smoke_wire
     echo "all smokes: OK"
     ;;
   *)
-    echo "usage: $0 [corpus|trace|fault|serve|eco|wire|all]" >&2
+    echo "usage: $0 [corpus|trace|fault|resume|serve|eco|wire|all]" >&2
     exit 2
     ;;
 esac

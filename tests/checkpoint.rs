@@ -1,8 +1,9 @@
 //! Checkpoint/resume equivalence: a run killed after any checkpoint
 //! write and resumed from that snapshot on a fresh process produces the
-//! byte-identical final result. Resuming replays the journal through the
-//! normal commit pipeline, so graph state, scan order, and occupancy all
-//! come out exactly as in the uninterrupted run.
+//! byte-identical final result. Resuming loads the router's state as the
+//! snapshot wrote it, so the loaded router equals the live one field by
+//! field — graphs with their adjacency order and union–find, fragment
+//! index, routed store, failed list, counters, workspace grids and plane.
 
 use sadp::core::{RoutingSession, SessionError, SessionStatus, Snapshot, StepBudget};
 use sadp::grid::BenchmarkSpec;
@@ -41,10 +42,104 @@ fn finish(session: &mut RoutingSession, mut on_slice: impl FnMut(String)) -> Run
         }
     };
     // The stage profile counts work done in *this* session; a resumed
-    // session replays the journal instead of searching, so its profile
+    // session loads the prefix instead of searching, so its profile
     // legitimately differs. Everything else must be byte-identical.
     report.profile = StageProfile::default();
     observe(report, session.router(), session.plane())
+}
+
+/// Loads `text` into a fresh session for `spec`.
+fn resume_session(spec: &BenchmarkSpec, text: &str) -> RoutingSession {
+    let snap = Snapshot::parse(text).expect("snapshot parses");
+    let (plane, netlist) = spec.generate();
+    RoutingSession::resume(
+        RouterConfig::paper_defaults(),
+        plane,
+        netlist,
+        &snap,
+        false,
+        false,
+    )
+    .expect("resumed run")
+}
+
+/// The "by construction" guard: at every kill point of a banded run —
+/// every one-step slice and the finished run — the router loaded from
+/// the snapshot equals the live router field by field, on an equal
+/// plane, and writes the same snapshot back. The design folds several
+/// bands, whose union–find and neighbour order a route-by-route replay
+/// used to get wrong from the second fold on; finishing from the kill
+/// points must then give the uninterrupted result.
+#[test]
+fn every_kill_point_restores_the_live_state_exactly() {
+    let spec = BenchmarkSpec::new("ckpt-dense", 400, 400, 120).with_seed(1);
+    let (plane, netlist) = spec.generate();
+    let mut live =
+        RoutingSession::create(RouterConfig::paper_defaults(), plane, netlist, false, false)
+            .expect("clean run");
+    let mut snaps = Vec::new();
+    let mut report = loop {
+        let status = live.advance(StepBudget::steps(1));
+        let text = live.snapshot();
+        let loaded = resume_session(&spec, &text);
+        let at = snaps.len();
+        assert!(
+            loaded.router() == live.router(),
+            "kill point {at}: loaded router differs from the live one"
+        );
+        assert!(
+            loaded.plane() == live.plane(),
+            "kill point {at}: loaded plane differs"
+        );
+        assert_eq!(loaded.snapshot(), text, "kill point {at}: snapshot text");
+        snaps.push(text);
+        match status {
+            SessionStatus::Running | SessionStatus::CheckpointReady => {}
+            SessionStatus::Done(report) => break *report,
+            SessionStatus::Failed(e) => panic!("session failed: {e}"),
+        }
+    };
+    report.profile = StageProfile::default();
+    let reference = observe(report, live.router(), live.plane());
+    assert!(
+        snaps.len() > 20,
+        "one kill point per step ({})",
+        snaps.len()
+    );
+    // Equal state at a kill point already implies an equal finish (the
+    // run is deterministic); finishing from a spread of them checks it.
+    for (at, text) in snaps.iter().enumerate().step_by(18) {
+        let mut resumed = resume_session(&spec, text);
+        assert_eq!(
+            reference,
+            finish(&mut resumed, |_| {}),
+            "resume from kill point {at} diverged from the uninterrupted run"
+        );
+        assert_eq!(
+            resumed.snapshot(),
+            *snaps.last().unwrap(),
+            "kill point {at}"
+        );
+    }
+}
+
+/// A snapshot written after finalize resumes as finished: finalize does
+/// not run a second time, so the report and the state are the live ones.
+#[test]
+fn a_finished_snapshot_resumes_as_finished() {
+    let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
+    let (reference, _) = reference_run(&spec);
+    let (plane, netlist) = spec.generate();
+    let mut session =
+        RoutingSession::create(RouterConfig::paper_defaults(), plane, netlist, false, false)
+            .expect("clean run");
+    finish(&mut session, |_| {});
+    let text = session.snapshot();
+    assert!(Snapshot::parse(&text).expect("parses").finalized());
+    let mut resumed = resume_session(&spec, &text);
+    assert_eq!(resumed.progress(), (0, 0), "nothing left to schedule");
+    assert_eq!(reference, finish(&mut resumed, |_| {}));
+    assert_eq!(resumed.snapshot(), text);
 }
 
 /// One uninterrupted run, capturing the snapshot after every mid-run
@@ -167,7 +262,7 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
         }
     };
     // The stage profile counts work done in *this* process; a resumed
-    // session replays the journal instead of searching, so its profile
+    // session loads the prefix instead of searching, so its profile
     // legitimately differs. Everything else must be byte-identical.
     let mut want_report = want_report;
     want_report.profile = StageProfile::default();
@@ -218,7 +313,7 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
     report.profile = StageProfile::default();
     let got = observe(report, second.router(), second.plane());
     assert_eq!(want, got, "cancel + resume diverged from uninterrupted run");
-    // Replay emits no events, so the spliced stream holds each commit
+    // Loading emits no events, so the spliced stream holds each commit
     // exactly once; the lines are byte-equal per net (attempts, flips).
     let commits = |jsonl: &str| -> Vec<String> {
         let mut lines: Vec<String> = jsonl

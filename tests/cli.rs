@@ -134,35 +134,23 @@ fn malformed_layout_fails_with_input_code_3() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// Every committed `.layout` design: the last snapshot a checkpointed
+/// route writes is taken after finalize, and resuming it must print the
+/// same result without finalizing a second time.
 #[test]
 fn checkpoint_then_resume_reproduces_the_run() {
     let dir = std::env::temp_dir().join("sadp_cli_ckpt");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("run.ckpt");
-    let first = sadp()
-        .args([
-            "route",
-            "fixtures/odd_cycle.layout",
-            "--checkpoint",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(first.status.success());
-    let text = std::fs::read_to_string(&snap).expect("checkpoint written");
-    assert!(text.starts_with("SADPCKPT v2"), "{text}");
-
-    let resumed = sadp()
-        .args([
-            "route",
-            "fixtures/odd_cycle.layout",
-            "--resume",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(resumed.status.success());
+    let mut designs: Vec<std::path::PathBuf> = ["fixtures", "fixtures/corpus"]
+        .iter()
+        .flat_map(|d| std::fs::read_dir(d).expect("fixture dir").flatten())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "layout"))
+        .collect();
+    designs.sort();
+    assert!(designs.len() >= 8, "committed designs: {designs:?}");
     // Everything but the wall-clock line must match byte for byte.
     let strip_cpu = |bytes: &[u8]| -> String {
         String::from_utf8_lossy(bytes)
@@ -171,11 +159,27 @@ fn checkpoint_then_resume_reproduces_the_run() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(
-        strip_cpu(&first.stdout),
-        strip_cpu(&resumed.stdout),
-        "resumed stdout diverged"
-    );
+    for design in &designs {
+        let design = design.to_str().unwrap();
+        let first = sadp()
+            .args(["route", design, "--checkpoint", snap.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(first.status.success(), "{design}");
+        let text = std::fs::read_to_string(&snap).expect("checkpoint written");
+        assert!(text.starts_with("SADPCKPT v3"), "{design}: {text}");
+
+        let resumed = sadp()
+            .args(["route", design, "--resume", snap.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(resumed.status.success(), "{design}");
+        assert_eq!(
+            strip_cpu(&first.stdout),
+            strip_cpu(&resumed.stdout),
+            "{design}: resumed stdout diverged"
+        );
+    }
 }
 
 #[test]
@@ -210,11 +214,11 @@ fn resume_with_wrong_layout_fails_with_routing_code_4() {
 
 #[test]
 fn foreign_checkpoint_version_is_rejected_with_a_versioned_error() {
-    let dir = std::env::temp_dir().join("sadp_cli_ckpt_v1");
+    let dir = std::env::temp_dir().join("sadp_cli_ckpt_v2");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("old.ckpt");
-    std::fs::write(&snap, "SADPCKPT v1\nchecksum 0\nend\n").unwrap();
+    std::fs::write(&snap, "SADPCKPT v2\nchecksum 0\nend\n").unwrap();
     let out = sadp()
         .args([
             "route",
@@ -228,8 +232,8 @@ fn foreign_checkpoint_version_is_rejected_with_a_versioned_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     // The message names the version it found, the version it wants, and
     // what to do about it.
-    assert!(stderr.contains("SADPCKPT v1"), "{stderr}");
     assert!(stderr.contains("SADPCKPT v2"), "{stderr}");
+    assert!(stderr.contains("SADPCKPT v3"), "{stderr}");
     assert!(stderr.contains("re-route"), "{stderr}");
 }
 
