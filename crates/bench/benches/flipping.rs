@@ -1,5 +1,8 @@
 //! Micro-bench: the linear-time color flipping DP (Theorem 4) and the
-//! hill-climbing refinement, on chain-shaped constraint graphs.
+//! hill-climbing refinement, on chain-shaped constraint graphs; and the
+//! per-net calls of the routing flow (bounded neighbourhood flip,
+//! pseudo-coloring, side-overlay query) on a graph shaped like one
+//! Test5 layer at scale 0.2.
 
 use sadp_bench::timing::bench;
 use sadp_graph::{flip, OverlayGraph, ScenarioKind};
@@ -19,7 +22,62 @@ fn chain_graph(n: u32) -> OverlayGraph {
     g
 }
 
+/// About 5,600 vertices on a 75×75 grid, each tied to its right and
+/// lower neighbour (degree about 4) by a soft scenario, with every 16th
+/// tie hard instead (ties that would close a hard odd cycle are left
+/// out, as the router rips those nets up).
+fn test5_layer() -> OverlayGraph {
+    const SIDE: u32 = 75;
+    let soft = [
+        ScenarioKind::ThreeA,
+        ScenarioKind::TwoA,
+        ScenarioKind::TwoB,
+        ScenarioKind::ThreeB,
+        ScenarioKind::ThreeC,
+    ];
+    let mut g = OverlayGraph::new();
+    let mut k = 0usize;
+    for v in 0..SIDE * SIDE {
+        let (x, y) = (v % SIDE, v / SIDE);
+        for (ok, n) in [(x + 1 < SIDE, v + 1), (y + 1 < SIDE, v + SIDE)] {
+            if !ok {
+                continue;
+            }
+            k += 1;
+            let kind = if k.is_multiple_of(16) {
+                if k.is_multiple_of(32) {
+                    ScenarioKind::OneA
+                } else {
+                    ScenarioKind::OneB
+                }
+            } else {
+                soft[k % soft.len()]
+            };
+            let _ = g.add_scenario_with_kind(v, n, Some(kind), kind.table());
+        }
+    }
+    g
+}
+
 fn main() {
+    let mut g = test5_layer();
+    let n = g.vertex_count() as u32;
+    // Seeds spread over the layer, as routed nets are.
+    let mut seed = 0u32;
+    let mut next_seed = move || {
+        seed = (seed + 97) % n;
+        seed
+    };
+    bench("color_flipping/test5_flip_neighborhood_256", 200, || {
+        flip::flip_neighborhood(&mut g, next_seed(), 256).len()
+    });
+    bench("color_flipping/test5_pseudo_color", 200_000, || {
+        g.pseudo_color(next_seed())
+    });
+    bench("color_flipping/test5_net_overlay_units", 200_000, || {
+        g.net_overlay_units(next_seed())
+    });
+
     for &n in &[100u32, 1000, 5000] {
         let g = chain_graph(n);
         let iters = (200_000 / n).max(5);

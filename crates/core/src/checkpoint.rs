@@ -131,7 +131,8 @@ pub enum SnapshotError {
     /// The snapshot was taken from a different plane/netlist.
     FingerprintMismatch,
     /// The state does not fit this input: a route or reservation lies
-    /// off the plane or on a taken cell, or names an unknown net.
+    /// off the plane or on a taken cell, or a route, reservation, graph
+    /// vertex or failed entry names an unknown net.
     StateMismatch,
 }
 
@@ -167,7 +168,8 @@ impl fmt::Display for SnapshotError {
                 write!(
                     f,
                     "checkpoint state does not fit this input: a route or \
-                     reservation lies on a taken or missing cell"
+                     reservation lies on a taken or missing cell, or the \
+                     state names a net the netlist does not have"
                 )
             }
         }
@@ -380,7 +382,12 @@ impl Router {
     ) -> Result<(), SnapshotError> {
         self.try_begin_sized(plane, netlist.len())?;
         let known = |id: NetId| id.index() < netlist.len();
-        if snap.graphs.len() != plane.layers() as usize || !snap.failed.iter().all(|&id| known(id))
+        if snap.graphs.len() != plane.layers() as usize
+            || !snap.failed.iter().all(|&id| known(id))
+            || !snap
+                .graphs
+                .iter()
+                .all(|g| g.vertices().all(|v| known(NetId(v))))
         {
             return Err(SnapshotError::StateMismatch);
         }

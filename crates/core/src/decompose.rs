@@ -87,10 +87,17 @@ pub fn decompose_layout(
         }
     }
 
+    // The graph stores vertices by id, so caller-chosen net ids are
+    // remapped to their rank among the distinct ids: the map keeps their
+    // order, and with it every tie-break the coloring makes.
+    let mut ids: Vec<u32> = patterns.iter().map(|(net, _)| *net).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let dense = |net: u32| ids.binary_search(&net).expect("every net is listed") as u32;
     let mut graph = OverlayGraph::new();
     let radius = rules.dependence_radius_tracks();
     for (pi, (net, rects)) in patterns.iter().enumerate() {
-        graph.ensure_vertex(*net);
+        graph.ensure_vertex(dense(*net));
         for r in rects {
             for (qi, other) in index.query_entries(&r.expanded(radius)) {
                 // Each unordered fragment pair once; same-polygon pairs are
@@ -106,11 +113,18 @@ pub fn decompose_layout(
                     if !s.is_constraining() {
                         continue;
                     }
-                    match graph.add_scenario_with_kind(*net, other_net, Some(s.kind), s.table) {
+                    match graph.add_scenario_with_kind(
+                        dense(*net),
+                        dense(other_net),
+                        Some(s.kind),
+                        s.table,
+                    ) {
                         Ok(()) => {}
                         Err(GraphError::HardOddCycle { a, b })
                         | Err(GraphError::Infeasible { a, b }) => {
-                            return Err(UndecomposableLayout { nets: (a, b) });
+                            return Err(UndecomposableLayout {
+                                nets: (ids[a as usize], ids[b as usize]),
+                            });
                         }
                     }
                 }
@@ -125,7 +139,7 @@ pub fn decompose_layout(
     debug_assert_eq!(eval.hard_violations, 0, "feasible graphs color cleanly");
     let colors = patterns
         .iter()
-        .map(|(net, _)| (*net, graph.color(*net)))
+        .map(|(net, _)| (*net, graph.color(dense(*net))))
         .collect();
     Ok(LayoutColoring {
         colors,
@@ -220,6 +234,47 @@ mod tests {
         let c = decompose_layout(&layout, &rules()).expect("decomposable");
         assert_eq!(c.edges, 0);
         assert_eq!(c.overlay_units, 0);
+    }
+
+    #[test]
+    fn sparse_net_ids_color_like_dense_ones() {
+        // Ids up to 4e9 are remapped, not used as storage indices: the
+        // coloring matches the same layout under ids 0, 1, 2 (the map
+        // keeps their order), and errors name the caller's ids.
+        let rects = [
+            vec![TrackRect::new(0, 0, 4, 0)],
+            vec![TrackRect::new(5, 0, 12, 0)],
+            vec![TrackRect::new(0, 1, 12, 1)],
+        ];
+        let sparse_ids = [0, 2_000_000_000, 4_000_000_000];
+        let dense: Vec<LayoutPattern> = (0..3).map(|i| (i, rects[i as usize].clone())).collect();
+        let sparse: Vec<LayoutPattern> = sparse_ids
+            .iter()
+            .zip(&rects)
+            .map(|(&id, r)| (id, r.clone()))
+            .collect();
+        let want = decompose_layout(&dense, &rules()).expect("decomposable");
+        let got = decompose_layout(&sparse, &rules()).expect("decomposable");
+        assert_eq!(
+            (got.overlay_units, got.edges),
+            (want.overlay_units, want.edges)
+        );
+        for (i, id) in sparse_ids.iter().enumerate() {
+            assert_eq!(got.colors[id], want.colors[&(i as u32)]);
+        }
+
+        let odd = vec![
+            (4_000_000_000, vec![TrackRect::new(0, 0, 6, 0)]),
+            (7, vec![TrackRect::new(0, 1, 6, 1)]),
+            (
+                u32::MAX,
+                vec![TrackRect::new(7, 0, 14, 0), TrackRect::new(7, 1, 7, 1)],
+            ),
+        ];
+        let (a, b) = decompose_layout(&odd, &rules()).unwrap_err().nets;
+        for net in [a, b] {
+            assert!([4_000_000_000, 7, u32::MAX].contains(&net), "{net}");
+        }
     }
 
     #[test]

@@ -422,17 +422,20 @@ impl Router {
         if self.config.final_flip {
             let clock = SpanClock::start(rec);
             for (layer, g) in self.ledger.graphs_mut().iter_mut().enumerate() {
-                let mut dirty = g.take_dirty();
-                dirty.sort_unstable();
-                let mut visited: std::collections::HashSet<u32> = std::collections::HashSet::new();
+                // Graph vertices are nets of `netlist`, so its size bounds
+                // their ids.
+                let mut visited = vec![false; netlist.len()];
                 let mut components: u64 = 0;
-                for v in dirty {
-                    if !g.contains(v) || visited.contains(&v) {
+                for v in g.take_dirty() {
+                    if visited[v as usize] {
                         continue;
                     }
-                    visited.extend(g.component_of(v));
-                    flip::flip_component(g, v);
-                    flip::greedy_refine_component(g, v, 4);
+                    let members = g.component_of(v);
+                    for &m in &members {
+                        visited[m as usize] = true;
+                    }
+                    flip::flip_members(g, &members);
+                    flip::refine_members(g, &members, 4);
                     components += 1;
                 }
                 if rec.enabled() && components > 0 {
@@ -705,8 +708,7 @@ impl Router {
             // One flip+refine per neighbourhood per pass: several risky
             // nets usually share a region, and re-flipping it for each of
             // them repeated `O(component)` work per net.
-            let mut flipped: Vec<std::collections::HashSet<u32>> =
-                vec![std::collections::HashSet::new(); ledger.layer_count()];
+            let mut flipped = vec![vec![false; netlist.len()]; ledger.layer_count()];
             for net in risky {
                 let id = NetId(net);
                 let Some(routed) = ledger.routed().get(&id) else {
@@ -717,7 +719,7 @@ impl Router {
                     .filter(|&l| ledger.graphs()[l].contains(net))
                     .collect();
                 for &l in &layers {
-                    if flipped[l].contains(&net) {
+                    if flipped[l][net as usize] {
                         continue;
                     }
                     let members = flip::flip_neighborhood(
@@ -726,7 +728,9 @@ impl Router {
                         FLIP_NEIGHBORHOOD,
                     );
                     flip::refine_members(&mut ledger.graphs_mut()[l], &members, 2);
-                    flipped[l].extend(members);
+                    for m in members {
+                        flipped[l][m as usize] = true;
+                    }
                 }
                 let still = layers.iter().any(|&l| ledger.graphs()[l].net_has_risk(net));
                 if still {

@@ -18,9 +18,10 @@
 //! does not evaluate worse than the old one on the *full* component
 //! (including non-tree edges).
 
-use crate::graph::OverlayGraph;
+use crate::graph::{EdgeData, NetSet, OverlayGraph};
 use sadp_scenario::{Assignment, Color};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
 /// Result of a color flipping pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -79,23 +80,23 @@ pub fn neighborhood_of(graph: &OverlayGraph, seed: u32, max_members: usize) -> V
     if !graph.contains(seed) {
         return Vec::new();
     }
-    let mut set: HashSet<u32> = HashSet::new();
-    let mut queue: VecDeque<u32> = VecDeque::new();
+    let mut set = NetSet::new(graph.id_bound());
     set.insert(seed);
-    queue.push_back(seed);
-    let mut out = Vec::new();
-    while let Some(v) = queue.pop_front() {
-        out.push(v);
-        for &n in graph.neighbors(v) {
-            if set.contains(&n) {
+    let mut taken = 1;
+    // `out` is the breadth-first queue as well: vertices leave it in the
+    // order they entered.
+    let mut out = vec![seed];
+    let mut head = 0;
+    while let Some(&v) = out.get(head) {
+        head += 1;
+        for (n, data) in graph.incident(v) {
+            if set.contains(n) {
                 continue;
             }
-            let hard = graph
-                .edge(v, n)
-                .is_some_and(|d| d.table.hard_parity().is_some());
-            if hard || set.len() < max_members {
+            if data.table.hard_parity().is_some() || taken < max_members {
                 set.insert(n);
-                queue.push_back(n);
+                taken += 1;
+                out.push(n);
             }
         }
     }
@@ -116,8 +117,8 @@ pub fn flip_neighborhood(graph: &mut OverlayGraph, seed: u32, max_members: usize
 }
 
 /// [`greedy_refine`] restricted to a member list produced by
-/// [`neighborhood_of`] (must be closed under hard constraints — groups
-/// flip whole).
+/// [`neighborhood_of`] or [`OverlayGraph::component_of`] (must be closed
+/// under hard constraints — groups flip whole).
 pub fn refine_members(graph: &mut OverlayGraph, members: &[u32], max_passes: usize) {
     refine_verts(graph, members, max_passes);
 }
@@ -128,16 +129,15 @@ pub fn flip_all(graph: &mut OverlayGraph) -> FlipOutcome {
         weight_before: total_weight(graph),
         ..FlipOutcome::default()
     };
-    let mut visited: HashMap<u32, bool> = HashMap::new();
-    let mut verts: Vec<u32> = graph.vertices().collect();
-    verts.sort_unstable();
+    let mut visited = NetSet::new(graph.id_bound());
+    let verts: Vec<u32> = graph.vertices().collect();
     for v in verts {
-        if visited.contains_key(&v) {
+        if visited.contains(v) {
             continue;
         }
         let members = graph.component_of(v);
         for &m in &members {
-            visited.insert(m, true);
+            visited.insert(m);
         }
         flip_members(graph, &members);
         outcome.components += 1;
@@ -156,20 +156,27 @@ fn total_weight(graph: &OverlayGraph) -> u64 {
         .sum()
 }
 
-/// Total weight of the edges incident to `members`, boundary edges (one
-/// endpoint outside `set`) included once.
-fn member_weight(graph: &OverlayGraph, members: &[u32], set: &HashSet<u32>) -> u64 {
+/// The weight `data` (oriented low id first) realizes when `a` has color
+/// `ca` and `b` has color `cb`.
+fn edge_weight(data: &EdgeData, a: u32, ca: Color, b: u32, cb: Color) -> u64 {
+    let asg = if a < b {
+        Assignment::from_colors(ca, cb)
+    } else {
+        Assignment::from_colors(cb, ca)
+    };
+    data.table.entry(asg).weight()
+}
+
+/// Total weight of the edges incident to `members` (numbered in the
+/// graph), boundary edges (one endpoint outside the set) included once.
+fn member_weight(graph: &OverlayGraph, members: &[u32]) -> u64 {
     let mut w = 0;
     for &a in members {
-        for &b in graph.neighbors(a) {
-            if set.contains(&b) && a >= b {
+        for (b, d) in graph.incident(a) {
+            if a >= b && graph.member_index(b).is_some() {
                 continue; // internal edge, counted from its low endpoint
             }
-            if let Some(d) = graph.edge(a, b) {
-                let (x, y) = if a < b { (a, b) } else { (b, a) };
-                let asg = Assignment::from_colors(graph.color(x), graph.color(y));
-                w += d.table.entry(asg).weight();
-            }
+            w += edge_weight(d, a, graph.color(a), b, graph.color(b));
         }
     }
     w
@@ -178,12 +185,9 @@ fn member_weight(graph: &OverlayGraph, members: &[u32], set: &HashSet<u32>) -> u
 fn component_weight(graph: &OverlayGraph, members: &[u32]) -> u64 {
     let mut w = 0;
     for &a in members {
-        for &b in graph.neighbors(a) {
+        for (b, d) in graph.incident(a) {
             if a < b {
-                if let Some(d) = graph.edge(a, b) {
-                    let asg = Assignment::from_colors(graph.color(a), graph.color(b));
-                    w += d.table.entry(asg).weight();
-                }
+                w += edge_weight(d, a, graph.color(a), b, graph.color(b));
             }
         }
     }
@@ -193,54 +197,50 @@ fn component_weight(graph: &OverlayGraph, members: &[u32]) -> u64 {
 /// Runs the flipping DP on `members`, which must be closed under hard
 /// constraints (a whole connected component, or a [`neighborhood_of`]
 /// set). Edges to vertices outside the set contribute with the outside
-/// color held fixed.
-fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
-    let member_set: HashSet<u32> = members.iter().copied().collect();
-    // 1. Quotient by hard constraints.
-    let mut parity_of: HashMap<u32, (u32, bool)> = HashMap::new();
-    for &m in members {
-        let (root, parity) = graph.hard_root(m);
-        parity_of.insert(m, (root, parity));
-    }
-    let mut roots: Vec<u32> = parity_of.values().map(|&(r, _)| r).collect();
+/// color held fixed. The order of `members` does not matter.
+pub fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
+    graph.number_members(members);
+    flip_numbered(graph, members);
+    graph.clear_members(members);
+}
+
+/// [`flip_members`] while the graph numbers the members: all scratch is
+/// indexed by member position or by super vertex.
+fn flip_numbered(graph: &mut OverlayGraph, members: &[u32]) {
+    // 1. Quotient by hard constraints: member i belongs to super vertex
+    //    `sup[i]` with parity `parity[i]` relative to its root.
+    let (member_roots, parity): (Vec<u32>, Vec<bool>) =
+        members.iter().map(|&m| graph.hard_root(m)).unzip();
+    let mut roots = member_roots.clone();
     roots.sort_unstable();
     roots.dedup();
-    let root_index: HashMap<u32, usize> = roots.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    let sup: Vec<usize> = member_roots
+        .iter()
+        .map(|r| roots.binary_search(r).expect("root is listed"))
+        .collect();
     let n = roots.len();
 
     // 2. Aggregate edge tables onto super vertices: self weights for
     //    intra-super and boundary edges, 2x2 tables for inter-super edges.
     let mut self_weight = vec![[0u64; 2]; n];
-    let mut super_edges: HashMap<(usize, usize), SuperTable> = HashMap::new();
-    for &a in members {
-        for &b in graph.neighbors(a) {
-            let inside = member_set.contains(&b);
-            if inside && a >= b {
-                continue;
-            }
-            let Some(data) = graph.edge(a, b) else {
-                continue;
-            };
-            let (ra, pa) = parity_of[&a];
-            if !inside {
+    let mut super_edges: Vec<((usize, usize), SuperTable)> = Vec::new();
+    for (i, &a) in members.iter().enumerate() {
+        let (ia, pa) = (sup[i], parity[i]);
+        for (b, data) in graph.incident(a) {
+            let Some(j) = graph.member_index(b) else {
                 // Boundary edge: b keeps its current color; the edge cost
-                // folds into a's super-vertex self weight. Tables are
-                // oriented low-id first.
+                // folds into a's super-vertex self weight.
                 let cb = graph.color(b);
-                let ia = root_index[&ra];
                 for (ci, root_color) in Color::ALL.iter().enumerate() {
                     let ca = apply_parity(*root_color, pa);
-                    let asg = if a < b {
-                        Assignment::from_colors(ca, cb)
-                    } else {
-                        Assignment::from_colors(cb, ca)
-                    };
-                    self_weight[ia][ci] += data.table.entry(asg).weight();
+                    self_weight[ia][ci] += edge_weight(data, a, ca, b, cb);
                 }
                 continue;
+            };
+            if a >= b {
+                continue;
             }
-            let (rb, pb) = parity_of[&b];
-            let (ia, ib) = (root_index[&ra], root_index[&rb]);
+            let (ib, pb) = (sup[j], parity[j]);
             if ia == ib {
                 // Colors of a and b are both determined by the root color.
                 for (ci, root_color) in Color::ALL.iter().enumerate() {
@@ -251,7 +251,7 @@ fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
                 }
             } else {
                 let key = (ia.min(ib), ia.max(ib));
-                let entry = super_edges.entry(key).or_insert([[0; 2]; 2]);
+                let mut entry = [[0; 2]; 2];
                 for (ci, cu) in Color::ALL.iter().enumerate() {
                     for (cj, cv) in Color::ALL.iter().enumerate() {
                         // entry[x][y]: x = color of key.0's root, y = key.1's.
@@ -265,17 +265,26 @@ fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
                         entry[x][y] += w;
                     }
                 }
+                super_edges.push((key, entry));
             }
         }
     }
-
-    // 3. Maximum spanning tree over the super vertices (Kruskal).
-    let mut edge_list: Vec<((usize, usize), SuperTable)> = super_edges.into_iter().collect();
-    edge_list.sort_by(|a, b| {
-        table_stake(&b.1)
-            .cmp(&table_stake(&a.1))
-            .then(a.0.cmp(&b.0))
+    // Parallel member edges between the same two super vertices add up.
+    super_edges.sort_unstable_by_key(|e| e.0);
+    super_edges.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            for (row, add) in kept.1.iter_mut().zip(later.1) {
+                row[0] += add[0];
+                row[1] += add[1];
+            }
+        }
+        same
     });
+
+    // 3. Maximum spanning tree over the super vertices (Kruskal):
+    //    highest stake first, ties by super-vertex pair.
+    super_edges.sort_by_cached_key(|&(key, table)| (Reverse(table_stake(&table)), key));
     let mut tree_adj: Vec<Vec<(usize, SuperTable)>> = vec![Vec::new(); n];
     let mut dsu: Vec<usize> = (0..n).collect();
     fn find(dsu: &mut Vec<usize>, x: usize) -> usize {
@@ -287,7 +296,7 @@ fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
             x
         }
     }
-    for ((u, v), table) in edge_list {
+    for ((u, v), table) in super_edges {
         let (ru, rv) = (find(&mut dsu, u), find(&mut dsu, v));
         if ru != rv {
             dsu[ru] = rv;
@@ -300,30 +309,27 @@ fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
     }
 
     // Snapshot for the keep-if-better safeguard.
-    let before: Vec<(u32, Color)> = members.iter().map(|&m| (m, graph.color(m))).collect();
-    let weight_before = member_weight(graph, members, &member_set);
+    let before: Vec<Color> = members.iter().map(|&m| graph.color(m)).collect();
+    let weight_before = member_weight(graph, members);
 
     // 4. DP of eq. (4) over each tree of the super-vertex forest.
-    let mut super_color = vec![Color::Core; n];
-    let mut seen = vec![false; n];
+    let mut dp = TreeDp::new(&tree_adj, &self_weight);
     for start in 0..n {
-        if seen[start] {
-            continue;
+        if !dp.seen[start] {
+            dp.solve(start);
         }
-        dp_tree(start, &tree_adj, &self_weight, &mut super_color, &mut seen);
     }
 
     // 5. Push colors down to the nets (color = root color ^ parity).
-    for &m in members {
-        let (root, parity) = parity_of[&m];
-        let c = apply_parity(super_color[root_index[&root]], parity);
+    for (i, &m) in members.iter().enumerate() {
+        let c = apply_parity(Color::ALL[dp.state[sup[i]]], parity[i]);
         graph.set_color(m, c);
     }
 
     // Keep-if-better on all incident edges (non-tree and boundary edges
     // included).
-    if member_weight(graph, members, &member_set) > weight_before {
-        for (m, c) in before {
+    if member_weight(graph, members) > weight_before {
+        for (&m, c) in members.iter().zip(before) {
             graph.set_color(m, c);
         }
     }
@@ -337,65 +343,85 @@ fn apply_parity(color: Color, parity: bool) -> Color {
     }
 }
 
-/// Iterative post-order DP over one tree of the super-vertex forest:
-/// `Cost(v, q) = Σ_children min_p { Cost(child, p) + w(v=q, child=p) }`.
-fn dp_tree(
-    root: usize,
-    adj: &[Vec<(usize, SuperTable)>],
-    self_weight: &[[u64; 2]],
-    colors: &mut [Color],
-    seen: &mut [bool],
-) {
-    // Build a parent-order traversal.
-    let mut order = vec![root];
-    let mut parent: HashMap<usize, usize> = HashMap::new();
-    seen[root] = true;
-    let mut i = 0;
-    while i < order.len() {
-        let v = order[i];
-        i += 1;
-        for &(u, _) in &adj[v] {
-            if !seen[u] {
-                seen[u] = true;
-                parent.insert(u, v);
-                order.push(u);
-            }
+/// The dynamic program of eq. (4) over a super-vertex forest, with its
+/// scratch indexed by super vertex and shared by all trees of the forest
+/// (each vertex belongs to one tree).
+struct TreeDp<'a> {
+    adj: &'a [Vec<(usize, SuperTable)>],
+    self_weight: &'a [[u64; 2]],
+    seen: Vec<bool>,
+    /// The parent in the traversal, `usize::MAX` for a root.
+    parent: Vec<usize>,
+    /// `cost[v][q]`: the subtree of `v` at its cheapest with `v` in state `q`.
+    cost: Vec<[u64; 2]>,
+    /// `choice[u][q]`: the best state of `u` when its parent is in state `q`.
+    choice: Vec<[usize; 2]>,
+    /// The chosen color index of every solved vertex.
+    state: Vec<usize>,
+}
+
+impl<'a> TreeDp<'a> {
+    fn new(adj: &'a [Vec<(usize, SuperTable)>], self_weight: &'a [[u64; 2]]) -> TreeDp<'a> {
+        let n = adj.len();
+        TreeDp {
+            adj,
+            self_weight,
+            seen: vec![false; n],
+            parent: vec![usize::MAX; n],
+            cost: vec![[0; 2]; n],
+            choice: vec![[0; 2]; n],
+            state: vec![0; n],
         }
     }
 
-    // cost[v][q], choice[v][q][child-slot] -> best child color index.
-    let mut cost: HashMap<usize, [u64; 2]> = HashMap::new();
-    let mut choice: HashMap<(usize, usize, usize), usize> = HashMap::new();
-    for &v in order.iter().rev() {
-        let mut c = self_weight[v];
-        for (slot, &(u, table)) in adj[v].iter().enumerate() {
-            if parent.get(&u) != Some(&v) {
-                continue; // u is v's parent
-            }
-            let cu = cost[&u];
-            for (q, cq) in c.iter_mut().enumerate() {
-                // table[q][p]: v has color index q, child u has p.
-                let (p_best, w_best) = (0..2)
-                    .map(|p| (p, cu[p] + table[q][p]))
-                    .min_by_key(|&(_, w)| w)
-                    .expect("two states");
-                *cq += w_best;
-                choice.insert((v, q, slot), p_best);
+    /// Iterative post-order DP over the tree containing `root`:
+    /// `Cost(v, q) = Σ_children min_p { Cost(child, p) + w(v=q, child=p) }`.
+    fn solve(&mut self, root: usize) {
+        // Build a parent-order traversal.
+        let mut order = vec![root];
+        self.seen[root] = true;
+        let mut i = 0;
+        while i < order.len() {
+            let v = order[i];
+            i += 1;
+            for &(u, _) in &self.adj[v] {
+                if !self.seen[u] {
+                    self.seen[u] = true;
+                    self.parent[u] = v;
+                    order.push(u);
+                }
             }
         }
-        cost.insert(v, c);
-    }
 
-    // Backtrace from the cheaper root state.
-    let root_cost = cost[&root];
-    let mut state: HashMap<usize, usize> = HashMap::new();
-    state.insert(root, usize::from(root_cost[1] < root_cost[0]));
-    for &v in &order {
-        let q = state[&v];
-        colors[v] = Color::ALL[q];
-        for (slot, &(u, _)) in adj[v].iter().enumerate() {
-            if parent.get(&u) == Some(&v) {
-                state.insert(u, choice[&(v, q, slot)]);
+        for &v in order.iter().rev() {
+            let mut c = self.self_weight[v];
+            for &(u, table) in &self.adj[v] {
+                if self.parent[u] != v {
+                    continue; // u is v's parent
+                }
+                let cu = self.cost[u];
+                for (q, cq) in c.iter_mut().enumerate() {
+                    // table[q][p]: v has color index q, child u has p.
+                    let (p_best, w_best) = (0..2)
+                        .map(|p| (p, cu[p] + table[q][p]))
+                        .min_by_key(|&(_, w)| w)
+                        .expect("two states");
+                    *cq += w_best;
+                    self.choice[u][q] = p_best;
+                }
+            }
+            self.cost[v] = c;
+        }
+
+        // Backtrace from the cheaper root state.
+        let root_cost = self.cost[root];
+        self.state[root] = usize::from(root_cost[1] < root_cost[0]);
+        for &v in &order {
+            let q = self.state[v];
+            for &(u, _) in &self.adj[v] {
+                if self.parent[u] == v {
+                    self.state[u] = self.choice[u][q];
+                }
             }
         }
     }
@@ -410,8 +436,7 @@ fn dp_tree(
 /// Returns the total weight improvement.
 pub fn greedy_refine(graph: &mut OverlayGraph, max_passes: usize) -> u64 {
     let before = total_weight(graph);
-    let mut verts: Vec<u32> = graph.vertices().collect();
-    verts.sort_unstable();
+    let verts: Vec<u32> = graph.vertices().collect();
     refine_verts(graph, &verts, max_passes);
     before.saturating_sub(total_weight(graph))
 }
@@ -421,35 +446,40 @@ pub fn greedy_refine(graph: &mut OverlayGraph, max_passes: usize) -> u64 {
 /// separately reaches the same fixpoint as a global pass — without
 /// re-walking the untouched rest of the graph.
 pub fn greedy_refine_component(graph: &mut OverlayGraph, seed: u32, max_passes: usize) -> u64 {
-    let mut members = graph.component_of(seed);
+    let members = graph.component_of(seed);
     if members.is_empty() {
         return 0;
     }
-    members.sort_unstable();
     let before = component_weight(graph, &members);
     refine_verts(graph, &members, max_passes);
     before.saturating_sub(component_weight(graph, &members))
 }
 
 fn refine_verts(graph: &mut OverlayGraph, verts: &[u32], max_passes: usize) {
+    // Group members by hard-component root, groups in root order and
+    // members ascending within each. Refinement recolors but never
+    // changes the union–find, so the groups hold for every pass.
+    let mut keyed: Vec<(u32, u32)> = verts
+        .iter()
+        .filter(|&&v| graph.contains(v))
+        .map(|&v| (graph.hard_root(v).0, v))
+        .collect();
+    keyed.sort_unstable();
+    let nets: Vec<u32> = keyed.iter().map(|&(_, v)| v).collect();
+    let mut groups: Vec<&[u32]> = Vec::new();
+    let mut rest = nets.as_slice();
+    for run in keyed.chunk_by(|x, y| x.0 == y.0) {
+        let (group, tail) = rest.split_at(run.len());
+        groups.push(group);
+        rest = tail;
+    }
     for _ in 0..max_passes {
         let mut improved = false;
-        // Group members by hard-component root (sorted for determinism).
-        let mut groups: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for &v in verts {
-            if graph.contains(v) {
-                let (root, _) = graph.hard_root(v);
-                groups.entry(root).or_default().push(v);
-            }
-        }
-        for members in groups.values() {
+        for &members in &groups {
             // Weight of edges incident to the group, before and after a
             // group flip. Edges inside the group keep their relative
             // parity, so only boundary edges change.
-            let member_set: std::collections::HashSet<u32> = members.iter().copied().collect();
-            let delta = group_flip_delta(graph, members, &member_set);
-            if delta < 0 {
+            if group_flip_delta(graph, members) < 0 {
                 for &m in members {
                     let c = graph.color(m);
                     graph.set_color(m, c.flipped());
@@ -463,45 +493,24 @@ fn refine_verts(graph: &mut OverlayGraph, verts: &[u32], max_passes: usize) {
     }
 }
 
-fn group_flip_delta(
-    graph: &OverlayGraph,
-    members: &[u32],
-    member_set: &std::collections::HashSet<u32>,
-) -> i128 {
+/// The change in weight if every net of `members` (ascending) flipped.
+fn group_flip_delta(graph: &OverlayGraph, members: &[u32]) -> i128 {
     let mut delta: i128 = 0;
     for &m in members {
-        for &n in graph.neighbors(m) {
-            if member_set.contains(&n) {
-                if m < n {
-                    // Internal edge: both endpoints flip, and every edge
-                    // table of a hard component is parity-symmetric only
-                    // for its hard part; nonhard costs can change.
-                    let d = graph.edge(m, n).expect("edge exists");
-                    let old = d
-                        .table
-                        .entry(Assignment::from_colors(graph.color(m), graph.color(n)));
-                    let new = d.table.entry(Assignment::from_colors(
-                        graph.color(m).flipped(),
-                        graph.color(n).flipped(),
-                    ));
-                    delta += new.weight() as i128 - old.weight() as i128;
-                }
-            } else {
-                let d = graph.edge(m, n).expect("edge exists");
-                let (a, b) = if m < n { (m, n) } else { (n, m) };
-                let color = |v: u32| {
-                    if v == m {
-                        graph.color(v).flipped()
-                    } else {
-                        graph.color(v)
-                    }
-                };
-                let old = d
-                    .table
-                    .entry(Assignment::from_colors(graph.color(a), graph.color(b)));
-                let new = d.table.entry(Assignment::from_colors(color(a), color(b)));
-                delta += new.weight() as i128 - old.weight() as i128;
+        let cm = graph.color(m);
+        for (n, d) in graph.incident(m) {
+            let cn = graph.color(n);
+            let inside = members.binary_search(&n).is_ok();
+            if inside && m > n {
+                continue; // internal edge, counted from its low endpoint
             }
+            // Internal edges: both endpoints flip, and every edge table
+            // of a hard component is parity-symmetric only for its hard
+            // part; nonhard costs can change.
+            let new_cn = if inside { cn.flipped() } else { cn };
+            let old = edge_weight(d, m, cm, n, cn);
+            let new = edge_weight(d, m, cm.flipped(), n, new_cn);
+            delta += new as i128 - old as i128;
         }
     }
     delta

@@ -3,7 +3,6 @@
 use crate::dsu::ParityDsu;
 use crate::state;
 use sadp_scenario::{Assignment, Color, Cost, CostTable, ScenarioKind};
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -91,39 +90,109 @@ impl EvalStats {
 /// Hard constraints are tracked incrementally in a [`ParityDsu`], which
 /// both detects hard-constraint odd cycles in near-constant time and plays
 /// the role of the paper's even-cycle super-vertex reduction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Storage is dense: net ids are the router's `0..n` netlist indices, so
+/// vertex state lives in a vector indexed by net id and every adjacency
+/// entry carries the index of its edge in one edge arena. Looking up a
+/// color, a neighbour list or an incident edge does no hashing.
+#[derive(Debug, Clone, Default)]
 pub struct OverlayGraph {
-    colors: HashMap<u32, Color>,
-    adj: HashMap<u32, Vec<u32>>,
-    edges: HashMap<(u32, u32), EdgeData>,
-    slot: HashMap<u32, u32>,
+    /// Indexed by net id; ids without a vertex hold [`Vertex::ABSENT`].
+    verts: Vec<Vertex>,
+    vertex_count: usize,
+    /// Every edge once, in no particular order: removing an edge moves
+    /// the last one into its place.
+    edges: Vec<Edge>,
     next_slot: u32,
     dsu: ParityDsu,
-    /// Vertices whose constraint edges changed since the last
+}
+
+/// One vertex's state. `slot == NO_SLOT` marks a net id with no vertex.
+#[derive(Debug, Clone)]
+struct Vertex {
+    /// The vertex's element in the union–find.
+    slot: u32,
+    color: Color,
+    /// The vertex's constraint edges changed since the last
     /// [`OverlayGraph::take_dirty`] (used to scope the final recoloring to
     /// the components actually touched).
-    dirty: HashSet<u32>,
+    dirty: bool,
+    /// The vertex's position in the member list of the flip in progress
+    /// (see [`OverlayGraph::number_members`]), `NOT_MEMBER` otherwise.
+    member: u32,
+    /// Neighbours in insertion order, which the flipping traversals follow.
+    adj: Vec<u32>,
+    /// `edge_of[i]` is the arena index of the edge to `adj[i]`.
+    edge_of: Vec<u32>,
 }
+
+impl Vertex {
+    const ABSENT: Vertex = Vertex {
+        slot: NO_SLOT,
+        color: Color::Core,
+        dirty: false,
+        member: NOT_MEMBER,
+        adj: Vec::new(),
+        edge_of: Vec::new(),
+    };
+
+    fn present(&self) -> bool {
+        self.slot != NO_SLOT
+    }
+}
+
+const NO_SLOT: u32 = u32::MAX;
+const NOT_MEMBER: u32 = u32::MAX;
+
+/// One edge of the arena, keyed by its ordered endpoints.
+#[derive(Debug, Clone)]
+struct Edge {
+    lo: u32,
+    hi: u32,
+    data: EdgeData,
+}
+
+/// Two graphs are equal when they hold the same vertices with the same
+/// slots, colors, dirty flags and neighbour order, the same edge data
+/// and the same union–find; where the edge arena keeps each edge and how
+/// long the vertex vector has grown are history, not state.
+impl PartialEq for OverlayGraph {
+    fn eq(&self, other: &OverlayGraph) -> bool {
+        let same_vertex = |net: usize| match (self.vertex(net as u32), other.vertex(net as u32)) {
+            (None, None) => true,
+            (Some(a), Some(b)) => {
+                a.slot == b.slot
+                    && a.color == b.color
+                    && a.dirty == b.dirty
+                    && a.adj == b.adj
+                    && a.edge_of
+                        .iter()
+                        .zip(&b.edge_of)
+                        .all(|(&x, &y)| self.edges[x as usize].data == other.edges[y as usize].data)
+            }
+            _ => false,
+        };
+        self.next_slot == other.next_slot
+            && self.vertex_count == other.vertex_count
+            && self.edges.len() == other.edges.len()
+            && self.dsu == other.dsu
+            && (0..self.verts.len().max(other.verts.len())).all(same_vertex)
+    }
+}
+
+impl Eq for OverlayGraph {}
 
 impl OverlayGraph {
     /// Creates an empty graph.
     #[must_use]
     pub fn new() -> OverlayGraph {
-        OverlayGraph {
-            colors: HashMap::new(),
-            adj: HashMap::new(),
-            edges: HashMap::new(),
-            slot: HashMap::new(),
-            next_slot: 0,
-            dsu: ParityDsu::new(0),
-            dirty: HashSet::new(),
-        }
+        OverlayGraph::default()
     }
 
     /// Number of vertices (routed nets) in the graph.
     #[must_use]
     pub fn vertex_count(&self) -> usize {
-        self.colors.len()
+        self.vertex_count
     }
 
     /// Number of pair edges.
@@ -132,23 +201,72 @@ impl OverlayGraph {
         self.edges.len()
     }
 
+    /// The vertex of `net`, if present.
+    fn vertex(&self, net: u32) -> Option<&Vertex> {
+        self.verts.get(net as usize).filter(|v| v.present())
+    }
+
+    /// The vertex of `net`, which must be present.
+    fn vertex_mut(&mut self, net: u32) -> &mut Vertex {
+        let v = &mut self.verts[net as usize];
+        debug_assert!(v.present(), "net {net} has no vertex");
+        v
+    }
+
+    /// One past the largest net id the vertex storage covers: every
+    /// vertex id is below it, so a bitset over `0..id_bound()` can hold
+    /// any set of vertices.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.verts.len()
+    }
+
+    /// Numbers the vertices of `members` by their position in it, for
+    /// [`OverlayGraph::member_index`], until
+    /// [`OverlayGraph::clear_members`]: the flipping algorithm's
+    /// member-indexed scratch, without a map from net id to position.
+    pub(crate) fn number_members(&mut self, members: &[u32]) {
+        for (i, &m) in members.iter().enumerate() {
+            self.vertex_mut(m).member = i as u32;
+        }
+    }
+
+    /// The position of `net` in the numbered member list, if it is in it.
+    pub(crate) fn member_index(&self, net: u32) -> Option<usize> {
+        self.verts
+            .get(net as usize)
+            .map(|v| v.member)
+            .filter(|&i| i != NOT_MEMBER)
+            .map(|i| i as usize)
+    }
+
+    /// Ends a [`OverlayGraph::number_members`] numbering.
+    pub(crate) fn clear_members(&mut self, members: &[u32]) {
+        for &m in members {
+            self.vertex_mut(m).member = NOT_MEMBER;
+        }
+    }
+
     /// Inserts a vertex for `net` if absent (initial color: core).
     pub fn ensure_vertex(&mut self, net: u32) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.colors.entry(net) {
-            e.insert(Color::Core);
-            self.adj.entry(net).or_default();
-            let s = self.next_slot;
-            self.next_slot += 1;
-            self.slot.insert(net, s);
-            self.dsu.grow(self.next_slot as usize);
-            self.dirty.insert(net);
+        let i = net as usize;
+        if i >= self.verts.len() {
+            self.verts.resize(i + 1, Vertex::ABSENT);
+        } else if self.verts[i].present() {
+            return;
         }
+        let v = &mut self.verts[i];
+        v.slot = self.next_slot;
+        v.color = Color::Core;
+        v.dirty = true;
+        self.next_slot += 1;
+        self.vertex_count += 1;
+        self.dsu.grow(self.next_slot as usize);
     }
 
     /// Whether the graph has a vertex for `net`.
     #[must_use]
     pub fn contains(&self, net: u32) -> bool {
-        self.colors.contains_key(&net)
+        self.vertex(net).is_some()
     }
 
     /// The current color of `net`.
@@ -158,50 +276,87 @@ impl OverlayGraph {
     /// Panics if `net` is not in the graph.
     #[must_use]
     pub fn color(&self, net: u32) -> Color {
-        self.colors[&net]
+        self.vertex(net)
+            .unwrap_or_else(|| panic!("net {net} has no vertex"))
+            .color
     }
 
     /// Sets the color of `net` (inserting the vertex if needed).
     pub fn set_color(&mut self, net: u32, color: Color) {
         self.ensure_vertex(net);
-        self.colors.insert(net, color);
+        self.verts[net as usize].color = color;
     }
 
     /// The neighbours of `net`.
     #[must_use]
     pub fn neighbors(&self, net: u32) -> &[u32] {
-        self.adj.get(&net).map_or(&[], Vec::as_slice)
+        self.vertex(net).map_or(&[], |v| v.adj.as_slice())
+    }
+
+    /// The neighbours of `net` with the data of the edge to each, in
+    /// adjacency order. Tables are oriented for `(min, max)` of the pair.
+    pub(crate) fn incident(&self, net: u32) -> impl Iterator<Item = (u32, &EdgeData)> + '_ {
+        let (adj, edge_of) = self
+            .vertex(net)
+            .map_or((&[][..], &[][..]), |v| (&v.adj[..], &v.edge_of[..]));
+        adj.iter()
+            .zip(edge_of)
+            .map(|(&n, &e)| (n, &self.edges[e as usize].data))
+    }
+
+    /// The arena index of the edge between `a` and `b`, if dependent.
+    fn edge_index(&self, a: u32, b: u32) -> Option<u32> {
+        let (va, vb) = (self.vertex(a)?, self.vertex(b)?);
+        // Scan the shorter list.
+        let (v, other) = if va.adj.len() <= vb.adj.len() {
+            (va, b)
+        } else {
+            (vb, a)
+        };
+        let i = v.adj.iter().position(|&n| n == other)?;
+        Some(v.edge_of[i])
     }
 
     /// The merged edge data between two nets, if dependent.
     #[must_use]
     pub fn edge(&self, a: u32, b: u32) -> Option<&EdgeData> {
-        self.edges.get(&ordered(a, b))
+        self.edge_index(a, b).map(|e| &self.edges[e as usize].data)
     }
 
-    /// All vertices, in unspecified order.
+    /// All vertices, ascending.
     pub fn vertices(&self) -> impl Iterator<Item = u32> + '_ {
-        self.colors.keys().copied()
+        self.verts
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.present())
+            .map(|(i, _)| i as u32)
     }
 
-    /// All edges as `(a, b, data)` with `a < b`.
+    /// All edges as `(a, b, data)` with `a < b`, in unspecified order.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, &EdgeData)> + '_ {
-        self.edges.iter().map(|(&(a, b), d)| (a, b, d))
+        self.edges.iter().map(|e| (e.lo, e.hi, &e.data))
+    }
+
+    /// The assignment the current colors of `a` and `b` realize on their
+    /// edge, oriented `(min, max)` like the edge tables.
+    fn realized(&self, a: u32, b: u32) -> Assignment {
+        let (lo, hi) = ordered(a, b);
+        Assignment::from_colors(self.verts[lo as usize].color, self.verts[hi as usize].color)
     }
 
     /// The forced hard color relation between two nets, if any
     /// (`Some(true)` = must differ, `Some(false)` = must match).
     #[must_use]
     pub fn hard_relation(&self, a: u32, b: u32) -> Option<bool> {
-        let sa = *self.slot.get(&a)?;
-        let sb = *self.slot.get(&b)?;
+        let sa = self.vertex(a)?.slot;
+        let sb = self.vertex(b)?.slot;
         self.dsu.relation_ref(sa, sb)
     }
 
     /// The hard-component root and parity of `net`, used by the flipping
     /// algorithm to form super vertices.
     pub(crate) fn hard_root(&self, net: u32) -> (u32, bool) {
-        self.dsu.find_ref(self.slot[&net])
+        self.dsu.find_ref(self.verts[net as usize].slot)
     }
 
     /// Adds one potential overlay scenario between `a` and `b`, with
@@ -224,43 +379,62 @@ impl OverlayGraph {
         assert_ne!(a, b, "a net cannot constrain itself");
         self.ensure_vertex(a);
         self.ensure_vertex(b);
-        let key = ordered(a, b);
-        let oriented = if key.0 == a { table } else { table.swapped() };
+        let (lo, hi) = ordered(a, b);
+        let oriented = if lo == a { table } else { table.swapped() };
 
-        let prev = self.edges.get(&key).cloned();
+        let found = self.edge_index(lo, hi);
+        let prev = found.map(|e| self.edges[e as usize].data.table);
         let merged = match &prev {
-            Some(e) => e.table.merged(&oriented),
+            Some(t) => t.merged(&oriented),
             None => oriented,
         };
         if merged.min_so().is_none() {
             return Err(GraphError::Infeasible { a, b });
         }
 
-        let prev_parity = prev.as_ref().and_then(|e| e.table.hard_parity());
+        let prev_parity = prev.and_then(|t| t.hard_parity());
         if let Some(parity) = merged.table_parity_delta(prev_parity) {
-            let sa = self.slot[&key.0];
-            let sb = self.slot[&key.1];
+            let sa = self.verts[lo as usize].slot;
+            let sb = self.verts[hi as usize].slot;
             if self.dsu.union(sa, sb, parity).is_err() {
                 return Err(GraphError::HardOddCycle { a, b });
             }
         }
 
-        let entry = self.edges.entry(key).or_insert_with(|| {
-            let (x, y) = key;
-            self.adj.get_mut(&x).expect("vertex exists").push(y);
-            self.adj.get_mut(&y).expect("vertex exists").push(x);
-            EdgeData {
-                table: CostTable::zero(),
-                kinds: Vec::new(),
+        let e = match found {
+            Some(e) => e,
+            None => {
+                let e = self.edges.len() as u32;
+                self.edges.push(Edge {
+                    lo,
+                    hi,
+                    data: EdgeData {
+                        table: CostTable::zero(),
+                        kinds: Vec::new(),
+                    },
+                });
+                self.link(lo, hi, e);
+                e
             }
-        });
-        entry.table = merged;
+        };
+        let data = &mut self.edges[e as usize].data;
+        data.table = merged;
         if let Some(k) = kind {
-            entry.kinds.push(k);
+            data.kinds.push(k);
         }
-        self.dirty.insert(a);
-        self.dirty.insert(b);
+        self.verts[a as usize].dirty = true;
+        self.verts[b as usize].dirty = true;
         Ok(())
+    }
+
+    /// Appends edge `e` between `lo` and `hi` to both adjacency lists,
+    /// `lo`'s first.
+    fn link(&mut self, lo: u32, hi: u32, e: u32) {
+        for (x, y) in [(lo, hi), (hi, lo)] {
+            let v = self.vertex_mut(x);
+            v.adj.push(y);
+            v.edge_of.push(e);
+        }
     }
 
     /// Adds one scenario without recording its kind.
@@ -286,21 +460,51 @@ impl OverlayGraph {
     /// marking it dirty. Only valid when no *other* net inserted hard
     /// edges after `mark` — exactly the rip-up situation of Fig. 19.
     pub fn rollback_net(&mut self, net: u32, mark: usize) {
-        if self.colors.remove(&net).is_none() {
+        if !self.contains(net) {
             return;
         }
-        if let Some(nbrs) = self.adj.remove(&net) {
-            for n in nbrs {
-                self.edges.remove(&ordered(net, n));
-                if let Some(v) = self.adj.get_mut(&n) {
-                    v.retain(|&x| x != net);
-                }
-                self.dirty.insert(n);
+        self.detach(net);
+        self.dsu.rollback(mark);
+    }
+
+    /// Drops the vertex of `net` (present) with every incident edge,
+    /// marking the former neighbours dirty. The union–find is left to
+    /// the caller.
+    fn detach(&mut self, net: u32) {
+        let Vertex {
+            adj, mut edge_of, ..
+        } = std::mem::replace(&mut self.verts[net as usize], Vertex::ABSENT);
+        self.vertex_count -= 1;
+        for n in adj {
+            let nv = self.vertex_mut(n);
+            let i = nv
+                .adj
+                .iter()
+                .position(|&x| x == net)
+                .expect("adjacency is symmetric");
+            nv.adj.remove(i);
+            nv.edge_of.remove(i);
+            nv.dirty = true;
+        }
+        // Highest index first: the edge `swap_remove` moves down is then
+        // never one of `net`'s own, whose indices are still pending here.
+        edge_of.sort_unstable_by(|a, b| b.cmp(a));
+        for e in edge_of {
+            self.edges.swap_remove(e as usize);
+            let Some(moved) = self.edges.get(e as usize) else {
+                continue;
+            };
+            let old = self.edges.len() as u32;
+            for x in [moved.lo, moved.hi] {
+                let entry = self
+                    .vertex_mut(x)
+                    .edge_of
+                    .iter_mut()
+                    .find(|i| **i == old)
+                    .expect("a moved edge is listed by both ends");
+                *entry = e;
             }
         }
-        self.slot.remove(&net);
-        self.dirty.remove(&net);
-        self.dsu.rollback(mark);
     }
 
     /// Removes `net` and every incident edge (rip-up). The hard-constraint
@@ -309,7 +513,7 @@ impl OverlayGraph {
     /// edges among them re-unioned, so a removal costs `O(component)`
     /// instead of the `O(E)` full rebuild it used to schedule.
     pub fn remove_net(&mut self, net: u32) {
-        if !self.colors.contains_key(&net) {
+        if !self.contains(net) {
             return;
         }
         // The hard-connected component of `net` (over graph hard edges) is
@@ -318,22 +522,14 @@ impl OverlayGraph {
         // never un-hardens a table. Resetting the whole component is
         // therefore union-closed, as `ParityDsu::reset_nodes` requires.
         let members = self.hard_members(net);
-        let member_slots: Vec<u32> = members.iter().map(|m| self.slot[m]).collect();
+        let member_slots: Vec<u32> = members
+            .iter()
+            .map(|&m| self.verts[m as usize].slot)
+            .collect();
 
-        self.colors.remove(&net);
-        if let Some(nbrs) = self.adj.remove(&net) {
-            for n in nbrs {
-                self.edges.remove(&ordered(net, n));
-                if let Some(v) = self.adj.get_mut(&n) {
-                    v.retain(|&x| x != net);
-                }
-                self.dirty.insert(n);
-            }
-        }
         // The slot is dropped with the vertex; a re-inserted net gets a
         // fresh slot.
-        self.slot.remove(&net);
-        self.dirty.remove(&net);
+        self.detach(net);
 
         self.dsu.reset_nodes(&member_slots);
         // Deterministic union order, as in a from-scratch rebuild: the
@@ -343,11 +539,11 @@ impl OverlayGraph {
             if m == net {
                 continue;
             }
-            for &n in self.adj.get(&m).map_or(&[][..], Vec::as_slice) {
+            for (n, d) in self.incident(m) {
                 if n <= m {
                     continue;
                 }
-                if let Some(p) = self.edges[&ordered(m, n)].table.hard_parity() {
+                if let Some(p) = d.table.hard_parity() {
                     hard.push((m, n, p));
                 }
             }
@@ -355,7 +551,11 @@ impl OverlayGraph {
         hard.sort_unstable();
         for (a, b, parity) in hard {
             self.dsu
-                .union(self.slot[&a], self.slot[&b], parity)
+                .union(
+                    self.verts[a as usize].slot,
+                    self.verts[b as usize].slot,
+                    parity,
+                )
                 .expect("surviving graph is hard-consistent");
         }
     }
@@ -364,17 +564,13 @@ impl OverlayGraph {
     /// it over edges whose merged table carries a hard constraint
     /// (including `net` itself).
     fn hard_members(&self, net: u32) -> Vec<u32> {
-        let mut seen: HashSet<u32> = HashSet::new();
+        let mut seen = NetSet::new(self.id_bound());
         seen.insert(net);
         let mut out = vec![net];
         let mut stack = vec![net];
         while let Some(v) = stack.pop() {
-            for &n in self.adj.get(&v).map_or(&[][..], Vec::as_slice) {
-                if seen.contains(&n) {
-                    continue;
-                }
-                if self.edges[&ordered(v, n)].table.hard_parity().is_some() {
-                    seen.insert(n);
+            for (n, d) in self.incident(v) {
+                if d.table.hard_parity().is_some() && seen.insert(n) {
                     out.push(n);
                     stack.push(n);
                 }
@@ -385,10 +581,17 @@ impl OverlayGraph {
 
     /// Drains the set of vertices whose constraint edges changed since the
     /// last call (insertions, new or merged scenarios, and neighbours of
-    /// removed nets; plain recoloring does not count). Used to scope the
-    /// final flipping passes to the components actually touched.
+    /// removed nets; plain recoloring does not count), ascending. Used to
+    /// scope the final flipping passes to the components actually touched.
     pub fn take_dirty(&mut self) -> Vec<u32> {
-        self.dirty.drain().collect()
+        let mut out = Vec::new();
+        for (i, v) in self.verts.iter_mut().enumerate() {
+            if v.dirty {
+                v.dirty = false;
+                out.push(i as u32);
+            }
+        }
+        out
     }
 
     /// Evaluates the current coloring (Table III/IV "overlay length" in
@@ -396,9 +599,8 @@ impl OverlayGraph {
     #[must_use]
     pub fn evaluate(&self) -> EvalStats {
         let mut stats = EvalStats::default();
-        for (&(a, b), data) in &self.edges {
-            let asg = Assignment::from_colors(self.colors[&a], self.colors[&b]);
-            let cost = data.table.entry(asg);
+        for e in &self.edges {
+            let cost = e.data.table.entry(self.realized(e.lo, e.hi));
             match cost.overlay_units() {
                 Some(u) => {
                     stats.overlay_units += u64::from(u);
@@ -417,44 +619,28 @@ impl OverlayGraph {
     /// routing flow (Fig. 19 line 12).
     #[must_use]
     pub fn net_overlay_units(&self, net: u32) -> u64 {
-        let Some(nbrs) = self.adj.get(&net) else {
-            return 0;
-        };
-        let mut total = 0;
-        for &n in nbrs {
-            let key = ordered(net, n);
-            let data = &self.edges[&key];
-            let asg = Assignment::from_colors(self.colors[&key.0], self.colors[&key.1]);
-            total += u64::from(data.table.entry(asg).overlay_units().unwrap_or(0));
-        }
-        total
+        self.incident(net)
+            .map(|(n, d)| {
+                let cost = d.table.entry(self.realized(net, n));
+                u64::from(cost.overlay_units().unwrap_or(0))
+            })
+            .sum()
     }
 
     /// Whether any edge incident to `net` currently realizes a forbidden
     /// (hard-overlay) assignment.
     #[must_use]
     pub fn net_has_forbidden(&self, net: u32) -> bool {
-        let Some(nbrs) = self.adj.get(&net) else {
-            return false;
-        };
-        nbrs.iter().any(|&n| {
-            let key = ordered(net, n);
-            let asg = Assignment::from_colors(self.colors[&key.0], self.colors[&key.1]);
-            self.edges[&key].table.entry(asg).is_forbidden()
-        })
+        self.incident(net)
+            .any(|(n, d)| d.table.entry(self.realized(net, n)).is_forbidden())
     }
 
     /// Whether any edge incident to `net` currently realizes a forbidden
     /// assignment or a type-A cut risk.
     #[must_use]
     pub fn net_has_risk(&self, net: u32) -> bool {
-        let Some(nbrs) = self.adj.get(&net) else {
-            return false;
-        };
-        nbrs.iter().any(|&n| {
-            let key = ordered(net, n);
-            let asg = Assignment::from_colors(self.colors[&key.0], self.colors[&key.1]);
-            let cost = self.edges[&key].table.entry(asg);
+        self.incident(net).any(|(n, d)| {
+            let cost = d.table.entry(self.realized(net, n));
             cost.is_forbidden() || cost.has_cut_risk()
         })
     }
@@ -464,12 +650,11 @@ impl OverlayGraph {
     #[must_use]
     pub fn nets_with_realized_risk(&self) -> Vec<u32> {
         let mut out = Vec::new();
-        for (&(a, b), data) in &self.edges {
-            let asg = Assignment::from_colors(self.colors[&a], self.colors[&b]);
-            let cost = data.table.entry(asg);
+        for e in &self.edges {
+            let cost = e.data.table.entry(self.realized(e.lo, e.hi));
             if cost.is_forbidden() || cost.has_cut_risk() {
-                out.push(a);
-                out.push(b);
+                out.push(e.lo);
+                out.push(e.hi);
             }
         }
         out.sort_unstable();
@@ -485,21 +670,20 @@ impl OverlayGraph {
         let mut best = (Color::Core, u64::MAX);
         for color in Color::ALL {
             let mut w = 0u64;
-            for &n in self.adj.get(&net).map_or(&[][..], Vec::as_slice) {
-                let key = ordered(net, n);
-                let data = &self.edges[&key];
-                let (ca, cb) = if key.0 == net {
-                    (color, self.colors[&n])
+            for (n, d) in self.incident(net) {
+                let other = self.verts[n as usize].color;
+                let (ca, cb) = if net < n {
+                    (color, other)
                 } else {
-                    (self.colors[&n], color)
+                    (other, color)
                 };
-                w = w.saturating_add(data.table.entry(Assignment::from_colors(ca, cb)).weight());
+                w = w.saturating_add(d.table.entry(Assignment::from_colors(ca, cb)).weight());
             }
             if w < best.1 {
                 best = (color, w);
             }
         }
-        self.colors.insert(net, best.0);
+        self.verts[net as usize].color = best.0;
         best.0
     }
 
@@ -509,7 +693,7 @@ impl OverlayGraph {
     /// Vertices and edges are inserted in ascending net-id order so slot
     /// assignment — and with it the union–find root identities that feed
     /// tie-breaking in the flipping algorithm — is deterministic and
-    /// independent of `other`'s internal hash-map order.
+    /// independent of `other`'s internal edge order.
     ///
     /// # Panics
     ///
@@ -517,27 +701,28 @@ impl OverlayGraph {
     /// guarantees disjointness (each net is committed in exactly one band).
     pub fn absorb(&mut self, other: &OverlayGraph) {
         debug_assert!(
-            other.colors.keys().all(|k| !self.colors.contains_key(k)),
+            other.vertices().all(|v| !self.contains(v)),
             "absorb requires vertex-disjoint graphs"
         );
-        let mut verts: Vec<u32> = other.colors.keys().copied().collect();
-        verts.sort_unstable();
-        for &v in &verts {
+        for v in other.vertices() {
             self.ensure_vertex(v);
-            self.colors.insert(v, other.colors[&v]);
+            self.verts[v as usize].color = other.verts[v as usize].color;
         }
-        let mut keys: Vec<(u32, u32)> = other.edges.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let data = &other.edges[&key];
-            if let Some(parity) = data.table.hard_parity() {
+        let mut order: Vec<&Edge> = other.edges.iter().collect();
+        order.sort_unstable_by_key(|e| (e.lo, e.hi));
+        for edge in order {
+            if let Some(parity) = edge.data.table.hard_parity() {
                 self.dsu
-                    .union(self.slot[&key.0], self.slot[&key.1], parity)
+                    .union(
+                        self.verts[edge.lo as usize].slot,
+                        self.verts[edge.hi as usize].slot,
+                        parity,
+                    )
                     .expect("absorbed graph is hard-consistent");
             }
-            self.adj.get_mut(&key.0).expect("vertex exists").push(key.1);
-            self.adj.get_mut(&key.1).expect("vertex exists").push(key.0);
-            self.edges.insert(key, data.clone());
+            let e = self.edges.len() as u32;
+            self.edges.push(edge.clone());
+            self.link(edge.lo, edge.hi, e);
         }
     }
 
@@ -545,15 +730,15 @@ impl OverlayGraph {
     /// edges, hard and nonhard).
     #[must_use]
     pub fn component_of(&self, seed: u32) -> Vec<u32> {
-        if !self.colors.contains_key(&seed) {
+        if !self.contains(seed) {
             return Vec::new();
         }
         let mut order = vec![seed];
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut seen = NetSet::new(self.id_bound());
         seen.insert(seed);
         let mut stack = vec![seed];
         while let Some(v) = stack.pop() {
-            for &n in self.adj.get(&v).map_or(&[][..], Vec::as_slice) {
+            for &n in self.neighbors(v) {
                 if seen.insert(n) {
                     order.push(n);
                     stack.push(n);
@@ -575,23 +760,24 @@ impl OverlayGraph {
     /// the ECO engine's state digest.
     #[must_use]
     pub fn hard_components(&self) -> Vec<(u32, Vec<(u32, bool)>)> {
-        let mut groups: std::collections::HashMap<u32, Vec<(u32, bool)>> =
-            std::collections::HashMap::new();
-        let mut nets: Vec<u32> = self.colors.keys().copied().collect();
-        nets.sort_unstable();
-        for v in nets {
-            let (root, parity) = self.hard_root(v);
-            groups.entry(root).or_default().push((v, parity));
-        }
-        let mut out: Vec<(u32, Vec<(u32, bool)>)> = groups
-            .into_values()
-            .map(|members| {
-                // Members were inserted ascending, so the first one is the
-                // minimum; re-express parities relative to it.
-                let (min, min_parity) = members[0];
-                let rel = members
-                    .into_iter()
-                    .map(|(v, p)| (v, p != min_parity))
+        let mut keyed: Vec<(u32, u32, bool)> = self
+            .vertices()
+            .map(|v| {
+                let (root, parity) = self.hard_root(v);
+                (root, v, parity)
+            })
+            .collect();
+        // Grouped by root, members ascending within each group.
+        keyed.sort_unstable();
+        let mut out: Vec<(u32, Vec<(u32, bool)>)> = keyed
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|group| {
+                // The first member is the minimum; re-express parities
+                // relative to it.
+                let (_, min, min_parity) = group[0];
+                let rel = group
+                    .iter()
+                    .map(|&(_, v, p)| (v, p != min_parity))
                     .collect();
                 (min, rel)
             })
@@ -614,46 +800,46 @@ impl OverlayGraph {
     /// Neighbours keep their adjacency order, which the flipping
     /// algorithm's traversals follow. Costs print as in [`Cost`]'s
     /// `Display` (`3`, `3+cut`, `hard`); kinds are one letter each, `a`
-    /// for the first of [`ScenarioKind::ALL`], or `-` for none. The hash
-    /// maps are written sorted, so equal graphs write equal text.
+    /// for the first of [`ScenarioKind::ALL`], or `-` for none. Edges are
+    /// written sorted, so equal graphs write equal text.
     pub fn write_state(&self, out: &mut String) {
-        let mut verts: Vec<u32> = self.colors.keys().copied().collect();
-        verts.sort_unstable();
         let _ = writeln!(
             out,
             "graph {} {} {}",
             self.next_slot,
-            verts.len(),
+            self.vertex_count,
             self.edges.len()
         );
-        for v in &verts {
-            let _ = write!(out, "v {v} {} {}", self.slot[v], self.colors[v].letter());
-            for n in &self.adj[v] {
+        for net in self.vertices() {
+            let v = &self.verts[net as usize];
+            let _ = write!(out, "v {net} {} {}", v.slot, v.color.letter());
+            for n in &v.adj {
                 let _ = write!(out, " {n}");
             }
             out.push('\n');
         }
-        let mut keys: Vec<(u32, u32)> = self.edges.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let e = &self.edges[&key];
-            let _ = write!(out, "e {} {}", key.0, key.1);
+        let mut order: Vec<&Edge> = self.edges.iter().collect();
+        order.sort_unstable_by_key(|e| (e.lo, e.hi));
+        for e in order {
+            let _ = write!(out, "e {} {}", e.lo, e.hi);
             for asg in Assignment::ALL {
-                let _ = write!(out, " {}", e.table.entry(asg));
+                let _ = write!(out, " {}", e.data.table.entry(asg));
             }
             out.push(' ');
-            if e.kinds.is_empty() {
+            if e.data.kinds.is_empty() {
                 out.push('-');
             }
-            for k in &e.kinds {
+            for k in &e.data.kinds {
                 let i = ScenarioKind::ALL.iter().position(|x| x == k).unwrap_or(0);
                 out.push(char::from(b'a' + i as u8));
             }
             out.push('\n');
         }
         self.dsu.write_state(out);
-        let mut dirty: Vec<u32> = self.dirty.iter().copied().collect();
-        dirty.sort_unstable();
+        let dirty: Vec<u32> = self
+            .vertices()
+            .filter(|&v| self.verts[v as usize].dirty)
+            .collect();
         let _ = write!(out, "dirty {}", dirty.len());
         for v in dirty {
             let _ = write!(out, " {v}");
@@ -663,8 +849,11 @@ impl OverlayGraph {
 
     /// Reads one graph written by [`OverlayGraph::write_state`], taking
     /// its lines from `lines`. The result is checked for the internal
-    /// consistency every graph operation relies on (adjacency matches
-    /// the edges, slots and union–find indices are in range).
+    /// consistency every graph operation relies on (each edge listed by
+    /// both ends, neighbours and dirty nets are vertices, slots and
+    /// union–find indices in range). Net ids must lie below a fixed
+    /// bound of 2^22, because they index the vertex storage: that bounds
+    /// what a malformed text can make the reader allocate.
     ///
     /// # Errors
     ///
@@ -693,6 +882,11 @@ impl OverlayGraph {
         for _ in 0..vertices {
             let mut toks = state::fields(line("vertex")?, "v")?;
             let v: u32 = state::next(&mut toks, "net")?;
+            if v >= MAX_NETS {
+                return Err(format!(
+                    "net {v} exceeds the {MAX_NETS} nets a graph may hold"
+                ));
+            }
             let slot = state::index(toks.next().unwrap_or(""), next_slot as usize)? as u32;
             let color = match toks.next() {
                 Some("C") => Color::Core,
@@ -700,11 +894,19 @@ impl OverlayGraph {
                 other => return Err(format!("bad color {other:?} of net {v}")),
             };
             let adj = toks.map(state::num).collect::<Result<Vec<u32>, String>>()?;
-            if g.colors.insert(v, color).is_some() {
+            if g.contains(v) {
                 return Err(format!("net {v} is listed twice"));
             }
-            g.slot.insert(v, slot);
-            g.adj.insert(v, adj);
+            if v as usize >= g.verts.len() {
+                g.verts.resize(v as usize + 1, Vertex::ABSENT);
+            }
+            g.verts[v as usize] = Vertex {
+                slot,
+                color,
+                adj,
+                ..Vertex::ABSENT
+            };
+            g.vertex_count += 1;
         }
         for _ in 0..edge_count {
             let mut toks = state::fields(line("edge")?, "e")?;
@@ -727,39 +929,108 @@ impl OverlayGraph {
                     .collect::<Result<Vec<_>, String>>()?,
                 None => return Err(format!("edge {a}-{b} has no kinds")),
             };
-            let data = EdgeData {
-                table: CostTable::new(entries),
-                kinds,
-            };
-            if a >= b || g.edges.insert((a, b), data).is_some() {
-                return Err(format!("bad or repeated edge {a}-{b}"));
+            // Ascending, as written: the linking below binary-searches.
+            if a >= b || g.edges.last().is_some_and(|e| (e.lo, e.hi) >= (a, b)) {
+                return Err(format!("bad, repeated or unsorted edge {a}-{b}"));
             }
-        }
-        let degree: usize = g.adj.values().map(Vec::len).sum();
-        let consistent = degree == 2 * g.edges.len()
-            && g.adj.iter().all(|(&v, nbrs)| {
-                nbrs.iter()
-                    .all(|&n| g.colors.contains_key(&n) && g.edges.contains_key(&ordered(v, n)))
+            g.edges.push(Edge {
+                lo: a,
+                hi: b,
+                data: EdgeData {
+                    table: CostTable::new(entries),
+                    kinds,
+                },
             });
-        if !consistent {
-            return Err("adjacency lists do not match the edges".into());
         }
+        g.link_read_edges()?;
         let dsu = line("dsu")?;
         g.dsu = ParityDsu::read_state(next_slot as usize, dsu, line("log")?)?;
         let mut toks = state::fields(line("dirty")?, "dirty")?;
         let count: usize = state::next(&mut toks, "dirty count")?;
-        g.dirty = toks
-            .map(state::num)
-            .collect::<Result<HashSet<u32>, String>>()?;
-        if g.dirty.len() != count {
-            return Err(format!(
-                "dirty count says {count}, line has {}",
-                g.dirty.len()
-            ));
+        let mut listed = 0;
+        for tok in toks {
+            let v: u32 = state::num(tok)?;
+            match g.verts.get_mut(v as usize).filter(|x| x.present()) {
+                Some(x) if !x.dirty => x.dirty = true,
+                _ => return Err(format!("dirty net {v} is repeated or not a vertex")),
+            }
+            listed += 1;
+        }
+        if listed != count {
+            return Err(format!("dirty count says {count}, line has {listed}"));
         }
         Ok(g)
     }
+
+    /// Fills in the edge index of every adjacency entry of a graph whose
+    /// vertices and (ascending) edge arena were just read, checking that
+    /// each edge appears exactly once in each of its two ends' lists and
+    /// nowhere else.
+    fn link_read_edges(&mut self) -> Result<(), String> {
+        // Which end has listed each edge so far: bit 0 the low end, bit 1
+        // the high end.
+        let mut listed = vec![0u8; self.edges.len()];
+        let mismatch = || "adjacency lists do not match the edges".to_string();
+        for v in 0..self.verts.len() as u32 {
+            if !self.contains(v) {
+                continue;
+            }
+            let mut edge_of = Vec::with_capacity(self.verts[v as usize].adj.len());
+            for &n in &self.verts[v as usize].adj {
+                let (lo, hi) = ordered(v, n);
+                let e = self
+                    .edges
+                    .binary_search_by_key(&(lo, hi), |e| (e.lo, e.hi))
+                    .map_err(|_| mismatch())?;
+                let bit = if v == lo { 1 } else { 2 };
+                if listed[e] & bit != 0 {
+                    return Err(mismatch());
+                }
+                listed[e] |= bit;
+                edge_of.push(e as u32);
+            }
+            self.verts[v as usize].edge_of = edge_of;
+        }
+        if listed.iter().any(|&b| b != 3) {
+            return Err(mismatch());
+        }
+        Ok(())
+    }
 }
+
+/// A set of net ids below a fixed bound, as a bitset: the visited sets
+/// of graph traversals, which used to be hash sets.
+pub(crate) struct NetSet(Vec<u64>);
+
+impl NetSet {
+    /// An empty set for ids below `bound`.
+    pub(crate) fn new(bound: usize) -> NetSet {
+        NetSet(vec![0; bound.div_ceil(64)])
+    }
+
+    /// Whether `net` is in the set.
+    pub(crate) fn contains(&self, net: u32) -> bool {
+        self.0
+            .get(net as usize / 64)
+            .is_some_and(|w| w >> (net % 64) & 1 == 1)
+    }
+
+    /// Inserts `net`, which must lie below the bound; returns whether it
+    /// was absent.
+    pub(crate) fn insert(&mut self, net: u32) -> bool {
+        let w = &mut self.0[net as usize / 64];
+        let bit = 1u64 << (net % 64);
+        let absent = *w & bit == 0;
+        *w |= bit;
+        absent
+    }
+}
+
+/// One past the largest net id [`OverlayGraph::read_state`] accepts. Ids
+/// index the vertex storage, so this bounds what a malformed text can
+/// make the reader allocate: 2^22 vertices of 64 bytes are less than the
+/// 2^26 union–find elements of 6 bytes that [`MAX_SLOTS`] allows.
+const MAX_NETS: u32 = 1 << 22;
 
 /// The most vertex slots [`OverlayGraph::read_state`] accepts: it bounds
 /// the union–find a malformed text can make the reader allocate.
@@ -1050,6 +1321,22 @@ mod tests {
 
         let broken = text.replace("\nv 3 ", "\nv 9 ");
         assert!(OverlayGraph::read_state(&mut broken.lines()).is_err());
+    }
+
+    #[test]
+    fn read_state_refuses_net_ids_past_the_storage_bound() {
+        // The worst case the bound lets a text allocate stays under the
+        // union–find's own worst case.
+        let worst = std::mem::size_of::<Vertex>() as u64 * u64::from(MAX_NETS);
+        assert!(worst <= 6 * u64::from(MAX_SLOTS), "{worst} bytes");
+        for net in [MAX_NETS, u32::MAX] {
+            let text = format!("graph 1 1 0\nv {net} 0 C\ndsu 0\nlog 0\ndirty 0\n");
+            let err = OverlayGraph::read_state(&mut text.lines()).unwrap_err();
+            assert!(err.contains("exceeds"), "{err}");
+        }
+        let text = "graph 1 1 0\nv 70000 0 C\ndsu 0\nlog 0\ndirty 0\n";
+        let g = OverlayGraph::read_state(&mut text.lines()).expect("a sparse id reads back");
+        assert_eq!(g.vertices().collect::<Vec<_>>(), vec![70000]);
     }
 
     #[test]

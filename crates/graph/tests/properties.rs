@@ -220,3 +220,147 @@ fn remove_net_is_complete() {
         }
     }
 }
+
+/// Sparse net ids with large gaps: the dense vertex storage must treat
+/// the ids between them as absent, not as vertices.
+const SPARSE_IDS: [u32; 12] = [
+    0, 1, 7, 63, 64, 65, 1_000, 4_095, 4_096, 9_000, 15_000, 19_999,
+];
+
+/// The storage invariants every graph operation must keep.
+fn check_invariants(g: &OverlayGraph, ctx: &str) {
+    let verts: Vec<u32> = g.vertices().collect();
+    assert_eq!(g.vertex_count(), verts.len(), "{ctx}: vertex count");
+    assert!(verts.windows(2).all(|w| w[0] < w[1]), "{ctx}: ascending");
+    let mut degree = 0;
+    for &v in &verts {
+        for &n in g.neighbors(v) {
+            degree += 1;
+            assert!(g.contains(n), "{ctx}: neighbour {n} of {v} is no vertex");
+            let back = g.neighbors(n).iter().filter(|&&x| x == v).count();
+            assert_eq!(back, 1, "{ctx}: {v}-{n} is not listed once by {n}");
+            let (ab, ba) = (g.edge(v, n), g.edge(n, v));
+            assert!(ab.is_some() && ab == ba, "{ctx}: edge({v}, {n})");
+        }
+    }
+    let edges: Vec<(u32, u32)> = g.edges().map(|(a, b, _)| (a, b)).collect();
+    assert_eq!(g.edge_count(), edges.len(), "{ctx}: edge count");
+    assert_eq!(degree, 2 * edges.len(), "{ctx}: degree sum");
+    let mut weight = 0;
+    let mut hard_violations = 0;
+    for (a, b, d) in g.edges() {
+        assert!(a < b, "{ctx}: edge {a}-{b} not ordered");
+        assert!(g.neighbors(a).contains(&b), "{ctx}: {a} misses {b}");
+        assert_eq!(g.edge(a, b), Some(d), "{ctx}: edge({a}, {b}) data");
+        if let Some(p) = d.table.hard_parity() {
+            assert_eq!(g.hard_relation(a, b), Some(p), "{ctx}: union–find");
+        }
+        let cost = d
+            .table
+            .entry(Assignment::from_colors(g.color(a), g.color(b)));
+        match cost.overlay_units() {
+            Some(u) => weight += u64::from(u),
+            None => hard_violations += 1,
+        }
+    }
+    let eval = g.evaluate();
+    assert_eq!(
+        (eval.overlay_units, eval.hard_violations),
+        (weight, hard_violations),
+        "{ctx}: evaluate"
+    );
+    let mut text = String::new();
+    g.write_state(&mut text);
+    let back = OverlayGraph::read_state(&mut text.lines()).expect("own text reads back");
+    assert!(back == *g, "{ctx}: read_state gives a different graph");
+    let mut again = String::new();
+    back.write_state(&mut again);
+    assert_eq!(again, text, "{ctx}: state text changed on a round trip");
+}
+
+/// Seeded sequences of every mutating operation over sparse ids: trial
+/// commits that are kept or rolled back, rip-ups, band folds, pseudo
+/// coloring and bounded flips. After each step adjacency is symmetric
+/// and agrees with `edge()`, the counts match iteration, `evaluate()`
+/// matches a sum over the edges, and the state text round-trips.
+#[test]
+fn storage_invariants_hold_over_random_operations() {
+    let mut rng = Rng::seed_from_u64(0xDE45E);
+    let pick = |rng: &mut Rng| SPARSE_IDS[rng.index(SPARSE_IDS.len())];
+    for round in 0..32 {
+        let mut g = OverlayGraph::new();
+        for step in 0..40 {
+            let ctx = format!("round {round} step {step}");
+            let verts: Vec<u32> = g.vertices().collect();
+            match rng.index(6) {
+                // A trial commit of a new net, kept or rolled back.
+                0 | 1 => {
+                    let net = pick(&mut rng);
+                    if g.contains(net) {
+                        continue;
+                    }
+                    let mark = g.mark();
+                    g.ensure_vertex(net);
+                    for _ in 0..1 + rng.index(4) {
+                        let Some(&other) = verts.get(rng.index(verts.len().max(1))) else {
+                            break;
+                        };
+                        let kind = ScenarioKind::ALL[rng.index(ScenarioKind::ALL.len())];
+                        if g.add_scenario_with_kind(net, other, Some(kind), kind.table())
+                            .is_err()
+                        {
+                            break;
+                        }
+                    }
+                    if rng.flip() {
+                        g.rollback_net(net, mark);
+                        assert!(!g.contains(net), "{ctx}: rolled back");
+                    }
+                }
+                2 => {
+                    if let Some(&v) = verts.get(rng.index(verts.len().max(1))) {
+                        g.remove_net(v);
+                        assert!(!g.contains(v), "{ctx}: removed");
+                    }
+                }
+                // A band fold: a vertex-disjoint graph over the free ids.
+                3 => {
+                    let mut band = OverlayGraph::new();
+                    let free: Vec<u32> = SPARSE_IDS
+                        .iter()
+                        .copied()
+                        .filter(|&v| !g.contains(v))
+                        .collect();
+                    if free.len() < 2 {
+                        continue;
+                    }
+                    for _ in 0..rng.index(5) {
+                        let (a, b) = (free[rng.index(free.len())], free[rng.index(free.len())]);
+                        let kind = NONHARD[rng.index(NONHARD.len())];
+                        if a != b {
+                            band.add_scenario_with_kind(a, b, Some(kind), kind.table())
+                                .expect("nonhard");
+                        }
+                    }
+                    g.absorb(&band);
+                }
+                4 => {
+                    if let Some(&v) = verts.get(rng.index(verts.len().max(1))) {
+                        g.pseudo_color(v);
+                    }
+                }
+                _ => {
+                    if let Some(&v) = verts.get(rng.index(verts.len().max(1))) {
+                        let members = sadp_graph::flip_neighborhood(&mut g, v, 1 + rng.index(6));
+                        assert!(members.contains(&v), "{ctx}: seed in its neighbourhood");
+                    }
+                }
+            }
+            check_invariants(&g, &ctx);
+        }
+        // Draining the dirty set leaves nothing to drain.
+        let _ = g.take_dirty();
+        assert!(g.take_dirty().is_empty());
+        check_invariants(&g, &format!("round {round} drained"));
+    }
+}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke suite for the sadp CLI, shared by CI and local runs.
 #
-# Usage: scripts/ci-smoke.sh [corpus|trace|fault|resume|serve|eco|wire|all]
+# Usage: scripts/ci-smoke.sh [corpus|trace|fault|counters|resume|serve|eco|wire|all]
 #
 # Environment:
 #   SADP_BIN         sadp binary to drive (default ./target/release/sadp;
@@ -77,6 +77,36 @@ smoke_fault() {
   grep -q band_recovered /tmp/trace-f1.jsonl || die "no panic was injected"
   cmp /tmp/trace-f1.jsonl /tmp/trace-f2.jsonl
   echo "fault smoke: OK"
+}
+
+# Deterministic work-counter gate. Test5 at scale 0.2 is routed at
+# threads 1 and 2 with --profile and --trace, and each run's record must
+# equal fixtures/counters/test5-scale0.2.txt exactly: the stdout (minus
+# the wall-clock `cpu` line and the `wrote <trace path>` line), the
+# profile's stage and count columns (times dropped), and the sha256 of
+# the trace JSONL. Timings drift from machine to machine; these numbers
+# do not, so any diff means the router did different work. A change
+# that alters routing behaviour on purpose updates the fixture in the
+# same commit: the gate leaves the observed record next to the diff,
+# ready to copy over the fixture.
+smoke_counters() {
+  local DIR t
+  DIR=$(mktemp -d)
+  for t in 1 2; do
+    "$BIN" bench --test 5 --scale 0.2 --threads "$t" --profile --trace "$DIR/trace.jsonl" \
+      >"$DIR/stdout.txt"
+    {
+      awk -F'|' '/^(cpu |wrote |---)|^$/ { next }
+        NF == 4 { gsub(/ /, "", $1); gsub(/ /, "", $4); print $1 " " $4; next }
+        { print }' "$DIR/stdout.txt"
+      echo "trace sha256 $(sha256sum <"$DIR/trace.jsonl" | cut -d' ' -f1)"
+    } >"$DIR/counters-t$t.txt"
+    grep -q '^recolor [0-9]' "$DIR/counters-t$t.txt" || die "no profile table was printed"
+    diff fixtures/counters/test5-scale0.2.txt "$DIR/counters-t$t.txt" ||
+      die "threads $t: work counters differ from fixtures/counters/test5-scale0.2.txt (observed record: $DIR/counters-t$t.txt)"
+  done
+  rm -rf "$DIR"
+  echo "counters smoke: OK"
 }
 
 # Checkpoint/resume on every committed design, the imported DSN and
@@ -248,6 +278,7 @@ case "${1:-all}" in
   corpus) smoke_corpus ;;
   trace) smoke_trace ;;
   fault) smoke_fault ;;
+  counters) smoke_counters ;;
   resume) smoke_resume ;;
   serve) smoke_serve ;;
   eco) smoke_eco ;;
@@ -256,6 +287,7 @@ case "${1:-all}" in
     smoke_corpus
     smoke_trace
     smoke_fault
+    smoke_counters
     smoke_resume
     smoke_serve
     smoke_eco
@@ -263,7 +295,7 @@ case "${1:-all}" in
     echo "all smokes: OK"
     ;;
   *)
-    echo "usage: $0 [corpus|trace|fault|resume|serve|eco|wire|all]" >&2
+    echo "usage: $0 [corpus|trace|fault|counters|resume|serve|eco|wire|all]" >&2
     exit 2
     ;;
 esac

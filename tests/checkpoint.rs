@@ -5,7 +5,9 @@
 //! field — graphs with their adjacency order and union–find, fragment
 //! index, routed store, failed list, counters, workspace grids and plane.
 
-use sadp::core::{RoutingSession, SessionError, SessionStatus, Snapshot, StepBudget};
+use sadp::core::{
+    RoutingSession, SessionError, SessionStatus, Snapshot, SnapshotError, StepBudget,
+};
 use sadp::grid::BenchmarkSpec;
 use sadp::prelude::*;
 use sadp_geom::TrackRect;
@@ -328,5 +330,123 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
         commits(&want_trace),
         commits(&events_to_jsonl(&events)),
         "spliced commit record diverged"
+    );
+}
+
+/// `text` with its checksum line recomputed over the edited body (FNV-1a
+/// 64, as the writer computes it), so only the edit itself can be
+/// rejected.
+fn rechecksummed(text: &str) -> String {
+    let mut parts = text.splitn(3, '\n');
+    let magic = parts.next().expect("magic line");
+    let body = parts.nth(1).expect("body");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in body.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{magic}\nchecksum {h:016x}\n{body}")
+}
+
+/// A finished snapshot of a small design, its netlist size, and the
+/// largest vertex id of its first layer graph.
+fn small_snapshot() -> (BenchmarkSpec, String, usize, u32) {
+    let spec = BenchmarkSpec::new("ckpt-small", 40, 64, 64).with_seed(7);
+    let (plane, netlist) = spec.generate();
+    let nets = netlist.len();
+    let mut session =
+        RoutingSession::create(RouterConfig::paper_defaults(), plane, netlist, false, false)
+            .expect("clean run");
+    finish(&mut session, |_| {});
+    let text = session.snapshot();
+    let top = text
+        .lines()
+        .skip_while(|l| !l.starts_with("graph "))
+        .skip(1)
+        .take_while(|l| l.starts_with("v "))
+        .map(|l| l.split(' ').nth(1).unwrap().parse::<u32>().unwrap())
+        .max()
+        .expect("the first layer graph has vertices");
+    (spec, text, nets, top)
+}
+
+/// Renames vertex `from` of the first graph section to `to` wherever it
+/// appears as a net (vertex ids, neighbours, edge ends, dirty list).
+fn rename_in_first_graph(text: &str, from: u32, to: u32) -> String {
+    let from = from.to_string();
+    let mut in_graph = false;
+    let mut done = false;
+    let mut out = String::new();
+    for line in text.lines() {
+        if !done && line.starts_with("graph ") {
+            in_graph = true;
+        }
+        let toks: Vec<&str> = line.split(' ').collect();
+        // Token positions holding net ids: the slot and color of a
+        // vertex line and the costs of an edge line are left alone.
+        let is_net = |i: usize| match toks[0] {
+            "v" => i == 1 || i >= 4,
+            "e" => i == 1 || i == 2,
+            "dirty" => i >= 2,
+            _ => false,
+        };
+        let renamed: Vec<String> = toks
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                if in_graph && is_net(i) && t == from {
+                    to.to_string()
+                } else {
+                    t.to_string()
+                }
+            })
+            .collect();
+        out.push_str(&renamed.join(" "));
+        out.push('\n');
+        if in_graph && line.starts_with("dirty ") {
+            in_graph = false;
+            done = true;
+        }
+    }
+    out
+}
+
+/// Graph vertices index dense per-net storage, so a checkpoint naming a
+/// huge net id must be refused by the parser before anything is sized
+/// for it — not abort the process on a 4-billion-entry allocation.
+#[test]
+fn a_snapshot_naming_a_huge_net_id_is_refused_at_parse() {
+    let (_, text, _, top) = small_snapshot();
+    let edited = rechecksummed(&rename_in_first_graph(&text, top, u32::MAX));
+    assert_ne!(edited, text);
+    let err = Snapshot::parse(&edited).expect_err("net 4294967295 must be refused");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("4294967295") && msg.contains("exceeds"),
+        "{msg}"
+    );
+}
+
+/// A graph vertex one past the netlist parses (it is a plausible id)
+/// but does not fit the input it is resumed against.
+#[test]
+fn a_snapshot_naming_a_net_past_the_netlist_is_a_state_mismatch() {
+    let (spec, text, nets, top) = small_snapshot();
+    let edited = rechecksummed(&rename_in_first_graph(&text, top, nets as u32));
+    assert_ne!(edited, text);
+    let snap = Snapshot::parse(&edited).expect("the edited snapshot is well formed");
+    let (plane, netlist) = spec.generate();
+    let err = RoutingSession::resume(
+        RouterConfig::paper_defaults(),
+        plane,
+        netlist,
+        &snap,
+        false,
+        false,
+    )
+    .expect_err("a vertex past the netlist must be refused");
+    assert!(
+        matches!(err, SessionError::Snapshot(SnapshotError::StateMismatch)),
+        "{err:?}"
     );
 }
