@@ -3,7 +3,9 @@
 use crate::metrics::{cut_merge_exposure, trim_exposure, LayerPatterns};
 use sadp_core::astar::{DirMap, SearchScratch};
 use sadp_core::scan::{pack_frag_id, scan_fragments};
-use sadp_core::{GuardGrid, PenaltyGrid, RouterConfig, RoutingReport, SearchStage, NO_GUARD};
+use sadp_core::{
+    Budget, GuardGrid, PenaltyGrid, RouterConfig, RoutingReport, SearchStage, NO_GUARD,
+};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_grid::{Net, NetId, Netlist, RoutePath, RoutingPlane};
 use sadp_obs::{FailReason, NoopRecorder, Recorder, RouterEvent, SpanClock, Stage};
@@ -281,6 +283,7 @@ impl BaselineRouter {
                 net.target.candidates(),
                 penalties,
                 scratch,
+                &mut Budget::unlimited(),
             );
             self.nodes_expanded += stats.expanded;
             let path = path?;
@@ -326,7 +329,14 @@ impl BaselineRouter {
                     guards,
                     config: &self.config,
                 }
-                .search(net.id, &[s], &[t], penalties, scratch);
+                .search(
+                    net.id,
+                    &[s],
+                    &[t],
+                    penalties,
+                    scratch,
+                    &mut Budget::unlimited(),
+                );
                 self.nodes_expanded += stats.expanded;
                 let Some(path) = path else { continue };
                 let line_ends = self.line_end_rects(plane, net.id.0, &path);

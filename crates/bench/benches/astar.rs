@@ -3,7 +3,7 @@
 
 use sadp_bench::timing::bench;
 use sadp_core::astar::{astar_search, AstarRequest, DirMap};
-use sadp_core::{GuardGrid, PenaltyGrid, RouterConfig, NO_GUARD};
+use sadp_core::{Budget, GuardGrid, PenaltyGrid, RouterConfig, SearchScratch, NO_GUARD};
 use sadp_geom::{DesignRules, GridPoint, Layer};
 use sadp_grid::{NetId, RoutingPlane};
 
@@ -13,6 +13,8 @@ fn main() {
     let plane = RoutingPlane::new(3, 128, 128, DesignRules::node_10nm()).unwrap();
     let penalties = PenaltyGrid::new(&plane, 0);
     let guards = GuardGrid::new(&plane, NO_GUARD);
+    // One scratch per plane, reused across searches as the router does.
+    let mut scratch = SearchScratch::new(&plane);
     bench("astar/empty_plane_40_tracks", 200, || {
         let req = AstarRequest {
             net: NetId(0),
@@ -21,7 +23,9 @@ fn main() {
             penalties: &penalties,
             guards: &guards,
         };
-        let (p, _) = astar_search(&plane, &req, &DirMap::new(&plane, None), &config);
+        let dir_map = DirMap::new(&plane, None);
+        let budget = &mut Budget::unlimited();
+        let (p, _) = astar_search(&plane, &req, &dir_map, &config, &mut scratch, budget);
         p
     });
 
@@ -36,6 +40,7 @@ fn main() {
             dir_map.set(p, Some(sadp_geom::Dir::Horizontal));
         }
     }
+    let mut scratch = SearchScratch::new(&congested);
     bench("astar/congested_plane_40_tracks", 100, || {
         let req = AstarRequest {
             net: NetId(0),
@@ -44,7 +49,8 @@ fn main() {
             penalties: &penalties,
             guards: &guards,
         };
-        let (p, _) = astar_search(&congested, &req, &dir_map, &config);
+        let budget = &mut Budget::unlimited();
+        let (p, _) = astar_search(&congested, &req, &dir_map, &config, &mut scratch, budget);
         p
     });
 }

@@ -55,9 +55,8 @@ const NO_PREV: u32 = u32::MAX;
 
 /// Reusable dense search state sized to one routing plane.
 ///
-/// Construct once (or let [`astar_search`] build a throwaway one) and pass
-/// to [`astar_search_in`] for every net; clearing between searches is
-/// `O(1)` via generation stamps.
+/// Construct once and pass to [`astar_search`] for every net; clearing
+/// between searches is `O(1)` via generation stamps.
 #[derive(Debug)]
 pub struct SearchScratch {
     width: i32,
@@ -185,19 +184,6 @@ impl SearchScratch {
 /// occupying net runs along at that cell (`None` where nothing routed).
 pub type DirMap = DirGrid;
 
-/// Runs the overlay-aware A\*-search of eq. (5) with throwaway scratch
-/// state (convenience wrapper over [`astar_search_in`]).
-#[must_use]
-pub fn astar_search(
-    plane: &RoutingPlane,
-    req: &AstarRequest<'_>,
-    dir_map: &DirGrid,
-    config: &RouterConfig,
-) -> (Option<RoutePath>, SearchStats) {
-    let mut scratch = SearchScratch::new(plane);
-    astar_search_in(plane, req, dir_map, config, &mut scratch)
-}
-
 /// Runs the overlay-aware A\*-search of eq. (5).
 ///
 /// The cost of entering grid `j` from `i` is
@@ -213,31 +199,14 @@ pub fn astar_search(
 /// is consistent and the popped `f` keys are monotone — which is what
 /// allows the radix-heap open list.
 ///
+/// The search runs under `budget`, charged once per expanded node: an
+/// exhausted budget stops it with `SearchStats::budget_exceeded` set (no
+/// path is returned). An unlimited budget costs one predictable branch
+/// per node. `scratch` is reused across searches; clearing it is `O(1)`.
+///
 /// Returns the cheapest path from any source to any target, or `None`.
 #[must_use]
-pub fn astar_search_in(
-    plane: &RoutingPlane,
-    req: &AstarRequest<'_>,
-    dir_map: &DirGrid,
-    config: &RouterConfig,
-    scratch: &mut SearchScratch,
-) -> (Option<RoutePath>, SearchStats) {
-    astar_search_budgeted(
-        plane,
-        req,
-        dir_map,
-        config,
-        scratch,
-        &mut Budget::unlimited(),
-    )
-}
-
-/// [`astar_search_in`] under a search [`Budget`]: the budget is charged
-/// once per expanded node, and an exhausted budget stops the search with
-/// `SearchStats::budget_exceeded` set (no path is returned). An
-/// unlimited budget costs one predictable branch per node.
-#[must_use]
-pub fn astar_search_budgeted(
+pub fn astar_search(
     plane: &RoutingPlane,
     req: &AstarRequest<'_>,
     dir_map: &DirGrid,
@@ -475,7 +444,25 @@ mod tests {
             guards: &guards,
         };
         let dir_map = DirGrid::new(plane, None);
-        astar_search(plane, &req, &dir_map, &RouterConfig::paper_defaults())
+        fresh_search(plane, &req, &dir_map, &RouterConfig::paper_defaults())
+    }
+
+    /// One unbudgeted search on throwaway scratch.
+    fn fresh_search(
+        plane: &RoutingPlane,
+        req: &AstarRequest<'_>,
+        dir_map: &DirGrid,
+        config: &RouterConfig,
+    ) -> (Option<RoutePath>, SearchStats) {
+        let mut scratch = SearchScratch::new(plane);
+        astar_search(
+            plane,
+            req,
+            dir_map,
+            config,
+            &mut scratch,
+            &mut Budget::unlimited(),
+        )
     }
 
     #[test]
@@ -542,7 +529,7 @@ mod tests {
             penalties: &penalties,
             guards: &guards,
         };
-        let (path, _) = astar_search(
+        let (path, _) = fresh_search(
             &p,
             &req,
             &DirGrid::new(&p, None),
@@ -570,7 +557,7 @@ mod tests {
             penalties: &penalties,
             guards: &guards,
         };
-        let (path, _) = astar_search(
+        let (path, _) = fresh_search(
             &p,
             &req,
             &DirGrid::new(&p, None),
@@ -607,12 +594,12 @@ mod tests {
         };
         let mut cheap = RouterConfig::paper_defaults();
         cheap.gamma = 0.0;
-        let (path_free, _) = astar_search(&p, &req, &dir_map, &cheap);
+        let (path_free, _) = fresh_search(&p, &req, &dir_map, &cheap);
         let expensive = RouterConfig {
             gamma: 100.0,
             ..RouterConfig::paper_defaults()
         };
-        let (path_avoid, _) = astar_search(&p, &req, &dir_map, &expensive);
+        let (path_avoid, _) = fresh_search(&p, &req, &dir_map, &expensive);
         let free = path_free.expect("found");
         let avoid = path_avoid.expect("found");
         // Without the penalty the straight row (through the 2-b cell) wins.
@@ -705,8 +692,9 @@ mod tests {
                 penalties: &penalties,
                 guards: &guards,
             };
-            let (fresh, fs) = astar_search(&p, &req, &dm, &cfg);
-            let (reused, rs) = astar_search_in(&p, &req, &dm, &cfg, &mut scratch);
+            let (fresh, fs) = fresh_search(&p, &req, &dm, &cfg);
+            let (reused, rs) =
+                astar_search(&p, &req, &dm, &cfg, &mut scratch, &mut Budget::unlimited());
             let fresh = fresh.expect("found");
             let reused = reused.expect("found");
             assert_eq!(fresh.wirelength(), reused.wirelength());
@@ -753,14 +741,15 @@ mod tests {
         let mut limited = RouterConfig::paper_defaults();
         limited.net_node_budget = 3;
         let mut budget = Budget::for_net(&limited);
-        let (path, stats) = astar_search_budgeted(&p, &req, &dm, &cfg, &mut scratch, &mut budget);
+        let (path, stats) = astar_search(&p, &req, &dm, &cfg, &mut scratch, &mut budget);
         assert!(path.is_none());
         assert!(stats.budget_exceeded);
         assert!(!stats.found);
         assert!(stats.expanded <= 4);
         // The same search with an unlimited budget still succeeds on the
         // reused scratch (the aborted search left no stale state behind).
-        let (path, stats) = astar_search_in(&p, &req, &dm, &cfg, &mut scratch);
+        let (path, stats) =
+            astar_search(&p, &req, &dm, &cfg, &mut scratch, &mut Budget::unlimited());
         assert!(path.is_some());
         assert!(!stats.budget_exceeded);
     }

@@ -6,19 +6,6 @@ use crate::fault::FaultPlan;
 /// fractional `γ = 1.5` stays exact in integer arithmetic.
 pub const COST_SCALE: u64 = 1000;
 
-/// The order in which `route_all` processes nets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetOrder {
-    /// Shortest half-perimeter wirelength first (the usual sequential
-    /// detailed-routing order; default).
-    #[default]
-    HpwlAscending,
-    /// Longest first — long nets get clean channels, short nets detour.
-    HpwlDescending,
-    /// Netlist order, as given by the caller.
-    Given,
-}
-
 /// Configuration of the overlay-aware router.
 ///
 /// The defaults follow Section IV of the paper: `α = β = 1`, `γ = 1.5`,
@@ -60,21 +47,10 @@ pub struct RouterConfig {
     pub wrong_way: f64,
     /// Whether to run the final full-layout flipping pass.
     pub final_flip: bool,
-    /// Whether the finalize stage at the end of every run runs the pixel
-    /// cut-process simulator on the final colored layout and repairs
-    /// (rips up, re-routes, ultimately unroutes) nets whose target runs
-    /// the simulator finds cut-conflicted or spacer-destroyed. The
-    /// constraint graph is a pairwise model; a few multi-pattern
-    /// interactions (assist-core merges closing over a via pad) only
-    /// show up in the synthesised masks, and this pass is what backs the
-    /// conflict-free claim against the simulator ground truth.
-    pub cut_repair: bool,
     /// Whether the merge-and-cut technique is available: when disabled the
     /// router treats type 1-b (tip-to-tip) pairs as conflicts and routes
     /// away from them, like baseline \[16\]. Ablation switch.
     pub allow_merge: bool,
-    /// Net processing order for `route_all`.
-    pub net_order: NetOrder,
     /// Worker threads for the region-sharded schedule (minimum 1). The
     /// band partition and the commit order depend only on the plane
     /// geometry, never on this value, so results are byte-identical for
@@ -117,9 +93,7 @@ impl RouterConfig {
             pin_guard: 2.0,
             wrong_way: 2.0,
             final_flip: true,
-            cut_repair: true,
             allow_merge: true,
-            net_order: NetOrder::HpwlAscending,
             threads: 1,
             net_node_budget: 0,
             net_deadline_ms: 0,
@@ -187,7 +161,6 @@ mod tests {
         assert_eq!(c.max_ripup, 3);
         assert!(c.final_flip);
         assert!(c.allow_merge);
-        assert_eq!(c.net_order, NetOrder::HpwlAscending);
         // Robustness knobs are off by default: the paper configuration
         // carries no budgets and injects no faults.
         assert_eq!(c.net_node_budget, 0);

@@ -9,7 +9,6 @@
 
 use sadp_geom::{DesignRules, SpatialHash, TrackRect};
 use sadp_graph::{flip, GraphError, OverlayGraph};
-use sadp_obs::{Recorder, SpanClock, Stage};
 use sadp_scenario::{classify, Color};
 use std::collections::HashMap;
 use std::error::Error;
@@ -146,22 +145,6 @@ pub fn decompose_layout(
         overlay_units: eval.overlay_units,
         edges: graph.edge_count(),
     })
-}
-
-/// [`decompose_layout`], timed as one `decompose` span on `rec`.
-///
-/// # Errors
-///
-/// As [`decompose_layout`].
-pub fn decompose_layout_observed(
-    patterns: &[LayoutPattern],
-    rules: &DesignRules,
-    rec: &mut dyn Recorder,
-) -> Result<LayoutColoring, UndecomposableLayout> {
-    let clock = SpanClock::start(&*rec);
-    let out = decompose_layout(patterns, rules);
-    clock.stop(rec, Stage::Decompose);
-    out
 }
 
 #[cfg(test)]

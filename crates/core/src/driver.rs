@@ -64,6 +64,50 @@ pub(crate) struct RouteCtx<'a> {
     pub rec: &'a mut dyn Recorder,
 }
 
+impl<'a> RouteCtx<'a> {
+    /// The context of the global stream: the router's ledger and its
+    /// workspace grids.
+    pub(crate) fn new(
+        config: &'a RouterConfig,
+        ledger: &'a mut CommitLedger,
+        ws: &'a mut Workspace,
+        run_budget: &'a RunBudget,
+        rec: &'a mut dyn Recorder,
+    ) -> RouteCtx<'a> {
+        RouteCtx {
+            config,
+            ledger,
+            dir_map: &mut ws.dir_map,
+            guards: &ws.guards,
+            penalties: &mut ws.penalties,
+            scratch: &mut ws.scratch,
+            run_budget,
+            rec,
+        }
+    }
+}
+
+/// Records one failed net: bumps the ledger counter of `reason` and
+/// emits the `net_failed` event. Every failure the router records goes
+/// through here, so the per-reason counters and the trace always agree.
+pub(crate) fn net_failed(
+    ledger: &mut CommitLedger,
+    rec: &mut dyn Recorder,
+    net: NetId,
+    reason: FailReason,
+) {
+    let c = &mut ledger.counters;
+    *match reason {
+        FailReason::NoPath => &mut c.failed_no_path,
+        FailReason::Exhausted => &mut c.failed_exhausted,
+        FailReason::Cleanup => &mut c.failed_cleanup,
+        FailReason::BudgetExceeded => &mut c.failed_budget,
+    } += 1;
+    if rec.enabled() {
+        rec.event(RouterEvent::NetFailed { net: net.0, reason });
+    }
+}
+
 /// Occupies every pin candidate cell of `net` up front so earlier nets
 /// cannot route over the pins of later ones (the owner may still enter
 /// its own reserved cells), and claims the soft guard halo around each
@@ -190,34 +234,45 @@ pub(crate) struct PreSearch {
 
 /// Routes one net through the full stage pipeline with up to `max_ripup`
 /// rip-up-and-re-route iterations; returns whether the net was committed.
-/// `seed_penalties` pre-loads the penalty grid (used by the cleanup
+/// `seed_penalties` pre-loads the penalty grid (used by the finalize
 /// re-route to steer the net away from its old corridor).
-/// `count_failures` is false for cleanup re-routes: their casualties are
-/// counted once as `failed_cleanup` by the caller, not a second time as
+/// `count_failures` is false for finalize re-routes: their casualties are
+/// recorded once as `failed_cleanup` by the caller, not a second time as
 /// initial-routing failures.
+///
+/// `presearch` is a wave worker's attempt-0 search, computed ahead of
+/// time. The run budget is *not* re-charged for it (the worker already
+/// added its nodes); the ledger's deterministic `nodes_expanded` counter
+/// is charged here, at the net's canonical turn, so counters are
+/// thread-count-invariant.
 pub(crate) fn route_net(
     ctx: &mut RouteCtx<'_>,
     plane: &mut RoutingPlane,
     net: &Net,
     seed_penalties: &[(GridPoint, u64)],
     count_failures: bool,
+    presearch: Option<PreSearch>,
 ) -> bool {
-    route_net_presearched(ctx, plane, net, seed_penalties, count_failures, None)
+    match try_route(ctx, plane, net, seed_penalties, count_failures, presearch) {
+        Ok(()) => true,
+        Err(reason) => {
+            if count_failures {
+                net_failed(ctx.ledger, ctx.rec, net.id, reason);
+            }
+            false
+        }
+    }
 }
 
-/// [`route_net`] with an optional pre-computed attempt-0 search from a
-/// wave worker. The run budget is *not* re-charged for a consumed
-/// pre-search (the worker already added its nodes); the ledger's
-/// deterministic `nodes_expanded` counter is charged here, at the net's
-/// canonical turn, so counters are thread-count-invariant.
-pub(crate) fn route_net_presearched(
+/// The body of [`route_net`]: commits the net or says why it failed.
+fn try_route(
     ctx: &mut RouteCtx<'_>,
     plane: &mut RoutingPlane,
     net: &Net,
     seed_penalties: &[(GridPoint, u64)],
     count_failures: bool,
     mut presearch: Option<PreSearch>,
-) -> bool {
+) -> Result<(), FailReason> {
     let key = net.id.0;
     ctx.penalties.clear();
     for &(p, v) in seed_penalties {
@@ -233,16 +288,7 @@ pub(crate) fn route_net_presearched(
     // banded, and recovered schedules see the identical fault set.
     let injected = count_failures && ctx.config.faults.is_some_and(|f| f.injects_net_budget(key));
     if injected || ctx.run_budget.tripped() {
-        if count_failures {
-            ctx.ledger.counters.failed_budget += 1;
-            if ctx.rec.enabled() {
-                ctx.rec.event(RouterEvent::NetFailed {
-                    net: key,
-                    reason: FailReason::BudgetExceeded,
-                });
-            }
-        }
-        return false;
+        return Err(FailReason::BudgetExceeded);
     }
 
     // One per-net budget spans every rip-up attempt and branch search.
@@ -265,42 +311,19 @@ pub(crate) fn route_net_presearched(
                     guards: ctx.guards,
                     config: ctx.config,
                 };
-                let outcome = stage.search_net_observed(
-                    net,
-                    ctx.penalties,
-                    ctx.scratch,
-                    &mut budget,
-                    ctx.rec,
-                );
+                let outcome =
+                    stage.search_net(net, ctx.penalties, ctx.scratch, &mut budget, ctx.rec);
                 ctx.ledger.counters.nodes_expanded += outcome.expanded;
                 ctx.run_budget.add_nodes(outcome.expanded);
                 outcome
             }
         };
         if outcome.budget_exceeded {
-            if count_failures {
-                ctx.ledger.counters.failed_budget += 1;
-                if ctx.rec.enabled() {
-                    ctx.rec.event(RouterEvent::NetFailed {
-                        net: key,
-                        reason: FailReason::BudgetExceeded,
-                    });
-                }
-            }
             ctx.ledger.forget(net.id);
-            return false;
+            return Err(FailReason::BudgetExceeded);
         }
         let Some(candidate) = outcome.candidate else {
-            if count_failures {
-                ctx.ledger.counters.failed_no_path += 1;
-                if ctx.rec.enabled() {
-                    ctx.rec.event(RouterEvent::NetFailed {
-                        net: key,
-                        reason: FailReason::NoPath,
-                    });
-                }
-            }
-            return false;
+            return Err(FailReason::NoPath);
         };
 
         // Stages 2-5: scenario scan, type-B check, propose, trial-color,
@@ -314,7 +337,7 @@ pub(crate) fn route_net_presearched(
                         flipped,
                     });
                 }
-                return true;
+                return Ok(());
             }
             Err(StageReject::Merge(cells)) => {
                 rip_up(ctx, key, attempt, RipReason::Graph, &cells);
@@ -342,17 +365,8 @@ pub(crate) fn route_net_presearched(
         }
     }
     // Attempts exhausted; leave the graphs clean.
-    if count_failures {
-        ctx.ledger.counters.failed_exhausted += 1;
-        if ctx.rec.enabled() {
-            ctx.rec.event(RouterEvent::NetFailed {
-                net: key,
-                reason: FailReason::Exhausted,
-            });
-        }
-    }
     ctx.ledger.forget(net.id);
-    false
+    Err(FailReason::Exhausted)
 }
 
 /// Why [`commit_candidate`] rejected a tentative route. Each variant
@@ -498,34 +512,6 @@ fn commit_candidate(
         .commit(proposal, plane, ctx.dir_map, net, candidate);
     clock.stop(ctx.rec, Stage::Commit);
     Ok(flipped)
-}
-
-/// Routes one net against the global state, building the context from the
-/// router's workspace. `seed_penalties` and `count_failures` as in
-/// [`route_net`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_one(
-    config: &RouterConfig,
-    ledger: &mut CommitLedger,
-    ws: &mut Workspace,
-    plane: &mut RoutingPlane,
-    net: &Net,
-    seed_penalties: &[(GridPoint, u64)],
-    run_budget: &RunBudget,
-    rec: &mut dyn Recorder,
-    count_failures: bool,
-) -> bool {
-    let mut ctx = RouteCtx {
-        config,
-        ledger,
-        dir_map: &mut ws.dir_map,
-        guards: &ws.guards,
-        penalties: &mut ws.penalties,
-        scratch: &mut ws.scratch,
-        run_budget,
-        rec,
-    };
-    route_net(&mut ctx, plane, net, seed_penalties, count_failures)
 }
 
 /// Adds rip-up penalties around the given cells so the re-route leaves
@@ -753,17 +739,8 @@ impl ScheduleMachine {
                     return StepEvent::Complete;
                 };
                 *next += 1;
-                if !route_one(
-                    a.config,
-                    &mut *a.ledger,
-                    &mut *a.ws,
-                    &mut *a.plane,
-                    a.netlist.net(id),
-                    &[],
-                    a.run_budget,
-                    &mut *a.rec,
-                    true,
-                ) {
+                let mut ctx = RouteCtx::new(a.config, a.ledger, a.ws, a.run_budget, &mut *a.rec);
+                if !route_net(&mut ctx, a.plane, a.netlist.net(id), &[], true, None) {
                     a.failed.push(id);
                 }
                 StepEvent::Net
@@ -837,7 +814,6 @@ impl ScheduleMachine {
                             a.netlist,
                             wave,
                             a.run_budget,
-                            a.config.threads.max(1),
                             a.rec.timing(),
                         )
                         .into();
@@ -862,24 +838,9 @@ impl ScheduleMachine {
                         }
                     }
                     slot.rec.replay_into(&mut *a.rec);
-                    let mut ctx = RouteCtx {
-                        config: a.config,
-                        ledger: &mut *a.ledger,
-                        dir_map: &mut a.ws.dir_map,
-                        guards: &a.ws.guards,
-                        penalties: &mut a.ws.penalties,
-                        scratch: &mut a.ws.scratch,
-                        run_budget: a.run_budget,
-                        rec: &mut *a.rec,
-                    };
-                    if !route_net_presearched(
-                        &mut ctx,
-                        a.plane,
-                        a.netlist.net(id),
-                        &[],
-                        true,
-                        slot.result,
-                    ) {
+                    let mut ctx =
+                        RouteCtx::new(a.config, a.ledger, a.ws, a.run_budget, &mut *a.rec);
+                    if !route_net(&mut ctx, a.plane, a.netlist.net(id), &[], true, slot.result) {
                         a.failed.push(id);
                     }
                     *wave_pos += 1;
@@ -942,7 +903,6 @@ fn run_bands(
 ) -> VecDeque<(bool, BandOutcome)> {
     let expected = netlist.len();
     let bands = band_nets.len();
-    let workers = config.threads.clamp(1, bands);
     // `inject` arms the fault plan's band panics; the recovery retry runs
     // the same closure with it off. (The scratch allocation can only
     // panic on an oversized plane, which `prepare_run` already rejected.)
@@ -975,7 +935,7 @@ fn run_bands(
                 run_budget,
                 rec: &mut band_rec,
             };
-            if !route_net(&mut ctx, &mut band_plane, netlist.net(id), &[], true) {
+            if !route_net(&mut ctx, &mut band_plane, netlist.net(id), &[], true, None) {
                 band_failed.push(id);
             }
         }
@@ -992,44 +952,13 @@ fn run_bands(
         catch_unwind(AssertUnwindSafe(|| run_band(j, true))).ok()
     };
 
-    let mut results: Vec<(usize, Option<BandOutcome>)> = if workers <= 1 {
-        (0..bands).map(|j| (j, guarded(j))).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let run = &guarded;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            if j >= bands {
-                                break;
-                            }
-                            out.push((j, run(j)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .expect("band worker panicked outside the isolation boundary")
-                })
-                .collect()
-        })
-    };
-    // Deterministic fold regardless of which worker finished which band.
-    results.sort_by_key(|&(j, _)| j);
+    let results = parallel_map(bands, config.threads, || (), |_, j| guarded(j));
     // Recovery pass, before any merge mutates the plane: each poisoned
     // band re-runs serially through the identical closure (injection
     // off), so the retried outcome is the one a clean worker produces.
     results
         .into_iter()
+        .enumerate()
         .map(|(j, out)| match out {
             Some(out) => (false, out),
             None => (true, run_band(j, false)),
@@ -1068,7 +997,6 @@ fn presearch_wave(
     netlist: &Netlist,
     wave: &[NetId],
     run_budget: &RunBudget,
-    workers: usize,
     timing: bool,
 ) -> Vec<WaveSlot> {
     let search_one =
@@ -1101,7 +1029,7 @@ fn presearch_wave(
                 if config.faults.is_some_and(|f| f.injects_wave_panic(key)) {
                     panic!("injected fault: wave pre-search of net {key} dies");
                 }
-                stage.search_net_observed(net, penalties, scratch, &mut budget, &mut wrec)
+                stage.search_net(net, penalties, scratch, &mut budget, &mut wrec)
             }));
             match caught {
                 Ok(outcome) => {
@@ -1124,32 +1052,44 @@ fn presearch_wave(
             }
         };
 
-    let n = wave.len();
-    if workers <= 1 || n <= 1 {
-        let mut penalties = PenaltyGrid::new(plane, 0);
-        let mut scratch = SearchScratch::new(plane);
-        return wave
-            .iter()
-            .map(|&id| search_one(id, &mut penalties, &mut scratch))
-            .collect();
+    parallel_map(
+        wave.len(),
+        config.threads,
+        || (PenaltyGrid::new(plane, 0), SearchScratch::new(plane)),
+        |(penalties, scratch), k| search_one(wave[k], penalties, scratch),
+    )
+}
+
+/// The one worker pool of the driver: maps `f` over `0..n` on up to
+/// `workers` scoped threads and returns the results in index order,
+/// whichever worker ran which index. Each worker builds its private state
+/// once with `init` and hands it to every `f` call it makes. With one
+/// worker (or one item) everything runs inline on the caller's thread.
+fn parallel_map<S, R: Send>(
+    n: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|k| f(&mut state, k)).collect();
     }
     let next = AtomicUsize::new(0);
-    let search = &search_one;
-    let mut slots: Vec<Option<WaveSlot>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(n))
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut penalties = PenaltyGrid::new(plane, 0);
-                    let mut scratch = SearchScratch::new(plane);
+                s.spawn(|| {
+                    let mut state = init();
                     let mut out = Vec::new();
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
                         if k >= n {
                             break;
                         }
-                        out.push((k, search(wave[k], &mut penalties, &mut scratch)));
+                        out.push((k, f(&mut state, k)));
                     }
                     out
                 })
@@ -1158,15 +1098,15 @@ fn presearch_wave(
         for h in handles {
             let batch = h
                 .join()
-                .expect("wave worker panicked outside the isolation boundary");
-            for (k, slot) in batch {
-                slots[k] = Some(slot);
+                .expect("worker panicked outside the isolation boundary");
+            for (k, r) in batch {
+                slots[k] = Some(r);
             }
         }
     });
     slots
         .into_iter()
-        .map(|s| s.expect("every wave slot is filled exactly once"))
+        .map(|r| r.expect("every index is mapped exactly once"))
         .collect()
 }
 

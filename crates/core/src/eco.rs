@@ -924,7 +924,7 @@ impl EcoSession {
                 );
             }
         }
-        let order = self.router.net_order(&self.netlist);
+        let order = self.netlist.ids_by_hpwl();
         let mut rerouted: u64 = 0;
         for id in order {
             if !targets.contains(&id) {

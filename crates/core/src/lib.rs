@@ -61,10 +61,8 @@ pub use astar::{AstarRequest, SearchScratch, SearchStats};
 pub use bucket::BucketQueue;
 pub use budget::{Budget, RunBudget};
 pub use checkpoint::{Snapshot, SnapshotError};
-pub use config::{NetOrder, RouterConfig};
-pub use decompose::{
-    decompose_layout, decompose_layout_observed, LayoutColoring, UndecomposableLayout,
-};
+pub use config::RouterConfig;
+pub use decompose::{decompose_layout, LayoutColoring, UndecomposableLayout};
 pub use eco::{
     parse_edit_script, EcoEdit, EcoError, EcoSession, EditOutcome, NetRef, OpOutcome, ScriptOp,
 };

@@ -10,7 +10,7 @@
 use crate::budget::RunBudget;
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
-use crate::driver::{self, ScheduleMachine};
+use crate::driver::{self, RouteCtx, ScheduleMachine};
 use crate::grids::{DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
 use crate::ledger::{CommitLedger, FLIP_NEIGHBORHOOD};
 use crate::report::RoutingReport;
@@ -309,7 +309,7 @@ impl Router {
                 return Err(SnapshotError::FingerprintMismatch);
             }
         }
-        let mut order = self.net_order(netlist);
+        let mut order = netlist.ids_by_hpwl();
         if let Some(snap) = resume {
             self.restore(plane, netlist, snap)?;
             if self.finalized {
@@ -390,7 +390,10 @@ impl Router {
         } = self;
         let ws = workspace.as_mut().expect("a run sized the router");
         driver::reserve_pins(config, &mut ws.guards, plane, net);
-        let ok = driver::route_one(config, ledger, ws, plane, net, &[], run_budget, rec, true);
+        let ok = {
+            let mut ctx = RouteCtx::new(config, ledger, ws, run_budget, rec);
+            driver::route_net(&mut ctx, plane, net, &[], true, None)
+        };
         if ok {
             // A retry that made it clears the earlier failure record so
             // report counters see the net exactly once.
@@ -456,6 +459,58 @@ impl Router {
         self.finalized = true;
     }
 
+    /// Post-routing cleanup: re-flip components of nets whose coloring
+    /// still realizes a forbidden assignment or a type-A cut risk,
+    /// re-route the nets the flip cannot fix, and unroute the
+    /// incorrigible ones so the final result is conflict-free.
+    fn cleanup_risks(
+        &mut self,
+        plane: &mut RoutingPlane,
+        netlist: &Netlist,
+        rec: &mut dyn Recorder,
+    ) {
+        let layer_count = self.ledger.layer_count();
+        for _ in 0..8 {
+            let risky = self.risky_nets();
+            if risky.is_empty() {
+                break;
+            }
+            // One flip+refine per neighbourhood per pass: several risky
+            // nets usually share a region, and re-flipping it for each of
+            // them repeated `O(component)` work per net.
+            let mut flipped = vec![vec![false; netlist.len()]; layer_count];
+            for id in risky {
+                if !self.ledger.routed().contains_key(&id) {
+                    continue;
+                }
+                let net = id.0;
+                let layers: Vec<usize> = (0..layer_count)
+                    .filter(|&l| self.ledger.graphs()[l].contains(net))
+                    .collect();
+                for &l in &layers {
+                    if flipped[l][net as usize] {
+                        continue;
+                    }
+                    let g = &mut self.ledger.graphs_mut()[l];
+                    let members = flip::flip_neighborhood(g, net, FLIP_NEIGHBORHOOD);
+                    flip::refine_members(g, &members, 2);
+                    for m in members {
+                        flipped[l][m as usize] = true;
+                    }
+                }
+                let has_risk = |r: &Router| r.ledger.graphs().iter().any(|g| g.net_has_risk(net));
+                // Re-route away from the old corridor; give the net up
+                // only if that fails too or the new route is risky again.
+                if has_risk(self)
+                    && (!self.reroute_away(plane, netlist.net(id), rec) || has_risk(self))
+                {
+                    self.give_up(plane, id, rec);
+                }
+            }
+        }
+        self.unroute_until_clean(plane, rec, Router::risky_nets);
+    }
+
     /// Simulator-backed repair: synthesises the cut-process masks for the
     /// final colored layout and, while any layer still shows a type-B cut
     /// conflict or a spacer-destroyed target, rips up the nets owning the
@@ -473,9 +528,6 @@ impl Router {
         netlist: &Netlist,
         rec: &mut dyn Recorder,
     ) {
-        if !self.config.cut_repair {
-            return;
-        }
         let sim = CutSimulator::new(*plane.rules());
         // Re-routing rounds: later rounds widen the rip-up to the
         // dependence-radius neighbours of the conflict, since the net
@@ -488,36 +540,18 @@ impl Router {
             if offenders.is_empty() {
                 return;
             }
-            self.reroute_offenders(plane, netlist, &offenders, rec);
-            self.cleanup_risks(plane, netlist, rec);
-        }
-        // Convergence backstop: unroute the offenders outright. Removing
-        // a net never adds constraint-graph edges, but it can reshape the
-        // masks, so re-simulate until clean; every iteration unroutes at
-        // least one routed net, so this terminates.
-        loop {
-            let offenders = self.sim_offenders(&sim, 0);
-            if offenders.is_empty() {
-                return;
-            }
-            let ws = self
-                .workspace
-                .as_mut()
-                .expect("repair runs after a run began");
             for id in offenders {
-                if self.ledger.routed().contains_key(&id) {
-                    self.ledger.unroute(plane, &mut ws.dir_map, id);
-                    self.failed.push(id);
-                    self.ledger.counters.failed_cleanup += 1;
-                    if rec.enabled() {
-                        rec.event(RouterEvent::NetFailed {
-                            net: id.0,
-                            reason: FailReason::Cleanup,
-                        });
-                    }
+                if self.ledger.routed().contains_key(&id)
+                    && !self.reroute_away(plane, netlist.net(id), rec)
+                {
+                    self.give_up(plane, id, rec);
                 }
             }
+            self.cleanup_risks(plane, netlist, rec);
         }
+        // Removing a net never adds constraint-graph edges, but it can
+        // reshape the masks, so the backstop re-simulates until clean.
+        self.unroute_until_clean(plane, rec, |r| r.sim_offenders(&sim, 0));
     }
 
     /// Runs the cut simulator on every occupied layer and returns the
@@ -550,82 +584,93 @@ impl Router {
         offenders
     }
 
-    /// Rips up and re-routes each offender with penalties seeded on its
-    /// old corridor (the repair analogue of the cleanup re-route); a net
-    /// that cannot be re-routed is recorded as a cleanup casualty.
-    fn reroute_offenders(
+    /// Nets whose coloring realizes a forbidden assignment or a type-A
+    /// cut risk on some layer (sorted, deduplicated).
+    fn risky_nets(&self) -> Vec<NetId> {
+        let mut risky: Vec<NetId> = Vec::new();
+        for g in self.ledger.graphs() {
+            risky.extend(g.nets_with_realized_risk().into_iter().map(NetId));
+        }
+        risky.sort_unstable();
+        risky.dedup();
+        risky
+    }
+
+    /// The one re-route of finalize: rips up the routed `net` and routes
+    /// it again with `2 × ripup_penalty` seeded on its old corridor, so it
+    /// leaves the offending region. The unroute freed the net's pin
+    /// cells; every pin candidate is re-reserved first. Failures are not
+    /// counted here (`count_failures = false`): the caller decides
+    /// whether the net becomes a cleanup casualty.
+    fn reroute_away(
         &mut self,
         plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        offenders: &[NetId],
+        net: &Net,
         rec: &mut dyn Recorder,
+    ) -> bool {
+        let old_cells = self.ledger.routed()[&net.id].fragments.clone();
+        let ws = self
+            .workspace
+            .as_mut()
+            .expect("finalize runs after a run began");
+        self.ledger.unroute(plane, &mut ws.dir_map, net.id);
+        let p = self.config.ripup_penalty_cost() * 2;
+        let seeds: Vec<(GridPoint, u64)> = old_cells
+            .iter()
+            .flat_map(|(layer, rect)| {
+                rect.cells()
+                    .map(move |(x, y)| (GridPoint::new(*layer, x, y), p))
+            })
+            .collect();
+        for pin in net.pins() {
+            for &c in pin.candidates() {
+                let _ = plane.occupy(c, net.id);
+            }
+        }
+        let mut ctx = RouteCtx::new(&self.config, &mut self.ledger, ws, &self.run_budget, rec);
+        driver::route_net(&mut ctx, plane, net, &seeds, false, None)
+    }
+
+    /// Gives `id` up as a cleanup casualty: unroutes it if it is still
+    /// routed, lists it failed and records the `cleanup` failure.
+    fn give_up(&mut self, plane: &mut RoutingPlane, id: NetId, rec: &mut dyn Recorder) {
+        let ws = self
+            .workspace
+            .as_mut()
+            .expect("finalize runs after a run began");
+        self.ledger.unroute(plane, &mut ws.dir_map, id);
+        self.failed.push(id);
+        driver::net_failed(&mut self.ledger, rec, id, FailReason::Cleanup);
+    }
+
+    /// The convergence backstop of cleanup and repair: gives up every
+    /// routed net `offenders` lists until it lists none. Every pass
+    /// unroutes at least one routed net, so this terminates.
+    fn unroute_until_clean(
+        &mut self,
+        plane: &mut RoutingPlane,
+        rec: &mut dyn Recorder,
+        offenders: impl Fn(&Router) -> Vec<NetId>,
     ) {
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = self;
-        let ws = workspace.as_mut().expect("repair runs after a run began");
-        for &id in offenders {
-            let Some(routed) = ledger.routed().get(&id) else {
-                continue;
-            };
-            let old_cells: Vec<(Layer, TrackRect)> = routed.fragments.clone();
-            ledger.unroute(plane, &mut ws.dir_map, id);
-            let p = config.ripup_penalty_cost() * 2;
-            let mut seeds: Vec<(GridPoint, u64)> = Vec::new();
-            for (layer, rect) in &old_cells {
-                for (x, y) in rect.cells() {
-                    seeds.push((GridPoint::new(*layer, x, y), p));
-                }
+        loop {
+            let ids = offenders(self);
+            if ids.is_empty() {
+                return;
             }
-            let net_ref = netlist.net(id);
-            for pin in [&net_ref.source, &net_ref.target] {
-                for &c in pin.candidates() {
-                    let _ = plane.occupy(c, id);
-                }
-            }
-            let ok = driver::route_one(
-                config, ledger, ws, plane, net_ref, &seeds, run_budget, rec, false,
-            );
-            if !ok {
-                failed.push(id);
-                ledger.counters.failed_cleanup += 1;
-                if rec.enabled() {
-                    rec.event(RouterEvent::NetFailed {
-                        net: id.0,
-                        reason: FailReason::Cleanup,
-                    });
+            for id in ids {
+                if self.ledger.routed().contains_key(&id) {
+                    self.give_up(plane, id, rec);
                 }
             }
         }
     }
 
     /// Builds the aggregate report for the current state, with the `cpu`
-    /// field measured from `since` (for callers that inspect the router
-    /// after ECO edits rather than at the end of a run).
+    /// field measured from `since`. A run's session reports through it
+    /// when the schedule finishes; callers may also inspect the router
+    /// after ECO edits.
     #[must_use]
     pub fn report(&self, netlist: &Netlist, since: Instant) -> RoutingReport {
-        self.build_report(netlist, since)
-    }
-
-    pub(crate) fn net_order(&self, netlist: &Netlist) -> Vec<NetId> {
-        use crate::config::NetOrder;
-        match self.config.net_order {
-            NetOrder::HpwlAscending => netlist.ids_by_hpwl(),
-            NetOrder::HpwlDescending => {
-                let mut ids = netlist.ids_by_hpwl();
-                ids.reverse();
-                ids
-            }
-            NetOrder::Given => netlist.iter().map(|n| n.id).collect(),
-        }
-    }
-
-    pub(crate) fn build_report(&self, netlist: &Netlist, start: Instant) -> RoutingReport {
         let c = &self.ledger.counters;
         let mut report = RoutingReport {
             total_nets: netlist.len(),
@@ -642,7 +687,7 @@ impl Router {
             waves_recovered: c.waves_recovered,
             flips: c.flips,
             nodes_expanded: c.nodes_expanded,
-            cpu: start.elapsed(),
+            cpu: since.elapsed(),
             ..RoutingReport::default()
         };
         for r in self.ledger.routed().values() {
@@ -675,134 +720,6 @@ impl Router {
         }
         report.color_fallbacks = fallbacks;
         report
-    }
-
-    /// Post-routing cleanup: re-flip components of nets whose coloring
-    /// still realizes a forbidden assignment or a type-A cut risk, and
-    /// unroute the incorrigible ones so the final result is conflict-free.
-    fn cleanup_risks(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
-    ) {
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = self;
-        let ws = workspace.as_mut().expect("cleanup runs after a run began");
-        for _ in 0..8 {
-            let mut risky: Vec<u32> = Vec::new();
-            for g in ledger.graphs() {
-                risky.extend(g.nets_with_realized_risk());
-            }
-            risky.sort_unstable();
-            risky.dedup();
-            if risky.is_empty() {
-                break;
-            }
-            // One flip+refine per neighbourhood per pass: several risky
-            // nets usually share a region, and re-flipping it for each of
-            // them repeated `O(component)` work per net.
-            let mut flipped = vec![vec![false; netlist.len()]; ledger.layer_count()];
-            for net in risky {
-                let id = NetId(net);
-                let Some(routed) = ledger.routed().get(&id) else {
-                    continue;
-                };
-                let old_cells: Vec<(Layer, TrackRect)> = routed.fragments.clone();
-                let layers: Vec<usize> = (0..ledger.layer_count())
-                    .filter(|&l| ledger.graphs()[l].contains(net))
-                    .collect();
-                for &l in &layers {
-                    if flipped[l][net as usize] {
-                        continue;
-                    }
-                    let members = flip::flip_neighborhood(
-                        &mut ledger.graphs_mut()[l],
-                        net,
-                        FLIP_NEIGHBORHOOD,
-                    );
-                    flip::refine_members(&mut ledger.graphs_mut()[l], &members, 2);
-                    for m in members {
-                        flipped[l][m as usize] = true;
-                    }
-                }
-                let still = layers.iter().any(|&l| ledger.graphs()[l].net_has_risk(net));
-                if still {
-                    // Re-route away from the old corridor; give the net up
-                    // only if that fails too.
-                    ledger.unroute(plane, &mut ws.dir_map, id);
-                    let p = config.ripup_penalty_cost() * 2;
-                    let mut seeds: Vec<(GridPoint, u64)> = Vec::new();
-                    for (layer, rect) in &old_cells {
-                        for (x, y) in rect.cells() {
-                            seeds.push((GridPoint::new(*layer, x, y), p));
-                        }
-                    }
-                    // The pins were freed by the unroute; re-reserve them
-                    // for the re-route attempt.
-                    let net_ref = netlist.net(id);
-                    for pin in [&net_ref.source, &net_ref.target] {
-                        for &c in pin.candidates() {
-                            let _ = plane.occupy(c, id);
-                        }
-                    }
-                    // `count_failures = false`: a net that fails here is a
-                    // *cleanup* casualty, not an initial-routing failure —
-                    // letting route_net bump failed_no_path/failed_exhausted
-                    // for it double-counted the net across failure counters.
-                    let ok = driver::route_one(
-                        config, ledger, ws, plane, net_ref, &seeds, run_budget, rec, false,
-                    );
-                    let risk_again = ok
-                        && (0..ledger.layer_count()).any(|l| ledger.graphs()[l].net_has_risk(net));
-                    if risk_again || !ok {
-                        if risk_again {
-                            ledger.unroute(plane, &mut ws.dir_map, id);
-                        }
-                        failed.push(id);
-                        ledger.counters.failed_cleanup += 1;
-                        if rec.enabled() {
-                            rec.event(RouterEvent::NetFailed {
-                                net: id.0,
-                                reason: FailReason::Cleanup,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Anything still risky after the passes is unrouted outright.
-        loop {
-            let mut risky: Vec<u32> = Vec::new();
-            for g in ledger.graphs() {
-                risky.extend(g.nets_with_realized_risk());
-            }
-            risky.sort_unstable();
-            risky.dedup();
-            if risky.is_empty() {
-                break;
-            }
-            for net in risky {
-                let id = NetId(net);
-                if ledger.routed().contains_key(&id) {
-                    ledger.unroute(plane, &mut ws.dir_map, id);
-                    failed.push(id);
-                    ledger.counters.failed_cleanup += 1;
-                    if rec.enabled() {
-                        rec.event(RouterEvent::NetFailed {
-                            net: id.0,
-                            reason: FailReason::Cleanup,
-                        });
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -943,6 +860,41 @@ mod tests {
         assert_eq!(first.wirelength, second.wirelength);
         assert_eq!(first.overlay_units, second.overlay_units);
         assert_eq!(first.nodes_expanded, second.nodes_expanded);
+    }
+
+    #[test]
+    fn a_given_up_reroute_keeps_every_pin_reserved() {
+        // A multi-terminal net whose finalize re-route cannot run (the
+        // run budget is spent) is given up. Its pins, the extra
+        // terminal's included, must stay reserved, so later re-routes
+        // cannot run over them.
+        use sadp_grid::Pin;
+        let mut plane = plane(32, 32);
+        let mut nl = Netlist::new();
+        let pins = vec![
+            Pin::fixed(p0(2, 5)),
+            Pin::fixed(p0(20, 5)),
+            Pin::with_candidates(vec![p0(10, 12), p0(11, 12)]),
+        ];
+        let id = nl.add_multi_pin("m", pins);
+        let mut config = RouterConfig::paper_defaults();
+        let mut router = Router::new(config.clone());
+        router.route_all(&mut plane, &nl);
+        assert!(router.routed().contains_key(&id));
+
+        config.run_node_budget = 1;
+        router.run_budget = RunBudget::from_config(&config);
+        router.run_budget.add_nodes(1);
+        assert!(!router.reroute_away(&mut plane, nl.net(id), &mut NoopRecorder));
+        router.give_up(&mut plane, id, &mut NoopRecorder);
+        assert!(router.routed().is_empty());
+        assert_eq!(router.failed(), &[id]);
+        assert_eq!(router.ledger().counters.failed_cleanup, 1);
+        for pin in nl.net(id).pins() {
+            for &c in pin.candidates() {
+                assert_eq!(plane.occupant(c), Some(id), "pin cell {c} was released");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! can run one instance per worker thread against clones/snapshots of the
 //! shared state with no coordination.
 
-use crate::astar::{astar_search_budgeted, AstarRequest, SearchScratch, SearchStats};
+use crate::astar::{astar_search, AstarRequest, SearchScratch, SearchStats};
 use crate::budget::Budget;
 use crate::config::RouterConfig;
 use crate::grids::{DirGrid, GuardGrid, PenaltyGrid};
@@ -171,28 +171,9 @@ pub struct SearchOutcome {
 }
 
 impl SearchStage<'_> {
-    /// One multi-source multi-target A\* search for `net`.
+    /// One multi-source multi-target A\* search for `net` under a
+    /// caller-owned [`Budget`], charged once per expanded node.
     pub fn search(
-        &self,
-        net: NetId,
-        sources: &[GridPoint],
-        targets: &[GridPoint],
-        penalties: &PenaltyGrid,
-        scratch: &mut SearchScratch,
-    ) -> (Option<RoutePath>, SearchStats) {
-        self.search_budgeted(
-            net,
-            sources,
-            targets,
-            penalties,
-            scratch,
-            &mut Budget::unlimited(),
-        )
-    }
-
-    /// [`SearchStage::search`] under a caller-owned [`Budget`], charged
-    /// once per expanded node.
-    pub fn search_budgeted(
         &self,
         net: NetId,
         sources: &[GridPoint],
@@ -208,99 +189,19 @@ impl SearchStage<'_> {
             penalties,
             guards: self.guards,
         };
-        astar_search_budgeted(self.plane, &req, self.dir_map, self.config, scratch, budget)
+        astar_search(self.plane, &req, self.dir_map, self.config, scratch, budget)
     }
 
-    /// Searches a full candidate route for `net`: the trunk between the
-    /// source and target pins, then one branch per extra terminal (each
-    /// may tap any already-found point of the net), and fragments the
-    /// result into maximal wire rectangles.
+    /// Searches a full candidate route for `net`, timed as one `search`
+    /// span on `rec`: the trunk between the source and target pins, then
+    /// one branch per extra terminal (each may tap any already-found
+    /// point of the net), and fragments the result into maximal wire
+    /// rectangles. The net's [`Budget`] spans the trunk and every branch
+    /// search; once it runs out the outcome carries `budget_exceeded`
+    /// and no candidate. One virtual call per net attempt — the per-node
+    /// inner loop stays observation-free.
     #[must_use]
     pub fn search_net(
-        &self,
-        net: &Net,
-        penalties: &PenaltyGrid,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutcome {
-        self.search_net_budgeted(net, penalties, scratch, &mut Budget::unlimited())
-    }
-
-    /// [`SearchStage::search_net`] under the net's [`Budget`]. The budget
-    /// spans the trunk and every branch search; once it runs out the
-    /// outcome carries `budget_exceeded` and no candidate.
-    #[must_use]
-    pub fn search_net_budgeted(
-        &self,
-        net: &Net,
-        penalties: &PenaltyGrid,
-        scratch: &mut SearchScratch,
-        budget: &mut Budget,
-    ) -> SearchOutcome {
-        let (path, stats) = self.search_budgeted(
-            net.id,
-            net.source.candidates(),
-            net.target.candidates(),
-            penalties,
-            scratch,
-            budget,
-        );
-        let mut expanded = stats.expanded;
-        let Some(path) = path else {
-            return SearchOutcome {
-                candidate: None,
-                expanded,
-                budget_exceeded: stats.budget_exceeded,
-            };
-        };
-
-        let mut branches: Vec<RoutePath> = Vec::new();
-        for pin in &net.extra {
-            let mut targets: Vec<GridPoint> = path.points().to_vec();
-            for b in &branches {
-                targets.extend_from_slice(b.points());
-            }
-            let (bpath, bstats) = self.search_budgeted(
-                net.id,
-                pin.candidates(),
-                &targets,
-                penalties,
-                scratch,
-                budget,
-            );
-            expanded += bstats.expanded;
-            match bpath {
-                Some(bp) => branches.push(bp),
-                None => {
-                    return SearchOutcome {
-                        candidate: None,
-                        expanded,
-                        budget_exceeded: bstats.budget_exceeded,
-                    }
-                }
-            }
-        }
-
-        let mut fragments = FragmentList::new();
-        path.fragments_into(|layer, rect| fragments.push((layer, rect)));
-        for b in &branches {
-            b.fragments_into(|layer, rect| fragments.push((layer, rect)));
-        }
-        SearchOutcome {
-            candidate: Some(RouteCandidate {
-                path,
-                branches,
-                fragments,
-            }),
-            expanded,
-            budget_exceeded: false,
-        }
-    }
-
-    /// [`SearchStage::search_net_budgeted`], timed as one `search` span
-    /// on `rec`. One virtual call per net attempt — the per-node inner
-    /// loop stays observation-free.
-    #[must_use]
-    pub fn search_net_observed(
         &self,
         net: &Net,
         penalties: &PenaltyGrid,
@@ -309,7 +210,66 @@ impl SearchStage<'_> {
         rec: &mut dyn Recorder,
     ) -> SearchOutcome {
         let clock = SpanClock::start(&*rec);
-        let outcome = self.search_net_budgeted(net, penalties, scratch, budget);
+        let outcome = 'search: {
+            let (path, stats) = self.search(
+                net.id,
+                net.source.candidates(),
+                net.target.candidates(),
+                penalties,
+                scratch,
+                budget,
+            );
+            let mut expanded = stats.expanded;
+            let Some(path) = path else {
+                break 'search SearchOutcome {
+                    candidate: None,
+                    expanded,
+                    budget_exceeded: stats.budget_exceeded,
+                };
+            };
+
+            let mut branches: Vec<RoutePath> = Vec::new();
+            for pin in &net.extra {
+                let mut targets: Vec<GridPoint> = path.points().to_vec();
+                for b in &branches {
+                    targets.extend_from_slice(b.points());
+                }
+                let (bpath, bstats) = self.search(
+                    net.id,
+                    pin.candidates(),
+                    &targets,
+                    penalties,
+                    scratch,
+                    budget,
+                );
+                expanded += bstats.expanded;
+                match bpath {
+                    Some(bp) => branches.push(bp),
+                    None => {
+                        break 'search SearchOutcome {
+                            candidate: None,
+                            expanded,
+                            budget_exceeded: bstats.budget_exceeded,
+                        }
+                    }
+                }
+            }
+
+            let mut fragments = FragmentList::new();
+            path.fragments_into(|layer, rect| fragments.push((layer, rect)));
+            for b in &branches {
+                b.fragments_into(|layer, rect| fragments.push((layer, rect)));
+            }
+            SearchOutcome {
+                candidate: Some(RouteCandidate {
+                    path,
+                    branches,
+                    fragments,
+                }),
+                expanded,
+                budget_exceeded: false,
+            }
+        };
         clock.stop(rec, Stage::Search);
         outcome
     }

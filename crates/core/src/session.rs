@@ -381,7 +381,7 @@ pub(crate) fn run_steps(
                 if !router.finalized {
                     router.finalize(plane, netlist, rec);
                 }
-                let mut report = router.build_report(netlist, started);
+                let mut report = router.report(netlist, started);
                 if let Some(profile) = rec.profile() {
                     report.profile = profile;
                 }

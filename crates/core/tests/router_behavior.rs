@@ -154,27 +154,3 @@ fn rerun_resets_state() {
     assert_eq!(r1.wirelength, r2.wirelength);
     assert_eq!(router.routed().len(), 1);
 }
-
-#[test]
-fn net_order_variants_all_route_cleanly() {
-    use sadp_core::NetOrder;
-    for order in [
-        NetOrder::HpwlAscending,
-        NetOrder::HpwlDescending,
-        NetOrder::Given,
-    ] {
-        let mut plane = RoutingPlane::new(3, 40, 40, DesignRules::node_10nm()).unwrap();
-        let mut nl = Netlist::new();
-        for i in 0..8 {
-            nl.add_two_pin(format!("n{i}"), p0(2, 4 + 2 * i), p0(30, 36 - 2 * i));
-        }
-        let mut router = Router::new(RouterConfig {
-            net_order: order,
-            ..RouterConfig::paper_defaults()
-        });
-        let report = router.route_all(&mut plane, &nl);
-        assert_eq!(report.cut_conflicts, 0, "{order:?}");
-        assert_eq!(report.hard_overlay_violations, 0, "{order:?}");
-        assert!(report.routed_nets >= 7, "{order:?}: {report}");
-    }
-}

@@ -31,7 +31,10 @@ pub enum Invariant {
     /// `RoutingSession::create` rejected an in-range plane, or the
     /// session failed to finish.
     RouterAccepts,
-    /// `routed + failed` must partition the netlist, without duplicates.
+    /// `routed + failed` must partition the netlist, without duplicates,
+    /// and every failed net is recorded exactly once: the failed list,
+    /// the report's failure counters and the trace's `net_failed` lines
+    /// agree.
     NetAccounting,
     /// The report must claim zero hard overlay violations.
     NoHardOverlay,
@@ -55,7 +58,7 @@ pub enum Invariant {
     BaselineSane,
     /// Under an injected [`FaultPlan`] the run must recover: no abort, no
     /// net silently lost, budget failures counted exactly once each,
-    /// band-panic recovery byte-invisible, and the whole faulted result
+    /// panic recovery byte-invisible, and the whole faulted result
     /// byte-identical across thread counts.
     FaultRecovery,
     /// A serial run killed at a seeded step, snapshotted and resumed in
@@ -392,6 +395,7 @@ fn check_structure(netlist: &Netlist, run: &RunResult) -> Result<(), Violation> 
             "failed list contains duplicates",
         ));
     }
+    failure_records(run).map_err(|e| Violation::new(Invariant::NetAccounting, e))?;
     if r.hard_overlay_violations != 0 {
         return Err(Violation::new(
             Invariant::NoHardOverlay,
@@ -440,6 +444,30 @@ fn check_structure(netlist: &Netlist, run: &RunResult) -> Result<(), Violation> 
                 }
             }
         }
+    }
+    Ok(())
+}
+
+/// Every failed net is recorded exactly once: the failed list, the sum
+/// of the report's per-reason failure counters and the `net_failed`
+/// lines of the trace must all agree.
+fn failure_records(run: &RunResult) -> Result<(), String> {
+    let r = &run.report;
+    let counted = r.failed_no_path + r.failed_exhausted + r.failed_cleanup + r.failed_budget;
+    let events = run
+        .trace
+        .lines()
+        .filter(|l| l.starts_with(r#"{"event":"net_failed""#))
+        .count();
+    if run.failed.len() as u64 != counted || events != run.failed.len() {
+        return Err(format!(
+            "{} failed nets, {counted} counted failures ({} no_path + {} exhausted + {} cleanup + {} budget), {events} net_failed events",
+            run.failed.len(),
+            r.failed_no_path,
+            r.failed_exhausted,
+            r.failed_cleanup,
+            r.failed_budget
+        ));
     }
     Ok(())
 }
@@ -535,9 +563,12 @@ fn check_baseline(plane: &RoutingPlane, netlist: &Netlist) -> Result<(), Violati
 ///   netlist),
 /// * every injected budget fault is counted exactly once in
 ///   `failed_budget`,
-/// * when only band panics were injected, the routed output is
-///   byte-identical to the clean run (recovery is invisible apart from
-///   the `bands_recovered` counter),
+/// * every failed net is recorded exactly once (failed list, failure
+///   counters and `net_failed` trace lines agree),
+/// * when only panics (band or wave pre-search) were injected, the
+///   routed output is byte-identical to the clean run (recovery is
+///   invisible apart from the `bands_recovered` and `waves_recovered`
+///   counters),
 /// * the whole faulted result is byte-identical across thread counts.
 fn check_faults(
     plane: &RoutingPlane,
@@ -557,6 +588,9 @@ fn check_faults(
             netlist.len()
         ));
     }
+    if let Err(e) = failure_records(&faulted) {
+        return bad(format!("faults seed {seed}: {e}"));
+    }
     let plan = FaultPlan::new(seed);
     let injected = netlist
         .iter()
@@ -569,16 +603,18 @@ fn check_faults(
         ));
     }
     if injected == 0 {
-        // Pure band-panic faults: recovery must be byte-invisible.
+        // Pure panic faults (bands and wave pre-searches): recovery must
+        // be byte-invisible apart from its two counters.
         let mut masked = faulted.report.clone();
         masked.bands_recovered = 0;
+        masked.waves_recovered = 0;
         if masked != clean.report
             || faulted.patterns != clean.patterns
             || faulted.failed != clean.failed
             || faulted.usage != clean.usage
         {
             return bad(format!(
-                "faults seed {seed}: band-panic recovery changed the routed output"
+                "faults seed {seed}: panic recovery changed the routed output"
             ));
         }
     }
@@ -621,6 +657,18 @@ mod tests {
                 .unwrap_or_else(|v| panic!("{regime} seed 1: {v}"));
             assert_eq!(stats.nets, inst.netlist.len());
         }
+    }
+
+    #[test]
+    fn wave_panic_recovery_counts_as_the_clean_run() {
+        // Under this plan multi-band seed 14 recovers two band workers
+        // and one wave pre-search and routes exactly like the clean run.
+        let inst = generate(Regime::MultiBandWide, 14);
+        let cfg = OracleConfig {
+            fault_seed: Some(12_036_054_880_848_365_861),
+            ..quick_cfg()
+        };
+        check_instance(&inst, &cfg).unwrap_or_else(|v| panic!("{v}"));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! provides four things:
 //!
 //! 1. **Timing spans and counters** behind the cheap [`Recorder`] trait.
-//!    The pipeline wraps each stage in a [`SpanClock`] (or [`timed`]); a
-//!    recorder whose [`Recorder::timing`] is `false` never reads the
-//!    monotonic clock and a [`NoopRecorder`] makes every call a no-op —
+//!    The pipeline wraps each stage in a [`SpanClock`]; a recorder whose
+//!    [`Recorder::timing`] is `false` never reads the monotonic clock
+//!    and a [`NoopRecorder`] makes every call a no-op —
 //!    the hot path allocates nothing and pays one virtual call per *net*
 //!    (never per A\*-node).
 //! 2. **A structured event sink** ([`RouterEvent`]). Events carry only
@@ -770,15 +770,6 @@ impl SpanClock {
     }
 }
 
-/// Times `f` as one span of `stage`, passing the recorder through so the
-/// closure can record nested spans and events.
-pub fn timed<T>(rec: &mut dyn Recorder, stage: Stage, f: impl FnOnce(&mut dyn Recorder) -> T) -> T {
-    let clock = SpanClock::start(rec);
-    let out = f(rec);
-    clock.stop(rec, stage);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,14 +809,14 @@ mod tests {
 
     #[test]
     fn span_nesting_attributes_both_levels() {
-        // A nested `timed` call must attribute time to both the outer and
-        // the inner stage, and the outer total must cover the inner one.
+        // A span nested in another must attribute time to both the outer
+        // and the inner stage, and the outer total must cover the inner one.
         let mut rec = BufferRecorder::new();
-        timed(&mut rec, Stage::Commit, |rec| {
-            timed(rec, Stage::Recolor, |_| {
-                std::thread::sleep(Duration::from_millis(2));
-            });
-        });
+        let outer = SpanClock::start(&rec);
+        let inner = SpanClock::start(&rec);
+        std::thread::sleep(Duration::from_millis(2));
+        inner.stop(&mut rec, Stage::Recolor);
+        outer.stop(&mut rec, Stage::Commit);
         let p = rec.profile().unwrap();
         assert_eq!(p.stage(Stage::Commit).count, 1);
         assert_eq!(p.stage(Stage::Recolor).count, 1);
@@ -1026,13 +1017,5 @@ mod tests {
         assert_eq!(c.stage(Stage::Ripup).count, 4);
         assert_eq!(c.stage(Stage::Ripup).time, Duration::ZERO);
         assert_eq!(c.total_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn timed_returns_the_closure_value() {
-        let mut rec = BufferRecorder::new();
-        let v = timed(&mut rec, Stage::Decompose, |_| 42);
-        assert_eq!(v, 42);
-        assert_eq!(rec.profile.stage(Stage::Decompose).count, 1);
     }
 }
