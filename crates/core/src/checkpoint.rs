@@ -14,14 +14,14 @@
 //! remaining suffix of the canonical schedule, and a snapshot taken
 //! after finalize (`finalized 1`) resumes as finished.
 //!
-//! Format (`SADPCKPT v3`):
+//! Format (`SADPCKPT v4`):
 //!
 //! ```text
-//! SADPCKPT v3
+//! SADPCKPT v4
 //! checksum <16-hex FNV-64 of everything below this line>
 //! fingerprint <16-hex FNV-64 of the serialized plane+netlist>
 //! finalized <0|1>
-//! counters <12 space-separated u64, LedgerCounters field order>
+//! counters <11 space-separated u64, LedgerCounters field order>
 //! ledger <layers> <index tile> <next fragment seq> <routed nets>
 //! graph ...                     one graph section per layer, see
 //!                               OverlayGraph::write_state
@@ -65,7 +65,7 @@ use std::str::SplitWhitespace;
 
 /// The magic + version line. Bump the version when the body layout
 /// changes; old readers reject newer snapshots instead of misparsing.
-const MAGIC: &str = "SADPCKPT v3";
+const MAGIC: &str = "SADPCKPT v4";
 
 /// FNV-1a 64-bit, the same construction the fuzz corpus uses: stable,
 /// dependency-free, good enough to catch truncation and bit rot.
@@ -123,7 +123,7 @@ pub enum SnapshotError {
     /// The body does not match its checksum line (truncation, bit rot).
     ChecksumMismatch,
     /// The magic line names a version this build does not read (e.g. a
-    /// `SADPCKPT v2` file written by an older build).
+    /// `SADPCKPT v3` file written by an older build).
     VersionUnsupported {
         /// The magic line that was found.
         found: String,
@@ -217,7 +217,7 @@ pub(crate) fn serialize(
     let _ = writeln!(body, "finalized {}", u8::from(router.finalized));
     let _ = writeln!(
         body,
-        "counters {} {} {} {} {} {} {} {} {} {} {} {}",
+        "counters {} {} {} {} {} {} {} {} {} {} {}",
         c.ripups,
         c.ripups_type_b,
         c.ripups_graph,
@@ -228,8 +228,7 @@ pub(crate) fn serialize(
         c.flips,
         c.nodes_expanded,
         c.failed_budget,
-        c.bands_recovered,
-        c.waves_recovered
+        c.bands_recovered
     );
     let _ = writeln!(
         body,
@@ -533,7 +532,7 @@ impl<'a> Lines<'a> {
         if finalized > 1 {
             return Err("`finalized` is 0 or 1".into());
         }
-        let [ripups, ripups_type_b, ripups_graph, ripups_risk, failed_no_path, failed_exhausted, failed_cleanup, flips, nodes_expanded, failed_budget, bands_recovered, waves_recovered] =
+        let [ripups, ripups_type_b, ripups_graph, ripups_risk, failed_no_path, failed_exhausted, failed_cleanup, flips, nodes_expanded, failed_budget, bands_recovered] =
             self.values("counters")?;
         let counters = LedgerCounters {
             ripups,
@@ -547,7 +546,6 @@ impl<'a> Lines<'a> {
             nodes_expanded,
             failed_budget,
             bands_recovered,
-            waves_recovered,
         };
         let [layers, tile, frag_seq, net_count] = self.values("ledger")?;
         let range = |what: &str| format!("{what} out of range");
@@ -778,19 +776,19 @@ mod tests {
 
     #[test]
     fn foreign_version_is_rejected() {
-        // A v2 file from an older build must fail on the version line,
+        // A v3 file from an older build must fail on the version line,
         // with the found version in the message — not fall through to a
         // checksum or parse error.
-        let err = Snapshot::parse("SADPCKPT v2\nchecksum 0\nend\n").unwrap_err();
+        let err = Snapshot::parse("SADPCKPT v3\nchecksum 0\nend\n").unwrap_err();
         assert_eq!(
             err,
             SnapshotError::VersionUnsupported {
-                found: "SADPCKPT v2".into()
+                found: "SADPCKPT v3".into()
             }
         );
         let msg = err.to_string();
         assert!(
-            msg.contains("SADPCKPT v2"),
+            msg.contains("SADPCKPT v3"),
             "names the found version: {msg}"
         );
         assert!(msg.contains(MAGIC), "names the expected version: {msg}");

@@ -6,30 +6,26 @@
 //! **propose → trial-color → commit/abort** protocol of the
 //! [`CommitLedger`].
 //!
-//! [`ScheduleMachine`] drives the whole netlist, one step at a time. On
-//! planes wide enough for more than one column band (see [`BandPlan`]) it
-//! becomes the region-sharded driver: nets whose influence region (pin bounding box +
-//! search margin + scenario halo) fits one band are routed by per-band
-//! workers on `std::thread::scope` against fully private state (a plane
-//! clone, a fresh ledger and grids; the pin guards are shared read-only —
-//! they never change after the reservation pre-pass). Band results are
-//! merged in ascending band order.
+//! [`ScheduleMachine`] drives the whole netlist, one step at a time: a
+//! band phase, then a serial tail. On planes wide enough for more than
+//! one column band (see [`BandPlan`]) nets whose influence region (pin
+//! bounding box + search margin + scenario halo) fits one band are
+//! routed by per-band workers on `std::thread::scope` against fully
+//! private state (a plane clone, a fresh ledger and grids; the pin guards
+//! are shared read-only — they never change after the reservation
+//! pre-pass). Band results are merged in ascending band order.
 //!
-//! Boundary-straddling nets then run against the merged state in
-//! **waves** (see [`crate::schedule`]): each wave is a contiguous run of
-//! the canonical order whose members have pairwise-disjoint interaction
-//! footprints. A wave's attempt-0 searches run in parallel against the
-//! frozen pre-wave state (phase A); commits then replay serially in
-//! canonical order (phase B), so the global commit sequence is exactly
-//! the serial one and every pre-search result equals the serial search
-//! bit for bit. Rip-up re-searches run live during the replay, just as
-//! they would serially.
+//! Every other net — all of them on a single-band plane, the
+//! band-straddling boundary nets otherwise — then routes serially at its
+//! canonical turn against the merged state, as the paper's flow routes
+//! one net at a time: each commit feeds the constraint graph that the
+//! next net's trial coloring reads.
 //!
 //! The schedule — band count, net classification, per-band net order,
-//! merge order, wave partition — depends only on the plane geometry and
-//! the netlist, never on the worker count, so any `threads` value
-//! produces byte-identical results. Workers only change how many bands
-//! or pre-searches are *in flight* at once.
+//! merge order — depends only on the plane geometry and the netlist,
+//! never on the worker count, so any `threads` value produces
+//! byte-identical results. Workers only change how many bands are *in
+//! flight* at once.
 
 use crate::astar::SearchScratch;
 use crate::budget::{Budget, RunBudget};
@@ -219,19 +215,6 @@ fn rip_up(
     }
 }
 
-/// An attempt-0 search completed ahead of time by a wave worker against
-/// the frozen pre-wave state. Because wave members have pairwise-disjoint
-/// footprints, the outcome is byte-identical to the search the serial
-/// schedule would run at this net's turn, and the replay can consume it
-/// instead of searching again.
-pub(crate) struct PreSearch {
-    /// The attempt-0 search outcome.
-    pub outcome: crate::search::SearchOutcome,
-    /// The per-net budget *after* that search, threaded into any rip-up
-    /// attempts so per-net node accounting stays byte-deterministic.
-    pub budget: Budget,
-}
-
 /// Routes one net through the full stage pipeline with up to `max_ripup`
 /// rip-up-and-re-route iterations; returns whether the net was committed.
 /// `seed_penalties` pre-loads the penalty grid (used by the finalize
@@ -239,21 +222,14 @@ pub(crate) struct PreSearch {
 /// `count_failures` is false for finalize re-routes: their casualties are
 /// recorded once as `failed_cleanup` by the caller, not a second time as
 /// initial-routing failures.
-///
-/// `presearch` is a wave worker's attempt-0 search, computed ahead of
-/// time. The run budget is *not* re-charged for it (the worker already
-/// added its nodes); the ledger's deterministic `nodes_expanded` counter
-/// is charged here, at the net's canonical turn, so counters are
-/// thread-count-invariant.
 pub(crate) fn route_net(
     ctx: &mut RouteCtx<'_>,
     plane: &mut RoutingPlane,
     net: &Net,
     seed_penalties: &[(GridPoint, u64)],
     count_failures: bool,
-    presearch: Option<PreSearch>,
 ) -> bool {
-    match try_route(ctx, plane, net, seed_penalties, count_failures, presearch) {
+    match try_route(ctx, plane, net, seed_penalties, count_failures) {
         Ok(()) => true,
         Err(reason) => {
             if count_failures {
@@ -271,7 +247,6 @@ fn try_route(
     net: &Net,
     seed_penalties: &[(GridPoint, u64)],
     count_failures: bool,
-    mut presearch: Option<PreSearch>,
 ) -> Result<(), FailReason> {
     let key = net.id.0;
     ctx.penalties.clear();
@@ -295,29 +270,16 @@ fn try_route(
     let mut budget = Budget::for_net(ctx.config);
 
     for attempt in 0..=ctx.config.max_ripup {
-        // Stage 1: pure search over read-only views — or the wave
-        // worker's pre-search for attempt 0, which is the identical
-        // computation performed ahead of time.
-        let outcome = match presearch.take() {
-            Some(pre) => {
-                budget = pre.budget;
-                ctx.ledger.counters.nodes_expanded += pre.outcome.expanded;
-                pre.outcome
-            }
-            None => {
-                let stage = SearchStage {
-                    plane: &*plane,
-                    dir_map: &*ctx.dir_map,
-                    guards: ctx.guards,
-                    config: ctx.config,
-                };
-                let outcome =
-                    stage.search_net(net, ctx.penalties, ctx.scratch, &mut budget, ctx.rec);
-                ctx.ledger.counters.nodes_expanded += outcome.expanded;
-                ctx.run_budget.add_nodes(outcome.expanded);
-                outcome
-            }
+        // Stage 1: pure search over read-only views.
+        let stage = SearchStage {
+            plane: &*plane,
+            dir_map: &*ctx.dir_map,
+            guards: ctx.guards,
+            config: ctx.config,
         };
+        let outcome = stage.search_net(net, ctx.penalties, ctx.scratch, &mut budget, ctx.rec);
+        ctx.ledger.counters.nodes_expanded += outcome.expanded;
+        ctx.run_budget.add_nodes(outcome.expanded);
         if outcome.budget_exceeded {
             ctx.ledger.forget(net.id);
             return Err(FailReason::BudgetExceeded);
@@ -537,23 +499,48 @@ pub(crate) fn penalize(
     }
 }
 
-/// The horizontal influence region of a net: the column range of its pin
-/// candidates grown by the worst-case search window. The A\* window of
-/// the trunk is the pin bounding box expanded by `search_margin`; each
-/// branch search may extend the window by another margin (its targets are
-/// points of the previous windows), so `1 + extra.len()` margins bound
-/// every search of the net.
-fn net_extent(net: &Net, config: &RouterConfig) -> (i32, i32) {
-    let mut x0 = i32::MAX;
-    let mut x1 = i32::MIN;
+/// The conservative interaction footprint of `net`.
+///
+/// The rectangle covers everything routing this net can read or write:
+///
+/// * the bounding box of **all** pin candidates (every candidate can
+///   seed or terminate the search),
+/// * expanded by the search window margin once per pin beyond the
+///   first: the A\* window of the trunk is the pin bounding box grown by
+///   `search_margin`, and each branch search may extend the window by
+///   another margin (its targets are points of the previous windows),
+/// * expanded by `halo` extra tracks so that neighbour reads just
+///   outside the window (the `T2b` cost term inspects adjacent cells,
+///   and scenario scans reach `dependence_radius_tracks`) stay inside,
+///
+/// clipped to the plane. The schedule classifies nets into bands by its
+/// column range at `halo` 0 ([`BandPlan::band_of_span`] adds the band
+/// halo itself); the ECO engine invalidates by it.
+pub(crate) fn net_footprint(
+    net: &Net,
+    config: &RouterConfig,
+    halo: i32,
+    plane: &RoutingPlane,
+) -> TrackRect {
+    let mut bbox: Option<TrackRect> = None;
     for pin in net.pins() {
         for c in pin.candidates() {
-            x0 = x0.min(c.x);
-            x1 = x1.max(c.x);
+            let cell = TrackRect::cell(c.x, c.y);
+            bbox = Some(match bbox {
+                Some(b) => b.union_bbox(&cell),
+                None => cell,
+            });
         }
     }
-    let margin = config.search_margin * (1 + net.extra.len() as i32);
-    (x0 - margin, x1 + margin)
+    let margin = config
+        .search_margin
+        .saturating_mul(1 + net.extra.len() as i32)
+        .saturating_add(halo);
+    let plane_rect = TrackRect::new(0, 0, plane.width() - 1, plane.height() - 1);
+    bbox.expect("a net has at least two pins")
+        .expanded(margin)
+        .intersection(&plane_rect)
+        .unwrap_or(plane_rect)
 }
 
 /// The result of one band worker.
@@ -571,9 +558,7 @@ struct BandOutcome {
 /// resumed run reproduces byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepEvent {
-    /// One net was processed at its canonical turn: a net of the serial
-    /// (single-band) schedule, or a boundary net. The first boundary net
-    /// of each wave also runs the wave's parallel pre-search phase.
+    /// One net of the serial tail was routed at its canonical turn.
     Net,
     /// One band's private ledger was folded into the global state — a
     /// boundary whose snapshot is worth persisting. The first fold also
@@ -597,43 +582,21 @@ pub(crate) struct StepArgs<'a> {
     pub rec: &'a mut dyn Recorder,
 }
 
-/// Position of the resumable schedule stepper.
-enum Plan {
-    /// Single-band plane: the plain serial schedule.
-    Serial { order: Vec<NetId>, next: usize },
-    /// Region-sharded schedule: band phase, then boundary waves.
-    Banded {
-        /// Band-local nets, one list per band.
-        band_nets: Vec<Vec<NetId>>,
-        /// Outcomes of the parallel band phase in ascending band order,
-        /// tagged with their recovery flag. Produced lazily by the first
-        /// `BandFold` step, consumed front to back by the folds.
-        outcomes: Option<VecDeque<(bool, BandOutcome)>>,
-        /// Next band to fold.
-        next_band: usize,
-        /// The wave partition of the boundary tail. It reads only the
-        /// plane geometry and the netlist pins, so planning it up front
-        /// is identical to planning it after the folds.
-        waves: Vec<Vec<NetId>>,
-        wave_idx: usize,
-        wave_pos: usize,
-        /// Pre-search slots of the open wave, consumed front to back.
-        slots: VecDeque<WaveSlot>,
-    },
-}
-
 /// The routing schedule as a resumable state machine: repeated
 /// [`ScheduleMachine::step`] calls run the canonical schedule — the same
 /// commit order, events and counters for every thread count — and hand
 /// control back to the caller between canonical commits. The session's
 /// step function ([`crate::session`]) is its only driver.
 ///
-/// Parallelism happens *within* a step, never across steps: the first
-/// `BandFold` runs every band worker (and the serial panic recovery,
-/// which must see the pre-merge plane) before folding band 0, and the
-/// first boundary `Net` step of each wave runs the wave's pre-search
-/// phase A. Pausing between steps therefore cannot reorder or interleave
-/// any part of the canonical commit sequence.
+/// The schedule is a band phase, possibly empty, then a serial tail. The
+/// band phase has one `BandFold` step per band with nets to route; its
+/// parallelism happens *within* a step, never across steps: the first
+/// fold runs every band worker (and the serial panic recovery, which
+/// must see the pre-merge plane) before folding. Each tail net is one
+/// `Net` step. Pausing between steps therefore cannot reorder or
+/// interleave any part of the canonical commit sequence, and a run
+/// resumed from a snapshot walks exactly the remaining steps: a band the
+/// snapshot already folded has no nets left and gets no step.
 ///
 /// Fault tolerance: band workers run under `catch_unwind`. A band whose
 /// worker panics is discarded wholesale and re-run serially *before* any
@@ -643,16 +606,27 @@ enum Plan {
 /// every thread count. A panic that survives the clean retry is a
 /// deterministic bug that would abort the serial run too; it propagates.
 pub(crate) struct ScheduleMachine {
-    plan: Plan,
-    steps_done: u64,
-    steps_total: u64,
+    /// The band-local nets of every band that has any, tagged with the
+    /// band index, in ascending band order. Empty on a single-band plane.
+    bands: Vec<(usize, Vec<NetId>)>,
+    /// Outcomes of the parallel band phase, one per entry of `bands`,
+    /// tagged with their recovery flag. Produced lazily by the first
+    /// `BandFold` step, consumed front to back by the folds.
+    outcomes: Option<VecDeque<(bool, BandOutcome)>>,
+    /// Next entry of `bands` to fold.
+    next_band: usize,
+    /// The nets routed one at a time after the band phase: every net on
+    /// a single-band plane, the band-straddling boundary nets otherwise.
+    tail: Vec<NetId>,
+    /// Next net of `tail`.
+    next: usize,
 }
 
 impl ScheduleMachine {
     /// Plans the schedule for `order` on the plane. Band classification
-    /// and the wave partition are fixed here, before any routing: both
-    /// depend only on the plane geometry, the config and the netlist,
-    /// never on routed state or the worker count.
+    /// is fixed here, before any routing: it depends only on the plane
+    /// geometry, the config and the netlist, never on routed state or the
+    /// worker count.
     pub(crate) fn new(
         config: &RouterConfig,
         plane: &RoutingPlane,
@@ -661,198 +635,91 @@ impl ScheduleMachine {
     ) -> ScheduleMachine {
         let halo = sadp_scenario::interaction_radius_tracks(plane.rules());
         let plan = BandPlan::for_plane(plane.width(), halo);
+        let mut machine = ScheduleMachine::finished();
         if plan.len() <= 1 {
-            let steps_total = order.len() as u64;
-            return ScheduleMachine {
-                plan: Plan::Serial { order, next: 0 },
-                steps_done: 0,
-                steps_total,
-            };
+            machine.tail = order;
+            return machine;
         }
         // Classify: a net is band-local when its influence region, grown
         // by the scenario halo, fits one band's columns — then its
         // searches, scans and commits provably cannot interact with any
         // other band.
         let mut band_nets: Vec<Vec<NetId>> = vec![Vec::new(); plan.len()];
-        let mut boundary: Vec<NetId> = Vec::new();
-        for &id in &order {
-            let (x0, x1) = net_extent(netlist.net(id), config);
-            match plan.band_of_span(x0, x1) {
+        for id in order {
+            let fp = net_footprint(netlist.net(id), config, 0, plane);
+            match plan.band_of_span(fp.x0, fp.x1) {
                 Some(j) => band_nets[j].push(id),
-                None => boundary.push(id),
+                None => machine.tail.push(id),
             }
         }
-        let waves = crate::schedule::plan_waves(&boundary, netlist, config, halo, plane).waves;
-        let steps_total = band_nets.len() as u64 + boundary.len() as u64;
-        ScheduleMachine {
-            plan: Plan::Banded {
-                band_nets,
-                outcomes: None,
-                next_band: 0,
-                waves,
-                wave_idx: 0,
-                wave_pos: 0,
-                slots: VecDeque::new(),
-            },
-            steps_done: 0,
-            steps_total,
-        }
+        machine.bands = band_nets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, nets)| !nets.is_empty())
+            .collect();
+        machine
     }
 
     /// A schedule with nothing left to do: the first step completes it.
     /// A run resumed from a finished snapshot starts here.
     pub(crate) fn finished() -> ScheduleMachine {
         ScheduleMachine {
-            plan: Plan::Serial {
-                order: Vec::new(),
-                next: 0,
-            },
-            steps_done: 0,
-            steps_total: 0,
+            bands: Vec::new(),
+            outcomes: None,
+            next_band: 0,
+            tail: Vec::new(),
+            next: 0,
         }
     }
 
-    /// Steps completed so far (serial nets + band folds + boundary
-    /// commits).
+    /// Steps completed so far (band folds + tail nets).
     pub(crate) fn steps_done(&self) -> u64 {
-        self.steps_done
+        (self.next_band + self.next) as u64
     }
 
     /// Total steps the schedule will take.
     pub(crate) fn steps_total(&self) -> u64 {
-        self.steps_total
+        (self.bands.len() + self.tail.len()) as u64
     }
 
     /// Executes the next increment of the schedule against `a`.
     pub(crate) fn step(&mut self, a: &mut StepArgs<'_>) -> StepEvent {
-        let ev = self.step_inner(a);
-        if ev != StepEvent::Complete {
-            self.steps_done += 1;
+        // Band phase: the whole parallel run (workers + serial panic
+        // recovery) happens with the first fold — recovery must see the
+        // pre-merge plane. Each later step folds one band.
+        if let Some(&(j, _)) = self.bands.get(self.next_band) {
+            let bands = &self.bands;
+            let (recovered, outcome) = self
+                .outcomes
+                .get_or_insert_with(|| {
+                    run_bands(
+                        a.config,
+                        a.plane,
+                        &a.ws.guards,
+                        a.netlist,
+                        bands,
+                        a.run_budget,
+                        a.rec.enabled(),
+                        a.rec.timing(),
+                    )
+                })
+                .pop_front()
+                .expect("one outcome per band");
+            self.next_band += 1;
+            fold_band(a, j, recovered, outcome);
+            return StepEvent::BandFold;
         }
-        ev
-    }
-
-    fn step_inner(&mut self, a: &mut StepArgs<'_>) -> StepEvent {
-        match &mut self.plan {
-            Plan::Serial { order, next } => {
-                let Some(&id) = order.get(*next) else {
-                    return StepEvent::Complete;
-                };
-                *next += 1;
-                let mut ctx = RouteCtx::new(a.config, a.ledger, a.ws, a.run_budget, &mut *a.rec);
-                if !route_net(&mut ctx, a.plane, a.netlist.net(id), &[], true, None) {
-                    a.failed.push(id);
-                }
-                StepEvent::Net
-            }
-            Plan::Banded {
-                band_nets,
-                outcomes,
-                next_band,
-                waves,
-                wave_idx,
-                wave_pos,
-                slots,
-            } => {
-                // Band phase: the whole parallel run (workers + serial
-                // panic recovery) happens with the first fold — recovery
-                // must see the pre-merge plane. Each later step folds one
-                // band.
-                if *next_band < band_nets.len() {
-                    if outcomes.is_none() {
-                        *outcomes = Some(run_bands(
-                            a.config,
-                            a.plane,
-                            &a.ws.guards,
-                            a.netlist,
-                            band_nets,
-                            a.run_budget,
-                            a.rec.enabled(),
-                            a.rec.timing(),
-                        ));
-                    }
-                    let j = *next_band;
-                    *next_band += 1;
-                    let (recovered, outcome) = outcomes
-                        .as_mut()
-                        .expect("band outcomes were just produced")
-                        .pop_front()
-                        .expect("one outcome per band");
-                    fold_band(a, j, recovered, outcome);
-                    return StepEvent::BandFold;
-                }
-
-                // Boundary phase: nets straddling a band edge still
-                // *commit* in exact canonical order against the merged
-                // state, but each wave's attempt-0 searches run in
-                // parallel against the frozen pre-wave state when the
-                // wave opens (see [`crate::schedule`]). Within a wave no
-                // member's commit can touch state another member's search
-                // read, so each pre-search is byte-identical to the
-                // serial search at that net's turn.
-                while *wave_idx < waves.len() {
-                    let wave = &waves[*wave_idx];
-                    if wave.is_empty() {
-                        *wave_idx += 1;
-                        continue;
-                    }
-                    if *wave_pos == 0 {
-                        // Phase A: parallel pre-search against the frozen
-                        // global state.
-                        let clock = SpanClock::start(&*a.rec);
-                        if a.rec.enabled() {
-                            a.rec.event(RouterEvent::WaveScheduled {
-                                wave: *wave_idx as u32,
-                                nets: wave.len() as u64,
-                            });
-                        }
-                        *slots = presearch_wave(
-                            a.config,
-                            a.plane,
-                            &a.ws.dir_map,
-                            &a.ws.guards,
-                            a.netlist,
-                            wave,
-                            a.run_budget,
-                            a.rec.timing(),
-                        )
-                        .into();
-                        clock.stop(&mut *a.rec, Stage::Boundary);
-                    }
-                    // Phase B, one increment: this net's serial commit at
-                    // its canonical turn. A panicked pre-search falls
-                    // back to a live serial search (wave-panic injection
-                    // off on that path), which is exactly the serial
-                    // schedule for that net; a panic that survives the
-                    // fallback is a deterministic bug and propagates, as
-                    // it would serially.
-                    let id = wave[*wave_pos];
-                    let slot = slots.pop_front().expect("one slot per wave member");
-                    if slot.recovered {
-                        a.ledger.counters.waves_recovered += 1;
-                        if a.rec.enabled() {
-                            a.rec.event(RouterEvent::WaveRecovered {
-                                wave: *wave_idx as u32,
-                                net: id.0,
-                            });
-                        }
-                    }
-                    slot.rec.replay_into(&mut *a.rec);
-                    let mut ctx =
-                        RouteCtx::new(a.config, a.ledger, a.ws, a.run_budget, &mut *a.rec);
-                    if !route_net(&mut ctx, a.plane, a.netlist.net(id), &[], true, slot.result) {
-                        a.failed.push(id);
-                    }
-                    *wave_pos += 1;
-                    if *wave_pos == wave.len() {
-                        *wave_idx += 1;
-                        *wave_pos = 0;
-                    }
-                    return StepEvent::Net;
-                }
-                StepEvent::Complete
-            }
+        // The tail: one net at its canonical turn, against the merged
+        // state.
+        let Some(&id) = self.tail.get(self.next) else {
+            return StepEvent::Complete;
+        };
+        self.next += 1;
+        let mut ctx = RouteCtx::new(a.config, a.ledger, a.ws, a.run_budget, &mut *a.rec);
+        if !route_net(&mut ctx, a.plane, a.netlist.net(id), &[], true) {
+            a.failed.push(id);
         }
+        StepEvent::Net
     }
 }
 
@@ -887,7 +754,7 @@ fn fold_band(a: &mut StepArgs<'_>, j: usize, recovered: bool, outcome: BandOutco
 /// The parallel band phase: routes every band's nets on fully private
 /// state across `config.threads` workers, re-runs panicked bands serially
 /// (fault injection off) against the identical pre-merge state, and
-/// returns the outcomes in ascending band order tagged with their
+/// returns the outcomes in the order of `bands` tagged with their
 /// recovery flag. The ledger tile size uses the global net count so the
 /// fragment index behaves exactly like the serial one.
 #[allow(clippy::too_many_arguments)]
@@ -896,21 +763,19 @@ fn run_bands(
     plane: &RoutingPlane,
     guards: &GuardGrid,
     netlist: &Netlist,
-    band_nets: &[Vec<NetId>],
+    bands: &[(usize, Vec<NetId>)],
     run_budget: &RunBudget,
     trace: bool,
     timing: bool,
 ) -> VecDeque<(bool, BandOutcome)> {
     let expected = netlist.len();
-    let bands = band_nets.len();
     // `inject` arms the fault plan's band panics; the recovery retry runs
     // the same closure with it off. (The scratch allocation can only
     // panic on an oversized plane, which `prepare_run` already rejected.)
-    let run_band = move |j: usize, inject: bool| -> BandOutcome {
+    let run_band = move |k: usize, inject: bool| -> BandOutcome {
+        let (j, ref nets) = bands[k];
         let panic_at = if inject {
-            config
-                .faults
-                .and_then(|f| f.band_panic(j, band_nets[j].len()))
+            config.faults.and_then(|f| f.band_panic(j, nets.len()))
         } else {
             None
         };
@@ -921,9 +786,9 @@ fn run_bands(
         let mut scratch = SearchScratch::new(plane);
         let mut band_failed = Vec::new();
         let mut band_rec = BufferRecorder::with_flags(trace, timing);
-        for (k, &id) in band_nets[j].iter().enumerate() {
-            if panic_at == Some(k) {
-                panic!("injected fault: band {j} worker dies before net {k}");
+        for (i, &id) in nets.iter().enumerate() {
+            if panic_at == Some(i) {
+                panic!("injected fault: band {j} worker dies before net {i}");
             }
             let mut ctx = RouteCtx {
                 config,
@@ -935,7 +800,7 @@ fn run_bands(
                 run_budget,
                 rec: &mut band_rec,
             };
-            if !route_net(&mut ctx, &mut band_plane, netlist.net(id), &[], true, None) {
+            if !route_net(&mut ctx, &mut band_plane, netlist.net(id), &[], true) {
                 band_failed.push(id);
             }
         }
@@ -948,133 +813,32 @@ fn run_bands(
     // The isolation boundary: a worker panic poisons only its own band's
     // private state, which is discarded. Applied on the sequential path
     // too, so behavior is thread-count-invariant.
-    let guarded = |j: usize| -> Option<BandOutcome> {
-        catch_unwind(AssertUnwindSafe(|| run_band(j, true))).ok()
+    let guarded = |k: usize| -> Option<BandOutcome> {
+        catch_unwind(AssertUnwindSafe(|| run_band(k, true))).ok()
     };
 
-    let results = parallel_map(bands, config.threads, || (), |_, j| guarded(j));
+    let results = parallel_map(bands.len(), config.threads, guarded);
     // Recovery pass, before any merge mutates the plane: each poisoned
     // band re-runs serially through the identical closure (injection
     // off), so the retried outcome is the one a clean worker produces.
     results
         .into_iter()
         .enumerate()
-        .map(|(j, out)| match out {
+        .map(|(k, out)| match out {
             Some(out) => (false, out),
-            None => (true, run_band(j, false)),
+            None => (true, run_band(k, false)),
         })
         .collect()
 }
 
-/// One boundary net's pre-search result, produced by a wave worker.
-struct WaveSlot {
-    /// `Some` when the worker completed the attempt-0 search; `None` when
-    /// it skipped (the budget fail-fast preamble would refuse the net
-    /// anyway) or panicked.
-    result: Option<PreSearch>,
-    /// The pre-search panicked and was caught; the replay re-searches
-    /// live on the serial fallback path and counts the recovery.
-    recovered: bool,
-    /// The worker's span buffer (timing only — wave workers emit no
-    /// events), replayed into the caller's recorder at the net's
-    /// canonical turn so profiles are thread-count-invariant.
-    rec: BufferRecorder,
-}
-
-/// Phase A of one wave: pre-search every member against the frozen
-/// global state. Workers share the read-only plane, direction map and
-/// pin guards; penalties and scratch are worker-private. Each search is
-/// wrapped in `catch_unwind` so one poisoned pre-search (injected via
-/// [`FaultPlan::injects_wave_panic`](crate::FaultPlan::injects_wave_panic),
-/// or a genuine crash) costs only its own slot. Slot order matches
-/// `wave`, regardless of which worker ran what.
-#[allow(clippy::too_many_arguments)]
-fn presearch_wave(
-    config: &RouterConfig,
-    plane: &RoutingPlane,
-    dir_map: &DirGrid,
-    guards: &GuardGrid,
-    netlist: &Netlist,
-    wave: &[NetId],
-    run_budget: &RunBudget,
-    timing: bool,
-) -> Vec<WaveSlot> {
-    let search_one =
-        |id: NetId, penalties: &mut PenaltyGrid, scratch: &mut SearchScratch| -> WaveSlot {
-            let key = id.0;
-            let mut wrec = BufferRecorder::with_flags(false, timing);
-            // Mirror the fail-fast preamble of `route_net`: a net the
-            // replay will refuse to route must not search here either.
-            let injected = config.faults.is_some_and(|f| f.injects_net_budget(key));
-            if injected || run_budget.tripped() {
-                return WaveSlot {
-                    result: None,
-                    recovered: false,
-                    rec: wrec,
-                };
-            }
-            penalties.clear();
-            let mut budget = Budget::for_net(config);
-            let stage = SearchStage {
-                plane,
-                dir_map,
-                guards,
-                config,
-            };
-            let net = netlist.net(id);
-            // The isolation boundary: a panic poisons only this slot's
-            // private state. The scratch resets itself at the start of
-            // every search, so reusing it afterwards is safe.
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                if config.faults.is_some_and(|f| f.injects_wave_panic(key)) {
-                    panic!("injected fault: wave pre-search of net {key} dies");
-                }
-                stage.search_net(net, penalties, scratch, &mut budget, &mut wrec)
-            }));
-            match caught {
-                Ok(outcome) => {
-                    // Charge the shared run budget now, like the serial
-                    // path; the replay must not charge it again.
-                    run_budget.add_nodes(outcome.expanded);
-                    WaveSlot {
-                        result: Some(PreSearch { outcome, budget }),
-                        recovered: false,
-                        rec: wrec,
-                    }
-                }
-                // A panicked search never closed its span, so the buffer
-                // is still clean; drop any state and let replay re-run.
-                Err(_) => WaveSlot {
-                    result: None,
-                    recovered: true,
-                    rec: wrec,
-                },
-            }
-        };
-
-    parallel_map(
-        wave.len(),
-        config.threads,
-        || (PenaltyGrid::new(plane, 0), SearchScratch::new(plane)),
-        |(penalties, scratch), k| search_one(wave[k], penalties, scratch),
-    )
-}
-
-/// The one worker pool of the driver: maps `f` over `0..n` on up to
+/// The worker pool of the band phase: maps `f` over `0..n` on up to
 /// `workers` scoped threads and returns the results in index order,
-/// whichever worker ran which index. Each worker builds its private state
-/// once with `init` and hands it to every `f` call it makes. With one
-/// worker (or one item) everything runs inline on the caller's thread.
-fn parallel_map<S, R: Send>(
-    n: usize,
-    workers: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize) -> R + Sync,
-) -> Vec<R> {
+/// whichever worker ran which index. With one worker (or one item)
+/// everything runs inline on the caller's thread.
+fn parallel_map<R: Send>(n: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let workers = workers.min(n);
     if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|k| f(&mut state, k)).collect();
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -1082,14 +846,13 @@ fn parallel_map<S, R: Send>(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut state = init();
                     let mut out = Vec::new();
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
                         if k >= n {
                             break;
                         }
-                        out.push((k, f(&mut state, k)));
+                        out.push((k, f(k)));
                     }
                     out
                 })
@@ -1184,4 +947,48 @@ fn opposite_ends(ours: &TrackRect, a: &TrackRect, b: &TrackRect) -> bool {
     let da = ((ax - ours.x0).signum(), (ay - ours.y0).signum());
     let db = ((bx - ours.x0).signum(), (by - ours.y0).signum());
     da.0 == -db.0 && da.1 == -db.1 && (da != (0, 0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sadp_geom::DesignRules;
+
+    fn plane(width: i32, height: i32) -> RoutingPlane {
+        RoutingPlane::new(3, width, height, DesignRules::node_10nm()).unwrap()
+    }
+
+    fn two_pin(nl: &mut Netlist, x0: i32, x1: i32, y: i32) -> NetId {
+        let p = |x| GridPoint::new(Layer(0), x, y);
+        nl.add_two_pin(format!("n{x0}-{x1}-{y}"), p(x0), p(x1))
+    }
+
+    #[test]
+    fn footprint_covers_pins_and_clips_to_plane() {
+        let pl = plane(100, 50);
+        let mut nl = Netlist::new();
+        let id = two_pin(&mut nl, 2, 90, 5);
+        let config = RouterConfig::paper_defaults();
+        let fp = net_footprint(nl.net(id), &config, 2, &pl);
+        assert!(fp.contains_cell(2, 5) && fp.contains_cell(90, 5));
+        assert!(fp.x0 >= 0 && fp.y0 >= 0);
+        assert!(fp.x1 < pl.width() && fp.y1 < pl.height());
+    }
+
+    #[test]
+    fn only_bands_with_nets_get_a_fold_step() {
+        // Two bands on a 400-track plane: one net deep inside band 0,
+        // one straddling the edge, none in band 1.
+        let pl = plane(400, 64);
+        let halo = sadp_scenario::interaction_radius_tracks(pl.rules());
+        assert_eq!(BandPlan::for_plane(400, halo).len(), 2);
+        let mut nl = Netlist::new();
+        let inner = two_pin(&mut nl, 40, 60, 10);
+        let straddler = two_pin(&mut nl, 150, 250, 20);
+        let config = RouterConfig::paper_defaults();
+        let machine = ScheduleMachine::new(&config, &pl, &nl, vec![inner, straddler]);
+        assert_eq!(machine.bands, vec![(0, vec![inner])]);
+        assert_eq!(machine.tail, vec![straddler]);
+        assert_eq!(machine.steps_total(), 2);
+    }
 }

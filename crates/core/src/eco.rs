@@ -4,7 +4,7 @@
 //! [`RoutingSession`] to completion) and then accepts edits: nets can be
 //! added, removed or moved, and rectangular blockages added or removed.
 //! Each edit re-routes *only* the nets whose interaction footprints
-//! ([`net_footprint`], expanded by the scenario halo
+//! (the driver's `net_footprint`, expanded by the scenario halo
 //! [`sadp_scenario::interaction_radius_tracks`]) intersect the edit's
 //! region — the TRIAD-style dependence-radius argument: a net whose
 //! footprint is disjoint from the edited region can neither read nor
@@ -12,7 +12,7 @@
 //! and constraints are provably unaffected.
 //!
 //! The session keeps a history of versions: the state after creation and
-//! after every edit, each the router's `SADPCKPT v3` snapshot
+//! after every edit, each the router's `SADPCKPT v4` snapshot
 //! ([`crate::checkpoint`]) plus the netlist, active-net set and dynamic
 //! obstacles. A cursor marks the live version. [`EcoSession::undo`] /
 //! [`EcoSession::redo`] move the cursor and load that version through
@@ -37,8 +37,8 @@
 use crate::checkpoint::{self, Snapshot};
 use crate::config::RouterConfig;
 use crate::driver;
+use crate::driver::net_footprint;
 use crate::router::Router;
-use crate::schedule::net_footprint;
 use crate::session::{RoutingSession, SessionError, SessionStatus, StepBudget};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_grid::{CellState, Net, NetId, Netlist, Pin, RoutingPlane};

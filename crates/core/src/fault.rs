@@ -15,7 +15,8 @@ use sadp_geom::Rng;
 
 /// Which faults to inject, derived deterministically from a seed.
 ///
-/// Three kinds of fault are injected, matching the three recovery paths:
+/// Two kinds of routing fault are injected, matching the two recovery
+/// paths:
 ///
 /// * **Band-worker panics** — [`FaultPlan::band_panic`] tells a band
 ///   worker to panic after routing k nets; the driver must catch it and
@@ -23,9 +24,10 @@ use sadp_geom::Rng;
 /// * **Budget exhaustion** — [`FaultPlan::injects_net_budget`] makes a
 ///   net fail as if its search budget ran out; the driver must record it
 ///   as `BudgetExceeded` and keep going.
-/// * **Wave pre-search panics** — [`FaultPlan::injects_wave_panic`]
-///   panics the parallel pre-search of a boundary net; the driver must
-///   catch it and re-search the net serially with injection disabled.
+///
+/// The serving layer draws persistence faults from the same plan
+/// ([`FaultPlan::io_fault`]). Every kind reads its own stream of the
+/// seed, so the kinds never shift each other's draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -33,8 +35,6 @@ pub struct FaultPlan {
     band_panic_rate: f64,
     /// Probability that a given net's budget is exhausted.
     net_budget_rate: f64,
-    /// Probability that a boundary net's wave pre-search panics.
-    wave_panic_rate: f64,
     /// Probability that a given persistence write is faulted.
     io_fault_rate: f64,
 }
@@ -88,7 +88,6 @@ impl FaultPlan {
             seed,
             band_panic_rate: 0.5,
             net_budget_rate: 0.02,
-            wave_panic_rate: 0.05,
             io_fault_rate: 0.25,
         }
     }
@@ -161,18 +160,6 @@ impl FaultPlan {
     pub fn short_write_len(len: usize) -> usize {
         len / 2
     }
-
-    /// Whether the boundary-wave pre-search of `net` should panic. Keyed
-    /// by net id only — never by wave index or worker — so every thread
-    /// count (and the serial schedule, which skips pre-search entirely)
-    /// recovers to the identical output.
-    #[must_use]
-    pub fn injects_wave_panic(&self, net: u32) -> bool {
-        let mut rng = Rng::seed_from_u64(
-            self.seed ^ 0x5AD9_0B0E ^ u64::from(net).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        rng.chance(self.wave_panic_rate)
-    }
 }
 
 #[cfg(test)]
@@ -188,14 +175,7 @@ mod tests {
         }
         for net in 0..1000 {
             assert_eq!(a.injects_net_budget(net), b.injects_net_budget(net));
-            assert_eq!(a.injects_wave_panic(net), b.injects_wave_panic(net));
         }
-    }
-
-    #[test]
-    fn some_seed_triggers_a_wave_panic() {
-        let hit = (0..32).any(|s| (0..200).any(|n| FaultPlan::new(s).injects_wave_panic(n)));
-        assert!(hit, "no seed in 0..32 panics any wave pre-search");
     }
 
     #[test]

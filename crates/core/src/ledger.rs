@@ -111,9 +111,6 @@ pub struct LedgerCounters {
     /// Band workers that panicked and were re-routed on the serial
     /// fallback path.
     pub bands_recovered: u64,
-    /// Boundary-wave pre-searches that panicked and were re-searched on
-    /// the serial fallback path.
-    pub waves_recovered: u64,
 }
 
 impl LedgerCounters {
@@ -132,7 +129,6 @@ impl LedgerCounters {
             .int("nodes_expanded", self.nodes_expanded)
             .int("failed_budget", self.failed_budget)
             .int("bands_recovered", self.bands_recovered)
-            .int("waves_recovered", self.waves_recovered)
     }
 
     /// Adds another counter set, field-wise. This is how band workers'
@@ -152,7 +148,6 @@ impl LedgerCounters {
         self.nodes_expanded += other.nodes_expanded;
         self.failed_budget += other.failed_budget;
         self.bands_recovered += other.bands_recovered;
-        self.waves_recovered += other.waves_recovered;
     }
 }
 

@@ -52,7 +52,6 @@ pub mod ledger;
 pub mod report;
 pub mod router;
 pub mod scan;
-pub mod schedule;
 pub mod search;
 pub mod session;
 pub mod stats;
@@ -72,7 +71,6 @@ pub use ledger::{CommitLedger, LedgerCounters, Proposal, RoutedNet};
 pub use report::RoutingReport;
 pub use router::{Router, RouterError};
 pub use scan::{scan_fragments, FoundScenario};
-pub use schedule::{net_footprint, plan_waves, WavePlan};
 pub use search::{FragmentList, RouteCandidate, SearchOutcome, SearchStage};
 pub use session::{RoutingSession, SessionError, SessionStatus, StepBudget};
 pub use stats::ScenarioCensus;

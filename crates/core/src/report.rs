@@ -42,11 +42,6 @@ pub struct RoutingReport {
     /// serial fallback path. Always 0 outside fault injection unless a
     /// worker genuinely crashed; the output is byte-identical either way.
     pub bands_recovered: u64,
-    /// Boundary-wave pre-searches that panicked and were re-searched on
-    /// the serial fallback path. Always 0 outside fault injection unless
-    /// a worker genuinely crashed; the output is byte-identical either
-    /// way.
-    pub waves_recovered: u64,
     /// Color-flipping passes triggered by the threshold.
     pub flips: u64,
     /// A\*-search nodes expanded.
@@ -131,13 +126,6 @@ impl fmt::Display for RoutingReport {
                 f,
                 "{} band workers recovered on the serial fallback path",
                 self.bands_recovered
-            )?;
-        }
-        if self.waves_recovered > 0 {
-            writeln!(
-                f,
-                "{} wave pre-searches recovered on the serial fallback path",
-                self.waves_recovered
             )?;
         }
         write!(f, "cpu {:.3}s", self.cpu.as_secs_f64())

@@ -392,7 +392,7 @@ impl Router {
         driver::reserve_pins(config, &mut ws.guards, plane, net);
         let ok = {
             let mut ctx = RouteCtx::new(config, ledger, ws, run_budget, rec);
-            driver::route_net(&mut ctx, plane, net, &[], true, None)
+            driver::route_net(&mut ctx, plane, net, &[], true)
         };
         if ok {
             // A retry that made it clears the earlier failure record so
@@ -628,7 +628,7 @@ impl Router {
             }
         }
         let mut ctx = RouteCtx::new(&self.config, &mut self.ledger, ws, &self.run_budget, rec);
-        driver::route_net(&mut ctx, plane, net, &seeds, false, None)
+        driver::route_net(&mut ctx, plane, net, &seeds, false)
     }
 
     /// Gives `id` up as a cleanup casualty: unroutes it if it is still
@@ -684,7 +684,6 @@ impl Router {
             failed_cleanup: c.failed_cleanup,
             failed_budget: c.failed_budget,
             bands_recovered: c.bands_recovered,
-            waves_recovered: c.waves_recovered,
             flips: c.flips,
             nodes_expanded: c.nodes_expanded,
             cpu: since.elapsed(),

@@ -17,9 +17,9 @@
 //!
 //! [`RoutingSession::advance`] drives the driver's schedule machine for
 //! at most [`StepBudget::steps`] increments and returns. One increment is
-//! one canonical unit of the schedule: a serial net, a band fold, or a
-//! boundary-wave commit. Parallel work (band workers, wave pre-search)
-//! happens *within* an increment, never across a pause — so pausing
+//! one canonical unit of the schedule: a band fold or one net of the
+//! serial tail. Parallel work (the band workers) happens *within* an
+//! increment, never across a pause — so pausing
 //! between `advance` calls can never reorder or interleave the canonical
 //! commit sequence, and the final result (report, colors, patterns,
 //! JSONL trace) is the same for every thread count and every step
@@ -31,7 +31,7 @@
 //!
 //! Every pause point is also a valid checkpoint:
 //! [`RoutingSession::snapshot`] serializes the router's state in the
-//! `SADPCKPT v3` format and [`RoutingSession::resume`] loads it back
+//! `SADPCKPT v4` format and [`RoutingSession::resume`] loads it back
 //! exactly ([`crate::checkpoint`]). Callers choose the checkpoint cadence
 //! by the step budget they pass to `advance`. A session cancelled
 //! mid-run and resumed from its last snapshot therefore finishes
@@ -52,8 +52,8 @@ use std::time::Instant;
 /// How much work one [`RoutingSession::advance`] call may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepBudget {
-    /// Maximum schedule increments (serial nets, band folds, boundary
-    /// commits) to execute. Clamped to at least 1 so an `advance` always
+    /// Maximum schedule increments (band folds and tail nets) to
+    /// execute. Clamped to at least 1 so an `advance` always
     /// makes progress.
     pub steps: u64,
 }
@@ -177,7 +177,7 @@ impl RoutingSession {
         RoutingSession::build(config, plane, netlist, None, trace, timing)
     }
 
-    /// [`RoutingSession::create`] starting from a parsed `SADPCKPT v3`
+    /// [`RoutingSession::create`] starting from a parsed `SADPCKPT v4`
     /// snapshot: the router's state is loaded as the snapshot wrote it
     /// (no searching) and only the nets it had not yet routed or failed
     /// are scheduled. A snapshot taken after finalize schedules nothing
@@ -258,7 +258,7 @@ impl RoutingSession {
         }
     }
 
-    /// Serializes the current state as `SADPCKPT v3` text. Valid at any
+    /// Serializes the current state as `SADPCKPT v4` text. Valid at any
     /// pause point — every increment ends between canonical commits —
     /// and after the session is done.
     #[must_use]

@@ -52,8 +52,10 @@ pub enum Stage {
     Merge,
     /// Layout decomposition / verification of the routed result.
     Decompose,
-    /// The boundary-net tail: wave scheduling, parallel pre-search and
-    /// the canonical-order commit replay of band-straddling nets.
+    /// Reserved and always zero: nothing records it. Band-straddling
+    /// nets route one at a time at their canonical turn, and their work
+    /// counts under the other stages. The variant and its table row stay
+    /// so that profile readers that name them keep working.
     Boundary,
 }
 
@@ -337,24 +339,6 @@ pub enum RouterEvent {
         /// The other net of the rejected edge.
         other: u32,
     },
-    /// One wave of the boundary-net conflict-DAG schedule: `nets` nets
-    /// with pairwise-disjoint dependence footprints, pre-searched
-    /// concurrently and committed in canonical net order.
-    WaveScheduled {
-        /// Wave index (ascending commit order).
-        wave: u32,
-        /// Nets scheduled in the wave.
-        nets: u64,
-    },
-    /// A wave worker panicked pre-searching a boundary net; the net was
-    /// re-searched on the serial fallback path. The final output is
-    /// byte-identical to a run where the panic never happened.
-    WaveRecovered {
-        /// Wave index (ascending commit order).
-        wave: u32,
-        /// The recovered net.
-        net: u32,
-    },
     /// An ECO edit invalidated the routed nets whose dependence
     /// footprints intersect the edit region. Emitted before the rip-up,
     /// so the id list *is* the re-routing scope proof: nets outside it
@@ -422,8 +406,6 @@ impl RouterEvent {
             RouterEvent::BandMerged { .. } => "band_merged",
             RouterEvent::BandRecovered { .. } => "band_recovered",
             RouterEvent::OddCycleDecomposed { .. } => "odd_cycle_decomposed",
-            RouterEvent::WaveScheduled { .. } => "wave_scheduled",
-            RouterEvent::WaveRecovered { .. } => "wave_recovered",
             RouterEvent::NetsInvalidated { .. } => "nets_invalidated",
             RouterEvent::EditApplied { .. } => "edit_applied",
         }
@@ -465,8 +447,6 @@ impl RouterEvent {
             RouterEvent::OddCycleDecomposed { net, layer, other } => {
                 out.int("net", net).int("layer", layer).int("other", other)
             }
-            RouterEvent::WaveScheduled { wave, nets } => out.int("wave", wave).int("nets", nets),
-            RouterEvent::WaveRecovered { wave, net } => out.int("wave", wave).int("net", net),
             RouterEvent::NetsInvalidated { edit, ref nets } => {
                 out.int("edit", edit).arr("nets", nets.iter().copied())
             }
@@ -899,8 +879,6 @@ mod tests {
                 net: 9,
                 reason: FailReason::BudgetExceeded,
             },
-            RouterEvent::WaveScheduled { wave: 2, nets: 6 },
-            RouterEvent::WaveRecovered { wave: 2, net: 11 },
             RouterEvent::NetsInvalidated {
                 edit: 0,
                 nets: vec![1, 5, 9],
@@ -927,8 +905,6 @@ mod tests {
             "{\"event\":\"band_recovered\",\"band\":4,\"nets\":9}\n",
             "{\"event\":\"odd_cycle_decomposed\",\"net\":5,\"layer\":0,\"other\":2}\n",
             "{\"event\":\"net_failed\",\"net\":9,\"reason\":\"budget_exceeded\"}\n",
-            "{\"event\":\"wave_scheduled\",\"wave\":2,\"nets\":6}\n",
-            "{\"event\":\"wave_recovered\",\"wave\":2,\"net\":11}\n",
             "{\"event\":\"nets_invalidated\",\"edit\":0,\"nets\":[1,5,9]}\n",
             "{\"event\":\"nets_invalidated\",\"edit\":1,\"nets\":[]}\n",
             "{\"event\":\"edit_applied\",\"edit\":0,\"kind\":\"move_net\",\"invalidated\":3,\"rerouted\":4,\"failed\":0}\n",

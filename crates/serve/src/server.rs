@@ -14,7 +14,7 @@
 //! ## Persistence and crash recovery
 //!
 //! With a [`ServeConfig::state_dir`], every job persists its layout and
-//! metadata at submit time and a `SADPCKPT v3` snapshot after every
+//! metadata at submit time and a `SADPCKPT v4` snapshot after every
 //! slice (written atomically: temp file + rename). A restarted daemon
 //! scans the directory, reloads finished jobs' final results, and
 //! re-enqueues unfinished jobs — the router state in their snapshot is
@@ -175,7 +175,7 @@ struct Job {
     /// slice, after a terminal state, and across daemon restarts (the
     /// checkpoint then carries the state).
     session: Option<RoutingSession>,
-    /// The latest `SADPCKPT v3` snapshot (mirrored to disk when a state
+    /// The latest `SADPCKPT v4` snapshot (mirrored to disk when a state
     /// dir is configured).
     ckpt: Option<String>,
     /// Streamed JSONL lines (router events + `job_*` lifecycle events),
@@ -1392,7 +1392,6 @@ fn done_line(id: u64, report: &RoutingReport) -> String {
         .int("ripups", report.ripups)
         .int("failed_budget", report.failed_budget)
         .int("bands_recovered", report.bands_recovered)
-        .int("waves_recovered", report.waves_recovered)
         .int("nodes_expanded", report.nodes_expanded)
         .secs("cpu_s", report.cpu);
     final_head(id, "done")

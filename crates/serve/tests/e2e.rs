@@ -253,7 +253,7 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
         "shutdown persisted either a checkpoint or the final result"
     );
     if let Some(ckpt) = &ckpt {
-        assert!(ckpt.starts_with("SADPCKPT v3"), "current checkpoint format");
+        assert!(ckpt.starts_with("SADPCKPT v4"), "current checkpoint format");
     }
 
     // Restart on the same state dir: the job finishes with the same
@@ -275,7 +275,7 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
     server.shutdown();
 }
 
-/// A checkpoint written by an older build (`SADPCKPT v2`) cannot be
+/// A checkpoint written by an older build (`SADPCKPT v3`) cannot be
 /// loaded; on reload the daemon drops it and re-queues the job from its
 /// persisted layout instead of quarantining it, and the job finishes
 /// with the uninterrupted result.
@@ -297,7 +297,7 @@ fn an_old_version_checkpoint_re_routes_its_job_from_the_layout() {
     let ckpt = dir.join(format!("job-{job}.ckpt"));
     std::fs::write(
         &ckpt,
-        "SADPCKPT v2\nchecksum 0000000000000000\nfingerprint 0000000000000000\n\
+        "SADPCKPT v3\nchecksum 0000000000000000\nfingerprint 0000000000000000\n\
          counters 0 0 0 0 0 0 0 0 0 0 0 0\nfailed 0\nend\n",
     )
     .expect("write the old checkpoint");

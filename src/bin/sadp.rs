@@ -49,11 +49,9 @@
 //!
 //! `--threads N` runs the region-sharded schedule on up to `N` worker
 //! threads: band-interior nets on band workers, then band-straddling
-//! nets in footprint-disjoint waves whose pre-searches run concurrently
-//! but commit in canonical order. The result is byte-identical for
-//! every `N` (the band partition, the wave partition and the commit
-//! order depend only on the plane geometry and the netlist); only the
-//! wall-clock changes.
+//! nets one at a time in canonical order. The result is byte-identical
+//! for every `N` (the band partition and the commit order depend only on
+//! the plane geometry and the netlist); only the wall-clock changes.
 //!
 //! `--trace FILE` writes the structured pipeline event stream as JSONL
 //! (one event per line; see `sadp_obs::RouterEvent`). Events carry only
@@ -272,32 +270,53 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The value of the value flag `flag`, or `None` when the flag is
+/// absent. A flag with no value — the last argument, or followed by
+/// another `--flag` — is a usage error, never silently ignored.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, CliError> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(CliError::Usage(format!("{flag} wants a value"))),
+    }
 }
 
-/// Parses an optional `u64` flag; a present-but-unparsable value is a
-/// usage error, absence is `None`.
-fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(v) => v.parse::<u64>().map(Some).map_err(|_| {
-            CliError::Usage(format!("{flag} wants a non-negative integer, got {v:?}"))
-        }),
+/// The value of `flag` parsed as a `T` that passes `valid`, or `None`
+/// when the flag is absent. A missing, unparsable or invalid value is a
+/// usage error saying what the flag `wants`.
+fn parsed_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    wants: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, CliError> {
+    let Some(v) = flag_value(args, flag)? else {
+        return Ok(None);
+    };
+    match v.parse::<T>() {
+        Ok(x) if valid(&x) => Ok(Some(x)),
+        _ => Err(CliError::Usage(format!("{flag} wants {wants}, got {v:?}"))),
     }
+}
+
+/// A `u64` value flag, or `None` when absent.
+fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
+    parsed_flag(args, flag, "a non-negative integer", |_| true)
+}
+
+/// A `--threads`-style worker count (at least 1), or `None` when absent.
+fn threads_flag(args: &[String]) -> Result<Option<usize>, CliError> {
+    parsed_flag(args, "--threads", "a positive integer", |&n| n >= 1)
 }
 
 /// Router configuration honouring `--threads N` (default: serial), the
 /// budget flags, and `--faults SEED`.
 fn config_from(args: &[String]) -> Result<RouterConfig, CliError> {
     let mut config = RouterConfig::paper_defaults();
-    if let Some(v) = flag_value(args, "--threads") {
-        config.threads = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Usage(format!("--threads wants a positive integer, got {v:?}"))
-        })?;
+    if let Some(n) = threads_flag(args)? {
+        config.threads = n;
     }
     if let Some(n) = u64_flag(args, "--net-nodes")? {
         config.net_node_budget = n;
@@ -319,11 +338,11 @@ fn config_from(args: &[String]) -> Result<RouterConfig, CliError> {
 
 /// The recorder for the `--trace`/`--profile` flags: collecting events
 /// iff a trace file was asked for, timing iff the profile table was.
-fn recorder_from(args: &[String]) -> (Option<&str>, bool, BufferRecorder) {
-    let trace_path = flag_value(args, "--trace");
+fn recorder_from(args: &[String]) -> Result<(Option<&str>, bool, BufferRecorder), CliError> {
+    let trace_path = flag_value(args, "--trace")?;
     let profile = args.iter().any(|a| a == "--profile");
     let rec = BufferRecorder::with_flags(trace_path.is_some(), profile);
-    (trace_path, profile, rec)
+    Ok((trace_path, profile, rec))
 }
 
 fn write_trace(path: &str, rec: &mut BufferRecorder) -> CliResult {
@@ -354,7 +373,7 @@ const ROUTE_SLICE_STEPS: u64 = 64;
 fn ingest_file(path: &str, args: &[String]) -> Result<(String, Imported), CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-    let lef_path = match flag_value(args, "--lef") {
+    let lef_path = match flag_value(args, "--lef")? {
         Some(p) => Some(std::path::PathBuf::from(p)),
         None => sidecar_lef(std::path::Path::new(path)),
     };
@@ -395,7 +414,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
     print_import_summary(path, &imported);
     let (plane, netlist) = (imported.plane, imported.netlist);
 
-    let resume = match flag_value(args, "--resume") {
+    let resume = match flag_value(args, "--resume")? {
         Some(p) => {
             let snap_text =
                 std::fs::read_to_string(p).map_err(|e| CliError::Input(format!("{p}: {e}")))?;
@@ -403,10 +422,10 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
         }
         None => None,
     };
-    let checkpoint_path = flag_value(args, "--checkpoint");
-
-    let trace_path = flag_value(args, "--trace");
+    let checkpoint_path = flag_value(args, "--checkpoint")?;
+    let trace_path = flag_value(args, "--trace")?;
     let profile = args.iter().any(|a| a == "--profile");
+    let (svg_dir, masks_file) = (flag_value(args, "--svg")?, flag_value(args, "--masks")?);
     let config = config_from(args)?;
 
     // The route is a stepwise session advanced in bounded slices; every
@@ -461,7 +480,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
 
     println!("\n{}", ScenarioCensus::of(session.router()));
 
-    if let Some(dir) = flag_value(args, "--svg") {
+    if let Some(dir) = svg_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Other(format!("{dir}: {e}")))?;
         let sim = CutSimulator::new(rules);
         for (l, layer_patterns) in layers.iter().enumerate() {
@@ -479,7 +498,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
             println!("wrote {file}");
         }
     }
-    if let Some(file) = flag_value(args, "--masks") {
+    if let Some(file) = masks_file {
         let sim = CutSimulator::new(rules);
         let mut out = String::new();
         for (l, layer_patterns) in layers.iter().enumerate() {
@@ -507,6 +526,7 @@ fn cmd_convert(args: &[String]) -> CliResult {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::Usage("missing input file".into()))?;
+    let out_file = flag_value(args, "--out")?;
     let (_, imported) = ingest_file(path, args)?;
     let name = std::path::Path::new(path)
         .file_name()
@@ -519,7 +539,7 @@ fn cmd_convert(args: &[String]) -> CliResult {
         out.push_str(&format!("# {note}\n"));
     }
     out.push_str(&write_layout(&imported.plane, &imported.netlist));
-    match flag_value(args, "--out") {
+    match out_file {
         Some(file) => {
             std::fs::write(file, out).map_err(|e| CliError::Other(format!("{file}: {e}")))?;
             println!("wrote {file}");
@@ -540,13 +560,13 @@ fn cmd_edit(args: &[String]) -> CliResult {
     print_import_summary(path, &imported);
     let (plane, netlist) = (imported.plane, imported.netlist);
     let script_path =
-        flag_value(args, "--script").ok_or_else(|| CliError::Usage("missing --script".into()))?;
+        flag_value(args, "--script")?.ok_or_else(|| CliError::Usage("missing --script".into()))?;
     let script = std::fs::read_to_string(script_path)
         .map_err(|e| CliError::Input(format!("{script_path}: {e}")))?;
     let ops =
         parse_edit_script(&script).map_err(|e| CliError::Input(format!("{script_path}: {e}")))?;
 
-    let trace_path = flag_value(args, "--trace");
+    let trace_path = flag_value(args, "--trace")?;
     let config = config_from(args)?;
     let mut eco = EcoSession::create(config, plane, netlist, trace_path.is_some())
         .map_err(|e| CliError::Routing(e.to_string()))?;
@@ -598,19 +618,15 @@ fn cmd_edit(args: &[String]) -> CliResult {
 
 fn cmd_serve(args: &[String]) -> CliResult {
     let mut config = ServeConfig {
-        addr: flag_value(args, "--addr")
-            .unwrap_or("127.0.0.1:7463")
-            .to_string(),
+        addr: client_addr(args)?.to_string(),
         ..ServeConfig::default()
     };
-    if let Some(v) = flag_value(args, "--workers") {
-        // 0 is legal: a queue-only daemon that accepts and persists jobs
-        // for a later run to execute.
-        config.workers = v.parse::<usize>().map_err(|_| {
-            CliError::Usage(format!("--workers wants a non-negative integer, got {v:?}"))
-        })?;
+    // 0 workers is legal: a queue-only daemon that accepts and persists
+    // jobs for a later run to execute.
+    if let Some(n) = parsed_flag(args, "--workers", "a non-negative integer", |_| true)? {
+        config.workers = n;
     }
-    config.state_dir = flag_value(args, "--state-dir").map(std::path::PathBuf::from);
+    config.state_dir = flag_value(args, "--state-dir")?.map(std::path::PathBuf::from);
     if let Some(n) = u64_flag(args, "--slice-steps")? {
         config.slice_steps = n.max(1);
     }
@@ -642,9 +658,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// The daemon address a client command talks to.
-fn client_addr(args: &[String]) -> &str {
-    flag_value(args, "--addr").unwrap_or("127.0.0.1:7463")
+/// The daemon address `--addr` names (default `127.0.0.1:7463`).
+fn client_addr(args: &[String]) -> Result<&str, CliError> {
+    Ok(flag_value(args, "--addr")?.unwrap_or("127.0.0.1:7463"))
 }
 
 fn cmd_submit(args: &[String]) -> CliResult {
@@ -654,23 +670,21 @@ fn cmd_submit(args: &[String]) -> CliResult {
         .ok_or_else(|| CliError::Usage("missing layout file".into()))?;
     let layout =
         std::fs::read_to_string(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-    let priority = match flag_value(args, "--priority") {
-        None => 100,
-        Some(v) => v.parse::<u8>().map_err(|_| {
-            CliError::Usage(format!(
-                "--priority wants 0-255 (lower runs first), got {v:?}"
-            ))
-        })?,
-    };
-    let addr = client_addr(args);
+    let priority =
+        parsed_flag(args, "--priority", "0-255 (lower runs first)", |_| true)?.unwrap_or(100u8);
+    let threads = u64_flag(args, "--threads")?.map(|t| t as usize);
+    let node_budget = u64_flag(args, "--node-budget")?;
+    let deadline_ms = u64_flag(args, "--deadline-ms")?;
+    let trace_path = flag_value(args, "--trace")?;
+    let addr = client_addr(args)?;
     let mut client = Client::connect(addr).map_err(|e| CliError::Other(format!("{addr}: {e}")))?;
     let resp = client
         .call(&Request::Submit {
             layout,
             priority,
-            threads: u64_flag(args, "--threads")?.map(|t| t as usize),
-            node_budget: u64_flag(args, "--node-budget")?,
-            deadline_ms: u64_flag(args, "--deadline-ms")?,
+            threads,
+            node_budget,
+            deadline_ms,
         })
         .map_err(|e| CliError::Other(e.to_string()))?;
     let job = resp
@@ -679,7 +693,6 @@ fn cmd_submit(args: &[String]) -> CliResult {
         .ok_or_else(|| CliError::Other("malformed server response to submit".into()))?;
     println!("job {job}");
 
-    let trace_path = flag_value(args, "--trace");
     if trace_path.is_none() && !args.iter().any(|a| a == "--wait") {
         return Ok(());
     }
@@ -726,7 +739,7 @@ fn cmd_job(args: &[String]) -> CliResult {
     } else {
         Request::Status { job: id }
     };
-    let addr = client_addr(args);
+    let addr = client_addr(args)?;
     let mut client = Client::connect(addr).map_err(|e| CliError::Other(format!("{addr}: {e}")))?;
     let resp = client
         .call(&req)
@@ -743,14 +756,12 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     }
 
     let mut cfg = CampaignConfig::default();
-    if let Some(v) = flag_value(args, "--threads") {
-        cfg.oracle.threads = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Usage(format!("--threads wants a positive integer, got {v:?}"))
-        })?;
+    if let Some(n) = threads_flag(args)? {
+        cfg.oracle.threads = n;
     }
     cfg.oracle.fault_seed = u64_flag(args, "--faults")?;
 
-    if let Some(path) = flag_value(args, "--replay") {
+    if let Some(path) = flag_value(args, "--replay")? {
         let (text, imported) = ingest_file(path, args)?;
         print_import_summary(path, &imported);
         let (plane, netlist) = (imported.plane, imported.netlist);
@@ -775,15 +786,13 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         };
     }
 
-    if let Some(v) = flag_value(args, "--seeds") {
-        cfg.seeds = v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Usage(format!("--seeds wants a positive integer, got {v:?}"))
-        })?;
+    if let Some(n) = parsed_flag(args, "--seeds", "a positive integer", |&n| n >= 1)? {
+        cfg.seeds = n;
     }
     if let Some(n) = u64_flag(args, "--start")? {
         cfg.start = n;
     }
-    if let Some(v) = flag_value(args, "--regime") {
+    if let Some(v) = flag_value(args, "--regime")? {
         let regime = Regime::parse(v).ok_or_else(|| {
             let names: Vec<&str> = Regime::ALL.iter().map(|r| r.name()).collect();
             CliError::Usage(format!(
@@ -794,7 +803,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         cfg.regimes = vec![regime];
     }
     cfg.minimize = args.iter().any(|a| a == "--minimize");
-    let out_dir = flag_value(args, "--out").unwrap_or("fuzz-out");
+    let out_dir = flag_value(args, "--out")?.unwrap_or("fuzz-out");
 
     let started = std::time::Instant::now();
     let report = run_campaign(&cfg, |line| println!("{line}"));
@@ -847,15 +856,13 @@ fn cmd_fuzz_wire(args: &[String]) -> CliResult {
     use sadp::fuzz::{run_wire_campaign, WireCampaignConfig, WireRegime};
 
     let mut cfg = WireCampaignConfig::default();
-    if let Some(v) = flag_value(args, "--seeds") {
-        cfg.seeds = v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::Usage(format!("--seeds wants a positive integer, got {v:?}"))
-        })?;
+    if let Some(n) = parsed_flag(args, "--seeds", "a positive integer", |&n| n >= 1)? {
+        cfg.seeds = n;
     }
     if let Some(n) = u64_flag(args, "--start")? {
         cfg.start = n;
     }
-    if let Some(v) = flag_value(args, "--regime") {
+    if let Some(v) = flag_value(args, "--regime")? {
         let regime = WireRegime::parse(v).ok_or_else(|| {
             let names: Vec<&str> = WireRegime::ALL.iter().map(|r| r.name()).collect();
             CliError::Usage(format!(
@@ -866,7 +873,7 @@ fn cmd_fuzz_wire(args: &[String]) -> CliResult {
         cfg.regimes = vec![regime];
     }
     cfg.live = !args.iter().any(|a| a == "--no-live");
-    let out_dir = flag_value(args, "--out").unwrap_or("fuzz-out");
+    let out_dir = flag_value(args, "--out")?.unwrap_or("fuzz-out");
 
     let started = std::time::Instant::now();
     let report = run_wire_campaign(&cfg, |line| println!("{line}"));
@@ -924,23 +931,17 @@ fn failure_trace(failure: &sadp::fuzz::Failure) -> Option<String> {
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
-    let scale: f64 = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.1);
+    let scale = parsed_flag(args, "--scale", "a positive number", |x: &f64| {
+        x.is_finite() && *x > 0.0
+    })?
+    .unwrap_or(0.1);
     let suite = BenchmarkSpec::paper_fixed_suite();
-    let test: usize = match flag_value(args, "--test") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| (1..=suite.len()).contains(&n))
-            .ok_or_else(|| {
-                CliError::Usage(format!("--test wants 1..={}, got {v:?}", suite.len()))
-            })?,
-        None => 1,
-    };
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100 + test as u64);
+    let wants = format!("1..={}", suite.len());
+    let test =
+        parsed_flag(args, "--test", &wants, |n| (1..=suite.len()).contains(n))?.unwrap_or(1usize);
+    let seed = u64_flag(args, "--seed")?.unwrap_or(100 + test as u64);
+    let (trace_path, profile, mut rec) = recorder_from(args)?;
+    let config = config_from(args)?;
     let spec = suite
         .into_iter()
         .nth(test - 1)
@@ -952,8 +953,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
         spec.name, spec.net_count, spec.width_tracks, spec.height_tracks, spec.layers
     );
     let (mut plane, netlist) = spec.generate();
-    let (trace_path, profile, mut rec) = recorder_from(args);
-    let mut router = Router::new(config_from(args)?);
+    let mut router = Router::new(config);
     let report = router.route_all_with(&mut plane, &netlist, &mut rec);
     println!("{report}");
     if let Some(file) = trace_path {

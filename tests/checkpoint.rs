@@ -233,11 +233,9 @@ fn snapshot_rejects_a_foreign_layout() {
 
 /// Cancellation determinism: a session cancelled mid-run, snapshotted,
 /// and resumed in a fresh session finishes byte-identical to the
-/// uninterrupted run — same report, geometry, colors and occupancy.
-/// The resumed leg re-plans only the *remaining* nets, so its
-/// scheduling bookkeeping (`band_merged`/`wave_scheduled` lines) may
-/// regroup; the `net_routed` commit record must still cover exactly the
-/// uninterrupted run's nets, each with the same attempt count.
+/// uninterrupted run — same report, geometry, colors and occupancy —
+/// and the two legs' traces spliced together are the uninterrupted
+/// trace.
 #[test]
 fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
     use sadp::obs::events_to_jsonl;
@@ -315,22 +313,71 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
     report.profile = StageProfile::default();
     let got = observe(report, second.router(), second.plane());
     assert_eq!(want, got, "cancel + resume diverged from uninterrupted run");
-    // Loading emits no events, so the spliced stream holds each commit
-    // exactly once; the lines are byte-equal per net (attempts, flips).
-    let commits = |jsonl: &str| -> Vec<String> {
-        let mut lines: Vec<String> = jsonl
-            .lines()
-            .filter(|l| l.contains("\"event\":\"net_routed\""))
-            .map(str::to_string)
-            .collect();
-        lines.sort();
-        lines
-    };
+    // Loading emits no events, and the resumed leg walks exactly the
+    // remaining steps, so the spliced stream is the uninterrupted one.
     assert_eq!(
-        commits(&want_trace),
-        commits(&events_to_jsonl(&events)),
-        "spliced commit record diverged"
+        want_trace,
+        events_to_jsonl(&events),
+        "spliced trace diverged"
     );
+}
+
+/// A resumed trace is the exact suffix of the uninterrupted one: at every
+/// one-step kill point of a banded design, a fresh session resumed from
+/// the snapshot emits the events the uninterrupted run emitted from that
+/// point on, and no others — no fold of a band the snapshot already
+/// merged, no regrouped bookkeeping.
+#[test]
+fn a_resumed_trace_is_the_suffix_of_the_uninterrupted_one() {
+    use sadp::grid::read_layout;
+    use sadp::obs::events_to_jsonl;
+
+    let text = include_str!("../fixtures/corpus/multi-band-fault-recovery.layout");
+    let design = || read_layout(text).expect("fixture parses");
+    let (plane, netlist) = design();
+    let mut live =
+        RoutingSession::create(RouterConfig::paper_defaults(), plane, netlist, true, false)
+            .expect("session creates");
+    // The whole trace, and per kill point (every pause and the finished
+    // run) the events drained before it and the snapshot taken there.
+    let mut trace = Vec::new();
+    let mut kills: Vec<(usize, String)> = Vec::new();
+    loop {
+        let status = live.advance(StepBudget::steps(1));
+        trace.extend(live.drain_events());
+        kills.push((trace.len(), live.snapshot()));
+        match status {
+            SessionStatus::Running | SessionStatus::CheckpointReady => {}
+            SessionStatus::Done(_) => break,
+            SessionStatus::Failed(e) => panic!("session failed: {e}"),
+        }
+    }
+    let folds = trace.iter().filter(|e| e.kind() == "band_merged").count();
+    assert!(folds >= 2, "the design must fold several bands ({folds})");
+    assert_eq!(kills.len(), 15, "one kill point per step, one when done");
+
+    for (at, (emitted, snap)) in kills.iter().enumerate() {
+        let snap = Snapshot::parse(snap).expect("snapshot parses");
+        let (plane, netlist) = design();
+        let mut resumed = RoutingSession::resume(
+            RouterConfig::paper_defaults(),
+            plane,
+            netlist,
+            &snap,
+            true,
+            false,
+        )
+        .expect("session resumes");
+        match resumed.advance(StepBudget::unbounded()) {
+            SessionStatus::Done(_) => {}
+            other => panic!("kill point {at}: resumed run did not finish: {other:?}"),
+        }
+        assert_eq!(
+            events_to_jsonl(&resumed.drain_events()),
+            events_to_jsonl(&trace[*emitted..]),
+            "kill point {at}: resumed trace is not the uninterrupted suffix"
+        );
+    }
 }
 
 /// `text` with its checksum line recomputed over the edited body (FNV-1a

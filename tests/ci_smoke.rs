@@ -3,7 +3,7 @@
 //! errors, the corpus subcommand with its per-format vacuity guard)
 //! gets the same test coverage as the code it drives.
 //!
-//! Only the fast `corpus` subcommand runs here — the trace/fault/serve
+//! Only the fast `corpus` subcommand runs here — the fault/counters/serve
 //! smokes route a ~400-track benchmark and are exercised by CI itself.
 
 use std::process::Command;

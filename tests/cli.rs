@@ -97,6 +97,54 @@ fn bad_usage_fails_with_code_2() {
     assert!(stderr.contains("usage:"));
 }
 
+/// A value flag with its value missing or unparsable is a usage error
+/// (exit 2) naming the flag, never a run that silently ignores it.
+#[test]
+fn a_value_flag_without_a_usable_value_is_a_usage_error() {
+    let route = |rest: &[&str]| {
+        let mut args = vec!["route", "fixtures/odd_cycle.layout"];
+        args.extend_from_slice(rest);
+        args.into_iter().map(String::from).collect::<Vec<_>>()
+    };
+    let bench = |rest: &[&str]| {
+        let mut args = vec!["bench"];
+        args.extend_from_slice(rest);
+        args.into_iter().map(String::from).collect::<Vec<_>>()
+    };
+    let cases = [
+        (route(&["--faults"]), "--faults wants a value"),
+        (route(&["--threads"]), "--threads wants a value"),
+        (route(&["--trace"]), "--trace wants a value"),
+        (route(&["--trace", "--profile"]), "--trace wants a value"),
+        (
+            route(&["--threads", "0"]),
+            "--threads wants a positive integer",
+        ),
+        (
+            bench(&["--scale", "abc"]),
+            "--scale wants a positive number",
+        ),
+        (
+            bench(&["--scale", "inf"]),
+            "--scale wants a positive number",
+        ),
+        (
+            bench(&["--seed", "abc"]),
+            "--seed wants a non-negative integer",
+        ),
+        (bench(&["--test", "9"]), "--test wants 1..=5"),
+        (bench(&["--threads"]), "--threads wants a value"),
+    ];
+    for (args, message) in cases {
+        let out = sadp().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
 #[test]
 fn unknown_command_fails_with_code_2() {
     let out = sadp().arg("frobnicate").output().expect("binary runs");
@@ -167,7 +215,7 @@ fn checkpoint_then_resume_reproduces_the_run() {
             .expect("binary runs");
         assert!(first.status.success(), "{design}");
         let text = std::fs::read_to_string(&snap).expect("checkpoint written");
-        assert!(text.starts_with("SADPCKPT v3"), "{design}: {text}");
+        assert!(text.starts_with("SADPCKPT v4"), "{design}: {text}");
 
         let resumed = sadp()
             .args(["route", design, "--resume", snap.to_str().unwrap()])
@@ -214,11 +262,11 @@ fn resume_with_wrong_layout_fails_with_routing_code_4() {
 
 #[test]
 fn foreign_checkpoint_version_is_rejected_with_a_versioned_error() {
-    let dir = std::env::temp_dir().join("sadp_cli_ckpt_v2");
+    let dir = std::env::temp_dir().join("sadp_cli_ckpt_v3");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("old.ckpt");
-    std::fs::write(&snap, "SADPCKPT v2\nchecksum 0\nend\n").unwrap();
+    std::fs::write(&snap, "SADPCKPT v3\nchecksum 0\nend\n").unwrap();
     let out = sadp()
         .args([
             "route",
@@ -232,8 +280,8 @@ fn foreign_checkpoint_version_is_rejected_with_a_versioned_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     // The message names the version it found, the version it wants, and
     // what to do about it.
-    assert!(stderr.contains("SADPCKPT v2"), "{stderr}");
     assert!(stderr.contains("SADPCKPT v3"), "{stderr}");
+    assert!(stderr.contains("SADPCKPT v4"), "{stderr}");
     assert!(stderr.contains("re-route"), "{stderr}");
 }
 

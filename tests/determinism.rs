@@ -1,8 +1,8 @@
 //! The parallel driver's determinism contract: for any thread count the
 //! routed result is *identical* to the serial run — same report, same
 //! paths, same colors, same failures. The band partition, the boundary
-//! wave schedule, and the commit order depend only on the plane geometry
-//! and the netlist, never on scheduling.
+//! nets' place in the serial tail, and the commit order depend only on
+//! the plane geometry and the netlist, never on scheduling.
 
 use sadp::core::FaultPlan;
 use sadp::grid::{BandPlan, BenchmarkSpec};
@@ -161,23 +161,19 @@ fn injected_band_panics_recover_to_the_clean_result() {
         );
     }
 
-    // Modulo the recovery counters, the faulted run IS the clean run.
-    // (The same plan may also panic boundary-wave pre-searches; those
-    // recover byte-identically too, so both counters are masked.)
+    // Modulo the recovery counter, the faulted run IS the clean run.
     let mut masked = faulted.clone();
     masked.0.bands_recovered = 0;
-    masked.0.waves_recovered = 0;
     assert_eq!(masked, clean, "recovery altered the routed result");
 }
 
 /// Twelve identical-length nets that all straddle the x=200 band edge of
-/// a two-band 400-track plane, in interleaving conflict groups. A net's
-/// wave footprint is its pin bbox grown by `search_margin + halo`
-/// (24 + 2) per side, so rows 60 tracks apart are footprint-disjoint
-/// while rows 30 apart conflict: the wave planner must batch the former
-/// into wide waves and cut before the latter. Equal lengths make the
+/// a two-band 400-track plane, on twelve rows, so each net's search
+/// window (pin bbox grown by `search_margin` 24 per side) overlaps some
+/// of the others and misses the rest. No net fits one band: the band
+/// phase is empty and every net routes in the serial tail. Equal lengths make the
 /// canonical (HPWL, id) order the insertion order.
-fn boundary_wave_fixture() -> (RoutingPlane, Netlist) {
+fn boundary_net_fixture() -> (RoutingPlane, Netlist) {
     let plane = RoutingPlane::new(3, 400, 300, DesignRules::node_10nm()).expect("valid plane");
     let mut nl = Netlist::new();
     let rows: [i32; 12] = [10, 70, 130, 190, 250, 40, 100, 160, 220, 280, 25, 85];
@@ -191,10 +187,10 @@ fn boundary_wave_fixture() -> (RoutingPlane, Netlist) {
     (plane, nl)
 }
 
-/// Routes the boundary-wave fixture under `config` with a tracing
+/// Routes the boundary-net fixture under `config` with a tracing
 /// recorder; returns everything observable plus the JSONL event stream.
-fn route_waves(mut config: RouterConfig, threads: usize) -> (RunResult, String) {
-    let (mut plane, netlist) = boundary_wave_fixture();
+fn route_boundary(mut config: RouterConfig, threads: usize) -> (RunResult, String) {
+    let (mut plane, netlist) = boundary_net_fixture();
     config.threads = threads;
     let mut router = Router::new(config);
     let mut rec = BufferRecorder::with_flags(true, false);
@@ -209,40 +205,44 @@ fn route_waves(mut config: RouterConfig, threads: usize) -> (RunResult, String) 
     )
 }
 
+/// The `net_routed` lines after the last `band_merged` line of `trace`
+/// (all of them when no band folded): the nets of the serial tail.
+fn tail_commits(trace: &str) -> usize {
+    trace
+        .lines()
+        .rev()
+        .take_while(|l| !l.contains("\"event\":\"band_merged\""))
+        .filter(|l| l.contains("\"event\":\"net_routed\""))
+        .count()
+}
+
 #[test]
-fn boundary_waves_are_byte_identical_across_thread_counts() {
-    // The tentpole contract: boundary nets pre-search in parallel waves
-    // but commit in exact canonical order, so report, colors, patterns,
-    // occupancy AND the full event trace are byte-stable at any worker
-    // count.
-    let (serial, serial_trace) = route_waves(RouterConfig::paper_defaults(), 1);
+fn boundary_nets_are_byte_identical_across_thread_counts() {
+    // Boundary nets route in exact canonical order after the band phase,
+    // so report, colors, patterns, occupancy AND the full event trace
+    // are byte-stable at any worker count.
+    let (serial, serial_trace) = route_boundary(RouterConfig::paper_defaults(), 1);
     assert!(serial.0.routed_nets > 0, "fixture must route");
 
-    // Vacuity guards: the fixture must actually exercise wave batching —
-    // several waves, and at least one wave holding more than one net.
-    let wave_lines: Vec<&str> = serial_trace
-        .lines()
-        .filter(|l| l.contains("\"event\":\"wave_scheduled\""))
-        .collect();
-    assert!(
-        wave_lines.len() >= 2,
-        "fixture must split into multiple waves: {wave_lines:?}"
-    );
-    let wide_waves = wave_lines
-        .iter()
-        .filter(|l| !l.contains("\"nets\":1}"))
-        .count();
-    assert!(
-        wide_waves >= 1,
-        "at least one wave must batch >1 net: {wave_lines:?}"
+    // Vacuity guards: the plane is banded, and every routed net was
+    // committed in the tail after the band phase.
+    let halo = sadp::scenario::interaction_radius_tracks(&DesignRules::node_10nm());
+    assert!(BandPlan::for_plane(400, halo).len() >= 2, "banded plane");
+    assert_eq!(
+        tail_commits(&serial_trace),
+        serial.0.routed_nets,
+        "every routed net must commit in the boundary tail"
     );
 
     for threads in [2, 4] {
-        let (sharded, trace) = route_waves(RouterConfig::paper_defaults(), threads);
-        assert_eq!(serial, sharded, "wave run diverged at threads={threads}");
+        let (sharded, trace) = route_boundary(RouterConfig::paper_defaults(), threads);
+        assert_eq!(
+            serial, sharded,
+            "boundary run diverged at threads={threads}"
+        );
         assert_eq!(
             serial_trace, trace,
-            "wave trace diverged at threads={threads}"
+            "boundary trace diverged at threads={threads}"
         );
     }
     assert_eq!(serial.0.cut_conflicts, 0);
@@ -250,14 +250,13 @@ fn boundary_waves_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn budget_starved_boundary_waves_fail_identically_across_thread_counts() {
-    // Per-net node budgets are charged inside the wave pre-search and
-    // threaded into the replay; the budget-starved failure set must be
-    // identical at every thread count even when every failing net is a
-    // boundary net.
+fn budget_starved_boundary_nets_fail_identically_across_thread_counts() {
+    // Per-net node budgets are charged as boundary nets search at their
+    // turn; the budget-starved failure set must be identical at every
+    // thread count even when every failing net is a boundary net.
     let mut config = RouterConfig::paper_defaults();
     config.net_node_budget = 40;
-    let (starved, starved_trace) = route_waves(config.clone(), 1);
+    let (starved, starved_trace) = route_boundary(config.clone(), 1);
     assert!(
         starved.0.failed_budget > 0,
         "a 40-node budget should starve boundary nets"
@@ -267,11 +266,16 @@ fn budget_starved_boundary_waves_fail_identically_across_thread_counts() {
         12,
         "every net is either routed or accounted failed"
     );
+    assert_eq!(
+        tail_commits(&starved_trace),
+        starved.0.routed_nets,
+        "every routed net must commit in the boundary tail"
+    );
     for threads in [2, 4] {
-        let (run, trace) = route_waves(config.clone(), threads);
+        let (run, trace) = route_boundary(config.clone(), threads);
         assert_eq!(
             starved, run,
-            "budget-starved wave run diverged at threads={threads}"
+            "budget-starved boundary run diverged at threads={threads}"
         );
         assert_eq!(
             starved_trace, trace,
@@ -279,47 +283,8 @@ fn budget_starved_boundary_waves_fail_identically_across_thread_counts() {
         );
     }
     // The unstarved run routes strictly more.
-    let (clean, _) = route_waves(RouterConfig::paper_defaults(), 1);
+    let (clean, _) = route_boundary(RouterConfig::paper_defaults(), 1);
     assert!(clean.0.routed_nets > starved.0.routed_nets);
-}
-
-#[test]
-fn injected_wave_panics_recover_to_the_clean_result() {
-    // The wave recovery contract: a pre-search that panics is re-searched
-    // serially during the replay, and the final output is byte-identical
-    // to a run where the panic never happened — the only trace it leaves
-    // is the `waves_recovered` counter. (The fixture has no band-interior
-    // nets, so band panics cannot fire and muddy the comparison.)
-    let (clean, _) = route_waves(RouterConfig::paper_defaults(), 1);
-
-    let faulted_run = |threads: usize, seed: u64| {
-        let mut config = RouterConfig::paper_defaults();
-        config.faults = Some(FaultPlan::new(seed));
-        route_waves(config, threads).0
-    };
-    let seed = (0..64u64)
-        .find(|&s| {
-            let r = faulted_run(1, s);
-            r.0.waves_recovered > 0 && r.0.failed_budget == 0
-        })
-        .expect("some seed in 0..64 panics a wave pre-search without budget faults");
-    let faulted = faulted_run(1, seed);
-    assert_eq!(faulted.0.bands_recovered, 0, "fixture has no band nets");
-
-    // Wave recovery is deterministic across thread counts (injection is
-    // keyed by net id, never by wave index or worker).
-    for threads in [2, 4] {
-        assert_eq!(
-            faulted,
-            faulted_run(threads, seed),
-            "faulted wave run diverged at threads={threads}"
-        );
-    }
-
-    // Modulo the recovery counter, the faulted run IS the clean run.
-    let mut masked = faulted.clone();
-    masked.0.waves_recovered = 0;
-    assert_eq!(masked, clean, "wave recovery altered the routed result");
 }
 
 #[test]
