@@ -13,13 +13,13 @@
 //! | `no pin guards` | soft keep-out halos around unrouted pins |
 //! | `no preferred dirs` | per-layer direction bias |
 
-use sadp_bench::scale_from_args;
+use sadp_bench::scale_or_exit;
 use sadp_core::{Router, RouterConfig};
 use sadp_grid::BenchmarkSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(&args);
+    let scale = scale_or_exit(&args, 0.2, "ablation [--scale X | --full]");
     let spec = BenchmarkSpec::paper_fixed_suite().remove(0).scaled(scale);
     println!(
         "Ablation on {} x{scale} ({} nets)",

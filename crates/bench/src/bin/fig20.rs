@@ -10,12 +10,12 @@
 //! path.
 
 use sadp_bench::scaling::{check_scaling, ScalingPoint};
-use sadp_bench::{fit_power_law, paper::FIG20_EXPONENT, run_ours, scale_from_args};
+use sadp_bench::{fit_power_law, paper::FIG20_EXPONENT, run_ours, scale_or_exit};
 use sadp_grid::BenchmarkSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(&args);
+    let scale = scale_or_exit(&args, 0.2, "fig20 [--scale X | --full] [--check]");
     let check = args.iter().any(|a| a == "--check");
     println!("Fig. 20: running time vs number of nets (scale {scale})");
     println!(

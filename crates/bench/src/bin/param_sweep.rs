@@ -1,9 +1,9 @@
 //! Sensitivity of the router to its user-defined parameters (§III-E /
 //! §IV: α = β = 1, γ = 1.5, f_threshold = 10, B = 3). Extension study.
 //!
-//! Usage: `param_sweep [--scale X]` (default 0.15).
+//! Usage: `param_sweep [--scale X | --full]` (default 0.15).
 
-use sadp_bench::scale_from_args;
+use sadp_bench::scale_or_exit;
 use sadp_core::{Router, RouterConfig};
 use sadp_grid::BenchmarkSpec;
 
@@ -16,14 +16,7 @@ fn run(spec: &BenchmarkSpec, config: RouterConfig) -> (f64, u64, u64, u64) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = {
-        let s = scale_from_args(&args);
-        if s == 0.2 {
-            0.15
-        } else {
-            s
-        }
-    };
+    let scale = scale_or_exit(&args, 0.15, "param_sweep [--scale X | --full]");
     let spec = BenchmarkSpec::paper_fixed_suite().remove(0).scaled(scale);
     println!(
         "Parameter sensitivity on {} x{scale} ({} nets); paper values marked *",

@@ -5,13 +5,13 @@
 //! a per-circuit wall-clock budget scaled with the instance.
 
 use sadp_baselines::BaselineKind;
-use sadp_bench::{run_baseline, run_ours, scale_from_args, RunRow};
+use sadp_bench::{run_baseline, run_ours, scale_or_exit, RunRow};
 use sadp_grid::BenchmarkSpec;
 use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(&args);
+    let scale = scale_or_exit(&args, 0.2, "table3 [--scale X | --full]");
     println!("Table III: fixed-pin benchmarks (scale {scale})");
     println!("circuit    nets | router                 | Rout.  | overlay  |  #C  | CPU");
     println!("{}", "-".repeat(84));

@@ -5,13 +5,13 @@
 //! Usage: `table4 [--scale X | --full] [--du-budget SECS]`.
 
 use sadp_baselines::BaselineKind;
-use sadp_bench::{run_baseline, run_ours, scale_from_args, PaperRow, TABLE4_DU, TABLE4_OURS};
+use sadp_bench::{run_baseline, run_ours, scale_or_exit, PaperRow, TABLE4_DU, TABLE4_OURS};
 use sadp_grid::BenchmarkSpec;
 use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(&args);
+    let scale = scale_or_exit(&args, 0.2, "table4 [--scale X | --full] [--du-budget SECS]");
     let du_budget = args
         .iter()
         .position(|a| a == "--du-budget")

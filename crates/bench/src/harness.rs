@@ -90,38 +90,81 @@ pub fn run_baseline(kind: BaselineKind, spec: &BenchmarkSpec, budget: Option<Dur
     }
 }
 
-/// Resolves the benchmark scale from CLI args / environment:
-/// `--full` → 1.0, `--scale X` → X, `SADP_SCALE` env var, default 0.2.
+/// The benchmark scale for a binary's `main`: `--full` → 1.0, `--scale X`
+/// → X, the `SADP_SCALE` environment variable, else `default`. A missing,
+/// unparsable or non-positive scale prints the error and `usage` to
+/// stderr and exits with status 2, the usage-error code of the `sadp`
+/// CLI.
 #[must_use]
-pub fn scale_from_args(args: &[String]) -> f64 {
+pub fn scale_or_exit(args: &[String], default: f64, usage: &str) -> f64 {
+    let env = std::env::var_os("SADP_SCALE");
+    let env = env.as_ref().map(|v| v.to_string_lossy());
+    scale_from_args(args, env.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
+/// Resolves the benchmark scale: `--full` → 1.0, `--scale X` → X, the
+/// `SADP_SCALE` value `env`, else `default`.
+///
+/// # Errors
+///
+/// A `--scale` without a value, or a `--scale` or `SADP_SCALE` value that
+/// is not a finite positive number, is an error naming the culprit: a
+/// silent fallback would run some other instance than the one asked for.
+fn scale_from_args(args: &[String], env: Option<&str>, default: f64) -> Result<f64, String> {
+    let positive = |what: &str, v: &str| match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(format!("{what} needs a positive number, got `{v}`")),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--full" {
-            return 1.0;
-        }
-        if a == "--scale" {
-            if let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) {
-                return v;
+        match a.as_str() {
+            "--full" => return Ok(1.0),
+            "--scale" => {
+                return it
+                    .next()
+                    .ok_or_else(|| "--scale needs a value".to_string())
+                    .and_then(|v| positive("--scale", v))
             }
+            _ => {}
         }
     }
-    std::env::var("SADP_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.2)
+    env.map_or(Ok(default), |v| positive("SADP_SCALE", v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn resolve(args: &[&str], env: Option<&str>) -> Result<f64, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        scale_from_args(&args, env, 0.2)
+    }
+
     #[test]
     fn scale_resolution_order() {
-        let s = |v: &[&str]| scale_from_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        assert_eq!(s(&["--full"]), 1.0);
-        assert_eq!(s(&["--scale", "0.5"]), 0.5);
-        assert_eq!(s(&["--scale"]), 0.2); // malformed falls back
-        assert_eq!(s(&[]), 0.2);
+        assert_eq!(resolve(&["--full"], Some("0.5")), Ok(1.0));
+        assert_eq!(resolve(&["--scale", "0.5"], Some("0.7")), Ok(0.5));
+        assert_eq!(resolve(&["--check"], Some("0.7")), Ok(0.7));
+        assert_eq!(resolve(&[], None), Ok(0.2));
+        let args = vec!["--check".to_string()];
+        assert_eq!(scale_from_args(&args, None, 0.15), Ok(0.15));
+    }
+
+    #[test]
+    fn a_bad_scale_is_an_error_not_a_fallback() {
+        let err = resolve(&["--scale"], None).expect_err("missing value");
+        assert!(err.contains("--scale needs a value"), "{err}");
+        for bad in ["abc", "0", "-1", "NaN", "inf", ""] {
+            let err = resolve(&["--scale", bad], None).expect_err(bad);
+            assert!(err.contains("--scale") && err.contains(bad), "{err}");
+            let err = resolve(&[], Some(bad)).expect_err(bad);
+            assert!(err.contains("SADP_SCALE"), "{err}");
+        }
+        // A flag that comes first wins over a bad environment value.
+        assert_eq!(resolve(&["--full"], Some("abc")), Ok(1.0));
     }
 
     #[test]

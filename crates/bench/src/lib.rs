@@ -14,7 +14,7 @@
 //!
 //! Table binaries accept a scale factor (`SADP_SCALE` env var or `--scale
 //! 0.2`); the default 0.2 finishes in seconds, `--full` runs the paper's
-//! sizes. Measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
+//! sizes. A missing or non-positive scale is a usage error (exit 2). Measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
 
 pub mod harness;
 pub mod lsq;
@@ -22,6 +22,6 @@ pub mod paper;
 pub mod scaling;
 pub mod timing;
 
-pub use harness::{run_baseline, run_ours, scale_from_args, threads_from_env, RunRow};
+pub use harness::{run_baseline, run_ours, scale_or_exit, threads_from_env, RunRow};
 pub use lsq::fit_power_law;
 pub use paper::{PaperRow, TABLE3_BASELINES, TABLE4_DU, TABLE4_OURS};

@@ -199,6 +199,20 @@ pub type DirMap = DirGrid;
 /// is consistent and the popped `f` keys are monotone — which is what
 /// allows the radix-heap open list.
 ///
+/// **Target entry.** When every entry of `req.targets` is the same cell,
+/// entering it charges no `req.penalties` and no foreign `req.guards`
+/// term. This is exact: every complete path enters that cell once, as its
+/// last step, so the two terms add one constant to every candidate. The
+/// open list pops the least key, newest first among equal keys, so the
+/// non-target pops up to the target's are the ones a charging search
+/// makes, the same predecessor sets the target's came-from link, and the
+/// same path comes back, only sooner: a re-route that penalises its
+/// old cells, its own pin among them, no longer expands every node
+/// within that penalty of the optimum. The entry still costs at least
+/// the step floor, so `h` stays consistent. With several target cells
+/// (pin candidates, or a branch search aimed at the trunk) the terms are
+/// charged as usual, since there they choose between targets.
+///
 /// The search runs under `budget`, charged once per expanded node: an
 /// exhausted budget stops it with `SearchStats::budget_exceeded` set (no
 /// path is returned). An unlimited budget costs one predictable branch
@@ -245,6 +259,13 @@ pub fn astar_search(
         scratch.target_stamp[ti] = scratch.generation;
     }
     let bbox = bbox.expect("targets non-empty");
+    // The lone target whose entry is not charged (see "Target entry"
+    // above); `u32::MAX` is never a cell index (`checked_cell_count`).
+    let free_target = if req.targets.iter().all(|t| *t == req.targets[0]) {
+        scratch.index(req.targets[0])
+    } else {
+        u32::MAX
+    };
     let h = |p: GridPoint| -> u64 {
         let dx = (bbox.x0 - p.x).max(p.x - bbox.x1).max(0) as u64;
         let dy = (bbox.y0 - p.y).max(p.y - bbox.y1).max(0) as u64;
@@ -308,13 +329,15 @@ pub fn astar_search(
                 }
                 None => beta,
             };
-            cost += req.penalties.get(q);
-            let (owner, guard) = req.guards.get(q);
-            if owner != req.net {
-                cost += guard;
+            let qi = scratch.index(q);
+            if qi != free_target {
+                cost += req.penalties.get(q);
+                let (owner, guard) = req.guards.get(q);
+                if owner != req.net {
+                    cost += guard;
+                }
             }
             let ng = gc + cost;
-            let qi = scratch.index(q);
             if ng < scratch.g_of(qi) {
                 scratch.record(qi, ng, ci);
                 scratch.queue.push(ng + h(q), ng, qi);
@@ -783,5 +806,265 @@ mod tests {
             msg.contains("packed"),
             "error should explain the limit: {msg}"
         );
+    }
+
+    /// A seeded small instance: blockages, foreign wires with direction
+    /// hints (so the γ term fires), penalties, and guards owned by the
+    /// routed net or by a foreign one. The target cell always carries a
+    /// penalty and a foreign guard.
+    struct Instance {
+        plane: RoutingPlane,
+        dir_map: DirGrid,
+        penalties: PenaltyGrid,
+        guards: GuardGrid,
+        source: GridPoint,
+        target: GridPoint,
+    }
+
+    fn instance(seed: u64) -> Instance {
+        let mut rng = sadp_geom::Rng::seed_from_u64(seed);
+        let cfg = RouterConfig::paper_defaults();
+        let alpha = cfg.alpha_cost();
+        let (w, h) = (rng.range_i32(5..12), rng.range_i32(5..12));
+        let mut plane = plane(w, h);
+        let mut dir_map = DirGrid::new(&plane, None);
+        let mut penalties = PenaltyGrid::new(&plane, 0);
+        let mut guards = GuardGrid::new(&plane, crate::grids::NO_GUARD);
+        let random_cell = |rng: &mut sadp_geom::Rng| {
+            GridPoint::new(
+                Layer(rng.index(3) as u8),
+                rng.range_i32(0..w),
+                rng.range_i32(0..h),
+            )
+        };
+        let source = random_cell(&mut rng);
+        let target = loop {
+            let t = random_cell(&mut rng);
+            if t != source {
+                break t;
+            }
+        };
+        for l in 0..3u8 {
+            for y in 0..h {
+                for x in 0..w {
+                    let c = GridPoint::new(Layer(l), x, y);
+                    if c == source || c == target {
+                        continue;
+                    }
+                    match rng.bounded(100) {
+                        0..=9 => plane.add_blockage(Layer(l), TrackRect::new(x, y, x, y)),
+                        10..=17 => {
+                            plane.occupy(c, NetId(7)).unwrap();
+                            let dir = if rng.flip() {
+                                Dir::Horizontal
+                            } else {
+                                Dir::Vertical
+                            };
+                            dir_map.set(c, Some(dir));
+                        }
+                        _ => {}
+                    }
+                    if rng.chance(0.3) {
+                        penalties.set(c, rng.bounded(4 * alpha));
+                    }
+                    if rng.chance(0.2) {
+                        let owner = if rng.flip() { NetId(0) } else { NetId(5) };
+                        guards.set(c, (owner, rng.bounded(4 * alpha)));
+                    }
+                }
+            }
+        }
+        penalties.set(target, 1 + rng.bounded(16 * alpha));
+        guards.set(target, (NetId(5), 1 + rng.bounded(4 * alpha)));
+        Instance {
+            plane,
+            dir_map,
+            penalties,
+            guards,
+            source,
+            target,
+        }
+    }
+
+    /// The full eq. (5) cost of entering `q` by `step`, penalty and
+    /// foreign guard included: an oracle written apart from the search.
+    fn entry_cost(inst: &Instance, cfg: &RouterConfig, q: GridPoint, step: Step) -> u64 {
+        let mut cost = match step.axis() {
+            Some(axis) => {
+                let planar = if axis == preferred_dir(q.layer) {
+                    cfg.alpha_cost()
+                } else {
+                    cfg.wrong_way_cost()
+                };
+                planar + cfg.gamma_cost() * t2b_count(&inst.plane, &inst.dir_map, NetId(0), q, axis)
+            }
+            None => cfg.beta_cost(),
+        };
+        cost += inst.penalties.get(q);
+        let (owner, guard) = inst.guards.get(q);
+        if owner != NetId(0) {
+            cost += guard;
+        }
+        cost
+    }
+
+    fn path_cost(inst: &Instance, cfg: &RouterConfig, path: &RoutePath) -> u64 {
+        path.points()
+            .windows(2)
+            .map(|w| {
+                let step = Step::ALL
+                    .into_iter()
+                    .find(|&s| w[0].offset(s) == w[1])
+                    .expect("contiguous path");
+                entry_cost(inst, cfg, w[1], step)
+            })
+            .sum()
+    }
+
+    /// Brute-force Dijkstra over the search window: the cheapest full
+    /// cost from `source` to any of `targets`.
+    fn dijkstra(inst: &Instance, cfg: &RouterConfig, targets: &[GridPoint]) -> Option<u64> {
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, HashMap};
+        let req = AstarRequest {
+            net: NetId(0),
+            sources: &[inst.source],
+            targets,
+            penalties: &inst.penalties,
+            guards: &inst.guards,
+        };
+        let window = search_window(&req, cfg, &inst.plane);
+        let mut dist: HashMap<GridPoint, u64> = HashMap::from([(inst.source, 0)]);
+        let mut heap = BinaryHeap::from([Reverse((0u64, inst.source))]);
+        while let Some(Reverse((d, p))) = heap.pop() {
+            if dist[&p] < d {
+                continue;
+            }
+            for step in Step::ALL {
+                let q = p.offset(step);
+                if !in_window(q, &window, &inst.plane) || !passable(&inst.plane, q, NetId(0)) {
+                    continue;
+                }
+                let nd = d + entry_cost(inst, cfg, q, step);
+                if dist.get(&q).is_none_or(|&old| nd < old) {
+                    dist.insert(q, nd);
+                    heap.push(Reverse((nd, q)));
+                }
+            }
+        }
+        targets.iter().filter_map(|t| dist.get(t).copied()).min()
+    }
+
+    fn search_instance(
+        inst: &Instance,
+        targets: &[GridPoint],
+        cfg: &RouterConfig,
+    ) -> (Option<RoutePath>, SearchStats) {
+        let req = AstarRequest {
+            net: NetId(0),
+            sources: &[inst.source],
+            targets,
+            penalties: &inst.penalties,
+            guards: &inst.guards,
+        };
+        fresh_search(&inst.plane, &req, &inst.dir_map, cfg)
+    }
+
+    #[test]
+    fn a_lone_targets_penalty_and_guard_change_neither_path_nor_work() {
+        let cfg = RouterConfig::paper_defaults();
+        let (mut routed, mut steered) = (0, 0);
+        for seed in 0..300 {
+            let mut inst = instance(seed);
+            let target = inst.target;
+            let (base, base_stats) = search_instance(&inst, &[target], &cfg);
+            for (penalty, guard) in [
+                (0, crate::grids::NO_GUARD),
+                (1_000_000, (NetId(5), 1_000_000)),
+                (inst.penalties.get(target), (NetId(0), 777)),
+            ] {
+                inst.penalties.set(target, penalty);
+                inst.guards.set(target, guard);
+                let (path, stats) = search_instance(&inst, &[target], &cfg);
+                assert_eq!(path, base, "seed {seed}: path changed");
+                assert_eq!(stats, base_stats, "seed {seed}: work changed");
+            }
+            if let Some(path) = &base {
+                routed += 1;
+                let straight = path.wirelength() as i64
+                    == i64::from(
+                        (target.x - inst.source.x).abs() + (target.y - inst.source.y).abs(),
+                    );
+                steered += usize::from(!straight || path.via_count() > 0);
+            }
+        }
+        // Non-vacuity: most instances route, and penalties, guards and
+        // blockages bend a good share of the routes.
+        assert!(routed >= 200, "only {routed} of 300 instances routed");
+        assert!(steered >= 50, "only {steered} routes left the bounding box");
+    }
+
+    #[test]
+    fn returned_paths_cost_the_brute_force_optimum() {
+        let cfg = RouterConfig::paper_defaults();
+        let mut checked = 0;
+        for seed in 0..300 {
+            let inst = instance(seed);
+            let mut rng = sadp_geom::Rng::seed_from_u64(seed ^ 0x5eed);
+            let other = GridPoint::new(
+                Layer(rng.index(3) as u8),
+                rng.range_i32(0..inst.plane.width()),
+                rng.range_i32(0..inst.plane.height()),
+            );
+            for targets in [vec![inst.target], vec![inst.target, other]] {
+                let (path, _) = search_instance(&inst, &targets, &cfg);
+                let optimum = dijkstra(&inst, &cfg, &targets);
+                assert_eq!(
+                    path.as_ref().map(|p| path_cost(&inst, &cfg, p)),
+                    optimum,
+                    "seed {seed}, targets {targets:?}"
+                );
+                checked += usize::from(optimum.is_some());
+            }
+        }
+        assert!(checked >= 400, "only {checked} searches found a path");
+    }
+
+    #[test]
+    fn with_two_targets_a_charged_target_loses_at_equal_distance() {
+        let p = plane(24, 24);
+        let cfg = RouterConfig::paper_defaults();
+        let dm = DirGrid::new(&p, None);
+        let mut rng = sadp_geom::Rng::seed_from_u64(11);
+        for _ in 0..40 {
+            let (x, y, d) = (
+                rng.range_i32(8..16),
+                rng.range_i32(0..24),
+                rng.range_i32(1..8),
+            );
+            let source = GridPoint::new(Layer(0), x, y);
+            let west = GridPoint::new(Layer(0), x - d, y);
+            let east = GridPoint::new(Layer(0), x + d, y);
+            for (charged, free) in [(west, east), (east, west)] {
+                let mut penalties = PenaltyGrid::new(&p, 0);
+                let mut guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
+                if rng.flip() {
+                    penalties.set(charged, 1 + rng.bounded(cfg.alpha_cost()));
+                } else {
+                    guards.set(charged, (NetId(5), 1 + rng.bounded(cfg.alpha_cost())));
+                }
+                for targets in [[west, east], [east, west]] {
+                    let req = AstarRequest {
+                        net: NetId(0),
+                        sources: &[source],
+                        targets: &targets,
+                        penalties: &penalties,
+                        guards: &guards,
+                    };
+                    let (path, _) = fresh_search(&p, &req, &dm, &cfg);
+                    assert_eq!(path.expect("open plane").target(), free);
+                }
+            }
+        }
     }
 }

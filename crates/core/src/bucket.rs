@@ -10,8 +10,9 @@
 //! its lifetime, in practice once or twice).
 //!
 //! The monotonicity requirement is met because the heuristic used by the
-//! search is consistent (every grid step costs at least `alpha` and the
-//! heuristic is a lower bound built from those same per-step costs). As a
+//! search is consistent (every planar step costs at least
+//! `min(alpha, wrong_way)`, every via at least `beta`, and the heuristic
+//! is a lower bound built from those same per-step floors). As a
 //! belt-and-braces guard, [`BucketQueue::push`] clamps keys below the
 //! last popped key up to it — that keeps the structure valid even if a
 //! caller supplies an inconsistent heuristic, at the cost of expanding
@@ -89,9 +90,10 @@ impl BucketQueue {
     }
 
     /// Pops an entry with the minimum `f`. Among equal-`f` entries the
-    /// one with the largest `g` is preferred (deeper nodes first), which
-    /// matches the tie-break the `BinaryHeap` implementation used via
-    /// `Reverse<(f, g, ...)>` closely enough for route quality.
+    /// most recently pushed one comes out first, whatever the bucket
+    /// layout: equal keys always share a bucket, a redistribution moves a
+    /// bucket in push order into empty lower buckets, and pops take from
+    /// the end of bucket 0. The search's routes depend on this order.
     pub fn pop(&mut self) -> Option<Entry> {
         if self.len == 0 {
             return None;
@@ -154,17 +156,30 @@ mod tests {
     }
 
     #[test]
-    fn equal_keys_prefer_depth_last_in() {
+    fn equal_keys_pop_last_pushed_first() {
         let mut q = BucketQueue::new();
+        // Three 4s and a 5 all land in one high bucket; the first pop
+        // redistributes it, and the 4s still leave newest first.
         q.push(4, 1, 10);
         q.push(4, 9, 11);
-        // Same f: the queue may serve either, but both must come out
-        // before any larger key.
         q.push(5, 0, 12);
-        let (f1, _, _) = q.pop().unwrap();
-        let (f2, _, _) = q.pop().unwrap();
-        let (f3, _, c3) = q.pop().unwrap();
-        assert_eq!((f1, f2, f3, c3), (4, 4, 5, 12));
+        q.push(4, 0, 13);
+        assert_eq!(q.pop(), Some((4, 0, 13)));
+        // A 4 pushed after the redistribution is the newest of all.
+        q.push(4, 5, 14);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.2).collect();
+        assert_eq!(order, [14, 11, 10, 12]);
+
+        // Equal keys pushed on either side of a pop that moved the floor
+        // (9 lands in the same bucket against floor 0 and floor 2).
+        let mut q = BucketQueue::new();
+        q.push(2, 0, 1);
+        q.push(9, 0, 2);
+        assert_eq!(q.pop(), Some((2, 0, 1)));
+        q.push(9, 7, 3);
+        q.push(9, 0, 4);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.2).collect();
+        assert_eq!(order, [4, 3, 2]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke suite for the sadp CLI, shared by CI and local runs.
 #
-# Usage: scripts/ci-smoke.sh [corpus|fault|counters|resume|serve|eco|wire|all]
+# Usage: scripts/ci-smoke.sh [corpus|fault|counters|paper|resume|serve|eco|wire|all]
 #
 # Environment:
 #   SADP_BIN         sadp binary to drive (default ./target/release/sadp;
-#                    CI builds it first, tests point this at the debug bin)
+#                    CI builds it first, tests point this at the debug bin).
+#                    The paper smoke runs the sadp-bench `table3` binary
+#                    from the same directory.
 #   SADP_SMOKE_PORT  first of three consecutive TCP ports for the serve
 #                    smoke (default 7471)
 #
@@ -15,6 +17,7 @@
 set -euo pipefail
 
 BIN=${SADP_BIN:-./target/release/sadp}
+TABLE3=$(dirname "$BIN")/table3
 PORT=${SADP_SMOKE_PORT:-7471}
 cd "$(dirname "$0")/.."
 
@@ -100,6 +103,30 @@ smoke_counters() {
   done
   rm -rf "$DIR"
   echo "counters smoke: OK"
+}
+
+# Paper-table gate. Table III at scale 0.2 routes Test1-Test5 with our
+# router and both baselines ([11] trim, [16] cut without merge); every
+# row's Rout., overlay and #C columns and the suite totals must equal
+# fixtures/counters/paper-scale0.2.txt. The CPU column is dropped: it is
+# the only one that drifts. Table IV is left out because its [10]
+# baseline alone takes about a minute at this scale. A change that alters
+# routing on purpose re-records the fixture in the same commit, like the
+# counters gate.
+smoke_paper() {
+  local DIR
+  [ -x "$TABLE3" ] ||
+    die "table3 binary not found: $TABLE3 (build it with cargo build -p sadp-bench --bin table3)"
+  DIR=$(mktemp -d)
+  "$TABLE3" --scale 0.2 >"$DIR/table3.txt"
+  awk '/^-+$|^$/ { next } /\|/ { sub(/ *\|[^|]*$/, "") } { print }' "$DIR/table3.txt" \
+    >"$DIR/paper.txt"
+  [ "$(grep -c '^Test[1-5] ' "$DIR/paper.txt")" -eq 15 ] ||
+    die "table3 did not print 15 rows (3 routers x Test1-Test5)"
+  diff fixtures/counters/paper-scale0.2.txt "$DIR/paper.txt" ||
+    die "table3 columns differ from fixtures/counters/paper-scale0.2.txt (observed record: $DIR/paper.txt)"
+  rm -rf "$DIR"
+  echo "paper smoke: OK"
 }
 
 # Checkpoint/resume on every committed design, the imported DSN and
@@ -271,6 +298,7 @@ case "${1:-all}" in
   corpus) smoke_corpus ;;
   fault) smoke_fault ;;
   counters) smoke_counters ;;
+  paper) smoke_paper ;;
   resume) smoke_resume ;;
   serve) smoke_serve ;;
   eco) smoke_eco ;;
@@ -279,6 +307,7 @@ case "${1:-all}" in
     smoke_corpus
     smoke_fault
     smoke_counters
+    smoke_paper
     smoke_resume
     smoke_serve
     smoke_eco
@@ -286,7 +315,7 @@ case "${1:-all}" in
     echo "all smokes: OK"
     ;;
   *)
-    echo "usage: $0 [corpus|fault|counters|resume|serve|eco|wire|all]" >&2
+    echo "usage: $0 [corpus|fault|counters|paper|resume|serve|eco|wire|all]" >&2
     exit 2
     ;;
 esac

@@ -57,7 +57,8 @@
 //! (one event per line; see `sadp_obs::RouterEvent`). Events carry only
 //! logical routing facts, so the file is byte-identical for every
 //! `--threads` value. `--profile` prints the per-stage time/count table
-//! after routing.
+//! after routing, then `nodes_expanded <N>`, the run's A\* node
+//! expansions.
 //!
 //! Budget flags (route/verify/bench): `--net-nodes N` caps A* node
 //! expansions per net (deterministic), `--net-deadline-ms MS` caps
@@ -255,7 +256,7 @@ fn print_usage() {
     );
     eprintln!("  job <id> [--addr A] [--status|--cancel|--resume]");
     eprintln!("  --trace FILE   write the pipeline event stream as JSONL");
-    eprintln!("  --profile      print the per-stage time/count table");
+    eprintln!("  --profile      print the per-stage time/count table and the A* nodes expanded");
     eprintln!("exit codes: 0 ok, 1 failed check, 2 usage, 3 bad input, 4 routing failure");
 }
 
@@ -468,7 +469,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
         println!("wrote {file}");
     }
     if profile {
-        println!("\n{}", session.recorder_mut().profile.table());
+        print_profile(&session.recorder_mut().profile, &report);
     }
 
     if verify_only {
@@ -930,6 +931,17 @@ fn failure_trace(failure: &sadp::fuzz::Failure) -> Option<String> {
     .ok()
 }
 
+/// The `--profile` block: the stage table, then the run's A\* node
+/// expansions from the report. Both counts are deterministic; the times
+/// are not.
+fn print_profile(profile: &sadp::obs::StageProfile, report: &RoutingReport) {
+    println!(
+        "\n{}nodes_expanded {}",
+        profile.table(),
+        report.nodes_expanded
+    );
+}
+
 fn cmd_bench(args: &[String]) -> CliResult {
     let scale = parsed_flag(args, "--scale", "a positive number", |x: &f64| {
         x.is_finite() && *x > 0.0
@@ -960,7 +972,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
         write_trace(file, &mut rec)?;
     }
     if profile {
-        println!("\n{}", rec.profile.table());
+        print_profile(&rec.profile, &report);
     }
     if report.cut_conflicts != 0 {
         return Err(CliError::Routing(
