@@ -3,25 +3,24 @@
 //!
 //! The nightly workflow budgets `--seeds 500` across all five regimes;
 //! this bin measures what that costs (instances/s and routed nets/s per
-//! regime, serial-oracle path) so the budget can be tuned against CI
-//! wall-clock. Usage:
+//! regime, oracle without the baseline check) so the budget can be tuned
+//! against CI wall-clock. Usage:
 //!
 //! ```text
 //! cargo run --release -p sadp-bench --bin fuzz [SEEDS]
 //! ```
 
+use sadp_bench::parse_or_exit;
 use sadp_fuzz::{check_instance, generate, OracleConfig, Regime};
 use std::time::Instant;
 
 fn main() {
     let seeds: u64 = std::env::args()
         .nth(1)
-        .map(|s| s.parse().expect("SEEDS must be a number"))
-        .unwrap_or(25);
-    // The serial oracle path only: differential re-runs measure the
-    // sharding, not the fuzzing cost, and would double-count routing.
+        .map_or(25, |v| parse_or_exit("SEEDS", &v, "fuzz [SEEDS]"));
+    // Our router's oracle only: the baseline cross-check routes the
+    // instance a second time with another router.
     let cfg = OracleConfig {
-        differential: false,
         baseline: false,
         ..OracleConfig::default()
     };

@@ -6,23 +6,15 @@
 //! Test1 aspect while the net count sweeps a density range.
 
 use sadp_baselines::{BaselineKind, BaselineRouter};
+use sadp_bench::flag_or_exit;
 use sadp_core::{Router, RouterConfig};
 use sadp_grid::BenchmarkSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let base: usize = args
-        .iter()
-        .position(|a| a == "--nets")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(220);
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2024);
+    let usage = "sweep [--nets N] [--seed S]";
+    let base: usize = flag_or_exit(&args, "--nets", 220, usage);
+    let seed: u64 = flag_or_exit(&args, "--seed", 2024, usage);
 
     println!("Density sweep on a 64x64-track 3-layer block (seed {seed})");
     println!(

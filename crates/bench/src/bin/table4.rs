@@ -5,19 +5,24 @@
 //! Usage: `table4 [--scale X | --full] [--du-budget SECS]`.
 
 use sadp_baselines::BaselineKind;
-use sadp_bench::{run_baseline, run_ours, scale_or_exit, PaperRow, TABLE4_DU, TABLE4_OURS};
+use sadp_bench::{
+    flag_or_exit, run_baseline, run_ours, scale_or_exit, usage_exit, PaperRow, TABLE4_DU,
+    TABLE4_OURS,
+};
 use sadp_grid::BenchmarkSpec;
 use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_exit(&args, 0.2, "table4 [--scale X | --full] [--du-budget SECS]");
-    let du_budget = args
-        .iter()
-        .position(|a| a == "--du-budget")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(120.0 + 600.0 * scale);
+    let usage = "table4 [--scale X | --full] [--du-budget SECS]";
+    let scale = scale_or_exit(&args, 0.2, usage);
+    let du_budget: f64 = flag_or_exit(&args, "--du-budget", 120.0 + 600.0 * scale, usage);
+    if !(du_budget.is_finite() && du_budget >= 0.0) {
+        usage_exit(
+            &format!("--du-budget needs a non-negative number, got `{du_budget}`"),
+            usage,
+        );
+    }
 
     println!("Table IV: multiple-pin-candidate benchmarks (scale {scale})");
     println!("circuit    nets | router                 | Rout.  | overlay  |  #C  | CPU");

@@ -3,6 +3,7 @@
 use sadp_baselines::{BaselineKind, BaselineRouter};
 use sadp_core::{Router, RouterConfig, RoutingReport};
 use sadp_grid::BenchmarkSpec;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// One measured table row.
@@ -44,25 +45,11 @@ impl RunRow {
     }
 }
 
-/// Worker threads for the bench binaries, from the `SADP_THREADS`
-/// environment variable (default: serial). The routed result is identical
-/// for any value; only the wall-clock changes.
-#[must_use]
-pub fn threads_from_env() -> usize {
-    std::env::var("SADP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Routes one benchmark with our router and returns the row.
 #[must_use]
 pub fn run_ours(spec: &BenchmarkSpec) -> RunRow {
     let (mut plane, netlist) = spec.generate();
-    let mut config = RouterConfig::paper_defaults();
-    config.threads = threads_from_env();
-    let report = Router::new(config).route_all(&mut plane, &netlist);
+    let report = Router::new(RouterConfig::paper_defaults()).route_all(&mut plane, &netlist);
     RunRow {
         circuit: spec.name.clone(),
         router: "ours (cut, overlay-aware)".into(),
@@ -99,10 +86,36 @@ pub fn run_baseline(kind: BaselineKind, spec: &BenchmarkSpec, budget: Option<Dur
 pub fn scale_or_exit(args: &[String], default: f64, usage: &str) -> f64 {
     let env = std::env::var_os("SADP_SCALE");
     let env = env.as_ref().map(|v| v.to_string_lossy());
-    scale_from_args(args, env.as_deref(), default).unwrap_or_else(|e| {
-        eprintln!("error: {e}\nusage: {usage}");
-        std::process::exit(2)
-    })
+    scale_from_args(args, env.as_deref(), default).unwrap_or_else(|e| usage_exit(&e, usage))
+}
+
+/// The value of `flag` in `args` for a binary's `main`, or `default`
+/// when the flag is absent. A flag without a value, or with a value that
+/// does not parse, exits 2 like [`scale_or_exit`].
+#[must_use]
+pub fn flag_or_exit<T: FromStr>(args: &[String], flag: &str, default: T, usage: &str) -> T {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return default;
+    };
+    match args.get(i + 1) {
+        Some(v) => parse_or_exit(flag, v, usage),
+        None => usage_exit(&format!("{flag} needs a value"), usage),
+    }
+}
+
+/// `v` parsed as the value of `what` (a flag or positional argument
+/// name); a value that does not parse exits 2 like [`scale_or_exit`].
+#[must_use]
+pub fn parse_or_exit<T: FromStr>(what: &str, v: &str, usage: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage_exit(&format!("{what} needs a number, got `{v}`"), usage))
+}
+
+/// Prints `error` and the `usage` line to stderr and exits 2, the
+/// usage-error code of the `sadp` CLI.
+pub fn usage_exit(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}\nusage: {usage}");
+    std::process::exit(2)
 }
 
 /// Resolves the benchmark scale: `--full` → 1.0, `--scale X` → X, the

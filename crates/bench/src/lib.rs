@@ -22,6 +22,8 @@ pub mod paper;
 pub mod scaling;
 pub mod timing;
 
-pub use harness::{run_baseline, run_ours, scale_or_exit, threads_from_env, RunRow};
+pub use harness::{
+    flag_or_exit, parse_or_exit, run_baseline, run_ours, scale_or_exit, usage_exit, RunRow,
+};
 pub use lsq::fit_power_law;
 pub use paper::{PaperRow, TABLE3_BASELINES, TABLE4_DU, TABLE4_OURS};

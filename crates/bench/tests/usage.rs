@@ -1,6 +1,7 @@
-//! A table or figure binary given a bad scale must refuse to run, not
-//! fall back to some default instance: it prints the error and its usage
-//! line and exits 2, before any routing starts.
+//! A table or figure binary given a bad scale, or a flag without a
+//! usable value, must refuse to run, not fall back to some default
+//! instance: it prints the error and its usage line and exits 2, before
+//! any routing starts.
 
 use std::process::Command;
 
@@ -40,4 +41,33 @@ fn a_missing_or_bad_scale_is_a_usage_error() {
             assert_usage_error(bin, &[], Some(bad), "SADP_SCALE needs a positive number");
         }
     }
+}
+
+#[test]
+fn a_missing_or_bad_flag_value_is_a_usage_error() {
+    let table4 = env!("CARGO_BIN_EXE_table4");
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    assert_usage_error(table4, &["--du-budget"], None, "--du-budget needs a value");
+    assert_usage_error(
+        table4,
+        &["--du-budget", "abc"],
+        None,
+        "--du-budget needs a number",
+    );
+    assert_usage_error(
+        table4,
+        &["--du-budget", "-5"],
+        None,
+        "--du-budget needs a non-negative",
+    );
+    assert_usage_error(sweep, &["--nets"], None, "--nets needs a value");
+    assert_usage_error(sweep, &["--nets", "many"], None, "--nets needs a number");
+    assert_usage_error(sweep, &["--seed", "x1"], None, "--seed needs a number");
+    assert_usage_error(sweep, &["--seed"], None, "--seed needs a value");
+}
+
+#[test]
+fn a_bad_seed_count_is_a_usage_error() {
+    let fuzz = env!("CARGO_BIN_EXE_fuzz");
+    assert_usage_error(fuzz, &["lots"], None, "SEEDS needs a number");
 }

@@ -10,19 +10,17 @@
 //!   inside the A* pop loop. Node limits are a plain counter compare;
 //!   deadlines are checked only every `DEADLINE_STRIDE` nodes so the
 //!   hot loop never pays an `Instant::now()` per node.
-//! * [`RunBudget`] — whole-run. Shared across band workers through
-//!   atomics; each net checks it *once* before searching and adds its
-//!   expansion count after, so the per-node cost is zero. Once tripped,
+//! * [`RunBudget`] — whole-run. Each net checks it *once* before
+//!   searching and adds its expansion count after, so the per-node cost
+//!   is zero. Once tripped,
 //!   every remaining net fails fast with
 //!   [`FailReason::BudgetExceeded`](sadp_obs::FailReason) and the run
 //!   finalizes whatever is committed.
 //!
-//! Determinism: per-net *node* budgets are a pure function of the search
-//! and therefore byte-deterministic across thread counts. Deadlines and
-//! the shared run budget trade that for liveness — which nets observe
-//! the trip depends on wall-clock and on cross-thread interleaving. The
-//! determinism test suite and the fuzz oracle only ever set per-net node
-//! budgets.
+//! Determinism: node budgets are a pure function of the search and
+//! therefore byte-deterministic. Deadlines trade that for liveness —
+//! which nets observe the trip depends on wall-clock. The determinism
+//! test suite and the fuzz oracle only ever set per-net node budgets.
 
 use crate::config::RouterConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -121,14 +119,14 @@ impl Default for Budget {
     }
 }
 
-/// The whole-run budget, shared across band workers.
+/// The whole-run budget.
 ///
 /// Nets poll [`RunBudget::tripped`] once before searching and report
 /// their expansion count after, so enforcement costs nothing per node.
 /// The trip is sticky: once over budget, the run stays over budget.
 #[derive(Debug)]
 pub struct RunBudget {
-    /// Total nodes expanded so far, summed across all workers.
+    /// Total nodes expanded so far.
     nodes: AtomicU64,
     /// Sticky over-budget flag.
     tripped: AtomicBool,

@@ -51,30 +51,29 @@ pub struct RouterConfig {
     /// router treats type 1-b (tip-to-tip) pairs as conflicts and routes
     /// away from them, like baseline \[16\]. Ablation switch.
     pub allow_merge: bool,
-    /// Worker threads for the region-sharded schedule (minimum 1). The
-    /// band partition and the commit order depend only on the plane
-    /// geometry, never on this value, so results are byte-identical for
-    /// any thread count.
+    /// Inert: every net routes on the caller's thread, one at a time, so
+    /// no value changes anything. The field stays because the benchmark
+    /// harness still sets it.
     pub threads: usize,
     /// Per-net A* node-expansion budget spanning all rip-up attempts
     /// and branch searches; `0` means unlimited. A net over budget
     /// fails cleanly with `FailReason::BudgetExceeded`. Node budgets
-    /// are byte-deterministic across thread counts.
+    /// are byte-deterministic.
     pub net_node_budget: u64,
     /// Per-net wall-clock deadline in milliseconds; `0` means
     /// unlimited. Checked every ~1024 expanded nodes — a liveness
     /// guard, not a deterministic one.
     pub net_deadline_ms: u64,
-    /// Whole-run node-expansion budget shared across workers; `0`
-    /// means unlimited. Once tripped, remaining nets fail fast and the
-    /// run finalizes its committed work (partial results).
+    /// Whole-run node-expansion budget; `0` means unlimited. Once
+    /// tripped, remaining nets fail fast and the run finalizes its
+    /// committed work (partial results).
     pub run_node_budget: u64,
     /// Whole-run wall-clock deadline in milliseconds; `0` means
     /// unlimited. Like `run_node_budget`, a liveness guard.
     pub run_deadline_ms: u64,
     /// Deterministic fault-injection plan for testing the recovery
-    /// paths; `None` (the default) costs one check per band and per
-    /// net, never anything per node.
+    /// paths; `None` (the default) costs one check per net, never
+    /// anything per node.
     pub faults: Option<FaultPlan>,
 }
 

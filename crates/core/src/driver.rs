@@ -6,26 +6,9 @@
 //! **propose → trial-color → commit/abort** protocol of the
 //! [`CommitLedger`].
 //!
-//! [`ScheduleMachine`] drives the whole netlist, one step at a time: a
-//! band phase, then a serial tail. On planes wide enough for more than
-//! one column band (see [`BandPlan`]) nets whose influence region (pin
-//! bounding box + search margin + scenario halo) fits one band are
-//! routed by per-band workers on `std::thread::scope` against fully
-//! private state (a plane clone, a fresh ledger and grids; the pin guards
-//! are shared read-only — they never change after the reservation
-//! pre-pass). Band results are merged in ascending band order.
-//!
-//! Every other net — all of them on a single-band plane, the
-//! band-straddling boundary nets otherwise — then routes serially at its
-//! canonical turn against the merged state, as the paper's flow routes
-//! one net at a time: each commit feeds the constraint graph that the
-//! next net's trial coloring reads.
-//!
-//! The schedule — band count, net classification, per-band net order,
-//! merge order — depends only on the plane geometry and the netlist,
-//! never on the worker count, so any `threads` value produces
-//! byte-identical results. Workers only change how many bands are *in
-//! flight* at once.
+//! [`ScheduleMachine`] drives the whole netlist one net at a time, in
+//! the canonical order, as the paper's flow routes: each commit feeds the
+//! constraint graph that the next net's trial coloring reads.
 
 use crate::astar::SearchScratch;
 use crate::budget::{Budget, RunBudget};
@@ -36,15 +19,13 @@ use crate::router::Workspace;
 use crate::scan::{scan_fragments, FoundScenario};
 use crate::search::SearchStage;
 use sadp_geom::{GridPoint, Layer, Orientation, TrackRect};
-use sadp_grid::{BandPlan, Net, NetId, Netlist, RoutingPlane};
-use sadp_obs::{BufferRecorder, FailReason, Recorder, RipReason, RouterEvent, SpanClock, Stage};
+use sadp_grid::{Net, NetId, Netlist, RoutingPlane};
+use sadp_obs::{FailReason, Recorder, RipReason, RouterEvent, SpanClock, Stage};
 use sadp_scenario::ScenarioKind;
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
 
-/// Mutable context of one routing stream (the global one, or one band
-/// worker's private one).
+/// Mutable context of the routing stream: the router's ledger, its
+/// workspace grids and the run's budget and recorder.
 pub(crate) struct RouteCtx<'a> {
     pub config: &'a RouterConfig,
     pub ledger: &'a mut CommitLedger,
@@ -52,11 +33,9 @@ pub(crate) struct RouteCtx<'a> {
     pub guards: &'a GuardGrid,
     pub penalties: &'a mut PenaltyGrid,
     pub scratch: &'a mut SearchScratch,
-    /// The whole-run budget, shared (read-mostly atomics) across every
-    /// stream of the run including band workers.
+    /// The whole-run budget.
     pub run_budget: &'a RunBudget,
-    /// Observability sink of this stream: the caller's recorder on the
-    /// serial paths, a private [`BufferRecorder`] inside a band worker.
+    /// Observability sink of this stream.
     pub rec: &'a mut dyn Recorder,
 }
 
@@ -259,8 +238,8 @@ fn try_route(
     // Graceful degradation: once the run is over its global budget (or a
     // fault plan says this net's budget is exhausted), remaining nets
     // fail fast instead of searching, and the run finalizes whatever is
-    // already committed. Injection is keyed by net id only, so serial,
-    // banded, and recovered schedules see the identical fault set.
+    // already committed. Injection is keyed by net id only, so a fresh
+    // and a resumed run see the identical fault set.
     let injected = count_failures && ctx.config.faults.is_some_and(|f| f.injects_net_budget(key));
     if injected || ctx.run_budget.tripped() {
         return Err(FailReason::BudgetExceeded);
@@ -513,9 +492,7 @@ pub(crate) fn penalize(
 ///   outside the window (the `T2b` cost term inspects adjacent cells,
 ///   and scenario scans reach `dependence_radius_tracks`) stay inside,
 ///
-/// clipped to the plane. The schedule classifies nets into bands by its
-/// column range at `halo` 0 ([`BandPlan::band_of_span`] adds the band
-/// halo itself); the ECO engine invalidates by it.
+/// clipped to the plane. The ECO engine invalidates by it.
 pub(crate) fn net_footprint(
     net: &Net,
     config: &RouterConfig,
@@ -543,28 +520,14 @@ pub(crate) fn net_footprint(
         .unwrap_or(plane_rect)
 }
 
-/// The result of one band worker.
-struct BandOutcome {
-    ledger: CommitLedger,
-    failed: Vec<NetId>,
-    /// The worker's private event/span buffer, replayed into the caller's
-    /// recorder in band order so traces are thread-count-invariant.
-    rec: BufferRecorder,
-}
-
-/// What one [`ScheduleMachine::step`] call did. Every non-`Complete`
-/// increment ends *between* canonical commits, so pausing after any step
-/// leaves a state [`crate::checkpoint::serialize`] can capture and a
-/// resumed run reproduces byte-identically.
+/// What one [`ScheduleMachine::step`] call did. Every `Net` step ends
+/// *between* canonical commits, so pausing after any step leaves a state
+/// [`crate::checkpoint::serialize`] can capture and a resumed run
+/// reproduces byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepEvent {
-    /// One net of the serial tail was routed at its canonical turn.
+    /// One net was routed (or failed) at its canonical turn.
     Net,
-    /// One band's private ledger was folded into the global state — a
-    /// boundary whose snapshot is worth persisting. The first fold also
-    /// runs (and pays for) the entire parallel band phase, recovery
-    /// included.
-    BandFold,
     /// The schedule is finished; no work was done. Further calls keep
     /// returning `Complete`.
     Complete,
@@ -582,136 +545,45 @@ pub(crate) struct StepArgs<'a> {
     pub rec: &'a mut dyn Recorder,
 }
 
-/// The routing schedule as a resumable state machine: repeated
-/// [`ScheduleMachine::step`] calls run the canonical schedule — the same
-/// commit order, events and counters for every thread count — and hand
-/// control back to the caller between canonical commits. The session's
-/// step function ([`crate::session`]) is its only driver.
-///
-/// The schedule is a band phase, possibly empty, then a serial tail. The
-/// band phase has one `BandFold` step per band with nets to route; its
-/// parallelism happens *within* a step, never across steps: the first
-/// fold runs every band worker (and the serial panic recovery, which
-/// must see the pre-merge plane) before folding. Each tail net is one
-/// `Net` step. Pausing between steps therefore cannot reorder or
-/// interleave any part of the canonical commit sequence, and a run
-/// resumed from a snapshot walks exactly the remaining steps: a band the
-/// snapshot already folded has no nets left and gets no step.
-///
-/// Fault tolerance: band workers run under `catch_unwind`. A band whose
-/// worker panics is discarded wholesale and re-run serially *before* any
-/// fold, by the identical worker closure with fault injection disabled —
-/// so the recovered band's outcome is bit-for-bit the one a clean worker
-/// would have produced, and the merged result stays byte-identical for
-/// every thread count. A panic that survives the clean retry is a
-/// deterministic bug that would abort the serial run too; it propagates.
+/// The routing schedule as a resumable state machine: the canonical net
+/// order and a cursor into it. Each [`ScheduleMachine::step`] routes one
+/// net at its turn and hands control back to the caller, so pausing
+/// between steps cannot reorder any part of the canonical commit
+/// sequence, and a run resumed from a snapshot walks exactly the nets the
+/// snapshot had not yet routed or failed. The session's step function
+/// ([`crate::session`]) is its only driver.
 pub(crate) struct ScheduleMachine {
-    /// The band-local nets of every band that has any, tagged with the
-    /// band index, in ascending band order. Empty on a single-band plane.
-    bands: Vec<(usize, Vec<NetId>)>,
-    /// Outcomes of the parallel band phase, one per entry of `bands`,
-    /// tagged with their recovery flag. Produced lazily by the first
-    /// `BandFold` step, consumed front to back by the folds.
-    outcomes: Option<VecDeque<(bool, BandOutcome)>>,
-    /// Next entry of `bands` to fold.
-    next_band: usize,
-    /// The nets routed one at a time after the band phase: every net on
-    /// a single-band plane, the band-straddling boundary nets otherwise.
-    tail: Vec<NetId>,
-    /// Next net of `tail`.
+    /// The nets still to route, in canonical order.
+    order: Vec<NetId>,
+    /// Next net of `order`.
     next: usize,
 }
 
 impl ScheduleMachine {
-    /// Plans the schedule for `order` on the plane. Band classification
-    /// is fixed here, before any routing: it depends only on the plane
-    /// geometry, the config and the netlist, never on routed state or the
-    /// worker count.
-    pub(crate) fn new(
-        config: &RouterConfig,
-        plane: &RoutingPlane,
-        netlist: &Netlist,
-        order: Vec<NetId>,
-    ) -> ScheduleMachine {
-        let halo = sadp_scenario::interaction_radius_tracks(plane.rules());
-        let plan = BandPlan::for_plane(plane.width(), halo);
-        let mut machine = ScheduleMachine::finished();
-        if plan.len() <= 1 {
-            machine.tail = order;
-            return machine;
-        }
-        // Classify: a net is band-local when its influence region, grown
-        // by the scenario halo, fits one band's columns — then its
-        // searches, scans and commits provably cannot interact with any
-        // other band.
-        let mut band_nets: Vec<Vec<NetId>> = vec![Vec::new(); plan.len()];
-        for id in order {
-            let fp = net_footprint(netlist.net(id), config, 0, plane);
-            match plan.band_of_span(fp.x0, fp.x1) {
-                Some(j) => band_nets[j].push(id),
-                None => machine.tail.push(id),
-            }
-        }
-        machine.bands = band_nets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, nets)| !nets.is_empty())
-            .collect();
-        machine
+    /// The schedule that routes `order` one net at a time.
+    pub(crate) fn new(order: Vec<NetId>) -> ScheduleMachine {
+        ScheduleMachine { order, next: 0 }
     }
 
     /// A schedule with nothing left to do: the first step completes it.
     /// A run resumed from a finished snapshot starts here.
     pub(crate) fn finished() -> ScheduleMachine {
-        ScheduleMachine {
-            bands: Vec::new(),
-            outcomes: None,
-            next_band: 0,
-            tail: Vec::new(),
-            next: 0,
-        }
+        ScheduleMachine::new(Vec::new())
     }
 
-    /// Steps completed so far (band folds + tail nets).
+    /// Nets routed or failed so far.
     pub(crate) fn steps_done(&self) -> u64 {
-        (self.next_band + self.next) as u64
+        self.next as u64
     }
 
-    /// Total steps the schedule will take.
+    /// Total steps the schedule will take: one per net.
     pub(crate) fn steps_total(&self) -> u64 {
-        (self.bands.len() + self.tail.len()) as u64
+        self.order.len() as u64
     }
 
-    /// Executes the next increment of the schedule against `a`.
+    /// Routes the next net of the schedule against `a`.
     pub(crate) fn step(&mut self, a: &mut StepArgs<'_>) -> StepEvent {
-        // Band phase: the whole parallel run (workers + serial panic
-        // recovery) happens with the first fold — recovery must see the
-        // pre-merge plane. Each later step folds one band.
-        if let Some(&(j, _)) = self.bands.get(self.next_band) {
-            let bands = &self.bands;
-            let (recovered, outcome) = self
-                .outcomes
-                .get_or_insert_with(|| {
-                    run_bands(
-                        a.config,
-                        a.plane,
-                        &a.ws.guards,
-                        a.netlist,
-                        bands,
-                        a.run_budget,
-                        a.rec.enabled(),
-                        a.rec.timing(),
-                    )
-                })
-                .pop_front()
-                .expect("one outcome per band");
-            self.next_band += 1;
-            fold_band(a, j, recovered, outcome);
-            return StepEvent::BandFold;
-        }
-        // The tail: one net at its canonical turn, against the merged
-        // state.
-        let Some(&id) = self.tail.get(self.next) else {
+        let Some(&id) = self.order.get(self.next) else {
             return StepEvent::Complete;
         };
         self.next += 1;
@@ -721,156 +593,6 @@ impl ScheduleMachine {
         }
         StepEvent::Net
     }
-}
-
-/// Folds one band's outcome into the global state (one `BandFold` step).
-fn fold_band(a: &mut StepArgs<'_>, j: usize, recovered: bool, outcome: BandOutcome) {
-    let nets = outcome.ledger.routed().len() as u64;
-    let clock = SpanClock::start(&*a.rec);
-    a.ledger
-        .merge_band(outcome.ledger, a.plane, &mut a.ws.dir_map, a.netlist);
-    clock.stop(&mut *a.rec, Stage::Merge);
-    // Replay the band's buffered stream, then mark the merge: the trace
-    // reads as "band j's routing, then band j folded in", in ascending
-    // band order for every worker count.
-    outcome.rec.replay_into(&mut *a.rec);
-    if recovered {
-        a.ledger.counters.bands_recovered += 1;
-        if a.rec.enabled() {
-            a.rec.event(RouterEvent::BandRecovered {
-                band: j as u32,
-                nets,
-            });
-        }
-    } else if a.rec.enabled() {
-        a.rec.event(RouterEvent::BandMerged {
-            band: j as u32,
-            nets,
-        });
-    }
-    a.failed.extend(outcome.failed);
-}
-
-/// The parallel band phase: routes every band's nets on fully private
-/// state across `config.threads` workers, re-runs panicked bands serially
-/// (fault injection off) against the identical pre-merge state, and
-/// returns the outcomes in the order of `bands` tagged with their
-/// recovery flag. The ledger tile size uses the global net count so the
-/// fragment index behaves exactly like the serial one.
-#[allow(clippy::too_many_arguments)]
-fn run_bands(
-    config: &RouterConfig,
-    plane: &RoutingPlane,
-    guards: &GuardGrid,
-    netlist: &Netlist,
-    bands: &[(usize, Vec<NetId>)],
-    run_budget: &RunBudget,
-    trace: bool,
-    timing: bool,
-) -> VecDeque<(bool, BandOutcome)> {
-    let expected = netlist.len();
-    // `inject` arms the fault plan's band panics; the recovery retry runs
-    // the same closure with it off. (The scratch allocation can only
-    // panic on an oversized plane, which `prepare_run` already rejected.)
-    let run_band = move |k: usize, inject: bool| -> BandOutcome {
-        let (j, ref nets) = bands[k];
-        let panic_at = if inject {
-            config.faults.and_then(|f| f.band_panic(j, nets.len()))
-        } else {
-            None
-        };
-        let mut band_plane = plane.clone();
-        let mut band_ledger = CommitLedger::new(plane, expected);
-        let mut dir_map = DirGrid::new(plane, None);
-        let mut penalties = PenaltyGrid::new(plane, 0);
-        let mut scratch = SearchScratch::new(plane);
-        let mut band_failed = Vec::new();
-        let mut band_rec = BufferRecorder::with_flags(trace, timing);
-        for (i, &id) in nets.iter().enumerate() {
-            if panic_at == Some(i) {
-                panic!("injected fault: band {j} worker dies before net {i}");
-            }
-            let mut ctx = RouteCtx {
-                config,
-                ledger: &mut band_ledger,
-                dir_map: &mut dir_map,
-                guards,
-                penalties: &mut penalties,
-                scratch: &mut scratch,
-                run_budget,
-                rec: &mut band_rec,
-            };
-            if !route_net(&mut ctx, &mut band_plane, netlist.net(id), &[], true) {
-                band_failed.push(id);
-            }
-        }
-        BandOutcome {
-            ledger: band_ledger,
-            failed: band_failed,
-            rec: band_rec,
-        }
-    };
-    // The isolation boundary: a worker panic poisons only its own band's
-    // private state, which is discarded. Applied on the sequential path
-    // too, so behavior is thread-count-invariant.
-    let guarded = |k: usize| -> Option<BandOutcome> {
-        catch_unwind(AssertUnwindSafe(|| run_band(k, true))).ok()
-    };
-
-    let results = parallel_map(bands.len(), config.threads, guarded);
-    // Recovery pass, before any merge mutates the plane: each poisoned
-    // band re-runs serially through the identical closure (injection
-    // off), so the retried outcome is the one a clean worker produces.
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(k, out)| match out {
-            Some(out) => (false, out),
-            None => (true, run_band(k, false)),
-        })
-        .collect()
-}
-
-/// The worker pool of the band phase: maps `f` over `0..n` on up to
-/// `workers` scoped threads and returns the results in index order,
-/// whichever worker ran which index. With one worker (or one item)
-/// everything runs inline on the caller's thread.
-fn parallel_map<R: Send>(n: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let workers = workers.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        out.push((k, f(k)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            let batch = h
-                .join()
-                .expect("worker panicked outside the isolation boundary");
-            for (k, r) in batch {
-                slots[k] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index is mapped exactly once"))
-        .collect()
 }
 
 /// Detects unavoidable type-B cut conflicts in the tentative route's
@@ -973,22 +695,5 @@ mod tests {
         assert!(fp.contains_cell(2, 5) && fp.contains_cell(90, 5));
         assert!(fp.x0 >= 0 && fp.y0 >= 0);
         assert!(fp.x1 < pl.width() && fp.y1 < pl.height());
-    }
-
-    #[test]
-    fn only_bands_with_nets_get_a_fold_step() {
-        // Two bands on a 400-track plane: one net deep inside band 0,
-        // one straddling the edge, none in band 1.
-        let pl = plane(400, 64);
-        let halo = sadp_scenario::interaction_radius_tracks(pl.rules());
-        assert_eq!(BandPlan::for_plane(400, halo).len(), 2);
-        let mut nl = Netlist::new();
-        let inner = two_pin(&mut nl, 40, 60, 10);
-        let straddler = two_pin(&mut nl, 150, 250, 20);
-        let config = RouterConfig::paper_defaults();
-        let machine = ScheduleMachine::new(&config, &pl, &nl, vec![inner, straddler]);
-        assert_eq!(machine.bands, vec![(0, vec![inner])]);
-        assert_eq!(machine.tail, vec![straddler]);
-        assert_eq!(machine.steps_total(), 2);
     }
 }

@@ -12,7 +12,7 @@
 //! and constraints are provably unaffected.
 //!
 //! The session keeps a history of versions: the state after creation and
-//! after every edit, each the router's `SADPCKPT v4` snapshot
+//! after every edit, each the router's `SADPCKPT v5` snapshot
 //! ([`crate::checkpoint`]) plus the netlist, active-net set and dynamic
 //! obstacles. A cursor marks the live version. [`EcoSession::undo`] /
 //! [`EcoSession::redo`] move the cursor and load that version through
@@ -31,8 +31,8 @@
 //! its failure path, so nothing else holds cells.
 //!
 //! The scripted form ([`parse_edit_script`], `sadp edit`) makes editing
-//! sessions replayable and byte-for-byte comparable across thread
-//! counts, like every other entry point of the router.
+//! sessions replayable and byte-for-byte comparable from run to run,
+//! like every other entry point of the router.
 
 use crate::checkpoint::{self, Snapshot};
 use crate::config::RouterConfig;
@@ -272,7 +272,7 @@ pub struct EcoSession {
 
 impl EcoSession {
     /// Routes `netlist` on `plane` to completion (the standard batch
-    /// schedule, honouring `config.threads`) and opens an editing
+    /// schedule) and opens an editing
     /// session on the result. With `trace` on, the batch events and all
     /// later edit events accumulate in one stream for
     /// [`EcoSession::drain_events`].

@@ -2,28 +2,22 @@
 //!
 //! A [`FaultPlan`] is a pure function of a `u64` seed (SplitMix64, the
 //! same generator the fuzz subsystem uses): equal seeds inject equal
-//! faults, on every machine and at every thread count. Injection sites
-//! are keyed by *logical* identity — a net id, a band index — never by
-//! scheduling, so the fault pattern a plan produces is part of the
+//! faults, on every machine. Injection sites are keyed by *logical*
+//! identity — a net id, a job and artifact — never by scheduling, so the fault pattern a plan produces is part of the
 //! deterministic output contract the recovery machinery must preserve.
 //!
 //! The plan is carried as `Option<FaultPlan>` in
 //! [`RouterConfig`](crate::RouterConfig); `None` (the default) costs one
-//! `Option` check per band and per net, never anything per node.
+//! `Option` check per net, never anything per node.
 
 use sadp_geom::Rng;
 
 /// Which faults to inject, derived deterministically from a seed.
 ///
-/// Two kinds of routing fault are injected, matching the two recovery
-/// paths:
-///
-/// * **Band-worker panics** — [`FaultPlan::band_panic`] tells a band
-///   worker to panic after routing k nets; the driver must catch it and
-///   re-route the band serially with injection disabled.
-/// * **Budget exhaustion** — [`FaultPlan::injects_net_budget`] makes a
-///   net fail as if its search budget ran out; the driver must record it
-///   as `BudgetExceeded` and keep going.
+/// The routing fault is budget exhaustion:
+/// [`FaultPlan::injects_net_budget`] makes a net fail as if its search
+/// budget ran out; the driver must record it as `BudgetExceeded` and keep
+/// going.
 ///
 /// The serving layer draws persistence faults from the same plan
 /// ([`FaultPlan::io_fault`]). Every kind reads its own stream of the
@@ -31,8 +25,6 @@ use sadp_geom::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
-    /// Probability that a given band panics.
-    band_panic_rate: f64,
     /// Probability that a given net's budget is exhausted.
     net_budget_rate: f64,
     /// Probability that a given persistence write is faulted.
@@ -80,13 +72,12 @@ pub enum IoFault {
 
 impl FaultPlan {
     /// The plan for `seed`, with default injection rates chosen so that
-    /// small fixtures (a handful of bands, tens of nets) still trigger
-    /// both fault kinds within a few seeds.
+    /// small fixtures (tens of nets, a few jobs) still trigger every
+    /// fault kind within a few seeds.
     #[must_use]
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            band_panic_rate: 0.5,
             net_budget_rate: 0.02,
             io_fault_rate: 0.25,
         }
@@ -98,28 +89,9 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether — and after how many routed nets — the worker for `band`
-    /// should panic. `nets` is the band's net count; the panic point is
-    /// uniform in `0..nets` so faults hit the start, middle, and end of
-    /// a band's schedule across seeds.
-    #[must_use]
-    pub fn band_panic(&self, band: usize, nets: usize) -> Option<usize> {
-        if nets == 0 {
-            return None;
-        }
-        // A distinct stream per (seed, band): mix the band index into the
-        // seed the same way SplitMix64 advances its own state.
-        let mut rng =
-            Rng::seed_from_u64(self.seed ^ (band as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if !rng.chance(self.band_panic_rate) {
-            return None;
-        }
-        Some(rng.index(nets))
-    }
-
     /// Whether `net`'s search budget should be treated as exhausted.
-    /// Keyed by net id only, so serial, banded, and recovered schedules
-    /// all see the identical fault set.
+    /// Keyed by net id only, so a fresh and a resumed run see the
+    /// identical fault set.
     #[must_use]
     pub fn injects_net_budget(&self, net: u32) -> bool {
         let mut rng = Rng::seed_from_u64(
@@ -170,35 +142,13 @@ mod tests {
     fn plan_is_a_pure_function_of_the_seed() {
         let a = FaultPlan::new(99);
         let b = FaultPlan::new(99);
-        for band in 0..32 {
-            assert_eq!(a.band_panic(band, 17), b.band_panic(band, 17));
-        }
         for net in 0..1000 {
             assert_eq!(a.injects_net_budget(net), b.injects_net_budget(net));
         }
     }
 
     #[test]
-    fn band_panic_point_is_in_range() {
-        for seed in 0..64 {
-            let plan = FaultPlan::new(seed);
-            for band in 0..8 {
-                if let Some(k) = plan.band_panic(band, 12) {
-                    assert!(k < 12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_band_never_panics() {
-        assert_eq!(FaultPlan::new(3).band_panic(0, 0), None);
-    }
-
-    #[test]
-    fn some_seed_triggers_each_fault_kind() {
-        let band_hit = (0..32).any(|s| FaultPlan::new(s).band_panic(1, 10).is_some());
-        assert!(band_hit, "no seed in 0..32 panics band 1");
+    fn some_seed_exhausts_a_net_budget() {
         let budget_hit = (0..32).any(|s| (0..200).any(|n| FaultPlan::new(s).injects_net_budget(n)));
         assert!(budget_hit, "no seed in 0..32 exhausts any net budget");
     }
@@ -241,16 +191,5 @@ mod tests {
             assert!(keep < len, "len {len} kept {keep}");
         }
         assert_eq!(FaultPlan::short_write_len(0), 0);
-    }
-
-    #[test]
-    fn different_bands_get_different_streams() {
-        // Not a hard guarantee per seed, but across many seeds the panic
-        // points for two bands must not be systematically identical.
-        let distinct = (0..64).any(|s| {
-            let p = FaultPlan::new(s);
-            p.band_panic(0, 100) != p.band_panic(1, 100)
-        });
-        assert!(distinct);
     }
 }

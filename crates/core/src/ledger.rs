@@ -19,17 +19,14 @@
 //! Commits are strictly serialized (every mutator takes `&mut self`). The
 //! journal lists the routed nets in the order their fragments entered the
 //! index, which is the order the index's buckets hold them in:
-//! [`CommitLedger::merge_band`] replays a band worker's journal against
-//! the global plane/direction map in that order, which is how the sharded
-//! driver folds per-band results into the global state deterministically,
-//! and `CommitLedger::restore` rebuilds the index from it.
+//! `CommitLedger::restore` rebuilds the index from it.
 
 use crate::grids::DirGrid;
 use crate::scan::pack_frag_id;
 use crate::search::RouteCandidate;
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_graph::{flip, GraphError, OverlayGraph};
-use sadp_grid::{Net, NetId, Netlist, RoutePath, RoutingPlane};
+use sadp_grid::{Net, NetId, RoutePath, RoutingPlane};
 use sadp_obs::json::Obj;
 use sadp_scenario::{CostTable, ScenarioKind};
 use std::collections::BTreeMap;
@@ -83,8 +80,7 @@ impl RoutedNet {
 }
 
 /// Event counters aggregated by the ledger (they feed the
-/// [`RoutingReport`](crate::RoutingReport)). Band workers count into their
-/// private ledger; [`CommitLedger::merge_band`] sums them.
+/// [`RoutingReport`](crate::RoutingReport)).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerCounters {
     /// Rip-up-and-re-route iterations.
@@ -108,9 +104,6 @@ pub struct LedgerCounters {
     pub nodes_expanded: u64,
     /// Nets that ran out of their search budget (per-net or whole-run).
     pub failed_budget: u64,
-    /// Band workers that panicked and were re-routed on the serial
-    /// fallback path.
-    pub bands_recovered: u64,
 }
 
 impl LedgerCounters {
@@ -128,26 +121,6 @@ impl LedgerCounters {
             .int("flips", self.flips)
             .int("nodes_expanded", self.nodes_expanded)
             .int("failed_budget", self.failed_budget)
-            .int("bands_recovered", self.bands_recovered)
-    }
-
-    /// Adds another counter set, field-wise. This is how band workers'
-    /// private counts reach the global report: every counter lives in the
-    /// worker's own ledger and [`CommitLedger::merge_band`] accumulates it
-    /// here, so no count is lost to sharding and the totals are identical
-    /// for every worker count.
-    pub fn accumulate(&mut self, other: &LedgerCounters) {
-        self.ripups += other.ripups;
-        self.ripups_type_b += other.ripups_type_b;
-        self.ripups_graph += other.ripups_graph;
-        self.ripups_risk += other.ripups_risk;
-        self.failed_no_path += other.failed_no_path;
-        self.failed_exhausted += other.failed_exhausted;
-        self.failed_cleanup += other.failed_cleanup;
-        self.flips += other.flips;
-        self.nodes_expanded += other.nodes_expanded;
-        self.failed_budget += other.failed_budget;
-        self.bands_recovered += other.bands_recovered;
     }
 }
 
@@ -453,54 +426,6 @@ impl CommitLedger {
             g.remove_net(id.0);
         }
         true
-    }
-
-    /// Folds a band worker's ledger into this one: replays the band's
-    /// commit journal (plane occupancy, pin releases, wire directions) in
-    /// commit order against the global `plane`/`dir_map`, re-inserts the
-    /// band's fragments into the global index, absorbs the band graphs and
-    /// sums the counters. `netlist` supplies the pins whose unused
-    /// candidates each commit released.
-    ///
-    /// Sound because band column ranges are disjoint and a band worker
-    /// only writes cells inside its own band; merging bands in ascending
-    /// band order therefore yields the same global state as routing the
-    /// same nets serially in the same schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the band journal references a net it did not commit, or
-    /// if a replayed occupancy conflicts (both would mean the band
-    /// isolation invariant was broken).
-    pub fn merge_band(
-        &mut self,
-        band: CommitLedger,
-        plane: &mut RoutingPlane,
-        dir_map: &mut DirGrid,
-        netlist: &Netlist,
-    ) {
-        let CommitLedger {
-            graphs,
-            index: _,
-            mut routed,
-            journal,
-            frag_seq,
-            counters,
-        } = band;
-        for id in journal {
-            let r = routed.remove(&id).expect("band journals list routed nets");
-            for p in r.all_points() {
-                plane.occupy(p, id).expect("band columns are disjoint");
-            }
-            release_unused_pins(plane, netlist.net(id), &r);
-            publish_dirs(dir_map, &r);
-            self.insert_routed(r);
-        }
-        for (g, band_g) in self.graphs.iter_mut().zip(&graphs) {
-            g.absorb(band_g);
-        }
-        self.frag_seq = self.frag_seq.max(frag_seq);
-        self.counters.accumulate(&counters);
     }
 }
 

@@ -38,10 +38,6 @@ pub struct RoutingReport {
     /// Nets failed because a search budget (per-net or whole-run) ran
     /// out. Always 0 when no budget is configured.
     pub failed_budget: u64,
-    /// Band workers that panicked and whose nets were re-routed on the
-    /// serial fallback path. Always 0 outside fault injection unless a
-    /// worker genuinely crashed; the output is byte-identical either way.
-    pub bands_recovered: u64,
     /// Color-flipping passes triggered by the threshold.
     pub flips: u64,
     /// A\*-search nodes expanded.
@@ -119,13 +115,6 @@ impl fmt::Display for RoutingReport {
                 f,
                 "{} nets failed over search budget (partial result)",
                 self.failed_budget
-            )?;
-        }
-        if self.bands_recovered > 0 {
-            writeln!(
-                f,
-                "{} band workers recovered on the serial fallback path",
-                self.bands_recovered
             )?;
         }
         write!(f, "cpu {:.3}s", self.cpu.as_secs_f64())

@@ -3,7 +3,7 @@
 //! [`Router`] owns the [`CommitLedger`] (all shared routing state) and a
 //! `Workspace` (plane-sized dense working grids) and orchestrates the
 //! stages in [`crate::search`] and the internal driver module: pin
-//! reservation, the (possibly region-sharded) routing schedule, the final
+//! reservation, the one-net-at-a-time routing schedule, the final
 //! flipping passes and the conflict cleanup. See DESIGN.md, "Pipeline
 //! architecture".
 
@@ -248,10 +248,8 @@ impl Router {
     }
 
     /// Routes every net of the netlist (shortest first) on the plane,
-    /// running the full flow of Fig. 19 — region-sharded across
-    /// [`RouterConfig::threads`] workers when the plane is wide enough —
-    /// and returns the aggregate report. The result is identical for any
-    /// thread count.
+    /// one at a time, running the full flow of Fig. 19, and returns the
+    /// aggregate report.
     pub fn route_all(&mut self, plane: &mut RoutingPlane, netlist: &Netlist) -> RoutingReport {
         self.route_all_with(plane, netlist, &mut NoopRecorder)
     }
@@ -259,9 +257,6 @@ impl Router {
     /// [`Router::route_all`] with an observability [`Recorder`]: timing
     /// spans and counters land in [`RoutingReport::profile`], structured
     /// [`RouterEvent`] records in the recorder's sink.
-    /// Event order (and every event payload) is identical for any
-    /// [`RouterConfig::threads`] value: band workers buffer locally and
-    /// the buffers are replayed in ascending band order.
     ///
     /// It runs the step function of
     /// [`RoutingSession`](crate::session::RoutingSession) in one unbounded
@@ -330,10 +325,7 @@ impl Router {
                 driver::reserve_pins(&self.config, &mut ws.guards, plane, net);
             }
         }
-        Ok((
-            ScheduleMachine::new(&self.config, plane, netlist, order),
-            fp,
-        ))
+        Ok((ScheduleMachine::new(order), fp))
     }
 
     /// Resets the router state for the plane, with a hint of how many
@@ -683,7 +675,6 @@ impl Router {
             failed_exhausted: c.failed_exhausted,
             failed_cleanup: c.failed_cleanup,
             failed_budget: c.failed_budget,
-            bands_recovered: c.bands_recovered,
             flips: c.flips,
             nodes_expanded: c.nodes_expanded,
             cpu: since.elapsed(),

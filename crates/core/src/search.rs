@@ -8,10 +8,6 @@
 //! it never writes the plane, the spatial index or the constraint graphs:
 //! those mutations happen later, through the
 //! [`CommitLedger`](crate::ledger::CommitLedger).
-//!
-//! Because the stage is a pure function of its inputs, the sharded driver
-//! can run one instance per worker thread against clones/snapshots of the
-//! shared state with no coordination.
 
 use crate::astar::{astar_search, AstarRequest, SearchScratch, SearchStats};
 use crate::budget::Budget;

@@ -7,7 +7,6 @@
 //!
 //! ```text
 //!   create / resume ──▶ Routing ──advance──▶ Running
-//!                          │                 CheckpointReady
 //!                          │                     │
 //!                          │ (schedule done:     │ advance
 //!                          │  finalize runs)     ▼
@@ -17,13 +16,10 @@
 //!
 //! [`RoutingSession::advance`] drives the driver's schedule machine for
 //! at most [`StepBudget::steps`] increments and returns. One increment is
-//! one canonical unit of the schedule: a band fold or one net of the
-//! serial tail. Parallel work (the band workers) happens *within* an
-//! increment, never across a pause — so pausing
-//! between `advance` calls can never reorder or interleave the canonical
-//! commit sequence, and the final result (report, colors, patterns,
-//! JSONL trace) is the same for every thread count and every step
-//! budget.
+//! one net routed at its canonical turn, so pausing between `advance`
+//! calls can never reorder the canonical commit sequence, and the final
+//! result (report, colors, patterns, JSONL trace) is the same for every
+//! step budget.
 //!
 //! This stepper is the router's only routing engine: the blocking
 //! [`Router::route_all_with`] runs the same step function in one
@@ -31,7 +27,7 @@
 //!
 //! Every pause point is also a valid checkpoint:
 //! [`RoutingSession::snapshot`] serializes the router's state in the
-//! `SADPCKPT v4` format and [`RoutingSession::resume`] loads it back
+//! `SADPCKPT v5` format and [`RoutingSession::resume`] loads it back
 //! exactly ([`crate::checkpoint`]). Callers choose the checkpoint cadence
 //! by the step budget they pass to `advance`. A session cancelled
 //! mid-run and resumed from its last snapshot therefore finishes
@@ -52,9 +48,8 @@ use std::time::Instant;
 /// How much work one [`RoutingSession::advance`] call may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepBudget {
-    /// Maximum schedule increments (band folds and tail nets) to
-    /// execute. Clamped to at least 1 so an `advance` always
-    /// makes progress.
+    /// Maximum schedule increments (nets) to execute. Clamped to at
+    /// least 1 so an `advance` always makes progress.
     pub steps: u64,
 }
 
@@ -77,9 +72,9 @@ impl StepBudget {
 pub enum SessionStatus {
     /// The budget ran out mid-schedule; call `advance` again.
     Running,
-    /// Like `Running`, but the slice crossed at least one forced
-    /// checkpoint boundary (a band fold) — a [`RoutingSession::snapshot`]
-    /// taken now captures freshly folded state worth persisting.
+    /// Inert: never returned. It marked a slice that crossed a band fold
+    /// of the removed column-band schedule; the variant stays because the
+    /// benchmark harness still matches on it.
     CheckpointReady,
     /// The schedule and the finalize stage completed; the session is
     /// finished and further `advance` calls return this same report.
@@ -177,7 +172,7 @@ impl RoutingSession {
         RoutingSession::build(config, plane, netlist, None, trace, timing)
     }
 
-    /// [`RoutingSession::create`] starting from a parsed `SADPCKPT v4`
+    /// [`RoutingSession::create`] starting from a parsed `SADPCKPT v5`
     /// snapshot: the router's state is loaded as the snapshot wrote it
     /// (no searching) and only the nets it had not yet routed or failed
     /// are scheduled. A snapshot taken after finalize schedules nothing
@@ -258,7 +253,7 @@ impl RoutingSession {
         }
     }
 
-    /// Serializes the current state as `SADPCKPT v4` text. Valid at any
+    /// Serializes the current state as `SADPCKPT v5` text. Valid at any
     /// pause point — every increment ends between canonical commits —
     /// and after the session is done.
     #[must_use]
@@ -345,7 +340,7 @@ impl RoutingSession {
 /// `cpu` is measured from `started`. The only caller of
 /// [`ScheduleMachine::step`]: [`RoutingSession::advance`] runs it in
 /// slices, [`Router::route_all_with`] in one unbounded call. Returns
-/// `Running`, `CheckpointReady` (a band fold was crossed) or `Done`.
+/// `Running` or `Done`.
 pub(crate) fn run_steps(
     router: &mut Router,
     machine: &mut ScheduleMachine,
@@ -355,7 +350,6 @@ pub(crate) fn run_steps(
     budget: StepBudget,
     started: Instant,
 ) -> SessionStatus {
-    let mut fold_seen = false;
     for _ in 0..budget.steps.max(1) {
         let Router {
             config,
@@ -376,26 +370,18 @@ pub(crate) fn run_steps(
             run_budget,
             rec: &mut *rec,
         });
-        match ev {
-            StepEvent::Complete => {
-                if !router.finalized {
-                    router.finalize(plane, netlist, rec);
-                }
-                let mut report = router.report(netlist, started);
-                if let Some(profile) = rec.profile() {
-                    report.profile = profile;
-                }
-                return SessionStatus::Done(Box::new(report));
+        if ev == StepEvent::Complete {
+            if !router.finalized {
+                router.finalize(plane, netlist, rec);
             }
-            StepEvent::BandFold => fold_seen = true,
-            StepEvent::Net => {}
+            let mut report = router.report(netlist, started);
+            if let Some(profile) = rec.profile() {
+                report.profile = profile;
+            }
+            return SessionStatus::Done(Box::new(report));
         }
     }
-    if fold_seen {
-        SessionStatus::CheckpointReady
-    } else {
-        SessionStatus::Running
-    }
+    SessionStatus::Running
 }
 
 impl fmt::Debug for RoutingSession {
@@ -460,8 +446,9 @@ mod tests {
             advances += 1;
             match session.advance(StepBudget::steps(1)) {
                 SessionStatus::Done(r) => break r,
-                SessionStatus::Running | SessionStatus::CheckpointReady => {}
+                SessionStatus::Running => {}
                 SessionStatus::Failed(e) => panic!("unexpected failure: {e}"),
+                SessionStatus::CheckpointReady => unreachable!("never returned"),
             }
         };
         assert!(advances >= 3, "one advance per net plus the finishing one");

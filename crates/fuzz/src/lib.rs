@@ -13,8 +13,8 @@
 //! * [`oracle`] — routes each instance, checks the structural invariant
 //!   set (no panics, net accounting, zero conflicts, wirelength bounds,
 //!   plane-occupancy consistency), decomposes the result through the
-//!   pixel simulator, and runs the differential checks (threads-1 vs
-//!   threads-N byte identity, baseline sanity),
+//!   pixel simulator, and runs the differential checks (kill-and-resume
+//!   identity, baseline sanity),
 //! * [`shrink`] — delta-debugs a failing instance down to a replayable
 //!   `.layout` fixture for the regression corpus.
 //!
@@ -54,7 +54,7 @@ pub struct CampaignConfig {
     pub start: u64,
     /// Regimes to run (`Regime::ALL` unless `--regime` narrows it).
     pub regimes: Vec<Regime>,
-    /// Oracle settings (differential thread count, optional checks).
+    /// Oracle settings (optional checks).
     pub oracle: OracleConfig,
     /// Whether to minimise failures into replayable fixtures.
     pub minimize: bool,

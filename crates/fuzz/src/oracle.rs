@@ -51,15 +51,12 @@ pub enum Invariant {
     SpacerClean,
     /// The oracle verdict must agree with the report's conflict counters.
     VerdictAgrees,
-    /// Threads-1 and threads-N runs must be byte-identical.
-    ThreadDeterminism,
     /// The baseline router must accept the same instance without
     /// panicking and produce a self-consistent report.
     BaselineSane,
     /// Under an injected [`FaultPlan`] the run must recover: no abort, no
-    /// net silently lost, budget failures counted exactly once each,
-    /// panic recovery byte-invisible, and the whole faulted result
-    /// byte-identical across thread counts.
+    /// net silently lost, and every injected budget failure counted
+    /// exactly once.
     FaultRecovery,
     /// A serial run killed at a seeded step, snapshotted and resumed in
     /// a fresh session must finish exactly like the uninterrupted run:
@@ -83,7 +80,6 @@ impl Invariant {
             Invariant::WirelengthBound => "wirelength-bound",
             Invariant::SpacerClean => "spacer-clean",
             Invariant::VerdictAgrees => "verdict-agrees",
-            Invariant::ThreadDeterminism => "thread-determinism",
             Invariant::BaselineSane => "baseline-sane",
             Invariant::FaultRecovery => "fault-recovery",
             Invariant::ResumeIdentity => "resume-identity",
@@ -118,24 +114,17 @@ impl fmt::Display for Violation {
 /// Oracle configuration.
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
-    /// Worker-thread count for the differential run (compared against the
-    /// serial run).
-    pub threads: usize,
-    /// Whether to run the threads-1 vs threads-N differential check.
-    pub differential: bool,
     /// Whether to run the baseline cross-check.
     pub baseline: bool,
     /// When set, additionally route the instance under the
-    /// [`FaultPlan`] for this seed (injected band-worker panics and
-    /// budget exhaustion) and check the recovery invariants.
+    /// [`FaultPlan`] for this seed (injected budget exhaustion) and
+    /// check the recovery invariants.
     pub fault_seed: Option<u64>,
 }
 
 impl Default for OracleConfig {
     fn default() -> OracleConfig {
         OracleConfig {
-            threads: 4,
-            differential: true,
             baseline: true,
             fault_seed: None,
         }
@@ -178,12 +167,10 @@ struct RunResult {
 fn route_once(
     plane: &RoutingPlane,
     netlist: &Netlist,
-    threads: usize,
     faults: Option<u64>,
 ) -> Result<RunResult, Violation> {
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut config = RouterConfig::paper_defaults();
-        config.threads = threads;
         config.faults = faults.map(FaultPlan::new);
         let session = RoutingSession::create(config, plane.clone(), netlist.clone(), true, false)?;
         finish(session, netlist)
@@ -191,10 +178,7 @@ fn route_once(
     match run {
         Err(payload) => Err(Violation::new(
             Invariant::NoPanic,
-            format!(
-                "router panicked at threads={threads}: {}",
-                panic_message(&payload)
-            ),
+            format!("router panicked: {}", panic_message(&payload)),
         )),
         Ok(Err(e)) => Err(Violation::new(
             Invariant::RouterAccepts,
@@ -267,7 +251,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs the full oracle on one `(plane, netlist)` pair: route, check the
 /// structural invariants, decompose through the pixel simulator, and run
-/// the differential and resume checks. The resume check's kill step is
+/// the resume and baseline checks. The resume check's kill step is
 /// drawn from the layout's fingerprint.
 ///
 /// # Errors
@@ -289,19 +273,15 @@ fn check_seeded(
     cfg: &OracleConfig,
     kill_seed: u64,
 ) -> Result<OracleStats, Violation> {
-    let serial = route_once(plane, netlist, 1, None)?;
+    let serial = route_once(plane, netlist, None)?;
     check_structure(netlist, &serial)?;
     let hard_runs = check_verdict(plane, &serial)?;
     check_resume(plane, netlist, &serial, kill_seed)?;
-    if cfg.differential && cfg.threads > 1 {
-        let sharded = route_once(plane, netlist, cfg.threads, None)?;
-        check_differential(&serial, &sharded, cfg.threads)?;
-    }
     if cfg.baseline {
         check_baseline(plane, netlist)?;
     }
     if let Some(seed) = cfg.fault_seed {
-        check_faults(plane, netlist, cfg, &serial, seed)?;
+        check_faults(plane, netlist, seed)?;
     }
     Ok(OracleStats {
         nets: netlist.len(),
@@ -496,35 +476,6 @@ fn check_verdict(plane: &RoutingPlane, run: &RunResult) -> Result<usize, Violati
     Ok(verdict.total_hard_runs())
 }
 
-fn check_differential(
-    serial: &RunResult,
-    sharded: &RunResult,
-    threads: usize,
-) -> Result<(), Violation> {
-    let mismatch = |what: &str| {
-        Err(Violation::new(
-            Invariant::ThreadDeterminism,
-            format!("threads-1 vs threads-{threads}: {what} diverged"),
-        ))
-    };
-    if serial.report != sharded.report {
-        return mismatch("report");
-    }
-    if serial.patterns != sharded.patterns {
-        return mismatch("patterns/colors");
-    }
-    if serial.failed != sharded.failed {
-        return mismatch("failed-net list");
-    }
-    if serial.usage != sharded.usage {
-        return mismatch("plane occupancy");
-    }
-    if serial.trace != sharded.trace {
-        return mismatch("trace JSONL");
-    }
-    Ok(())
-}
-
 fn check_baseline(plane: &RoutingPlane, netlist: &Netlist) -> Result<(), Violation> {
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut plane = plane.clone();
@@ -554,30 +505,19 @@ fn check_baseline(plane: &RoutingPlane, netlist: &Netlist) -> Result<(), Violati
 }
 
 /// Routes the instance under the [`FaultPlan`] for `seed` (injected
-/// band-worker panics and per-net budget exhaustion) and checks the
-/// recovery invariants against the clean serial run:
+/// per-net budget exhaustion) and checks the recovery invariants:
 ///
-/// * the faulted run completes — a panic escaping the isolation boundary
-///   is a `no-panic` violation from [`route_once`],
+/// * the faulted run completes — a panic is a `no-panic` violation from
+///   [`route_once`],
 /// * no net is silently lost (`routed + failed` still partitions the
 ///   netlist),
 /// * every injected budget fault is counted exactly once in
 ///   `failed_budget`,
 /// * every failed net is recorded exactly once (failed list, failure
-///   counters and `net_failed` trace lines agree),
-/// * when only band panics were injected, the routed output is
-///   byte-identical to the clean run (recovery is invisible apart from
-///   the `bands_recovered` counter),
-/// * the whole faulted result is byte-identical across thread counts.
-fn check_faults(
-    plane: &RoutingPlane,
-    netlist: &Netlist,
-    cfg: &OracleConfig,
-    clean: &RunResult,
-    seed: u64,
-) -> Result<(), Violation> {
+///   counters and `net_failed` trace lines agree).
+fn check_faults(plane: &RoutingPlane, netlist: &Netlist, seed: u64) -> Result<(), Violation> {
     let bad = |what: String| Err(Violation::new(Invariant::FaultRecovery, what));
-    let faulted = route_once(plane, netlist, 1, Some(seed))?;
+    let faulted = route_once(plane, netlist, Some(seed))?;
     let r = &faulted.report;
     if r.routed_nets + faulted.failed.len() != netlist.len() {
         return bad(format!(
@@ -601,35 +541,6 @@ fn check_faults(
             r.failed_budget
         ));
     }
-    if injected == 0 {
-        // Pure band panics: recovery must be byte-invisible apart from
-        // its counter.
-        let mut masked = faulted.report.clone();
-        masked.bands_recovered = 0;
-        if masked != clean.report
-            || faulted.patterns != clean.patterns
-            || faulted.failed != clean.failed
-            || faulted.usage != clean.usage
-        {
-            return bad(format!(
-                "faults seed {seed}: panic recovery changed the routed output"
-            ));
-        }
-    }
-    if cfg.differential && cfg.threads > 1 {
-        let sharded = route_once(plane, netlist, cfg.threads, Some(seed))?;
-        if faulted.report != sharded.report
-            || faulted.patterns != sharded.patterns
-            || faulted.failed != sharded.failed
-            || faulted.usage != sharded.usage
-            || faulted.trace != sharded.trace
-        {
-            return bad(format!(
-                "faults seed {seed}: threads-1 vs threads-{} diverged under injected faults",
-                cfg.threads
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -639,12 +550,7 @@ mod tests {
     use crate::generator::{generate, Regime};
 
     fn quick_cfg() -> OracleConfig {
-        OracleConfig {
-            threads: 2,
-            differential: true,
-            baseline: true,
-            fault_seed: None,
-        }
+        OracleConfig::default()
     }
 
     #[test]
@@ -693,7 +599,6 @@ mod tests {
             Invariant::WirelengthBound,
             Invariant::SpacerClean,
             Invariant::VerdictAgrees,
-            Invariant::ThreadDeterminism,
             Invariant::BaselineSane,
             Invariant::FaultRecovery,
             Invariant::ResumeIdentity,
@@ -706,20 +611,13 @@ mod tests {
     fn clean_instances_recover_from_injected_faults() {
         // A couple of (regime, fault seed) pairs; the recovery invariants
         // must hold for every seed, whether or not it triggers a fault.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence injected panics
-        let result = catch_unwind(|| {
-            for fault_seed in [0u64, 1, 7] {
-                let cfg = OracleConfig {
-                    fault_seed: Some(fault_seed),
-                    ..quick_cfg()
-                };
-                let inst = generate(Regime::DenseClock, 3);
-                check_instance(&inst, &cfg)
-                    .unwrap_or_else(|v| panic!("fault seed {fault_seed}: {v}"));
-            }
-        });
-        std::panic::set_hook(hook);
-        result.expect("fault-recovery oracle run failed");
+        for fault_seed in [0u64, 1, 7] {
+            let cfg = OracleConfig {
+                fault_seed: Some(fault_seed),
+                ..quick_cfg()
+            };
+            let inst = generate(Regime::DenseClock, 3);
+            check_instance(&inst, &cfg).unwrap_or_else(|v| panic!("fault seed {fault_seed}: {v}"));
+        }
     }
 }

@@ -372,7 +372,6 @@ fn live_daemon() -> std::io::Result<(ServerHandle, SocketAddr)> {
         workers: 0,
         state_dir: None,
         slice_steps: 1,
-        default_threads: 1,
         max_request_bytes: 1 << 20,
         io_timeout_ms: 2_000,
         max_conns: 0,

@@ -157,14 +157,6 @@ impl SpatialHash {
     }
 }
 
-// The sharded routing driver moves per-band hashes across worker threads
-// and shares read-only references; keep that capability from silently
-// regressing if interior mutability is ever added.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SpatialHash>()
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,18 +71,6 @@ pub struct EvalStats {
     pub cut_risks: u64,
 }
 
-impl EvalStats {
-    /// Adds another evaluation, component-wise.
-    #[must_use]
-    pub fn merged(self, other: EvalStats) -> EvalStats {
-        EvalStats {
-            overlay_units: self.overlay_units + other.overlay_units,
-            hard_violations: self.hard_violations + other.hard_violations,
-            cut_risks: self.cut_risks + other.cut_risks,
-        }
-    }
-}
-
 /// The overlay constraint graph of one routing layer (Section III-B).
 ///
 /// Vertices are routed nets (identified by `u32` ids), each carrying its
@@ -687,45 +675,6 @@ impl OverlayGraph {
         best.0
     }
 
-    /// Merges a vertex-disjoint graph into this one (the sharded driver
-    /// folding a band's graph into the global one).
-    ///
-    /// Vertices and edges are inserted in ascending net-id order so slot
-    /// assignment — and with it the union–find root identities that feed
-    /// tie-breaking in the flipping algorithm — is deterministic and
-    /// independent of `other`'s internal edge order.
-    ///
-    /// # Panics
-    ///
-    /// May panic (in debug builds) if the vertex sets overlap; the caller
-    /// guarantees disjointness (each net is committed in exactly one band).
-    pub fn absorb(&mut self, other: &OverlayGraph) {
-        debug_assert!(
-            other.vertices().all(|v| !self.contains(v)),
-            "absorb requires vertex-disjoint graphs"
-        );
-        for v in other.vertices() {
-            self.ensure_vertex(v);
-            self.verts[v as usize].color = other.verts[v as usize].color;
-        }
-        let mut order: Vec<&Edge> = other.edges.iter().collect();
-        order.sort_unstable_by_key(|e| (e.lo, e.hi));
-        for edge in order {
-            if let Some(parity) = edge.data.table.hard_parity() {
-                self.dsu
-                    .union(
-                        self.verts[edge.lo as usize].slot,
-                        self.verts[edge.hi as usize].slot,
-                        parity,
-                    )
-                    .expect("absorbed graph is hard-consistent");
-            }
-            let e = self.edges.len() as u32;
-            self.edges.push(edge.clone());
-            self.link(edge.lo, edge.hi, e);
-        }
-    }
-
     /// Net ids of the connected component containing `seed` (over all
     /// edges, hard and nonhard).
     #[must_use]
@@ -1238,63 +1187,6 @@ mod tests {
         g.add_scenario(1, 2, ScenarioKind::OneA.table()).unwrap();
         g.add_scenario(0, 2, ScenarioKind::OneB.table()).unwrap();
         assert_eq!(g.hard_relation(0, 2), Some(false));
-    }
-
-    #[test]
-    fn absorb_merges_disjoint_graphs() {
-        let mut a = OverlayGraph::new();
-        a.add_scenario(0, 1, ScenarioKind::OneA.table()).unwrap();
-        a.set_color(0, Color::Second);
-        let mut b = OverlayGraph::new();
-        b.add_scenario(10, 11, ScenarioKind::OneA.table()).unwrap();
-        b.add_scenario(11, 12, ScenarioKind::OneB.table()).unwrap();
-        b.add_scenario(12, 13, ScenarioKind::ThreeA.table())
-            .unwrap();
-        b.set_color(10, Color::Second);
-        b.set_color(11, Color::Core);
-
-        a.absorb(&b);
-        assert_eq!(a.vertex_count(), 6);
-        assert_eq!(a.edge_count(), 4);
-        // Colors carried over.
-        assert_eq!(a.color(10), Color::Second);
-        assert_eq!(a.color(11), Color::Core);
-        // Hard relations carried over, including transitive ones.
-        assert_eq!(a.hard_relation(0, 1), Some(true));
-        assert_eq!(a.hard_relation(10, 12), Some(true));
-        assert_eq!(a.hard_relation(10, 13), None);
-        // No cross relations between the two sides.
-        assert_eq!(a.hard_relation(1, 10), None);
-        // Nonhard edge data carried over.
-        assert!(a.edge(12, 13).unwrap().table.hard_parity().is_none());
-        // The merged graph evaluates like the two parts did.
-        let expected = {
-            let mut fresh_b = OverlayGraph::new();
-            fresh_b
-                .add_scenario(10, 11, ScenarioKind::OneA.table())
-                .unwrap();
-            fresh_b
-                .add_scenario(11, 12, ScenarioKind::OneB.table())
-                .unwrap();
-            fresh_b
-                .add_scenario(12, 13, ScenarioKind::ThreeA.table())
-                .unwrap();
-            fresh_b.set_color(10, Color::Second);
-            fresh_b.set_color(11, Color::Core);
-            fresh_b.evaluate()
-        };
-        let mut only_a = OverlayGraph::new();
-        only_a
-            .add_scenario(0, 1, ScenarioKind::OneA.table())
-            .unwrap();
-        only_a.set_color(0, Color::Second);
-        assert_eq!(a.evaluate(), only_a.evaluate().merged(expected));
-        // The absorbed component stays mutable: 10 and 12 are transitively
-        // forced to differ, so a same-color (1-b) edge between them is the
-        // odd cycle and must still be detected after the merge.
-        assert!(a.add_scenario(10, 12, ScenarioKind::OneB.table()).is_err());
-        // …while the consistent different-color edge is accepted.
-        assert!(a.add_scenario(10, 12, ScenarioKind::OneA.table()).is_ok());
     }
 
     #[test]

@@ -279,8 +279,8 @@ fn check_invariants(g: &OverlayGraph, ctx: &str) {
 }
 
 /// Seeded sequences of every mutating operation over sparse ids: trial
-/// commits that are kept or rolled back, rip-ups, band folds, pseudo
-/// coloring and bounded flips. After each step adjacency is symmetric
+/// commits that are kept or rolled back, rip-ups, pseudo coloring and
+/// bounded flips. After each step adjacency is symmetric
 /// and agrees with `edge()`, the counts match iteration, `evaluate()`
 /// matches a sum over the edges, and the state text round-trips.
 #[test]
@@ -292,7 +292,7 @@ fn storage_invariants_hold_over_random_operations() {
         for step in 0..40 {
             let ctx = format!("round {round} step {step}");
             let verts: Vec<u32> = g.vertices().collect();
-            match rng.index(6) {
+            match rng.index(5) {
                 // A trial commit of a new net, kept or rolled back.
                 0 | 1 => {
                     let net = pick(&mut rng);
@@ -323,28 +323,7 @@ fn storage_invariants_hold_over_random_operations() {
                         assert!(!g.contains(v), "{ctx}: removed");
                     }
                 }
-                // A band fold: a vertex-disjoint graph over the free ids.
                 3 => {
-                    let mut band = OverlayGraph::new();
-                    let free: Vec<u32> = SPARSE_IDS
-                        .iter()
-                        .copied()
-                        .filter(|&v| !g.contains(v))
-                        .collect();
-                    if free.len() < 2 {
-                        continue;
-                    }
-                    for _ in 0..rng.index(5) {
-                        let (a, b) = (free[rng.index(free.len())], free[rng.index(free.len())]);
-                        let kind = NONHARD[rng.index(NONHARD.len())];
-                        if a != b {
-                            band.add_scenario_with_kind(a, b, Some(kind), kind.table())
-                                .expect("nonhard");
-                        }
-                    }
-                    g.absorb(&band);
-                }
-                4 => {
                     if let Some(&v) = verts.get(rng.index(verts.len().max(1))) {
                         g.pseudo_color(v);
                     }

@@ -21,7 +21,6 @@
 //! assert_eq!(plane.layers(), 3);
 //! ```
 
-pub mod band;
 pub mod benchmark;
 pub mod io;
 pub mod net;
@@ -29,7 +28,6 @@ pub mod netlist;
 pub mod path;
 pub mod plane;
 
-pub use band::{Band, BandPlan, TARGET_BAND_WIDTH};
 pub use benchmark::BenchmarkSpec;
 pub use io::{read_layout, write_layout, ParseLayoutError};
 pub use net::{Net, NetId, Pin};

@@ -12,11 +12,7 @@
 //!    (never per A\*-node).
 //! 2. **A structured event sink** ([`RouterEvent`]). Events carry only
 //!    logical routing facts — never wall-clock times or thread ids — so an
-//!    event stream is a pure function of the input. Each band worker of
-//!    the sharded driver buffers its events privately
-//!    ([`BufferRecorder`]) and the driver replays the buffers **in band
-//!    order** ([`BufferRecorder::replay_into`]); the emitted stream is
-//!    therefore byte-identical for any `--threads` value.
+//!    event stream is a pure function of the input.
 //! 3. **[`StageProfile`]**: per-stage wall time and invocation counts
 //!    (search, commit, recolor, ripup, merge, decompose), aggregated into
 //!    the routing report and printable as a table
@@ -48,14 +44,17 @@ pub enum Stage {
     Recolor,
     /// Rip-up bookkeeping: penalty seeding and proposal rollbacks.
     Ripup,
-    /// Folding band ledgers into the global state (`merge_band`).
+    /// Reserved and always zero: nothing records it. It timed the fold
+    /// of the removed column-band schedule; the variant and its table row
+    /// stay so that profile readers that name them (the benchmark
+    /// harness) keep working.
     Merge,
     /// Layout decomposition / verification of the routed result.
     Decompose,
-    /// Reserved and always zero: nothing records it. Band-straddling
-    /// nets route one at a time at their canonical turn, and their work
-    /// counts under the other stages. The variant and its table row stay
-    /// so that profile readers that name them keep working.
+    /// Reserved and always zero: nothing records it. Every net routes
+    /// one at a time at its canonical turn, and its work counts under the
+    /// other stages. The variant and its table row stay so that profile
+    /// readers that name them (the benchmark harness) keep working.
     Boundary,
 }
 
@@ -116,10 +115,9 @@ pub struct StageStat {
 
 /// Per-stage time and count aggregate of one routing run.
 ///
-/// Counts are deterministic (a function of the input and the schedule,
-/// never of the worker count); times are wall-clock measurements and vary
-/// run to run. Comparisons that must be thread-count-invariant should use
-/// [`StageProfile::counts_only`].
+/// Counts are deterministic (a function of the input and the schedule);
+/// times are wall-clock measurements and vary run to run. Comparisons
+/// that must be run-invariant should use [`StageProfile::counts_only`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageProfile {
     stats: [StageStat; Stage::ALL.len()],
@@ -168,7 +166,7 @@ impl StageProfile {
     }
 
     /// A copy with every time zeroed — the deterministic part, for
-    /// thread-count-invariance comparisons.
+    /// run-to-run comparisons.
     #[must_use]
     pub fn counts_only(&self) -> StageProfile {
         let mut out = StageProfile::new();
@@ -312,23 +310,6 @@ pub enum RouterEvent {
         /// Dirty components re-flipped by the pass.
         components: u64,
     },
-    /// A band worker's ledger was folded into the global state.
-    BandMerged {
-        /// Band index (ascending merge order).
-        band: u32,
-        /// Nets the band committed.
-        nets: u64,
-    },
-    /// A band worker panicked (or failed to allocate its private state);
-    /// its nets were re-routed on the serial fallback path against the
-    /// global merged state. The final output is byte-identical to a run
-    /// where the band was never parallelized.
-    BandRecovered {
-        /// Band index (ascending merge order).
-        band: u32,
-        /// Nets re-routed serially for the poisoned band.
-        nets: u64,
-    },
     /// A hard-constraint odd cycle was broken by ripping up the proposing
     /// net (the re-route decomposes the cycle geometrically).
     OddCycleDecomposed {
@@ -403,8 +384,6 @@ impl RouterEvent {
             RouterEvent::NetRipped { .. } => "net_ripped",
             RouterEvent::NetFailed { .. } => "net_failed",
             RouterEvent::FlipPass { .. } => "flip_pass",
-            RouterEvent::BandMerged { .. } => "band_merged",
-            RouterEvent::BandRecovered { .. } => "band_recovered",
             RouterEvent::OddCycleDecomposed { .. } => "odd_cycle_decomposed",
             RouterEvent::NetsInvalidated { .. } => "nets_invalidated",
             RouterEvent::EditApplied { .. } => "edit_applied",
@@ -440,9 +419,6 @@ impl RouterEvent {
             }
             RouterEvent::FlipPass { layer, components } => {
                 out.int("layer", layer).int("components", components)
-            }
-            RouterEvent::BandMerged { band, nets } | RouterEvent::BandRecovered { band, nets } => {
-                out.int("band", band).int("nets", nets)
             }
             RouterEvent::OddCycleDecomposed { net, layer, other } => {
                 out.int("net", net).int("layer", layer).int("other", other)
@@ -502,16 +478,6 @@ pub enum SessionEvent {
         /// Server-assigned job id.
         job: u64,
     },
-    /// The job's session crossed a forced checkpoint boundary and its
-    /// snapshot was persisted.
-    JobCheckpointed {
-        /// Server-assigned job id.
-        job: u64,
-        /// Schedule increments completed so far.
-        steps_done: u64,
-        /// Total schedule increments.
-        steps_total: u64,
-    },
     /// A restarted daemon resumed the job from its persisted checkpoint.
     JobResumed {
         /// Server-assigned job id.
@@ -551,7 +517,6 @@ impl SessionEvent {
         match self {
             SessionEvent::JobSubmitted { .. } => "job_submitted",
             SessionEvent::JobStarted { .. } => "job_started",
-            SessionEvent::JobCheckpointed { .. } => "job_checkpointed",
             SessionEvent::JobResumed { .. } => "job_resumed",
             SessionEvent::JobDone { .. } => "job_done",
             SessionEvent::JobCancelled { .. } => "job_cancelled",
@@ -575,14 +540,6 @@ impl SessionEvent {
             SessionEvent::JobStarted { job }
             | SessionEvent::JobCancelled { job }
             | SessionEvent::JobFailed { job } => out.int("job", job),
-            SessionEvent::JobCheckpointed {
-                job,
-                steps_done,
-                steps_total,
-            } => out
-                .int("job", job)
-                .int("steps_done", steps_done)
-                .int("steps_total", steps_total),
             SessionEvent::JobResumed { job, nets_replayed } => {
                 out.int("job", job).int("nets_replayed", nets_replayed)
             }
@@ -645,10 +602,6 @@ impl Recorder for NoopRecorder {}
 
 /// A buffering recorder: aggregates spans into a [`StageProfile`] and
 /// collects events in arrival order.
-///
-/// The sharded driver gives each band worker its own `BufferRecorder`
-/// and replays the buffers in band order ([`BufferRecorder::replay_into`])
-/// so the merged stream is schedule-ordered, not thread-ordered.
 #[derive(Debug, Default, Clone)]
 pub struct BufferRecorder {
     trace: bool,
@@ -680,21 +633,6 @@ impl BufferRecorder {
     /// Takes the collected events, leaving the buffer empty.
     pub fn take_events(&mut self) -> Vec<RouterEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Replays this buffer into another recorder: the profile as one
-    /// aggregate span per stage, then every event in arrival order.
-    /// Consumes the buffer.
-    pub fn replay_into(self, rec: &mut dyn Recorder) {
-        for stage in Stage::ALL {
-            let s = self.profile.stage(stage);
-            if s.count > 0 || !s.time.is_zero() {
-                rec.span(stage, s.time, s.count);
-            }
-        }
-        for ev in self.events {
-            rec.event(ev);
-        }
     }
 }
 
@@ -825,29 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_preserves_order_and_aggregates() {
-        let mut band0 = BufferRecorder::new();
-        band0.span(Stage::Search, Duration::from_millis(3), 2);
-        band0.event(RouterEvent::NetRouted {
-            net: 1,
-            attempts: 1,
-            flipped: false,
-        });
-        let mut band1 = BufferRecorder::new();
-        band1.event(RouterEvent::NetFailed {
-            net: 9,
-            reason: FailReason::Exhausted,
-        });
-        let mut main = BufferRecorder::new();
-        band0.replay_into(&mut main);
-        band1.replay_into(&mut main);
-        assert_eq!(main.events.len(), 2);
-        assert_eq!(main.events[0].kind(), "net_routed");
-        assert_eq!(main.events[1].kind(), "net_failed");
-        assert_eq!(main.profile.stage(Stage::Search).count, 2);
-    }
-
-    #[test]
     fn jsonl_schema_is_stable() {
         let events = [
             RouterEvent::NetRouted {
@@ -868,8 +783,6 @@ mod tests {
                 layer: 1,
                 components: 4,
             },
-            RouterEvent::BandMerged { band: 3, nets: 17 },
-            RouterEvent::BandRecovered { band: 4, nets: 9 },
             RouterEvent::OddCycleDecomposed {
                 net: 5,
                 layer: 0,
@@ -901,8 +814,6 @@ mod tests {
             "{\"event\":\"net_ripped\",\"net\":7,\"attempt\":0,\"reason\":\"type_b\"}\n",
             "{\"event\":\"net_failed\",\"net\":8,\"reason\":\"cleanup\"}\n",
             "{\"event\":\"flip_pass\",\"layer\":1,\"components\":4}\n",
-            "{\"event\":\"band_merged\",\"band\":3,\"nets\":17}\n",
-            "{\"event\":\"band_recovered\",\"band\":4,\"nets\":9}\n",
             "{\"event\":\"odd_cycle_decomposed\",\"net\":5,\"layer\":0,\"other\":2}\n",
             "{\"event\":\"net_failed\",\"net\":9,\"reason\":\"budget_exceeded\"}\n",
             "{\"event\":\"nets_invalidated\",\"edit\":0,\"nets\":[1,5,9]}\n",
@@ -937,11 +848,6 @@ mod tests {
                 nets: 120,
             },
             SessionEvent::JobStarted { job: 1 },
-            SessionEvent::JobCheckpointed {
-                job: 1,
-                steps_done: 40,
-                steps_total: 124,
-            },
             SessionEvent::JobResumed {
                 job: 1,
                 nets_replayed: 38,
@@ -957,7 +863,6 @@ mod tests {
         let expected = [
             "{\"event\":\"job_submitted\",\"job\":1,\"priority\":5,\"nets\":120}",
             "{\"event\":\"job_started\",\"job\":1}",
-            "{\"event\":\"job_checkpointed\",\"job\":1,\"steps_done\":40,\"steps_total\":124}",
             "{\"event\":\"job_resumed\",\"job\":1,\"nets_replayed\":38}",
             "{\"event\":\"job_done\",\"job\":1,\"routed\":118,\"failed\":2}",
             "{\"event\":\"job_cancelled\",\"job\":2}",

@@ -76,7 +76,10 @@ fn noop_recorder_hot_path_allocates_nothing() {
 fn event_serialization_does_allocate_as_a_control() {
     // Sanity check that the counter actually observes allocations,
     // so the zero above is meaningful.
-    let events = vec![RouterEvent::BandMerged { band: 0, nets: 3 }];
+    let events = vec![RouterEvent::FlipPass {
+        layer: 0,
+        components: 3,
+    }];
     let n = allocations_during(|| {
         let s = events_to_jsonl(&events);
         assert!(!s.is_empty());

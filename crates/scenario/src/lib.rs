@@ -46,9 +46,9 @@ pub use table::{scenario_summary, ScenarioSummary};
 /// never induce a potential overlay scenario (Theorem 1 — every scenario of
 /// Fig. 9 has both gap components within the dependence radius).
 ///
-/// Spatial partitioning (the sharded routing driver) uses this as its halo:
-/// two nets whose fragments stay more than this many tracks apart are
-/// provably independent and may be routed concurrently.
+/// The ECO engine uses this as its invalidation halo: a net whose
+/// fragments stay more than this many tracks from an edit is provably
+/// unaffected by it.
 #[must_use]
 pub fn interaction_radius_tracks(rules: &sadp_geom::DesignRules) -> i32 {
     rules.dependence_radius_tracks()

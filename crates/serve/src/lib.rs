@@ -4,7 +4,7 @@
 //! JSON protocol, queues them by priority, and advances each one as a
 //! resumable [`sadp_core::RoutingSession`] in bounded slices — so many
 //! jobs share a small worker pool fairly, every job can be cancelled and
-//! later resumed from its `SADPCKPT v4` checkpoint, and a restarted
+//! later resumed from its `SADPCKPT v5` checkpoint, and a restarted
 //! daemon picks queued and in-flight work back up from its state
 //! directory with byte-identical results.
 //!

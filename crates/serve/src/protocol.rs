@@ -19,7 +19,7 @@
 //! | command | fields | response |
 //! |---|---|---|
 //! | `ping` | — | `{"ok":true}` |
-//! | `submit` | `layout` (text), `priority`? (0-255, lower first, default 100), `threads`?, `node_budget`?, `deadline_ms`? | `{"ok":true,"job":N}` |
+//! | `submit` | `layout` (text), `priority`? (0-255, lower first, default 100), `threads`? (ignored), `node_budget`?, `deadline_ms`? | `{"ok":true,"job":N}` |
 //! | `status` | `job` | `{"ok":true,"job":N,"state":...,"steps_done":...,"steps_total":...}` |
 //! | `cancel` | `job` | `{"ok":true,"job":N}` |
 //! | `resume` | `job` | `{"ok":true,"job":N}` (re-enqueues a cancelled/failed job from its checkpoint) |
@@ -67,8 +67,9 @@ pub enum Request {
         layout: String,
         /// Queue priority: lower runs first. Defaults to 100.
         priority: u8,
-        /// Worker threads for the job's session (defaults to the
-        /// server's per-job default).
+        /// Inert: parsed and ignored, because every job routes its nets
+        /// one at a time on its worker. Older clients and the benchmark
+        /// harness still send or name it.
         threads: Option<usize>,
         /// Whole-run A*-node budget.
         node_budget: Option<u64>,

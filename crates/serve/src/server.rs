@@ -14,7 +14,7 @@
 //! ## Persistence and crash recovery
 //!
 //! With a [`ServeConfig::state_dir`], every job persists its layout and
-//! metadata at submit time and a `SADPCKPT v4` snapshot after every
+//! metadata at submit time and a `SADPCKPT v5` snapshot after every
 //! slice (written atomically: temp file + rename). A restarted daemon
 //! scans the directory, reloads finished jobs' final results, and
 //! re-enqueues unfinished jobs — the router state in their snapshot is
@@ -63,8 +63,6 @@ pub struct ServeConfig {
     /// jobs more fairly and checkpoint more often; larger slices have
     /// less queue overhead.
     pub slice_steps: u64,
-    /// Router threads per job when a submit does not specify `threads`.
-    pub default_threads: usize,
     /// Hard cap on one request line's byte length (`--max-request-bytes`).
     /// A longer line gets a structured error and the connection is
     /// closed; the oversized tail is never buffered. `0` disables the
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
             workers: 1,
             state_dir: None,
             slice_steps: 32,
-            default_threads: 1,
             max_request_bytes: 16 * 1024 * 1024,
             io_timeout_ms: 10_000,
             max_conns: 256,
@@ -163,7 +160,6 @@ struct Job {
     id: u64,
     priority: u8,
     layout: String,
-    threads: usize,
     node_budget: Option<u64>,
     deadline_ms: Option<u64>,
     state: JobState,
@@ -175,7 +171,7 @@ struct Job {
     /// slice, after a terminal state, and across daemon restarts (the
     /// checkpoint then carries the state).
     session: Option<RoutingSession>,
-    /// The latest `SADPCKPT v4` snapshot (mirrored to disk when a state
+    /// The latest `SADPCKPT v5` snapshot (mirrored to disk when a state
     /// dir is configured).
     ckpt: Option<String>,
     /// Streamed JSONL lines (router events + `job_*` lifecycle events),
@@ -197,7 +193,6 @@ struct Job {
 impl Job {
     fn config(&self) -> RouterConfig {
         let mut config = RouterConfig::paper_defaults();
-        config.threads = self.threads.max(1);
         config.run_node_budget = self.node_budget.unwrap_or(0);
         config.run_deadline_ms = self.deadline_ms.unwrap_or(0);
         config
@@ -290,12 +285,7 @@ impl Shared {
 
     fn persist_meta(&self, job: &Job) {
         let Some(dir) = &self.state_dir else { return };
-        let mut meta = format!(
-            "priority={}\nthreads={}\nstate={}\n",
-            job.priority,
-            job.threads,
-            job.state_string()
-        );
+        let mut meta = format!("priority={}\nstate={}\n", job.priority, job.state_string());
         if let Some(n) = job.node_budget {
             meta.push_str(&format!("node_budget={n}\n"));
         }
@@ -556,12 +546,13 @@ fn load_job(dir: &Path, id: u64, meta_path: &Path) -> Result<Job, String> {
     let state_text = field("state").ok_or("meta has no state field")?;
     let (state, fail_reason) =
         parse_state(&state_text).ok_or(format!("meta has bad state `{state_text}`"))?;
+    // Fields are looked up by key, so keys this build no longer writes
+    // (the `threads=` line of older state dirs) are read past.
     let mut job = Job {
         id,
         priority: field("priority")
             .and_then(|v| v.parse().ok())
             .unwrap_or(100),
-        threads: field("threads").and_then(|v| v.parse().ok()).unwrap_or(1),
         node_budget: field("node_budget").and_then(|v| v.parse().ok()),
         deadline_ms: field("deadline_ms").and_then(|v| v.parse().ok()),
         state,
@@ -646,7 +637,6 @@ fn corrupt_state_job(id: u64, reason: &str) -> Job {
     Job {
         id,
         priority: 100,
-        threads: 1,
         state: JobState::Failed,
         fail_reason: Some(CORRUPT_STATE.to_string()),
         final_line: Some(final_line.to_string()),
@@ -835,11 +825,11 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             Request::Submit {
                 layout,
                 priority,
-                threads,
+                threads: _,
                 node_budget,
                 deadline_ms,
             } => {
-                let resp = submit(shared, layout, priority, threads, node_budget, deadline_ms);
+                let resp = submit(shared, layout, priority, node_budget, deadline_ms);
                 reply_then_wake(&mut out, shared, resp)?;
             }
             Request::Status { job } => {
@@ -892,7 +882,6 @@ fn submit(
     shared: &Arc<Shared>,
     layout: String,
     priority: u8,
-    threads: Option<usize>,
     node_budget: Option<u64>,
     deadline_ms: Option<u64>,
 ) -> Obj {
@@ -942,7 +931,6 @@ fn submit(
         id,
         priority,
         layout,
-        threads: threads.unwrap_or(0).max(1),
         node_budget,
         deadline_ms,
         ..Job::default()
@@ -1326,16 +1314,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                     // and rotate to the back of the priority class so
                     // concurrent jobs interleave.
                     job.ckpt = Some(session.snapshot());
-                    if matches!(status, SessionStatus::CheckpointReady) {
-                        job.trace.push(
-                            SessionEvent::JobCheckpointed {
-                                job: id,
-                                steps_done,
-                                steps_total,
-                            }
-                            .to_json_line(),
-                        );
-                    }
                     job.session = Some(session);
                     let job = &g.jobs[&id];
                     shared.persist_ckpt(job);
@@ -1391,7 +1369,6 @@ fn done_line(id: u64, report: &RoutingReport) -> String {
         .int("cut_conflicts", report.cut_conflicts)
         .int("ripups", report.ripups)
         .int("failed_budget", report.failed_budget)
-        .int("bands_recovered", report.bands_recovered)
         .int("nodes_expanded", report.nodes_expanded)
         .secs("cpu_s", report.cpu);
     final_head(id, "done")

@@ -19,11 +19,9 @@ fn fixture(name: &str) -> String {
 
 /// Routes the layout directly (no daemon) and returns the report plus
 /// the canonical JSONL trace — the byte-level reference for streams.
-fn route_direct(layout: &str, threads: usize) -> (RoutingReport, Vec<String>) {
+fn route_direct(layout: &str) -> (RoutingReport, Vec<String>) {
     let (mut plane, netlist) = read_layout(layout).expect("fixture parses");
-    let mut config = RouterConfig::paper_defaults();
-    config.threads = threads;
-    let mut router = Router::new(config);
+    let mut router = Router::new(RouterConfig::paper_defaults());
     let mut rec = BufferRecorder::with_flags(true, true);
     let report = router.route_all_with(&mut plane, &netlist, &mut rec);
     let trace: Vec<String> = rec.take_events().iter().map(|e| e.to_json_line()).collect();
@@ -35,6 +33,7 @@ fn submit(client: &mut Client, layout: &str, priority: u8) -> u64 {
         .call(&Request::Submit {
             layout: layout.to_string(),
             priority,
+            // Ignored by the daemon; older clients still send it.
             threads: Some(2),
             node_budget: None,
             deadline_ms: None,
@@ -72,7 +71,7 @@ fn report_fields(done: &Json) -> (u64, u64, u64, u64) {
 #[test]
 fn served_job_streams_the_exact_route_trace() {
     let layout = fixture("clock-tree-multi-terminal.layout");
-    let (report, want_trace) = route_direct(&layout, 2);
+    let (report, want_trace) = route_direct(&layout);
 
     let server = serve(ServeConfig::default()).expect("bind");
     let addr = server.addr().to_string();
@@ -97,8 +96,8 @@ fn served_job_streams_the_exact_route_trace() {
 fn two_concurrent_jobs_interleave_and_both_match_direct_routes() {
     let layout_a = fixture("clock-tree-multi-terminal.layout");
     let layout_b = fixture("odd-cycle-merge-and-cut.layout");
-    let (_, want_a) = route_direct(&layout_a, 2);
-    let (_, want_b) = route_direct(&layout_b, 2);
+    let (_, want_a) = route_direct(&layout_a);
+    let (_, want_b) = route_direct(&layout_b);
 
     // One worker and small slices: the two jobs MUST interleave, which
     // is exactly what per-job stream isolation has to survive.
@@ -163,7 +162,7 @@ fn priorities_run_strictly_ordered_on_one_worker() {
 #[test]
 fn cancel_then_resume_matches_the_uninterrupted_report() {
     let layout = fixture("multi-band-fault-recovery.layout");
-    let (want, _) = route_direct(&layout, 2);
+    let (want, _) = route_direct(&layout);
 
     let dir = tempdir("serve-cancel");
     let server = serve(ServeConfig {
@@ -215,7 +214,7 @@ fn cancel_then_resume_matches_the_uninterrupted_report() {
 #[test]
 fn killed_daemon_resumes_mid_job_from_its_state_dir() {
     let layout = fixture("multi-band-fault-recovery.layout");
-    let (want, _) = route_direct(&layout, 2);
+    let (want, _) = route_direct(&layout);
 
     let dir = tempdir("serve-restart");
     let server = serve(ServeConfig {
@@ -253,7 +252,7 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
         "shutdown persisted either a checkpoint or the final result"
     );
     if let Some(ckpt) = &ckpt {
-        assert!(ckpt.starts_with("SADPCKPT v4"), "current checkpoint format");
+        assert!(ckpt.starts_with("SADPCKPT v5"), "current checkpoint format");
     }
 
     // Restart on the same state dir: the job finishes with the same
@@ -275,14 +274,15 @@ fn killed_daemon_resumes_mid_job_from_its_state_dir() {
     server.shutdown();
 }
 
-/// A checkpoint written by an older build (`SADPCKPT v3`) cannot be
+/// A checkpoint written by an older build (`SADPCKPT v4`) cannot be
 /// loaded; on reload the daemon drops it and re-queues the job from its
 /// persisted layout instead of quarantining it, and the job finishes
-/// with the uninterrupted result.
+/// with the uninterrupted result. The job's meta is the older build's
+/// too, with the `threads=` line this build no longer writes.
 #[test]
 fn an_old_version_checkpoint_re_routes_its_job_from_the_layout() {
     let layout = fixture("multi-band-fault-recovery.layout");
-    let (want, _) = route_direct(&layout, 2);
+    let (want, _) = route_direct(&layout);
     let dir = tempdir("serve-upgrade");
     // A queue-only daemon persists the job without routing it.
     let server = serve(ServeConfig {
@@ -297,10 +297,15 @@ fn an_old_version_checkpoint_re_routes_its_job_from_the_layout() {
     let ckpt = dir.join(format!("job-{job}.ckpt"));
     std::fs::write(
         &ckpt,
-        "SADPCKPT v3\nchecksum 0000000000000000\nfingerprint 0000000000000000\n\
-         counters 0 0 0 0 0 0 0 0 0 0 0 0\nfailed 0\nend\n",
+        "SADPCKPT v4\nchecksum 0000000000000000\nfingerprint 0000000000000000\n\
+         counters 0 0 0 0 0 0 0 0 0 0 0\nfailed 0\nend\n",
     )
     .expect("write the old checkpoint");
+    std::fs::write(
+        dir.join(format!("job-{job}.meta")),
+        "priority=100\nthreads=2\nstate=queued\n",
+    )
+    .expect("write the old meta");
 
     let server = serve(ServeConfig {
         workers: 1,
@@ -337,7 +342,7 @@ fn round_trips_do_not_wait_on_delayed_acks() {
     // 50 pings would then take over 2 s. One write per line with
     // TCP_NODELAY on both ends costs well under a millisecond each.
     let layout = fixture("multi-band-fault-recovery.layout");
-    let (_, want_trace) = route_direct(&layout, 2);
+    let (_, want_trace) = route_direct(&layout);
     let server = serve(ServeConfig {
         workers: 1,
         slice_steps: 1,
@@ -367,8 +372,11 @@ fn round_trips_do_not_wait_on_delayed_acks() {
     let (trace, done) = stream_job(&addr, jobs[0]);
     assert_eq!(trace, want_trace, "streamed trace");
     assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
-    let status = client
-        .call(&Request::Status { job: jobs[0] })
+    // A fresh connection: the first one sat idle while twenty one-net
+    // slice jobs interleaved, long enough in a debug build to reach the
+    // daemon's idle timeout.
+    let status = Client::connect(&addr)
+        .and_then(|mut c| c.call(&Request::Status { job: jobs[0] }))
         .expect("status");
     let steps = status.get("steps_done").and_then(Json::as_u64).unwrap();
     assert!(steps > 1, "the job ran in {steps} slices");
@@ -524,7 +532,7 @@ fn submitted_dsn_is_canonicalised_and_routes_like_its_converted_layout() {
     };
     // The daemon canonicalises the DSN at the door, so the served trace
     // matches a direct route of the converted fixture byte for byte.
-    let (_, want_trace) = route_direct(&fixture("imported-dsn-board.layout"), 2);
+    let (_, want_trace) = route_direct(&fixture("imported-dsn-board.layout"));
 
     let server = serve(ServeConfig::default()).expect("bind");
     let addr = server.addr().to_string();

@@ -31,9 +31,9 @@ die() {
 # Every corpus fixture is a shrunk, once-failing instance; a replay
 # failure means a fixed bug regressed. The top-level fixtures and the
 # imported suite ride along, so every committed design stays under the
-# oracle's threads-1-vs-4 identity check. The imports carry a per-format
-# non-vacuity guard: a DSN and a DEF must each route >=1 net, otherwise
-# the real-layout ingestion path is silently dead.
+# oracle's invariants and its kill-and-resume check. The imports carry a
+# per-format non-vacuity guard: a DSN and a DEF must each route >=1 net,
+# otherwise the real-layout ingestion path is silently dead.
 smoke_corpus() {
   for f in fixtures/*.layout fixtures/corpus/*.layout; do
     "$BIN" fuzz --replay "$f"
@@ -61,46 +61,39 @@ smoke_corpus() {
   echo "corpus smoke: OK ($dsn dsn, $def def imported)"
 }
 
-# Injected band panics must be absorbed by the serial fallback and the
-# recovered result must stay byte-identical across thread counts. Seed 3
-# panics at least one band on this fixture.
+# Injected budget exhaustion must fail its nets gracefully: the run
+# finishes, reports, and records each injected net as a `budget_exceeded`
+# failure. Seed 3 injects budget faults on this fixture.
 smoke_fault() {
-  "$BIN" bench --test 5 --scale 0.2 --faults 3 --threads 1 --trace /tmp/trace-f1.jsonl
-  "$BIN" bench --test 5 --scale 0.2 --faults 3 --threads 2 --trace /tmp/trace-f2.jsonl
-  grep -q band_recovered /tmp/trace-f1.jsonl || die "no panic was injected"
-  cmp /tmp/trace-f1.jsonl /tmp/trace-f2.jsonl
+  "$BIN" bench --test 5 --scale 0.2 --faults 3 --trace /tmp/trace-f.jsonl
+  grep -q '"event":"net_failed","net":[0-9]*,"reason":"budget_exceeded"' /tmp/trace-f.jsonl ||
+    die "no budget fault was injected"
   echo "fault smoke: OK"
 }
 
-# Deterministic work-counter gate. Test5 at scale 0.2 is routed at
-# threads 1 and 2 with --profile and --trace, and each run's record must
-# equal fixtures/counters/test5-scale0.2.txt exactly: the stdout (minus
-# the wall-clock `cpu` line and the `wrote <trace path>` line), the
-# profile's stage and count columns (times dropped), and the sha256 of
-# the trace JSONL. Timings drift from machine to machine; these numbers
-# do not, so any diff means the router did different work. Pinning both
-# runs to one record also makes their traces byte-identical across
-# thread counts, and the record's `merge 2` row proves the banded path
-# ran (Test5 at scale 0.2 is ~402 tracks wide, two bands). A change
-# that alters routing behaviour on purpose updates the fixture in the
-# same commit: the gate leaves the observed record next to the diff,
-# ready to copy over the fixture.
+# Deterministic work-counter gate. Test5 at scale 0.2 is routed with
+# --profile and --trace, and the run's record must equal
+# fixtures/counters/test5-scale0.2.txt exactly: the stdout (minus the
+# wall-clock `cpu` line and the `wrote <trace path>` line), the profile's
+# stage and count columns (times dropped), and the sha256 of the trace
+# JSONL. Timings drift from machine to machine; these numbers do not, so
+# any diff means the router did different work. A change that alters
+# routing behaviour on purpose updates the fixture in the same commit:
+# the gate leaves the observed record next to the diff, ready to copy
+# over the fixture.
 smoke_counters() {
-  local DIR t
+  local DIR
   DIR=$(mktemp -d)
-  for t in 1 2; do
-    "$BIN" bench --test 5 --scale 0.2 --threads "$t" --profile --trace "$DIR/trace.jsonl" \
-      >"$DIR/stdout.txt"
-    {
-      awk -F'|' '/^(cpu |wrote |---)|^$/ { next }
-        NF == 4 { gsub(/ /, "", $1); gsub(/ /, "", $4); print $1 " " $4; next }
-        { print }' "$DIR/stdout.txt"
-      echo "trace sha256 $(sha256sum <"$DIR/trace.jsonl" | cut -d' ' -f1)"
-    } >"$DIR/counters-t$t.txt"
-    grep -q '^recolor [0-9]' "$DIR/counters-t$t.txt" || die "no profile table was printed"
-    diff fixtures/counters/test5-scale0.2.txt "$DIR/counters-t$t.txt" ||
-      die "threads $t: work counters differ from fixtures/counters/test5-scale0.2.txt (observed record: $DIR/counters-t$t.txt)"
-  done
+  "$BIN" bench --test 5 --scale 0.2 --profile --trace "$DIR/trace.jsonl" >"$DIR/stdout.txt"
+  {
+    awk -F'|' '/^(cpu |wrote |---)|^$/ { next }
+      NF == 4 { gsub(/ /, "", $1); gsub(/ /, "", $4); print $1 " " $4; next }
+      { print }' "$DIR/stdout.txt"
+    echo "trace sha256 $(sha256sum <"$DIR/trace.jsonl" | cut -d' ' -f1)"
+  } >"$DIR/counters.txt"
+  grep -q '^recolor [0-9]' "$DIR/counters.txt" || die "no profile table was printed"
+  diff fixtures/counters/test5-scale0.2.txt "$DIR/counters.txt" ||
+    die "work counters differ from fixtures/counters/test5-scale0.2.txt (observed record: $DIR/counters.txt)"
   rm -rf "$DIR"
   echo "counters smoke: OK"
 }
@@ -139,7 +132,7 @@ smoke_resume() {
   for f in fixtures/*.layout fixtures/corpus/*.layout fixtures/imported/*.dsn \
     fixtures/imported/*.def; do
     "$BIN" route "$f" --checkpoint "$DIR/run.ckpt" | grep -v '^cpu ' >"$DIR/first.txt"
-    [ "$(head -n 1 "$DIR/run.ckpt")" = "SADPCKPT v4" ] || die "$f: no v4 checkpoint written"
+    [ "$(head -n 1 "$DIR/run.ckpt")" = "SADPCKPT v5" ] || die "$f: no v5 checkpoint written"
     "$BIN" route "$f" --resume "$DIR/run.ckpt" | grep -v '^cpu ' >"$DIR/resumed.txt"
     diff "$DIR/first.txt" "$DIR/resumed.txt" || die "$f: resumed route diverged"
     n=$((n + 1))
@@ -218,17 +211,17 @@ smoke_serve() {
 
 # The anchor edit script exercises every edit kind plus undo/redo
 # against the clock-tree fixture. An ECO trace is part of the
-# reproducible contract: byte-identical across thread counts, like
-# every other entry point.
+# reproducible contract: two runs are byte-identical, like every other
+# entry point.
 smoke_eco() {
   local FIX SCRIPT
   FIX=fixtures/corpus/clock-tree-multi-terminal.layout
   SCRIPT=fixtures/corpus/eco-undo-redo-roundtrip.edits
-  "$BIN" edit $FIX --script $SCRIPT --threads 1 --trace /tmp/eco-t1.jsonl
-  "$BIN" edit $FIX --script $SCRIPT --threads 2 --trace /tmp/eco-t2.jsonl
-  grep -q '"event":"edit_applied"' /tmp/eco-t1.jsonl || die "no edits ran"
-  grep -q '"event":"nets_invalidated"' /tmp/eco-t1.jsonl || die "no invalidation ran"
-  cmp /tmp/eco-t1.jsonl /tmp/eco-t2.jsonl
+  "$BIN" edit $FIX --script $SCRIPT --trace /tmp/eco-1.jsonl
+  "$BIN" edit $FIX --script $SCRIPT --trace /tmp/eco-2.jsonl
+  grep -q '"event":"edit_applied"' /tmp/eco-1.jsonl || die "no edits ran"
+  grep -q '"event":"nets_invalidated"' /tmp/eco-1.jsonl || die "no invalidation ran"
+  cmp /tmp/eco-1.jsonl /tmp/eco-2.jsonl
   echo "eco smoke: OK"
 }
 

@@ -1,17 +1,17 @@
 //! `sadp` — command-line front end for the overlay-aware SADP router.
 //!
 //! ```text
-//! sadp route <design> [--svg DIR] [--masks FILE] [--threads N]
+//! sadp route <design> [--svg DIR] [--masks FILE]
 //!            [--trace FILE] [--profile] [--checkpoint FILE] [--resume FILE]
 //!                                                      route + verify a design file
-//! sadp verify <design> [--threads N] [--trace FILE] [--profile]
+//! sadp verify <design> [--trace FILE] [--profile]
 //!                                                      route, then pixel-verify only
 //! sadp convert <design> [--lef FILE] [--out FILE]      emit the native .layout form
-//! sadp edit <design> --script FILE [--threads N] [--trace FILE]
+//! sadp edit <design> --script FILE [--trace FILE]
 //!                                                      route, then apply an ECO edit script
-//! sadp bench [--test K] [--scale X] [--seed N] [--threads N] [--trace FILE]
+//! sadp bench [--test K] [--scale X] [--seed N] [--trace FILE]
 //!            [--profile]                               route a TestK-family instance
-//! sadp fuzz [--seeds N] [--start S] [--regime R] [--minimize] [--threads N]
+//! sadp fuzz [--seeds N] [--start S] [--regime R] [--minimize]
 //!           [--out DIR] [--replay FILE] [--faults SEED]
 //!                                                      deterministic fuzzing campaign
 //! sadp fuzz --wire [--seeds N] [--start S] [--regime R] [--no-live] [--out DIR]
@@ -20,7 +20,7 @@
 //! sadp serve [--addr A] [--workers N] [--state-dir DIR] [--slice-steps N]
 //!            [--max-request-bytes N] [--io-timeout-ms MS] [--max-conns N]
 //!            [--max-queue N] [--faults SEED]           run the TCP job daemon
-//! sadp submit <layout.txt> [--addr A] [--priority P] [--threads N]
+//! sadp submit <layout.txt> [--addr A] [--priority P]
 //!             [--node-budget N] [--deadline-ms MS] [--trace FILE] [--wait]
 //!                                                      submit a job to a daemon
 //! sadp job <id> [--addr A] [--status|--cancel|--resume] manage a submitted job
@@ -35,8 +35,8 @@
 //! nonzero. `--replay FILE` re-checks one such fixture instead of running
 //! a campaign; a `# fault-seed:` marker in the fixture re-arms the same
 //! fault plan automatically. `--faults SEED` turns on deterministic fault
-//! injection: the oracle additionally checks that injected band panics
-//! and budget exhaustions are recovered without corrupting the output.
+//! injection: the oracle additionally checks that injected budget
+//! exhaustions are recovered without losing or double-counting a net.
 //!
 //! `sadp fuzz --wire` targets the untrusted-bytes surface instead of the
 //! router core: seed corpora of wire-protocol request lines and
@@ -47,16 +47,13 @@
 //! one parseable JSON line within the deadline. Failures are written to
 //! `<out>/fuzz-wire-<regime>-<seed>.txt`.
 //!
-//! `--threads N` runs the region-sharded schedule on up to `N` worker
-//! threads: band-interior nets on band workers, then band-straddling
-//! nets one at a time in canonical order. The result is byte-identical
-//! for every `N` (the band partition and the commit order depend only on
-//! the plane geometry and the netlist); only the wall-clock changes.
+//! Every command routes its nets one at a time, in the canonical
+//! shortest-first order, on one thread.
 //!
 //! `--trace FILE` writes the structured pipeline event stream as JSONL
 //! (one event per line; see `sadp_obs::RouterEvent`). Events carry only
-//! logical routing facts, so the file is byte-identical for every
-//! `--threads` value. `--profile` prints the per-stage time/count table
+//! logical routing facts, so the file is byte-identical from run to run.
+//! `--profile` prints the per-stage time/count table
 //! after routing, then `nodes_expanded <N>`, the run's A\* node
 //! expansions.
 //!
@@ -103,8 +100,7 @@
 //! `move`, `obstacle`, `clear`, `undo`, `redo` — see
 //! `sadp_core::eco::parse_edit_script`). Each edit re-routes only the nets
 //! inside the edit's dependence radius; `undo`/`redo` restore the router
-//! state byte-identically. Stdout and the `--trace` stream are
-//! byte-identical for every `--threads` value.
+//! state byte-identically.
 //!
 //! Exit codes: 0 success, 1 failed check (verification, fuzz violation),
 //! 2 usage error, 3 unreadable/malformed input, 4 routing failure
@@ -221,23 +217,20 @@ fn dispatch(args: &[String]) -> CliResult {
 fn print_usage() {
     eprintln!("usage: sadp <route|verify|convert|edit|bench|fuzz|table2|serve|submit|job> [args]");
     eprintln!(
-        "  route <design> [--svg DIR] [--masks FILE] [--threads N] \
+        "  route <design> [--svg DIR] [--masks FILE] \
          [--trace FILE] [--profile] [--checkpoint FILE] [--resume FILE]"
     );
-    eprintln!("  verify <design> [--threads N] [--trace FILE] [--profile]");
+    eprintln!("  verify <design> [--trace FILE] [--profile]");
     eprintln!("  convert <design> [--lef FILE] [--out FILE]");
-    eprintln!("  edit <design> --script FILE [--threads N] [--trace FILE]");
+    eprintln!("  edit <design> --script FILE [--trace FILE]");
     eprintln!(
         "  <design> is a .layout, Specctra .dsn or .def file; the format is \
          sniffed from the content. DEF macros come from --lef FILE or a \
          FILE.lef sidecar."
     );
+    eprintln!("  bench [--test K] [--scale X] [--seed N] [--trace FILE] [--profile]");
     eprintln!(
-        "  bench [--test K] [--scale X] [--seed N] [--threads N] [--trace FILE] \
-         [--profile]"
-    );
-    eprintln!(
-        "  fuzz [--seeds N] [--start S] [--regime R] [--minimize] [--threads N] \
+        "  fuzz [--seeds N] [--start S] [--regime R] [--minimize] \
          [--out DIR] [--replay FILE] [--faults SEED]"
     );
     eprintln!("  fuzz --wire [--seeds N] [--start S] [--regime R] [--no-live] [--out DIR]");
@@ -251,7 +244,7 @@ fn print_usage() {
          [--max-queue N] [--faults SEED]"
     );
     eprintln!(
-        "  submit <layout.txt> [--addr A] [--priority P] [--threads N] \
+        "  submit <layout.txt> [--addr A] [--priority P] \
          [--node-budget N] [--deadline-ms MS] [--trace FILE] [--wait]"
     );
     eprintln!("  job <id> [--addr A] [--status|--cancel|--resume]");
@@ -307,18 +300,9 @@ fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
     parsed_flag(args, flag, "a non-negative integer", |_| true)
 }
 
-/// A `--threads`-style worker count (at least 1), or `None` when absent.
-fn threads_flag(args: &[String]) -> Result<Option<usize>, CliError> {
-    parsed_flag(args, "--threads", "a positive integer", |&n| n >= 1)
-}
-
-/// Router configuration honouring `--threads N` (default: serial), the
-/// budget flags, and `--faults SEED`.
+/// Router configuration honouring the budget flags and `--faults SEED`.
 fn config_from(args: &[String]) -> Result<RouterConfig, CliError> {
     let mut config = RouterConfig::paper_defaults();
-    if let Some(n) = threads_flag(args)? {
-        config.threads = n;
-    }
     if let Some(n) = u64_flag(args, "--net-nodes")? {
         config.net_node_budget = n;
     }
@@ -363,7 +347,7 @@ fn write_atomic(path: &str, text: &str) -> std::io::Result<()> {
 
 /// How many schedule increments `route` advances per session slice.
 /// `--checkpoint` writes one snapshot per slice, so this is also the
-/// checkpoint cadence: at most one save per 64 nets or band folds.
+/// checkpoint cadence: at most one save per 64 nets.
 const ROUTE_SLICE_STEPS: u64 = 64;
 
 /// Reads and ingests a design file in any supported format (native
@@ -673,7 +657,6 @@ fn cmd_submit(args: &[String]) -> CliResult {
         std::fs::read_to_string(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
     let priority =
         parsed_flag(args, "--priority", "0-255 (lower runs first)", |_| true)?.unwrap_or(100u8);
-    let threads = u64_flag(args, "--threads")?.map(|t| t as usize);
     let node_budget = u64_flag(args, "--node-budget")?;
     let deadline_ms = u64_flag(args, "--deadline-ms")?;
     let trace_path = flag_value(args, "--trace")?;
@@ -683,7 +666,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
         .call(&Request::Submit {
             layout,
             priority,
-            threads,
+            threads: None,
             node_budget,
             deadline_ms,
         })
@@ -757,9 +740,6 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     }
 
     let mut cfg = CampaignConfig::default();
-    if let Some(n) = threads_flag(args)? {
-        cfg.oracle.threads = n;
-    }
     cfg.oracle.fault_seed = u64_flag(args, "--faults")?;
 
     if let Some(path) = flag_value(args, "--replay")? {

@@ -29,8 +29,8 @@ fn observe(mut report: RoutingReport, router: &Router, plane: &RoutingPlane) -> 
 }
 
 /// Schedule increments per `advance` slice. One snapshot follows every
-/// slice, so the kill-points include the first band fold and the end of
-/// the schedule (before finalize).
+/// slice, so the kill-points include the first net and the end of the
+/// schedule (before finalize).
 const SLICE_STEPS: u64 = 1;
 
 /// Advances `session` to completion in [`SLICE_STEPS`] slices, handing
@@ -65,13 +65,13 @@ fn resume_session(spec: &BenchmarkSpec, text: &str) -> RoutingSession {
     .expect("resumed run")
 }
 
-/// The "by construction" guard: at every kill point of a banded run —
-/// every one-step slice and the finished run — the router loaded from
-/// the snapshot equals the live router field by field, on an equal
-/// plane, and writes the same snapshot back. The design folds several
-/// bands, whose union–find and neighbour order a route-by-route replay
-/// used to get wrong from the second fold on; finishing from the kill
-/// points must then give the uninterrupted result.
+/// The "by construction" guard: at every kill point of a run — every
+/// one-step slice and the finished run — the router loaded from the
+/// snapshot equals the live router field by field, on an equal plane,
+/// and writes the same snapshot back. The union–find and neighbour order
+/// carry the history of every rip-up, which a route-by-route replay would
+/// get wrong; finishing from the kill points must then give the
+/// uninterrupted result.
 #[test]
 fn every_kill_point_restores_the_live_state_exactly() {
     let spec = BenchmarkSpec::new("ckpt-dense", 400, 400, 120).with_seed(1);
@@ -175,8 +175,6 @@ fn resumed_run(spec: &BenchmarkSpec, snapshot: &str) -> RunResult {
 
 #[test]
 fn resume_from_any_checkpoint_is_byte_identical() {
-    // Wide enough for the banded schedule, so snapshots land both in
-    // the band-fold phase and among the boundary nets.
     let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
     let (reference, snaps) = reference_run(&spec);
     assert!(
@@ -241,8 +239,7 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
     use sadp::obs::events_to_jsonl;
 
     let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
-    let mut config = RouterConfig::paper_defaults();
-    config.threads = 2;
+    let config = RouterConfig::paper_defaults();
 
     // Uninterrupted reference, streamed through the same session API.
     let (plane, netlist) = spec.generate();
@@ -323,10 +320,10 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
 }
 
 /// A resumed trace is the exact suffix of the uninterrupted one: at every
-/// one-step kill point of a banded design, a fresh session resumed from
-/// the snapshot emits the events the uninterrupted run emitted from that
-/// point on, and no others — no fold of a band the snapshot already
-/// merged, no regrouped bookkeeping.
+/// one-step kill point of a design, a fresh session resumed from the
+/// snapshot emits the events the uninterrupted run emitted from that
+/// point on, and no others — no re-route of a net the snapshot already
+/// holds, no regrouped bookkeeping.
 #[test]
 fn a_resumed_trace_is_the_suffix_of_the_uninterrupted_one() {
     use sadp::grid::read_layout;
@@ -352,9 +349,11 @@ fn a_resumed_trace_is_the_suffix_of_the_uninterrupted_one() {
             SessionStatus::Failed(e) => panic!("session failed: {e}"),
         }
     }
-    let folds = trace.iter().filter(|e| e.kind() == "band_merged").count();
-    assert!(folds >= 2, "the design must fold several bands ({folds})");
-    assert_eq!(kills.len(), 15, "one kill point per step, one when done");
+    assert_eq!(
+        kills.len(),
+        design().1.len() + 1,
+        "one kill point per net, one when done"
+    );
 
     for (at, (emitted, snap)) in kills.iter().enumerate() {
         let snap = Snapshot::parse(snap).expect("snapshot parses");

@@ -4,7 +4,8 @@
 //! gets the same test coverage as the code it drives.
 //!
 //! Only the fast `corpus` subcommand runs here — the fault/counters/serve
-//! smokes route a ~400-track benchmark and are exercised by CI itself.
+//! smokes route a ~400-track benchmark and are exercised by CI itself;
+//! their command lines are checked here as text.
 //! The `paper` smoke's filter and diff run against a stand-in `table3`
 //! next to the `sadp` binary that prints the committed fixture back with
 //! a CPU column; the real table runs in CI.
@@ -32,6 +33,26 @@ fn corpus_smoke_replays_native_and_imported_fixtures() {
     // The top-level fixtures replay under the same oracle.
     assert!(stdout.contains("clock_tree.layout: clean ("), "{stdout}");
     assert!(stdout.contains("odd_cycle.layout: clean ("), "{stdout}");
+}
+
+#[test]
+fn the_script_passes_no_removed_flag_and_guards_on_live_events() {
+    // The CLI reads the flags it knows and skips the rest, so a removed
+    // flag left in the script would do nothing without failing. Every
+    // net routes on one thread now: no `--threads`, and the fault smoke
+    // guards on the budget failures the fault plan still injects.
+    let script =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/ci-smoke.sh"))
+            .expect("script readable");
+    assert!(!script.contains("--threads"), "the script passes --threads");
+    assert!(
+        !script.contains("band_recovered"),
+        "the script guards on a removed event"
+    );
+    assert!(
+        script.contains(r#""reason":"budget_exceeded""#),
+        "the fault smoke must guard on an injected budget failure"
+    );
 }
 
 #[test]

@@ -113,12 +113,12 @@ fn a_value_flag_without_a_usable_value_is_a_usage_error() {
     };
     let cases = [
         (route(&["--faults"]), "--faults wants a value"),
-        (route(&["--threads"]), "--threads wants a value"),
+        (route(&["--net-nodes"]), "--net-nodes wants a value"),
         (route(&["--trace"]), "--trace wants a value"),
         (route(&["--trace", "--profile"]), "--trace wants a value"),
         (
-            route(&["--threads", "0"]),
-            "--threads wants a positive integer",
+            route(&["--net-nodes", "-1"]),
+            "--net-nodes wants a non-negative integer",
         ),
         (
             bench(&["--scale", "abc"]),
@@ -133,7 +133,10 @@ fn a_value_flag_without_a_usable_value_is_a_usage_error() {
             "--seed wants a non-negative integer",
         ),
         (bench(&["--test", "9"]), "--test wants 1..=5"),
-        (bench(&["--threads"]), "--threads wants a value"),
+        (
+            bench(&["--run-deadline-ms"]),
+            "--run-deadline-ms wants a value",
+        ),
     ];
     for (args, message) in cases {
         let out = sadp().args(&args).output().expect("binary runs");
@@ -215,7 +218,7 @@ fn checkpoint_then_resume_reproduces_the_run() {
             .expect("binary runs");
         assert!(first.status.success(), "{design}");
         let text = std::fs::read_to_string(&snap).expect("checkpoint written");
-        assert!(text.starts_with("SADPCKPT v4"), "{design}: {text}");
+        assert!(text.starts_with("SADPCKPT v5"), "{design}: {text}");
 
         let resumed = sadp()
             .args(["route", design, "--resume", snap.to_str().unwrap()])
@@ -262,11 +265,11 @@ fn resume_with_wrong_layout_fails_with_routing_code_4() {
 
 #[test]
 fn foreign_checkpoint_version_is_rejected_with_a_versioned_error() {
-    let dir = std::env::temp_dir().join("sadp_cli_ckpt_v3");
+    let dir = std::env::temp_dir().join("sadp_cli_ckpt_v4");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("old.ckpt");
-    std::fs::write(&snap, "SADPCKPT v3\nchecksum 0\nend\n").unwrap();
+    std::fs::write(&snap, "SADPCKPT v4\nchecksum 0\nend\n").unwrap();
     let out = sadp()
         .args([
             "route",
@@ -280,8 +283,8 @@ fn foreign_checkpoint_version_is_rejected_with_a_versioned_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     // The message names the version it found, the version it wants, and
     // what to do about it.
-    assert!(stderr.contains("SADPCKPT v3"), "{stderr}");
     assert!(stderr.contains("SADPCKPT v4"), "{stderr}");
+    assert!(stderr.contains("SADPCKPT v5"), "{stderr}");
     assert!(stderr.contains("re-route"), "{stderr}");
 }
 
@@ -354,18 +357,10 @@ fn error_messages_are_pinned_and_actionable() {
 
 #[test]
 fn fault_injection_flag_keeps_the_route_conflict_free() {
-    // Faults are a recovery test-bench: the injected panics and budget
-    // failures must degrade gracefully, never crash the CLI.
+    // Faults are a recovery test-bench: the injected budget failures
+    // must degrade gracefully, never crash the CLI.
     let out = sadp()
-        .args([
-            "bench",
-            "--scale",
-            "0.04",
-            "--faults",
-            "1",
-            "--threads",
-            "2",
-        ])
+        .args(["bench", "--scale", "0.04", "--faults", "1"])
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -1,6 +1,5 @@
 //! CLI-level tests for real-layout ingestion: format auto-detection,
-//! `sadp convert` round-trips, pinned parse errors, and the thread
-//! determinism of routed imports.
+//! `sadp convert` round-trips and pinned parse errors.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -33,28 +32,6 @@ fn strip_comments(text: &str) -> String {
         .filter(|l| !l.trim_start().starts_with('#'))
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-#[test]
-fn imported_fixtures_route_identically_across_thread_counts() {
-    for fixture in [
-        "fixtures/imported/led-matrix.dsn",
-        "fixtures/imported/macro-block.def",
-    ] {
-        let mut outputs = Vec::new();
-        for threads in ["1", "2", "4"] {
-            let out = sadp()
-                .args(["route", fixture, "--threads", threads])
-                .output()
-                .expect("binary runs");
-            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-            assert!(out.status.success(), "{fixture}: {stdout}");
-            assert!(stdout.contains("imported "), "{fixture}: {stdout}");
-            outputs.push(strip_cpu(&out.stdout));
-        }
-        assert_eq!(outputs[0], outputs[1], "{fixture}: threads 1 vs 2");
-        assert_eq!(outputs[0], outputs[2], "{fixture}: threads 1 vs 4");
-    }
 }
 
 #[test]
