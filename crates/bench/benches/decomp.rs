@@ -1,6 +1,7 @@
 //! Micro-bench: pixel decomposition simulator (scenario window, a
 //! medium multi-net layout, and one full routed layer at the canvas size
-//! the router's cut-repair pass simulates).
+//! the router's cut-repair pass simulates, through both the full pass and
+//! the conflicts pass).
 
 use sadp_bench::timing::bench;
 use sadp_core::{Router, RouterConfig};
@@ -36,8 +37,10 @@ fn main() {
     bench("decomp_comb_32_wires", 20, || sim.run(&comb));
 
     // The busiest layer of Test5 at scale 0.2 (402×402 tracks, a canvas of
-    // about 1630×1630 pixels): one of the full-layer passes cut repair
-    // makes per round.
+    // about 1630×1630 pixels). The full pass is what `verify_layers`
+    // runs per layer; the conflicts pass is what each cut-repair round
+    // runs per layer. Both synthesise the same masks, so the gap between
+    // them is the owner map and the overlay-run measurement.
     let spec = BenchmarkSpec::paper_fixed_suite().remove(4).scaled(0.2);
     let (mut plane, netlist) = spec.generate();
     let mut router = Router::new(RouterConfig::paper_defaults());
@@ -50,4 +53,7 @@ fn main() {
         .map(|(net, color, rects)| ColoredPattern::new(net, color, rects))
         .collect();
     bench("decomp_test5_0.2_full_layer", 3, || sim.run(&layer));
+    bench("decomp_test5_0.2_full_layer_conflicts", 3, || {
+        sim.conflicts(&layer)
+    });
 }

@@ -213,6 +213,15 @@ pub type DirMap = DirGrid;
 /// (pin candidates, or a branch search aimed at the trunk) the terms are
 /// charged as usual, since there they choose between targets.
 ///
+/// **Settled neighbours.** Before pricing a step, the search compares
+/// `g + base` with the neighbour's recorded `g`, where `base` is the
+/// step's `α` or wrong-way planar cost, or `β` for a via. The `γ·T2b`,
+/// penalty and guard terms are never negative, so every step costs at
+/// least its base; a neighbour at or below `g + base` would fail the
+/// `ng < g` test anyway. Skipping it early is exact: the same nodes are
+/// recorded and pushed, in the same order, and only the `T2b` probes
+/// and the penalty and guard lookups of a step that cannot win are saved.
+///
 /// The search runs under `budget`, charged once per expanded node: an
 /// exhausted budget stops it with `SearchStats::budget_exceeded` set (no
 /// path is returned). An unlimited budget costs one predictable branch
@@ -318,18 +327,21 @@ pub fn astar_search(
             if !in_window(q, &window, plane) || !passable(plane, q, req.net) {
                 continue;
             }
-            let mut cost = match step.axis() {
-                Some(axis) => {
-                    let planar = if axis == preferred_dir(q.layer) {
-                        alpha
-                    } else {
-                        wrong_way
-                    };
-                    planar + gamma * t2b_count(plane, dir_map, req.net, q, axis)
-                }
+            // `base` floors the step's eq. (5) cost ("Settled neighbours").
+            let base = match step.axis() {
+                Some(axis) if axis == preferred_dir(q.layer) => alpha,
+                Some(_) => wrong_way,
                 None => beta,
             };
             let qi = scratch.index(q);
+            let gq = scratch.g_of(qi);
+            if gc + base >= gq {
+                continue;
+            }
+            let mut cost = base;
+            if let Some(axis) = step.axis() {
+                cost += gamma * t2b_count(plane, dir_map, req.net, q, axis);
+            }
             if qi != free_target {
                 cost += req.penalties.get(q);
                 let (owner, guard) = req.guards.get(q);
@@ -338,7 +350,7 @@ pub fn astar_search(
                 }
             }
             let ng = gc + cost;
-            if ng < scratch.g_of(qi) {
+            if ng < gq {
                 scratch.record(qi, ng, ci);
                 scratch.queue.push(ng + h(q), ng, qi);
             }

@@ -500,7 +500,7 @@ impl Router {
                 }
             }
         }
-        self.unroute_until_clean(plane, rec, Router::risky_nets);
+        self.unroute_until_clean(plane, rec, |r, _| r.risky_nets());
     }
 
     /// Simulator-backed repair: synthesises the cut-process masks for the
@@ -528,7 +528,7 @@ impl Router {
         // graph-level risk, so the graph cleanup re-runs after each round.
         let radius = plane.rules().dependence_radius_tracks();
         for round in 0..4 {
-            let offenders = self.sim_offenders(&sim, if round >= 2 { radius } else { 0 });
+            let offenders = self.sim_offenders(&sim, if round >= 2 { radius } else { 0 }, rec);
             if offenders.is_empty() {
                 return;
             }
@@ -543,14 +543,16 @@ impl Router {
         }
         // Removing a net never adds constraint-graph edges, but it can
         // reshape the masks, so the backstop re-simulates until clean.
-        self.unroute_until_clean(plane, rec, |r| r.sim_offenders(&sim, 0));
+        self.unroute_until_clean(plane, rec, |r, rec| r.sim_offenders(&sim, 0, rec));
     }
 
-    /// Runs the cut simulator on every occupied layer and returns the
-    /// nets owning target cells the decomposition fails on (sorted,
-    /// deduplicated). With `radius > 0`, nets with any fragment within
-    /// that many tracks of a conflicted cell are included as well.
-    fn sim_offenders(&self, sim: &CutSimulator, radius: i32) -> Vec<NetId> {
+    /// Runs the cut simulator's conflicts pass on every occupied layer
+    /// and returns the nets owning target cells the decomposition fails
+    /// on (sorted, deduplicated). With `radius > 0`, nets with any
+    /// fragment within that many tracks of a conflicted cell are included
+    /// as well. Each call is one `decompose` span on `rec`.
+    fn sim_offenders(&self, sim: &CutSimulator, radius: i32, rec: &mut dyn Recorder) -> Vec<NetId> {
+        let clock = SpanClock::start(rec);
         let mut offenders: Vec<NetId> = Vec::new();
         for l in 0..self.ledger.layer_count() {
             let layer = Layer(l as u8);
@@ -558,11 +560,7 @@ impl Router {
             if pats.is_empty() {
                 continue;
             }
-            let d = sim.run(&pats);
-            if d.report.cut_conflicts == 0 && d.report.spacer_violations == 0 {
-                continue;
-            }
-            for (cx, cy) in d.conflict_cells() {
+            for (cx, cy) in sim.conflicts(&pats).cells {
                 let window = TrackRect::cell(cx, cy).expanded(radius);
                 for (id, rect) in self.ledger.frag_index(layer).query_entries(&window) {
                     if rect.intersects(&window) {
@@ -573,6 +571,7 @@ impl Router {
         }
         offenders.sort_unstable();
         offenders.dedup();
+        clock.stop(rec, Stage::Decompose);
         offenders
     }
 
@@ -642,10 +641,10 @@ impl Router {
         &mut self,
         plane: &mut RoutingPlane,
         rec: &mut dyn Recorder,
-        offenders: impl Fn(&Router) -> Vec<NetId>,
+        offenders: impl Fn(&Router, &mut dyn Recorder) -> Vec<NetId>,
     ) {
         loop {
-            let ids = offenders(self);
+            let ids = offenders(self, rec);
             if ids.is_empty() {
                 return;
             }

@@ -2,7 +2,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::layout::ColoredPattern;
-use sadp_geom::{DesignRules, Orientation};
+use sadp_geom::{DesignRules, Orientation, TrackRect};
 use sadp_scenario::Color;
 use std::collections::BTreeMap;
 
@@ -134,25 +134,59 @@ impl Decomposition {
 
     /// The track cells whose target pixels the decomposition fails on
     /// (see [`Decomposition::conflicts`]), deduplicated and sorted.
-    /// Conflict pixels are target pixels, which only exist inside the
-    /// `w_line` band of a cell, so flooring by the pitch is exact.
     #[must_use]
     pub fn conflict_cells(&self) -> Vec<(i32, i32)> {
-        let pitch = self.pitch_px as i64;
-        let m = self.margin_px as i64;
-        let mut cells: Vec<(i32, i32)> = self
-            .conflicts
-            .ones()
-            .map(|(x, y)| {
-                let cx = ((x as i64 - m) / pitch) as i32 + self.origin.0;
-                let cy = ((y as i64 - m) / pitch) as i32 + self.origin.1;
-                (cx, cy)
-            })
-            .collect();
-        cells.sort_unstable();
-        cells.dedup();
-        cells
+        cells_of(&self.conflicts, self.origin, self.pitch_px, self.margin_px)
     }
+}
+
+/// Where one decomposition fails, without its overlay measurement: the
+/// result of [`CutSimulator::conflicts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Conflicts {
+    /// Track cells holding type-B conflicted or spacer-destroyed target
+    /// pixels, deduplicated and sorted.
+    pub cells: Vec<(i32, i32)>,
+    /// Number of type-B cut conflicts.
+    pub cut_conflicts: usize,
+    /// Target pixels a spacer overlaps.
+    pub spacer_violations: usize,
+}
+
+/// The track cells of the set pixels of `marked`, deduplicated and
+/// sorted. Marked pixels are target pixels, which only exist inside the
+/// `w_line` band of a cell, so flooring by the pitch is exact.
+fn cells_of(
+    marked: &Bitmap,
+    origin: (i32, i32),
+    pitch_px: usize,
+    margin_px: usize,
+) -> Vec<(i32, i32)> {
+    let pitch = pitch_px as i64;
+    let m = margin_px as i64;
+    let mut cells: Vec<(i32, i32)> = marked
+        .ones()
+        .map(|(x, y)| {
+            let cx = ((x as i64 - m) / pitch) as i32 + origin.0;
+            let cy = ((y as i64 - m) / pitch) as i32 + origin.1;
+            (cx, cy)
+        })
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    cells
+}
+
+/// The masks of steps 1-5 of the pipeline, on a canvas whose cell
+/// `origin` maps to pixel 0.
+struct Masks {
+    /// The input after same-net bridging.
+    patterns: Vec<ColoredPattern>,
+    target: Bitmap,
+    core: Bitmap,
+    spacer: Bitmap,
+    cut: Bitmap,
+    origin: (i32, i32),
 }
 
 /// The cut-process simulator (see the crate-level docs for the pipeline).
@@ -216,10 +250,10 @@ impl CutSimulator {
     }
 
     /// Runs the mask-synthesis pipeline with or without assist-core
-    /// generation. `generate_assists = false` models the trim process of
-    /// the no-assist baselines (see [`crate::trimsim`]): second patterns
-    /// are protected only where a core neighbour's spacer happens to cover
-    /// them.
+    /// generation, then measures every overlay run. `generate_assists =
+    /// false` models the trim process of the no-assist baselines (see
+    /// [`crate::trimsim`]): second patterns are protected only where a
+    /// core neighbour's spacer happens to cover them.
     ///
     /// # Panics
     ///
@@ -230,15 +264,84 @@ impl CutSimulator {
         patterns: &[ColoredPattern],
         generate_assists: bool,
     ) -> Decomposition {
+        let masks = self.synthesize(patterns, generate_assists);
+        let owner = self.owner_map(&masks);
+        let mut report = self.measure(&masks, &owner);
+        let (cut_conflicts, spacer_violations, conflicts) = self.failures(&masks);
+        report.cut_conflicts = cut_conflicts;
+        report.spacer_violations = spacer_violations;
+        let Masks {
+            target,
+            core,
+            spacer,
+            cut,
+            origin,
+            ..
+        } = masks;
+        Decomposition {
+            target,
+            core,
+            spacer,
+            cut,
+            owner,
+            report,
+            conflicts,
+            origin,
+            pitch_px: self.pitch_px(),
+            margin_px: 0,
+        }
+    }
+
+    /// Synthesises the masks of `patterns` (assists on) and reports only
+    /// where the decomposition fails: the type-B conflicted and
+    /// spacer-destroyed target cells with their two counts. These equal
+    /// [`Decomposition::conflict_cells`] and the report's
+    /// `cut_conflicts`/`spacer_violations` of [`CutSimulator::run`], but
+    /// skip the per-pixel owner map and the overlay runs, which only the
+    /// overlay measurement reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `patterns` is empty.
+    #[must_use]
+    pub fn conflicts(&self, patterns: &[ColoredPattern]) -> Conflicts {
+        let masks = self.synthesize(patterns, true);
+        let (cut_conflicts, spacer_violations, marked) = self.failures(&masks);
+        Conflicts {
+            cells: cells_of(&marked, masks.origin, self.pitch_px(), 0),
+            cut_conflicts,
+            spacer_violations,
+        }
+    }
+
+    /// The pixel rectangle (inclusive corners) that track rect `r` paints
+    /// on a canvas whose cell `origin` maps to pixel 0.
+    fn px_rect(&self, origin: (i32, i32), r: &TrackRect) -> (i64, i64, i64, i64) {
+        let pitch = self.pitch_px() as i64;
+        let wline = self.w_line_px() as i64;
+        let (x0, y0) = (
+            (r.x0 - origin.0) as i64 * pitch,
+            (r.y0 - origin.1) as i64 * pitch,
+        );
+        let (x1, y1) = (
+            (r.x1 - origin.0) as i64 * pitch + wline - 1,
+            (r.y1 - origin.1) as i64 * pitch + wline - 1,
+        );
+        (x0, y0, x1, y1)
+    }
+
+    /// Steps 1-5 of the pipeline: bridge, paint, assists, merge, spacer,
+    /// cut. Both consumers, [`CutSimulator::run_with_options`] and
+    /// [`CutSimulator::conflicts`], start from its masks.
+    fn synthesize(&self, patterns: &[ColoredPattern], generate_assists: bool) -> Masks {
         assert!(!patterns.is_empty(), "nothing to decompose");
         // Same-net fragments on abutting tracks (islands that connect on
         // another layer) are bridged into one contiguous polygon first:
         // shorting a net to itself is free metal, while cutting the spacer
         // band between them would manufacture spurious overlays and
         // type-B conflicts.
-        let patterns = &bridge_same_net(patterns);
+        let patterns = bridge_same_net(patterns);
         let pitch = self.pitch_px();
-        let wline = self.w_line_px();
         let wspacer = self.w_spacer_px();
 
         // Canvas: pattern bbox plus a margin wide enough for assists.
@@ -249,45 +352,21 @@ impl CutSimulator {
             .expect("non-empty");
         let margin_cells = 3i32;
         let origin = (bbox.x0 - margin_cells, bbox.y0 - margin_cells);
-        let w_cells = (bbox.width_x() + 2 * margin_cells) as usize;
-        let h_cells = (bbox.width_y() + 2 * margin_cells) as usize;
-        let margin_px = 0usize;
-        let width = w_cells * pitch;
-        let height = h_cells * pitch;
+        let width = (bbox.width_x() + 2 * margin_cells) as usize * pitch;
+        let height = (bbox.width_y() + 2 * margin_cells) as usize * pitch;
 
-        let px_x = |cx: i32| (cx - origin.0) as i64 * pitch as i64;
-        let px_y = |cy: i32| (cy - origin.1) as i64 * pitch as i64;
-
-        // 1. Paint targets with ownership.
+        // 1. Paint targets. 2. Core mask: core-colored patterns.
         let mut target = Bitmap::new(width, height);
         let mut second_targets = Bitmap::new(width, height);
-        let mut owner = vec![0u32; width * height];
-        for (pi, p) in patterns.iter().enumerate() {
-            for r in &p.rects {
-                let (x0, y0) = (px_x(r.x0), px_y(r.y0));
-                let (x1, y1) = (px_x(r.x1) + wline as i64 - 1, px_y(r.y1) + wline as i64 - 1);
-                target.fill_rect(x0, y0, x1, y1);
-                if p.color == Color::Second {
-                    second_targets.fill_rect(x0, y0, x1, y1);
-                }
-                for y in y0.max(0)..=y1.min(height as i64 - 1) {
-                    for x in x0.max(0)..=x1.min(width as i64 - 1) {
-                        owner[y as usize * width + x as usize] = pi as u32 + 1;
-                    }
-                }
-            }
-        }
-
-        // 2. Core mask: core-colored patterns.
         let mut core = Bitmap::new(width, height);
-        for p in patterns.iter().filter(|p| p.color == Color::Core) {
+        for p in &patterns {
             for r in &p.rects {
-                core.fill_rect(
-                    px_x(r.x0),
-                    px_y(r.y0),
-                    px_x(r.x1) + wline as i64 - 1,
-                    px_y(r.y1) + wline as i64 - 1,
-                );
+                let (x0, y0, x1, y1) = self.px_rect(origin, r);
+                target.fill_rect(x0, y0, x1, y1);
+                match p.color {
+                    Color::Second => second_targets.fill_rect(x0, y0, x1, y1),
+                    Color::Core => core.fill_rect(x0, y0, x1, y1),
+                }
             }
         }
 
@@ -303,13 +382,12 @@ impl CutSimulator {
         let core_merge_zone = core.dilated(self.d_core_px());
         let mut side_strips = Bitmap::new(width, height);
         let mut tip_strips = Bitmap::new(width, height);
-        let assist_patterns: &[ColoredPattern] = if generate_assists { patterns } else { &[] };
+        let assist_patterns: &[ColoredPattern] = if generate_assists { &patterns } else { &[] };
         let wcore = self.w_core_px() as i64;
         let gap = wspacer as i64;
         for p in assist_patterns.iter().filter(|p| p.color == Color::Second) {
             for r in &p.rects {
-                let (x0, y0) = (px_x(r.x0), px_y(r.y0));
-                let (x1, y1) = (px_x(r.x1) + wline as i64 - 1, px_y(r.y1) + wline as i64 - 1);
+                let (x0, y0, x1, y1) = self.px_rect(origin, r);
                 // (strip rect, protects-a-side?) for west/east/south/north.
                 // Point fragments (via landings) have no droppable tips:
                 // a 20nm pad must be spacer-protected on every side or two
@@ -352,24 +430,43 @@ impl CutSimulator {
         let spacer = core.dilated(wspacer).minus(&core);
         let cut = spacer.complement().minus(&target);
 
-        // 6. Measure.
-        let (mut report, type_b) = self.measure(patterns, origin, &target, &cut, &owner, width);
-        let destroyed = spacer.intersect(&target);
-        report.spacer_violations = destroyed.count();
-        let conflicts = type_b.union(&destroyed);
-
-        Decomposition {
+        Masks {
+            patterns,
             target,
             core,
             spacer,
             cut,
-            owner,
-            report,
-            conflicts,
             origin,
-            pitch_px: pitch,
-            margin_px,
         }
+    }
+
+    /// Pattern index + 1 per pixel of the masks' canvas, row-major (0 =
+    /// no pattern). Later patterns overwrite earlier ones where they
+    /// overlap.
+    fn owner_map(&self, masks: &Masks) -> Vec<u32> {
+        let (width, height) = (masks.target.width(), masks.target.height());
+        let mut owner = vec![0u32; width * height];
+        for (pi, p) in masks.patterns.iter().enumerate() {
+            for r in &p.rects {
+                let (x0, y0, x1, y1) = self.px_rect(masks.origin, r);
+                for y in y0.max(0)..=y1.min(height as i64 - 1) {
+                    let row = y as usize * width;
+                    for x in x0.max(0)..=x1.min(width as i64 - 1) {
+                        owner[row + x as usize] = pi as u32 + 1;
+                    }
+                }
+            }
+        }
+        owner
+    }
+
+    /// Step 6's failure half, which both consumers read: the type-B
+    /// conflict count, the spacer-violation pixel count, and the union of
+    /// the conflicted runs with the spacer-destroyed target pixels.
+    fn failures(&self, masks: &Masks) -> (usize, usize, Bitmap) {
+        let (cut_conflicts, type_b) = self.count_type_b(&masks.target, &masks.cut);
+        let destroyed = masks.spacer.intersect(&masks.target);
+        (cut_conflicts, destroyed.count(), type_b.union(&destroyed))
     }
 
     /// Fills every straight gap of width `< d_core` between core pixels
@@ -393,15 +490,13 @@ impl CutSimulator {
         core
     }
 
-    fn measure(
-        &self,
-        patterns: &[ColoredPattern],
-        origin: (i32, i32),
-        target: &Bitmap,
-        cut: &Bitmap,
-        owner: &[u32],
-        width: usize,
-    ) -> (DecompReport, Bitmap) {
+    /// Step 6's overlay half: every unprotected boundary run, with the
+    /// side/tip totals and the hard-overlay count (the failure counts are
+    /// left zero for [`CutSimulator::failures`]).
+    fn measure(&self, masks: &Masks, owner: &[u32]) -> DecompReport {
+        let (patterns, origin, target, cut) =
+            (&masks.patterns, masks.origin, &masks.target, &masks.cut);
+        let width = target.width();
         let wline = self.w_line_px();
         let pitch = self.pitch_px() as i64;
         let mut report = DecompReport {
@@ -461,9 +556,7 @@ impl CutSimulator {
             }
         }
 
-        let (n, conflicted) = self.count_type_b(target, cut);
-        report.cut_conflicts = n;
-        (report, conflicted)
+        report
     }
 
     /// Classifies a boundary edge as side (normal perpendicular to the wire
@@ -552,7 +645,6 @@ fn bounded_runs(inner: &Bitmap, ends: &Bitmap, max_len: i64, (dx, dy): (i64, i64
 /// cells; it merely makes the polygon contiguous on the pixel canvas, as a
 /// real same-net shape would be drawn.
 fn bridge_same_net(patterns: &[ColoredPattern]) -> Vec<ColoredPattern> {
-    use sadp_geom::TrackRect;
     let mut out: Vec<ColoredPattern> = patterns.to_vec();
     for (pi, p) in patterns.iter().enumerate() {
         let mut bridges: Vec<TrackRect> = Vec::new();

@@ -53,7 +53,7 @@ pub mod window;
 
 pub use bitmap::Bitmap;
 pub use cutmask::{critical_cuts, CutPattern};
-pub use cutsim::{CutSimulator, DecompReport, Decomposition, MaskStats};
+pub use cutsim::{Conflicts, CutSimulator, DecompReport, Decomposition, MaskStats};
 pub use export::{bitmap_to_rects, export_masks, PxRect};
 pub use layout::ColoredPattern;
 pub use render::{render_ascii, render_svg};

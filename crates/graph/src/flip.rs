@@ -93,7 +93,7 @@ pub fn neighborhood_of(graph: &OverlayGraph, seed: u32, max_members: usize) -> V
             if set.contains(n) {
                 continue;
             }
-            if data.table.hard_parity().is_some() || taken < max_members {
+            if taken < max_members || data.table.hard_parity().is_some() {
                 set.insert(n);
                 taken += 1;
                 out.push(n);

@@ -49,7 +49,8 @@ pub enum Stage {
     /// stay so that profile readers that name them (the benchmark
     /// harness) keep working.
     Merge,
-    /// Layout decomposition / verification of the routed result.
+    /// Pixel decomposition: each cut-repair simulator pass over the
+    /// layers in finalize, and the verification of the routed result.
     Decompose,
     /// Reserved and always zero: nothing records it. Every net routes
     /// one at a time at its canonical turn, and its work counts under the

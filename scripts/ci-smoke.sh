@@ -92,6 +92,8 @@ smoke_counters() {
     echo "trace sha256 $(sha256sum <"$DIR/trace.jsonl" | cut -d' ' -f1)"
   } >"$DIR/counters.txt"
   grep -q '^recolor [0-9]' "$DIR/counters.txt" || die "no profile table was printed"
+  grep -q '^decompose [1-9]' "$DIR/counters.txt" ||
+    die "the profile's decompose row is empty: cut repair timed no simulator pass"
   diff fixtures/counters/test5-scale0.2.txt "$DIR/counters.txt" ||
     die "work counters differ from fixtures/counters/test5-scale0.2.txt (observed record: $DIR/counters.txt)"
   rm -rf "$DIR"

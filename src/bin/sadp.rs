@@ -104,7 +104,9 @@
 //!
 //! Exit codes: 0 success, 1 failed check (verification, fuzz violation),
 //! 2 usage error, 3 unreadable/malformed input, 4 routing failure
-//! (router error, checkpoint mismatch, internal panic).
+//! (router error, checkpoint mismatch, internal panic). Each subcommand
+//! accepts only the flags listed above for it (`--lef` wherever a
+//! `<design>` is read); any other `--flag` is a usage error.
 //!
 //! `<design>` inputs accept three formats, auto-detected by *content*
 //! (the extension is only a fallback hint): the native `.layout` text
@@ -204,6 +206,7 @@ fn dispatch(args: &[String]) -> CliResult {
         Some("submit") => cmd_submit(&args[1..]),
         Some("job") => cmd_job(&args[1..]),
         Some("table2") => {
+            check_flags(&args[1..], &[], &[])?;
             for row in sadp::scenario::scenario_summary() {
                 println!("{row}");
             }
@@ -262,6 +265,36 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "unknown panic payload".to_string()
     }
+}
+
+/// The value flags of the router budgets and the fault plan
+/// (route/verify/edit/bench), read by [`config_from`].
+const BUDGET_FLAGS: [&str; 5] = [
+    "--net-nodes",
+    "--net-deadline-ms",
+    "--run-nodes",
+    "--run-deadline-ms",
+    "--faults",
+];
+
+/// Rejects every `--flag` the command does not declare: `values` take the
+/// next argument (whose checks are [`flag_value`]'s), `switches` stand
+/// alone. A flag the command would not read is a usage error naming it,
+/// never silently skipped.
+fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> CliResult {
+    let mut i = 0;
+    while let Some(a) = args.get(i) {
+        let a = a.as_str();
+        i += 1;
+        if values.contains(&a) {
+            if args.get(i).is_some_and(|v| !v.starts_with("--")) {
+                i += 1;
+            }
+        } else if a.starts_with("--") && !switches.contains(&a) {
+            return Err(CliError::Usage(format!("unknown flag {a}")));
+        }
+    }
+    Ok(())
 }
 
 /// The value of the value flag `flag`, or `None` when the flag is
@@ -391,6 +424,15 @@ fn print_import_summary(path: &str, imported: &Imported) {
 }
 
 fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
+    let mut values = [
+        &BUDGET_FLAGS[..],
+        &["--lef", "--trace", "--checkpoint", "--resume"],
+    ]
+    .concat();
+    if !verify_only {
+        values.extend(["--svg", "--masks"]);
+    }
+    check_flags(args, &values, &["--profile"])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -507,6 +549,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
 /// supported format and emit the equivalent native `.layout` fixture
 /// (stdout by default), with a provenance comment header.
 fn cmd_convert(args: &[String]) -> CliResult {
+    check_flags(args, &["--lef", "--out"], &[])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -537,6 +580,8 @@ fn cmd_convert(args: &[String]) -> CliResult {
 fn cmd_edit(args: &[String]) -> CliResult {
     use sadp::core::eco::{parse_edit_script, EcoError, EcoSession, OpOutcome};
 
+    let values = [&BUDGET_FLAGS[..], &["--lef", "--script", "--trace"]].concat();
+    check_flags(args, &values, &[])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -602,6 +647,21 @@ fn cmd_edit(args: &[String]) -> CliResult {
 }
 
 fn cmd_serve(args: &[String]) -> CliResult {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--workers",
+            "--state-dir",
+            "--slice-steps",
+            "--max-request-bytes",
+            "--io-timeout-ms",
+            "--max-conns",
+            "--max-queue",
+            "--faults",
+        ],
+        &[],
+    )?;
     let mut config = ServeConfig {
         addr: client_addr(args)?.to_string(),
         ..ServeConfig::default()
@@ -649,6 +709,17 @@ fn client_addr(args: &[String]) -> Result<&str, CliError> {
 }
 
 fn cmd_submit(args: &[String]) -> CliResult {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--priority",
+            "--node-budget",
+            "--deadline-ms",
+            "--trace",
+        ],
+        &["--wait"],
+    )?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -709,6 +780,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
 }
 
 fn cmd_job(args: &[String]) -> CliResult {
+    check_flags(args, &["--addr"], &["--status", "--cancel", "--resume"])?;
     let id = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -738,6 +810,13 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--wire") {
         return cmd_fuzz_wire(args);
     }
+    check_flags(
+        args,
+        &[
+            "--faults", "--replay", "--lef", "--seeds", "--start", "--regime", "--out",
+        ],
+        &["--minimize"],
+    )?;
 
     let mut cfg = CampaignConfig::default();
     cfg.oracle.fault_seed = u64_flag(args, "--faults")?;
@@ -836,6 +915,11 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
 fn cmd_fuzz_wire(args: &[String]) -> CliResult {
     use sadp::fuzz::{run_wire_campaign, WireCampaignConfig, WireRegime};
 
+    check_flags(
+        args,
+        &["--seeds", "--start", "--regime", "--out"],
+        &["--wire", "--no-live"],
+    )?;
     let mut cfg = WireCampaignConfig::default();
     if let Some(n) = parsed_flag(args, "--seeds", "a positive integer", |&n| n >= 1)? {
         cfg.seeds = n;
@@ -923,6 +1007,12 @@ fn print_profile(profile: &sadp::obs::StageProfile, report: &RoutingReport) {
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
+    let values = [
+        &BUDGET_FLAGS[..],
+        &["--test", "--scale", "--seed", "--trace"],
+    ]
+    .concat();
+    check_flags(args, &values, &["--profile"])?;
     let scale = parsed_flag(args, "--scale", "a positive number", |x: &f64| {
         x.is_finite() && *x > 0.0
     })?

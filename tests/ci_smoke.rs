@@ -37,10 +37,10 @@ fn corpus_smoke_replays_native_and_imported_fixtures() {
 
 #[test]
 fn the_script_passes_no_removed_flag_and_guards_on_live_events() {
-    // The CLI reads the flags it knows and skips the rest, so a removed
-    // flag left in the script would do nothing without failing. Every
-    // net routes on one thread now: no `--threads`, and the fault smoke
-    // guards on the budget failures the fault plan still injects.
+    // The CLI rejects flags it does not know, so a removed flag left in
+    // the script fails its step; this catches it without running it.
+    // Every net routes on one thread now: no `--threads`, and the fault
+    // smoke guards on the budget failures the fault plan still injects.
     let script =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/ci-smoke.sh"))
             .expect("script readable");
@@ -52,6 +52,12 @@ fn the_script_passes_no_removed_flag_and_guards_on_live_events() {
     assert!(
         script.contains(r#""reason":"budget_exceeded""#),
         "the fault smoke must guard on an injected budget failure"
+    );
+    // Cut repair times each simulator pass as a `decompose` span; the
+    // counters smoke fails if that row reads 0.
+    assert!(
+        script.contains("grep -q '^decompose [1-9]'"),
+        "the counters smoke must guard on a nonzero decompose row"
     );
 }
 

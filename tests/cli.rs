@@ -148,6 +148,31 @@ fn a_value_flag_without_a_usable_value_is_a_usage_error() {
     }
 }
 
+/// A flag the subcommand does not declare is a usage error (exit 2)
+/// naming it, before any work: a typo or a removed flag (`--threads`)
+/// must not route as if it were absent.
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    let cases: [&[&str]; 5] = [
+        &["route", "fixtures/odd_cycle.layout", "--bogus-flag", "3"],
+        &["bench", "--threads", "2"],
+        &["verify", "fixtures/odd_cycle.layout", "--svg", "out"],
+        &["fuzz", "--wire", "--minimize"],
+        &["table2", "--profile"],
+    ];
+    for args in cases {
+        let out = sadp().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| a.starts_with("--") && **a != "--wire");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {}", flag.unwrap())),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
 #[test]
 fn unknown_command_fails_with_code_2() {
     let out = sadp().arg("frobnicate").output().expect("binary runs");

@@ -103,3 +103,65 @@ fn tip_to_side_layout_measures_one_unit() {
     assert_eq!(d.report.hard_overlay_runs, 0);
     assert_eq!(d.report.cut_conflicts, 0);
 }
+
+/// The router's cut repair reads [`CutSimulator::conflicts`]; on every
+/// layer of each committed `.layout` design after routing, and on seeded
+/// recolorings of it that do conflict, that pass must report what the
+/// full pass does.
+#[test]
+fn conflicts_pass_matches_the_full_pass_on_routed_fixtures() {
+    let mut designs: Vec<std::path::PathBuf> = ["fixtures", "fixtures/corpus"]
+        .iter()
+        .flat_map(|d| std::fs::read_dir(d).expect("fixture dir").flatten())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "layout"))
+        .collect();
+    designs.sort();
+    assert!(designs.len() >= 8, "committed designs: {designs:?}");
+    let mut rng = sadp::geom::Rng::seed_from_u64(0xf1c7);
+    let mut recolored_conflicts = 0;
+    for design in &designs {
+        let text = std::fs::read_to_string(design).expect("fixture readable");
+        let (mut plane, netlist) = sadp::grid::read_layout(&text).expect("fixture parses");
+        let sim = CutSimulator::new(*plane.rules());
+        let mut router = Router::new(RouterConfig::paper_defaults());
+        router.route_all(&mut plane, &netlist);
+        for l in 0..plane.layers() {
+            let pats: Vec<ColoredPattern> = router
+                .patterns_on_layer(Layer(l))
+                .into_iter()
+                .map(|(net, color, rects)| ColoredPattern::new(net, color, rects))
+                .collect();
+            if pats.is_empty() {
+                continue;
+            }
+            for round in 0..5 {
+                let mut pats = pats.clone();
+                if round > 0 {
+                    for p in &mut pats {
+                        if rng.flip() {
+                            p.color = p.color.flipped();
+                        }
+                    }
+                }
+                let (full, fast) = (sim.run(&pats), sim.conflicts(&pats));
+                let at = format!("{} M{} round {round}", design.display(), l + 1);
+                assert_eq!(fast.cells, full.conflict_cells(), "{at}");
+                assert_eq!(fast.cut_conflicts, full.report.cut_conflicts, "{at}");
+                assert_eq!(
+                    fast.spacer_violations, full.report.spacer_violations,
+                    "{at}"
+                );
+                if round == 0 {
+                    assert!(fast.cells.is_empty(), "{at}: the routed layout conflicts");
+                } else {
+                    recolored_conflicts += fast.cut_conflicts;
+                }
+            }
+        }
+    }
+    assert!(
+        recolored_conflicts > 0,
+        "the recolorings must exercise conflicts"
+    );
+}
