@@ -96,7 +96,7 @@ pub struct LedgerCounters {
     pub failed_no_path: u64,
     /// Nets that exhausted their rip-up budget.
     pub failed_exhausted: u64,
-    /// Nets given up by the conflict cleanup.
+    /// Nets given up by the post-routing repair.
     pub failed_cleanup: u64,
     /// Nets whose trial coloring triggered a flip.
     pub flips: u64,

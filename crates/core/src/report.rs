@@ -33,7 +33,7 @@ pub struct RoutingReport {
     pub failed_no_path: u64,
     /// Nets failed after exhausting the rip-up budget.
     pub failed_exhausted: u64,
-    /// Nets dropped by the post-routing conflict cleanup.
+    /// Nets dropped by the post-routing repair.
     pub failed_cleanup: u64,
     /// Nets failed because a search budget (per-net or whole-run) ran
     /// out. Always 0 when no budget is configured.

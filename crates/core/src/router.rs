@@ -4,7 +4,7 @@
 //! `Workspace` (plane-sized dense working grids) and orchestrates the
 //! stages in [`crate::search`] and the internal driver module: pin
 //! reservation, the one-net-at-a-time routing schedule, the final
-//! flipping passes and the conflict cleanup. See DESIGN.md, "Pipeline
+//! flipping passes and the repair loop. See DESIGN.md, "Pipeline
 //! architecture".
 
 use crate::budget::RunBudget;
@@ -401,8 +401,8 @@ impl Router {
 
     /// Runs the final color flipping (Fig. 19 line 16) on every component
     /// touched since the last finalize, the hill-climbing refinement, and
-    /// the conflict cleanup that guarantees a conflict-free result.
-    /// `netlist` is used to re-route nets the cleanup has to move.
+    /// the repair loop that guarantees a conflict-free result.
+    /// `netlist` is used to re-route nets the repair has to move.
     ///
     /// The flipping is scoped to *dirty* components — those containing a
     /// vertex whose edges changed since the previous finalize. The
@@ -442,95 +442,78 @@ impl Router {
             }
             clock.stop(rec, Stage::Recolor);
         }
-        // Guarantee the conflict-free claim: any net whose coloring still
-        // realizes a hard overlay or a type-A cut risk is re-flipped,
-        // re-routed away from the offending region, or — failing both —
-        // unrouted.
-        self.cleanup_risks(plane, netlist, rec);
-        self.repair_cut_conflicts(plane, netlist, rec);
+        self.repair(plane, netlist, rec);
         self.finalized = true;
     }
 
-    /// Post-routing cleanup: re-flip components of nets whose coloring
-    /// still realizes a forbidden assignment or a type-A cut risk,
-    /// re-route the nets the flip cannot fix, and unroute the
-    /// incorrigible ones so the final result is conflict-free.
-    fn cleanup_risks(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
-    ) {
-        let layer_count = self.ledger.layer_count();
-        for _ in 0..8 {
-            let risky = self.risky_nets();
-            if risky.is_empty() {
-                break;
-            }
-            // One flip+refine per neighbourhood per pass: several risky
-            // nets usually share a region, and re-flipping it for each of
-            // them repeated `O(component)` work per net.
-            let mut flipped = vec![vec![false; netlist.len()]; layer_count];
-            for id in risky {
-                if !self.ledger.routed().contains_key(&id) {
-                    continue;
-                }
-                let net = id.0;
-                let layers: Vec<usize> = (0..layer_count)
-                    .filter(|&l| self.ledger.graphs()[l].contains(net))
-                    .collect();
-                for &l in &layers {
-                    if flipped[l][net as usize] {
-                        continue;
-                    }
-                    let g = &mut self.ledger.graphs_mut()[l];
-                    let members = flip::flip_neighborhood(g, net, FLIP_NEIGHBORHOOD);
-                    flip::refine_members(g, &members, 2);
-                    for m in members {
-                        flipped[l][m as usize] = true;
-                    }
-                }
-                let has_risk = |r: &Router| r.ledger.graphs().iter().any(|g| g.net_has_risk(net));
-                // Re-route away from the old corridor; give the net up
-                // only if that fails too or the new route is risky again.
-                if has_risk(self)
-                    && (!self.reroute_away(plane, netlist.net(id), rec) || has_risk(self))
-                {
-                    self.give_up(plane, id, rec);
-                }
-            }
-        }
-        self.unroute_until_clean(plane, rec, |r, _| r.risky_nets());
-    }
-
-    /// Simulator-backed repair: synthesises the cut-process masks for the
-    /// final colored layout and, while any layer still shows a type-B cut
-    /// conflict or a spacer-destroyed target, rips up the nets owning the
-    /// conflicted runs and re-routes them away from the region.
+    /// Post-routing repair, the one rip-up and re-route loop of finalize.
     ///
-    /// The overlay constraint graph is a pairwise model; a few
+    /// Each of up to five rounds first runs the graph-risk passes: a net
+    /// whose coloring still realizes a forbidden assignment or a type-A
+    /// cut risk gets its neighbourhood re-flipped, is re-routed away if
+    /// the flip cannot fix it, and is given up if that fails too. Then
+    /// one cut simulator pass checks the synthesised masks, and the nets
+    /// owning a type-B conflicted or spacer-destroyed target are re-routed
+    /// away. The overlay constraint graph is a pairwise model; a few
     /// multi-pattern interactions (e.g. an assist core of one wire merging
     /// over a via pad that is itself tip-merged with a third net) only
-    /// appear in the synthesised masks. This pass closes that gap, so the
-    /// router's conflict-free claim holds against the pixel simulator and
-    /// not just against its own graph.
-    fn repair_cut_conflicts(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
-    ) {
+    /// appear in the masks, so the simulator closes that gap.
+    ///
+    /// A cell that is still conflicted in the next simulator pass is
+    /// stuck: its owners moved and it stayed (a via pad on a pin cell
+    /// cannot move). Only there does the rip-up widen to the nets within
+    /// the dependence radius. The backstop then gives up every routed net
+    /// either check still names until both are clean; removing a net adds
+    /// no constraint-graph edge, and every pass removes one, so it ends.
+    fn repair(&mut self, plane: &mut RoutingPlane, netlist: &Netlist, rec: &mut dyn Recorder) {
         let sim = CutSimulator::new(*plane.rules());
-        // Re-routing rounds: later rounds widen the rip-up to the
-        // dependence-radius neighbours of the conflict, since the net
-        // owning the conflicted run may be pinned in place (a via pad on
-        // a pin cell cannot move). A re-route can realize a fresh
-        // graph-level risk, so the graph cleanup re-runs after each round.
         let radius = plane.rules().dependence_radius_tracks();
-        for round in 0..4 {
-            let offenders = self.sim_offenders(&sim, if round >= 2 { radius } else { 0 }, rec);
-            if offenders.is_empty() {
-                return;
+        let layer_count = self.ledger.layer_count();
+        // The conflicted cells of the previous simulator pass.
+        let mut previous = Vec::new();
+        let mut sim_clean = false;
+        for _ in 0..5 {
+            for _ in 0..8 {
+                let risky = self.risky_nets();
+                if risky.is_empty() {
+                    break;
+                }
+                // One flip+refine per neighbourhood per pass: several
+                // risky nets usually share a region, and re-flipping it
+                // for each of them repeated `O(component)` work per net.
+                let mut flipped = vec![vec![false; netlist.len()]; layer_count];
+                for id in risky {
+                    if !self.ledger.routed().contains_key(&id) {
+                        continue;
+                    }
+                    let net = id.0;
+                    for (l, done) in flipped.iter_mut().enumerate() {
+                        let g = &mut self.ledger.graphs_mut()[l];
+                        if !g.contains(net) || done[net as usize] {
+                            continue;
+                        }
+                        let members = flip::flip_neighborhood(g, net, FLIP_NEIGHBORHOOD);
+                        flip::refine_members(g, &members, 2);
+                        for m in members {
+                            done[m as usize] = true;
+                        }
+                    }
+                    let has_risk =
+                        |r: &Router| r.ledger.graphs().iter().any(|g| g.net_has_risk(net));
+                    // Re-route away from the old corridor; give the net
+                    // up only if that fails too or the new route is risky
+                    // again.
+                    if has_risk(self)
+                        && (!self.reroute_away(plane, netlist.net(id), rec) || has_risk(self))
+                    {
+                        self.give_up(plane, id, rec);
+                    }
+                }
+            }
+            let (offenders, cells) = self.sim_offenders(&sim, &previous, radius, rec);
+            sim_clean = offenders.is_empty();
+            if sim_clean {
+                break;
             }
             for id in offenders {
                 if self.ledger.routed().contains_key(&id)
@@ -539,21 +522,41 @@ impl Router {
                     self.give_up(plane, id, rec);
                 }
             }
-            self.cleanup_risks(plane, netlist, rec);
+            previous = cells;
         }
-        // Removing a net never adds constraint-graph edges, but it can
-        // reshape the masks, so the backstop re-simulates until clean.
-        self.unroute_until_clean(plane, rec, |r, rec| r.sim_offenders(&sim, 0, rec));
+        loop {
+            let mut ids = self.risky_nets();
+            if !sim_clean {
+                ids.extend(self.sim_offenders(&sim, &[], 0, rec).0);
+            }
+            if ids.is_empty() {
+                return;
+            }
+            for id in ids {
+                if self.ledger.routed().contains_key(&id) {
+                    self.give_up(plane, id, rec);
+                }
+            }
+            sim_clean = false;
+        }
     }
 
     /// Runs the cut simulator's conflicts pass on every occupied layer
     /// and returns the nets owning target cells the decomposition fails
-    /// on (sorted, deduplicated). With `radius > 0`, nets with any
-    /// fragment within that many tracks of a conflicted cell are included
-    /// as well. Each call is one `decompose` span on `rec`.
-    fn sim_offenders(&self, sim: &CutSimulator, radius: i32, rec: &mut dyn Recorder) -> Vec<NetId> {
+    /// on (sorted, deduplicated) and those `(layer, x, y)` cells (sorted).
+    /// A cell that `previous` lists too is stuck and also names the nets
+    /// with any fragment within `radius` tracks of it. Each call is one
+    /// `decompose` span on `rec`.
+    fn sim_offenders(
+        &self,
+        sim: &CutSimulator,
+        previous: &[(usize, i32, i32)],
+        radius: i32,
+        rec: &mut dyn Recorder,
+    ) -> (Vec<NetId>, Vec<(usize, i32, i32)>) {
         let clock = SpanClock::start(rec);
         let mut offenders: Vec<NetId> = Vec::new();
+        let mut cells = Vec::new();
         for l in 0..self.ledger.layer_count() {
             let layer = Layer(l as u8);
             let pats = self.colored_patterns(layer);
@@ -561,18 +564,20 @@ impl Router {
                 continue;
             }
             for (cx, cy) in sim.conflicts(&pats).cells {
-                let window = TrackRect::cell(cx, cy).expanded(radius);
+                let stuck = previous.binary_search(&(l, cx, cy)).is_ok();
+                let window = TrackRect::cell(cx, cy).expanded(if stuck { radius } else { 0 });
                 for (id, rect) in self.ledger.frag_index(layer).query_entries(&window) {
                     if rect.intersects(&window) {
                         offenders.push(NetId(crate::scan::net_of_frag_id(id)));
                     }
                 }
+                cells.push((l, cx, cy));
             }
         }
         offenders.sort_unstable();
         offenders.dedup();
         clock.stop(rec, Stage::Decompose);
-        offenders
+        (offenders, cells)
     }
 
     /// Nets whose coloring realizes a forbidden assignment or a type-A
@@ -632,28 +637,6 @@ impl Router {
         self.ledger.unroute(plane, &mut ws.dir_map, id);
         self.failed.push(id);
         driver::net_failed(&mut self.ledger, rec, id, FailReason::Cleanup);
-    }
-
-    /// The convergence backstop of cleanup and repair: gives up every
-    /// routed net `offenders` lists until it lists none. Every pass
-    /// unroutes at least one routed net, so this terminates.
-    fn unroute_until_clean(
-        &mut self,
-        plane: &mut RoutingPlane,
-        rec: &mut dyn Recorder,
-        offenders: impl Fn(&Router, &mut dyn Recorder) -> Vec<NetId>,
-    ) {
-        loop {
-            let ids = offenders(self, rec);
-            if ids.is_empty() {
-                return;
-            }
-            for id in ids {
-                if self.ledger.routed().contains_key(&id) {
-                    self.give_up(plane, id, rec);
-                }
-            }
-        }
     }
 
     /// Builds the aggregate report for the current state, with the `cpu`

@@ -70,7 +70,7 @@ pub fn flip_component(graph: &mut OverlayGraph, seed: u32) -> FlipOutcome {
 /// cap, so hard-constraint groups are never split. Returns a sorted list
 /// (empty if `seed` is not in the graph).
 ///
-/// The per-net trial flipping and the conflict cleanup optimize these
+/// The per-net trial flipping and the post-routing repair optimize these
 /// bounded neighbourhoods instead of whole connected components: on dense
 /// circuits the soft scenarios fuse nearly all nets into one giant
 /// component, and an `O(component)` flip per routed net is exactly the

@@ -249,7 +249,7 @@ pub enum FailReason {
     NoPath,
     /// The rip-up budget was exhausted.
     Exhausted,
-    /// The post-routing conflict cleanup gave the net up.
+    /// The post-routing repair gave the net up.
     Cleanup,
     /// The per-net or whole-run search budget ran out before a route was
     /// found.

@@ -106,7 +106,9 @@
 //! 2 usage error, 3 unreadable/malformed input, 4 routing failure
 //! (router error, checkpoint mismatch, internal panic). Each subcommand
 //! accepts only the flags listed above for it (`--lef` wherever a
-//! `<design>` is read); any other `--flag` is a usage error.
+//! `<design>` is read); any other `--flag`, and any argument past its one
+//! `<design>` or `<id>`, is a usage error. `sadp job` sends one of
+//! `--status`, `--cancel` and `--resume`; asking for two is a usage error.
 //!
 //! `<design>` inputs accept three formats, auto-detected by *content*
 //! (the extension is only a fallback hint): the native `.layout` text
@@ -206,7 +208,7 @@ fn dispatch(args: &[String]) -> CliResult {
         Some("submit") => cmd_submit(&args[1..]),
         Some("job") => cmd_job(&args[1..]),
         Some("table2") => {
-            check_flags(&args[1..], &[], &[])?;
+            check_flags(&args[1..], 0, &[], &[])?;
             for row in sadp::scenario::scenario_summary() {
                 println!("{row}");
             }
@@ -280,9 +282,16 @@ const BUDGET_FLAGS: [&str; 5] = [
 /// Rejects every `--flag` the command does not declare: `values` take the
 /// next argument (whose checks are [`flag_value`]'s), `switches` stand
 /// alone. A flag the command would not read is a usage error naming it,
-/// never silently skipped.
-fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> CliResult {
+/// never silently skipped; so is any argument past the command's
+/// `positionals` (its `<design>` or `<id>`, or none).
+fn check_flags(
+    args: &[String],
+    positionals: usize,
+    values: &[&str],
+    switches: &[&str],
+) -> CliResult {
     let mut i = 0;
+    let mut seen = 0;
     while let Some(a) = args.get(i) {
         let a = a.as_str();
         i += 1;
@@ -290,8 +299,14 @@ fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> CliResult
             if args.get(i).is_some_and(|v| !v.starts_with("--")) {
                 i += 1;
             }
-        } else if a.starts_with("--") && !switches.contains(&a) {
-            return Err(CliError::Usage(format!("unknown flag {a}")));
+        } else if a.starts_with("--") {
+            if !switches.contains(&a) {
+                return Err(CliError::Usage(format!("unknown flag {a}")));
+            }
+        } else if seen == positionals {
+            return Err(CliError::Usage(format!("unexpected argument {a}")));
+        } else {
+            seen += 1;
         }
     }
     Ok(())
@@ -432,7 +447,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
     if !verify_only {
         values.extend(["--svg", "--masks"]);
     }
-    check_flags(args, &values, &["--profile"])?;
+    check_flags(args, 1, &values, &["--profile"])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -549,7 +564,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
 /// supported format and emit the equivalent native `.layout` fixture
 /// (stdout by default), with a provenance comment header.
 fn cmd_convert(args: &[String]) -> CliResult {
-    check_flags(args, &["--lef", "--out"], &[])?;
+    check_flags(args, 1, &["--lef", "--out"], &[])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -581,7 +596,7 @@ fn cmd_edit(args: &[String]) -> CliResult {
     use sadp::core::eco::{parse_edit_script, EcoError, EcoSession, OpOutcome};
 
     let values = [&BUDGET_FLAGS[..], &["--lef", "--script", "--trace"]].concat();
-    check_flags(args, &values, &[])?;
+    check_flags(args, 1, &values, &[])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -649,6 +664,7 @@ fn cmd_edit(args: &[String]) -> CliResult {
 fn cmd_serve(args: &[String]) -> CliResult {
     check_flags(
         args,
+        0,
         &[
             "--addr",
             "--workers",
@@ -711,6 +727,7 @@ fn client_addr(args: &[String]) -> Result<&str, CliError> {
 fn cmd_submit(args: &[String]) -> CliResult {
     check_flags(
         args,
+        1,
         &[
             "--addr",
             "--priority",
@@ -779,8 +796,11 @@ fn cmd_submit(args: &[String]) -> CliResult {
     }
 }
 
+/// The switches of `sadp job`, of which it sends one.
+const ACTIONS: [&str; 3] = ["--status", "--cancel", "--resume"];
+
 fn cmd_job(args: &[String]) -> CliResult {
-    check_flags(args, &["--addr"], &["--status", "--cancel", "--resume"])?;
+    check_flags(args, 1, &["--addr"], &ACTIONS)?;
     let id = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -788,12 +808,20 @@ fn cmd_job(args: &[String]) -> CliResult {
     let id: u64 = id
         .parse()
         .map_err(|_| CliError::Usage(format!("job id must be a number, got {id:?}")))?;
-    let req = if args.iter().any(|a| a == "--cancel") {
-        Request::Cancel { job: id }
-    } else if args.iter().any(|a| a == "--resume") {
-        Request::Resume { job: id }
-    } else {
-        Request::Status { job: id }
+    let asked: Vec<&str> = ACTIONS
+        .into_iter()
+        .filter(|f| args.iter().any(|a| a == f))
+        .collect();
+    let req = match asked[..] {
+        [] | ["--status"] => Request::Status { job: id },
+        ["--cancel"] => Request::Cancel { job: id },
+        ["--resume"] => Request::Resume { job: id },
+        _ => {
+            return Err(CliError::Usage(format!(
+                "{} exclude each other; give one",
+                asked.join(" and ")
+            )))
+        }
     };
     let addr = client_addr(args)?;
     let mut client = Client::connect(addr).map_err(|e| CliError::Other(format!("{addr}: {e}")))?;
@@ -812,6 +840,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     }
     check_flags(
         args,
+        0,
         &[
             "--faults", "--replay", "--lef", "--seeds", "--start", "--regime", "--out",
         ],
@@ -917,6 +946,7 @@ fn cmd_fuzz_wire(args: &[String]) -> CliResult {
 
     check_flags(
         args,
+        0,
         &["--seeds", "--start", "--regime", "--out"],
         &["--wire", "--no-live"],
     )?;
@@ -1012,7 +1042,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
         &["--test", "--scale", "--seed", "--trace"],
     ]
     .concat();
-    check_flags(args, &values, &["--profile"])?;
+    check_flags(args, 0, &values, &["--profile"])?;
     let scale = parsed_flag(args, "--scale", "a positive number", |x: &f64| {
         x.is_finite() && *x > 0.0
     })?

@@ -127,7 +127,12 @@ fn paper_smoke_ignores_cpu_and_catches_a_changed_column() {
     assert!(out.status.success(), "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("paper smoke: OK"), "{stdout}");
 
-    let out = paper_smoke(bin_dir("changed", Some("s/|      274 |/|      275 |/")));
+    // Our router's #C on Test1 goes 0 -> 1: an edit that holds whatever
+    // the routed numbers are, since the gate records zero conflicts.
+    let out = paper_smoke(bin_dir(
+        "changed",
+        Some("/^Test1 .*overlay-aware/s/|    0$/|    1/"),
+    ));
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(

@@ -173,6 +173,45 @@ fn an_unknown_flag_is_a_usage_error() {
     }
 }
 
+/// Each subcommand takes at most its one `<design>` or `<id>`: a second
+/// positional argument is a usage error naming it, before any work.
+#[test]
+fn a_stray_positional_argument_is_a_usage_error() {
+    let cases: [&[&str]; 2] = [
+        &[
+            "route",
+            "fixtures/odd_cycle.layout",
+            "fixtures/clock_tree.layout",
+        ],
+        &["bench", "stray", "--scale", "0.04"],
+    ];
+    for args in cases {
+        let out = sadp().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stray = if args[0] == "route" { args[2] } else { args[1] };
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument {stray}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+/// `sadp job` sends one request: asking for two of its actions is a usage
+/// error before it connects (no daemon listens on the address given).
+#[test]
+fn job_rejects_more_than_one_action() {
+    let out = sadp()
+        .args(["job", "7", "--addr", "127.0.0.1:9", "--cancel", "--resume"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--cancel and --resume"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 #[test]
 fn unknown_command_fails_with_code_2() {
     let out = sadp().arg("frobnicate").output().expect("binary runs");

@@ -165,3 +165,23 @@ fn conflicts_pass_matches_the_full_pass_on_routed_fixtures() {
         "the recolorings must exercise conflicts"
     );
 }
+
+/// A via pad pinned on its pin cell keeps its cut conflict however often
+/// its own net is re-routed; only widening the rip-up to the dependence
+/// radius around that stuck cell moves the neighbours that cause it. A
+/// repair without the widening still ends conflict-free, but by giving a
+/// net up, so the route count is the check here.
+#[test]
+fn a_stuck_conflict_is_repaired_without_giving_a_net_up() {
+    let text = std::fs::read_to_string("fixtures/corpus/dense-clock-pad-assist-merge.layout")
+        .expect("fixture readable");
+    let (mut plane, netlist) = sadp::grid::read_layout(&text).expect("fixture parses");
+    let mut router = Router::new(RouterConfig::paper_defaults());
+    let report = router.route_all(&mut plane, &netlist);
+    assert_eq!(report.routed_nets, 4, "{report}");
+    assert!(router.failed().is_empty());
+    for l in 0..plane.layers() {
+        let d = decompose_layer(&router, Layer(l)).expect("every layer is used");
+        assert!(d.report.is_clean(), "M{}: {:?}", l + 1, d.report);
+    }
+}
