@@ -10,20 +10,20 @@
 //!   inside the A* pop loop. Node limits are a plain counter compare;
 //!   deadlines are checked only every `DEADLINE_STRIDE` nodes so the
 //!   hot loop never pays an `Instant::now()` per node.
-//! * [`RunBudget`] — whole-run. Each net checks it *once* before
-//!   searching and adds its expansion count after, so the per-node cost
-//!   is zero. Once tripped,
-//!   every remaining net fails fast with
+//! * [`RunBudget`] — whole-run. Each net compares the run's expansion
+//!   count with it *once* before searching, so the per-node cost is
+//!   zero. Once tripped, every remaining net fails fast with
 //!   [`FailReason::BudgetExceeded`](sadp_obs::FailReason) and the run
 //!   finalizes whatever is committed.
 //!
 //! Determinism: node budgets are a pure function of the search and
-//! therefore byte-deterministic. Deadlines trade that for liveness —
+//! therefore byte-deterministic, across a checkpoint resume too (the
+//! whole-run count is the run's `nodes_expanded`, which the snapshot
+//! carries). Deadlines trade that for liveness —
 //! which nets observe the trip depends on wall-clock. The determinism
 //! test suite and the fuzz oracle only ever set per-net node budgets.
 
 use crate::config::RouterConfig;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// How many nodes are expanded between deadline checks. A stride of
@@ -121,15 +121,14 @@ impl Default for Budget {
 
 /// The whole-run budget.
 ///
-/// Nets poll [`RunBudget::tripped`] once before searching and report
-/// their expansion count after, so enforcement costs nothing per node.
-/// The trip is sticky: once over budget, the run stays over budget.
+/// It keeps no count of its own: nets compare the run's
+/// [`nodes_expanded`](crate::ledger::LedgerCounters::nodes_expanded)
+/// with the limit once before searching, so enforcement costs nothing
+/// per node. The counter only grows, so once over budget the run stays
+/// over budget, and a resumed run, whose counters load the prefix's
+/// count, trips where the uninterrupted run trips.
 #[derive(Debug)]
 pub struct RunBudget {
-    /// Total nodes expanded so far.
-    nodes: AtomicU64,
-    /// Sticky over-budget flag.
-    tripped: AtomicBool,
     /// Node ceiling; `u64::MAX` means unlimited.
     node_limit: u64,
     /// Wall-clock cutoff for the whole run.
@@ -141,8 +140,6 @@ impl RunBudget {
     #[must_use]
     pub fn unlimited() -> RunBudget {
         RunBudget {
-            nodes: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
             node_limit: u64::MAX,
             deadline: None,
         }
@@ -162,36 +159,21 @@ impl RunBudget {
         b
     }
 
-    /// Whether any limit is set; when `false`, [`RunBudget::tripped`]
-    /// and [`RunBudget::add_nodes`] are branch-predictable no-ops.
+    /// Whether any limit is set; when `false`, [`RunBudget::tripped`] is
+    /// a branch-predictable no-op.
     #[must_use]
     pub fn is_limited(&self) -> bool {
         self.node_limit != u64::MAX || self.deadline.is_some()
     }
 
-    /// Whether the run is over budget. Checked once per net; this is the
-    /// only place the deadline reads the clock.
-    pub fn tripped(&self) -> bool {
-        if !self.is_limited() {
-            return false;
-        }
-        if self.tripped.load(Ordering::Relaxed) {
-            return true;
-        }
-        let over_nodes = self.nodes.load(Ordering::Relaxed) >= self.node_limit;
-        let over_time = self.deadline.is_some_and(|d| Instant::now() >= d);
-        if over_nodes || over_time {
-            self.tripped.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    /// Adds a finished search's expansion count to the shared total.
-    pub fn add_nodes(&self, n: u64) {
-        if self.is_limited() {
-            self.nodes.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Whether a run that has expanded `nodes_expanded` nodes is over
+    /// budget. Checked once per net; this is the only place the deadline
+    /// reads the clock.
+    #[must_use]
+    pub fn tripped(&self, nodes_expanded: u64) -> bool {
+        self.is_limited()
+            && (nodes_expanded >= self.node_limit
+                || self.deadline.is_some_and(|d| Instant::now() >= d))
     }
 }
 
@@ -246,19 +228,16 @@ mod tests {
         let mut config = RouterConfig::paper_defaults();
         config.run_node_budget = 10;
         let b = RunBudget::from_config(&config);
-        assert!(!b.tripped());
-        b.add_nodes(9);
-        assert!(!b.tripped());
-        b.add_nodes(1);
-        assert!(b.tripped());
-        assert!(b.tripped(), "trip is sticky");
+        assert!(!b.tripped(0));
+        assert!(!b.tripped(9));
+        assert!(b.tripped(10));
+        assert!(b.tripped(11), "a growing count stays tripped");
     }
 
     #[test]
     fn unarmed_run_budget_is_inert() {
         let b = RunBudget::from_config(&RouterConfig::paper_defaults());
         assert!(!b.is_limited());
-        b.add_nodes(u64::MAX / 2);
-        assert!(!b.tripped());
+        assert!(!b.tripped(u64::MAX));
     }
 }

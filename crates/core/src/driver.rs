@@ -1,21 +1,21 @@
 //! The staged routing driver (Fig. 18 / Fig. 19 as a pipeline).
 //!
-//! Per net, [`route_net`] runs the stages in order: pure **search**
-//! ([`SearchStage`](crate::search::SearchStage)), scenario **scan**
-//! ([`scan_fragments`]), the type-B cut-conflict check, then the
+//! Per net, [`Router::route_net`] runs the stages in order: pure
+//! **search** ([`SearchStage`](crate::search::SearchStage)), scenario
+//! **scan** ([`scan_fragments`]), the type-B cut-conflict check, then the
 //! **propose → trial-color → commit/abort** protocol of the
-//! [`CommitLedger`].
+//! [`CommitLedger`](crate::ledger::CommitLedger), all against the
+//! router's own ledger and workspace grids.
 //!
-//! [`ScheduleMachine`] drives the whole netlist one net at a time, in
+//! [`Router::advance`] drives the whole netlist one net at a time, in
 //! the canonical order, as the paper's flow routes: each commit feeds the
 //! constraint graph that the next net's trial coloring reads.
 
-use crate::astar::SearchScratch;
-use crate::budget::{Budget, RunBudget};
+use crate::budget::Budget;
 use crate::config::RouterConfig;
-use crate::grids::{DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
-use crate::ledger::CommitLedger;
-use crate::router::Workspace;
+use crate::grids::{GuardGrid, PenaltyGrid, NO_GUARD};
+use crate::report::RoutingReport;
+use crate::router::Router;
 use crate::scan::{scan_fragments, FoundScenario};
 use crate::search::SearchStage;
 use sadp_geom::{GridPoint, Layer, Orientation, TrackRect};
@@ -23,85 +23,429 @@ use sadp_grid::{Net, NetId, Netlist, RoutingPlane};
 use sadp_obs::{FailReason, Recorder, RipReason, RouterEvent, SpanClock, Stage};
 use sadp_scenario::ScenarioKind;
 use std::collections::BTreeMap;
+use std::time::Instant;
 
-/// Mutable context of the routing stream: the router's ledger, its
-/// workspace grids and the run's budget and recorder.
-pub(crate) struct RouteCtx<'a> {
-    pub config: &'a RouterConfig,
-    pub ledger: &'a mut CommitLedger,
-    pub dir_map: &'a mut DirGrid,
-    pub guards: &'a GuardGrid,
-    pub penalties: &'a mut PenaltyGrid,
-    pub scratch: &'a mut SearchScratch,
-    /// The whole-run budget.
-    pub run_budget: &'a RunBudget,
-    /// Observability sink of this stream.
-    pub rec: &'a mut dyn Recorder,
+/// The `expect` message of every workspace access: routing runs only
+/// after a run (or a restore) sized the router for its plane.
+const SIZED: &str = "a run sized the router";
+
+/// Why [`Router::commit_candidate`] rejected a tentative route. Each variant
+/// carries the offending cells so the caller can penalise them; the
+/// ledger proposal is already aborted when one of these is returned.
+enum StageReject {
+    /// Merge-and-cut is disabled and the route formed 1-b pairs (the
+    /// \[16\] ablation behaviour).
+    Merge(Vec<(Layer, TrackRect)>),
+    /// Unavoidable type-B cut conflict (Fig. 16).
+    TypeB(Vec<(Layer, TrackRect)>),
+    /// Constraint-graph rejection: odd cycle or infeasible pair.
+    Graph {
+        layer: Layer,
+        other: u32,
+        cells: Vec<(Layer, TrackRect)>,
+    },
+    /// The trial coloring could not avoid a realized risk.
+    Risk(Vec<(Layer, TrackRect)>),
 }
 
-impl<'a> RouteCtx<'a> {
-    /// The context of the global stream: the router's ledger and its
-    /// workspace grids.
-    pub(crate) fn new(
-        config: &'a RouterConfig,
-        ledger: &'a mut CommitLedger,
-        ws: &'a mut Workspace,
-        run_budget: &'a RunBudget,
-        rec: &'a mut dyn Recorder,
-    ) -> RouteCtx<'a> {
-        RouteCtx {
-            config,
-            ledger,
-            dir_map: &mut ws.dir_map,
-            guards: &ws.guards,
-            penalties: &mut ws.penalties,
-            scratch: &mut ws.scratch,
-            run_budget,
-            rec,
+impl Router {
+    /// Routes up to `steps` (at least one) nets of the schedule, each at
+    /// its canonical turn. Once the schedule runs dry it runs finalize
+    /// (flipping, cleanup, cut repair; skipped when the state was already
+    /// finalized) and returns the report, whose `cpu` is measured from
+    /// `started` and whose profile is `rec`'s. `None` means nets are
+    /// still scheduled. Every step ends *between* canonical commits, so
+    /// pausing after any of them leaves a state
+    /// [`crate::checkpoint::serialize`] can capture and a resumed run
+    /// reproduces byte-identically.
+    /// [`RoutingSession::advance`](crate::session::RoutingSession::advance)
+    /// runs it in slices, [`Router::route_all_with`] in one unbounded call.
+    pub(crate) fn advance(
+        &mut self,
+        plane: &mut RoutingPlane,
+        netlist: &Netlist,
+        rec: &mut dyn Recorder,
+        steps: u64,
+        started: Instant,
+    ) -> Option<RoutingReport> {
+        for _ in 0..steps.max(1) {
+            let Some(&id) = self.schedule.get(self.next) else {
+                if !self.finalized {
+                    self.finalize(plane, netlist, rec);
+                }
+                let mut report = self.report(netlist, started);
+                if let Some(profile) = rec.profile() {
+                    report.profile = profile;
+                }
+                return Some(report);
+            };
+            self.next += 1;
+            if !self.route_net(plane, netlist.net(id), &[], true, rec) {
+                self.failed.push(id);
+            }
+        }
+        None
+    }
+
+    /// `(done, total)` nets of the schedule: routed or failed so far, and
+    /// all the run routes (a resumed run schedules only the nets its
+    /// snapshot had not reached).
+    pub(crate) fn progress(&self) -> (u64, u64) {
+        (self.next as u64, self.schedule.len() as u64)
+    }
+
+    /// Records one failed net: bumps the ledger counter of `reason` and
+    /// emits the `net_failed` event. Every failure the router records
+    /// goes through here, so the per-reason counters and the trace always
+    /// agree.
+    pub(crate) fn net_failed(&mut self, net: NetId, reason: FailReason, rec: &mut dyn Recorder) {
+        let c = &mut self.ledger.counters;
+        *match reason {
+            FailReason::NoPath => &mut c.failed_no_path,
+            FailReason::Exhausted => &mut c.failed_exhausted,
+            FailReason::Cleanup => &mut c.failed_cleanup,
+            FailReason::BudgetExceeded => &mut c.failed_budget,
+        } += 1;
+        if rec.enabled() {
+            rec.event(RouterEvent::NetFailed { net: net.0, reason });
         }
     }
-}
 
-/// Records one failed net: bumps the ledger counter of `reason` and
-/// emits the `net_failed` event. Every failure the router records goes
-/// through here, so the per-reason counters and the trace always agree.
-pub(crate) fn net_failed(
-    ledger: &mut CommitLedger,
-    rec: &mut dyn Recorder,
-    net: NetId,
-    reason: FailReason,
-) {
-    let c = &mut ledger.counters;
-    *match reason {
-        FailReason::NoPath => &mut c.failed_no_path,
-        FailReason::Exhausted => &mut c.failed_exhausted,
-        FailReason::Cleanup => &mut c.failed_cleanup,
-        FailReason::BudgetExceeded => &mut c.failed_budget,
-    } += 1;
-    if rec.enabled() {
-        rec.event(RouterEvent::NetFailed { net: net.0, reason });
+    /// Occupies every pin candidate cell of `net` so earlier nets cannot
+    /// route over the pins of later ones (the owner may still enter its
+    /// own reserved cells), and claims the soft guard halo around each
+    /// candidate (first reserver wins).
+    pub(crate) fn reserve_pins(&mut self, plane: &mut RoutingPlane, net: &Net) {
+        for pin in net.pins() {
+            for &c in pin.candidates() {
+                let _ = plane.occupy(c, net.id);
+            }
+        }
+        let ws = self.workspace.as_mut().expect(SIZED);
+        claim_pin_guards(&self.config, &mut ws.guards, net);
     }
-}
 
-/// Occupies every pin candidate cell of `net` up front so earlier nets
-/// cannot route over the pins of later ones (the owner may still enter
-/// its own reserved cells), and claims the soft guard halo around each
-/// candidate (first reserver wins).
-pub(crate) fn reserve_pins(
-    config: &RouterConfig,
-    guards: &mut GuardGrid,
-    plane: &mut RoutingPlane,
-    net: &Net,
-) {
-    for pin in net.pins() {
-        for &c in pin.candidates() {
-            let _ = plane.occupy(c, net.id);
+    /// Undoes [`Router::reserve_pins`] for one net: frees every pin
+    /// candidate cell still owned by `net` and returns its guard-halo
+    /// claims to [`NO_GUARD`]. Called on the ECO re-route's failure path
+    /// (and when the ECO engine removes a net) so an unroutable net does
+    /// not pin its candidate cells forever.
+    pub(crate) fn release_pins(&mut self, plane: &mut RoutingPlane, net: &Net) {
+        let guards = &mut self.workspace.as_mut().expect(SIZED).guards;
+        let guard = self.config.pin_guard_cost();
+        for pin in net.pins() {
+            for &c in pin.candidates() {
+                if plane.occupant(c) == Some(net.id) {
+                    plane.clear_path(&[c], net.id);
+                }
+                if guard > 0 {
+                    for dx in -1..=1 {
+                        for dy in -1..=1 {
+                            let g = GridPoint::new(c.layer, c.x + dx, c.y + dy);
+                            if guards.contains(g) && guards.get(g).0 == net.id {
+                                guards.set(g, NO_GUARD);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
-    claim_pin_guards(config, guards, net);
+
+    /// Rips the routed net `id` up: its cells (the pin cells its route
+    /// used included), direction hints, fragments and constraint-graph
+    /// vertices go; its guard halo stays claimed. Returns whether it was
+    /// routed.
+    pub(crate) fn unroute(&mut self, plane: &mut RoutingPlane, id: NetId) -> bool {
+        let ws = self.workspace.as_mut().expect(SIZED);
+        self.ledger.unroute(plane, &mut ws.dir_map, id)
+    }
+
+    /// Records one rip-up: penalises the offending cells (timed as the
+    /// `ripup` stage), bumps the aggregate and per-reason counters and
+    /// emits the `net_ripped` event.
+    fn rip_up(
+        &mut self,
+        net: u32,
+        attempt: u32,
+        reason: RipReason,
+        cells: &[(Layer, TrackRect)],
+        rec: &mut dyn Recorder,
+    ) {
+        let clock = SpanClock::start(&*rec);
+        let ws = self.workspace.as_mut().expect(SIZED);
+        penalize(&self.config, &mut ws.penalties, cells);
+        self.ledger.counters.ripups += 1;
+        match reason {
+            RipReason::TypeB => self.ledger.counters.ripups_type_b += 1,
+            RipReason::Graph => self.ledger.counters.ripups_graph += 1,
+            RipReason::Risk => self.ledger.counters.ripups_risk += 1,
+        }
+        clock.stop(rec, Stage::Ripup);
+        if rec.enabled() {
+            rec.event(RouterEvent::NetRipped {
+                net,
+                attempt,
+                reason,
+            });
+        }
+    }
+
+    /// Routes one net through the full stage pipeline with up to
+    /// `max_ripup` rip-up-and-re-route iterations; returns whether the
+    /// net was committed. `seed_penalties` pre-loads the penalty grid
+    /// (used by the finalize re-route to steer the net away from its old
+    /// corridor). `count_failures` is false for finalize re-routes: their
+    /// casualties are recorded once as `failed_cleanup` by the caller,
+    /// not a second time as initial-routing failures.
+    pub(crate) fn route_net(
+        &mut self,
+        plane: &mut RoutingPlane,
+        net: &Net,
+        seed_penalties: &[(GridPoint, u64)],
+        count_failures: bool,
+        rec: &mut dyn Recorder,
+    ) -> bool {
+        match self.try_route(plane, net, seed_penalties, count_failures, rec) {
+            Ok(()) => true,
+            Err(reason) => {
+                if count_failures {
+                    self.net_failed(net.id, reason, rec);
+                }
+                false
+            }
+        }
+    }
+
+    /// The body of [`Router::route_net`]: commits the net or says why it
+    /// failed.
+    fn try_route(
+        &mut self,
+        plane: &mut RoutingPlane,
+        net: &Net,
+        seed_penalties: &[(GridPoint, u64)],
+        count_failures: bool,
+        rec: &mut dyn Recorder,
+    ) -> Result<(), FailReason> {
+        let key = net.id.0;
+        let penalties = &mut self.workspace.as_mut().expect(SIZED).penalties;
+        penalties.clear();
+        for &(p, v) in seed_penalties {
+            if penalties.contains(p) {
+                penalties.update(p, |old| old + v);
+            }
+        }
+
+        // Graceful degradation: once the run is over its global budget
+        // (or a fault plan says this net's budget is exhausted),
+        // remaining nets fail fast instead of searching, and the run
+        // finalizes whatever is already committed. Injection is keyed by
+        // net id only, so a fresh and a resumed run see the identical
+        // fault set.
+        let injected = count_failures
+            && self
+                .config
+                .faults
+                .is_some_and(|f| f.injects_net_budget(key));
+        if injected || self.run_budget.tripped(self.ledger.counters.nodes_expanded) {
+            return Err(FailReason::BudgetExceeded);
+        }
+
+        // One per-net budget spans every rip-up attempt and branch search.
+        let mut budget = Budget::for_net(&self.config);
+
+        for attempt in 0..=self.config.max_ripup {
+            // Stage 1: pure search over read-only views.
+            let ws = self.workspace.as_mut().expect(SIZED);
+            let stage = SearchStage {
+                plane: &*plane,
+                dir_map: &ws.dir_map,
+                guards: &ws.guards,
+                config: &self.config,
+            };
+            let outcome = stage.search_net(net, &ws.penalties, &mut ws.scratch, &mut budget, rec);
+            self.ledger.counters.nodes_expanded += outcome.expanded;
+            if outcome.budget_exceeded {
+                self.ledger.forget(net.id);
+                return Err(FailReason::BudgetExceeded);
+            }
+            let Some(candidate) = outcome.candidate else {
+                return Err(FailReason::NoPath);
+            };
+
+            // Stages 2-5: scenario scan, type-B check, propose,
+            // trial-color, commit.
+            match self.commit_candidate(plane, net, candidate, rec) {
+                Ok(flipped) => {
+                    if rec.enabled() {
+                        rec.event(RouterEvent::NetRouted {
+                            net: key,
+                            attempts: attempt + 1,
+                            flipped,
+                        });
+                    }
+                    return Ok(());
+                }
+                Err(StageReject::Merge(cells)) => {
+                    self.rip_up(key, attempt, RipReason::Graph, &cells, rec);
+                }
+                Err(StageReject::TypeB(cells)) => {
+                    self.rip_up(key, attempt, RipReason::TypeB, &cells, rec);
+                }
+                Err(StageReject::Graph {
+                    layer,
+                    other,
+                    cells,
+                }) => {
+                    if rec.enabled() {
+                        rec.event(RouterEvent::OddCycleDecomposed {
+                            net: key,
+                            layer: layer.index() as u8,
+                            other,
+                        });
+                    }
+                    self.rip_up(key, attempt, RipReason::Graph, &cells, rec);
+                }
+                Err(StageReject::Risk(cells)) => {
+                    self.rip_up(key, attempt, RipReason::Risk, &cells, rec);
+                }
+            }
+        }
+        // Attempts exhausted; leave the graphs clean.
+        self.ledger.forget(net.id);
+        Err(FailReason::Exhausted)
+    }
+
+    /// Stages 2-5 of the pipeline for one attempt's candidate: scenario
+    /// scan, type-B cut-conflict check, propose, trial coloring, commit.
+    /// Returns whether the committed net's component was flipped, or the
+    /// rejection (with the proposal aborted and the graphs rolled back).
+    fn commit_candidate(
+        &mut self,
+        plane: &mut RoutingPlane,
+        net: &Net,
+        candidate: crate::search::RouteCandidate,
+        rec: &mut dyn Recorder,
+    ) -> Result<bool, StageReject> {
+        let key = net.id.0;
+
+        // Stage 2: classify the tentative route against the routed layout
+        // (BTreeMap: layer order must be deterministic).
+        let clock = SpanClock::start(&*rec);
+        let mut found: Vec<FoundScenario> = Vec::new();
+        let mut per_layer: BTreeMap<Layer, Vec<TrackRect>> = BTreeMap::new();
+        for &(layer, rect) in &candidate.fragments {
+            per_layer.entry(layer).or_default().push(rect);
+        }
+        for (layer, frags) in &per_layer {
+            found.extend(scan_fragments(
+                *layer,
+                key,
+                frags,
+                self.ledger.frag_index(*layer),
+                plane.rules(),
+            ));
+        }
+        clock.stop(rec, Stage::Commit);
+
+        // Ablation: without the merge technique every tip-to-tip pair is
+        // undecomposable (the \[16\] behaviour) and must be routed away
+        // from.
+        if !self.config.allow_merge {
+            let merges: Vec<(Layer, TrackRect)> = found
+                .iter()
+                .filter(|f| f.scenario.kind == ScenarioKind::OneB)
+                .map(|f| (f.layer, f.our_rect))
+                .collect();
+            if !merges.is_empty() {
+                return Err(StageReject::Merge(merges));
+            }
+        }
+
+        // Cut conflict check (type B, Fig. 16).
+        if let Some(bad) = type_b_conflict(&found, plane.rules()) {
+            return Err(StageReject::TypeB(bad));
+        }
+
+        // Stage 3: propose — stage the scenario edges in the ledger; odd
+        // cycles or infeasible pairs abort the proposal and trigger rip-up
+        // (Fig. 19 lines 6-9). The union-find checkpoints inside the
+        // proposal make the abort O(net) instead of O(E).
+        let clock = SpanClock::start(&*rec);
+        let proposal = self.ledger.propose(net.id);
+        let mut offender: Option<(Layer, u32)> = None;
+        for f in &found {
+            if !f.scenario.is_constraining() {
+                continue;
+            }
+            if self
+                .ledger
+                .add_scenario(
+                    &proposal,
+                    f.layer,
+                    f.other_net,
+                    f.scenario.kind,
+                    f.scenario.table,
+                )
+                .is_err()
+            {
+                offender = Some((f.layer, f.other_net));
+                break;
+            }
+        }
+        clock.stop(rec, Stage::Commit);
+        if let Some((layer, bad_net)) = offender {
+            self.ledger.abort(proposal);
+            let cells: Vec<(Layer, TrackRect)> = found
+                .iter()
+                .filter(|f| f.layer == layer && f.other_net == bad_net)
+                .map(|f| (layer, f.our_rect))
+                .collect();
+            return Err(StageReject::Graph {
+                layer,
+                other: bad_net,
+                cells,
+            });
+        }
+
+        // Stage 4: trial coloring — pseudo-color, flip on demand, and
+        // verify no hard overlay or type-A cut risk remains realized. A
+        // risk the coloring cannot avoid is a cut conflict in the making —
+        // abort and steer away (Fig. 19 lines 6-9).
+        let clock = SpanClock::start(&*rec);
+        let layers: Vec<Layer> = per_layer.keys().copied().collect();
+        let (overlay, needs_flip) = self.ledger.trial_color(&proposal, &layers);
+        let mut flipped = false;
+        if needs_flip || overlay > self.config.flip_threshold {
+            self.ledger.flip_trial(&proposal, &layers);
+            flipped = true;
+        }
+        let risky_layers = self.ledger.risky_layers(&proposal, &layers);
+        clock.stop(rec, Stage::Recolor);
+        if !risky_layers.is_empty() {
+            let cells: Vec<(Layer, TrackRect)> = found
+                .iter()
+                .filter(|f| risky_layers.contains(&f.layer))
+                .map(|f| (f.layer, f.our_rect))
+                .collect();
+            self.ledger.abort(proposal);
+            return Err(StageReject::Risk(cells));
+        }
+        if flipped {
+            self.ledger.counters.flips += 1;
+        }
+
+        // Stage 5: commit.
+        let clock = SpanClock::start(&*rec);
+        let ws = self.workspace.as_mut().expect(SIZED);
+        self.ledger
+            .commit(proposal, plane, &mut ws.dir_map, net, candidate);
+        clock.stop(rec, Stage::Commit);
+        Ok(flipped)
+    }
 }
 
-/// The guard-halo half of [`reserve_pins`]: claims the soft 3×3 keep-out
+/// The guard-halo half of [`Router::reserve_pins`]: claims the soft 3×3 keep-out
 /// around every pin candidate of `net` (first reserver wins) without
 /// touching plane occupancy. The checkpoint loader uses this alone to
 /// rebuild the reservation pre-pass's guards, where occupancy comes from
@@ -133,326 +477,6 @@ pub(crate) fn guard_halo<'a>(
                 (-1..=1).map(move |dy| GridPoint::new(c.layer, c.x + dx, c.y + dy))
             })
         })
-}
-
-/// Undoes [`reserve_pins`] for one net: frees every pin candidate cell
-/// still owned by `net` and returns its guard-halo claims to
-/// [`NO_GUARD`]. Called on the ECO re-route's failure path (and when the
-/// ECO engine removes a net) so an unroutable net does not pin its
-/// candidate cells forever.
-pub(crate) fn release_pins(
-    config: &RouterConfig,
-    guards: &mut GuardGrid,
-    plane: &mut RoutingPlane,
-    net: &Net,
-) {
-    let guard = config.pin_guard_cost();
-    for pin in net.pins() {
-        for &c in pin.candidates() {
-            if plane.occupant(c) == Some(net.id) {
-                plane.clear_path(&[c], net.id);
-            }
-            if guard > 0 {
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        let g = GridPoint::new(c.layer, c.x + dx, c.y + dy);
-                        if guards.contains(g) && guards.get(g).0 == net.id {
-                            guards.set(g, NO_GUARD);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Records one rip-up: penalises the offending cells (timed as the
-/// `ripup` stage), bumps the aggregate and per-reason counters and emits
-/// the `net_ripped` event.
-fn rip_up(
-    ctx: &mut RouteCtx<'_>,
-    net: u32,
-    attempt: u32,
-    reason: RipReason,
-    cells: &[(Layer, TrackRect)],
-) {
-    let clock = SpanClock::start(&*ctx.rec);
-    penalize(ctx.config, ctx.penalties, cells);
-    ctx.ledger.counters.ripups += 1;
-    match reason {
-        RipReason::TypeB => ctx.ledger.counters.ripups_type_b += 1,
-        RipReason::Graph => ctx.ledger.counters.ripups_graph += 1,
-        RipReason::Risk => ctx.ledger.counters.ripups_risk += 1,
-    }
-    clock.stop(ctx.rec, Stage::Ripup);
-    if ctx.rec.enabled() {
-        ctx.rec.event(RouterEvent::NetRipped {
-            net,
-            attempt,
-            reason,
-        });
-    }
-}
-
-/// Routes one net through the full stage pipeline with up to `max_ripup`
-/// rip-up-and-re-route iterations; returns whether the net was committed.
-/// `seed_penalties` pre-loads the penalty grid (used by the finalize
-/// re-route to steer the net away from its old corridor).
-/// `count_failures` is false for finalize re-routes: their casualties are
-/// recorded once as `failed_cleanup` by the caller, not a second time as
-/// initial-routing failures.
-pub(crate) fn route_net(
-    ctx: &mut RouteCtx<'_>,
-    plane: &mut RoutingPlane,
-    net: &Net,
-    seed_penalties: &[(GridPoint, u64)],
-    count_failures: bool,
-) -> bool {
-    match try_route(ctx, plane, net, seed_penalties, count_failures) {
-        Ok(()) => true,
-        Err(reason) => {
-            if count_failures {
-                net_failed(ctx.ledger, ctx.rec, net.id, reason);
-            }
-            false
-        }
-    }
-}
-
-/// The body of [`route_net`]: commits the net or says why it failed.
-fn try_route(
-    ctx: &mut RouteCtx<'_>,
-    plane: &mut RoutingPlane,
-    net: &Net,
-    seed_penalties: &[(GridPoint, u64)],
-    count_failures: bool,
-) -> Result<(), FailReason> {
-    let key = net.id.0;
-    ctx.penalties.clear();
-    for &(p, v) in seed_penalties {
-        if ctx.penalties.contains(p) {
-            ctx.penalties.update(p, |old| old + v);
-        }
-    }
-
-    // Graceful degradation: once the run is over its global budget (or a
-    // fault plan says this net's budget is exhausted), remaining nets
-    // fail fast instead of searching, and the run finalizes whatever is
-    // already committed. Injection is keyed by net id only, so a fresh
-    // and a resumed run see the identical fault set.
-    let injected = count_failures && ctx.config.faults.is_some_and(|f| f.injects_net_budget(key));
-    if injected || ctx.run_budget.tripped() {
-        return Err(FailReason::BudgetExceeded);
-    }
-
-    // One per-net budget spans every rip-up attempt and branch search.
-    let mut budget = Budget::for_net(ctx.config);
-
-    for attempt in 0..=ctx.config.max_ripup {
-        // Stage 1: pure search over read-only views.
-        let stage = SearchStage {
-            plane: &*plane,
-            dir_map: &*ctx.dir_map,
-            guards: ctx.guards,
-            config: ctx.config,
-        };
-        let outcome = stage.search_net(net, ctx.penalties, ctx.scratch, &mut budget, ctx.rec);
-        ctx.ledger.counters.nodes_expanded += outcome.expanded;
-        ctx.run_budget.add_nodes(outcome.expanded);
-        if outcome.budget_exceeded {
-            ctx.ledger.forget(net.id);
-            return Err(FailReason::BudgetExceeded);
-        }
-        let Some(candidate) = outcome.candidate else {
-            return Err(FailReason::NoPath);
-        };
-
-        // Stages 2-5: scenario scan, type-B check, propose, trial-color,
-        // commit.
-        match commit_candidate(ctx, plane, net, candidate) {
-            Ok(flipped) => {
-                if ctx.rec.enabled() {
-                    ctx.rec.event(RouterEvent::NetRouted {
-                        net: key,
-                        attempts: attempt + 1,
-                        flipped,
-                    });
-                }
-                return Ok(());
-            }
-            Err(StageReject::Merge(cells)) => {
-                rip_up(ctx, key, attempt, RipReason::Graph, &cells);
-            }
-            Err(StageReject::TypeB(cells)) => {
-                rip_up(ctx, key, attempt, RipReason::TypeB, &cells);
-            }
-            Err(StageReject::Graph {
-                layer,
-                other,
-                cells,
-            }) => {
-                if ctx.rec.enabled() {
-                    ctx.rec.event(RouterEvent::OddCycleDecomposed {
-                        net: key,
-                        layer: layer.index() as u8,
-                        other,
-                    });
-                }
-                rip_up(ctx, key, attempt, RipReason::Graph, &cells);
-            }
-            Err(StageReject::Risk(cells)) => {
-                rip_up(ctx, key, attempt, RipReason::Risk, &cells);
-            }
-        }
-    }
-    // Attempts exhausted; leave the graphs clean.
-    ctx.ledger.forget(net.id);
-    Err(FailReason::Exhausted)
-}
-
-/// Why [`commit_candidate`] rejected a tentative route. Each variant
-/// carries the offending cells so the caller can penalise them; the
-/// ledger proposal is already aborted when one of these is returned.
-enum StageReject {
-    /// Merge-and-cut is disabled and the route formed 1-b pairs (the
-    /// \[16\] ablation behaviour).
-    Merge(Vec<(Layer, TrackRect)>),
-    /// Unavoidable type-B cut conflict (Fig. 16).
-    TypeB(Vec<(Layer, TrackRect)>),
-    /// Constraint-graph rejection: odd cycle or infeasible pair.
-    Graph {
-        layer: Layer,
-        other: u32,
-        cells: Vec<(Layer, TrackRect)>,
-    },
-    /// The trial coloring could not avoid a realized risk.
-    Risk(Vec<(Layer, TrackRect)>),
-}
-
-/// Stages 2-5 of the pipeline for one attempt's candidate: scenario
-/// scan, type-B cut-conflict check, propose, trial coloring, commit.
-/// Returns whether the committed net's component was flipped, or the
-/// rejection (with the proposal aborted and the graphs rolled back).
-fn commit_candidate(
-    ctx: &mut RouteCtx<'_>,
-    plane: &mut RoutingPlane,
-    net: &Net,
-    candidate: crate::search::RouteCandidate,
-) -> Result<bool, StageReject> {
-    let key = net.id.0;
-
-    // Stage 2: classify the tentative route against the routed layout
-    // (BTreeMap: layer order must be deterministic).
-    let clock = SpanClock::start(&*ctx.rec);
-    let mut found: Vec<FoundScenario> = Vec::new();
-    let mut per_layer: BTreeMap<Layer, Vec<TrackRect>> = BTreeMap::new();
-    for &(layer, rect) in &candidate.fragments {
-        per_layer.entry(layer).or_default().push(rect);
-    }
-    for (layer, frags) in &per_layer {
-        found.extend(scan_fragments(
-            *layer,
-            key,
-            frags,
-            ctx.ledger.frag_index(*layer),
-            plane.rules(),
-        ));
-    }
-    clock.stop(ctx.rec, Stage::Commit);
-
-    // Ablation: without the merge technique every tip-to-tip pair is
-    // undecomposable (the \[16\] behaviour) and must be routed away
-    // from.
-    if !ctx.config.allow_merge {
-        let merges: Vec<(Layer, TrackRect)> = found
-            .iter()
-            .filter(|f| f.scenario.kind == ScenarioKind::OneB)
-            .map(|f| (f.layer, f.our_rect))
-            .collect();
-        if !merges.is_empty() {
-            return Err(StageReject::Merge(merges));
-        }
-    }
-
-    // Cut conflict check (type B, Fig. 16).
-    if let Some(bad) = type_b_conflict(&found, plane.rules()) {
-        return Err(StageReject::TypeB(bad));
-    }
-
-    // Stage 3: propose — stage the scenario edges in the ledger; odd
-    // cycles or infeasible pairs abort the proposal and trigger rip-up
-    // (Fig. 19 lines 6-9). The union-find checkpoints inside the
-    // proposal make the abort O(net) instead of O(E).
-    let clock = SpanClock::start(&*ctx.rec);
-    let proposal = ctx.ledger.propose(net.id);
-    let mut offender: Option<(Layer, u32)> = None;
-    for f in &found {
-        if !f.scenario.is_constraining() {
-            continue;
-        }
-        if ctx
-            .ledger
-            .add_scenario(
-                &proposal,
-                f.layer,
-                f.other_net,
-                f.scenario.kind,
-                f.scenario.table,
-            )
-            .is_err()
-        {
-            offender = Some((f.layer, f.other_net));
-            break;
-        }
-    }
-    clock.stop(ctx.rec, Stage::Commit);
-    if let Some((layer, bad_net)) = offender {
-        ctx.ledger.abort(proposal);
-        let cells: Vec<(Layer, TrackRect)> = found
-            .iter()
-            .filter(|f| f.layer == layer && f.other_net == bad_net)
-            .map(|f| (layer, f.our_rect))
-            .collect();
-        return Err(StageReject::Graph {
-            layer,
-            other: bad_net,
-            cells,
-        });
-    }
-
-    // Stage 4: trial coloring — pseudo-color, flip on demand, and
-    // verify no hard overlay or type-A cut risk remains realized. A
-    // risk the coloring cannot avoid is a cut conflict in the making —
-    // abort and steer away (Fig. 19 lines 6-9).
-    let clock = SpanClock::start(&*ctx.rec);
-    let layers: Vec<Layer> = per_layer.keys().copied().collect();
-    let (overlay, needs_flip) = ctx.ledger.trial_color(&proposal, &layers);
-    let mut flipped = false;
-    if needs_flip || overlay > ctx.config.flip_threshold {
-        ctx.ledger.flip_trial(&proposal, &layers);
-        flipped = true;
-    }
-    let risky_layers = ctx.ledger.risky_layers(&proposal, &layers);
-    clock.stop(ctx.rec, Stage::Recolor);
-    if !risky_layers.is_empty() {
-        let cells: Vec<(Layer, TrackRect)> = found
-            .iter()
-            .filter(|f| risky_layers.contains(&f.layer))
-            .map(|f| (f.layer, f.our_rect))
-            .collect();
-        ctx.ledger.abort(proposal);
-        return Err(StageReject::Risk(cells));
-    }
-    if flipped {
-        ctx.ledger.counters.flips += 1;
-    }
-
-    // Stage 5: commit.
-    let clock = SpanClock::start(&*ctx.rec);
-    ctx.ledger
-        .commit(proposal, plane, ctx.dir_map, net, candidate);
-    clock.stop(ctx.rec, Stage::Commit);
-    Ok(flipped)
 }
 
 /// Adds rip-up penalties around the given cells so the re-route leaves
@@ -518,81 +542,6 @@ pub(crate) fn net_footprint(
         .expanded(margin)
         .intersection(&plane_rect)
         .unwrap_or(plane_rect)
-}
-
-/// What one [`ScheduleMachine::step`] call did. Every `Net` step ends
-/// *between* canonical commits, so pausing after any step leaves a state
-/// [`crate::checkpoint::serialize`] can capture and a resumed run
-/// reproduces byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepEvent {
-    /// One net was routed (or failed) at its canonical turn.
-    Net,
-    /// The schedule is finished; no work was done. Further calls keep
-    /// returning `Complete`.
-    Complete,
-}
-
-/// The borrowed router state one schedule step executes against.
-pub(crate) struct StepArgs<'a> {
-    pub config: &'a RouterConfig,
-    pub ledger: &'a mut CommitLedger,
-    pub ws: &'a mut Workspace,
-    pub plane: &'a mut RoutingPlane,
-    pub netlist: &'a Netlist,
-    pub failed: &'a mut Vec<NetId>,
-    pub run_budget: &'a RunBudget,
-    pub rec: &'a mut dyn Recorder,
-}
-
-/// The routing schedule as a resumable state machine: the canonical net
-/// order and a cursor into it. Each [`ScheduleMachine::step`] routes one
-/// net at its turn and hands control back to the caller, so pausing
-/// between steps cannot reorder any part of the canonical commit
-/// sequence, and a run resumed from a snapshot walks exactly the nets the
-/// snapshot had not yet routed or failed. The session's step function
-/// ([`crate::session`]) is its only driver.
-pub(crate) struct ScheduleMachine {
-    /// The nets still to route, in canonical order.
-    order: Vec<NetId>,
-    /// Next net of `order`.
-    next: usize,
-}
-
-impl ScheduleMachine {
-    /// The schedule that routes `order` one net at a time.
-    pub(crate) fn new(order: Vec<NetId>) -> ScheduleMachine {
-        ScheduleMachine { order, next: 0 }
-    }
-
-    /// A schedule with nothing left to do: the first step completes it.
-    /// A run resumed from a finished snapshot starts here.
-    pub(crate) fn finished() -> ScheduleMachine {
-        ScheduleMachine::new(Vec::new())
-    }
-
-    /// Nets routed or failed so far.
-    pub(crate) fn steps_done(&self) -> u64 {
-        self.next as u64
-    }
-
-    /// Total steps the schedule will take: one per net.
-    pub(crate) fn steps_total(&self) -> u64 {
-        self.order.len() as u64
-    }
-
-    /// Routes the next net of the schedule against `a`.
-    pub(crate) fn step(&mut self, a: &mut StepArgs<'_>) -> StepEvent {
-        let Some(&id) = self.order.get(self.next) else {
-            return StepEvent::Complete;
-        };
-        self.next += 1;
-        let mut ctx = RouteCtx::new(a.config, a.ledger, a.ws, a.run_budget, &mut *a.rec);
-        if !route_net(&mut ctx, a.plane, a.netlist.net(id), &[], true) {
-            a.failed.push(id);
-        }
-        StepEvent::Net
-    }
 }
 
 /// Detects unavoidable type-B cut conflicts in the tentative route's

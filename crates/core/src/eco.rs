@@ -36,7 +36,6 @@
 
 use crate::checkpoint::{self, Snapshot};
 use crate::config::RouterConfig;
-use crate::driver;
 use crate::driver::net_footprint;
 use crate::router::Router;
 use crate::session::{RoutingSession, SessionError, SessionStatus, StepBudget};
@@ -304,17 +303,8 @@ impl EcoSession {
         // Normalise: unrouted nets must not hold pin reservations (the
         // batch flow leaves them reserved; the ECO re-route releases them
         // on failure — adopt the re-route semantics).
-        {
-            let Router {
-                config,
-                workspace,
-                failed,
-                ..
-            } = &mut router;
-            let ws = workspace.as_mut().expect("session router is begun");
-            for id in failed.iter() {
-                driver::release_pins(config, &mut ws.guards, &mut plane, netlist.net(*id));
-            }
+        for id in router.failed.clone() {
+            router.release_pins(&mut plane, netlist.net(id));
         }
         let active = netlist.iter().map(|n| n.id).collect();
         let mut eco = EcoSession {
@@ -817,17 +807,10 @@ impl EcoSession {
         // they are pin candidates — commit released the unused ones) and
         // clear their failure records; the re-route below re-records.
         {
-            let Router {
-                config,
-                ledger,
-                workspace,
-                failed,
-                ..
-            } = &mut self.router;
-            let ws = workspace.as_mut().expect("eco router is begun");
+            let router = &mut self.router;
             for &id in &invalidated {
-                ledger.unroute(&mut self.plane, &mut ws.dir_map, id);
-                failed.retain(|f| *f != id);
+                router.unroute(&mut self.plane, id);
+                router.failed.retain(|f| *f != id);
             }
             // The structural change.
             match edit {
@@ -836,25 +819,15 @@ impl EcoSession {
                     self.active.insert(id);
                 }
                 EcoEdit::RemoveNet { net } => {
-                    ledger.unroute(&mut self.plane, &mut ws.dir_map, *net);
-                    driver::release_pins(
-                        config,
-                        &mut ws.guards,
-                        &mut self.plane,
-                        self.netlist.net(*net),
-                    );
+                    router.unroute(&mut self.plane, *net);
+                    router.release_pins(&mut self.plane, self.netlist.net(*net));
                     self.active.remove(net);
-                    failed.retain(|f| f != net);
+                    router.failed.retain(|f| f != net);
                 }
                 EcoEdit::MoveNet { net, pins } => {
-                    ledger.unroute(&mut self.plane, &mut ws.dir_map, *net);
-                    driver::release_pins(
-                        config,
-                        &mut ws.guards,
-                        &mut self.plane,
-                        self.netlist.net(*net),
-                    );
-                    failed.retain(|f| f != net);
+                    router.unroute(&mut self.plane, *net);
+                    router.release_pins(&mut self.plane, self.netlist.net(*net));
+                    router.failed.retain(|f| f != net);
                     let mut pins = pins.clone();
                     let extra = pins.split_off(2);
                     let n = self.netlist.net_mut(*net);
@@ -910,19 +883,9 @@ impl EcoSession {
             }
             _ => {}
         }
-        {
-            let Router {
-                config, workspace, ..
-            } = &mut self.router;
-            let ws = workspace.as_mut().expect("eco router is begun");
-            for &id in &targets {
-                driver::reserve_pins(
-                    config,
-                    &mut ws.guards,
-                    &mut self.plane,
-                    self.netlist.net(id),
-                );
-            }
+        for &id in &targets {
+            self.router
+                .reserve_pins(&mut self.plane, self.netlist.net(id));
         }
         let order = self.netlist.ids_by_hpwl();
         let mut rerouted: u64 = 0;

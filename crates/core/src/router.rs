@@ -10,11 +10,9 @@
 use crate::budget::RunBudget;
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
-use crate::driver::{self, RouteCtx, ScheduleMachine};
 use crate::grids::{DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
 use crate::ledger::{CommitLedger, FLIP_NEIGHBORHOOD};
 use crate::report::RoutingReport;
-use crate::session::{self, SessionStatus, StepBudget};
 use sadp_decomp::{ColoredPattern, CutSimulator};
 use sadp_geom::{GridPoint, Layer, TrackRect};
 use sadp_graph::{flip, OverlayGraph};
@@ -135,6 +133,10 @@ pub struct Router {
     /// The whole-run budget, re-armed from the config at the start of
     /// every run (unlimited before the first).
     pub(crate) run_budget: RunBudget,
+    /// The run's nets to route, in canonical order (`Router::advance`).
+    pub(crate) schedule: Vec<NetId>,
+    /// Next net of `schedule`.
+    pub(crate) next: usize,
 }
 
 impl PartialEq for Router {
@@ -159,6 +161,8 @@ impl Router {
             finalized: false,
             color_fallbacks: Cell::new(0),
             run_budget: RunBudget::unlimited(),
+            schedule: Vec::new(),
+            next: 0,
         }
     }
 
@@ -258,7 +262,7 @@ impl Router {
     /// spans and counters land in [`RoutingReport::profile`], structured
     /// [`RouterEvent`] records in the recorder's sink.
     ///
-    /// It runs the step function of
+    /// It runs the schedule of
     /// [`RoutingSession`](crate::session::RoutingSession) in one unbounded
     /// call, on a borrowed plane and netlist.
     pub fn route_all_with(
@@ -268,31 +272,26 @@ impl Router {
         rec: &mut dyn Recorder,
     ) -> RoutingReport {
         let started = Instant::now();
-        let (mut machine, _) = self
-            .prepare_run(plane, netlist, None, false)
+        self.prepare_run(plane, netlist, None, false)
             .unwrap_or_else(|e| panic!("{e}"));
-        let budget = StepBudget::unbounded();
-        match session::run_steps(self, &mut machine, plane, netlist, rec, budget, started) {
-            SessionStatus::Done(report) => *report,
-            _ => unreachable!("an unbounded run finishes the schedule"),
-        }
+        self.advance(plane, netlist, rec, u64::MAX, started)
+            .expect("an unbounded run finishes the schedule")
     }
 
     /// The shared run preamble of [`Router::route_all_with`] and
     /// [`crate::session::RoutingSession`]: sizes the router for the
     /// plane, arms the run budget, verifies the resume fingerprint,
     /// then either reserves every pin (a fresh run) or restores the
-    /// snapshot (`Router::restore`), and plans the schedule over the
-    /// canonical net order minus the nets the snapshot already routed or
-    /// failed (plus the input fingerprint when checkpointing asked for
-    /// it).
+    /// snapshot (`Router::restore`), and schedules the canonical net
+    /// order minus the nets the snapshot already routed or failed.
+    /// Returns the input fingerprint when checkpointing asked for it.
     pub(crate) fn prepare_run(
         &mut self,
         plane: &mut RoutingPlane,
         netlist: &Netlist,
         resume: Option<&Snapshot>,
         want_fingerprint: bool,
-    ) -> Result<(ScheduleMachine, Option<u64>), SnapshotError> {
+    ) -> Result<Option<u64>, SnapshotError> {
         self.try_begin_sized(plane, netlist.len())?;
         self.run_budget = RunBudget::from_config(&self.config);
         // The input fingerprint costs a serialization pass, so it is
@@ -307,25 +306,21 @@ impl Router {
         let mut order = netlist.ids_by_hpwl();
         if let Some(snap) = resume {
             self.restore(plane, netlist, snap)?;
-            if self.finalized {
-                return Ok((ScheduleMachine::finished(), fp));
-            }
             let failed: std::collections::HashSet<NetId> = self.failed.iter().copied().collect();
             let routed = self.ledger.routed();
-            order.retain(|id| !routed.contains_key(id) && !failed.contains(id));
+            let finalized = self.finalized;
+            order.retain(|id| !finalized && !routed.contains_key(id) && !failed.contains(id));
         } else {
-            let ws = self
-                .workspace
-                .as_mut()
-                .expect("try_begin_sized sets the workspace");
             // Reserve every pin candidate cell up front so earlier nets
             // cannot route over the pins of later ones (the owner may
             // still enter its own reserved cells).
             for net in netlist {
-                driver::reserve_pins(&self.config, &mut ws.guards, plane, net);
+                self.reserve_pins(plane, net);
             }
         }
-        Ok((ScheduleMachine::new(order), fp))
+        self.schedule = order;
+        self.next = 0;
+        Ok(fp)
     }
 
     /// Resets the router state for the plane, with a hint of how many
@@ -372,28 +367,16 @@ impl Router {
         net: &Net,
         rec: &mut dyn Recorder,
     ) -> bool {
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = self;
-        let ws = workspace.as_mut().expect("a run sized the router");
-        driver::reserve_pins(config, &mut ws.guards, plane, net);
-        let ok = {
-            let mut ctx = RouteCtx::new(config, ledger, ws, run_budget, rec);
-            driver::route_net(&mut ctx, plane, net, &[], true)
-        };
+        self.reserve_pins(plane, net);
+        let ok = self.route_net(plane, net, &[], true, rec);
         if ok {
             // A retry that made it clears the earlier failure record so
             // report counters see the net exactly once.
-            failed.retain(|&id| id != net.id);
+            self.failed.retain(|&id| id != net.id);
         } else {
-            driver::release_pins(config, &mut ws.guards, plane, net);
-            if !failed.contains(&net.id) {
-                failed.push(net.id);
+            self.release_pins(plane, net);
+            if !self.failed.contains(&net.id) {
+                self.failed.push(net.id);
             }
         }
         ok
@@ -595,7 +578,8 @@ impl Router {
     /// The one re-route of finalize: rips up the routed `net` and routes
     /// it again with `2 × ripup_penalty` seeded on its old corridor, so it
     /// leaves the offending region. The unroute freed the net's pin
-    /// cells; every pin candidate is re-reserved first. Failures are not
+    /// cells; they are reserved again first (its guard halo is still
+    /// claimed, so only the cells change). Failures are not
     /// counted here (`count_failures = false`): the caller decides
     /// whether the net becomes a cleanup casualty.
     fn reroute_away(
@@ -605,11 +589,7 @@ impl Router {
         rec: &mut dyn Recorder,
     ) -> bool {
         let old_cells = self.ledger.routed()[&net.id].fragments.clone();
-        let ws = self
-            .workspace
-            .as_mut()
-            .expect("finalize runs after a run began");
-        self.ledger.unroute(plane, &mut ws.dir_map, net.id);
+        self.unroute(plane, net.id);
         let p = self.config.ripup_penalty_cost() * 2;
         let seeds: Vec<(GridPoint, u64)> = old_cells
             .iter()
@@ -618,25 +598,16 @@ impl Router {
                     .map(move |(x, y)| (GridPoint::new(*layer, x, y), p))
             })
             .collect();
-        for pin in net.pins() {
-            for &c in pin.candidates() {
-                let _ = plane.occupy(c, net.id);
-            }
-        }
-        let mut ctx = RouteCtx::new(&self.config, &mut self.ledger, ws, &self.run_budget, rec);
-        driver::route_net(&mut ctx, plane, net, &seeds, false)
+        self.reserve_pins(plane, net);
+        self.route_net(plane, net, &seeds, false, rec)
     }
 
     /// Gives `id` up as a cleanup casualty: unroutes it if it is still
     /// routed, lists it failed and records the `cleanup` failure.
     fn give_up(&mut self, plane: &mut RoutingPlane, id: NetId, rec: &mut dyn Recorder) {
-        let ws = self
-            .workspace
-            .as_mut()
-            .expect("finalize runs after a run began");
-        self.ledger.unroute(plane, &mut ws.dir_map, id);
+        self.unroute(plane, id);
         self.failed.push(id);
-        driver::net_failed(&mut self.ledger, rec, id, FailReason::Cleanup);
+        self.net_failed(id, FailReason::Cleanup, rec);
     }
 
     /// Builds the aggregate report for the current state, with the `cpu`
@@ -854,9 +825,11 @@ mod tests {
         router.route_all(&mut plane, &nl);
         assert!(router.routed().contains_key(&id));
 
+        // The run budget counts the run's expansions: the route above
+        // already spent more than one node.
         config.run_node_budget = 1;
         router.run_budget = RunBudget::from_config(&config);
-        router.run_budget.add_nodes(1);
+        assert!(router.ledger().counters.nodes_expanded >= 1);
         assert!(!router.reroute_away(&mut plane, nl.net(id), &mut NoopRecorder));
         router.give_up(&mut plane, id, &mut NoopRecorder);
         assert!(router.routed().is_empty());

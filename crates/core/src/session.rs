@@ -14,16 +14,17 @@
 //!                          └──cancel───────▶ Cancelled
 //! ```
 //!
-//! [`RoutingSession::advance`] drives the driver's schedule machine for
-//! at most [`StepBudget::steps`] increments and returns. One increment is
-//! one net routed at its canonical turn, so pausing between `advance`
-//! calls can never reorder the canonical commit sequence, and the final
-//! result (report, colors, patterns, JSONL trace) is the same for every
-//! step budget.
+//! The router owns the schedule: the canonical net order and a cursor
+//! into it. [`RoutingSession::advance`] has it route at most
+//! [`StepBudget::steps`] increments and returns. One increment is one
+//! net routed at its canonical turn, so pausing between `advance` calls
+//! can never reorder the canonical commit sequence, and the final result
+//! (report, colors, patterns, JSONL trace) is the same for every step
+//! budget.
 //!
 //! This stepper is the router's only routing engine: the blocking
-//! [`Router::route_all_with`] runs the same step function in one
-//! unbounded call.
+//! [`Router::route_all_with`] runs the same schedule in one unbounded
+//! call.
 //!
 //! Every pause point is also a valid checkpoint:
 //! [`RoutingSession::snapshot`] serializes the router's state in the
@@ -36,11 +37,10 @@
 
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
-use crate::driver::{ScheduleMachine, StepArgs, StepEvent};
 use crate::report::RoutingReport;
 use crate::router::Router;
 use sadp_grid::{Netlist, RoutingPlane};
-use sadp_obs::{BufferRecorder, Recorder, RouterEvent};
+use sadp_obs::{BufferRecorder, RouterEvent};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -135,7 +135,6 @@ pub struct RoutingSession {
     router: Router,
     plane: RoutingPlane,
     netlist: Netlist,
-    machine: ScheduleMachine,
     rec: BufferRecorder,
     /// The input fingerprint, stamped into every snapshot so a resume
     /// against a different plane/netlist is rejected.
@@ -206,12 +205,11 @@ impl RoutingSession {
     ) -> Result<RoutingSession, SessionError> {
         let started = Instant::now();
         let mut router = Router::new(config);
-        let (machine, fp) = router.prepare_run(&mut plane, &netlist, resume, true)?;
+        let fp = router.prepare_run(&mut plane, &netlist, resume, true)?;
         Ok(RoutingSession {
             router,
             plane,
             netlist,
-            machine,
             rec: BufferRecorder::with_flags(trace, timing),
             fingerprint: fp.expect("fingerprint is always requested"),
             started,
@@ -228,19 +226,18 @@ impl RoutingSession {
             State::Cancelled => return SessionStatus::Failed(SessionError::Cancelled),
             State::Routing => {}
         }
-        let status = run_steps(
-            &mut self.router,
-            &mut self.machine,
+        let Some(report) = self.router.advance(
             &mut self.plane,
             &self.netlist,
             &mut self.rec,
-            budget,
+            budget.steps,
             self.started,
-        );
-        if let SessionStatus::Done(report) = &status {
-            self.state = State::Done(report.clone());
-        }
-        status
+        ) else {
+            return SessionStatus::Running;
+        };
+        let report = Box::new(report);
+        self.state = State::Done(report.clone());
+        SessionStatus::Done(report)
     }
 
     /// Stops the session: further [`RoutingSession::advance`] calls
@@ -266,7 +263,7 @@ impl RoutingSession {
     /// counted.
     #[must_use]
     pub fn progress(&self) -> (u64, u64) {
-        (self.machine.steps_done(), self.machine.steps_total())
+        self.router.progress()
     }
 
     /// Whether the session reached `Done`.
@@ -331,57 +328,6 @@ impl RoutingSession {
     pub(crate) fn into_router_parts(self) -> (Router, RoutingPlane, Netlist, BufferRecorder) {
         (self.router, self.plane, self.netlist, self.rec)
     }
-}
-
-/// The routing engine: executes up to `budget` increments of `machine`
-/// against the router's state and, once the schedule runs dry, the
-/// finalize stage (flipping, cleanup, cut repair; skipped when the
-/// state was already finalized) and the report, whose
-/// `cpu` is measured from `started`. The only caller of
-/// [`ScheduleMachine::step`]: [`RoutingSession::advance`] runs it in
-/// slices, [`Router::route_all_with`] in one unbounded call. Returns
-/// `Running` or `Done`.
-pub(crate) fn run_steps(
-    router: &mut Router,
-    machine: &mut ScheduleMachine,
-    plane: &mut RoutingPlane,
-    netlist: &Netlist,
-    rec: &mut dyn Recorder,
-    budget: StepBudget,
-    started: Instant,
-) -> SessionStatus {
-    for _ in 0..budget.steps.max(1) {
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = &mut *router;
-        let ws = workspace.as_mut().expect("prepare_run sets the workspace");
-        let ev = machine.step(&mut StepArgs {
-            config,
-            ledger,
-            ws,
-            plane: &mut *plane,
-            netlist,
-            failed,
-            run_budget,
-            rec: &mut *rec,
-        });
-        if ev == StepEvent::Complete {
-            if !router.finalized {
-                router.finalize(plane, netlist, rec);
-            }
-            let mut report = router.report(netlist, started);
-            if let Some(profile) = rec.profile() {
-                report.profile = profile;
-            }
-            return SessionStatus::Done(Box::new(report));
-        }
-    }
-    SessionStatus::Running
 }
 
 impl fmt::Debug for RoutingSession {

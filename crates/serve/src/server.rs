@@ -1311,12 +1311,14 @@ fn worker_loop(shared: &Arc<Shared>) {
                     job.session = Some(session);
                 } else {
                     // Every slice boundary is checkpoint-aligned; persist
-                    // and rotate to the back of the priority class so
-                    // concurrent jobs interleave.
-                    job.ckpt = Some(session.snapshot());
+                    // it when there is a state dir (cancel and shutdown
+                    // take their own snapshot) and rotate to the back of
+                    // the priority class so concurrent jobs interleave.
+                    if shared.state_dir.is_some() {
+                        job.ckpt = Some(session.snapshot());
+                        shared.persist_ckpt(job);
+                    }
                     job.session = Some(session);
-                    let job = &g.jobs[&id];
-                    shared.persist_ckpt(job);
                     shared.enqueue(&mut g, id);
                     shared.work_cv.notify_one();
                 }

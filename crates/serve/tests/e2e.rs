@@ -159,56 +159,59 @@ fn priorities_run_strictly_ordered_on_one_worker() {
     server.shutdown();
 }
 
+/// With a state dir and without one: the cancel takes its own snapshot
+/// either way, so the resume needs no per-slice checkpoint.
 #[test]
 fn cancel_then_resume_matches_the_uninterrupted_report() {
     let layout = fixture("multi-band-fault-recovery.layout");
     let (want, _) = route_direct(&layout);
 
-    let dir = tempdir("serve-cancel");
-    let server = serve(ServeConfig {
-        workers: 1,
-        slice_steps: 1,
-        state_dir: Some(dir),
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-    let job = submit(&mut client, &layout, 100);
+    for state_dir in [Some(tempdir("serve-cancel")), None] {
+        let server = serve(ServeConfig {
+            workers: 1,
+            slice_steps: 1,
+            state_dir,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = server.addr().to_string();
+        let mut client = Client::connect(&addr).expect("connect");
+        let job = submit(&mut client, &layout, 100);
 
-    // Wait for the first routed net, then cancel mid-run.
-    {
-        let mut sub = Client::connect(&addr).expect("connect");
-        let mut saw_progress = false;
-        let _ = sub.subscribe(job, |line| {
-            if !saw_progress && line.contains("\"event\":\"net_routed\"") {
-                saw_progress = true;
-                let mut c = Client::connect(&addr).expect("connect");
-                c.call(&Request::Cancel { job }).expect("cancel accepted");
-            }
-        });
-        assert!(saw_progress, "job produced progress before cancelling");
+        // Wait for the first routed net, then cancel mid-run.
+        {
+            let mut sub = Client::connect(&addr).expect("connect");
+            let mut saw_progress = false;
+            let _ = sub.subscribe(job, |line| {
+                if !saw_progress && line.contains("\"event\":\"net_routed\"") {
+                    saw_progress = true;
+                    let mut c = Client::connect(&addr).expect("connect");
+                    c.call(&Request::Cancel { job }).expect("cancel accepted");
+                }
+            });
+            assert!(saw_progress, "job produced progress before cancelling");
+        }
+        let status = client.call(&Request::Status { job }).expect("status");
+        assert_eq!(
+            status.get("state").and_then(Json::as_str),
+            Some("cancelled")
+        );
+        assert_eq!(
+            status.get("has_checkpoint").and_then(Json::as_bool),
+            Some(true)
+        );
+
+        client
+            .call(&Request::Resume { job })
+            .expect("resume accepted");
+        let (_, done) = stream_job(&addr, job);
+        assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+        let (routed, wl, vias, _) = report_fields(&done);
+        assert_eq!(routed, want.routed_nets as u64, "resumed result identical");
+        assert_eq!(wl, want.wirelength);
+        assert_eq!(vias, want.vias);
+        server.shutdown();
     }
-    let status = client.call(&Request::Status { job }).expect("status");
-    assert_eq!(
-        status.get("state").and_then(Json::as_str),
-        Some("cancelled")
-    );
-    assert_eq!(
-        status.get("has_checkpoint").and_then(Json::as_bool),
-        Some(true)
-    );
-
-    client
-        .call(&Request::Resume { job })
-        .expect("resume accepted");
-    let (_, done) = stream_job(&addr, job);
-    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
-    let (routed, wl, vias, _) = report_fields(&done);
-    assert_eq!(routed, want.routed_nets as u64, "resumed result identical");
-    assert_eq!(wl, want.wirelength);
-    assert_eq!(vias, want.vias);
-    server.shutdown();
 }
 
 #[test]

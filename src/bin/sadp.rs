@@ -175,13 +175,17 @@ fn main() -> ExitCode {
     // banner is silenced and the payload is reported once below, as an
     // ordinary error with the routing exit code.
     std::panic::set_hook(Box::new(|_| {}));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(&args)))
-        .unwrap_or_else(|payload| {
-            Err(CliError::Routing(format!(
-                "internal panic: {}",
-                panic_message(payload.as_ref())
-            )))
-        });
+    let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(&args))) {
+        Ok(result) => result,
+        // A closed stdout (`sadp fuzz | head -1`) ends the command
+        // quietly, as a reader that stops early expects: `print!` panics
+        // with this message when the write fails with EPIPE.
+        Err(payload) if is_broken_stdout(&panic_message(payload.as_ref())) => Ok(()),
+        Err(payload) => Err(CliError::Routing(format!(
+            "internal panic: {}",
+            panic_message(payload.as_ref())
+        ))),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -256,6 +260,12 @@ fn print_usage() {
     eprintln!("  --trace FILE   write the pipeline event stream as JSONL");
     eprintln!("  --profile      print the per-stage time/count table and the A* nodes expanded");
     eprintln!("exit codes: 0 ok, 1 failed check, 2 usage, 3 bad input, 4 routing failure");
+}
+
+/// Whether a caught panic is `print!` failing on a stdout whose reader
+/// has gone.
+fn is_broken_stdout(message: &str) -> bool {
+    message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
 }
 
 /// Best-effort text of a caught panic payload.

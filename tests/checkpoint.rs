@@ -193,6 +193,41 @@ fn resume_from_any_checkpoint_is_byte_identical() {
     }
 }
 
+/// The whole-run node budget counts the run's `nodes_expanded`, which
+/// the snapshot carries, so a budgeted run resumed mid-schedule trips at
+/// the same net as the uninterrupted run.
+#[test]
+fn a_run_node_budget_trips_at_the_same_net_after_resume() {
+    let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
+    let (plane, netlist) = spec.generate();
+    let unbudgeted = Router::new(RouterConfig::paper_defaults())
+        .route_all(&mut plane.clone(), &netlist)
+        .nodes_expanded;
+    let mut config = RouterConfig::paper_defaults();
+    config.run_node_budget = unbudgeted / 8;
+    let create = || {
+        RoutingSession::create(config.clone(), plane.clone(), netlist.clone(), false, false)
+            .expect("clean run")
+    };
+    let want = finish(&mut create(), |_| {});
+    assert!(
+        want.0.failed_budget > 0 && want.0.routed_nets > 0,
+        "the budget trips mid-schedule: {}",
+        want.0
+    );
+
+    let mut first = create();
+    let half = first.progress().1 / 2;
+    assert!(matches!(
+        first.advance(StepBudget::steps(half)),
+        SessionStatus::Running
+    ));
+    let snap = Snapshot::parse(&first.snapshot()).expect("snapshot parses");
+    let mut resumed =
+        RoutingSession::resume(config, plane, netlist, &snap, false, false).expect("resumed run");
+    assert_eq!(want, finish(&mut resumed, |_| {}));
+}
+
 #[test]
 fn mid_run_snapshot_actually_skips_work() {
     // The resumed run must not silently re-route everything: a snapshot

@@ -447,3 +447,26 @@ fn budget_flags_degrade_gracefully() {
         "expected budget-failure line: {stdout}"
     );
 }
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // `sadp fuzz | head -1`: the reader goes away after the first line
+    // while the campaign still has lines to print.
+    let mut child = sadp()
+        .args(["fuzz", "--seeds", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.contains("seeds"), "{first}");
+    let out = child.wait_with_output().expect("exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(4), "stderr: {stderr}");
+    assert!(!stderr.contains("internal panic"), "{stderr}");
+}
