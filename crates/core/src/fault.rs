@@ -9,8 +9,13 @@
 //! The plan is carried as `Option<FaultPlan>` in
 //! [`RouterConfig`](crate::RouterConfig); `None` (the default) costs one
 //! `Option` check per net, never anything per node.
+//!
+//! [`atomic_write`] is the one file write of the daemon's state dir and
+//! of `sadp route --checkpoint`; it applies an [`IoFault`] when given one.
 
 use sadp_geom::Rng;
+use std::io;
+use std::path::Path;
 
 /// Which faults to inject, derived deterministically from a seed.
 ///
@@ -134,6 +139,38 @@ impl FaultPlan {
     }
 }
 
+/// Writes `text` to `path` via the sibling temp file `<file>.tmp` and a
+/// rename, so a crash mid-write never leaves a torn file behind. Each
+/// target stages through its own temp file, so writes to different files
+/// of one directory never share one. An armed fault corrupts the write
+/// deterministically: `ShortWrite` truncates the payload but still
+/// reports success (a torn write that survives a crash — only a read-back
+/// can catch it), `Enospc` fails the write outright and leaves the
+/// previous file contents intact.
+///
+/// # Errors
+///
+/// Returns the I/O error of the write or the rename, or the injected
+/// `Enospc`.
+pub fn atomic_write(path: &Path, text: &str, fault: Option<IoFault>) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    match fault {
+        Some(IoFault::Enospc) => {
+            return Err(io::Error::other(format!(
+                "injected ENOSPC writing {} (fault plan)",
+                path.display()
+            )));
+        }
+        Some(IoFault::ShortWrite) => {
+            let keep = FaultPlan::short_write_len(text.len());
+            std::fs::write(&tmp, &text.as_bytes()[..keep])?;
+        }
+        None => std::fs::write(&tmp, text)?,
+    }
+    std::fs::rename(&tmp, path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,5 +228,33 @@ mod tests {
             assert!(keep < len, "len {len} kept {keep}");
         }
         assert_eq!(FaultPlan::short_write_len(0), 0);
+    }
+
+    #[test]
+    fn atomic_write_honours_faults_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("sadp_atomic_write_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (meta, layout) = (dir.join("job-1.meta"), dir.join("job-1.layout"));
+        atomic_write(&meta, "state=queued\n", None).unwrap();
+        atomic_write(&layout, "plane 3 8 8\n", None).unwrap();
+        assert_eq!(std::fs::read_to_string(&meta).unwrap(), "state=queued\n");
+        // An injected ENOSPC leaves the previous contents in place.
+        assert!(atomic_write(&meta, "state=done\n", Some(IoFault::Enospc)).is_err());
+        assert_eq!(std::fs::read_to_string(&meta).unwrap(), "state=queued\n");
+        // A short write reports success but lands truncated.
+        atomic_write(&layout, "0123456789", Some(IoFault::ShortWrite)).unwrap();
+        assert_eq!(std::fs::read_to_string(&layout).unwrap(), "01234");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            ["job-1.layout", "job-1.meta"],
+            "a temp file was left"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

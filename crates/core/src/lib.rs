@@ -43,7 +43,6 @@ pub mod bucket;
 pub mod budget;
 pub mod checkpoint;
 pub mod config;
-pub mod decompose;
 mod driver;
 pub mod eco;
 pub mod fault;
@@ -61,11 +60,10 @@ pub use bucket::BucketQueue;
 pub use budget::{Budget, RunBudget};
 pub use checkpoint::{Snapshot, SnapshotError};
 pub use config::RouterConfig;
-pub use decompose::{decompose_layout, LayoutColoring, UndecomposableLayout};
 pub use eco::{
     parse_edit_script, EcoEdit, EcoError, EcoSession, EditOutcome, NetRef, OpOutcome, ScriptOp,
 };
-pub use fault::{FaultPlan, IoFault, PersistKind};
+pub use fault::{atomic_write, FaultPlan, IoFault, PersistKind};
 pub use grids::{DenseGrid, DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
 pub use ledger::{CommitLedger, LedgerCounters, Proposal, RoutedNet};
 pub use report::RoutingReport;

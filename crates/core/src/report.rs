@@ -70,18 +70,6 @@ impl RoutingReport {
             self.routed_nets as f64 * 100.0 / self.total_nets as f64
         }
     }
-
-    /// One formatted table row: `Rout.% | overlay | #C | CPU(s)`.
-    #[must_use]
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:6.1} | {:8} | {:4} | {:8.2}",
-            self.routability(),
-            self.overlay_units,
-            self.cut_conflicts,
-            self.cpu.as_secs_f64()
-        )
-    }
 }
 
 impl fmt::Display for RoutingReport {
@@ -138,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn display_and_row() {
+    fn display_reports_counts() {
         let r = RoutingReport {
             total_nets: 10,
             routed_nets: 10,
@@ -149,6 +137,5 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("10/10"));
         assert!(s.contains("overlay 3 units"));
-        assert!(r.table_row().contains("100.0"));
     }
 }

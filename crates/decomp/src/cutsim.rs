@@ -49,12 +49,6 @@ impl DecompReport {
         (self.side_overlay_px / self.w_line_px.max(1)) as u64
     }
 
-    /// Side overlay in nanometres.
-    #[must_use]
-    pub fn side_overlay_nm(&self) -> i64 {
-        self.side_overlay_px as i64 * PX_NM
-    }
-
     /// Whether the layout decomposed without destroying any target and
     /// without hard overlays or cut conflicts.
     #[must_use]
@@ -87,56 +81,14 @@ pub struct Decomposition {
     pub origin: (i32, i32),
     /// Pixels per track pitch.
     pub pitch_px: usize,
-    /// Canvas margin in pixels.
-    pub margin_px: usize,
-}
-
-/// Pixel-area statistics of the synthesised masks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaskStats {
-    /// Target metal pixels.
-    pub target_px: usize,
-    /// Final core-mask pixels (targets + assists + merge fill).
-    pub core_px: usize,
-    /// Spacer pixels.
-    pub spacer_px: usize,
-    /// Required-cut pixels.
-    pub cut_px: usize,
-    /// Assist/fill pixels: core that is not target metal.
-    pub assist_px: usize,
 }
 
 impl Decomposition {
-    /// Pixel-area statistics of the synthesised masks, e.g. for comparing
-    /// assist-core usage between decomposition strategies.
-    #[must_use]
-    pub fn mask_stats(&self) -> MaskStats {
-        MaskStats {
-            target_px: self.target.count(),
-            core_px: self.core.count(),
-            spacer_px: self.spacer.count(),
-            cut_px: self.cut.count(),
-            assist_px: self.core.minus(&self.target).count(),
-        }
-    }
-
-    /// Converts a track cell x coordinate to the pixel of its left edge.
-    #[must_use]
-    pub fn px_of_cell_x(&self, x: i32) -> i64 {
-        (x - self.origin.0) as i64 * self.pitch_px as i64 + self.margin_px as i64
-    }
-
-    /// Converts a track cell y coordinate to the pixel of its bottom edge.
-    #[must_use]
-    pub fn px_of_cell_y(&self, y: i32) -> i64 {
-        (y - self.origin.1) as i64 * self.pitch_px as i64 + self.margin_px as i64
-    }
-
     /// The track cells whose target pixels the decomposition fails on
     /// (see [`Decomposition::conflicts`]), deduplicated and sorted.
     #[must_use]
     pub fn conflict_cells(&self) -> Vec<(i32, i32)> {
-        cells_of(&self.conflicts, self.origin, self.pitch_px, self.margin_px)
+        cells_of(&self.conflicts, self.origin, self.pitch_px)
     }
 }
 
@@ -156,19 +108,12 @@ pub struct Conflicts {
 /// The track cells of the set pixels of `marked`, deduplicated and
 /// sorted. Marked pixels are target pixels, which only exist inside the
 /// `w_line` band of a cell, so flooring by the pitch is exact.
-fn cells_of(
-    marked: &Bitmap,
-    origin: (i32, i32),
-    pitch_px: usize,
-    margin_px: usize,
-) -> Vec<(i32, i32)> {
-    let pitch = pitch_px as i64;
-    let m = margin_px as i64;
+fn cells_of(marked: &Bitmap, origin: (i32, i32), pitch_px: usize) -> Vec<(i32, i32)> {
     let mut cells: Vec<(i32, i32)> = marked
         .ones()
         .map(|(x, y)| {
-            let cx = ((x as i64 - m) / pitch) as i32 + origin.0;
-            let cy = ((y as i64 - m) / pitch) as i32 + origin.1;
+            let cx = (x / pitch_px) as i32 + origin.0;
+            let cy = (y / pitch_px) as i32 + origin.1;
             (cx, cy)
         })
         .collect();
@@ -239,32 +184,15 @@ impl CutSimulator {
         (self.rules.pitch().0 / PX_NM) as usize
     }
 
-    /// Runs the full cut-process pipeline on a colored single-layer layout.
+    /// Runs the full cut-process pipeline on a colored single-layer
+    /// layout, then measures every overlay run.
     ///
     /// # Panics
     ///
     /// Panics if `patterns` is empty.
     #[must_use]
     pub fn run(&self, patterns: &[ColoredPattern]) -> Decomposition {
-        self.run_with_options(patterns, true)
-    }
-
-    /// Runs the mask-synthesis pipeline with or without assist-core
-    /// generation, then measures every overlay run. `generate_assists =
-    /// false` models the trim process of the no-assist baselines (see
-    /// [`crate::trimsim`]): second patterns are protected only where a
-    /// core neighbour's spacer happens to cover them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patterns` is empty.
-    #[must_use]
-    pub fn run_with_options(
-        &self,
-        patterns: &[ColoredPattern],
-        generate_assists: bool,
-    ) -> Decomposition {
-        let masks = self.synthesize(patterns, generate_assists);
+        let masks = self.synthesize(patterns);
         let owner = self.owner_map(&masks);
         let mut report = self.measure(&masks, &owner);
         let (cut_conflicts, spacer_violations, conflicts) = self.failures(&masks);
@@ -288,13 +216,12 @@ impl CutSimulator {
             conflicts,
             origin,
             pitch_px: self.pitch_px(),
-            margin_px: 0,
         }
     }
 
-    /// Synthesises the masks of `patterns` (assists on) and reports only
-    /// where the decomposition fails: the type-B conflicted and
-    /// spacer-destroyed target cells with their two counts. These equal
+    /// Synthesises the masks of `patterns` and reports only where the
+    /// decomposition fails: the type-B conflicted and spacer-destroyed
+    /// target cells with their two counts. These equal
     /// [`Decomposition::conflict_cells`] and the report's
     /// `cut_conflicts`/`spacer_violations` of [`CutSimulator::run`], but
     /// skip the per-pixel owner map and the overlay runs, which only the
@@ -305,10 +232,10 @@ impl CutSimulator {
     /// Panics if `patterns` is empty.
     #[must_use]
     pub fn conflicts(&self, patterns: &[ColoredPattern]) -> Conflicts {
-        let masks = self.synthesize(patterns, true);
+        let masks = self.synthesize(patterns);
         let (cut_conflicts, spacer_violations, marked) = self.failures(&masks);
         Conflicts {
-            cells: cells_of(&marked, masks.origin, self.pitch_px(), 0),
+            cells: cells_of(&marked, masks.origin, self.pitch_px()),
             cut_conflicts,
             spacer_violations,
         }
@@ -331,9 +258,9 @@ impl CutSimulator {
     }
 
     /// Steps 1-5 of the pipeline: bridge, paint, assists, merge, spacer,
-    /// cut. Both consumers, [`CutSimulator::run_with_options`] and
+    /// cut. Both consumers, [`CutSimulator::run`] and
     /// [`CutSimulator::conflicts`], start from its masks.
-    fn synthesize(&self, patterns: &[ColoredPattern], generate_assists: bool) -> Masks {
+    fn synthesize(&self, patterns: &[ColoredPattern]) -> Masks {
         assert!(!patterns.is_empty(), "nothing to decompose");
         // Same-net fragments on abutting tracks (islands that connect on
         // another layer) are bridged into one contiguous polygon first:
@@ -382,10 +309,9 @@ impl CutSimulator {
         let core_merge_zone = core.dilated(self.d_core_px());
         let mut side_strips = Bitmap::new(width, height);
         let mut tip_strips = Bitmap::new(width, height);
-        let assist_patterns: &[ColoredPattern] = if generate_assists { &patterns } else { &[] };
         let wcore = self.w_core_px() as i64;
         let gap = wspacer as i64;
-        for p in assist_patterns.iter().filter(|p| p.color == Color::Second) {
+        for p in patterns.iter().filter(|p| p.color == Color::Second) {
             for r in &p.rects {
                 let (x0, y0, x1, y1) = self.px_rect(origin, r);
                 // (strip rect, protects-a-side?) for west/east/south/north.
@@ -764,29 +690,17 @@ mod tests {
     }
 
     #[test]
-    fn cell_px_transform() {
-        let d = sim().run(&[wire(0, Color::Core, TrackRect::new(2, 2, 8, 2))]);
-        // Origin is bbox - 3 cells; cell x=2 maps 3 cells into the canvas.
-        assert_eq!(d.px_of_cell_x(2), 3 * 4);
-        assert_eq!(d.px_of_cell_y(2), 3 * 4);
-    }
-
-    #[test]
     fn runs_are_deterministic_and_pattern_ordered() {
-        // Many exposed trim-process wires give many (pattern, dir, line)
-        // groups, whose order used to follow a randomly seeded hash map.
+        // Core wires on adjacent tracks merge, so cuts define both long
+        // sides of every inner wire: many (pattern, dir, line) groups,
+        // whose order used to follow a randomly seeded hash map.
         let pats: Vec<ColoredPattern> = (0..24)
-            .map(|i| {
-                wire(
-                    i,
-                    Color::Second,
-                    TrackRect::new(0, 2 * i as i32, 5, 2 * i as i32),
-                )
-            })
+            .map(|i| wire(i, Color::Core, TrackRect::new(0, i as i32, 5, i as i32)))
             .collect();
-        let a = sim().run_with_options(&pats, false);
-        let b = sim().run_with_options(&pats, false);
-        assert!(a.report.runs.len() > 48);
+        let a = sim().run(&pats);
+        let b = sim().run(&pats);
+        // One cut-defined side run on each face of the 23 merged pairs.
+        assert_eq!(a.report.runs.len(), 2 * 23);
         assert_eq!(a.report.runs, b.report.runs);
         assert!(a
             .report
@@ -810,7 +724,9 @@ mod tests {
         assert!(d.report.runs.iter().all(|r| r.pattern < n));
         assert!(d.report.runs.iter().any(|r| r.pattern == n - 1));
         let last = pats[n - 1].rects[0];
-        let (x, y) = (d.px_of_cell_x(last.x0), d.px_of_cell_y(last.y0));
+        let pitch = d.pitch_px as i64;
+        let x = i64::from(last.x0 - d.origin.0) * pitch;
+        let y = i64::from(last.y0 - d.origin.1) * pitch;
         assert!(d.target.get(x, y));
         assert_eq!(
             d.owner[y as usize * d.target.width() + x as usize],

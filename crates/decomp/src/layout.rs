@@ -39,13 +39,6 @@ impl ColoredPattern {
             .skip(1)
             .fold(self.rects[0], |acc, r| acc.union_bbox(r))
     }
-
-    /// Total cell count (overlapping fragment cells counted once is not
-    /// required here; this is an upper bound used for sizing only).
-    #[must_use]
-    pub fn cell_estimate(&self) -> i64 {
-        self.rects.iter().map(TrackRect::len_cells).sum()
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +53,6 @@ mod tests {
             vec![TrackRect::new(0, 0, 4, 0), TrackRect::new(4, 0, 4, 3)],
         );
         assert_eq!(p.bbox(), TrackRect::new(0, 0, 4, 3));
-        assert_eq!(p.cell_estimate(), 9);
     }
 
     #[test]

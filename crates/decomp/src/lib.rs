@@ -41,23 +41,19 @@
 //! ```
 
 pub mod bitmap;
-pub mod cutmask;
 pub mod cutsim;
 pub mod export;
 pub mod layout;
 pub mod render;
 pub mod trim;
-pub mod trimsim;
 pub mod verify;
 pub mod window;
 
 pub use bitmap::Bitmap;
-pub use cutmask::{critical_cuts, CutPattern};
-pub use cutsim::{Conflicts, CutSimulator, DecompReport, Decomposition, MaskStats};
+pub use cutsim::{Conflicts, CutSimulator, DecompReport, Decomposition};
 pub use export::{bitmap_to_rects, export_masks, PxRect};
 pub use layout::ColoredPattern;
 pub use render::{render_ascii, render_svg};
 pub use trim::trim_conflicts;
-pub use trimsim::TrimSimulator;
 pub use verify::{verify_layers, verify_layers_observed, LayerVerdict, Verdict};
 pub use window::{replay_all_scenarios, replay_scenario, ScenarioReplay};

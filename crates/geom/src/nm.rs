@@ -54,12 +54,6 @@ impl Nm {
     pub fn min(self, other: Nm) -> Nm {
         Nm(self.0.min(other.0))
     }
-
-    /// Converts to micrometres as a float (for report printing only).
-    #[must_use]
-    pub fn as_um(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
 }
 
 impl fmt::Display for Nm {
@@ -159,8 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn display_and_um() {
+    fn display() {
         assert_eq!(Nm(1500).to_string(), "1500nm");
-        assert!((Nm(1500).as_um() - 1.5).abs() < 1e-12);
     }
 }

@@ -182,18 +182,6 @@ fn member_weight(graph: &OverlayGraph, members: &[u32]) -> u64 {
     w
 }
 
-fn component_weight(graph: &OverlayGraph, members: &[u32]) -> u64 {
-    let mut w = 0;
-    for &a in members {
-        for (b, d) in graph.incident(a) {
-            if a < b {
-                w += edge_weight(d, a, graph.color(a), b, graph.color(b));
-            }
-        }
-    }
-    w
-}
-
 /// Runs the flipping DP on `members`, which must be closed under hard
 /// constraints (a whole connected component, or a [`neighborhood_of`]
 /// set). Edges to vertices outside the set contribute with the outside
@@ -439,20 +427,6 @@ pub fn greedy_refine(graph: &mut OverlayGraph, max_passes: usize) -> u64 {
     let verts: Vec<u32> = graph.vertices().collect();
     refine_verts(graph, &verts, max_passes);
     before.saturating_sub(total_weight(graph))
-}
-
-/// [`greedy_refine`] scoped to the connected component containing `seed`.
-/// Components share no edges, so refining each touched component
-/// separately reaches the same fixpoint as a global pass — without
-/// re-walking the untouched rest of the graph.
-pub fn greedy_refine_component(graph: &mut OverlayGraph, seed: u32, max_passes: usize) -> u64 {
-    let members = graph.component_of(seed);
-    if members.is_empty() {
-        return 0;
-    }
-    let before = component_weight(graph, &members);
-    refine_verts(graph, &members, max_passes);
-    before.saturating_sub(component_weight(graph, &members))
 }
 
 fn refine_verts(graph: &mut OverlayGraph, verts: &[u32], max_passes: usize) {

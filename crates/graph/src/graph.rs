@@ -616,14 +616,6 @@ impl OverlayGraph {
     }
 
     /// Whether any edge incident to `net` currently realizes a forbidden
-    /// (hard-overlay) assignment.
-    #[must_use]
-    pub fn net_has_forbidden(&self, net: u32) -> bool {
-        self.incident(net)
-            .any(|(n, d)| d.table.entry(self.realized(net, n)).is_forbidden())
-    }
-
-    /// Whether any edge incident to `net` currently realizes a forbidden
     /// assignment or a type-A cut risk.
     #[must_use]
     pub fn net_has_risk(&self, net: u32) -> bool {

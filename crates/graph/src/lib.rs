@@ -38,7 +38,7 @@ pub mod state;
 pub use dsu::ParityDsu;
 pub use flip::{
     brute_force_color, flip_all, flip_component, flip_members, flip_neighborhood, greedy_refine,
-    greedy_refine_component, neighborhood_of, refine_members, FlipOutcome,
+    neighborhood_of, refine_members, FlipOutcome,
 };
 pub use graph::{EdgeData, EvalStats, GraphError, OverlayGraph};
 

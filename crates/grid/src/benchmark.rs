@@ -134,15 +134,6 @@ impl BenchmarkSpec {
         ]
     }
 
-    /// The physical die edge in µm (40 nm pitch).
-    #[must_use]
-    pub fn die_um(&self) -> (f64, f64) {
-        (
-            self.width_tracks as f64 * 0.04,
-            self.height_tracks as f64 * 0.04,
-        )
-    }
-
     /// Generates the routing plane (with blockages) and netlist.
     ///
     /// # Panics
@@ -334,10 +325,8 @@ mod tests {
         assert_eq!(fixed.len(), 5);
         assert_eq!(fixed[0].net_count, 1500);
         assert_eq!(fixed[4].net_count, 28000);
-        let (w, _) = fixed[0].die_um();
-        assert!((w - 6.8).abs() < 1e-9);
-        let (w, _) = fixed[4].die_um();
-        assert!((w - 36.0).abs() < 1e-9);
+        assert_eq!(fixed[0].width_tracks, 170);
+        assert_eq!(fixed[4].width_tracks, 900);
         let multi = BenchmarkSpec::paper_multi_suite();
         assert!(multi.iter().all(|s| s.candidates_per_pin == 2));
         assert_eq!(multi[2].net_count, 5500);

@@ -188,7 +188,9 @@ pub fn read_layout(text: &str) -> Result<(RoutingPlane, Netlist), ParseLayoutErr
             None => unreachable!("empty lines are skipped"),
         }
     }
-    let plane = plane.ok_or_else(|| err(0, "missing plane header"))?;
+    // Only blank and comment lines came before the end of the text: the
+    // header was due on the line after the last one.
+    let plane = plane.ok_or_else(|| err(text.lines().count() + 1, "missing plane header"))?;
     Ok((plane, netlist))
 }
 
@@ -268,7 +270,10 @@ net data 0:4,5|0:4,6 2:28,8
     fn errors_carry_line_numbers() {
         let e = read_layout("plane 3 32 32\nnet broken 0:2 0:3,4\n").unwrap_err();
         assert_eq!(e.to_string(), "line 2: bad pin `0:2` (want layer:x,y)");
-        assert!(read_layout("").is_err());
+        let e = read_layout("").unwrap_err();
+        assert_eq!(e.to_string(), "line 1: missing plane header");
+        let e = read_layout("# only a comment\n\n# and another\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 4: missing plane header");
         assert!(
             read_layout("net a 0:1,1 0:2,2\n").is_err(),
             "net before plane"

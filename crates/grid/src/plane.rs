@@ -1,7 +1,7 @@
 //! The multi-layer grid routing plane.
 
 use crate::net::NetId;
-use sadp_geom::{DesignRules, GridPoint, Layer, Nm, TrackRect};
+use sadp_geom::{DesignRules, GridPoint, Layer, TrackRect};
 use std::error::Error;
 use std::fmt;
 
@@ -156,18 +156,6 @@ impl RoutingPlane {
     #[must_use]
     pub fn rules(&self) -> &DesignRules {
         &self.rules
-    }
-
-    /// Physical die width.
-    #[must_use]
-    pub fn physical_width(&self) -> Nm {
-        self.rules.pitch() * i64::from(self.width)
-    }
-
-    /// Physical die height.
-    #[must_use]
-    pub fn physical_height(&self) -> Nm {
-        self.rules.pitch() * i64::from(self.height)
     }
 
     /// Whether `p` lies inside the plane.
@@ -332,7 +320,6 @@ mod tests {
         assert!(!p.in_bounds(GridPoint::new(Layer(3), 0, 0)));
         assert!(!p.in_bounds(GridPoint::new(Layer(0), -1, 0)));
         assert!(!p.in_bounds(GridPoint::new(Layer(0), 16, 0)));
-        assert_eq!(p.physical_width(), Nm(640));
     }
 
     #[test]

@@ -132,14 +132,6 @@ impl ScenarioKind {
         )
     }
 
-    /// Whether the scenario induces side overlay for *every* coloring
-    /// (only type 2-b; motivates the γ·T2b term of the A\*-search cost,
-    /// eq. (5)).
-    #[must_use]
-    pub fn is_unavoidable(self) -> bool {
-        self.table().min_so().is_some_and(|m| m > 0)
-    }
-
     /// The constraint-graph edge kind (Fig. 11) this scenario maps to.
     #[must_use]
     pub fn edge_kind(self) -> EdgeKind {
@@ -232,17 +224,6 @@ mod tests {
             if !matches!(k, ScenarioKind::OneA | ScenarioKind::OneB) {
                 assert_eq!(k.table().hard_parity(), None, "{k} should be nonhard");
             }
-        }
-    }
-
-    #[test]
-    fn only_2b_is_unavoidable() {
-        for k in ScenarioKind::ALL {
-            assert_eq!(
-                k.is_unavoidable(),
-                k == ScenarioKind::TwoB,
-                "{k} unavoidability"
-            );
         }
     }
 

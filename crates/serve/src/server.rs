@@ -30,8 +30,8 @@ use crate::json::{self, Json, Obj};
 use crate::protocol::{error_line, overloaded_line, Request};
 use sadp_core::eco::{parse_edit_script, EcoSession, OpOutcome};
 use sadp_core::{
-    FaultPlan, IoFault, PersistKind, RouterConfig, RoutingReport, RoutingSession, SessionStatus,
-    Snapshot, SnapshotError, StepBudget,
+    atomic_write, FaultPlan, IoFault, PersistKind, RouterConfig, RoutingReport, RoutingSession,
+    SessionStatus, Snapshot, SnapshotError, StepBudget,
 };
 use sadp_grid::io::{read_layout, write_layout};
 use sadp_ingest::{ingest_text, Format};
@@ -337,29 +337,6 @@ fn log_io_err(r: io::Result<()>) {
     if let Err(e) = r {
         eprintln!("sadp serve: state persistence failed: {e}");
     }
-}
-
-/// Writes `text` to `path` via a sibling temp file + rename. An armed
-/// fault plan can corrupt the write deterministically: `ShortWrite`
-/// truncates the payload but still reports success (a torn write that
-/// survives a crash — only a read-back can catch it), `Enospc` fails the
-/// write outright and leaves the previous file contents intact.
-fn atomic_write(path: &Path, text: &str, fault: Option<IoFault>) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    match fault {
-        Some(IoFault::Enospc) => {
-            return Err(io::Error::other(format!(
-                "injected ENOSPC writing {} (fault plan)",
-                path.display()
-            )));
-        }
-        Some(IoFault::ShortWrite) => {
-            let keep = FaultPlan::short_write_len(text.len());
-            std::fs::write(&tmp, &text.as_bytes()[..keep])?;
-        }
-        None => std::fs::write(&tmp, text)?,
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// A running daemon. Dropping the handle does NOT stop the server; call

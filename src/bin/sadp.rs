@@ -119,7 +119,9 @@
 //! `sadp convert` emits the ingested design as a native `.layout`
 //! fixture with a provenance comment header.
 
-use sadp::core::{FaultPlan, RoutingSession, ScenarioCensus, SessionStatus, Snapshot, StepBudget};
+use sadp::core::{
+    atomic_write, FaultPlan, RoutingSession, ScenarioCensus, SessionStatus, Snapshot, StepBudget,
+};
 use sadp::decomp::{
     export_masks, render_svg, verify_layers_observed, ColoredPattern, CutSimulator,
 };
@@ -129,6 +131,7 @@ use sadp::obs::events_to_jsonl;
 use sadp::prelude::*;
 use sadp::serve::{serve, Client, Json, Request, ServeConfig};
 use sadp_grid::BenchmarkSpec;
+use std::path::Path;
 use std::process::ExitCode;
 
 /// A CLI failure, classified so the process exit code tells scripts
@@ -395,14 +398,6 @@ fn write_trace(path: &str, rec: &mut BufferRecorder) -> CliResult {
     Ok(())
 }
 
-/// Writes `text` to `path` via a sibling temp file + rename, so a crash
-/// mid-write never leaves a torn checkpoint behind.
-fn write_atomic(path: &str, text: &str) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// How many schedule increments `route` advances per session slice.
 /// `--checkpoint` writes one snapshot per slice, so this is also the
 /// checkpoint cadence: at most one save per 64 nets.
@@ -495,7 +490,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
     let report = loop {
         let status = session.advance(StepBudget::steps(ROUTE_SLICE_STEPS));
         if let Some(ckpt) = checkpoint_path {
-            if let Err(e) = write_atomic(ckpt, &session.snapshot()) {
+            if let Err(e) = atomic_write(Path::new(ckpt), &session.snapshot(), None) {
                 eprintln!("warning: checkpoint {ckpt}: {e}");
             }
         }
@@ -532,39 +527,37 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
 
     println!("\n{}", ScenarioCensus::of(session.router()));
 
+    if svg_dir.is_none() && masks_file.is_none() {
+        return Ok(());
+    }
     if let Some(dir) = svg_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Other(format!("{dir}: {e}")))?;
-        let sim = CutSimulator::new(rules);
-        for (l, layer_patterns) in layers.iter().enumerate() {
-            if layer_patterns.is_empty() {
-                continue;
-            }
-            let pats: Vec<ColoredPattern> = layer_patterns
-                .iter()
-                .map(|(n, c, r)| ColoredPattern::new(*n, *c, r.clone()))
-                .collect();
-            let d = sim.run(&pats);
+    }
+    // One simulator pass per layer feeds both the SVG and the mask export.
+    let sim = CutSimulator::new(rules);
+    let mut masks = String::new();
+    for (l, layer_patterns) in layers.iter().enumerate() {
+        if layer_patterns.is_empty() {
+            continue;
+        }
+        let pats: Vec<ColoredPattern> = layer_patterns
+            .iter()
+            .map(|(n, c, r)| ColoredPattern::new(*n, *c, r.clone()))
+            .collect();
+        let d = sim.run(&pats);
+        if let Some(dir) = svg_dir {
             let file = format!("{dir}/m{}.svg", l + 1);
             std::fs::write(&file, render_svg(&d, &pats))
                 .map_err(|e| CliError::Other(format!("{file}: {e}")))?;
             println!("wrote {file}");
         }
+        if masks_file.is_some() {
+            masks.push_str(&format!("# layer M{}\n", l + 1));
+            masks.push_str(&export_masks(&d));
+        }
     }
     if let Some(file) = masks_file {
-        let sim = CutSimulator::new(rules);
-        let mut out = String::new();
-        for (l, layer_patterns) in layers.iter().enumerate() {
-            if layer_patterns.is_empty() {
-                continue;
-            }
-            let pats: Vec<ColoredPattern> = layer_patterns
-                .iter()
-                .map(|(n, c, r)| ColoredPattern::new(*n, *c, r.clone()))
-                .collect();
-            out.push_str(&format!("# layer M{}\n", l + 1));
-            out.push_str(&export_masks(&sim.run(&pats)));
-        }
-        std::fs::write(file, out).map_err(|e| CliError::Other(format!("{file}: {e}")))?;
+        std::fs::write(file, masks).map_err(|e| CliError::Other(format!("{file}: {e}")))?;
         println!("wrote {file}");
     }
     Ok(())

@@ -45,6 +45,44 @@ fn route_writes_svg_and_masks() {
 }
 
 #[test]
+fn svg_and_masks_together_match_two_single_flag_runs() {
+    // Both flags share one simulator pass per layer; the files must not
+    // differ from what each flag writes on its own.
+    let dir = std::env::temp_dir().join("sadp_cli_svg_masks");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let route = |flags: &[(&str, &std::path::Path)]| {
+        let mut cmd = sadp();
+        cmd.args(["route", "fixtures/odd_cycle.layout"]);
+        for (flag, path) in flags {
+            cmd.arg(flag).arg(path);
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (both_svg, both_masks) = (dir.join("both-svg"), dir.join("both-masks.txt"));
+    let (one_svg, one_masks) = (dir.join("one-svg"), dir.join("one-masks.txt"));
+    let both = route(&[("--svg", &both_svg), ("--masks", &both_masks)]);
+    route(&[("--svg", &one_svg)]);
+    route(&[("--masks", &one_masks)]);
+    for layer in ["m1.svg", "m2.svg"] {
+        let a = std::fs::read(both_svg.join(layer)).expect("svg with both flags");
+        let b = std::fs::read(one_svg.join(layer)).expect("svg alone");
+        assert_eq!(a, b, "{layer} differs");
+    }
+    assert_eq!(
+        std::fs::read(&both_masks).unwrap(),
+        std::fs::read(&one_masks).unwrap()
+    );
+    // The SVG lines come first, the masks line last.
+    let wrote: Vec<&str> = both.lines().filter(|l| l.starts_with("wrote ")).collect();
+    let masks_line = format!("wrote {}", both_masks.display());
+    assert_eq!(wrote.len(), 3, "{both}");
+    assert_eq!(wrote[2], masks_line);
+}
+
+#[test]
 fn bench_subcommand_reports_conflict_free() {
     let out = sadp()
         .args(["bench", "--scale", "0.04"])
