@@ -470,6 +470,7 @@ impl Router {
                         continue;
                     }
                     let net = id.0;
+                    let clock = SpanClock::start(rec);
                     for (l, done) in flipped.iter_mut().enumerate() {
                         let g = &mut self.ledger.graphs_mut()[l];
                         if !g.contains(net) || done[net as usize] {
@@ -481,6 +482,7 @@ impl Router {
                             done[m as usize] = true;
                         }
                     }
+                    clock.stop(rec, Stage::Recolor);
                     let has_risk =
                         |r: &Router| r.ledger.graphs().iter().any(|g| g.net_has_risk(net));
                     // Re-route away from the old corridor; give the net
