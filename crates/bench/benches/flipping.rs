@@ -2,10 +2,13 @@
 //! hill-climbing refinement, on chain-shaped constraint graphs; and the
 //! per-net calls of the routing flow (bounded neighbourhood flip,
 //! pseudo-coloring, side-overlay query) on a graph shaped like one
-//! Test5 layer at scale 0.2.
+//! Test5 layer at scale 0.2, and the neighbourhood flip on the graphs a
+//! routed Test5 at scale 0.2 really leaves.
 
 use sadp_bench::timing::bench;
+use sadp_core::{Router, RouterConfig};
 use sadp_graph::{flip, OverlayGraph, ScenarioKind};
+use sadp_grid::BenchmarkSpec;
 
 fn chain_graph(n: u32) -> OverlayGraph {
     let mut g = OverlayGraph::new();
@@ -77,6 +80,30 @@ fn main() {
     bench("color_flipping/test5_net_overlay_units", 200_000, || {
         g.net_overlay_units(next_seed())
     });
+
+    // The constraint graphs of every layer after routing Test5 at scale
+    // 0.2: the member counts, degrees and hard groups the router's flips
+    // meet. Seeds walk every routed net of every layer in turn.
+    let spec = BenchmarkSpec::paper_fixed_suite().remove(4).scaled(0.2);
+    let (mut plane, netlist) = spec.generate();
+    let mut router = Router::new(RouterConfig::paper_defaults());
+    router.route_all(&mut plane, &netlist);
+    let mut graphs = router.graphs().to_vec();
+    let seeds: Vec<(usize, u32)> = graphs
+        .iter()
+        .enumerate()
+        .flat_map(|(l, g)| g.vertices().map(move |v| (l, v)))
+        .collect();
+    let mut at = 0;
+    bench(
+        "color_flipping/test5_0.2_routed_flip_neighborhood_256",
+        500,
+        || {
+            let (l, v) = seeds[at];
+            at = (at + 97) % seeds.len();
+            flip::flip_neighborhood(&mut graphs[l], v, 256).len()
+        },
+    );
 
     for &n in &[100u32, 1000, 5000] {
         let g = chain_graph(n);

@@ -1,6 +1,7 @@
 //! The per-layer overlay constraint graph.
 
 use crate::dsu::ParityDsu;
+use crate::flip::FlipScratch;
 use crate::state;
 use sadp_scenario::{Assignment, Color, Cost, CostTable, ScenarioKind};
 use std::error::Error;
@@ -93,6 +94,9 @@ pub struct OverlayGraph {
     edges: Vec<Edge>,
     next_slot: u32,
     dsu: ParityDsu,
+    /// The flipping algorithm's working storage, lent out for the span of
+    /// a member numbering (see [`OverlayGraph::number_members`]).
+    flip_scratch: FlipScratch,
 }
 
 /// One vertex's state. `slot == NO_SLOT` marks a net id with no vertex.
@@ -210,12 +214,14 @@ impl OverlayGraph {
 
     /// Numbers the vertices of `members` by their position in it, for
     /// [`OverlayGraph::member_index`], until
-    /// [`OverlayGraph::clear_members`]: the flipping algorithm's
-    /// member-indexed scratch, without a map from net id to position.
-    pub(crate) fn number_members(&mut self, members: &[u32]) {
+    /// [`OverlayGraph::clear_members`], and lends out the flipping
+    /// algorithm's scratch for as long: member-indexed storage without a
+    /// map from net id to position, reused from flip to flip.
+    pub(crate) fn number_members(&mut self, members: &[u32]) -> FlipScratch {
         for (i, &m) in members.iter().enumerate() {
             self.vertex_mut(m).member = i as u32;
         }
+        std::mem::take(&mut self.flip_scratch)
     }
 
     /// The position of `net` in the numbered member list, if it is in it.
@@ -227,11 +233,13 @@ impl OverlayGraph {
             .map(|i| i as usize)
     }
 
-    /// Ends a [`OverlayGraph::number_members`] numbering.
-    pub(crate) fn clear_members(&mut self, members: &[u32]) {
+    /// Ends a [`OverlayGraph::number_members`] numbering and takes the
+    /// scratch back.
+    pub(crate) fn clear_members(&mut self, members: &[u32], scratch: FlipScratch) {
         for &m in members {
             self.vertex_mut(m).member = NOT_MEMBER;
         }
+        self.flip_scratch = scratch;
     }
 
     /// Inserts a vertex for `net` if absent (initial color: core).
