@@ -1,7 +1,7 @@
 //! Micro-bench: pixel decomposition simulator (scenario window, a
-//! medium multi-net layout, and one full routed layer at the canvas size
-//! the router's cut-repair pass simulates, through both the full pass and
-//! the conflicts pass).
+//! medium multi-net layout, one full routed layer at the canvas size the
+//! router's cut-repair pass simulates, through both the full pass and
+//! the conflicts pass, and the repair's whole pass over every layer).
 
 use sadp_bench::timing::bench;
 use sadp_core::{Router, RouterConfig};
@@ -45,15 +45,32 @@ fn main() {
     let (mut plane, netlist) = spec.generate();
     let mut router = Router::new(RouterConfig::paper_defaults());
     router.route_all(&mut plane, &netlist);
-    let layer: Vec<ColoredPattern> = (0..plane.layers())
-        .map(|l| router.patterns_on_layer(Layer(l)))
-        .max_by_key(Vec::len)
-        .expect("the plane has layers")
-        .into_iter()
-        .map(|(net, color, rects)| ColoredPattern::new(net, color, rects))
+    let layers: Vec<Vec<ColoredPattern>> = (0..plane.layers())
+        .map(|l| {
+            router
+                .patterns_on_layer(Layer(l))
+                .into_iter()
+                .map(|(net, color, rects)| ColoredPattern::new(net, color, rects))
+                .collect()
+        })
         .collect();
-    bench("decomp_test5_0.2_full_layer", 3, || sim.run(&layer));
+    let layer = layers
+        .iter()
+        .max_by_key(|l| l.len())
+        .expect("the plane has layers");
+    bench("decomp_test5_0.2_full_layer", 3, || sim.run(layer));
     bench("decomp_test5_0.2_full_layer_conflicts", 3, || {
-        sim.conflicts(&layer)
+        sim.conflicts(layer)
+    });
+    // One pass of the router's cut repair: the conflicts pass on every
+    // occupied layer with one simulator, which keeps its masks between
+    // layers and passes.
+    let repair = CutSimulator::new(*plane.rules());
+    bench("decomp_test5_0.2_repair_pass", 3, || {
+        layers
+            .iter()
+            .filter(|l| !l.is_empty())
+            .map(|l| repair.conflicts(l).cells.len())
+            .sum::<usize>()
     });
 }

@@ -215,40 +215,65 @@ impl Router {
     /// ([`RoutingReport::color_fallbacks`]) and asserts in dev builds.
     #[must_use]
     pub fn patterns_on_layer(&self, layer: Layer) -> Vec<(u32, Color, Vec<TrackRect>)> {
-        self.colored_patterns(layer)
+        let mut layers = Vec::new();
+        self.colored_patterns_into(|l| l == layer, &mut layers);
+        layers
+            .into_iter()
+            .nth(layer.index())
+            .unwrap_or_default()
             .into_iter()
             .map(|p| (p.net, p.color, p.rects))
             .collect()
     }
 
-    /// [`Router::patterns_on_layer`] as simulator input, built in one pass.
-    fn colored_patterns(&self, layer: Layer) -> Vec<ColoredPattern> {
-        let mut out = Vec::new();
-        // The ledger store is a BTreeMap: iteration is NetId-ordered.
+    /// [`Router::patterns_on_layer`] as simulator input for every layer
+    /// `wanted` accepts (the others stay empty), into `out` indexed by
+    /// layer, in one walk of the routed store. The patterns already in
+    /// `out` are overwritten in place, so their rect vectors are reused
+    /// rather than allocated again.
+    fn colored_patterns_into(
+        &self,
+        wanted: impl Fn(Layer) -> bool,
+        out: &mut Vec<Vec<ColoredPattern>>,
+    ) {
+        out.resize_with(self.ledger.layer_count(), Vec::new);
+        let mut filled = vec![0; out.len()];
+        // The ledger store is a BTreeMap: iteration is NetId-ordered, and
+        // a net's fragments on a layer join the pattern it last filled.
         for r in self.ledger.routed().values() {
-            let rects: Vec<TrackRect> = r
-                .fragments
-                .iter()
-                .filter(|(l, _)| *l == layer)
-                .map(|(_, rect)| *rect)
-                .collect();
-            if !rects.is_empty() {
-                let color = match self.color_of(r.id, layer) {
-                    Some(c) => c,
-                    None => {
-                        self.color_fallbacks.set(self.color_fallbacks.get() + 1);
-                        debug_assert!(
-                            false,
-                            "{} has fragments on {layer} but no color there; defaulting to Core",
-                            r.id
-                        );
-                        Color::Core
-                    }
+            for &(layer, rect) in r.fragments.iter().filter(|(l, _)| wanted(*l)) {
+                let (Some(pats), Some(n)) =
+                    (out.get_mut(layer.index()), filled.get_mut(layer.index()))
+                else {
+                    continue;
                 };
-                out.push(ColoredPattern::new(r.id.0, color, rects));
+                if *n > 0 && pats[*n - 1].net == r.id.0 {
+                    pats[*n - 1].rects.push(rect);
+                    continue;
+                }
+                let color = self.color_of(r.id, layer).unwrap_or_else(|| {
+                    self.color_fallbacks.set(self.color_fallbacks.get() + 1);
+                    debug_assert!(
+                        false,
+                        "{} has fragments on {layer} but no color there; defaulting to Core",
+                        r.id
+                    );
+                    Color::Core
+                });
+                match pats.get_mut(*n) {
+                    Some(p) => {
+                        (p.net, p.color) = (r.id.0, color);
+                        p.rects.clear();
+                        p.rects.push(rect);
+                    }
+                    None => pats.push(ColoredPattern::new(r.id.0, color, vec![rect])),
+                }
+                *n += 1;
             }
         }
-        out
+        for (pats, n) in out.iter_mut().zip(filled) {
+            pats.truncate(n);
+        }
     }
 
     /// Routes every net of the netlist (shortest first) on the plane,
@@ -449,7 +474,10 @@ impl Router {
     /// either check still names until both are clean; removing a net adds
     /// no constraint-graph edge, and every pass removes one, so it ends.
     fn repair(&mut self, plane: &mut RoutingPlane, netlist: &Netlist, rec: &mut dyn Recorder) {
+        // One simulator and one set of pattern buffers serve every pass:
+        // both keep their storage between passes.
         let sim = CutSimulator::new(*plane.rules());
+        let mut patterns = Vec::new();
         let radius = plane.rules().dependence_radius_tracks();
         let layer_count = self.ledger.layer_count();
         // The conflicted cells of the previous simulator pass.
@@ -495,7 +523,8 @@ impl Router {
                     }
                 }
             }
-            let (offenders, cells) = self.sim_offenders(&sim, &previous, radius, rec);
+            let (offenders, cells) =
+                self.sim_offenders(&sim, &mut patterns, &previous, radius, rec);
             sim_clean = offenders.is_empty();
             if sim_clean {
                 break;
@@ -512,7 +541,7 @@ impl Router {
         loop {
             let mut ids = self.risky_nets();
             if !sim_clean {
-                ids.extend(self.sim_offenders(&sim, &[], 0, rec).0);
+                ids.extend(self.sim_offenders(&sim, &mut patterns, &[], 0, rec).0);
             }
             if ids.is_empty() {
                 return;
@@ -535,6 +564,7 @@ impl Router {
     fn sim_offenders(
         &self,
         sim: &CutSimulator,
+        patterns: &mut Vec<Vec<ColoredPattern>>,
         previous: &[(usize, i32, i32)],
         radius: i32,
         rec: &mut dyn Recorder,
@@ -542,13 +572,13 @@ impl Router {
         let clock = SpanClock::start(rec);
         let mut offenders: Vec<NetId> = Vec::new();
         let mut cells = Vec::new();
-        for l in 0..self.ledger.layer_count() {
+        self.colored_patterns_into(|_| true, patterns);
+        for (l, pats) in patterns.iter().enumerate() {
             let layer = Layer(l as u8);
-            let pats = self.colored_patterns(layer);
             if pats.is_empty() {
                 continue;
             }
-            for (cx, cy) in sim.conflicts(&pats).cells {
+            for (cx, cy) in sim.conflicts(pats).cells {
                 let stuck = previous.binary_search(&(l, cx, cy)).is_ok();
                 let window = TrackRect::cell(cx, cy).expanded(if stuck { radius } else { 0 });
                 for (id, rect) in self.ledger.frag_index(layer).query_entries(&window) {

@@ -3,10 +3,17 @@
 //!
 //! Rows are stored as packed `u64` words, pixel `x` of a row at bit
 //! `x % 64` of word `x / 64`, so every operation below works on 64
-//! pixels at a time. Two invariants hold after every public operation:
+//! pixels at a time. Every row ends in one extra *guard* word. Three
+//! invariants hold after every public operation:
 //!
-//! * the padding bits past `width` in each row's last word are zero, so
-//!   `count`, equality and the set operations see only canvas pixels;
+//! * the padding bits past `width` in each row's last canvas word are
+//!   zero, so `count`, equality and the set operations see only canvas
+//!   pixels;
+//! * every guard word is zero, so the words read as one flat stream in
+//!   which at least 64 unset pixels separate the end of one row from the
+//!   start of the next: shifting a mask by `(dx, dy)` with `|dx| ≤ 64` is
+//!   one offset of `dy` rows into that stream plus a funnel shift between
+//!   neighbouring words, with no per-row bounds;
 //! * every result equals the per-pixel definition in the method's doc
 //!   (the out-of-canvas neighbourhood reads as unset, except where
 //!   [`Bitmap::eroded`] says otherwise).
@@ -25,34 +32,74 @@ use std::fmt;
 /// let d = b.dilated(1);
 /// assert!(d.get(1, 1) && d.get(4, 4) && !d.get(5, 5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Bitmap {
     width: usize,
     height: usize,
-    /// Words per row: `width.div_ceil(64)`.
+    /// Words per row: `width.div_ceil(64)` canvas words and the guard.
     stride: usize,
     words: Vec<u64>,
 }
 
-/// Word `i` of `row` shifted by `dx` pixels (toward higher x when
-/// `dx > 0`): bit `b` of the result is pixel `64 i + b - dx` of the row,
-/// and pixels outside the row read as unset.
-#[inline]
-fn shifted_word(row: &[u64], i: usize, dx: i64) -> u64 {
-    let at = |j: i64| {
-        usize::try_from(j)
-            .ok()
-            .and_then(|j| row.get(j))
-            .copied()
-            .unwrap_or(0)
-    };
-    let (q, r) = (dx.div_euclid(64), dx.rem_euclid(64) as u32);
-    let j = i as i64 - q;
-    if r == 0 {
-        at(j)
-    } else {
-        at(j) << r | at(j - 1) >> (64 - r)
+/// A clone reuses the destination's allocation in `clone_from`, which is
+/// how the simulator copies one of its masks into another.
+impl Clone for Bitmap {
+    fn clone(&self) -> Bitmap {
+        Bitmap {
+            words: self.words.clone(),
+            ..*self
+        }
     }
+
+    fn clone_from(&mut self, source: &Bitmap) {
+        (self.width, self.height, self.stride) = (source.width, source.height, source.stride);
+        self.words.clone_from(&source.words);
+    }
+}
+
+/// `dst[k] = op(dst[k], src[k] shifted dx pixels)`, `src` read as one
+/// stream of bits with zero words before and after it, `|dx| ≤ 64`.
+fn zip_stream(dst: &mut [u64], src: &[u64], dx: i64, op: impl Fn(u64, u64) -> u64) {
+    debug_assert_eq!(dst.len(), src.len());
+    let n = src.len();
+    if n == 0 {
+        return;
+    }
+    // A word's own bits move `s` places and its neighbour's `64 - s`; a
+    // shift by 64 places leaves nothing.
+    let s = dx.unsigned_abs() as u32;
+    let own = |w: u64| {
+        let moved = if dx > 0 {
+            w.checked_shl(s)
+        } else {
+            w.checked_shr(s)
+        };
+        moved.unwrap_or(0)
+    };
+    // The end word reads one zero neighbour; the body reads pairs of
+    // neighbouring words in one flat slice loop.
+    if dx > 0 {
+        dst[0] = op(dst[0], own(src[0]));
+        for ((d, &cur), &prev) in dst[1..].iter_mut().zip(&src[1..]).zip(src) {
+            *d = op(*d, own(cur) | prev >> (64 - s));
+        }
+    } else if dx < 0 {
+        for ((d, &cur), &next) in dst.iter_mut().zip(src).zip(&src[1..]) {
+            *d = op(*d, own(cur) | next << (64 - s));
+        }
+        dst[n - 1] = op(dst[n - 1], own(src[n - 1]));
+    } else {
+        for (d, &w) in dst.iter_mut().zip(src) {
+            *d = op(*d, w);
+        }
+    }
+}
+
+/// The axis a [`Bitmap::row_stencil`] reads along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Axis {
+    X,
+    Y,
 }
 
 /// The set bits of one word, as `base + bit index`, ascending.
@@ -70,13 +117,23 @@ impl Bitmap {
     /// Creates an all-false bitmap.
     #[must_use]
     pub fn new(width: usize, height: usize) -> Bitmap {
-        let stride = width.div_ceil(64);
+        let stride = width.div_ceil(64) + 1;
         Bitmap {
             width,
             height,
             stride,
             words: vec![0; stride * height],
         }
+    }
+
+    /// Makes this an all-false `width × height` bitmap, reusing its
+    /// allocation.
+    pub(crate) fn reset(&mut self, width: usize, height: usize) {
+        self.width = width;
+        self.height = height;
+        self.stride = width.div_ceil(64) + 1;
+        self.words.clear();
+        self.words.resize(self.stride * height, 0);
     }
 
     /// Width in pixels.
@@ -141,13 +198,16 @@ impl Bitmap {
         if xb < xa as i64 || yb < ya as i64 {
             return;
         }
-        let xb = xb as usize;
-        for y in ya..=yb as usize {
-            let row = &mut self.words[y * self.stride..(y + 1) * self.stride];
-            for (i, w) in row.iter_mut().enumerate().take(xb / 64 + 1).skip(xa / 64) {
-                let lo = if i == xa / 64 { xa % 64 } else { 0 };
-                let hi = if i == xb / 64 { xb % 64 } else { 63 };
-                *w |= (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+        let (xb, yb) = (xb as usize, yb as usize);
+        for i in xa / 64..=xb / 64 {
+            let lo = if i == xa / 64 { xa % 64 } else { 0 };
+            let hi = if i == xb / 64 { xb % 64 } else { 63 };
+            let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+            for w in self.words[ya * self.stride + i..=yb * self.stride + i]
+                .iter_mut()
+                .step_by(self.stride)
+            {
+                *w |= mask;
             }
         }
     }
@@ -172,68 +232,249 @@ impl Bitmap {
         })
     }
 
-    /// Zeroes the bits past `width` in every row's last word.
-    fn clear_padding(&mut self) {
-        if self.width.is_multiple_of(64) {
-            return;
-        }
-        let mask = (1u64 << (self.width % 64)) - 1;
-        for row in self.words.chunks_exact_mut(self.stride) {
-            row[self.stride - 1] &= mask;
+    /// Zeroes every guard word and the bits past `width` in every row's
+    /// last canvas word.
+    fn clear_edges(&mut self) {
+        let stride = self.stride;
+        let mask = match self.width % 64 {
+            0 => u64::MAX,
+            w => (1u64 << w) - 1,
+        };
+        for row in self.words.chunks_exact_mut(stride) {
+            row[stride - 1] = 0;
+            if stride > 1 {
+                row[stride - 2] &= mask;
+            }
         }
     }
 
     /// `self(x, y) = op(self(x, y), other(x - dx, y - dy))` for every
-    /// pixel, with `other` unset outside its canvas.
+    /// pixel, with `other` unset outside its canvas; `|dx| ≤ 64`.
+    ///
+    /// Row `y - dy` of `other` starts `dy` strides before row `y` of
+    /// `self`, so the rows both canvases hold are one slice of each, and
+    /// the rows shifted in from outside read as unset. Bits shifted past
+    /// either end of a row land in padding or guard bits, which are clear
+    /// afterwards, and the bits shifted in from there are the zero
+    /// padding and guard bits of `other`.
     fn zip_shifted(&mut self, other: &Bitmap, dx: i64, dy: i64, op: impl Fn(u64, u64) -> u64) {
         assert_eq!(
             (self.width, self.height),
             (other.width, other.height),
             "bitmap sizes must match"
         );
-        if self.stride == 0 {
-            return;
+        assert!(
+            dx.unsigned_abs() <= 64,
+            "a shift of {dx} pixels spans words"
+        );
+        let len = self.words.len();
+        let offset = usize::try_from(dy.unsigned_abs())
+            .ok()
+            .and_then(|rows| rows.checked_mul(self.stride))
+            .map_or(len, |o| o.min(len));
+        let (body, src, outside) = if dy >= 0 {
+            let (outside, body) = self.words.split_at_mut(offset);
+            (body, &other.words[..len - offset], outside)
+        } else {
+            let (body, outside) = self.words.split_at_mut(len - offset);
+            (body, &other.words[offset..], outside)
+        };
+        for w in outside {
+            *w = op(*w, 0);
         }
-        for (y, dst) in self.words.chunks_exact_mut(self.stride).enumerate() {
-            let src = usize::try_from(y as i64 - dy)
-                .ok()
-                .filter(|&sy| sy < other.height)
-                .map(|sy| &other.words[sy * other.stride..(sy + 1) * other.stride]);
-            for (i, d) in dst.iter_mut().enumerate() {
-                let w = src.map_or(0, |row| shifted_word(row, i, dx));
-                *d = op(*d, w);
-            }
-        }
-        self.clear_padding();
-    }
-
-    /// `self(x, y) |= other(x - dx, y - dy)`, with `other` unset outside
-    /// its canvas.
-    pub(crate) fn or_shifted(&mut self, other: &Bitmap, dx: i64, dy: i64) {
-        self.zip_shifted(other, dx, dy, |a, b| a | b);
+        zip_stream(body, src, dx, op);
+        self.clear_edges();
     }
 
     /// `self(x, y) &= other(x - dx, y - dy)`, with `other` unset outside
-    /// its canvas.
+    /// its canvas; `|dx| ≤ 64`.
     pub(crate) fn and_shifted(&mut self, other: &Bitmap, dx: i64, dy: i64) {
         self.zip_shifted(other, dx, dy, |a, b| a & b);
     }
 
-    /// L∞ (square structuring element) dilation by `r` pixels, computed
-    /// separably.
+    /// `self |= other`, pixel-wise.
+    pub(crate) fn or_assign(&mut self, other: &Bitmap) {
+        self.zip_shifted(other, 0, 0, |a, b| a | b);
+    }
+
+    /// `self &= !other`, pixel-wise.
+    pub(crate) fn and_not_assign(&mut self, other: &Bitmap) {
+        self.zip_shifted(other, 0, 0, |a, b| a & !b);
+    }
+
+    /// `self |= a & b` pixel-wise; returns the number of pixels of `a & b`.
+    pub(crate) fn or_intersection(&mut self, a: &Bitmap, b: &Bitmap) -> usize {
+        assert!(
+            (self.width, self.height) == (a.width, a.height)
+                && (a.width, a.height) == (b.width, b.height),
+            "bitmap sizes must match"
+        );
+        let mut n = 0;
+        for ((d, &x), &y) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+            let both = x & y;
+            n += both.count_ones() as usize;
+            *d |= both;
+        }
+        n
+    }
+
+    /// Complements every canvas pixel in place.
+    pub(crate) fn invert(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        self.clear_edges();
+    }
+
+    /// L∞ dilation along x by `r` pixels in place: toward higher x, then
+    /// toward lower x, each by doubling (a step of `s` ORs in the mask
+    /// shifted by `s`, growing the covered offsets `0..c` to `0..c + s`
+    /// for `s ≤ c`). Each step is one flat sweep in which every word reads
+    /// its neighbour's value from before the sweep.
+    fn dilate_x(&mut self, r: usize) {
+        for toward_higher in [true, false] {
+            let mut covered = 1;
+            while covered <= r {
+                let s = covered.min(r + 1 - covered).min(63) as u32;
+                if toward_higher {
+                    let mut prev = 0;
+                    for w in &mut self.words {
+                        let cur = *w;
+                        *w = cur | cur << s | prev >> (64 - s);
+                        prev = cur;
+                    }
+                } else {
+                    let mut next = 0;
+                    for w in self.words.iter_mut().rev() {
+                        let cur = *w;
+                        *w = cur | cur >> s | next << (64 - s);
+                        next = cur;
+                    }
+                }
+                // Bits shifted into padding and guard words must not
+                // reach the next row in the next step.
+                self.clear_edges();
+                covered += s as usize;
+            }
+        }
+    }
+
+    /// L∞ dilation along y by `r` pixels in place, in two sweeps: each
+    /// row ORs the `r` rows above it bottom-up, while those still hold
+    /// their old values, then the `r` rows below it top-down.
+    fn dilate_y(&mut self, r: usize) {
+        let (stride, height) = (self.stride, self.height);
+        let or_into = |dst: &mut [u64], src: &[u64]| {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d |= s;
+            }
+        };
+        for y in (1..height).rev() {
+            let (above, rest) = self.words.split_at_mut(y * stride);
+            for t in 1..=r.min(y) {
+                or_into(&mut rest[..stride], &above[(y - t) * stride..]);
+            }
+        }
+        for y in 0..height.saturating_sub(1) {
+            let (upto, below) = self.words.split_at_mut((y + 1) * stride);
+            for t in 1..=r.min(height - 1 - y) {
+                or_into(&mut upto[y * stride..], &below[(t - 1) * stride..]);
+            }
+        }
+    }
+
+    /// L∞ (square structuring element) dilation by `r` pixels in place,
+    /// separably: `2 ⌈log2(r + 1)⌉` sweeps along x, then two along y. L∞
+    /// dilation composes exactly on a box canvas.
+    pub(crate) fn dilate(&mut self, r: usize) {
+        // Shifts past the canvas contribute nothing.
+        let rx = r.min(self.width);
+        if rx > 0 {
+            self.dilate_x(rx);
+        }
+        let ry = r.min(self.height);
+        if ry > 0 {
+            self.dilate_y(ry);
+        }
+    }
+
+    /// One sweep of row stencils along `axis`: for every row, calls
+    /// `f(out, a_near, b_near, tmp)` with `out` that row of `self` and
+    /// `tmp` a row of scratch. `a_near` holds `2 reach + 1` rows, `reach < 64`:
+    /// its row `reach + t` holds `a(x + t, y)` at pixel `x` along
+    /// [`Axis::X`], or `a(x, y + t)` along [`Axis::Y`], unset outside the
+    /// canvas; `b_near` likewise. `f` may only set bits of `a_near`'s row
+    /// `reach`, the row of `a` itself: rows where that is empty are
+    /// skipped. `rows` is scratch space for the rows that must be built.
+    pub(crate) fn row_stencil(
+        &mut self,
+        a: &Bitmap,
+        b: &Bitmap,
+        reach: usize,
+        axis: Axis,
+        rows: &mut Vec<u64>,
+        f: impl Fn(&mut [u64], &[u64], &[u64], &mut [u64]),
+    ) {
+        assert!(
+            (self.width, self.height) == (a.width, a.height)
+                && (a.width, a.height) == (b.width, b.height),
+            "bitmap sizes must match"
+        );
+        assert!(reach < 64, "a stencil reaches {reach} pixels");
+        let (stride, height, n) = (self.stride, self.height, 2 * reach + 1);
+        rows.clear();
+        rows.resize((2 * n + 1) * stride, 0);
+        let (built, tmp) = rows.split_at_mut(2 * n * stride);
+        let (a_built, b_built) = built.split_at_mut(n * stride);
+        for y in 0..height {
+            let row = y * stride..(y + 1) * stride;
+            if a.words[row.clone()].iter().all(|&w| w == 0) {
+                continue;
+            }
+            let out = &mut self.words[row.clone()];
+            match axis {
+                Axis::X => {
+                    for (src, built) in [(a, &mut *a_built), (b, &mut *b_built)] {
+                        for (dst, t) in built.chunks_exact_mut(stride).zip(-(reach as i64)..) {
+                            zip_stream(dst, &src.words[row.clone()], -t, |_, w| w);
+                        }
+                    }
+                    f(out, a_built, b_built, tmp);
+                }
+                Axis::Y if y >= reach && y + reach < height => {
+                    let near = (y - reach) * stride..(y + reach + 1) * stride;
+                    f(out, &a.words[near.clone()], &b.words[near], tmp);
+                }
+                Axis::Y => {
+                    // Near the top or bottom edge: the rows past it read
+                    // as unset.
+                    for (src, built) in [(a, &mut *a_built), (b, &mut *b_built)] {
+                        for (dst, t) in built.chunks_exact_mut(stride).zip(-(reach as i64)..) {
+                            match usize::try_from(y as i64 + t).ok().filter(|&r| r < height) {
+                                Some(r) => dst.copy_from_slice(&src.words[r * stride..][..stride]),
+                                None => dst.fill(0),
+                            }
+                        }
+                    }
+                    f(out, a_built, b_built, tmp);
+                }
+            }
+        }
+    }
+
+    /// [`Bitmap::closed`] in place.
+    pub(crate) fn close(&mut self, r: usize) {
+        self.dilate(r);
+        self.invert();
+        self.dilate(r);
+        self.invert();
+    }
+
+    /// L∞ (square structuring element) dilation by `r` pixels.
     #[must_use]
     pub fn dilated(&self, r: usize) -> Bitmap {
-        // Shifts past the canvas contribute nothing.
-        let mut rows = self.clone();
-        for k in 1..=r.min(self.width) as i64 {
-            rows.or_shifted(self, k, 0);
-            rows.or_shifted(self, -k, 0);
-        }
-        let mut out = rows.clone();
-        for k in 1..=r.min(self.height) as i64 {
-            out.or_shifted(&rows, 0, k);
-            out.or_shifted(&rows, 0, -k);
-        }
+        let mut out = self.clone();
+        out.dilate(r);
         out
     }
 
@@ -244,14 +485,20 @@ impl Bitmap {
     pub fn eroded(&self, r: usize) -> Bitmap {
         // Erode = complement of dilation of the complement; the complement
         // is background outside the canvas, so borders are preserved.
-        self.complement().dilated(r).complement()
+        let mut out = self.clone();
+        out.invert();
+        out.dilate(r);
+        out.invert();
+        out
     }
 
     /// Morphological closing (dilation then erosion) by `r`: fills gaps of
     /// width ≤ `2r` between set regions.
     #[must_use]
     pub fn closed(&self, r: usize) -> Bitmap {
-        self.dilated(r).eroded(r)
+        let mut out = self.clone();
+        out.close(r);
+        out
     }
 
     /// Pixel-wise union.
@@ -276,10 +523,7 @@ impl Bitmap {
     #[must_use]
     pub fn complement(&self) -> Bitmap {
         let mut out = self.clone();
-        for w in &mut out.words {
-            *w = !*w;
-        }
-        out.clear_padding();
+        out.invert();
         out
     }
 
@@ -295,33 +539,37 @@ impl Bitmap {
     #[must_use]
     pub fn components(&self) -> (Vec<u32>, u32) {
         let mut labels = vec![0u32; self.width * self.height];
-        let count = self.flood(|x, y, label| labels[y * self.width + x] = label);
+        let width = self.width;
+        let count = self
+            .clone()
+            .drain_flood(|x, y, label| labels[y * width + x] = label);
         (labels, count)
     }
 
-    /// The number of 4-connected components.
-    pub(crate) fn component_count(&self) -> u32 {
-        self.flood(|_, _, _| {})
+    /// The number of 4-connected components; leaves the bitmap empty.
+    pub(crate) fn drain_components(&mut self) -> u32 {
+        self.drain_flood(|_, _, _| {})
     }
 
     /// Flood-fills every 4-connected component, starting each at its
-    /// first pixel in row-major order, and calls `visit(x, y, label)` once
-    /// per set pixel. Returns the component count.
-    fn flood(&self, mut visit: impl FnMut(usize, usize, u32)) -> u32 {
-        let mut left = self.clone();
+    /// first pixel in row-major order, clearing each pixel it reaches and
+    /// calling `visit(x, y, label)` once per set pixel. Returns the
+    /// component count and leaves the bitmap empty.
+    fn drain_flood(&mut self, mut visit: impl FnMut(usize, usize, u32)) -> u32 {
+        let (width, height) = (self.width, self.height);
         let mut count = 0u32;
         let mut stack = Vec::new();
-        for i in 0..left.words.len() {
-            while left.words[i] != 0 {
-                let x = i % self.stride * 64 + left.words[i].trailing_zeros() as usize;
+        for i in 0..self.words.len() {
+            while self.words[i] != 0 {
+                let x = i % self.stride * 64 + self.words[i].trailing_zeros() as usize;
                 let y = i / self.stride;
-                left.take(x, y);
+                self.take(x, y);
                 count += 1;
                 visit(x, y, count);
                 stack.push((x, y));
                 while let Some((x, y)) = stack.pop() {
                     let mut reach = |nx: usize, ny: usize| {
-                        if left.take(nx, ny) {
+                        if self.take(nx, ny) {
                             visit(nx, ny, count);
                             stack.push((nx, ny));
                         }
@@ -329,13 +577,13 @@ impl Bitmap {
                     if x > 0 {
                         reach(x - 1, y);
                     }
-                    if x + 1 < self.width {
+                    if x + 1 < width {
                         reach(x + 1, y);
                     }
                     if y > 0 {
                         reach(x, y - 1);
                     }
-                    if y + 1 < self.height {
+                    if y + 1 < height {
                         reach(x, y + 1);
                     }
                 }
@@ -450,6 +698,67 @@ mod tests {
         assert_eq!(n, 3);
         assert_eq!(labels[0], labels[8 + 1]);
         assert_ne!(labels[0], labels[4 * 8 + 4]);
+    }
+
+    /// Every row's guard word and padding bits are clear.
+    fn edges_clear(b: &Bitmap) -> bool {
+        let pad = match b.width % 64 {
+            0 => 0,
+            w => u64::MAX << w,
+        };
+        b.words.chunks_exact(b.stride).all(|row| {
+            let last = row.len().checked_sub(2).map_or(0, |i| row[i]);
+            row[b.stride - 1] == 0 && last & pad == 0
+        })
+    }
+
+    /// The flat shifts against their per-pixel definition, for every
+    /// `|dx| ≤ 64` and every `|dy|` up to past the canvas, with `or`,
+    /// `and` and `copy`, on widths around the word boundary: the guard
+    /// word must keep every row's bits out of its neighbours.
+    #[test]
+    fn shifts_match_per_pixel_definition() {
+        let mut rng = sadp_geom::Rng::seed_from_u64(0x5b1f);
+        type Op = fn(u64, u64) -> u64;
+        let ops: [(&str, Op); 3] = [
+            ("or", |a, b| a | b),
+            ("and", |a, b| a & b),
+            ("copy", |_, b| b),
+        ];
+        for w in [1, 2, 63, 64, 65, 127, 128, 129] {
+            let h = 1 + rng.index(4);
+            let noise = |rng: &mut sadp_geom::Rng| {
+                let mut b = Bitmap::new(w, h);
+                for y in 0..h as i64 {
+                    for x in 0..w as i64 {
+                        b.set(x, y, rng.flip());
+                    }
+                }
+                b
+            };
+            let (a, b) = (noise(&mut rng), noise(&mut rng));
+            let reach = h as i64 + 1;
+            for dx in -64..=64 {
+                for dy in -reach..=reach {
+                    for (name, op) in ops {
+                        let mut got = a.clone();
+                        got.zip_shifted(&b, dx, dy, op);
+                        assert!(edges_clear(&got), "{name} ({dx}, {dy}) on {w}x{h}: edges");
+                        for y in 0..h as i64 {
+                            for x in 0..w as i64 {
+                                let want =
+                                    op(u64::from(a.get(x, y)), u64::from(b.get(x - dx, y - dy)));
+                                assert_eq!(
+                                    got.get(x, y),
+                                    want == 1,
+                                    "{name} ({dx}, {dy}) on {w}x{h} at ({x}, {y})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The SADP cut-process decomposition simulator.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{Axis, Bitmap};
 use crate::layout::ColoredPattern;
 use sadp_geom::{DesignRules, Orientation, TrackRect};
 use sadp_scenario::Color;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Pixel resolution of the simulator, in nanometres.
 pub const PX_NM: i64 = 10;
@@ -122,11 +124,66 @@ fn cells_of(marked: &Bitmap, origin: (i32, i32), pitch_px: usize) -> Vec<(i32, i
     cells
 }
 
+/// The simulator input after same-net bridging (see [`Bridged::new`]),
+/// without copying the patterns.
+struct Bridged<'p> {
+    patterns: &'p [ColoredPattern],
+    /// The bridge rects, `(pattern index, rect)` in pattern order.
+    bridges: Vec<(usize, TrackRect)>,
+}
+
+impl<'p> Bridged<'p> {
+    /// Adds a connecting rectangle between any two fragments of the same
+    /// pattern on abutting tracks (track gap 1) with overlapping
+    /// projections. Such fragments occupy adjacent cells — only the
+    /// pixel-level spacer band between the tracks separates them — so the
+    /// bridge introduces no new cells; it merely makes the polygon
+    /// contiguous on the pixel canvas, as a real same-net shape would be
+    /// drawn.
+    fn new(patterns: &'p [ColoredPattern]) -> Bridged<'p> {
+        let mut bridges = Vec::new();
+        for (pi, p) in patterns.iter().enumerate() {
+            for (i, a) in p.rects.iter().enumerate() {
+                for b in p.rects.iter().skip(i + 1) {
+                    let (dx, dy) = a.track_gap(b);
+                    let bridge = if dx == 1 && dy == 0 && a.overlap_y(b) > 0 {
+                        TrackRect::new(
+                            a.x1.min(b.x1),
+                            a.y0.max(b.y0),
+                            a.x0.max(b.x0),
+                            a.y1.min(b.y1),
+                        )
+                    } else if dy == 1 && dx == 0 && a.overlap_x(b) > 0 {
+                        TrackRect::new(
+                            a.x0.max(b.x0),
+                            a.y1.min(b.y1),
+                            a.x1.min(b.x1),
+                            a.y0.max(b.y0),
+                        )
+                    } else {
+                        continue;
+                    };
+                    bridges.push((pi, bridge));
+                }
+            }
+        }
+        Bridged { patterns, bridges }
+    }
+
+    /// The rects of pattern `pi` after bridging: its own, then its
+    /// bridges.
+    fn rects(&self, pi: usize) -> impl Iterator<Item = &TrackRect> {
+        let lo = self.bridges.partition_point(|&(p, _)| p < pi);
+        let hi = self.bridges.partition_point(|&(p, _)| p <= pi);
+        let bridges = self.bridges[lo..hi].iter().map(|(_, r)| r);
+        self.patterns[pi].rects.iter().chain(bridges)
+    }
+}
+
 /// The masks of steps 1-5 of the pipeline, on a canvas whose cell
 /// `origin` maps to pixel 0.
-struct Masks {
-    /// The input after same-net bridging.
-    patterns: Vec<ColoredPattern>,
+struct Masks<'p> {
+    input: Bridged<'p>,
     target: Bitmap,
     core: Bitmap,
     spacer: Bitmap,
@@ -134,10 +191,71 @@ struct Masks {
     origin: (i32, i32),
 }
 
+/// The most masks one pass holds at once: the assist step of
+/// [`CutSimulator::synthesize`] (targets, second-color targets, core,
+/// merge zone and both strip sets).
+const LIVE_MASKS: usize = 6;
+
+/// The masks a simulator keeps between passes. A pass takes every mask
+/// it works on from here and gives it back when done, so once a pass on
+/// a canvas of the same size has run, the next allocates none. It keeps
+/// at most [`LIVE_MASKS`], the most one pass holds at once, and goes
+/// with its simulator. A clone starts empty: between passes the contents
+/// mean nothing.
+#[derive(Default)]
+struct MaskPool {
+    free: Vec<Bitmap>,
+    /// The few rows a stencil sweep builds (see [`Bitmap::row_stencil`]).
+    rows: Vec<u64>,
+}
+
+impl MaskPool {
+    /// An all-false `width × height` mask.
+    fn take(&mut self, width: usize, height: usize) -> Bitmap {
+        let mut b = self.free.pop().unwrap_or_else(|| Bitmap::new(0, 0));
+        b.reset(width, height);
+        b
+    }
+
+    /// A copy of `of`.
+    fn take_copy(&mut self, of: &Bitmap) -> Bitmap {
+        let mut b = self.free.pop().unwrap_or_else(|| Bitmap::new(0, 0));
+        b.clone_from(of);
+        b
+    }
+
+    fn give(&mut self, masks: impl IntoIterator<Item = Bitmap>) {
+        for b in masks {
+            if self.free.len() < LIVE_MASKS {
+                self.free.push(b);
+            }
+        }
+    }
+}
+
+impl Clone for MaskPool {
+    fn clone(&self) -> MaskPool {
+        MaskPool::default()
+    }
+}
+
+impl fmt::Debug for MaskPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "MaskPool({} free)", self.free.len())
+    }
+}
+
 /// The cut-process simulator (see the crate-level docs for the pipeline).
+///
+/// It owns the masks its passes work on (see [`CutSimulator::conflicts`]),
+/// so a caller that checks many layouts, as the router's cut repair
+/// does, keeps one simulator for all of them.
 #[derive(Debug, Clone)]
 pub struct CutSimulator {
     rules: DesignRules,
+    /// Behind a `RefCell` so that passes take `&self`: a pass never
+    /// borrows it across another borrow.
+    pool: RefCell<MaskPool>,
 }
 
 impl CutSimulator {
@@ -146,7 +264,8 @@ impl CutSimulator {
     /// # Panics
     ///
     /// Panics if any rule dimension is not a multiple of the 10 nm pixel
-    /// size.
+    /// size, or if `d_core` exceeds 64 pixels (640 nm), the farthest
+    /// the merge and type-B kernels shift a mask in one word step.
     #[must_use]
     pub fn new(rules: DesignRules) -> CutSimulator {
         for v in [
@@ -162,7 +281,15 @@ impl CutSimulator {
                 "rule dimension {v}nm not a {PX_NM}nm multiple"
             );
         }
-        CutSimulator { rules }
+        let sim = CutSimulator {
+            rules,
+            pool: RefCell::default(),
+        };
+        assert!(
+            sim.d_core_px().max(sim.d_cut_px()) <= 64,
+            "d_core/d_cut past 64 pixels"
+        );
+        sim
     }
 
     fn w_line_px(&self) -> usize {
@@ -184,6 +311,26 @@ impl CutSimulator {
         (self.rules.pitch().0 / PX_NM) as usize
     }
 
+    fn take(&self, width: usize, height: usize) -> Bitmap {
+        self.pool.borrow_mut().take(width, height)
+    }
+
+    fn take_copy(&self, of: &Bitmap) -> Bitmap {
+        self.pool.borrow_mut().take_copy(of)
+    }
+
+    fn give(&self, masks: impl IntoIterator<Item = Bitmap>) {
+        self.pool.borrow_mut().give(masks);
+    }
+
+    fn take_rows(&self) -> Vec<u64> {
+        std::mem::take(&mut self.pool.borrow_mut().rows)
+    }
+
+    fn give_rows(&self, rows: Vec<u64>) {
+        self.pool.borrow_mut().rows = rows;
+    }
+
     /// Runs the full cut-process pipeline on a colored single-layer
     /// layout, then measures every overlay run.
     ///
@@ -195,7 +342,8 @@ impl CutSimulator {
         let masks = self.synthesize(patterns);
         let owner = self.owner_map(&masks);
         let mut report = self.measure(&masks, &owner);
-        let (cut_conflicts, spacer_violations, conflicts) = self.failures(&masks);
+        let (cut_conflicts, spacer_violations, conflicts) =
+            self.failures(&masks.target, &masks.spacer, &masks.cut);
         report.cut_conflicts = cut_conflicts;
         report.spacer_violations = spacer_violations;
         let Masks {
@@ -227,15 +375,28 @@ impl CutSimulator {
     /// skip the per-pixel owner map and the overlay runs, which only the
     /// overlay measurement reads.
     ///
+    /// Every mask of the pass comes from the simulator and goes back to
+    /// it, so repeated passes on canvases of one size allocate no mask.
+    ///
     /// # Panics
     ///
     /// Panics if `patterns` is empty.
     #[must_use]
     pub fn conflicts(&self, patterns: &[ColoredPattern]) -> Conflicts {
-        let masks = self.synthesize(patterns);
-        let (cut_conflicts, spacer_violations, marked) = self.failures(&masks);
+        let Masks {
+            target,
+            core,
+            spacer,
+            cut,
+            origin,
+            ..
+        } = self.synthesize(patterns);
+        self.give([core]);
+        let (cut_conflicts, spacer_violations, marked) = self.failures(&target, &spacer, &cut);
+        let cells = cells_of(&marked, origin, self.pitch_px());
+        self.give([marked, target, spacer, cut]);
         Conflicts {
-            cells: cells_of(&marked, masks.origin, self.pitch_px()),
+            cells,
             cut_conflicts,
             spacer_violations,
         }
@@ -260,14 +421,14 @@ impl CutSimulator {
     /// Steps 1-5 of the pipeline: bridge, paint, assists, merge, spacer,
     /// cut. Both consumers, [`CutSimulator::run`] and
     /// [`CutSimulator::conflicts`], start from its masks.
-    fn synthesize(&self, patterns: &[ColoredPattern]) -> Masks {
+    fn synthesize<'p>(&self, patterns: &'p [ColoredPattern]) -> Masks<'p> {
         assert!(!patterns.is_empty(), "nothing to decompose");
         // Same-net fragments on abutting tracks (islands that connect on
         // another layer) are bridged into one contiguous polygon first:
         // shorting a net to itself is free metal, while cutting the spacer
         // band between them would manufacture spurious overlays and
         // type-B conflicts.
-        let patterns = bridge_same_net(patterns);
+        let input = Bridged::new(patterns);
         let pitch = self.pitch_px();
         let wspacer = self.w_spacer_px();
 
@@ -275,6 +436,7 @@ impl CutSimulator {
         let bbox = patterns
             .iter()
             .map(ColoredPattern::bbox)
+            .chain(input.bridges.iter().map(|&(_, r)| r))
             .reduce(|a, b| a.union_bbox(&b))
             .expect("non-empty");
         let margin_cells = 3i32;
@@ -282,20 +444,22 @@ impl CutSimulator {
         let width = (bbox.width_x() + 2 * margin_cells) as usize * pitch;
         let height = (bbox.width_y() + 2 * margin_cells) as usize * pitch;
 
-        // 1. Paint targets. 2. Core mask: core-colored patterns.
-        let mut target = Bitmap::new(width, height);
-        let mut second_targets = Bitmap::new(width, height);
-        let mut core = Bitmap::new(width, height);
-        for p in &patterns {
-            for r in &p.rects {
+        // 1. Paint targets, each into its color's mask. 2. Core mask:
+        //    core-colored patterns.
+        let mut second = self.take(width, height);
+        let mut core = self.take(width, height);
+        for (pi, p) in patterns.iter().enumerate() {
+            let dst = match p.color {
+                Color::Second => &mut second,
+                Color::Core => &mut core,
+            };
+            for r in input.rects(pi) {
                 let (x0, y0, x1, y1) = self.px_rect(origin, r);
-                target.fill_rect(x0, y0, x1, y1);
-                match p.color {
-                    Color::Second => second_targets.fill_rect(x0, y0, x1, y1),
-                    Color::Core => core.fill_rect(x0, y0, x1, y1),
-                }
+                dst.fill_rect(x0, y0, x1, y1);
             }
         }
+        let mut target = self.take_copy(&core);
+        target.or_assign(&second);
 
         // 3. Assist cores: one strip per pattern-rectangle side, at a gap
         //    of exactly w_spacer and w_core wide. Side strips (protecting
@@ -305,14 +469,18 @@ impl CutSimulator {
         //    Tip strips are dropped when they would merge into a core
         //    pattern: an unprotected line end is only a (noncritical) tip
         //    overlay, which the decomposer prefers over a merge.
-        let second_clearance = second_targets.dilated(wspacer);
-        let core_merge_zone = core.dilated(self.d_core_px());
-        let mut side_strips = Bitmap::new(width, height);
-        let mut tip_strips = Bitmap::new(width, height);
+        let mut merge_zone = self.take_copy(&core);
+        merge_zone.dilate(self.d_core_px());
+        let mut side_strips = self.take(width, height);
+        let mut tip_strips = self.take(width, height);
         let wcore = self.w_core_px() as i64;
         let gap = wspacer as i64;
-        for p in patterns.iter().filter(|p| p.color == Color::Second) {
-            for r in &p.rects {
+        for (pi, _) in patterns
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.color == Color::Second)
+        {
+            for r in input.rects(pi) {
                 let (x0, y0, x1, y1) = self.px_rect(origin, r);
                 // (strip rect, protects-a-side?) for west/east/south/north.
                 // Point fragments (via landings) have no droppable tips:
@@ -340,24 +508,32 @@ impl CutSimulator {
                 }
             }
         }
-        let assists = side_strips
-            .union(&tip_strips.minus(&core_merge_zone))
-            .minus(&second_clearance);
-        core = core.union(&assists);
+        // Assists: side strips and the tip strips outside the merge zone,
+        // minus the clearance around second-color targets.
+        second.dilate(wspacer);
+        tip_strips.and_not_assign(&merge_zone);
+        side_strips.or_assign(&tip_strips);
+        side_strips.and_not_assign(&second);
+        core.or_assign(&side_strips);
+        self.give([second, merge_zone, side_strips, tip_strips]);
 
         // 4. Merge core patterns closer than d_core: exact straight-gap
         //    fills (a plain morphological closing cannot hit an arbitrary
         //    `< d_core` threshold), plus corner closing when the diagonal
         //    track gap is itself below d_core (true at the 10 nm node:
         //    √2·w_spacer ≈ 28 nm < 30 nm; false at the 14 nm set).
-        core = self.merge_cores(core);
+        let core = self.merge_cores(core);
 
         // 5. Spacer on all core sidewalls; metal is everything not spacer.
-        let spacer = core.dilated(wspacer).minus(&core);
-        let cut = spacer.complement().minus(&target);
+        let mut spacer = self.take_copy(&core);
+        spacer.dilate(wspacer);
+        spacer.and_not_assign(&core);
+        let mut cut = self.take_copy(&spacer);
+        cut.invert();
+        cut.and_not_assign(&target);
 
         Masks {
-            patterns,
+            input,
             target,
             core,
             spacer,
@@ -372,8 +548,8 @@ impl CutSimulator {
     fn owner_map(&self, masks: &Masks) -> Vec<u32> {
         let (width, height) = (masks.target.width(), masks.target.height());
         let mut owner = vec![0u32; width * height];
-        for (pi, p) in masks.patterns.iter().enumerate() {
-            for r in &p.rects {
+        for pi in 0..masks.input.patterns.len() {
+            for r in masks.input.rects(pi) {
                 let (x0, y0, x1, y1) = self.px_rect(masks.origin, r);
                 for y in y0.max(0)..=y1.min(height as i64 - 1) {
                     let row = y as usize * width;
@@ -389,10 +565,10 @@ impl CutSimulator {
     /// Step 6's failure half, which both consumers read: the type-B
     /// conflict count, the spacer-violation pixel count, and the union of
     /// the conflicted runs with the spacer-destroyed target pixels.
-    fn failures(&self, masks: &Masks) -> (usize, usize, Bitmap) {
-        let (cut_conflicts, type_b) = self.count_type_b(&masks.target, &masks.cut);
-        let destroyed = masks.spacer.intersect(&masks.target);
-        (cut_conflicts, destroyed.count(), type_b.union(&destroyed))
+    fn failures(&self, target: &Bitmap, spacer: &Bitmap, cut: &Bitmap) -> (usize, usize, Bitmap) {
+        let (cut_conflicts, mut marked) = self.count_type_b(target, cut);
+        let destroyed = marked.or_intersection(spacer, target);
+        (cut_conflicts, destroyed, marked)
     }
 
     /// Fills every straight gap of width `< d_core` between core pixels
@@ -400,18 +576,25 @@ impl CutSimulator {
     /// diagonal corners when the corner-to-corner distance of adjacent
     /// tracks is below `d_core`.
     fn merge_cores(&self, mut core: Bitmap) -> Bitmap {
-        let d = self.d_core_px() as i64;
+        let d = self.d_core_px();
+        let (width, height) = (core.width(), core.height());
+        let mut snapshot = self.take(width, height);
+        let mut empty = self.take(width, height);
+        let mut rows = self.take_rows();
         for _ in 0..2 {
             // Both directions fill from the same snapshot.
-            let snapshot = core.clone();
-            let empty = snapshot.complement();
-            for dir in [(1, 0), (0, 1)] {
-                core = core.union(&bounded_runs(&empty, &snapshot, d, dir));
+            snapshot.clone_from(&core);
+            empty.clone_from(&core);
+            empty.invert();
+            for axis in [Axis::X, Axis::Y] {
+                bounded_runs(&mut core, &empty, &snapshot, d, axis, &mut rows);
             }
         }
+        self.give([snapshot, empty]);
+        self.give_rows(rows);
         let diag2 = self.rules.w_spacer().squared() * 2;
         if diag2 < self.rules.d_core().squared() {
-            core = core.closed(1);
+            core.close(1);
         }
         core
     }
@@ -420,8 +603,7 @@ impl CutSimulator {
     /// side/tip totals and the hard-overlay count (the failure counts are
     /// left zero for [`CutSimulator::failures`]).
     fn measure(&self, masks: &Masks, owner: &[u32]) -> DecompReport {
-        let (patterns, origin, target, cut) =
-            (&masks.patterns, masks.origin, &masks.target, &masks.cut);
+        let (target, cut) = (&masks.target, &masks.cut);
         let width = target.width();
         let wline = self.w_line_px();
         let pitch = self.pitch_px() as i64;
@@ -437,13 +619,14 @@ impl CutSimulator {
         // key: (pattern, dir 0..4, line coordinate) -> positions
         let mut edges: BTreeMap<(u32, u8, i64), Vec<(i64, bool)>> = BTreeMap::new();
         let dirs: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+        let mut exposed = self.take_copy(target);
         for (di, &(dx, dy)) in dirs.iter().enumerate() {
-            let mut exposed = target.clone();
+            exposed.clone_from(target);
             exposed.and_shifted(cut, -dx, -dy);
             for (x, y) in exposed.ones() {
                 let own = owner[y * width + x];
                 let (x, y) = (x as i64, y as i64);
-                let is_side = self.edge_is_side(patterns, origin, own, x, y, dx, dy, pitch);
+                let is_side = self.edge_is_side(masks, own, x, y, dx, dy, pitch);
                 let (line, pos) = if dx != 0 { (x, y) } else { (y, x) };
                 edges
                     .entry((own, di as u8, line))
@@ -451,6 +634,7 @@ impl CutSimulator {
                     .push((pos, is_side));
             }
         }
+        self.give([exposed]);
 
         for ((own, _dir, _line), mut positions) in edges {
             positions.sort_unstable();
@@ -491,8 +675,7 @@ impl CutSimulator {
     #[allow(clippy::too_many_arguments)]
     fn edge_is_side(
         &self,
-        patterns: &[ColoredPattern],
-        origin: (i32, i32),
+        masks: &Masks,
         owner: u32,
         x: i64,
         y: i64,
@@ -503,15 +686,14 @@ impl CutSimulator {
         if owner == 0 {
             return true;
         }
-        let p = &patterns[owner as usize - 1];
         // Pixel -> cell (target pixels only exist in the w_line band of a
         // cell, so flooring by the pitch is exact). The pattern was painted
         // relative to the canvas origin, which offsets whole cells only.
-        let cx = (x / pitch) as i32 + origin.0;
-        let cy = (y / pitch) as i32 + origin.1;
+        let cx = (x / pitch) as i32 + masks.origin.0;
+        let cy = (y / pitch) as i32 + masks.origin.1;
         let mut any_side = false;
         let mut any_rect = false;
-        for r in &p.rects {
+        for r in masks.input.rects(owner as usize - 1) {
             if r.contains_cell(cx, cy) {
                 any_rect = true;
                 let side = match r.orientation() {
@@ -535,68 +717,64 @@ impl CutSimulator {
     /// once. Also returns the union of the marked runs so callers can
     /// locate the conflicts.
     fn count_type_b(&self, target: &Bitmap, cut: &Bitmap) -> (usize, Bitmap) {
-        let d_cut = self.d_cut_px() as i64;
-        let conflict_h = bounded_runs(target, cut, d_cut, (1, 0));
-        let conflict_v = bounded_runs(target, cut, d_cut, (0, 1));
-        let n = conflict_h.component_count() + conflict_v.component_count();
-        (n as usize, conflict_h.union(&conflict_v))
+        let d_cut = self.d_cut_px();
+        let (width, height) = (target.width(), target.height());
+        let mut marked = self.take(width, height);
+        let mut runs = self.take(width, height);
+        let mut rows = self.take_rows();
+        let mut n = 0;
+        for axis in [Axis::X, Axis::Y] {
+            bounded_runs(&mut runs, target, cut, d_cut, axis, &mut rows);
+            marked.or_assign(&runs);
+            // Counting drains `runs`, so the next axis starts empty.
+            n += runs.drain_components() as usize;
+        }
+        self.give([runs]);
+        self.give_rows(rows);
+        (n, marked)
     }
 }
 
-/// The pixels of every run of fewer than `max_len` consecutive `inner`
-/// pixels along `(dx, dy)` that has an `ends` pixel on both sides, inside
-/// the canvas. `inner` and `ends` must be disjoint, so each such run is a
-/// maximal run of `inner`.
-fn bounded_runs(inner: &Bitmap, ends: &Bitmap, max_len: i64, (dx, dy): (i64, i64)) -> Bitmap {
-    let mut marked = Bitmap::new(inner.width(), inner.height());
-    for len in 1..max_len {
-        // Starts of runs of exactly `len`: an end, `len` inner pixels, an end.
-        let mut start = Bitmap::new(inner.width(), inner.height());
-        start.or_shifted(ends, dx, dy);
-        for j in 0..len {
-            start.and_shifted(inner, -j * dx, -j * dy);
-        }
-        start.and_shifted(ends, -len * dx, -len * dy);
-        for j in 0..len {
-            marked.or_shifted(&start, j * dx, j * dy);
-        }
+/// Adds to `marked` the pixels of every run of fewer than `max_len`
+/// consecutive `inner` pixels along `axis` that has an `ends` pixel on
+/// both sides, inside the canvas. `inner` and `ends` must be disjoint, so
+/// each such run is a maximal run of `inner`. One row-stencil sweep
+/// ([`Bitmap::row_stencil`]); `rows` is its scratch.
+fn bounded_runs(
+    marked: &mut Bitmap,
+    inner: &Bitmap,
+    ends: &Bitmap,
+    max_len: usize,
+    axis: Axis,
+    rows: &mut Vec<u64>,
+) {
+    if max_len < 2 {
+        return;
     }
-    marked
-}
-
-/// Adds a connecting rectangle between any two fragments of the same
-/// pattern on abutting tracks (track gap 1) with overlapping projections.
-/// Such fragments occupy adjacent cells — only the pixel-level spacer band
-/// between the tracks separates them — so the bridge introduces no new
-/// cells; it merely makes the polygon contiguous on the pixel canvas, as a
-/// real same-net shape would be drawn.
-fn bridge_same_net(patterns: &[ColoredPattern]) -> Vec<ColoredPattern> {
-    let mut out: Vec<ColoredPattern> = patterns.to_vec();
-    for (pi, p) in patterns.iter().enumerate() {
-        let mut bridges: Vec<TrackRect> = Vec::new();
-        for (i, a) in p.rects.iter().enumerate() {
-            for b in p.rects.iter().skip(i + 1) {
-                let (dx, dy) = a.track_gap(b);
-                if dx == 1 && dy == 0 && a.overlap_y(b) > 0 {
-                    bridges.push(TrackRect::new(
-                        a.x1.min(b.x1),
-                        a.y0.max(b.y0),
-                        a.x0.max(b.x0),
-                        a.y1.min(b.y1),
-                    ));
-                } else if dy == 1 && dx == 0 && a.overlap_x(b) > 0 {
-                    bridges.push(TrackRect::new(
-                        a.x0.max(b.x0),
-                        a.y1.min(b.y1),
-                        a.x1.min(b.x1),
-                        a.y0.max(b.y0),
-                    ));
+    let reach = max_len - 1;
+    marked.row_stencil(inner, ends, reach, axis, rows, |out, inner, ends, run| {
+        // Row `reach + t` of `inner`/`ends` holds the pixels `t` steps
+        // along the axis. A pixel lies on the run from offset `1 - first`
+        // to `last - reach` when `first ≥ 1` and `last ≥ reach`.
+        fn row(rows: &[u64], i: usize, stride: usize) -> &[u64] {
+            &rows[i * stride..(i + 1) * stride]
+        }
+        let stride = out.len();
+        for first in 1..=reach {
+            run.copy_from_slice(row(ends, reach - first, stride));
+            for last in reach + 1 - first..=2 * reach - first {
+                for (r, &w) in run.iter_mut().zip(row(inner, last, stride)) {
+                    *r &= w;
+                }
+                if last >= reach {
+                    let after = row(ends, last + 1, stride);
+                    for ((o, &r), &e) in out.iter_mut().zip(&*run).zip(after) {
+                        *o |= r & e;
+                    }
                 }
             }
         }
-        out[pi].rects.extend(bridges);
-    }
-    out
+    });
 }
 
 #[cfg(test)]

@@ -61,12 +61,7 @@ pub fn flip_component(graph: &mut OverlayGraph, seed: u32) -> FlipOutcome {
     if members.is_empty() {
         return FlipOutcome::default();
     }
-    flip_members(graph, &members);
-    FlipOutcome {
-        components: 1,
-        weight_before: 0,
-        weight_after: 0,
-    }
+    flip_members(graph, &members)
 }
 
 /// Up to ≈ `max_members` vertices around `seed`, breadth-first, always
@@ -192,13 +187,21 @@ fn member_weight(graph: &OverlayGraph, members: &[u32]) -> u64 {
 /// constraints (a whole connected component, or a [`neighborhood_of`]
 /// set). Edges to vertices outside the set contribute with the outside
 /// color held fixed. The order of `members` does not matter.
-pub fn flip_members(graph: &mut OverlayGraph, members: &[u32]) {
+///
+/// Returns the weight of the edges incident to `members` before and
+/// after the flip, as one processed component.
+pub fn flip_members(graph: &mut OverlayGraph, members: &[u32]) -> FlipOutcome {
     let mut scratch = graph.number_members(members);
-    flip_numbered(graph, members, &mut scratch);
+    let (weight_before, weight_after) = flip_numbered(graph, members, &mut scratch);
     if members.len() > KEPT_SCRATCH_MEMBERS {
         scratch = FlipScratch::default();
     }
     graph.clear_members(members, scratch);
+    FlipOutcome {
+        components: 1,
+        weight_before,
+        weight_after,
+    }
 }
 
 /// The largest flip whose scratch the graph keeps for the next one. The
@@ -246,8 +249,13 @@ impl Clone for FlipScratch {
 }
 
 /// [`flip_members`] while the graph numbers the members: all scratch is
-/// indexed by member position or by super vertex.
-fn flip_numbered(graph: &mut OverlayGraph, members: &[u32], scratch: &mut FlipScratch) {
+/// indexed by member position or by super vertex. Returns the members'
+/// incident weight before and after.
+fn flip_numbered(
+    graph: &mut OverlayGraph,
+    members: &[u32],
+    scratch: &mut FlipScratch,
+) -> (u64, u64) {
     let FlipScratch {
         sup,
         parity,
@@ -407,7 +415,7 @@ fn flip_numbered(graph: &mut OverlayGraph, members: &[u32], scratch: &mut FlipSc
             .sum::<u64>();
     debug_assert_eq!(weight_before, member_weight(graph, members));
     if weight_after > weight_before {
-        return;
+        return (weight_before, weight_before);
     }
 
     // 5. Push colors down to the nets (color = root color ^ parity).
@@ -416,6 +424,7 @@ fn flip_numbered(graph: &mut OverlayGraph, members: &[u32], scratch: &mut FlipSc
         graph.set_color(m, c);
     }
     debug_assert_eq!(weight_after, member_weight(graph, members));
+    (weight_before, weight_after)
 }
 
 /// The root of `x` in Kruskal's union–find, halving the path on the way.
@@ -746,6 +755,27 @@ mod tests {
         flip_component(&mut g, 0);
         assert_ne!(g.color(0), g.color(1));
         assert_eq!(g.color(9), Color::Second);
+    }
+
+    #[test]
+    fn flip_component_reports_the_weight_it_saves() {
+        let mut g = OverlayGraph::new();
+        g.add_scenario(0, 1, ScenarioKind::OneA.table()).unwrap();
+        g.add_scenario(1, 2, ScenarioKind::ThreeB.table()).unwrap();
+        g.ensure_vertex(9);
+        for v in [0, 1, 2, 9] {
+            g.set_color(v, Color::Core);
+        }
+        let before = total_weight(&g);
+        let outcome = flip_component(&mut g, 0);
+        let after = total_weight(&g);
+        assert!(after < before, "the flip improves the component");
+        assert_eq!(outcome.components, 1);
+        assert_eq!(
+            (outcome.weight_before, outcome.weight_after),
+            (before, after)
+        );
+        assert_eq!(outcome.improvement(), before - after);
     }
 
     #[test]
