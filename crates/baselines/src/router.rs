@@ -3,9 +3,7 @@
 use crate::metrics::{cut_merge_exposure, trim_exposure, LayerPatterns};
 use sadp_core::astar::{DirMap, SearchScratch};
 use sadp_core::scan::{pack_frag_id, scan_fragments};
-use sadp_core::{
-    Budget, GuardGrid, PenaltyGrid, RouterConfig, RoutingReport, SearchStage, NO_GUARD,
-};
+use sadp_core::{Budget, GuardGrid, PenaltyGrid, RouterConfig, RoutingReport, SearchStage};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_grid::{Net, NetId, Netlist, RoutePath, RoutingPlane};
 use sadp_obs::{FailReason, NoopRecorder, Recorder, RouterEvent, SpanClock, Stage};
@@ -203,8 +201,8 @@ impl BaselineRouter {
         // likewise reused across nets — allocating full-plane vectors per
         // search would itself be superlinear in the netlist size.
         let mut penalties = PenaltyGrid::new(plane, 0);
-        let guards = GuardGrid::new(plane, NO_GUARD);
-        let dir_map = DirMap::new(plane, None);
+        let guards = GuardGrid::new(plane);
+        let dir_map = DirMap::new(plane);
         let mut scratch = SearchScratch::new(plane);
 
         for id in netlist.ids_by_hpwl() {

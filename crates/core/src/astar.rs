@@ -6,7 +6,9 @@
 //! [`SearchScratch`], indexed by the plane's own cell linearisation, and
 //! the open list is a monotone [`BucketQueue`] — so one node expansion
 //! costs a handful of array reads instead of several hash lookups and a
-//! `O(log n)` heap operation. The heuristic is an `O(1)` bounding-box
+//! `O(log n)` heap operation. Neighbours are walked by raw cell index,
+//! and a step's `T2b` term is one byte of the [`DirGrid`]'s maintained
+//! neighbour counts rather than eight probes of the plane and the hints. The heuristic is an `O(1)` bounding-box
 //! lower bound rather than a min over all target points (branch routing
 //! passes entire trunk paths as targets, which made the per-push
 //! heuristic itself `O(|path|)` and the whole search superlinear).
@@ -16,7 +18,7 @@ use crate::budget::Budget;
 use crate::config::RouterConfig;
 use crate::grids::{DirGrid, GuardGrid, PenaltyGrid};
 use crate::router::RouterError;
-use sadp_geom::{Dir, GridPoint, Layer, Step, TrackRect};
+use sadp_geom::{Dir, GridPoint, Layer, TrackRect};
 use sadp_grid::{NetId, RoutePath, RoutingPlane};
 
 /// A single search request: multi-source, multi-target (pin candidate
@@ -32,9 +34,9 @@ pub struct AstarRequest<'a> {
     /// Extra per-cell penalties accumulated by rip-up iterations
     /// (scaled cost units).
     pub penalties: &'a PenaltyGrid,
-    /// Soft keep-out halos around pins: `(owning net, scaled penalty)` per
-    /// cell; charged to every net except the owner, so early nets leave
-    /// later pins approachable.
+    /// Soft keep-out halos around pins: the owning net per cell; entering
+    /// a guarded cell costs every net except the owner the config's
+    /// `pin_guard_cost`, so early nets leave later pins approachable.
     pub guards: &'a GuardGrid,
 }
 
@@ -140,24 +142,6 @@ impl SearchScratch {
     }
 
     #[inline]
-    fn index(&self, p: GridPoint) -> u32 {
-        ((p.layer.index() * self.height as usize + p.y as usize) * self.width as usize
-            + p.x as usize) as u32
-    }
-
-    #[inline]
-    fn point(&self, i: u32) -> GridPoint {
-        let i = i as usize;
-        let w = self.width as usize;
-        let h = self.height as usize;
-        GridPoint::new(
-            Layer((i / (w * h)) as u8),
-            (i % w) as i32,
-            (i / w % h) as i32,
-        )
-    }
-
-    #[inline]
     fn g_of(&self, i: u32) -> u64 {
         if self.stamp[i as usize] == self.generation {
             self.g[i as usize]
@@ -219,8 +203,19 @@ pub type DirMap = DirGrid;
 /// penalty and guard terms are never negative, so every step costs at
 /// least its base; a neighbour at or below `g + base` would fail the
 /// `ng < g` test anyway. Skipping it early is exact: the same nodes are
-/// recorded and pushed, in the same order, and only the `T2b` probes
-/// and the penalty and guard lookups of a step that cannot win are saved.
+/// recorded and pushed, in the same order, and only the `T2b` read and
+/// the penalty and guard lookups of a step that cannot win are saved.
+///
+/// **Step kernel.** A popped cell is decoded to `(layer, x, y)` once;
+/// its neighbours are then `±1`, `±width` and `±width·height` away in
+/// the plane's cell order, and passability, `T2b`, penalty and guard are
+/// read by that index. `T2b` comes from the neighbour counts the
+/// [`DirGrid`] maintains, one byte per cell; it equals the
+/// plane-probing count because every hinted cell is occupied by a
+/// committed net other than the one searching (debug builds assert it
+/// on every priced step). Neighbours are tried in
+/// [`Step::ALL`](sadp_geom::Step::ALL) order,
+/// which fixes the push order the routes depend on.
 ///
 /// The search runs under `budget`, charged once per expanded node: an
 /// exhausted budget stops it with `SearchStats::budget_exceeded` set (no
@@ -251,6 +246,7 @@ pub fn astar_search(
     let beta = config.beta_cost();
     let gamma = config.gamma_cost();
     let wrong_way = config.wrong_way_cost();
+    let pin_guard = config.pin_guard_cost();
     let planar_floor = alpha.min(wrong_way);
 
     // Target bounding box (planar + layer range) for the O(1) heuristic.
@@ -264,24 +260,23 @@ pub fn astar_search(
         });
         lmin = lmin.min(t.layer.0);
         lmax = lmax.max(t.layer.0);
-        let ti = scratch.index(*t) as usize;
-        scratch.target_stamp[ti] = scratch.generation;
+        scratch.target_stamp[plane.index(*t)] = scratch.generation;
     }
     let bbox = bbox.expect("targets non-empty");
     // The lone target whose entry is not charged (see "Target entry"
-    // above); `u32::MAX` is never a cell index (`checked_cell_count`).
+    // above); `usize::MAX` is never a cell index (`checked_cell_count`).
     let free_target = if req.targets.iter().all(|t| *t == req.targets[0]) {
-        scratch.index(req.targets[0])
+        plane.index(req.targets[0])
     } else {
-        u32::MAX
+        usize::MAX
     };
-    let h = |p: GridPoint| -> u64 {
-        let dx = (bbox.x0 - p.x).max(p.x - bbox.x1).max(0) as u64;
-        let dy = (bbox.y0 - p.y).max(p.y - bbox.y1).max(0) as u64;
-        let dl = if p.layer.0 < lmin {
-            (lmin - p.layer.0) as u64
-        } else if p.layer.0 > lmax {
-            (p.layer.0 - lmax) as u64
+    let h = |layer: u8, x: i32, y: i32| -> u64 {
+        let dx = (bbox.x0 - x).max(x - bbox.x1).max(0) as u64;
+        let dy = (bbox.y0 - y).max(y - bbox.y1).max(0) as u64;
+        let dl = if layer < lmin {
+            (lmin - layer) as u64
+        } else if layer > lmax {
+            (layer - lmax) as u64
         } else {
             0
         };
@@ -289,13 +284,16 @@ pub fn astar_search(
     };
 
     for &s in req.sources {
-        if passable(plane, s, req.net) {
-            let i = scratch.index(s);
+        if plane.is_free(s) || plane.occupant(s) == Some(req.net) {
+            let i = plane.index(s) as u32;
             scratch.record(i, 0, NO_PREV);
-            scratch.queue.push(h(s), 0, i);
+            scratch.queue.push(h(s.layer.0, s.x, s.y), 0, i);
         }
     }
 
+    let w = plane.width() as usize;
+    let layer_cells = w * plane.height() as usize;
+    let top = plane.layers() - 1;
     while let Some((_, gc, ci)) = scratch.queue.pop() {
         if scratch.g_of(ci) < gc {
             continue; // stale queue entry
@@ -310,7 +308,7 @@ pub fn astar_search(
             let mut pts = Vec::new();
             let mut cur = ci;
             loop {
-                pts.push(scratch.point(cur));
+                pts.push(plane.point(cur as usize));
                 let prev = scratch.came[cur as usize];
                 if prev == NO_PREV {
                     break;
@@ -321,39 +319,64 @@ pub fn astar_search(
             let path = RoutePath::new(pts).expect("A* emits contiguous paths");
             return (Some(path), stats);
         }
-        let p = scratch.point(ci);
-        for step in Step::ALL {
-            let q = p.offset(step);
-            if !in_window(q, &window, plane) || !passable(plane, q, req.net) {
-                continue;
+        let i = ci as usize;
+        let p = plane.point(i);
+        let (layer, x, y) = (p.layer.0, p.x, p.y);
+        let (h_base, v_base) = match preferred_dir(Layer(layer)) {
+            Dir::Horizontal => (alpha, wrong_way),
+            Dir::Vertical => (wrong_way, alpha),
+        };
+        // Prices the step into cell `qi` at `(ql, qx, qy)`; `axis` is the
+        // planar axis of the step (`None` for a via) and `base` its floor
+        // ("Settled neighbours").
+        let mut relax = |qi: usize, ql: u8, qx: i32, qy: i32, axis: Option<Dir>, base: u64| {
+            if !plane.is_open_at(qi, req.net) {
+                return;
             }
-            // `base` floors the step's eq. (5) cost ("Settled neighbours").
-            let base = match step.axis() {
-                Some(axis) if axis == preferred_dir(q.layer) => alpha,
-                Some(_) => wrong_way,
-                None => beta,
-            };
-            let qi = scratch.index(q);
-            let gq = scratch.g_of(qi);
+            let gq = scratch.g_of(qi as u32);
             if gc + base >= gq {
-                continue;
+                return;
             }
             let mut cost = base;
-            if let Some(axis) = step.axis() {
-                cost += gamma * t2b_count(plane, dir_map, req.net, q, axis);
+            if let Some(axis) = axis {
+                let t2b = dir_map.t2b_at(qi, axis);
+                let q = GridPoint::new(Layer(ql), qx, qy);
+                debug_assert_eq!(
+                    t2b,
+                    t2b_count(plane, dir_map, req.net, q, axis),
+                    "T2b neighbour count of {q:?} stale for {axis:?}"
+                );
+                cost += gamma * t2b;
             }
             if qi != free_target {
-                cost += req.penalties.get(q);
-                let (owner, guard) = req.guards.get(q);
-                if owner != req.net {
-                    cost += guard;
+                cost += req.penalties.get_at(qi);
+                if req.guards.foreign_at(qi, req.net) {
+                    cost += pin_guard;
                 }
             }
             let ng = gc + cost;
             if ng < gq {
-                scratch.record(qi, ng, ci);
-                scratch.queue.push(ng + h(q), ng, qi);
+                scratch.record(qi as u32, ng, ci);
+                scratch.queue.push(ng + h(ql, qx, qy), ng, qi as u32);
             }
+        };
+        if x < window.x1 {
+            relax(i + 1, layer, x + 1, y, Some(Dir::Horizontal), h_base);
+        }
+        if x > window.x0 {
+            relax(i - 1, layer, x - 1, y, Some(Dir::Horizontal), h_base);
+        }
+        if y < window.y1 {
+            relax(i + w, layer, x, y + 1, Some(Dir::Vertical), v_base);
+        }
+        if y > window.y0 {
+            relax(i - w, layer, x, y - 1, Some(Dir::Vertical), v_base);
+        }
+        if layer < top {
+            relax(i + layer_cells, layer + 1, x, y, None, beta);
+        }
+        if layer > 0 {
+            relax(i - layer_cells, layer - 1, x, y, None, beta);
         }
     }
     (None, stats)
@@ -368,13 +391,6 @@ pub fn preferred_dir(layer: sadp_geom::Layer) -> Dir {
     } else {
         Dir::Vertical
     }
-}
-
-#[inline]
-fn passable(plane: &RoutingPlane, p: GridPoint, net: NetId) -> bool {
-    // Fast path: `is_free` is a single busy-bitplane word probe; only a
-    // busy cell pays the occupant lookup in the full cell array.
-    plane.is_free(p) || plane.occupant(p) == Some(net)
 }
 
 fn search_window(req: &AstarRequest<'_>, config: &RouterConfig, plane: &RoutingPlane) -> TrackRect {
@@ -393,17 +409,18 @@ fn search_window(req: &AstarRequest<'_>, config: &RouterConfig, plane: &RoutingP
     r.unwrap_or_else(|| TrackRect::new(0, 0, plane.width() - 1, plane.height() - 1))
 }
 
-fn in_window(p: GridPoint, window: &TrackRect, plane: &RoutingPlane) -> bool {
-    p.layer.0 < plane.layers() && window.contains_cell(p.x, p.y)
-}
-
 /// Counts the type 2-b scenarios that occupying `q` while running along
-/// `axis` would create with routed nets (the `T2b(j)` of eq. (5)):
+/// `axis` would create with routed nets (the `T2b(j)` of eq. (5)) by
+/// probing the plane and the hints of `q`'s four neighbours:
 ///
 /// * a routed wire one track *ahead* running perpendicular to us — our tip
 ///   would face its side,
 /// * a routed wire one track to the *side* running perpendicular to us —
 ///   its tip would face our side.
+///
+/// The search reads the same number from [`DirGrid`]'s neighbour counts;
+/// this direct count is their oracle, in the tests and in the debug
+/// assertion on every priced step.
 fn t2b_count(plane: &RoutingPlane, dir_map: &DirGrid, net: NetId, q: GridPoint, axis: Dir) -> u64 {
     let mut count = 0;
     let neighbors: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
@@ -458,7 +475,7 @@ fn checked_cell_count(layers: u8, width: i32, height: i32) -> Result<usize, Rout
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sadp_geom::{DesignRules, Layer};
+    use sadp_geom::{DesignRules, Layer, Step};
 
     fn plane(w: i32, h: i32) -> RoutingPlane {
         RoutingPlane::new(3, w, h, DesignRules::node_10nm()).expect("valid")
@@ -470,7 +487,7 @@ mod tests {
         to: GridPoint,
     ) -> (Option<RoutePath>, SearchStats) {
         let penalties = PenaltyGrid::new(plane, 0);
-        let guards = GuardGrid::new(plane, crate::grids::NO_GUARD);
+        let guards = GuardGrid::new(plane);
         let req = AstarRequest {
             net: NetId(0),
             sources: &[from],
@@ -478,7 +495,7 @@ mod tests {
             penalties: &penalties,
             guards: &guards,
         };
-        let dir_map = DirGrid::new(plane, None);
+        let dir_map = DirGrid::new(plane);
         fresh_search(plane, &req, &dir_map, &RouterConfig::paper_defaults())
     }
 
@@ -550,7 +567,7 @@ mod tests {
     fn multi_candidate_picks_cheapest_pair() {
         let p = plane(32, 32);
         let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
+        let guards = GuardGrid::new(&p);
         let req = AstarRequest {
             net: NetId(0),
             sources: &[
@@ -564,12 +581,7 @@ mod tests {
             penalties: &penalties,
             guards: &guards,
         };
-        let (path, _) = fresh_search(
-            &p,
-            &req,
-            &DirGrid::new(&p, None),
-            &RouterConfig::paper_defaults(),
-        );
+        let (path, _) = fresh_search(&p, &req, &DirGrid::new(&p), &RouterConfig::paper_defaults());
         let path = path.expect("path found");
         assert_eq!(path.source(), GridPoint::new(Layer(0), 10, 10));
         assert_eq!(path.target(), GridPoint::new(Layer(0), 12, 10));
@@ -584,7 +596,7 @@ mod tests {
         for x in 3..12 {
             penalties.set(GridPoint::new(Layer(0), x, 5), 50_000u64);
         }
-        let guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
+        let guards = GuardGrid::new(&p);
         let req = AstarRequest {
             net: NetId(0),
             sources: &[GridPoint::new(Layer(0), 2, 5)],
@@ -592,12 +604,7 @@ mod tests {
             penalties: &penalties,
             guards: &guards,
         };
-        let (path, _) = fresh_search(
-            &p,
-            &req,
-            &DirGrid::new(&p, None),
-            &RouterConfig::paper_defaults(),
-        );
+        let (path, _) = fresh_search(&p, &req, &DirGrid::new(&p), &RouterConfig::paper_defaults());
         let path = path.expect("path found");
         assert!(
             path.wirelength() > 10 || path.via_count() > 0,
@@ -611,15 +618,15 @@ mod tests {
         // new net would take: with the gamma penalty the router prefers a
         // small detour over the 2-b scenario.
         let mut p = plane(32, 32);
-        let mut dir_map = DirGrid::new(&p, None);
+        let mut dir_map = DirGrid::new(&p);
         for y in 7..12 {
             let c = GridPoint::new(Layer(0), 7, y);
             p.occupy(c, NetId(9)).unwrap();
-            dir_map.set(c, Some(Dir::Vertical));
+            dir_map.set(c, Dir::Vertical);
         }
         // Tip at (7,7); the straight row y=6 passes right under it.
         let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
+        let guards = GuardGrid::new(&p);
         let req = AstarRequest {
             net: NetId(0),
             sources: &[GridPoint::new(Layer(0), 2, 6)],
@@ -653,57 +660,60 @@ mod tests {
         }
     }
 
+    /// `T2b` of a step along `axis` into `q` from the direction map's
+    /// neighbour counts, after checking it against the direct count.
+    fn t2b_both(p: &RoutingPlane, dm: &DirGrid, q: GridPoint, axis: Dir) -> u64 {
+        let direct = t2b_count(p, dm, NetId(0), q, axis);
+        assert_eq!(dm.t2b_at(p.index(q), axis), direct, "{q:?} along {axis:?}");
+        direct
+    }
+
     #[test]
     fn t2b_count_direct() {
         let mut p = plane(16, 16);
-        let mut dm = DirGrid::new(&p, None);
+        let mut dm = DirGrid::new(&p);
         // Vertical wire tip just north of (5,5).
         for y in 6..9 {
             let c = GridPoint::new(Layer(0), 5, y);
             p.occupy(c, NetId(1)).unwrap();
-            dm.set(c, Some(Dir::Vertical));
+            dm.set(c, Dir::Vertical);
         }
+        let q = GridPoint::new(Layer(0), 5, 5);
         // Moving horizontally through (5,5): its side faces the tip -> 1.
-        assert_eq!(
-            t2b_count(
-                &p,
-                &dm,
-                NetId(0),
-                GridPoint::new(Layer(0), 5, 5),
-                Dir::Horizontal
-            ),
-            1
-        );
+        assert_eq!(t2b_both(&p, &dm, q, Dir::Horizontal), 1);
         // Moving vertically through (5,5): tip-to-tip (1-b), not 2-b -> 0.
-        assert_eq!(
-            t2b_count(
-                &p,
-                &dm,
-                NetId(0),
-                GridPoint::new(Layer(0), 5, 5),
-                Dir::Vertical
-            ),
-            0
-        );
+        assert_eq!(t2b_both(&p, &dm, q, Dir::Vertical), 0);
         // A horizontal neighbour beside us while we move horizontally is
         // 1-a (side-side), not 2-b.
         let mut p2 = plane(16, 16);
-        let mut dm2 = DirGrid::new(&p2, None);
+        let mut dm2 = DirGrid::new(&p2);
         for x in 3..8 {
             let c = GridPoint::new(Layer(0), x, 6);
             p2.occupy(c, NetId(1)).unwrap();
-            dm2.set(c, Some(Dir::Horizontal));
+            dm2.set(c, Dir::Horizontal);
         }
-        assert_eq!(
-            t2b_count(
-                &p2,
-                &dm2,
-                NetId(0),
-                GridPoint::new(Layer(0), 5, 5),
-                Dir::Horizontal
-            ),
-            0
-        );
+        assert_eq!(t2b_both(&p2, &dm2, q, Dir::Horizontal), 0);
+        assert_eq!(t2b_both(&p2, &dm2, q, Dir::Vertical), 1);
+        // Every cell of every seeded instance, in both axes, including
+        // the plane's edges and cells between several hinted wires. The
+        // hinted cells there belong to net 7, never to the searching
+        // net 0, so the two counts must agree everywhere.
+        let mut nonzero = 0;
+        for seed in 0..60 {
+            let inst = instance(seed);
+            for l in 0..3u8 {
+                for y in 0..inst.plane.height() {
+                    for x in 0..inst.plane.width() {
+                        for axis in [Dir::Horizontal, Dir::Vertical] {
+                            let q = GridPoint::new(Layer(l), x, y);
+                            nonzero +=
+                                usize::from(t2b_both(&inst.plane, &inst.dir_map, q, axis) > 0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(nonzero > 1000, "only {nonzero} cells saw a 2-b neighbour");
     }
 
     #[test]
@@ -713,8 +723,8 @@ mod tests {
         let mut p = plane(24, 24);
         p.add_blockage(Layer(0), TrackRect::new(10, 0, 10, 20));
         let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
-        let dm = DirGrid::new(&p, None);
+        let guards = GuardGrid::new(&p);
+        let dm = DirGrid::new(&p);
         let cfg = RouterConfig::paper_defaults();
         let mut scratch = SearchScratch::new(&p);
         for i in 0..6 {
@@ -762,7 +772,7 @@ mod tests {
     fn exhausted_budget_stops_the_search() {
         let p = plane(64, 64);
         let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
+        let guards = GuardGrid::new(&p);
         let req = AstarRequest {
             net: NetId(0),
             sources: &[GridPoint::new(Layer(0), 2, 30)],
@@ -770,7 +780,7 @@ mod tests {
             penalties: &penalties,
             guards: &guards,
         };
-        let dm = DirGrid::new(&p, None);
+        let dm = DirGrid::new(&p);
         let cfg = RouterConfig::paper_defaults();
         let mut scratch = SearchScratch::new(&p);
         let mut limited = RouterConfig::paper_defaults();
@@ -839,9 +849,9 @@ mod tests {
         let alpha = cfg.alpha_cost();
         let (w, h) = (rng.range_i32(5..12), rng.range_i32(5..12));
         let mut plane = plane(w, h);
-        let mut dir_map = DirGrid::new(&plane, None);
+        let mut dir_map = DirGrid::new(&plane);
         let mut penalties = PenaltyGrid::new(&plane, 0);
-        let mut guards = GuardGrid::new(&plane, crate::grids::NO_GUARD);
+        let mut guards = GuardGrid::new(&plane);
         let random_cell = |rng: &mut sadp_geom::Rng| {
             GridPoint::new(
                 Layer(rng.index(3) as u8),
@@ -872,7 +882,7 @@ mod tests {
                             } else {
                                 Dir::Vertical
                             };
-                            dir_map.set(c, Some(dir));
+                            dir_map.set(c, dir);
                         }
                         _ => {}
                     }
@@ -881,13 +891,13 @@ mod tests {
                     }
                     if rng.chance(0.2) {
                         let owner = if rng.flip() { NetId(0) } else { NetId(5) };
-                        guards.set(c, (owner, rng.bounded(4 * alpha)));
+                        guards.set(c, Some(owner));
                     }
                 }
             }
         }
         penalties.set(target, 1 + rng.bounded(16 * alpha));
-        guards.set(target, (NetId(5), 1 + rng.bounded(4 * alpha)));
+        guards.set(target, Some(NetId(5)));
         Instance {
             plane,
             dir_map,
@@ -913,9 +923,8 @@ mod tests {
             None => cfg.beta_cost(),
         };
         cost += inst.penalties.get(q);
-        let (owner, guard) = inst.guards.get(q);
-        if owner != NetId(0) {
-            cost += guard;
+        if inst.guards.get(q).is_some_and(|owner| owner != NetId(0)) {
+            cost += cfg.pin_guard_cost();
         }
         cost
     }
@@ -954,7 +963,9 @@ mod tests {
             }
             for step in Step::ALL {
                 let q = p.offset(step);
-                if !in_window(q, &window, &inst.plane) || !passable(&inst.plane, q, NetId(0)) {
+                let in_window = q.layer.0 < inst.plane.layers() && window.contains_cell(q.x, q.y);
+                let open = inst.plane.is_free(q) || inst.plane.occupant(q) == Some(NetId(0));
+                if !in_window || !open {
                     continue;
                 }
                 let nd = d + entry_cost(inst, cfg, q, step);
@@ -991,9 +1002,9 @@ mod tests {
             let target = inst.target;
             let (base, base_stats) = search_instance(&inst, &[target], &cfg);
             for (penalty, guard) in [
-                (0, crate::grids::NO_GUARD),
-                (1_000_000, (NetId(5), 1_000_000)),
-                (inst.penalties.get(target), (NetId(0), 777)),
+                (0, None),
+                (1_000_000, Some(NetId(5))),
+                (inst.penalties.get(target), Some(NetId(0))),
             ] {
                 inst.penalties.set(target, penalty);
                 inst.guards.set(target, guard);
@@ -1046,7 +1057,7 @@ mod tests {
     fn with_two_targets_a_charged_target_loses_at_equal_distance() {
         let p = plane(24, 24);
         let cfg = RouterConfig::paper_defaults();
-        let dm = DirGrid::new(&p, None);
+        let dm = DirGrid::new(&p);
         let mut rng = sadp_geom::Rng::seed_from_u64(11);
         for _ in 0..40 {
             let (x, y, d) = (
@@ -1059,11 +1070,11 @@ mod tests {
             let east = GridPoint::new(Layer(0), x + d, y);
             for (charged, free) in [(west, east), (east, west)] {
                 let mut penalties = PenaltyGrid::new(&p, 0);
-                let mut guards = GuardGrid::new(&p, crate::grids::NO_GUARD);
+                let mut guards = GuardGrid::new(&p);
                 if rng.flip() {
                     penalties.set(charged, 1 + rng.bounded(cfg.alpha_cost()));
                 } else {
-                    guards.set(charged, (NetId(5), 1 + rng.bounded(cfg.alpha_cost())));
+                    guards.set(charged, Some(NetId(5)));
                 }
                 for targets in [[west, east], [east, west]] {
                     let req = AstarRequest {

@@ -29,6 +29,10 @@ pub struct BucketQueue {
     /// `buckets[0]` holds keys equal to `last`; `buckets[b]` (b ≥ 1)
     /// holds keys whose highest differing bit from `last` is `b - 1`.
     buckets: Vec<Vec<Entry>>,
+    /// Bit `b` is set exactly when `buckets[b]` is non-empty, so a pop
+    /// finds the lowest non-empty bucket, and a clear the occupied ones,
+    /// without scanning all 65.
+    occupied: u128,
     /// Last key handed out by [`pop`](Self::pop); the floor for pushes.
     last: u64,
     len: usize,
@@ -44,6 +48,7 @@ impl BucketQueue {
     pub fn new() -> Self {
         Self {
             buckets: (0..65).map(|_| Vec::new()).collect(),
+            occupied: 0,
             last: 0,
             len: 0,
         }
@@ -51,9 +56,12 @@ impl BucketQueue {
 
     /// Removes all entries but keeps the allocated bucket storage, so a
     /// queue can be reused across nets without churning the allocator.
+    /// Touches only the occupied buckets.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.buckets[b].clear();
+            self.occupied &= self.occupied - 1;
         }
         self.last = 0;
         self.len = 0;
@@ -84,8 +92,7 @@ impl BucketQueue {
             self.last
         );
         let f = f.max(self.last);
-        let b = self.bucket_of(f);
-        self.buckets[b].push((f, g, cell));
+        self.put((f, g, cell));
         self.len += 1;
     }
 
@@ -99,19 +106,34 @@ impl BucketQueue {
             return None;
         }
         if self.buckets[0].is_empty() {
-            // Find the first non-empty bucket, advance `last` to its
-            // minimum key, and redistribute it into lower buckets.
-            let b = self.buckets.iter().position(|v| !v.is_empty())?;
-            let moved = std::mem::take(&mut self.buckets[b]);
+            // Take the lowest non-empty bucket, advance `last` to its
+            // minimum key, and redistribute it into lower buckets. Its
+            // storage goes back in place, empty, for later pushes.
+            let b = self.occupied.trailing_zeros() as usize;
+            let mut moved = std::mem::take(&mut self.buckets[b]);
+            self.occupied &= !(1 << b);
             self.last = moved.iter().map(|e| e.0).min().expect("bucket non-empty");
-            for e in moved {
-                let nb = self.bucket_of(e.0);
-                debug_assert!(nb < b || (nb == 0 && b == 0));
-                self.buckets[nb].push(e);
+            for e in moved.drain(..) {
+                debug_assert!(self.bucket_of(e.0) < b);
+                self.put(e);
             }
+            self.buckets[b] = moved;
         }
         self.len -= 1;
-        self.buckets[0].pop()
+        let bucket = &mut self.buckets[0];
+        let e = bucket.pop();
+        if bucket.is_empty() {
+            self.occupied &= !1;
+        }
+        e
+    }
+
+    /// Files `e` in its bucket against the current floor.
+    #[inline]
+    fn put(&mut self, e: Entry) {
+        let b = self.bucket_of(e.0);
+        self.buckets[b].push(e);
+        self.occupied |= 1 << b;
     }
 }
 
@@ -193,6 +215,60 @@ mod tests {
         q.push(3, 0, 1);
         assert_eq!(q.pop(), Some((3, 0, 1)));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Pops the reference model's next entry: least `f`, and among equal
+    /// keys the newest push (highest sequence number).
+    fn model_pop(model: &mut Vec<(u64, u64, Entry)>) -> Option<Entry> {
+        let i = (0..model.len()).min_by_key(|&i| (model[i].0, u64::MAX - model[i].1))?;
+        Some(model.swap_remove(i).2)
+    }
+
+    #[test]
+    fn pop_order_matches_a_reference_model_across_clears() {
+        let mut rng = sadp_geom::Rng::seed_from_u64(29);
+        let mut q = BucketQueue::new();
+        let (mut cleared_nonempty, mut popped) = (0, 0);
+        for round in 0..400 {
+            let mut model = Vec::new();
+            let (mut floor, mut seq) = (0u64, 0u64);
+            for _ in 0..rng.range_i32(1..200) {
+                if model.is_empty() || rng.chance(0.55) {
+                    // Monotone pushes: at or above the last pop, often
+                    // equal to it, sometimes far above.
+                    let f = floor
+                        + match rng.bounded(4) {
+                            0 => 0,
+                            1 => rng.bounded(8),
+                            2 => rng.bounded(1 << 12),
+                            _ => rng.bounded(1 << 40),
+                        };
+                    let e = (f, rng.bounded(100), rng.bounded(1000) as u32);
+                    q.push(e.0, e.1, e.2);
+                    model.push((f, seq, e));
+                    seq += 1;
+                } else {
+                    let want = model_pop(&mut model);
+                    assert_eq!(q.pop(), want, "round {round}");
+                    floor = want.expect("model non-empty").0;
+                    popped += 1;
+                }
+                assert_eq!(q.len(), model.len());
+            }
+            // Drain every other round; otherwise clear with entries left.
+            if round % 2 == 0 {
+                while let Some(want) = model_pop(&mut model) {
+                    assert_eq!(q.pop(), Some(want), "round {round} drain");
+                }
+                assert_eq!(q.pop(), None);
+            } else {
+                cleared_nonempty += usize::from(!q.is_empty());
+            }
+            q.clear();
+            assert!(q.is_empty());
+            assert_eq!(q.occupied, 0);
+        }
+        assert!(cleared_nonempty > 150 && popped > 5000);
     }
 
     #[test]

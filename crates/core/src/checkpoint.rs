@@ -51,7 +51,6 @@
 //! [`SnapshotError::VersionUnsupported`]; there is no reader for them.
 
 use crate::driver;
-use crate::grids::NO_GUARD;
 use crate::ledger::{self, CommitLedger, LedgerCounters, RoutedNet};
 use crate::router::{Router, RouterError};
 use crate::scan::pack_frag_id;
@@ -283,22 +282,6 @@ pub(crate) fn serialize(
     format!("{MAGIC}\nchecksum {:016x}\n{body}", fnv64(body.as_bytes()))
 }
 
-/// The index of `p` in the plane's layer-major, row-major cell order.
-fn cell_index(plane: &RoutingPlane, p: GridPoint) -> usize {
-    let (w, h) = (plane.width() as usize, plane.height() as usize);
-    (p.layer.index() * h + p.y as usize) * w + p.x as usize
-}
-
-/// The point at cell index `i` (the inverse of [`cell_index`]).
-fn cell_point(plane: &RoutingPlane, i: usize) -> GridPoint {
-    let (w, h) = (plane.width() as usize, plane.height() as usize);
-    GridPoint::new(
-        Layer((i / (w * h)) as u8),
-        (i % w) as i32,
-        (i / w % h) as i32,
-    )
-}
-
 /// The occupied cells that no route covers: pin reservations, which a
 /// run holds until the net's commit releases the unused ones.
 fn held_cells(ledger: &CommitLedger, plane: &RoutingPlane) -> Vec<(GridPoint, NetId)> {
@@ -306,14 +289,14 @@ fn held_cells(ledger: &CommitLedger, plane: &RoutingPlane) -> Vec<(GridPoint, Ne
         vec![false; plane.layers() as usize * plane.width() as usize * plane.height() as usize];
     for r in ledger.routed().values() {
         for p in r.all_points() {
-            on_route[cell_index(plane, p)] = true;
+            on_route[plane.index(p)] = true;
         }
     }
     let mut out = Vec::new();
     for l in 0..plane.layers() {
         for (x, y, id) in plane.occupied_cells(Layer(l)) {
             let p = GridPoint::new(Layer(l), x, y);
-            if !on_route[cell_index(plane, p)] {
+            if !on_route[plane.index(p)] {
                 out.push((p, id));
             }
         }
@@ -334,25 +317,21 @@ fn guard_exceptions(
     let Some(ws) = &router.workspace else {
         return Vec::new();
     };
-    let unclaimed = NO_GUARD.0;
     let mut canonical =
-        vec![unclaimed; plane.layers() as usize * plane.width() as usize * plane.height() as usize];
+        vec![None; plane.layers() as usize * plane.width() as usize * plane.height() as usize];
     for net in netlist {
         for g in driver::guard_halo(&router.config, net) {
             if plane.in_bounds(g) {
-                let owner = &mut canonical[cell_index(plane, g)];
-                if *owner == unclaimed {
-                    *owner = net.id;
-                }
+                canonical[plane.index(g)].get_or_insert(net.id);
             }
         }
     }
     ws.guards
-        .values()
+        .owners()
         .zip(canonical)
         .enumerate()
-        .filter(|(_, ((live, _), canonical))| live != canonical)
-        .map(|(i, ((live, _), _))| (cell_point(plane, i), (live != unclaimed).then_some(live)))
+        .filter(|(_, (live, canonical))| live != canonical)
+        .map(|(i, (live, _))| (plane.point(i), live))
         .collect()
 }
 
@@ -412,12 +391,11 @@ impl Router {
                 return Err(SnapshotError::StateMismatch);
             }
         }
-        let guard = self.config.pin_guard_cost();
         for &(p, owner) in &snap.guards {
             if !ws.guards.contains(p) {
                 return Err(SnapshotError::StateMismatch);
             }
-            ws.guards.set(p, owner.map_or(NO_GUARD, |id| (id, guard)));
+            ws.guards.set(p, owner);
         }
         self.ledger = CommitLedger::restore(
             snap.graphs.clone(),

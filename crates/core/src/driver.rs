@@ -13,7 +13,7 @@
 
 use crate::budget::Budget;
 use crate::config::RouterConfig;
-use crate::grids::{GuardGrid, PenaltyGrid, NO_GUARD};
+use crate::grids::{GuardGrid, PenaltyGrid};
 use crate::report::RoutingReport;
 use crate::router::Router;
 use crate::scan::{scan_fragments, FoundScenario};
@@ -127,23 +127,23 @@ impl Router {
 
     /// Undoes [`Router::reserve_pins`] for one net: frees every pin
     /// candidate cell still owned by `net` and returns its guard-halo
-    /// claims to [`NO_GUARD`]. Called on the ECO re-route's failure path
+    /// claims. Called on the ECO re-route's failure path
     /// (and when the ECO engine removes a net) so an unroutable net does
     /// not pin its candidate cells forever.
     pub(crate) fn release_pins(&mut self, plane: &mut RoutingPlane, net: &Net) {
         let guards = &mut self.workspace.as_mut().expect(SIZED).guards;
-        let guard = self.config.pin_guard_cost();
+        let guarded = self.config.pin_guard_cost() > 0;
         for pin in net.pins() {
             for &c in pin.candidates() {
                 if plane.occupant(c) == Some(net.id) {
                     plane.clear_path(&[c], net.id);
                 }
-                if guard > 0 {
+                if guarded {
                     for dx in -1..=1 {
                         for dy in -1..=1 {
                             let g = GridPoint::new(c.layer, c.x + dx, c.y + dy);
-                            if guards.contains(g) && guards.get(g).0 == net.id {
-                                guards.set(g, NO_GUARD);
+                            if guards.contains(g) && guards.get(g) == Some(net.id) {
+                                guards.set(g, None);
                             }
                         }
                     }
@@ -451,12 +451,11 @@ impl Router {
 /// rebuild the reservation pre-pass's guards, where occupancy comes from
 /// the snapshot instead.
 pub(crate) fn claim_pin_guards(config: &RouterConfig, guards: &mut GuardGrid, net: &Net) {
-    let guard = config.pin_guard_cost();
     for g in guard_halo(config, net) {
         // First reserver wins, as with the map's entry().or_insert this
         // replaced.
-        if guards.contains(g) && guards.get(g) == NO_GUARD {
-            guards.set(g, (net.id, guard));
+        if guards.contains(g) && guards.get(g).is_none() {
+            guards.set(g, Some(net.id));
         }
     }
 }

@@ -446,7 +446,7 @@ pub(crate) fn publish_dirs(dir_map: &mut DirGrid, r: &RoutedNet) {
     for &(layer, rect) in &r.fragments {
         if let Some(axis) = rect.orientation().axis() {
             for (x, y) in rect.cells() {
-                dir_map.set(GridPoint::new(layer, x, y), Some(axis));
+                dir_map.set(GridPoint::new(layer, x, y), axis);
             }
         }
     }

@@ -64,7 +64,7 @@ pub use eco::{
     parse_edit_script, EcoEdit, EcoError, EcoSession, EditOutcome, NetRef, OpOutcome, ScriptOp,
 };
 pub use fault::{atomic_write, FaultPlan, IoFault, PersistKind};
-pub use grids::{DenseGrid, DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
+pub use grids::{DenseGrid, DirGrid, GuardGrid, PenaltyGrid};
 pub use ledger::{CommitLedger, LedgerCounters, Proposal, RoutedNet};
 pub use report::RoutingReport;
 pub use router::{Router, RouterError};

@@ -10,7 +10,7 @@
 use crate::budget::RunBudget;
 use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::config::RouterConfig;
-use crate::grids::{DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
+use crate::grids::{DirGrid, GuardGrid, PenaltyGrid};
 use crate::ledger::{CommitLedger, FLIP_NEIGHBORHOOD};
 use crate::report::RoutingReport;
 use sadp_decomp::{ColoredPattern, CutSimulator};
@@ -63,7 +63,10 @@ impl fmt::Display for RouterError {
 impl Error for RouterError {}
 
 /// Plane-sized dense working state, allocated when a run first sizes the
-/// router for a plane and reused for every net (clearing is `O(1)` via generation stamps).
+/// router for a plane and reused for every net. The direction map and
+/// the pin guards hold run-long state and are refilled when a run starts
+/// on a reused workspace; the penalty grid and the search scratch are
+/// reset before every net, in `O(1)` through generation stamps.
 ///
 /// Two workspaces compare equal when their direction maps and pin
 /// guards read the same at every cell; the penalty grid and the search
@@ -72,7 +75,7 @@ impl Error for RouterError {}
 pub(crate) struct Workspace {
     /// Per-cell wire direction of committed nets (the `T2b` hint map).
     pub(crate) dir_map: DirGrid,
-    /// Soft pin keep-out halos: `(owner, penalty)` per cell.
+    /// Soft pin keep-out halos: the owning net per cell.
     pub(crate) guards: GuardGrid,
     /// Rip-up penalties for the net currently being routed.
     pub(crate) penalties: PenaltyGrid,
@@ -86,8 +89,8 @@ impl Workspace {
         // plane allocates nothing at all.
         let scratch = SearchScratch::try_new(plane)?;
         Ok(Workspace {
-            dir_map: DirGrid::new(plane, None),
-            guards: GuardGrid::new(plane, NO_GUARD),
+            dir_map: DirGrid::new(plane),
+            guards: GuardGrid::new(plane),
             penalties: PenaltyGrid::new(plane, 0),
             scratch,
         })
@@ -190,6 +193,13 @@ impl Router {
     #[must_use]
     pub fn routed(&self) -> &BTreeMap<NetId, RoutedNet> {
         self.ledger.routed()
+    }
+
+    /// The committed wire-direction hints (the `T2b` map the search
+    /// reads), once a run has sized the router for a plane.
+    #[must_use]
+    pub fn dir_map(&self) -> Option<&DirGrid> {
+        self.workspace.as_ref().map(|ws| &ws.dir_map)
     }
 
     /// Nets that could not be routed without violations.

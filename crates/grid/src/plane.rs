@@ -164,7 +164,13 @@ impl RoutingPlane {
         p.layer.0 < self.layers && p.x >= 0 && p.x < self.width && p.y >= 0 && p.y < self.height
     }
 
-    fn index(&self, p: GridPoint) -> usize {
+    /// The linear index of the in-bounds cell `p`: `(layer * height +
+    /// y) * width + x`. The router's dense per-cell grids and the
+    /// A\*-search share this order, so a neighbour is `±1`, `±width` or
+    /// `±width·height` away.
+    #[inline]
+    #[must_use]
+    pub fn index(&self, p: GridPoint) -> usize {
         debug_assert!(self.in_bounds(p));
         (p.layer.index() * self.height as usize + p.y as usize) * self.width as usize + p.x as usize
     }
@@ -190,6 +196,27 @@ impl RoutingPlane {
     #[must_use]
     pub fn is_free(&self, p: GridPoint) -> bool {
         self.in_bounds(p) && !self.busy_bit(self.index(p))
+    }
+
+    /// The cell at linear index `i`: the inverse of [`RoutingPlane::index`].
+    #[inline]
+    #[must_use]
+    pub fn point(&self, i: usize) -> GridPoint {
+        let (w, h) = (self.width as usize, self.height as usize);
+        GridPoint::new(
+            Layer((i / (w * h)) as u8),
+            (i % w) as i32,
+            (i / w % h) as i32,
+        )
+    }
+
+    /// Whether the cell at linear index `i` (see [`RoutingPlane::index`])
+    /// is free or occupied by `net`: the A\* passability probe of the
+    /// raw-index neighbour walk. Only a busy cell reads `cells`.
+    #[inline]
+    #[must_use]
+    pub fn is_open_at(&self, i: usize, net: NetId) -> bool {
+        !self.busy_bit(i) || self.cells[i] == net.0
     }
 
     /// The net occupying `p`, if any.
@@ -428,6 +455,13 @@ mod tests {
                         p.cell(q) == CellState::Free,
                         "bitplane out of sync at {q}"
                     );
+                    for net in [NetId(3), NetId(4), NetId(9)] {
+                        assert_eq!(
+                            p.is_open_at(p.index(q), net),
+                            p.is_free(q) || p.occupant(q) == Some(net),
+                            "index probe disagrees at {q} for {net:?}"
+                        );
+                    }
                 }
             }
         }
