@@ -6,6 +6,7 @@
 //! lacks the merge technique and must detour or leave conflicts (Fig. 22).
 
 use sadp_baselines::{BaselineKind, BaselineRouter};
+use sadp_bench::{args_or_exit, flag_or_exit};
 use sadp_core::{Router, RouterConfig};
 use sadp_decomp::{render_ascii, render_svg, ColoredPattern, CutSimulator};
 use sadp_geom::{DesignRules, GridPoint, Layer};
@@ -57,12 +58,12 @@ fn render(
 
 fn main() {
     // `--svg DIR` additionally writes fig21.svg / fig22.svg into DIR.
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = "fig21 [--svg DIR]";
+    let args = args_or_exit(&["--svg"], &[], 0, usage);
     let svg_dir = args
         .iter()
-        .position(|a| a == "--svg")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+        .any(|a| a == "--svg")
+        .then(|| flag_or_exit::<String>(&args, "--svg", String::new(), usage));
     let svg = |name: &str| svg_dir.as_ref().map(|d| format!("{d}/{name}"));
 
     println!("Fig. 21: our router — odd cycle decomposed by merge-and-cut");

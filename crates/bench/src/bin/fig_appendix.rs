@@ -2,11 +2,13 @@
 //! potential overlay scenario, rendered through the pixel decomposition
 //! simulator with its measured side overlay.
 
+use sadp_bench::args_or_exit;
 use sadp_decomp::{render_ascii, window::canonical_window, ColoredPattern, CutSimulator};
 use sadp_geom::DesignRules;
 use sadp_scenario::{Assignment, ScenarioKind};
 
 fn main() {
+    let _ = args_or_exit(&[], &[], 0, "fig_appendix");
     let rules = DesignRules::node_10nm();
     let sim = CutSimulator::new(rules);
     for kind in ScenarioKind::ALL {

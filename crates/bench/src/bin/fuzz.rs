@@ -10,14 +10,16 @@
 //! cargo run --release -p sadp-bench --bin fuzz [SEEDS]
 //! ```
 
-use sadp_bench::parse_or_exit;
+use sadp_bench::{args_or_exit, parse_or_exit};
 use sadp_fuzz::{check_instance, generate, OracleConfig, Regime};
 use std::time::Instant;
 
 fn main() {
-    let seeds: u64 = std::env::args()
-        .nth(1)
-        .map_or(25, |v| parse_or_exit("SEEDS", &v, "fuzz [SEEDS]"));
+    let usage = "fuzz [SEEDS]";
+    let args = args_or_exit(&[], &[], 1, usage);
+    let seeds: u64 = args
+        .first()
+        .map_or(25, |v| parse_or_exit("SEEDS", v, usage));
     // Our router's oracle only: the baseline cross-check routes the
     // instance a second time with another router.
     let cfg = OracleConfig {

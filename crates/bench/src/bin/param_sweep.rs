@@ -3,7 +3,7 @@
 //!
 //! Usage: `param_sweep [--scale X | --full]` (default 0.15).
 
-use sadp_bench::scale_or_exit;
+use sadp_bench::{args_or_exit, scale_or_exit};
 use sadp_core::{Router, RouterConfig};
 use sadp_grid::BenchmarkSpec;
 
@@ -15,8 +15,9 @@ fn run(spec: &BenchmarkSpec, config: RouterConfig) -> (f64, u64, u64, u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_exit(&args, 0.15, "param_sweep [--scale X | --full]");
+    let usage = "param_sweep [--scale X | --full]";
+    let args = args_or_exit(&["--scale"], &["--full"], 0, usage);
+    let scale = scale_or_exit(&args, 0.15, usage);
     let spec = BenchmarkSpec::paper_fixed_suite().remove(0).scaled(scale);
     println!(
         "Parameter sensitivity on {} x{scale} ({} nets); paper values marked *",

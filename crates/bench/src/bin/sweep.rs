@@ -6,13 +6,13 @@
 //! Test1 aspect while the net count sweeps a density range.
 
 use sadp_baselines::{BaselineKind, BaselineRouter};
-use sadp_bench::flag_or_exit;
+use sadp_bench::{args_or_exit, flag_or_exit};
 use sadp_core::{Router, RouterConfig};
 use sadp_grid::BenchmarkSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "sweep [--nets N] [--seed S]";
+    let args = args_or_exit(&["--nets", "--seed"], &[], 0, usage);
     let base: usize = flag_or_exit(&args, "--nets", 220, usage);
     let seed: u64 = flag_or_exit(&args, "--seed", 2024, usage);
 

@@ -2,11 +2,13 @@
 //! potential overlay scenarios with color rules and side-overlay bounds),
 //! cross-checked against the pixel decomposition simulator.
 
+use sadp_bench::args_or_exit;
 use sadp_decomp::replay_all_scenarios;
 use sadp_geom::DesignRules;
 use sadp_scenario::{scenario_summary, Assignment};
 
 fn main() {
+    let _ = args_or_exit(&[], &[], 0, "table2");
     println!("Table I: color assignment notation");
     println!("  C = core pattern, S = second pattern");
     for asg in Assignment::ALL {

@@ -5,13 +5,14 @@
 //! a per-circuit wall-clock budget scaled with the instance.
 
 use sadp_baselines::BaselineKind;
-use sadp_bench::{run_baseline, run_ours, scale_or_exit, RunRow};
+use sadp_bench::{args_or_exit, run_baseline, run_ours, scale_or_exit, RunRow};
 use sadp_grid::BenchmarkSpec;
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_exit(&args, 0.2, "table3 [--scale X | --full]");
+    let usage = "table3 [--scale X | --full]";
+    let args = args_or_exit(&["--scale"], &["--full"], 0, usage);
+    let scale = scale_or_exit(&args, 0.2, usage);
     println!("Table III: fixed-pin benchmarks (scale {scale})");
     println!("circuit    nets | router                 | Rout.  | overlay  |  #C  | CPU");
     println!("{}", "-".repeat(84));

@@ -6,15 +6,15 @@
 
 use sadp_baselines::BaselineKind;
 use sadp_bench::{
-    flag_or_exit, run_baseline, run_ours, scale_or_exit, usage_exit, PaperRow, TABLE4_DU,
-    TABLE4_OURS,
+    args_or_exit, flag_or_exit, run_baseline, run_ours, scale_or_exit, usage_exit, PaperRow,
+    TABLE4_DU, TABLE4_OURS,
 };
 use sadp_grid::BenchmarkSpec;
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "table4 [--scale X | --full] [--du-budget SECS]";
+    let args = args_or_exit(&["--scale", "--du-budget"], &["--full"], 0, usage);
     let scale = scale_or_exit(&args, 0.2, usage);
     let du_budget: f64 = flag_or_exit(&args, "--du-budget", 120.0 + 600.0 * scale, usage);
     if !(du_budget.is_finite() && du_budget >= 0.0) {

@@ -111,6 +111,40 @@ pub fn parse_or_exit<T: FromStr>(what: &str, v: &str, usage: &str) -> T {
         .unwrap_or_else(|_| usage_exit(&format!("{what} needs a number, got `{v}`"), usage))
 }
 
+/// The arguments of a binary's `main` (past the program name), checked
+/// first, as the `sadp` CLI checks a subcommand's: `values` are the
+/// flags that take a value, `switches` the bare flags, and `positionals`
+/// how many plain arguments the binary reads. An unknown `--flag` or one
+/// positional too many exits 2 like [`scale_or_exit`]: an ignored flag
+/// (a typo for a real one) would run some other instance than the one
+/// asked for. A value flag takes the next argument unless that is
+/// another `--flag`; the value is read, and refused, by its own parser.
+#[must_use]
+pub fn args_or_exit(
+    values: &[&str],
+    switches: &[&str],
+    positionals: usize,
+    usage: &str,
+) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut seen = 0;
+    let mut it = args.iter().map(String::as_str).peekable();
+    while let Some(a) = it.next() {
+        if values.contains(&a) {
+            it.next_if(|v| !v.starts_with("--"));
+        } else if a.starts_with("--") {
+            if !switches.contains(&a) {
+                usage_exit(&format!("unknown flag {a}"), usage);
+            }
+        } else if seen == positionals {
+            usage_exit(&format!("unexpected argument {a}"), usage);
+        } else {
+            seen += 1;
+        }
+    }
+    args
+}
+
 /// Prints `error` and the `usage` line to stderr and exits 2, the
 /// usage-error code of the `sadp` CLI.
 pub fn usage_exit(error: &str, usage: &str) -> ! {

@@ -14,7 +14,9 @@
 //!
 //! Table binaries accept a scale factor (`SADP_SCALE` env var or `--scale
 //! 0.2`); the default 0.2 finishes in seconds, `--full` runs the paper's
-//! sizes. A missing or non-positive scale is a usage error (exit 2). Measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
+//! sizes. A missing or non-positive scale is a usage error (exit 2), and so
+//! is any flag or argument a binary does not declare. Measured-vs-paper
+//! numbers are recorded in `EXPERIMENTS.md`.
 
 pub mod harness;
 pub mod lsq;
@@ -23,7 +25,8 @@ pub mod scaling;
 pub mod timing;
 
 pub use harness::{
-    flag_or_exit, parse_or_exit, run_baseline, run_ours, scale_or_exit, usage_exit, RunRow,
+    args_or_exit, flag_or_exit, parse_or_exit, run_baseline, run_ours, scale_or_exit, usage_exit,
+    RunRow,
 };
 pub use lsq::fit_power_law;
 pub use paper::{PaperRow, TABLE3_BASELINES, TABLE4_DU, TABLE4_OURS};

@@ -131,23 +131,17 @@ impl Router {
     /// (and when the ECO engine removes a net) so an unroutable net does
     /// not pin its candidate cells forever.
     pub(crate) fn release_pins(&mut self, plane: &mut RoutingPlane, net: &Net) {
-        let guards = &mut self.workspace.as_mut().expect(SIZED).guards;
-        let guarded = self.config.pin_guard_cost() > 0;
         for pin in net.pins() {
             for &c in pin.candidates() {
                 if plane.occupant(c) == Some(net.id) {
                     plane.clear_path(&[c], net.id);
                 }
-                if guarded {
-                    for dx in -1..=1 {
-                        for dy in -1..=1 {
-                            let g = GridPoint::new(c.layer, c.x + dx, c.y + dy);
-                            if guards.contains(g) && guards.get(g) == Some(net.id) {
-                                guards.set(g, None);
-                            }
-                        }
-                    }
-                }
+            }
+        }
+        let guards = &mut self.workspace.as_mut().expect(SIZED).guards;
+        for g in guard_halo(&self.config, net) {
+            if guards.contains(g) && guards.get(g) == Some(net.id) {
+                guards.set(g, None);
             }
         }
     }
@@ -461,8 +455,9 @@ pub(crate) fn claim_pin_guards(config: &RouterConfig, guards: &mut GuardGrid, ne
 }
 
 /// The cells [`claim_pin_guards`] tries to claim for `net`, in claim
-/// order: the 3×3 block around every pin candidate, unclipped. Empty
-/// when the config turns pin guards off.
+/// order, and [`Router::release_pins`] returns: the 3×3 block around
+/// every pin candidate, unclipped. Empty when the config turns pin
+/// guards off.
 pub(crate) fn guard_halo<'a>(
     config: &RouterConfig,
     net: &'a Net,

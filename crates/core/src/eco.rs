@@ -24,15 +24,20 @@
 //! *i + 1*'s before-state, which is why one version per edit suffices.
 //! An edit applied below the top of the history drops the versions
 //! above the cursor, as any redo stack does.
+//! [`EcoSession::state_digest`] checks that exactness: it is the
+//! plane's occupancy and blockages followed by the same snapshot,
+//! serialized from the live router, so an undo that did not restore
+//! the state field by field shows as a changed digest.
 //!
 //! Steady-state invariant: between edits, plane occupancy is exactly
 //! *committed route cells plus blockages*. Unused pin candidates are
 //! released at commit and an unrouted net's reservations are released on
 //! its failure path, so nothing else holds cells.
 //!
-//! The scripted form ([`parse_edit_script`], `sadp edit`) makes editing
-//! sessions replayable and byte-for-byte comparable from run to run,
-//! like every other entry point of the router.
+//! The scripted form ([`parse_edit_script`], run one operation at a time
+//! by [`EcoSession::run`], as `sadp edit` and the daemon's `edit` do)
+//! makes editing sessions replayable and byte-for-byte comparable from
+//! run to run, like every other entry point of the router.
 
 use crate::checkpoint::{self, Snapshot};
 use crate::config::RouterConfig;
@@ -40,9 +45,9 @@ use crate::driver::net_footprint;
 use crate::router::Router;
 use crate::session::{RoutingSession, SessionError, SessionStatus, StepBudget};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
+use sadp_grid::io::parse_pin;
 use sadp_grid::{CellState, Net, NetId, Netlist, Pin, RoutingPlane};
 use sadp_obs::{BufferRecorder, EditKind, Recorder, RouterEvent};
-use sadp_scenario::Color;
 use std::collections::{BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -225,7 +230,7 @@ pub enum ScriptOp {
     Redo,
 }
 
-/// What one script operation did when run by [`EcoSession::run_script`].
+/// What one script operation did when run by [`EcoSession::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
     /// An edit was applied.
@@ -262,8 +267,6 @@ pub struct EcoSession {
     rec: BufferRecorder,
     /// The state after creation, then after each journaled edit.
     versions: Vec<EcoVersion>,
-    /// `edits[i]` turned `versions[i]` into `versions[i + 1]`.
-    edits: Vec<EcoEdit>,
     /// Index of the live version; the edits below it are undoable.
     cursor: usize,
     edit_seq: u32,
@@ -316,7 +319,6 @@ impl EcoSession {
             obstacles: Vec::new(),
             rec,
             versions: Vec::new(),
-            edits: Vec::new(),
             cursor: 0,
             edit_seq: 0,
         };
@@ -337,8 +339,6 @@ impl EcoSession {
         self.validate(&edit)?;
         let outcome = self.apply_live(&edit);
         self.versions.truncate(self.cursor + 1);
-        self.edits.truncate(self.cursor);
-        self.edits.push(edit);
         self.versions.push(self.capture_version());
         self.cursor += 1;
         Ok(outcome)
@@ -372,54 +372,39 @@ impl EcoSession {
         Ok(())
     }
 
-    /// Runs a parsed edit script in order, stopping at the first error.
+    /// Runs one operation of a parsed edit script. A script runs one
+    /// operation at a time, so an error mid-script leaves the operations
+    /// before it applied (each individually undoable).
     ///
     /// # Errors
     ///
-    /// The first failing operation's error; operations before it remain
-    /// applied (each is individually undoable).
-    pub fn run_script(&mut self, ops: &[ScriptOp]) -> Result<Vec<OpOutcome>, EcoError> {
-        let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
-            out.push(match op {
-                ScriptOp::Add { name, pins } => OpOutcome::Edit(self.apply(EcoEdit::AddNet {
-                    name: name.clone(),
-                    pins: pins.clone(),
-                })?),
-                ScriptOp::Remove { net } => {
-                    let net = self.resolve(net)?;
-                    OpOutcome::Edit(self.apply(EcoEdit::RemoveNet { net })?)
-                }
-                ScriptOp::Move { net, pins } => {
-                    let net = self.resolve(net)?;
-                    OpOutcome::Edit(self.apply(EcoEdit::MoveNet {
-                        net,
-                        pins: pins.clone(),
-                    })?)
-                }
-                ScriptOp::Obstacle { layer, rect } => {
-                    OpOutcome::Edit(self.apply(EcoEdit::AddObstacle {
-                        layer: *layer,
-                        rect: *rect,
-                    })?)
-                }
-                ScriptOp::Clear { layer, rect } => {
-                    OpOutcome::Edit(self.apply(EcoEdit::RemoveObstacle {
-                        layer: *layer,
-                        rect: *rect,
-                    })?)
-                }
-                ScriptOp::Undo => {
-                    self.undo()?;
-                    OpOutcome::Undo
-                }
-                ScriptOp::Redo => {
-                    self.redo()?;
-                    OpOutcome::Redo
-                }
-            });
-        }
-        Ok(out)
+    /// The operation's error: an unresolved net, a rejected edit, or an
+    /// `undo`/`redo` with nothing to restore.
+    pub fn run(&mut self, op: &ScriptOp) -> Result<OpOutcome, EcoError> {
+        let edit = match op {
+            ScriptOp::Add { name, pins } => EcoEdit::AddNet {
+                name: name.clone(),
+                pins: pins.clone(),
+            },
+            ScriptOp::Remove { net } => EcoEdit::RemoveNet {
+                net: self.resolve(net)?,
+            },
+            ScriptOp::Move { net, pins } => EcoEdit::MoveNet {
+                net: self.resolve(net)?,
+                pins: pins.clone(),
+            },
+            ScriptOp::Obstacle { layer, rect } => EcoEdit::AddObstacle {
+                layer: *layer,
+                rect: *rect,
+            },
+            ScriptOp::Clear { layer, rect } => EcoEdit::RemoveObstacle {
+                layer: *layer,
+                rect: *rect,
+            },
+            ScriptOp::Undo => return self.undo().map(|()| OpOutcome::Undo),
+            ScriptOp::Redo => return self.redo().map(|()| OpOutcome::Redo),
+        };
+        self.apply(edit).map(OpOutcome::Edit)
     }
 
     /// Resolves a script net reference against the active nets.
@@ -446,13 +431,15 @@ impl EcoSession {
         }
     }
 
-    /// A canonical text digest of the router state: per-layer occupancy
-    /// and blockages, overlay colors, colored patterns, hard-constraint
-    /// components (in the order-independent form of
-    /// [`sadp_graph::OverlayGraph::hard_components`]), failed nets and
-    /// counters. Two states with equal digests route, color and
-    /// decompose identically; the undo property test pins
-    /// `digest(before) == digest(undo(apply(e)))` byte for byte.
+    /// A text digest of the live session state: per-layer occupancy and
+    /// blockages (plane state a snapshot does not carry), then the
+    /// router's `SADPCKPT v5` snapshot serialized from the live router,
+    /// as a version is captured. The snapshot holds the constraint
+    /// graphs, the routes in journal order, the failed nets, the pin
+    /// reservations and guards and the counters as they are, so equal
+    /// digests mean equal routers, not only equal routes; the undo
+    /// property test pins `digest(before) == digest(undo(apply(e)))`
+    /// byte for byte.
     #[must_use]
     pub fn state_digest(&self) -> String {
         let mut out = String::new();
@@ -473,53 +460,12 @@ impl EcoSession {
             }
             out.push('\n');
         }
-        for (li, g) in self.router.ledger().graphs().iter().enumerate() {
-            let mut vs: Vec<u32> = g.vertices().collect();
-            vs.sort_unstable();
-            let _ = write!(out, "color {li}");
-            for v in vs {
-                let c = match g.color(v) {
-                    Color::Core => 'C',
-                    Color::Second => 'S',
-                };
-                let _ = write!(out, " {v}:{c}");
-            }
-            out.push('\n');
-            let _ = write!(out, "dsu {li}");
-            for (min, members) in g.hard_components() {
-                let _ = write!(out, " {min}=");
-                for (i, (v, p)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push('|');
-                    }
-                    let _ = write!(out, "{v}:{}", u8::from(*p));
-                }
-            }
-            out.push('\n');
-            let _ = write!(out, "pat {li}");
-            for (net, color, rects) in self.router.patterns_on_layer(Layer(li as u8)) {
-                let c = match color {
-                    Color::Core => 'C',
-                    Color::Second => 'S',
-                };
-                let _ = write!(out, " {net}:{c}:");
-                for (i, r) in rects.iter().enumerate() {
-                    if i > 0 {
-                        out.push('+');
-                    }
-                    let _ = write!(out, "{r}");
-                }
-            }
-            out.push('\n');
-        }
-        let mut failed: Vec<u32> = self.router.failed().iter().map(|id| id.0).collect();
-        failed.sort_unstable();
-        let _ = write!(out, "failed");
-        for id in failed {
-            let _ = write!(out, " {id}");
-        }
-        out.push('\n');
-        let _ = writeln!(out, "counters {}", self.router.ledger().counters.to_json());
+        out.push_str(&checkpoint::serialize(
+            &self.router,
+            &self.plane,
+            &self.netlist,
+            0,
+        ));
         out
     }
 
@@ -578,11 +524,6 @@ impl EcoSession {
     #[must_use]
     pub fn redo_depth(&self) -> usize {
         self.versions.len() - 1 - self.cursor
-    }
-
-    /// The journaled (undoable) edits, oldest first.
-    pub fn history(&self) -> impl Iterator<Item = &EcoEdit> {
-        self.edits[..self.cursor].iter()
     }
 
     // ---- internals ----------------------------------------------------
@@ -970,30 +911,6 @@ fn parse_i32(tok: &str, line: usize, what: &str) -> Result<i32, EcoError> {
     })
 }
 
-/// Parses one pin token: `layer:x,y` candidates separated by `|`.
-fn parse_pin(tok: &str, line: usize) -> Result<Pin, EcoError> {
-    let mut candidates = Vec::new();
-    for part in tok.split('|') {
-        let bad = || EcoError::Script {
-            line,
-            message: format!("bad pin `{part}` (want layer:x,y)"),
-        };
-        let (layer, xy) = part.split_once(':').ok_or_else(bad)?;
-        let (x, y) = xy.split_once(',').ok_or_else(bad)?;
-        let layer: u8 = layer.parse().map_err(|_| bad())?;
-        let x: i32 = x.parse().map_err(|_| bad())?;
-        let y: i32 = y.parse().map_err(|_| bad())?;
-        candidates.push(GridPoint::new(Layer(layer), x, y));
-    }
-    if candidates.is_empty() {
-        return Err(EcoError::Script {
-            line,
-            message: format!("empty pin `{tok}`"),
-        });
-    }
-    Ok(Pin::with_candidates(candidates))
-}
-
 fn parse_net_ref(tok: &str) -> NetRef {
     match tok.strip_prefix('#').and_then(|s| s.parse::<u32>().ok()) {
         Some(id) => NetRef::Id(id),
@@ -1066,7 +983,7 @@ pub fn parse_edit_script(text: &str) -> Result<Vec<ScriptOp>, EcoError> {
                 }
                 let pins = toks[2..]
                     .iter()
-                    .map(|t| parse_pin(t, line))
+                    .map(|t| parse_pin(t).map_err(|message| EcoError::Script { line, message }))
                     .collect::<Result<Vec<Pin>, EcoError>>()?;
                 if toks[0] == "add" {
                     ScriptOp::Add {
@@ -1279,7 +1196,7 @@ redo
             }
         );
         let mut eco = session(&[("a", (2, 2), (20, 2))]);
-        let outcomes = eco.run_script(&ops).expect("runs");
+        let outcomes: Vec<OpOutcome> = ops.iter().map(|op| eco.run(op).expect("runs")).collect();
         assert_eq!(outcomes.len(), 7);
         assert!(matches!(outcomes[5], OpOutcome::Undo));
         // After remove+undo+redo, `b` is removed again.

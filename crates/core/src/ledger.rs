@@ -27,7 +27,6 @@ use crate::search::RouteCandidate;
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_graph::{flip, GraphError, OverlayGraph};
 use sadp_grid::{Net, NetId, RoutePath, RoutingPlane};
-use sadp_obs::json::Obj;
 use sadp_scenario::{CostTable, ScenarioKind};
 use std::collections::BTreeMap;
 
@@ -104,24 +103,6 @@ pub struct LedgerCounters {
     pub nodes_expanded: u64,
     /// Nets that ran out of their search budget (per-net or whole-run).
     pub failed_budget: u64,
-}
-
-impl LedgerCounters {
-    /// The counters as one JSON object with a fixed key order (the
-    /// `counters` line of the ECO state digest).
-    pub fn to_json(&self) -> Obj {
-        Obj::default()
-            .int("ripups", self.ripups)
-            .int("ripups_type_b", self.ripups_type_b)
-            .int("ripups_graph", self.ripups_graph)
-            .int("ripups_risk", self.ripups_risk)
-            .int("failed_no_path", self.failed_no_path)
-            .int("failed_exhausted", self.failed_exhausted)
-            .int("failed_cleanup", self.failed_cleanup)
-            .int("flips", self.flips)
-            .int("nodes_expanded", self.nodes_expanded)
-            .int("failed_budget", self.failed_budget)
-    }
 }
 
 /// A checkpoint token of an in-flight route proposal. Obtained from

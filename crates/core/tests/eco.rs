@@ -1,9 +1,9 @@
 //! The ECO undo/redo contract, property-tested on the corpus fixtures:
 //! for every edit, `apply` → `undo` restores the pre-edit state digest
-//! byte-identically (occupancy, blockages, colors, patterns, DSU
-//! components, failure list and counters), and `undo` → `redo` restores
-//! the post-edit digest. Edit scripts are generated from seeded
-//! [`sadp_geom::Rng`] streams, so failures replay exactly.
+//! byte-identically (occupancy, blockages and the live router's
+//! `SADPCKPT v5` snapshot), and `undo` → `redo` restores the post-edit
+//! digest. Edit scripts are generated from seeded [`sadp_geom::Rng`]
+//! streams, so failures replay exactly.
 //!
 //! The tail of the file pins the per-edit re-route semantics: a failed
 //! net releases its pin cells, a net's failure is recorded once and
@@ -216,7 +216,10 @@ fn anchor_script_round_trips() {
     let ops = parse_edit_script(&corpus("eco-undo-redo-roundtrip.edits")).expect("anchor parses");
     let mut eco = session("clock-tree-multi-terminal.layout");
     let initial = eco.state_digest();
-    let outcomes = eco.run_script(&ops).expect("anchor applies cleanly");
+    let outcomes: Vec<OpOutcome> = ops
+        .iter()
+        .map(|op| eco.run(op).expect("anchor applies cleanly"))
+        .collect();
     // Non-vacuity: the anchor exercises every edit kind and both verbs.
     let edits = outcomes
         .iter()
@@ -237,6 +240,27 @@ fn anchor_script_round_trips() {
         eco.redo().expect("redo available");
     }
     assert_eq!(eco.state_digest(), settled);
+}
+
+/// A malformed pin token reads the same in an edit script as in a
+/// layout, since both parse it with `sadp_grid::io::parse_pin`; each
+/// error carries its own file's line number.
+#[test]
+fn a_bad_pin_reads_the_same_in_a_script_and_a_layout() {
+    for (tok, cand) in [
+        ("0:2", "0:2"),
+        ("x:1,2", "x:1,2"),
+        ("0:1,y", "0:1,y"),
+        ("0:1,2|", ""),
+    ] {
+        let want = format!("bad pin `{cand}` (want layer:x,y)");
+        let script = parse_edit_script(&format!("# edits\n\nadd n 0:1,1 {tok}\n"))
+            .expect_err("the script has a bad pin");
+        assert_eq!(script.to_string(), format!("edit script line 3: {want}"));
+        let layout = read_layout(&format!("plane 3 32 32\nnet n 0:1,1 {tok}\n"))
+            .expect_err("the layout has a bad pin");
+        assert_eq!(layout.to_string(), format!("line 2: {want}"));
+    }
 }
 
 fn p0(x: i32, y: i32) -> GridPoint {

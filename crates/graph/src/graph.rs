@@ -697,44 +697,6 @@ impl OverlayGraph {
         order
     }
 
-    /// The hard-constraint components in canonical form: one entry per
-    /// component, keyed by its minimum member net id, with members listed
-    /// ascending alongside their parity *relative to that minimum member*
-    /// (`false` = same color forced, `true` = opposite forced).
-    ///
-    /// Unlike the raw union–find internals (tree shape, root choice,
-    /// slot numbering) this representation depends only on which hard
-    /// relations hold, so two graphs built along different edit histories
-    /// compare equal exactly when they force the same colorings. Used by
-    /// the ECO engine's state digest.
-    #[must_use]
-    pub fn hard_components(&self) -> Vec<(u32, Vec<(u32, bool)>)> {
-        let mut keyed: Vec<(u32, u32, bool)> = self
-            .vertices()
-            .map(|v| {
-                let (root, parity) = self.hard_root(v);
-                (root, v, parity)
-            })
-            .collect();
-        // Grouped by root, members ascending within each group.
-        keyed.sort_unstable();
-        let mut out: Vec<(u32, Vec<(u32, bool)>)> = keyed
-            .chunk_by(|x, y| x.0 == y.0)
-            .map(|group| {
-                // The first member is the minimum; re-express parities
-                // relative to it.
-                let (_, min, min_parity) = group[0];
-                let rel = group
-                    .iter()
-                    .map(|&(_, v, p)| (v, p != min_parity))
-                    .collect();
-                (min, rel)
-            })
-            .collect();
-        out.sort_unstable_by_key(|(min, _)| *min);
-        out
-    }
-
     /// Appends the graph's complete state as text, read back by
     /// [`OverlayGraph::read_state`] into an equal graph:
     ///
@@ -1048,31 +1010,6 @@ mod tests {
         g.add_scenario(1, 2, ScenarioKind::OneB.table()).unwrap();
         assert_eq!(g.hard_relation(0, 2), Some(true));
         assert_eq!(g.hard_relation(0, 3), None);
-    }
-
-    #[test]
-    fn hard_components_are_order_canonical() {
-        // Same hard relations built along two different edge orders (and
-        // with different union sequences) yield identical canonical
-        // components.
-        let mut a = OverlayGraph::new();
-        a.add_scenario(0, 1, ScenarioKind::OneA.table()).unwrap();
-        a.add_scenario(1, 2, ScenarioKind::OneB.table()).unwrap();
-        a.ensure_vertex(7);
-        let mut b = OverlayGraph::new();
-        b.ensure_vertex(7);
-        b.add_scenario(1, 2, ScenarioKind::OneB.table()).unwrap();
-        b.add_scenario(0, 1, ScenarioKind::OneA.table()).unwrap();
-        let ca = a.hard_components();
-        assert_eq!(ca, b.hard_components());
-        // 0≠1, 0≠2 (via 1=2), 7 isolated.
-        assert_eq!(
-            ca,
-            vec![
-                (0, vec![(0, false), (1, true), (2, true)]),
-                (7, vec![(7, false)]),
-            ]
-        );
     }
 
     #[test]

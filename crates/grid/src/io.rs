@@ -177,7 +177,17 @@ pub fn read_layout(text: &str) -> Result<(RoutingPlane, Netlist), ParseLayoutErr
                     .next()
                     .ok_or_else(|| err(lineno, "net needs a name"))?;
                 let pins: Vec<Pin> = parts
-                    .map(|tok| parse_pin(tok, lineno, plane))
+                    .map(|tok| {
+                        let pin = parse_pin(tok).map_err(|m| err(lineno, m))?;
+                        // Out-of-bounds pins would only surface later as a
+                        // panic when the router reserves them; reject them
+                        // here with the line number.
+                        let mut cands = tok.split('|').zip(pin.candidates());
+                        if let Some((cand, _)) = cands.find(|(_, &p)| !plane.in_bounds(p)) {
+                            return Err(err(lineno, format!("pin `{cand}` outside the plane")));
+                        }
+                        Ok(pin)
+                    })
                     .collect::<Result<_, _>>()?;
                 if pins.len() < 2 {
                     return Err(err(lineno, "net needs at least two pins"));
@@ -194,30 +204,28 @@ pub fn read_layout(text: &str) -> Result<(RoutingPlane, Netlist), ParseLayoutErr
     Ok((plane, netlist))
 }
 
-fn parse_pin(text: &str, lineno: usize, plane: &RoutingPlane) -> Result<Pin, ParseLayoutError> {
-    let mut candidates = Vec::new();
-    for cand in text.split('|') {
-        let (layer, rest) = cand
-            .split_once(':')
-            .ok_or_else(|| err(lineno, format!("bad pin `{cand}` (want layer:x,y)")))?;
-        let (x, y) = rest
-            .split_once(',')
-            .ok_or_else(|| err(lineno, format!("bad pin `{cand}` (want layer:x,y)")))?;
-        let layer: u8 = layer.parse().map_err(|_| err(lineno, "bad pin layer"))?;
-        let x: i32 = x.parse().map_err(|_| err(lineno, "bad pin x"))?;
-        let y: i32 = y.parse().map_err(|_| err(lineno, "bad pin y"))?;
-        let p = GridPoint::new(Layer(layer), x, y);
-        // Out-of-bounds pins would only surface later as a panic when the
-        // router reserves them; reject them here with the line number.
-        if !plane.in_bounds(p) {
-            return Err(err(lineno, format!("pin `{cand}` outside the plane")));
-        }
-        candidates.push(p);
-    }
-    if candidates.is_empty() {
-        return Err(err(lineno, "pin without candidates"));
-    }
-    Ok(Pin::with_candidates(candidates))
+/// Parses one pin token: `layer:x,y` candidates separated by `|`. The
+/// token is not checked against any plane: [`read_layout`] adds its
+/// bounds check, and ECO edit scripts share this syntax.
+///
+/// # Errors
+///
+/// ``bad pin `CAND` (want layer:x,y)`` for the first malformed
+/// candidate `CAND`.
+pub fn parse_pin(text: &str) -> Result<Pin, String> {
+    text.split('|')
+        .map(|cand| {
+            let bad = || format!("bad pin `{cand}` (want layer:x,y)");
+            let (layer, xy) = cand.split_once(':').ok_or_else(bad)?;
+            let (x, y) = xy.split_once(',').ok_or_else(bad)?;
+            Ok(GridPoint::new(
+                Layer(layer.parse().map_err(|_| bad())?),
+                x.parse().map_err(|_| bad())?,
+                y.parse().map_err(|_| bad())?,
+            ))
+        })
+        .collect::<Result<Vec<_>, String>>()
+        .map(Pin::with_candidates)
 }
 
 #[cfg(test)]

@@ -1070,8 +1070,8 @@ fn eco_op(shared: &Arc<Shared>, id: u64, op: &EcoOp) -> Obj {
                 // One at a time: ops before a failure stay applied and
                 // reported.
                 for op in &ops {
-                    match eco.run_script(std::slice::from_ref(op)) {
-                        Ok(outcomes) => results.push(match &outcomes[0] {
+                    match eco.run(op) {
+                        Ok(outcome) => results.push(match outcome {
                             OpOutcome::Edit(e) => Obj::default()
                                 .int("edit", e.edit)
                                 .str("kind", e.kind.name())

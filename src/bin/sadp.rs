@@ -625,8 +625,8 @@ fn cmd_edit(args: &[String]) -> CliResult {
     // earlier operations did — those stay applied.
     let mut result: Result<(), EcoError> = Ok(());
     for op in &ops {
-        match eco.run_script(std::slice::from_ref(op)) {
-            Ok(outcomes) => match &outcomes[0] {
+        match eco.run(op) {
+            Ok(outcome) => match outcome {
                 OpOutcome::Edit(e) => println!(
                     "edit {} {}: invalidated {}, rerouted {}, failed {}",
                     e.edit,
