@@ -49,10 +49,11 @@ fn render(
     );
     println!("{}", render_ascii(&decomp, &pats));
     if let Some(path) = svg_path {
-        match std::fs::write(path, render_svg(&decomp, &pats)) {
-            Ok(()) => println!("  (SVG written to {path})"),
-            Err(e) => eprintln!("  (failed to write {path}: {e})"),
+        if let Err(e) = std::fs::write(path, render_svg(&decomp, &pats)) {
+            eprintln!("fig21: cannot write {path}: {e}");
+            std::process::exit(1);
         }
+        println!("  (SVG written to {path})");
     }
 }
 

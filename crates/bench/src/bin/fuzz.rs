@@ -22,10 +22,7 @@ fn main() {
         .map_or(25, |v| parse_or_exit("SEEDS", v, usage));
     // Our router's oracle only: the baseline cross-check routes the
     // instance a second time with another router.
-    let cfg = OracleConfig {
-        baseline: false,
-        ..OracleConfig::default()
-    };
+    let cfg = OracleConfig { baseline: false };
 
     println!("fuzz-oracle throughput, {seeds} seeds per regime");
     println!(

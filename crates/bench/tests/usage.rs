@@ -104,3 +104,18 @@ fn an_unknown_flag_or_a_stray_argument_is_a_usage_error() {
     let fuzz = env!("CARGO_BIN_EXE_fuzz");
     assert_usage_error(fuzz, &["5", "6"], None, "unexpected argument 6");
 }
+
+/// A figure that cannot be written fails the run, naming the file, so a
+/// script never mistakes missing figures for written ones.
+#[test]
+fn an_unwritable_svg_dir_is_a_failure() {
+    // A regular file as the directory: no user can write beneath it.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig21"))
+        .args(["--svg", dir])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("{dir}/fig21.svg")), "{stderr}");
+}

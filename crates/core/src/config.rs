@@ -1,7 +1,5 @@
 //! Router configuration (the user-defined parameters of eq. (5)).
 
-use crate::fault::FaultPlan;
-
 /// Fixed-point scale for search costs (milli-units), so that the paper's
 /// fractional `γ = 1.5` stays exact in integer arithmetic.
 pub const COST_SCALE: u64 = 1000;
@@ -71,10 +69,6 @@ pub struct RouterConfig {
     /// Whole-run wall-clock deadline in milliseconds; `0` means
     /// unlimited. Like `run_node_budget`, a liveness guard.
     pub run_deadline_ms: u64,
-    /// Deterministic fault-injection plan for testing the recovery
-    /// paths; `None` (the default) costs one check per net, never
-    /// anything per node.
-    pub faults: Option<FaultPlan>,
 }
 
 impl RouterConfig {
@@ -98,7 +92,6 @@ impl RouterConfig {
             net_deadline_ms: 0,
             run_node_budget: 0,
             run_deadline_ms: 0,
-            faults: None,
         }
     }
 
@@ -161,12 +154,11 @@ mod tests {
         assert!(c.final_flip);
         assert!(c.allow_merge);
         // Robustness knobs are off by default: the paper configuration
-        // carries no budgets and injects no faults.
+        // carries no budgets.
         assert_eq!(c.net_node_budget, 0);
         assert_eq!(c.net_deadline_ms, 0);
         assert_eq!(c.run_node_budget, 0);
         assert_eq!(c.run_deadline_ms, 0);
-        assert!(c.faults.is_none());
         assert_eq!(RouterConfig::default(), c);
     }
 

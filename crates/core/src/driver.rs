@@ -200,7 +200,7 @@ impl Router {
         count_failures: bool,
         rec: &mut dyn Recorder,
     ) -> bool {
-        match self.try_route(plane, net, seed_penalties, count_failures, rec) {
+        match self.try_route(plane, net, seed_penalties, rec) {
             Ok(()) => true,
             Err(reason) => {
                 if count_failures {
@@ -218,7 +218,6 @@ impl Router {
         plane: &mut RoutingPlane,
         net: &Net,
         seed_penalties: &[(GridPoint, u64)],
-        count_failures: bool,
         rec: &mut dyn Recorder,
     ) -> Result<(), FailReason> {
         let key = net.id.0;
@@ -230,18 +229,10 @@ impl Router {
             }
         }
 
-        // Graceful degradation: once the run is over its global budget
-        // (or a fault plan says this net's budget is exhausted),
+        // Graceful degradation: once the run is over its global budget,
         // remaining nets fail fast instead of searching, and the run
-        // finalizes whatever is already committed. Injection is keyed by
-        // net id only, so a fresh and a resumed run see the identical
-        // fault set.
-        let injected = count_failures
-            && self
-                .config
-                .faults
-                .is_some_and(|f| f.injects_net_budget(key));
-        if injected || self.run_budget.tripped(self.ledger.counters.nodes_expanded) {
+        // finalizes whatever is already committed.
+        if self.run_budget.tripped(self.ledger.counters.nodes_expanded) {
             return Err(FailReason::BudgetExceeded);
         }
 

@@ -4,8 +4,9 @@
 //! [`RoutingSession`] to completion) and then accepts edits: nets can be
 //! added, removed or moved, and rectangular blockages added or removed.
 //! Each edit re-routes *only* the nets whose interaction footprints
-//! (the driver's `net_footprint`, expanded by the scenario halo
-//! [`sadp_scenario::interaction_radius_tracks`]) intersect the edit's
+//! (the driver's `net_footprint`, expanded by the dependence radius
+//! [`DesignRules::dependence_radius_tracks`](sadp_geom::DesignRules::dependence_radius_tracks),
+//! beyond which no two fragments form a scenario) intersect the edit's
 //! region — the TRIAD-style dependence-radius argument: a net whose
 //! footprint is disjoint from the edited region can neither read nor
 //! write any cell, fragment or scenario the edit touches, so its route
@@ -693,11 +694,16 @@ impl EcoSession {
     }
 
     /// The dependence-radius query: every active net whose interaction
-    /// footprint intersects one of the regions (excluding `exclude`, the
-    /// edited net itself — it is handled structurally).
-    fn invalidated_by(&self, regions: &[TrackRect], exclude: Option<NetId>) -> Vec<NetId> {
+    /// footprint, expanded by `halo`, intersects one of the regions
+    /// (excluding `exclude`, the edited net itself — it is handled
+    /// structurally).
+    fn invalidated_by(
+        &self,
+        regions: &[TrackRect],
+        exclude: Option<NetId>,
+        halo: i32,
+    ) -> Vec<NetId> {
         let config = self.router.config();
-        let halo = sadp_scenario::interaction_radius_tracks(self.plane.rules());
         let mut index = SpatialHash::with_density(
             self.plane.width(),
             self.plane.height(),
@@ -730,13 +736,13 @@ impl EcoSession {
         let seq = self.edit_seq;
         self.edit_seq += 1;
         let kind = edit.kind();
-        let halo = sadp_scenario::interaction_radius_tracks(self.plane.rules());
+        let halo = self.plane.rules().dependence_radius_tracks();
         let exclude = match edit {
             EcoEdit::RemoveNet { net } | EcoEdit::MoveNet { net, .. } => Some(*net),
             _ => None,
         };
         let regions = self.edit_regions(edit, halo);
-        let invalidated = self.invalidated_by(&regions, exclude);
+        let invalidated = self.invalidated_by(&regions, exclude, halo);
         if self.rec.enabled() {
             self.rec.event(RouterEvent::NetsInvalidated {
                 edit: seq,

@@ -1,14 +1,12 @@
-//! Deterministic fault injection for exercising the recovery paths.
+//! Deterministic persistence-fault injection for exercising the
+//! daemon's recovery paths.
 //!
 //! A [`FaultPlan`] is a pure function of a `u64` seed (SplitMix64, the
 //! same generator the fuzz subsystem uses): equal seeds inject equal
-//! faults, on every machine. Injection sites are keyed by *logical*
-//! identity — a net id, a job and artifact — never by scheduling, so the fault pattern a plan produces is part of the
-//! deterministic output contract the recovery machinery must preserve.
-//!
-//! The plan is carried as `Option<FaultPlan>` in
-//! [`RouterConfig`](crate::RouterConfig); `None` (the default) costs one
-//! `Option` check per net, never anything per node.
+//! faults, on every machine. [`FaultPlan::io_fault`] is keyed by
+//! *logical* identity — a job and an artifact — never by write attempt
+//! or scheduling, so the fault pattern a plan produces is part of the
+//! deterministic contract the quarantine-on-restart path must preserve.
 //!
 //! [`atomic_write`] is the one file write of the daemon's state dir and
 //! of `sadp route --checkpoint`; it applies an [`IoFault`] when given one.
@@ -17,21 +15,16 @@ use sadp_geom::Rng;
 use std::io;
 use std::path::Path;
 
-/// Which faults to inject, derived deterministically from a seed.
+/// Which persistence writes to fault, derived deterministically from a
+/// seed.
 ///
-/// The routing fault is budget exhaustion:
-/// [`FaultPlan::injects_net_budget`] makes a net fail as if its search
-/// budget ran out; the driver must record it as `BudgetExceeded` and keep
-/// going.
-///
-/// The serving layer draws persistence faults from the same plan
-/// ([`FaultPlan::io_fault`]). Every kind reads its own stream of the
-/// seed, so the kinds never shift each other's draws.
+/// The serving layer asks [`FaultPlan::io_fault`] before each state-dir
+/// write and hands the answer to [`atomic_write`]. Every
+/// [`PersistKind`] reads its own stream of the seed, so the kinds never
+/// shift each other's draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
-    /// Probability that a given net's budget is exhausted.
-    net_budget_rate: f64,
     /// Probability that a given persistence write is faulted.
     io_fault_rate: f64,
 }
@@ -76,14 +69,12 @@ pub enum IoFault {
 }
 
 impl FaultPlan {
-    /// The plan for `seed`, with default injection rates chosen so that
-    /// small fixtures (tens of nets, a few jobs) still trigger every
-    /// fault kind within a few seeds.
+    /// The plan for `seed`, with an injection rate chosen so that a few
+    /// jobs still trigger both fault kinds within a few seeds.
     #[must_use]
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            net_budget_rate: 0.02,
             io_fault_rate: 0.25,
         }
     }
@@ -92,17 +83,6 @@ impl FaultPlan {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether `net`'s search budget should be treated as exhausted.
-    /// Keyed by net id only, so a fresh and a resumed run see the
-    /// identical fault set.
-    #[must_use]
-    pub fn injects_net_budget(&self, net: u32) -> bool {
-        let mut rng = Rng::seed_from_u64(
-            self.seed ^ 0xB10D_6E75 ^ u64::from(net).wrapping_mul(0x2545_F491_4F6C_DD1D),
-        );
-        rng.chance(self.net_budget_rate)
     }
 
     /// Whether — and how — the persistence write of `kind` for `job`
@@ -174,21 +154,6 @@ pub fn atomic_write(path: &Path, text: &str, fault: Option<IoFault>) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_is_a_pure_function_of_the_seed() {
-        let a = FaultPlan::new(99);
-        let b = FaultPlan::new(99);
-        for net in 0..1000 {
-            assert_eq!(a.injects_net_budget(net), b.injects_net_budget(net));
-        }
-    }
-
-    #[test]
-    fn some_seed_exhausts_a_net_budget() {
-        let budget_hit = (0..32).any(|s| (0..200).any(|n| FaultPlan::new(s).injects_net_budget(n)));
-        assert!(budget_hit, "no seed in 0..32 exhausts any net budget");
-    }
 
     #[test]
     fn io_faults_are_pure_and_cover_both_kinds() {

@@ -84,10 +84,6 @@ pub struct Failure {
     pub seed: u64,
     /// The violated invariant.
     pub violation: Violation,
-    /// The fault-injection seed the oracle ran with, if any. Recorded in
-    /// the fixture as a `# fault-seed:` marker so `--replay` re-applies
-    /// the same faults.
-    pub fault_seed: Option<u64>,
     /// The minimised instance (when [`CampaignConfig::minimize`] is set).
     pub shrunk: Option<ShrinkResult>,
 }
@@ -97,18 +93,13 @@ impl Failure {
     /// full original instance when shrinking was off.
     #[must_use]
     pub fn fixture_text(&self) -> String {
-        let mut header = format!(
+        let header = format!(
             "fuzz failure: regime={} seed={}\ninvariant: {}\ndetail: {}\nreplay: sadp fuzz --replay <this file>",
             self.regime,
             self.seed,
             self.violation.invariant.name(),
             self.violation.detail
         );
-        if let Some(fs) = self.fault_seed {
-            // Machine-readable (see `fault_seed_marker`): replay re-arms
-            // the same fault plan without an explicit --faults flag.
-            header.push_str(&format!("\nfault-seed: {fs}"));
-        }
         match &self.shrunk {
             Some(s) => s.fixture_text(&header),
             None => {
@@ -147,41 +138,19 @@ impl CampaignReport {
     }
 }
 
-/// Scans fixture text for the `# fault-seed: N` marker written by
-/// [`Failure::fixture_text`] for fault-mode failures. The marker rides in
-/// a `.layout` comment line, so the layout parser ignores it and replay
-/// tooling can still recover the fault plan.
-#[must_use]
-pub fn fault_seed_marker(text: &str) -> Option<u64> {
-    text.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix("# fault-seed:")
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
-
 /// Runs a fuzzing campaign: for every `(regime, seed)` pair, generate the
 /// instance and run the oracle; failures are (optionally) minimised. The
 /// `progress` sink receives one deterministic line per regime — wire it
 /// to `println!` in a CLI or drop the lines in a library caller.
-///
-/// When [`OracleConfig::fault_seed`] is set it is treated as a campaign
-/// *base* seed: each instance gets its own derived fault seed (mixed with
-/// the instance seed) so a campaign sweeps many fault patterns, and the
-/// derived seed is recorded in each failure for replay.
 pub fn run_campaign(cfg: &CampaignConfig, mut progress: impl FnMut(&str)) -> CampaignReport {
     let mut report = CampaignReport::default();
     for &regime in &cfg.regimes {
         let mut regime_failures = 0usize;
         for seed in cfg.start..cfg.start + cfg.seeds {
             let inst = generate(regime, seed);
-            let mut oracle_cfg = cfg.oracle.clone();
-            if let Some(base) = cfg.oracle.fault_seed {
-                oracle_cfg.fault_seed = Some(base ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            }
             report.instances += 1;
             report.total_nets += inst.netlist.len();
-            match check_instance(&inst, &oracle_cfg) {
+            match check_instance(&inst, &cfg.oracle) {
                 Ok(stats) => report.total_routed += stats.routed,
                 Err(violation) => {
                     regime_failures += 1;
@@ -191,7 +160,7 @@ pub fn run_campaign(cfg: &CampaignConfig, mut progress: impl FnMut(&str)) -> Cam
                             &inst.plane,
                             &inst.netlist,
                             |plane, nl| {
-                                check_layout(plane, nl, &oracle_cfg)
+                                check_layout(plane, nl, &cfg.oracle)
                                     .err()
                                     .is_some_and(|v| v.invariant == want)
                             },
@@ -202,7 +171,6 @@ pub fn run_campaign(cfg: &CampaignConfig, mut progress: impl FnMut(&str)) -> Cam
                         regime,
                         seed,
                         violation,
-                        fault_seed: oracle_cfg.fault_seed,
                         shrunk,
                     });
                 }

@@ -11,8 +11,7 @@ use crate::generator::FuzzInstance;
 use sadp_baselines::{BaselineKind, BaselineRouter};
 use sadp_core::checkpoint::fingerprint;
 use sadp_core::{
-    FaultPlan, RouterConfig, RoutingReport, RoutingSession, SessionError, SessionStatus, Snapshot,
-    StepBudget,
+    RouterConfig, RoutingReport, RoutingSession, SessionError, SessionStatus, Snapshot, StepBudget,
 };
 use sadp_decomp::verify_layers;
 use sadp_geom::{Layer, Rng, TrackRect};
@@ -54,10 +53,6 @@ pub enum Invariant {
     /// The baseline router must accept the same instance without
     /// panicking and produce a self-consistent report.
     BaselineSane,
-    /// Under an injected [`FaultPlan`] the run must recover: no abort, no
-    /// net silently lost, and every injected budget failure counted
-    /// exactly once.
-    FaultRecovery,
     /// A serial run killed at a seeded step, snapshotted and resumed in
     /// a fresh session must finish exactly like the uninterrupted run:
     /// report (stage profile aside), patterns, failed list, occupancy
@@ -81,7 +76,6 @@ impl Invariant {
             Invariant::SpacerClean => "spacer-clean",
             Invariant::VerdictAgrees => "verdict-agrees",
             Invariant::BaselineSane => "baseline-sane",
-            Invariant::FaultRecovery => "fault-recovery",
             Invariant::ResumeIdentity => "resume-identity",
         }
     }
@@ -116,18 +110,11 @@ impl fmt::Display for Violation {
 pub struct OracleConfig {
     /// Whether to run the baseline cross-check.
     pub baseline: bool,
-    /// When set, additionally route the instance under the
-    /// [`FaultPlan`] for this seed (injected budget exhaustion) and
-    /// check the recovery invariants.
-    pub fault_seed: Option<u64>,
 }
 
 impl Default for OracleConfig {
     fn default() -> OracleConfig {
-        OracleConfig {
-            baseline: true,
-            fault_seed: None,
-        }
+        OracleConfig { baseline: true }
     }
 }
 
@@ -164,14 +151,9 @@ struct RunResult {
     trunk_bounds: Vec<(u32, u64, u64)>,
 }
 
-fn route_once(
-    plane: &RoutingPlane,
-    netlist: &Netlist,
-    faults: Option<u64>,
-) -> Result<RunResult, Violation> {
+fn route_once(plane: &RoutingPlane, netlist: &Netlist) -> Result<RunResult, Violation> {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut config = RouterConfig::paper_defaults();
-        config.faults = faults.map(FaultPlan::new);
+        let config = RouterConfig::paper_defaults();
         let session = RoutingSession::create(config, plane.clone(), netlist.clone(), true, false)?;
         finish(session, netlist)
     }));
@@ -273,15 +255,12 @@ fn check_seeded(
     cfg: &OracleConfig,
     kill_seed: u64,
 ) -> Result<OracleStats, Violation> {
-    let serial = route_once(plane, netlist, None)?;
+    let serial = route_once(plane, netlist)?;
     check_structure(netlist, &serial)?;
     let hard_runs = check_verdict(plane, &serial)?;
     check_resume(plane, netlist, &serial, kill_seed)?;
     if cfg.baseline {
         check_baseline(plane, netlist)?;
-    }
-    if let Some(seed) = cfg.fault_seed {
-        check_faults(plane, netlist, seed)?;
     }
     Ok(OracleStats {
         nets: netlist.len(),
@@ -375,7 +354,28 @@ fn check_structure(netlist: &Netlist, run: &RunResult) -> Result<(), Violation> 
             "failed list contains duplicates",
         ));
     }
-    failure_records(run).map_err(|e| Violation::new(Invariant::NetAccounting, e))?;
+    // Every failed net is recorded exactly once: the failed list, the
+    // sum of the per-reason failure counters and the trace's
+    // `net_failed` lines must all agree.
+    let counted = r.failed_no_path + r.failed_exhausted + r.failed_cleanup + r.failed_budget;
+    let events = run
+        .trace
+        .lines()
+        .filter(|l| l.starts_with(r#"{"event":"net_failed""#))
+        .count();
+    if run.failed.len() as u64 != counted || events != run.failed.len() {
+        return Err(Violation::new(
+            Invariant::NetAccounting,
+            format!(
+                "{} failed nets, {counted} counted failures ({} no_path + {} exhausted + {} cleanup + {} budget), {events} net_failed events",
+                run.failed.len(),
+                r.failed_no_path,
+                r.failed_exhausted,
+                r.failed_cleanup,
+                r.failed_budget
+            ),
+        ));
+    }
     if r.hard_overlay_violations != 0 {
         return Err(Violation::new(
             Invariant::NoHardOverlay,
@@ -424,30 +424,6 @@ fn check_structure(netlist: &Netlist, run: &RunResult) -> Result<(), Violation> 
                 }
             }
         }
-    }
-    Ok(())
-}
-
-/// Every failed net is recorded exactly once: the failed list, the sum
-/// of the report's per-reason failure counters and the `net_failed`
-/// lines of the trace must all agree.
-fn failure_records(run: &RunResult) -> Result<(), String> {
-    let r = &run.report;
-    let counted = r.failed_no_path + r.failed_exhausted + r.failed_cleanup + r.failed_budget;
-    let events = run
-        .trace
-        .lines()
-        .filter(|l| l.starts_with(r#"{"event":"net_failed""#))
-        .count();
-    if run.failed.len() as u64 != counted || events != run.failed.len() {
-        return Err(format!(
-            "{} failed nets, {counted} counted failures ({} no_path + {} exhausted + {} cleanup + {} budget), {events} net_failed events",
-            run.failed.len(),
-            r.failed_no_path,
-            r.failed_exhausted,
-            r.failed_cleanup,
-            r.failed_budget
-        ));
     }
     Ok(())
 }
@@ -502,46 +478,6 @@ fn check_baseline(plane: &RoutingPlane, netlist: &Netlist) -> Result<(), Violati
             Ok(())
         }
     }
-}
-
-/// Routes the instance under the [`FaultPlan`] for `seed` (injected
-/// per-net budget exhaustion) and checks the recovery invariants:
-///
-/// * the faulted run completes — a panic is a `no-panic` violation from
-///   [`route_once`],
-/// * no net is silently lost (`routed + failed` still partitions the
-///   netlist),
-/// * every injected budget fault is counted exactly once in
-///   `failed_budget`,
-/// * every failed net is recorded exactly once (failed list, failure
-///   counters and `net_failed` trace lines agree).
-fn check_faults(plane: &RoutingPlane, netlist: &Netlist, seed: u64) -> Result<(), Violation> {
-    let bad = |what: String| Err(Violation::new(Invariant::FaultRecovery, what));
-    let faulted = route_once(plane, netlist, Some(seed))?;
-    let r = &faulted.report;
-    if r.routed_nets + faulted.failed.len() != netlist.len() {
-        return bad(format!(
-            "faults seed {seed}: {} routed + {} failed != {} total",
-            r.routed_nets,
-            faulted.failed.len(),
-            netlist.len()
-        ));
-    }
-    if let Err(e) = failure_records(&faulted) {
-        return bad(format!("faults seed {seed}: {e}"));
-    }
-    let plan = FaultPlan::new(seed);
-    let injected = netlist
-        .iter()
-        .filter(|n| plan.injects_net_budget(n.id.0))
-        .count() as u64;
-    if r.failed_budget != injected {
-        return bad(format!(
-            "faults seed {seed}: failed_budget {} but {injected} nets had budget faults injected",
-            r.failed_budget
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -600,24 +536,9 @@ mod tests {
             Invariant::SpacerClean,
             Invariant::VerdictAgrees,
             Invariant::BaselineSane,
-            Invariant::FaultRecovery,
             Invariant::ResumeIdentity,
         ] {
             assert!(!inv.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn clean_instances_recover_from_injected_faults() {
-        // A couple of (regime, fault seed) pairs; the recovery invariants
-        // must hold for every seed, whether or not it triggers a fault.
-        for fault_seed in [0u64, 1, 7] {
-            let cfg = OracleConfig {
-                fault_seed: Some(fault_seed),
-                ..quick_cfg()
-            };
-            let inst = generate(Regime::DenseClock, 3);
-            check_instance(&inst, &cfg).unwrap_or_else(|v| panic!("fault seed {fault_seed}: {v}"));
         }
     }
 }

@@ -41,19 +41,6 @@ pub use cost::{Cost, CostTable};
 pub use kind::{EdgeKind, ScenarioKind};
 pub use table::{scenario_summary, ScenarioSummary};
 
-/// The maximum interaction distance of the scenario analysis, in tracks:
-/// two wire fragments farther apart than this (in Chebyshev track gap) can
-/// never induce a potential overlay scenario (Theorem 1 — every scenario of
-/// Fig. 9 has both gap components within the dependence radius).
-///
-/// The ECO engine uses this as its invalidation halo: a net whose
-/// fragments stay more than this many tracks from an edit is provably
-/// unaffected by it.
-#[must_use]
-pub fn interaction_radius_tracks(rules: &sadp_geom::DesignRules) -> i32 {
-    rules.dependence_radius_tracks()
-}
-
 #[cfg(test)]
 mod interaction_tests {
     use super::*;
@@ -61,10 +48,11 @@ mod interaction_tests {
 
     #[test]
     fn interaction_radius_bounds_every_scenario() {
-        // No pair of fragments with a track gap beyond the radius may
-        // classify into a scenario, for both rule sets.
+        // No pair of fragments with a track gap beyond the dependence
+        // radius may classify into a scenario, for both rule sets
+        // (Theorem 1): the ECO engine's invalidation halo rests on it.
         for rules in [DesignRules::node_10nm(), DesignRules::node_14nm()] {
-            let r = interaction_radius_tracks(&rules);
+            let r = rules.dependence_radius_tracks();
             assert!(r >= 1);
             let a = TrackRect::new(0, 0, 4, 0);
             // Just beyond the radius: independent.

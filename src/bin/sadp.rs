@@ -12,8 +12,7 @@
 //! sadp bench [--test K] [--scale X] [--seed N] [--trace FILE]
 //!            [--profile]                               route a TestK-family instance
 //! sadp fuzz [--seeds N] [--start S] [--regime R] [--minimize]
-//!           [--out DIR] [--replay FILE] [--faults SEED]
-//!                                                      deterministic fuzzing campaign
+//!           [--out DIR] [--replay FILE]                deterministic fuzzing campaign
 //! sadp fuzz --wire [--seeds N] [--start S] [--regime R] [--no-live] [--out DIR]
 //!                                                      wire/ingest hostile-input fuzzing
 //! sadp table2                                          print the scenario table
@@ -33,10 +32,7 @@
 //! `--minimize`d) instance is written to `<out>/fuzz-<regime>-<seed>.layout`
 //! together with a `.trace.jsonl` event stream, and the exit code is
 //! nonzero. `--replay FILE` re-checks one such fixture instead of running
-//! a campaign; a `# fault-seed:` marker in the fixture re-arms the same
-//! fault plan automatically. `--faults SEED` turns on deterministic fault
-//! injection: the oracle additionally checks that injected budget
-//! exhaustions are recovered without losing or double-counting a net.
+//! a campaign.
 //!
 //! `sadp fuzz --wire` targets the untrusted-bytes surface instead of the
 //! router core: seed corpora of wire-protocol request lines and
@@ -57,13 +53,11 @@
 //! after routing, then `nodes_expanded <N>`, the run's A\* node
 //! expansions.
 //!
-//! Budget flags (route/verify/bench): `--net-nodes N` caps A* node
+//! Budget flags (route/verify/edit/bench): `--net-nodes N` caps A* node
 //! expansions per net (deterministic), `--net-deadline-ms MS` caps
 //! wall-clock per net, `--run-nodes N` / `--run-deadline-ms MS` cap the
 //! whole run; over-budget nets fail gracefully and the run finalises what
-//! it committed. `--faults SEED` (route/verify/bench) injects the
-//! deterministic fault plan for that seed — a recovery test-bench, not a
-//! production mode.
+//! it committed.
 //!
 //! `--checkpoint FILE` (route) periodically snapshots the commit ledger
 //! to `FILE` (atomic tmp+rename). `--resume FILE` starts from such a
@@ -120,7 +114,7 @@
 //! fixture with a provenance comment header.
 
 use sadp::core::{
-    atomic_write, FaultPlan, RoutingSession, ScenarioCensus, SessionStatus, Snapshot, StepBudget,
+    atomic_write, RoutingSession, ScenarioCensus, SessionStatus, Snapshot, StepBudget,
 };
 use sadp::decomp::{
     export_masks, render_svg, verify_layers_observed, ColoredPattern, CutSimulator,
@@ -243,12 +237,12 @@ fn print_usage() {
     eprintln!("  bench [--test K] [--scale X] [--seed N] [--trace FILE] [--profile]");
     eprintln!(
         "  fuzz [--seeds N] [--start S] [--regime R] [--minimize] \
-         [--out DIR] [--replay FILE] [--faults SEED]"
+         [--out DIR] [--replay FILE]"
     );
     eprintln!("  fuzz --wire [--seeds N] [--start S] [--regime R] [--no-live] [--out DIR]");
     eprintln!(
-        "  route/verify/bench budgets: [--net-nodes N] [--net-deadline-ms MS] \
-         [--run-nodes N] [--run-deadline-ms MS] [--faults SEED]"
+        "  route/verify/edit/bench budgets: [--net-nodes N] [--net-deadline-ms MS] \
+         [--run-nodes N] [--run-deadline-ms MS]"
     );
     eprintln!(
         "  serve [--addr A] [--workers N] [--state-dir DIR] [--slice-steps N] \
@@ -282,14 +276,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The value flags of the router budgets and the fault plan
-/// (route/verify/edit/bench), read by [`config_from`].
-const BUDGET_FLAGS: [&str; 5] = [
+/// The value flags of the router budgets (route/verify/edit/bench),
+/// read by [`config_from`].
+const BUDGET_FLAGS: [&str; 4] = [
     "--net-nodes",
     "--net-deadline-ms",
     "--run-nodes",
     "--run-deadline-ms",
-    "--faults",
 ];
 
 /// Rejects every `--flag` the command does not declare: `values` take the
@@ -361,7 +354,7 @@ fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
     parsed_flag(args, flag, "a non-negative integer", |_| true)
 }
 
-/// Router configuration honouring the budget flags and `--faults SEED`.
+/// Router configuration honouring the budget flags.
 fn config_from(args: &[String]) -> Result<RouterConfig, CliError> {
     let mut config = RouterConfig::paper_defaults();
     if let Some(n) = u64_flag(args, "--net-nodes")? {
@@ -375,9 +368,6 @@ fn config_from(args: &[String]) -> Result<RouterConfig, CliError> {
     }
     if let Some(n) = u64_flag(args, "--run-deadline-ms")? {
         config.run_deadline_ms = n;
-    }
-    if let Some(seed) = u64_flag(args, "--faults")? {
-        config.faults = Some(FaultPlan::new(seed));
     }
     Ok(config)
 }
@@ -407,8 +397,7 @@ const ROUTE_SLICE_STEPS: u64 = 64;
 /// `.layout`, Specctra DSN, DEF). The format is sniffed from the file
 /// content, with the extension as fallback hint. DEF macros come from
 /// `--lef FILE` or, failing that, the `.lef` sidecar next to the DEF.
-/// Returns the raw text alongside the imported design.
-fn ingest_file(path: &str, args: &[String]) -> Result<(String, Imported), CliError> {
+fn ingest_file(path: &str, args: &[String]) -> Result<Imported, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
     let lef_path = match flag_value(args, "--lef")? {
@@ -426,9 +415,8 @@ fn ingest_file(path: &str, args: &[String]) -> Result<(String, Imported), CliErr
         }
         None => None,
     };
-    let imported = ingest_text(&text, Some(std::path::Path::new(path)), lef_lib.as_ref())
-        .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-    Ok((text, imported))
+    ingest_text(&text, Some(std::path::Path::new(path)), lef_lib.as_ref())
+        .map_err(|e| CliError::Input(format!("{path}: {e}")))
 }
 
 /// The import summary printed for non-native formats. Native layouts
@@ -457,7 +445,7 @@ fn cmd_route(args: &[String], verify_only: bool) -> CliResult {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::Usage("missing layout file".into()))?;
-    let (_, imported) = ingest_file(path, args)?;
+    let imported = ingest_file(path, args)?;
     print_import_summary(path, &imported);
     let (plane, netlist) = (imported.plane, imported.netlist);
 
@@ -573,7 +561,7 @@ fn cmd_convert(args: &[String]) -> CliResult {
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::Usage("missing input file".into()))?;
     let out_file = flag_value(args, "--out")?;
-    let (_, imported) = ingest_file(path, args)?;
+    let imported = ingest_file(path, args)?;
     let name = std::path::Path::new(path)
         .file_name()
         .map_or_else(|| path.to_string(), |n| n.to_string_lossy().into_owned());
@@ -604,7 +592,7 @@ fn cmd_edit(args: &[String]) -> CliResult {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::Usage("missing layout file".into()))?;
-    let (_, imported) = ingest_file(path, args)?;
+    let imported = ingest_file(path, args)?;
     print_import_summary(path, &imported);
     let (plane, netlist) = (imported.plane, imported.netlist);
     let script_path =
@@ -836,7 +824,7 @@ fn cmd_job(args: &[String]) -> CliResult {
 }
 
 fn cmd_fuzz(args: &[String]) -> CliResult {
-    use sadp::fuzz::{check_layout, fault_seed_marker, run_campaign, CampaignConfig, Regime};
+    use sadp::fuzz::{check_layout, run_campaign, CampaignConfig, Regime};
 
     if args.iter().any(|a| a == "--wire") {
         return cmd_fuzz_wire(args);
@@ -845,23 +833,17 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         args,
         0,
         &[
-            "--faults", "--replay", "--lef", "--seeds", "--start", "--regime", "--out",
+            "--replay", "--lef", "--seeds", "--start", "--regime", "--out",
         ],
         &["--minimize"],
     )?;
 
     let mut cfg = CampaignConfig::default();
-    cfg.oracle.fault_seed = u64_flag(args, "--faults")?;
 
     if let Some(path) = flag_value(args, "--replay")? {
-        let (text, imported) = ingest_file(path, args)?;
+        let imported = ingest_file(path, args)?;
         print_import_summary(path, &imported);
         let (plane, netlist) = (imported.plane, imported.netlist);
-        // Fault-mode fixtures carry their fault seed in a comment marker;
-        // an explicit --faults flag overrides it.
-        if cfg.oracle.fault_seed.is_none() {
-            cfg.oracle.fault_seed = fault_seed_marker(&text);
-        }
         return match check_layout(&plane, &netlist, &cfg.oracle) {
             Ok(stats) => {
                 println!(

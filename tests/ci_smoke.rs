@@ -3,7 +3,7 @@
 //! errors, the corpus subcommand with its per-format vacuity guard)
 //! gets the same test coverage as the code it drives.
 //!
-//! Only the fast `corpus` subcommand runs here — the fault/counters/serve
+//! Only the fast `corpus` subcommand runs here — the budget/counters/serve
 //! smokes route a ~400-track benchmark and are exercised by CI itself;
 //! their command lines are checked here as text.
 //! The `paper` smoke's filter and diff run against a stand-in `table3`
@@ -39,8 +39,9 @@ fn corpus_smoke_replays_native_and_imported_fixtures() {
 fn the_script_passes_no_removed_flag_and_guards_on_live_events() {
     // The CLI rejects flags it does not know, so a removed flag left in
     // the script fails its step; this catches it without running it.
-    // Every net routes on one thread now: no `--threads`, and the fault
-    // smoke guards on the budget failures the fault plan still injects.
+    // Every net routes on one thread now: no `--threads`. The router
+    // injects no faults: the budget smoke starves nets with a real
+    // per-net node budget and guards on their failure lines.
     let script =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/ci-smoke.sh"))
             .expect("script readable");
@@ -49,9 +50,10 @@ fn the_script_passes_no_removed_flag_and_guards_on_live_events() {
         !script.contains("band_recovered"),
         "the script guards on a removed event"
     );
+    assert!(!script.contains("--faults"), "the script passes --faults");
     assert!(
-        script.contains(r#""reason":"budget_exceeded""#),
-        "the fault smoke must guard on an injected budget failure"
+        script.contains("--net-nodes") && script.contains(r#""reason":"budget_exceeded""#),
+        "the budget smoke must starve nets and guard on their budget failures"
     );
     // Cut repair times each simulator pass as a `decompose` span; the
     // counters smoke fails if that row reads 0.

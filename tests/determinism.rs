@@ -31,12 +31,12 @@ fn route_config(spec: &BenchmarkSpec, config: RouterConfig) -> RunResult {
     (report, patterns, router.failed().to_vec(), plane.usage())
 }
 
-/// Routes `spec` under a tracing recorder and returns the report plus the
-/// serialized event stream. Timing stays off so the report's stage
-/// profile holds only deterministic counts.
-fn route_traced(spec: &BenchmarkSpec) -> (RoutingReport, String) {
+/// Routes `spec` under `config` and a tracing recorder and returns the
+/// report plus the serialized event stream. Timing stays off so the
+/// report's stage profile holds only deterministic counts.
+fn route_traced(spec: &BenchmarkSpec, config: RouterConfig) -> (RoutingReport, String) {
     let (mut plane, netlist) = spec.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
+    let mut router = Router::new(config);
     let mut rec = BufferRecorder::with_flags(true, false);
     let mut report = router.route_all_with(&mut plane, &netlist, &mut rec);
     report.cpu = Duration::ZERO;
@@ -94,9 +94,38 @@ fn budget_exhaustion_is_graceful_and_deterministic() {
     );
     assert_eq!(
         starved,
-        route_config(&spec, config),
+        route_config(&spec, config.clone()),
         "budget-degraded run diverged"
     );
+    // Every failed net is recorded exactly once: the failed list, the sum
+    // of the per-reason failure counters and the trace's `net_failed`
+    // lines agree.
+    let (report, trace) = route_traced(&spec, config);
+    let mut failed: Vec<u32> = starved.2.iter().map(|n| n.0).collect();
+    failed.sort_unstable();
+    failed.dedup();
+    assert_eq!(failed.len(), starved.2.len(), "a net failed twice");
+    assert_eq!(
+        report.failed_no_path
+            + report.failed_exhausted
+            + report.failed_cleanup
+            + report.failed_budget,
+        failed.len() as u64,
+        "failure counters disagree with the failed list"
+    );
+    let lines = trace
+        .lines()
+        .filter(|l| l.starts_with(r#"{"event":"net_failed""#))
+        .count();
+    assert_eq!(
+        lines,
+        failed.len(),
+        "net_failed lines disagree with the failed list"
+    );
+    for net in &failed {
+        let line = format!(r#"{{"event":"net_failed","net":{net},"#);
+        assert_eq!(trace.matches(&line).count(), 1, "net#{net} traced once");
+    }
     // The clean run routes strictly more than the starved one.
     let clean = route_config(&spec, RouterConfig::paper_defaults());
     assert!(clean.0.routed_nets > starved.0.routed_nets);
@@ -135,7 +164,7 @@ fn stepped_session_is_byte_identical_to_blocking_route_at_every_slice_size() {
     // run into tiny budgets must change nothing — not the report, not the
     // geometry, not even the trace bytes.
     let spec = BenchmarkSpec::new("det-wide", 110, 400, 120).with_seed(11);
-    let (blocking, trace) = route_traced(&spec);
+    let (blocking, trace) = route_traced(&spec, RouterConfig::paper_defaults());
     assert!(trace
         .lines()
         .any(|l| l.contains("\"event\":\"net_routed\"")));
