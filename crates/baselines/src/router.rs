@@ -1,9 +1,9 @@
 //! The shared baseline routing engine with per-baseline decision policies.
 
 use crate::metrics::{cut_merge_exposure, trim_exposure, LayerPatterns};
-use sadp_core::astar::{DirMap, SearchScratch};
+use sadp_core::astar::{astar_search, AstarRequest, SearchScratch};
 use sadp_core::scan::{pack_frag_id, scan_fragments};
-use sadp_core::{Budget, GuardGrid, PenaltyGrid, RouterConfig, RoutingReport, SearchStage};
+use sadp_core::{Budget, DirGrid, GuardGrid, PenaltyGrid, RouterConfig, RoutingReport};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_grid::{Net, NetId, Netlist, RoutePath, RoutingPlane};
 use sadp_obs::{FailReason, NoopRecorder, Recorder, RouterEvent, SpanClock, Stage};
@@ -202,7 +202,7 @@ impl BaselineRouter {
         // search would itself be superlinear in the netlist size.
         let mut penalties = PenaltyGrid::new(plane, 0);
         let guards = GuardGrid::new(plane);
-        let dir_map = DirMap::new(plane);
+        let dir_map = DirGrid::new(plane);
         let mut scratch = SearchScratch::new(plane);
 
         for id in netlist.ids_by_hpwl() {
@@ -261,7 +261,7 @@ impl BaselineRouter {
         net: &Net,
         penalties: &mut PenaltyGrid,
         guards: &GuardGrid,
-        dir_map: &DirMap,
+        dir_map: &DirGrid,
         scratch: &mut SearchScratch,
     ) -> Option<RoutePath> {
         let attempts = match self.kind {
@@ -269,20 +269,17 @@ impl BaselineRouter {
             _ => self.config.max_ripup + 1,
         };
         for _ in 0..attempts {
-            let (path, stats) = SearchStage {
+            let req = AstarRequest {
                 plane,
                 dir_map,
                 guards,
-                config: &self.config,
-            }
-            .search(
-                net.id,
-                net.source.candidates(),
-                net.target.candidates(),
                 penalties,
-                scratch,
-                &mut Budget::unlimited(),
-            );
+                config: &self.config,
+                net: net.id,
+                sources: net.source.candidates(),
+                targets: net.target.candidates(),
+            };
+            let (path, stats) = astar_search(&req, scratch, &mut Budget::unlimited());
             self.nodes_expanded += stats.expanded;
             let path = path?;
             // Both trim routers and \[16\] must avoid tip-to-tip pairs at
@@ -315,26 +312,23 @@ impl BaselineRouter {
         net: &Net,
         penalties: &PenaltyGrid,
         guards: &GuardGrid,
-        dir_map: &DirMap,
+        dir_map: &DirGrid,
         scratch: &mut SearchScratch,
     ) -> Option<RoutePath> {
         let mut best: Option<(u64, RoutePath)> = None;
         for &s in net.source.candidates() {
             for &t in net.target.candidates() {
-                let (path, stats) = SearchStage {
+                let req = AstarRequest {
                     plane,
                     dir_map,
                     guards,
-                    config: &self.config,
-                }
-                .search(
-                    net.id,
-                    &[s],
-                    &[t],
                     penalties,
-                    scratch,
-                    &mut Budget::unlimited(),
-                );
+                    config: &self.config,
+                    net: net.id,
+                    sources: &[s],
+                    targets: &[t],
+                };
+                let (path, stats) = astar_search(&req, scratch, &mut Budget::unlimited());
                 self.nodes_expanded += stats.expanded;
                 let Some(path) = path else { continue };
                 let line_ends = self.line_end_rects(plane, net.id.0, &path);

@@ -2,8 +2,8 @@
 //! planes, and replayed on the plane a full Test5 route leaves behind.
 
 use sadp_bench::timing::bench;
-use sadp_core::astar::{astar_search, AstarRequest, DirMap};
-use sadp_core::{Budget, GuardGrid, PenaltyGrid, Router, RouterConfig, SearchScratch};
+use sadp_core::astar::{astar_search, AstarRequest};
+use sadp_core::{Budget, DirGrid, GuardGrid, PenaltyGrid, Router, RouterConfig, SearchScratch};
 use sadp_geom::{DesignRules, GridPoint, Layer, Rng};
 use sadp_grid::{BenchmarkSpec, NetId, RoutingPlane};
 
@@ -13,25 +13,27 @@ fn main() {
     let plane = RoutingPlane::new(3, 128, 128, DesignRules::node_10nm()).unwrap();
     let penalties = PenaltyGrid::new(&plane, 0);
     let guards = GuardGrid::new(&plane);
-    let dir_map = DirMap::new(&plane);
+    let dir_map = DirGrid::new(&plane);
     // One scratch per plane, reused across searches as the router does.
     let mut scratch = SearchScratch::new(&plane);
     bench("astar/empty_plane_40_tracks", 200, || {
         let req = AstarRequest {
+            plane: &plane,
+            dir_map: &dir_map,
+            guards: &guards,
+            penalties: &penalties,
+            config: &config,
             net: NetId(0),
             sources: &[GridPoint::new(Layer(0), 10, 60)],
             targets: &[GridPoint::new(Layer(0), 50, 70)],
-            penalties: &penalties,
-            guards: &guards,
         };
-        let budget = &mut Budget::unlimited();
-        let (p, _) = astar_search(&plane, &req, &dir_map, &config, &mut scratch, budget);
+        let (p, _) = astar_search(&req, &mut scratch, &mut Budget::unlimited());
         p
     });
 
     // Congested: a field of parallel blockers forcing detours.
     let mut congested = RoutingPlane::new(3, 128, 128, DesignRules::node_10nm()).unwrap();
-    let mut dir_map = DirMap::new(&congested);
+    let mut dir_map = DirGrid::new(&congested);
     for i in 0..20 {
         let y = 10 + i * 5;
         for x in 15..110 {
@@ -43,14 +45,16 @@ fn main() {
     let mut scratch = SearchScratch::new(&congested);
     bench("astar/congested_plane_40_tracks", 100, || {
         let req = AstarRequest {
+            plane: &congested,
+            dir_map: &dir_map,
+            guards: &guards,
+            penalties: &penalties,
+            config: &config,
             net: NetId(0),
             sources: &[GridPoint::new(Layer(0), 10, 60)],
             targets: &[GridPoint::new(Layer(0), 50, 70)],
-            penalties: &penalties,
-            guards: &guards,
         };
-        let budget = &mut Budget::unlimited();
-        let (p, _) = astar_search(&congested, &req, &dir_map, &config, &mut scratch, budget);
+        let (p, _) = astar_search(&req, &mut scratch, &mut Budget::unlimited());
         p
     });
 
@@ -103,14 +107,16 @@ fn routed_replay(config: &RouterConfig) {
         let mut found = 0;
         for (from, to) in &pairs {
             let req = AstarRequest {
+                plane: &plane,
+                dir_map,
+                guards: &guards,
+                penalties: &penalties,
+                config,
                 net,
                 sources: std::slice::from_ref(from),
                 targets: std::slice::from_ref(to),
-                penalties: &penalties,
-                guards: &guards,
             };
-            let budget = &mut Budget::unlimited();
-            let (p, _) = astar_search(&plane, &req, dir_map, config, &mut scratch, budget);
+            let (p, _) = astar_search(&req, &mut scratch, &mut Budget::unlimited());
             found += usize::from(p.is_some());
         }
         found

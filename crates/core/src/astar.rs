@@ -21,23 +21,30 @@ use crate::router::RouterError;
 use sadp_geom::{Dir, GridPoint, Layer, TrackRect};
 use sadp_grid::{NetId, RoutePath, RoutingPlane};
 
-/// A single search request: multi-source, multi-target (pin candidate
-/// locations route to whichever pair is cheapest).
-#[derive(Debug, Clone)]
+/// A single search request: everything one multi-source, multi-target
+/// search reads (pin candidate locations route to whichever pair is
+/// cheapest).
+#[derive(Debug, Clone, Copy)]
 pub struct AstarRequest<'a> {
+    /// The routing plane (occupancy and blockages).
+    pub plane: &'a RoutingPlane,
+    /// Committed wire directions of already-routed nets (the `T2b` hints).
+    pub dir_map: &'a DirGrid,
+    /// Soft keep-out halos around pins: the owning net per cell; entering
+    /// a guarded cell costs every net except the owner the config's
+    /// `pin_guard_cost`, so early nets leave later pins approachable.
+    pub guards: &'a GuardGrid,
+    /// Extra per-cell penalties accumulated by rip-up iterations
+    /// (scaled cost units).
+    pub penalties: &'a PenaltyGrid,
+    /// The cost weights and search margin.
+    pub config: &'a RouterConfig,
     /// The net being routed (its own cells are passable).
     pub net: NetId,
     /// Source candidate points.
     pub sources: &'a [GridPoint],
     /// Target candidate points.
     pub targets: &'a [GridPoint],
-    /// Extra per-cell penalties accumulated by rip-up iterations
-    /// (scaled cost units).
-    pub penalties: &'a PenaltyGrid,
-    /// Soft keep-out halos around pins: the owning net per cell; entering
-    /// a guarded cell costs every net except the owner the config's
-    /// `pin_guard_cost`, so early nets leave later pins approachable.
-    pub guards: &'a GuardGrid,
 }
 
 /// Statistics of one search.
@@ -45,10 +52,8 @@ pub struct AstarRequest<'a> {
 pub struct SearchStats {
     /// Nodes popped from the open list.
     pub expanded: u64,
-    /// Whether a path was found.
-    pub found: bool,
     /// Whether the search stopped because its [`Budget`] ran out. When
-    /// set, `found` is false regardless of whether a path existed.
+    /// set, no path is returned regardless of whether one existed.
     pub budget_exceeded: bool,
 }
 
@@ -164,10 +169,6 @@ impl SearchScratch {
     }
 }
 
-/// Per-cell wire direction hints for the `T2b` term: the planar axis the
-/// occupying net runs along at that cell (`None` where nothing routed).
-pub type DirMap = DirGrid;
-
 /// Runs the overlay-aware A\*-search of eq. (5).
 ///
 /// The cost of entering grid `j` from `i` is
@@ -225,13 +226,11 @@ pub type DirMap = DirGrid;
 /// Returns the cheapest path from any source to any target, or `None`.
 #[must_use]
 pub fn astar_search(
-    plane: &RoutingPlane,
     req: &AstarRequest<'_>,
-    dir_map: &DirGrid,
-    config: &RouterConfig,
     scratch: &mut SearchScratch,
     budget: &mut Budget,
 ) -> (Option<RoutePath>, SearchStats) {
+    let (plane, dir_map, config) = (req.plane, req.dir_map, req.config);
     let mut stats = SearchStats::default();
     if req.targets.is_empty() || req.sources.is_empty() {
         return (None, stats);
@@ -240,7 +239,7 @@ pub fn astar_search(
     scratch.begin();
 
     // Bound the search window to the pin bounding box plus a margin.
-    let window = search_window(req, config, plane);
+    let window = search_window(req);
 
     let alpha = config.alpha_cost();
     let beta = config.beta_cost();
@@ -304,7 +303,6 @@ pub fn astar_search(
             return (None, stats);
         }
         if scratch.is_target(ci) {
-            stats.found = true;
             let mut pts = Vec::new();
             let mut cur = ci;
             loop {
@@ -393,7 +391,8 @@ pub fn preferred_dir(layer: sadp_geom::Layer) -> Dir {
     }
 }
 
-fn search_window(req: &AstarRequest<'_>, config: &RouterConfig, plane: &RoutingPlane) -> TrackRect {
+fn search_window(req: &AstarRequest<'_>) -> TrackRect {
+    let plane = req.plane;
     let mut rect: Option<TrackRect> = None;
     for p in req.sources.iter().chain(req.targets) {
         let cell = TrackRect::cell(p.x, p.y);
@@ -404,7 +403,7 @@ fn search_window(req: &AstarRequest<'_>, config: &RouterConfig, plane: &RoutingP
     }
     let r = rect
         .expect("pins exist")
-        .expanded(config.search_margin)
+        .expanded(req.config.search_margin)
         .intersection(&TrackRect::new(0, 0, plane.width() - 1, plane.height() - 1));
     r.unwrap_or_else(|| TrackRect::new(0, 0, plane.width() - 1, plane.height() - 1))
 }
@@ -481,40 +480,57 @@ mod tests {
         RoutingPlane::new(3, w, h, DesignRules::node_10nm()).expect("valid")
     }
 
+    /// Empty penalty, guard and hint grids for one plane, and the paper's
+    /// config: the views of a search on an unrouted plane.
+    struct Empty {
+        penalties: PenaltyGrid,
+        guards: GuardGrid,
+        dir_map: DirGrid,
+        config: RouterConfig,
+    }
+
+    impl Empty {
+        fn new(plane: &RoutingPlane) -> Empty {
+            Empty {
+                penalties: PenaltyGrid::new(plane, 0),
+                guards: GuardGrid::new(plane),
+                dir_map: DirGrid::new(plane),
+                config: RouterConfig::paper_defaults(),
+            }
+        }
+
+        /// Net 0's search from `sources` to `targets` on `plane`.
+        fn request<'a>(
+            &'a self,
+            plane: &'a RoutingPlane,
+            sources: &'a [GridPoint],
+            targets: &'a [GridPoint],
+        ) -> AstarRequest<'a> {
+            AstarRequest {
+                plane,
+                dir_map: &self.dir_map,
+                guards: &self.guards,
+                penalties: &self.penalties,
+                config: &self.config,
+                net: NetId(0),
+                sources,
+                targets,
+            }
+        }
+    }
+
     fn search(
         plane: &RoutingPlane,
         from: GridPoint,
         to: GridPoint,
     ) -> (Option<RoutePath>, SearchStats) {
-        let penalties = PenaltyGrid::new(plane, 0);
-        let guards = GuardGrid::new(plane);
-        let req = AstarRequest {
-            net: NetId(0),
-            sources: &[from],
-            targets: &[to],
-            penalties: &penalties,
-            guards: &guards,
-        };
-        let dir_map = DirGrid::new(plane);
-        fresh_search(plane, &req, &dir_map, &RouterConfig::paper_defaults())
+        fresh_search(&Empty::new(plane).request(plane, &[from], &[to]))
     }
 
     /// One unbudgeted search on throwaway scratch.
-    fn fresh_search(
-        plane: &RoutingPlane,
-        req: &AstarRequest<'_>,
-        dir_map: &DirGrid,
-        config: &RouterConfig,
-    ) -> (Option<RoutePath>, SearchStats) {
-        let mut scratch = SearchScratch::new(plane);
-        astar_search(
-            plane,
-            req,
-            dir_map,
-            config,
-            &mut scratch,
-            &mut Budget::unlimited(),
-        )
+    fn fresh_search(req: &AstarRequest<'_>) -> (Option<RoutePath>, SearchStats) {
+        let mut scratch = SearchScratch::new(req.plane);
+        astar_search(req, &mut scratch, &mut Budget::unlimited())
     }
 
     #[test]
@@ -526,7 +542,7 @@ mod tests {
             GridPoint::new(Layer(0), 12, 5),
         );
         let path = path.expect("path found");
-        assert!(stats.found);
+        assert!(!stats.budget_exceeded);
         assert_eq!(path.wirelength(), 10);
         assert_eq!(path.via_count(), 0);
         assert_eq!(path.source(), GridPoint::new(Layer(0), 2, 5));
@@ -559,29 +575,24 @@ mod tests {
             GridPoint::new(Layer(0), 12, 5),
         );
         assert!(path.is_none());
-        assert!(!stats.found);
+        assert!(!stats.budget_exceeded);
         assert!(stats.expanded > 0);
     }
 
     #[test]
     fn multi_candidate_picks_cheapest_pair() {
         let p = plane(32, 32);
-        let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p);
-        let req = AstarRequest {
-            net: NetId(0),
-            sources: &[
+        let (path, _) = fresh_search(&Empty::new(&p).request(
+            &p,
+            &[
                 GridPoint::new(Layer(0), 0, 0),
                 GridPoint::new(Layer(0), 10, 10),
             ],
-            targets: &[
+            &[
                 GridPoint::new(Layer(0), 30, 30),
                 GridPoint::new(Layer(0), 12, 10),
             ],
-            penalties: &penalties,
-            guards: &guards,
-        };
-        let (path, _) = fresh_search(&p, &req, &DirGrid::new(&p), &RouterConfig::paper_defaults());
+        ));
         let path = path.expect("path found");
         assert_eq!(path.source(), GridPoint::new(Layer(0), 10, 10));
         assert_eq!(path.target(), GridPoint::new(Layer(0), 12, 10));
@@ -596,15 +607,15 @@ mod tests {
         for x in 3..12 {
             penalties.set(GridPoint::new(Layer(0), x, 5), 50_000u64);
         }
-        let guards = GuardGrid::new(&p);
-        let req = AstarRequest {
-            net: NetId(0),
-            sources: &[GridPoint::new(Layer(0), 2, 5)],
-            targets: &[GridPoint::new(Layer(0), 12, 5)],
+        let empty = Empty::new(&p);
+        let (path, _) = fresh_search(&AstarRequest {
             penalties: &penalties,
-            guards: &guards,
-        };
-        let (path, _) = fresh_search(&p, &req, &DirGrid::new(&p), &RouterConfig::paper_defaults());
+            ..empty.request(
+                &p,
+                &[GridPoint::new(Layer(0), 2, 5)],
+                &[GridPoint::new(Layer(0), 12, 5)],
+            )
+        });
         let path = path.expect("path found");
         assert!(
             path.wirelength() > 10 || path.via_count() > 0,
@@ -625,23 +636,29 @@ mod tests {
             dir_map.set(c, Dir::Vertical);
         }
         // Tip at (7,7); the straight row y=6 passes right under it.
-        let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p);
+        let empty = Empty::new(&p);
+        let (from, to) = (
+            [GridPoint::new(Layer(0), 2, 6)],
+            [GridPoint::new(Layer(0), 12, 6)],
+        );
         let req = AstarRequest {
-            net: NetId(0),
-            sources: &[GridPoint::new(Layer(0), 2, 6)],
-            targets: &[GridPoint::new(Layer(0), 12, 6)],
-            penalties: &penalties,
-            guards: &guards,
+            dir_map: &dir_map,
+            ..empty.request(&p, &from, &to)
         };
         let mut cheap = RouterConfig::paper_defaults();
         cheap.gamma = 0.0;
-        let (path_free, _) = fresh_search(&p, &req, &dir_map, &cheap);
+        let (path_free, _) = fresh_search(&AstarRequest {
+            config: &cheap,
+            ..req
+        });
         let expensive = RouterConfig {
             gamma: 100.0,
             ..RouterConfig::paper_defaults()
         };
-        let (path_avoid, _) = fresh_search(&p, &req, &dir_map, &expensive);
+        let (path_avoid, _) = fresh_search(&AstarRequest {
+            config: &expensive,
+            ..req
+        });
         let free = path_free.expect("found");
         let avoid = path_avoid.expect("found");
         // Without the penalty the straight row (through the 2-b cell) wins.
@@ -722,24 +739,17 @@ mod tests {
         // results to throwaway scratch (generation stamping correctness).
         let mut p = plane(24, 24);
         p.add_blockage(Layer(0), TrackRect::new(10, 0, 10, 20));
-        let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p);
-        let dm = DirGrid::new(&p);
-        let cfg = RouterConfig::paper_defaults();
+        let empty = Empty::new(&p);
         let mut scratch = SearchScratch::new(&p);
         for i in 0..6 {
-            let from = GridPoint::new(Layer(0), 2, 2 + i);
-            let to = GridPoint::new(Layer(0), 20, 3 + i);
+            let from = [GridPoint::new(Layer(0), 2, 2 + i)];
+            let to = [GridPoint::new(Layer(0), 20, 3 + i)];
             let req = AstarRequest {
                 net: NetId(i as u32),
-                sources: &[from],
-                targets: &[to],
-                penalties: &penalties,
-                guards: &guards,
+                ..empty.request(&p, &from, &to)
             };
-            let (fresh, fs) = fresh_search(&p, &req, &dm, &cfg);
-            let (reused, rs) =
-                astar_search(&p, &req, &dm, &cfg, &mut scratch, &mut Budget::unlimited());
+            let (fresh, fs) = fresh_search(&req);
+            let (reused, rs) = astar_search(&req, &mut scratch, &mut Budget::unlimited());
             let fresh = fresh.expect("found");
             let reused = reused.expect("found");
             assert_eq!(fresh.wirelength(), reused.wirelength());
@@ -771,30 +781,23 @@ mod tests {
     #[test]
     fn exhausted_budget_stops_the_search() {
         let p = plane(64, 64);
-        let penalties = PenaltyGrid::new(&p, 0);
-        let guards = GuardGrid::new(&p);
-        let req = AstarRequest {
-            net: NetId(0),
-            sources: &[GridPoint::new(Layer(0), 2, 30)],
-            targets: &[GridPoint::new(Layer(0), 60, 30)],
-            penalties: &penalties,
-            guards: &guards,
-        };
-        let dm = DirGrid::new(&p);
-        let cfg = RouterConfig::paper_defaults();
+        let empty = Empty::new(&p);
+        let (from, to) = (
+            [GridPoint::new(Layer(0), 2, 30)],
+            [GridPoint::new(Layer(0), 60, 30)],
+        );
+        let req = empty.request(&p, &from, &to);
         let mut scratch = SearchScratch::new(&p);
         let mut limited = RouterConfig::paper_defaults();
         limited.net_node_budget = 3;
         let mut budget = Budget::for_net(&limited);
-        let (path, stats) = astar_search(&p, &req, &dm, &cfg, &mut scratch, &mut budget);
+        let (path, stats) = astar_search(&req, &mut scratch, &mut budget);
         assert!(path.is_none());
         assert!(stats.budget_exceeded);
-        assert!(!stats.found);
         assert!(stats.expanded <= 4);
         // The same search with an unlimited budget still succeeds on the
         // reused scratch (the aborted search left no stale state behind).
-        let (path, stats) =
-            astar_search(&p, &req, &dm, &cfg, &mut scratch, &mut Budget::unlimited());
+        let (path, stats) = astar_search(&req, &mut scratch, &mut Budget::unlimited());
         assert!(path.is_some());
         assert!(!stats.budget_exceeded);
     }
@@ -942,19 +945,30 @@ mod tests {
             .sum()
     }
 
+    /// Net 0's search on `inst` from its source to `targets` under `cfg`.
+    fn instance_request<'a>(
+        inst: &'a Instance,
+        targets: &'a [GridPoint],
+        cfg: &'a RouterConfig,
+    ) -> AstarRequest<'a> {
+        AstarRequest {
+            plane: &inst.plane,
+            dir_map: &inst.dir_map,
+            guards: &inst.guards,
+            penalties: &inst.penalties,
+            config: cfg,
+            net: NetId(0),
+            sources: std::slice::from_ref(&inst.source),
+            targets,
+        }
+    }
+
     /// Brute-force Dijkstra over the search window: the cheapest full
     /// cost from `source` to any of `targets`.
     fn dijkstra(inst: &Instance, cfg: &RouterConfig, targets: &[GridPoint]) -> Option<u64> {
         use std::cmp::Reverse;
         use std::collections::{BinaryHeap, HashMap};
-        let req = AstarRequest {
-            net: NetId(0),
-            sources: &[inst.source],
-            targets,
-            penalties: &inst.penalties,
-            guards: &inst.guards,
-        };
-        let window = search_window(&req, cfg, &inst.plane);
+        let window = search_window(&instance_request(inst, targets, cfg));
         let mut dist: HashMap<GridPoint, u64> = HashMap::from([(inst.source, 0)]);
         let mut heap = BinaryHeap::from([Reverse((0u64, inst.source))]);
         while let Some(Reverse((d, p))) = heap.pop() {
@@ -983,14 +997,7 @@ mod tests {
         targets: &[GridPoint],
         cfg: &RouterConfig,
     ) -> (Option<RoutePath>, SearchStats) {
-        let req = AstarRequest {
-            net: NetId(0),
-            sources: &[inst.source],
-            targets,
-            penalties: &inst.penalties,
-            guards: &inst.guards,
-        };
-        fresh_search(&inst.plane, &req, &inst.dir_map, cfg)
+        fresh_search(&instance_request(inst, targets, cfg))
     }
 
     #[test]
@@ -1056,8 +1063,8 @@ mod tests {
     #[test]
     fn with_two_targets_a_charged_target_loses_at_equal_distance() {
         let p = plane(24, 24);
-        let cfg = RouterConfig::paper_defaults();
-        let dm = DirGrid::new(&p);
+        let empty = Empty::new(&p);
+        let cfg = &empty.config;
         let mut rng = sadp_geom::Rng::seed_from_u64(11);
         for _ in 0..40 {
             let (x, y, d) = (
@@ -1077,14 +1084,11 @@ mod tests {
                     guards.set(charged, Some(NetId(5)));
                 }
                 for targets in [[west, east], [east, west]] {
-                    let req = AstarRequest {
-                        net: NetId(0),
-                        sources: &[source],
-                        targets: &targets,
+                    let (path, _) = fresh_search(&AstarRequest {
                         penalties: &penalties,
                         guards: &guards,
-                    };
-                    let (path, _) = fresh_search(&p, &req, &dm, &cfg);
+                        ..empty.request(&p, &[source], &targets)
+                    });
                     assert_eq!(path.expect("open plane").target(), free);
                 }
             }

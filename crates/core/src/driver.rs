@@ -1,25 +1,27 @@
 //! The staged routing driver (Fig. 18 / Fig. 19 as a pipeline).
 //!
 //! Per net, [`Router::route_net`] runs the stages in order: pure
-//! **search** ([`SearchStage`](crate::search::SearchStage)), scenario
-//! **scan** ([`scan_fragments`]), the type-B cut-conflict check, then the
-//! **propose → trial-color → commit/abort** protocol of the
-//! [`CommitLedger`](crate::ledger::CommitLedger), all against the
-//! router's own ledger and workspace grids.
+//! **search** (`search_net`: one [`astar_search`] for the trunk, then
+//! one per branch), scenario **scan** ([`scan_fragments`]), the type-B
+//! cut-conflict check, then the **propose → trial-color → commit/abort**
+//! protocol of the [`CommitLedger`](crate::ledger::CommitLedger), all
+//! against the router's own ledger and workspace grids. A rejected
+//! candidate is ripped up for its [`RipReason`] and searched again.
 //!
 //! [`Router::advance`] drives the whole netlist one net at a time, in
 //! the canonical order, as the paper's flow routes: each commit feeds the
 //! constraint graph that the next net's trial coloring reads.
 
+use crate::astar::{astar_search, AstarRequest};
 use crate::budget::Budget;
 use crate::config::RouterConfig;
 use crate::grids::{GuardGrid, PenaltyGrid};
+use crate::ledger::RouteCandidate;
 use crate::report::RoutingReport;
-use crate::router::Router;
+use crate::router::{Router, Workspace};
 use crate::scan::{scan_fragments, FoundScenario};
-use crate::search::SearchStage;
 use sadp_geom::{GridPoint, Layer, Orientation, TrackRect};
-use sadp_grid::{Net, NetId, Netlist, RoutingPlane};
+use sadp_grid::{Net, NetId, Netlist, RoutePath, RoutingPlane};
 use sadp_obs::{FailReason, Recorder, RipReason, RouterEvent, SpanClock, Stage};
 use sadp_scenario::ScenarioKind;
 use std::collections::BTreeMap;
@@ -29,23 +31,20 @@ use std::time::Instant;
 /// after a run (or a restore) sized the router for its plane.
 const SIZED: &str = "a run sized the router";
 
-/// Why [`Router::commit_candidate`] rejected a tentative route. Each variant
-/// carries the offending cells so the caller can penalise them; the
-/// ledger proposal is already aborted when one of these is returned.
-enum StageReject {
-    /// Merge-and-cut is disabled and the route formed 1-b pairs (the
-    /// \[16\] ablation behaviour).
-    Merge(Vec<(Layer, TrackRect)>),
-    /// Unavoidable type-B cut conflict (Fig. 16).
-    TypeB(Vec<(Layer, TrackRect)>),
-    /// Constraint-graph rejection: odd cycle or infeasible pair.
-    Graph {
-        layer: Layer,
-        other: u32,
-        cells: Vec<(Layer, TrackRect)>,
-    },
-    /// The trial coloring could not avoid a realized risk.
-    Risk(Vec<(Layer, TrackRect)>),
+/// Why [`Router::commit_candidate`] rejected a tentative route; the
+/// ledger proposal is already aborted when one is returned.
+struct Reject {
+    /// What the rip-up is counted and traced as: `TypeB` for an
+    /// unavoidable type-B cut conflict (Fig. 16), `Risk` for a realized
+    /// risk the trial coloring could not avoid, `Graph` for an odd cycle
+    /// or infeasible pair, and for 1-b pairs when merge-and-cut is
+    /// disabled (the \[16\] ablation behaviour).
+    reason: RipReason,
+    /// The offending cells, penalised before the next attempt.
+    cells: Vec<(Layer, TrackRect)>,
+    /// The odd cycle's layer and the other net on it, for a
+    /// constraint-graph rejection.
+    odd_cycle: Option<(Layer, u32)>,
 }
 
 impl Router {
@@ -155,20 +154,26 @@ impl Router {
         self.ledger.unroute(plane, &mut ws.dir_map, id)
     }
 
-    /// Records one rip-up: penalises the offending cells (timed as the
-    /// `ripup` stage), bumps the aggregate and per-reason counters and
-    /// emits the `net_ripped` event.
-    fn rip_up(
-        &mut self,
-        net: u32,
-        attempt: u32,
-        reason: RipReason,
-        cells: &[(Layer, TrackRect)],
-        rec: &mut dyn Recorder,
-    ) {
+    /// Records one rip-up: emits `odd_cycle_decomposed` for a
+    /// constraint-graph rejection, penalises the offending cells (timed
+    /// as the `ripup` stage), bumps the aggregate and per-reason counters
+    /// and emits the `net_ripped` event.
+    fn rip_up(&mut self, net: u32, attempt: u32, reject: Reject, rec: &mut dyn Recorder) {
+        let Reject {
+            reason,
+            cells,
+            odd_cycle,
+        } = reject;
+        if let Some((layer, other)) = odd_cycle.filter(|_| rec.enabled()) {
+            rec.event(RouterEvent::OddCycleDecomposed {
+                net,
+                layer: layer.index() as u8,
+                other,
+            });
+        }
         let clock = SpanClock::start(&*rec);
         let ws = self.workspace.as_mut().expect(SIZED);
-        penalize(&self.config, &mut ws.penalties, cells);
+        penalize(&self.config, &mut ws.penalties, &cells);
         self.ledger.counters.ripups += 1;
         match reason {
             RipReason::TypeB => self.ledger.counters.ripups_type_b += 1,
@@ -242,20 +247,16 @@ impl Router {
         for attempt in 0..=self.config.max_ripup {
             // Stage 1: pure search over read-only views.
             let ws = self.workspace.as_mut().expect(SIZED);
-            let stage = SearchStage {
-                plane: &*plane,
-                dir_map: &ws.dir_map,
-                guards: &ws.guards,
-                config: &self.config,
-            };
-            let outcome = stage.search_net(net, &ws.penalties, &mut ws.scratch, &mut budget, rec);
-            self.ledger.counters.nodes_expanded += outcome.expanded;
-            if outcome.budget_exceeded {
-                self.ledger.forget(net.id);
-                return Err(FailReason::BudgetExceeded);
-            }
-            let Some(candidate) = outcome.candidate else {
-                return Err(FailReason::NoPath);
+            let (found, expanded) = search_net(plane, ws, &self.config, net, &mut budget, rec);
+            self.ledger.counters.nodes_expanded += expanded;
+            let candidate = match found {
+                Ok(candidate) => candidate,
+                Err(reason) => {
+                    if reason == FailReason::BudgetExceeded {
+                        self.ledger.forget(net.id);
+                    }
+                    return Err(reason);
+                }
             };
 
             // Stages 2-5: scenario scan, type-B check, propose,
@@ -271,29 +272,7 @@ impl Router {
                     }
                     return Ok(());
                 }
-                Err(StageReject::Merge(cells)) => {
-                    self.rip_up(key, attempt, RipReason::Graph, &cells, rec);
-                }
-                Err(StageReject::TypeB(cells)) => {
-                    self.rip_up(key, attempt, RipReason::TypeB, &cells, rec);
-                }
-                Err(StageReject::Graph {
-                    layer,
-                    other,
-                    cells,
-                }) => {
-                    if rec.enabled() {
-                        rec.event(RouterEvent::OddCycleDecomposed {
-                            net: key,
-                            layer: layer.index() as u8,
-                            other,
-                        });
-                    }
-                    self.rip_up(key, attempt, RipReason::Graph, &cells, rec);
-                }
-                Err(StageReject::Risk(cells)) => {
-                    self.rip_up(key, attempt, RipReason::Risk, &cells, rec);
-                }
+                Err(reject) => self.rip_up(key, attempt, reject, rec),
             }
         }
         // Attempts exhausted; leave the graphs clean.
@@ -309,9 +288,9 @@ impl Router {
         &mut self,
         plane: &mut RoutingPlane,
         net: &Net,
-        candidate: crate::search::RouteCandidate,
+        candidate: RouteCandidate,
         rec: &mut dyn Recorder,
-    ) -> Result<bool, StageReject> {
+    ) -> Result<bool, Reject> {
         let key = net.id.0;
 
         // Stage 2: classify the tentative route against the routed layout
@@ -343,13 +322,21 @@ impl Router {
                 .map(|f| (f.layer, f.our_rect))
                 .collect();
             if !merges.is_empty() {
-                return Err(StageReject::Merge(merges));
+                return Err(Reject {
+                    reason: RipReason::Graph,
+                    cells: merges,
+                    odd_cycle: None,
+                });
             }
         }
 
         // Cut conflict check (type B, Fig. 16).
-        if let Some(bad) = type_b_conflict(&found, plane.rules()) {
-            return Err(StageReject::TypeB(bad));
+        if let Some(cells) = type_b_conflict(&found, plane.rules()) {
+            return Err(Reject {
+                reason: RipReason::TypeB,
+                cells,
+                odd_cycle: None,
+            });
         }
 
         // Stage 3: propose — stage the scenario edges in the ledger; odd
@@ -386,10 +373,10 @@ impl Router {
                 .filter(|f| f.layer == layer && f.other_net == bad_net)
                 .map(|f| (layer, f.our_rect))
                 .collect();
-            return Err(StageReject::Graph {
-                layer,
-                other: bad_net,
+            return Err(Reject {
+                reason: RipReason::Graph,
                 cells,
+                odd_cycle: Some((layer, bad_net)),
             });
         }
 
@@ -414,7 +401,11 @@ impl Router {
                 .map(|f| (f.layer, f.our_rect))
                 .collect();
             self.ledger.abort(proposal);
-            return Err(StageReject::Risk(cells));
+            return Err(Reject {
+                reason: RipReason::Risk,
+                cells,
+                odd_cycle: None,
+            });
         }
         if flipped {
             self.ledger.counters.flips += 1;
@@ -428,6 +419,79 @@ impl Router {
         clock.stop(rec, Stage::Commit);
         Ok(flipped)
     }
+}
+
+/// Searches a full candidate route for `net`, timed as one `search` span
+/// on `rec`: the trunk between the source and target pins, then one
+/// branch per extra terminal (each may tap any already-found point of the
+/// net), and fragments the result into maximal wire rectangles. The
+/// net's `budget` spans the trunk and every branch search. Returns the
+/// candidate, or why the net has none (`NoPath`, or `BudgetExceeded` once
+/// the budget ran out), plus the nodes expanded. One virtual call per net
+/// attempt — the per-node inner loop stays observation-free.
+fn search_net(
+    plane: &RoutingPlane,
+    ws: &mut Workspace,
+    config: &RouterConfig,
+    net: &Net,
+    budget: &mut Budget,
+    rec: &mut dyn Recorder,
+) -> (Result<RouteCandidate, FailReason>, u64) {
+    let clock = SpanClock::start(&*rec);
+    let trunk = AstarRequest {
+        plane,
+        dir_map: &ws.dir_map,
+        guards: &ws.guards,
+        penalties: &ws.penalties,
+        config,
+        net: net.id,
+        sources: net.source.candidates(),
+        targets: net.target.candidates(),
+    };
+    let scratch = &mut ws.scratch;
+    let (path, stats) = astar_search(&trunk, scratch, budget);
+    let mut expanded = stats.expanded;
+    let found = 'search: {
+        let Some(path) = path else {
+            break 'search Err(stats);
+        };
+        let mut branches: Vec<RoutePath> = Vec::new();
+        for pin in &net.extra {
+            let mut targets: Vec<GridPoint> = path.points().to_vec();
+            for b in &branches {
+                targets.extend_from_slice(b.points());
+            }
+            let branch = AstarRequest {
+                sources: pin.candidates(),
+                targets: &targets,
+                ..trunk
+            };
+            let (bpath, bstats) = astar_search(&branch, scratch, budget);
+            expanded += bstats.expanded;
+            match bpath {
+                Some(bp) => branches.push(bp),
+                None => break 'search Err(bstats),
+            }
+        }
+        let mut fragments = Vec::new();
+        for p in std::iter::once(&path).chain(&branches) {
+            p.fragments_into(|layer, rect| fragments.push((layer, rect)));
+        }
+        Ok(RouteCandidate {
+            path,
+            branches,
+            fragments,
+        })
+    };
+    clock.stop(rec, Stage::Search);
+    let found = found.map_err(|stats| {
+        if stats.budget_exceeded {
+            FailReason::BudgetExceeded
+        } else {
+            FailReason::NoPath
+        }
+    });
+    (found, expanded)
 }
 
 /// The guard-halo half of [`Router::reserve_pins`]: claims the soft 3×3 keep-out

@@ -296,11 +296,11 @@ impl EcoSession {
     ) -> Result<EcoSession, EcoError> {
         let base_plane = plane.clone();
         let mut session = RoutingSession::create(config, plane, netlist, trace, false)?;
-        loop {
-            match session.advance(StepBudget::unbounded()) {
-                SessionStatus::Running | SessionStatus::CheckpointReady => {}
-                SessionStatus::Done(_) => break,
-                SessionStatus::Failed(e) => return Err(EcoError::Session(e)),
+        match session.advance(StepBudget::unbounded()) {
+            SessionStatus::Done(_) => {}
+            SessionStatus::Failed(e) => return Err(EcoError::Session(e)),
+            SessionStatus::Running | SessionStatus::CheckpointReady => {
+                unreachable!("an unbounded advance finishes the schedule")
             }
         }
         let (mut router, mut plane, netlist, rec) = session.into_router_parts();

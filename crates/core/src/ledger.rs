@@ -23,7 +23,6 @@
 
 use crate::grids::DirGrid;
 use crate::scan::pack_frag_id;
-use crate::search::RouteCandidate;
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
 use sadp_graph::{flip, GraphError, OverlayGraph};
 use sadp_grid::{Net, NetId, RoutePath, RoutingPlane};
@@ -121,6 +120,19 @@ impl Proposal {
     pub fn net(&self) -> NetId {
         self.net
     }
+}
+
+/// A tentative route found by the driver's search: trunk, branches, and
+/// the maximal wire-fragment rectangles of all of them. Nothing about it
+/// is committed until [`CommitLedger::commit`] consumes it.
+#[derive(Debug, Clone)]
+pub struct RouteCandidate {
+    /// The trunk path (source pin to target pin).
+    pub path: RoutePath,
+    /// Branch paths of a multi-terminal net (empty for two-pin nets).
+    pub branches: Vec<RoutePath>,
+    /// Maximal wire-fragment rectangles per layer, over all paths.
+    pub fragments: Vec<(Layer, TrackRect)>,
 }
 
 /// Serialized owner of all shared routing state (see the module docs for
@@ -360,7 +372,6 @@ impl CommitLedger {
                     .expect("branch A* only walks free or own cells");
             }
         }
-        let fragments = fragments.into_vec();
         let frag_ids = (0..fragments.len() as u32)
             .map(|k| pack_frag_id(id.0, self.frag_seq + k))
             .collect();

@@ -51,7 +51,6 @@ pub mod ledger;
 pub mod report;
 pub mod router;
 pub mod scan;
-pub mod search;
 pub mod session;
 pub mod stats;
 
@@ -65,10 +64,9 @@ pub use eco::{
 };
 pub use fault::{atomic_write, FaultPlan, IoFault, PersistKind};
 pub use grids::{DenseGrid, DirGrid, GuardGrid, PenaltyGrid};
-pub use ledger::{CommitLedger, LedgerCounters, Proposal, RoutedNet};
+pub use ledger::{CommitLedger, LedgerCounters, Proposal, RouteCandidate, RoutedNet};
 pub use report::RoutingReport;
 pub use router::{Router, RouterError};
 pub use scan::{scan_fragments, FoundScenario};
-pub use search::{FragmentList, RouteCandidate, SearchOutcome, SearchStage};
 pub use session::{RoutingSession, SessionError, SessionStatus, StepBudget};
 pub use stats::ScenarioCensus;

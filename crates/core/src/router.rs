@@ -2,9 +2,10 @@
 //!
 //! [`Router`] owns the [`CommitLedger`] (all shared routing state) and a
 //! `Workspace` (plane-sized dense working grids) and orchestrates the
-//! stages in [`crate::search`] and the internal driver module: pin
-//! reservation, the one-net-at-a-time routing schedule, the final
-//! flipping passes and the repair loop. See DESIGN.md, "Pipeline
+//! stages of the internal driver module: pin reservation, the
+//! one-net-at-a-time routing schedule (each net's [`crate::astar`]
+//! searches, commit or rip-up), the final flipping passes and the repair
+//! loop. See DESIGN.md, "Pipeline
 //! architecture".
 
 use crate::budget::RunBudget;
@@ -19,7 +20,6 @@ use sadp_graph::{flip, OverlayGraph};
 use sadp_grid::{Net, NetId, Netlist, RoutingPlane};
 use sadp_obs::{FailReason, NoopRecorder, Recorder, RouterEvent, SpanClock, Stage};
 use sadp_scenario::Color;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -132,7 +132,6 @@ pub struct Router {
     /// Whether finalize ran on the current state (a resumed finished run
     /// must not run it again).
     pub(crate) finalized: bool,
-    color_fallbacks: Cell<u64>,
     /// The whole-run budget, re-armed from the config at the start of
     /// every run (unlimited before the first).
     pub(crate) run_budget: RunBudget,
@@ -162,7 +161,6 @@ impl Router {
             workspace: None,
             failed: Vec::new(),
             finalized: false,
-            color_fallbacks: Cell::new(0),
             run_budget: RunBudget::unlimited(),
             schedule: Vec::new(),
             next: 0,
@@ -221,8 +219,8 @@ impl Router {
     ///
     /// A routed net missing from the layer's constraint graph is reported
     /// with [`Color::Core`]; that should never happen for a consistent
-    /// router state, so the fallback is counted
-    /// ([`RoutingReport::color_fallbacks`]) and asserts in dev builds.
+    /// router state, so it asserts in dev builds, and [`Router::report`]
+    /// counts such pairs as [`RoutingReport::color_fallbacks`].
     #[must_use]
     pub fn patterns_on_layer(&self, layer: Layer) -> Vec<(u32, Color, Vec<TrackRect>)> {
         let mut layers = Vec::new();
@@ -262,7 +260,6 @@ impl Router {
                     continue;
                 }
                 let color = self.color_of(r.id, layer).unwrap_or_else(|| {
-                    self.color_fallbacks.set(self.color_fallbacks.get() + 1);
                     debug_assert!(
                         false,
                         "{} has fragments on {layer} but no color there; defaulting to Core",
@@ -380,7 +377,6 @@ impl Router {
         }
         self.failed.clear();
         self.finalized = false;
-        self.color_fallbacks.set(0);
         Ok(())
     }
 
@@ -686,11 +682,9 @@ impl Router {
             report.cut_conflicts += e.cut_risks;
         }
         // Consistency sweep: every routed net must have a color on every
-        // layer it occupies. This sweep is the authoritative count; the
-        // `color_fallbacks` cell only backs `patterns_on_layer`'s own
-        // dev-build assertion and would double-count the same missing
-        // `(net, layer)` pairs if added here (and would make the report
-        // depend on how many times the caller asked for patterns).
+        // layer it occupies. The count is taken here, from the state, so
+        // the report does not depend on how many times the caller asked
+        // for patterns.
         let mut fallbacks = 0u64;
         for r in self.ledger.routed().values() {
             let mut layers: Vec<Layer> = r.fragments.iter().map(|&(l, _)| l).collect();

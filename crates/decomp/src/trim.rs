@@ -1,5 +1,8 @@
-//! SADP trim-process conflict checking, used by the trim-process baselines
-//! (\[10\], \[11\]).
+//! SADP trim-process conflict checking, for the trim process of the
+//! baselines \[10\], \[11\]. The baseline routers count their conflicts
+//! with their own `scan_fragments` passes; this checker serves
+//! `examples/odd_cycle.rs`, which contrasts the trim process with the
+//! cut process on one layout.
 //!
 //! In the trim process a pattern is generated either by a core pattern or
 //! by a trim pattern; patterns closer than the minimum coloring distance

@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 /// The stages of the routing pipeline that get separate attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// Pure pathfinding (`SearchStage`): A\*-expansion over read-only
-    /// views, trunk and branches.
+    /// Pure pathfinding: one span per net attempt covering its A\*
+    /// searches over read-only views, trunk and branches.
     Search,
     /// Scenario scan, proposal staging and the durable commit through the
     /// ledger.

@@ -131,6 +131,60 @@ fn budget_exhaustion_is_graceful_and_deterministic() {
     assert!(clean.0.routed_nets > starved.0.routed_nets);
 }
 
+/// Routes one net (`pins[0]` to `pins[1]`, then a branch to each later
+/// pin) on a 3-layer 32×32 plane whose every layer is walled off along
+/// `wall_y`, under a per-net node budget of `net_nodes` (0: unlimited).
+/// Returns the report and the serialized trace.
+fn route_one_net(pins: &[(i32, i32)], wall_y: i32, net_nodes: u64) -> (RoutingReport, String) {
+    let mut plane = RoutingPlane::new(3, 32, 32, DesignRules::node_10nm()).expect("valid plane");
+    for l in 0..3 {
+        plane.add_blockage(Layer(l), TrackRect::new(0, wall_y, 31, wall_y));
+    }
+    let pin = |&(x, y): &(i32, i32)| sadp::grid::Pin::fixed(GridPoint::new(Layer(0), x, y));
+    let mut netlist = Netlist::new();
+    netlist.add_multi_pin("n", pins.iter().map(pin).collect());
+    let mut config = RouterConfig::paper_defaults();
+    config.net_node_budget = net_nodes;
+    let mut router = Router::new(config);
+    let mut rec = BufferRecorder::with_flags(true, false);
+    let report = router.route_all_with(&mut plane, &netlist, &mut rec);
+    (report, events_to_jsonl(&rec.take_events()))
+}
+
+#[test]
+fn a_branch_search_fails_a_net_for_its_own_reason() {
+    const TRUNK: [(i32, i32); 2] = [(2, 5), (12, 5)];
+    const BRANCHED: [(i32, i32); 3] = [(2, 5), (12, 5), (7, 15)];
+    // The trunk alone needs `trunk` nodes; the branch is reachable.
+    let (alone, _) = route_one_net(&TRUNK, 25, 0);
+    let trunk = alone.nodes_expanded;
+    assert_eq!(alone.routed_nets, 1);
+    let (open, _) = route_one_net(&BRANCHED, 25, 0);
+    assert_eq!(open.routed_nets, 1, "the branch is reachable");
+    assert!(open.nodes_expanded > trunk);
+
+    // A budget the trunk fits but the branch exhausts fails the net as
+    // budget_exceeded, not no_path.
+    let (alone, _) = route_one_net(&TRUNK, 25, trunk);
+    assert_eq!(alone.routed_nets, 1, "the trunk fits a {trunk}-node budget");
+    let (starved, trace) = route_one_net(&BRANCHED, 25, trunk);
+    assert_eq!(starved.routed_nets, 0);
+    assert_eq!((starved.failed_budget, starved.failed_no_path), (1, 0));
+    assert!(
+        trace.contains(r#""event":"net_failed","net":0,"reason":"budget_exceeded""#),
+        "{trace}"
+    );
+
+    // A branch pin walled off from the trunk fails the net as no_path.
+    let (walled, trace) = route_one_net(&BRANCHED, 10, 0);
+    assert_eq!(walled.routed_nets, 0);
+    assert_eq!((walled.failed_budget, walled.failed_no_path), (0, 1));
+    assert!(
+        trace.contains(r#""event":"net_failed","net":0,"reason":"no_path""#),
+        "{trace}"
+    );
+}
+
 /// Drives `spec` through a stepwise [`RoutingSession`] in slices of
 /// `slice` steps and returns everything observable plus the streamed
 /// event JSONL.
